@@ -48,17 +48,14 @@ from .specfile import SystemSpecFile, load_spec, parse_spec
 from .systems import (
     CubicCenter,
     DoubleCenter,
-    GeneralQuadCenter,
     GlobalCenter,
     LinearSaddle,
-    NormalQuadCenter,
     PiecewiseSystem,
     Zone,
     hamiltonian,
     is_continuous,
     mirror,
     piecewise_system,
-    rotate_to_normal,
     saddle_data,
     separatrices,
     vector_field,
@@ -68,14 +65,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundInfo", "CandidateCycle", "CubicCenter", "DoubleCenter",
-    "FlowMachine", "GeneralQuadCenter", "GlobalCenter", "IntegratorConfig",
-    "LinearSaddle", "MatchingSystem", "MultiPoly", "NormalQuadCenter",
-    "PiecewiseSystem", "Rat", "RootInterval", "SolveReport", "SumDiffSystem",
-    "SystemSpecFile", "Trajectory", "UniPoly", "Zone", "annulus_check",
-    "back_substitute", "build_three_zone", "build_two_zone", "discriminant2",
-    "eliminate", "hamiltonian", "integrate_arc", "is_continuous", "load_spec",
-    "mirror", "parse_spec", "piecewise_system", "real_roots", "refine_root",
-    "resultant", "return_map", "rotate_to_normal", "saddle_data",
-    "separatrices", "shooting_oracle", "solve", "squarefree", "sturm_isolate",
-    "theorem_bound", "to_sum_diff", "vector_field", "verify_candidate",
+    "FlowMachine", "GlobalCenter", "IntegratorConfig", "LinearSaddle",
+    "MatchingSystem", "MultiPoly", "PiecewiseSystem", "Rat", "RootInterval",
+    "SolveReport", "SumDiffSystem", "SystemSpecFile", "Trajectory", "UniPoly",
+    "Zone", "annulus_check", "back_substitute", "build_three_zone",
+    "build_two_zone", "discriminant2", "eliminate", "hamiltonian",
+    "integrate_arc", "is_continuous", "load_spec", "mirror", "parse_spec",
+    "piecewise_system", "real_roots", "refine_root", "resultant", "return_map",
+    "saddle_data", "separatrices", "shooting_oracle", "solve", "squarefree",
+    "sturm_isolate", "theorem_bound", "to_sum_diff", "vector_field",
+    "verify_candidate",
 ]

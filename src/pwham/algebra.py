@@ -454,28 +454,6 @@ def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL)
     return (lo + hi) / 2
 
 
-def refine_interval(p: UniPoly, iv: RootInterval, tol: RatLike) -> RootInterval:
-    """Same bisection as refine_root but keeps the interval form."""
-    tol = rat(tol)
-    lo, hi, slo, shi = iv.lo, iv.hi, iv.sign_lo, iv.sign_hi
-    while hi - lo >= tol:
-        mid = (lo + hi) / 2
-        sm = _sign(p(mid))
-        if sm == 0:
-            w = (hi - lo) / 8
-            lo2, hi2 = mid - w, mid + w
-            while _sign(p(lo2)) == 0:
-                lo2 = (lo2 + mid) / 2  # pragma: no cover
-            while _sign(p(hi2)) == 0:
-                hi2 = (mid + hi2) / 2  # pragma: no cover
-            return RootInterval(lo2, hi2, _sign(p(lo2)), _sign(p(hi2)))
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return RootInterval(lo, hi, slo, shi)
-
-
 def real_roots(p: UniPoly, tol: RatLike = DEFAULT_REFINE_TOL,
                lo: RatLike | None = None, hi: RatLike | None = None) -> list[Fraction]:
     """All distinct real roots of p (any multiplicity) as rational
@@ -682,6 +660,14 @@ class MultiPoly:
             q_terms[eq] = q_terms.get(eq, Fraction(0)) + cq
             r = r - MultiPoly(a.vars, {eq: cq}) * b
         return MultiPoly(a.vars, q_terms)
+
+    def diff(self, var: str) -> "MultiPoly":
+        """Partial derivative in var."""
+        if var not in self.vars:
+            return MultiPoly.zero(self.vars)
+        i = self.vars.index(var)
+        return MultiPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                     for e, c in self.terms.items() if e[i]})
 
     # -- substitution / evaluation --------------------------------------------
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import dynamics, solver
 from .matcher import MatchError
 from .solver import InvariantViolation, NotCoveredError, SolveReport
-from .specfile import ParseError, SystemSpecFile, load_spec
+from .specfile import ZONE_KEYS, ParseError, SystemSpecFile, load_spec
 from .systems import LinearSaddle, PiecewiseSystem, equilibria, is_continuous, separatrix_lines
 
 
@@ -184,7 +184,7 @@ def _resolve_param(spec: SystemSpecFile, path: str):
         payload = spec.payloads[zi]
     except (ValueError, IndexError):
         raise NotCoveredError(f"unknown parameter path {path!r}") from None
-    if not hasattr(payload, name):
+    if name not in ZONE_KEYS[payload.kind]:
         raise NotCoveredError(f"zone {zi} has no parameter {name!r}")
     return zi, name
 

@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
-from .systems import (
-    CubicCenter,
-    DoubleCenter,
-    GlobalCenter,
-    LinearSaddle,
-    PiecewiseSystem,
-    Zone,
-)
+from .algebra import MultiPoly
+from .systems import GlobalCenter, PiecewiseSystem, Zone, local_forms
 
 
 class DynamicsError(Exception):
@@ -78,89 +74,49 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _float_expr(p: MultiPoly, sign: int = 1) -> str:
+    """Straight-line float code for sign * p in the variables x and y; zero
+    coefficients are absent from a MultiPoly, so they cost nothing."""
+    terms = []
+    for e, c in sorted(p.terms.items(), reverse=True):
+        c = sign * float(c)
+        mono = "*".join(v for v, k in zip(p.vars, e) for _ in range(k))
+        if not mono:
+            terms.append(repr(c))
+        elif abs(c) == 1.0:
+            terms.append(mono if c > 0 else "-" + mono)
+        else:
+            terms.append(f"{c!r}*{mono}")
+    return " + ".join(terms) or "0.0"
+
+
+def _compile(offset: Fraction, expr: str):
+    """A function (x, y) -> expr, with expr evaluated in the local frame
+    X = x + offset (bound to the name x): a distant zone then loses no
+    precision to cancellation between expanded monomials in x."""
+    shift = f"    x = x + {float(offset)!r}\n" if offset else ""
+    namespace: dict = {}
+    exec(compile(f"def f(x, y):\n{shift}    return {expr}\n", "<zone>", "exec"),
+         namespace)
+    return namespace["f"]
+
+
+@lru_cache(maxsize=8)
 def zone_field_fn(zone: Zone):
-    p = zone.payload
-    s = -1.0 if zone.reverse else 1.0
-    if isinstance(p, DoubleCenter):
-        l, n, pp, off = float(p.l), float(p.n), float(p.p), float(p.offset)
-
-        def f(x, y, _l=l, _n=n, _p=pp, _o=off, _s=s):
-            xs = x + _o
-            return _s * (-y + _l * xs * xs + _n * y * y), \
-                   _s * (xs + _p * xs * xs - 2.0 * _l * xs * y)
-
-        return f
-    if isinstance(p, GlobalCenter):
-        xi, off = float(p.xi), float(p.offset)
-
-        def f(x, y, _xi=xi, _o=off, _s=s):
-            xs = x + _o
-            return _s * (y - 2.0 * xs * xs - _xi), _s * (-2.0 * xs * y)
-
-        return f
-    if isinstance(p, CubicCenter):
-        a, b, pp, q, r, ss, off = (float(p.a), float(p.b), float(p.p),
-                                   float(p.q), float(p.r), float(p.s),
-                                   float(p.offset))
-
-        def f(x, y, _a=a, _b=b, _p=pp, _q=q, _r=r, _sx=ss, _o=off, _s=s):
-            xs = x + _o
-            fx = 3.0 * _q * y * y + _r * xs * xs + 2.0 * _sx * xs * y - _a * xs - _b * y
-            fy = xs + _a * y - 3.0 * _p * xs * xs - 2.0 * _r * xs * y - _sx * y * y
-            return _s * fx, _s * fy
-
-        return f
-    if isinstance(p, LinearSaddle):
-        al, be, de, mu, ga = (float(p.alpha), float(p.beta), float(p.delta),
-                              float(p.mu), float(p.gamma))
-
-        def f(x, y, _a=al, _b=be, _d=de, _m=mu, _g=ga, _s=s):
-            return _s * (-_b * x - _d * y + _m), _s * (_a * x + _b * y + _g)
-
-        return f
-    raise DynamicsError(f"unknown payload {p!r}")  # pragma: no cover
+    """Float field (dx/dt, dy/dt) of the zone, reversal applied."""
+    _, _, fx, fy = local_forms(zone.payload)
+    s = -1 if zone.reverse else 1
+    return _compile(zone.payload.offset, f"{_float_expr(fx, s)}, {_float_expr(fy, s)}")
 
 
+@lru_cache(maxsize=8)
 def zone_integral_fn(zone: Zone):
     """Float first integral (value of the conserved quantity)."""
-    p = zone.payload
-    if isinstance(p, DoubleCenter):
-        l, n, pp, off = float(p.l), float(p.n), float(p.p), float(p.offset)
-
-        def h(x, y):
-            xs = x + off
-            return (0.5 * (xs * xs + y * y) - l * xs * xs * y
-                    - n / 3.0 * y**3 + pp / 3.0 * xs**3)
-
-        return h
-    if isinstance(p, GlobalCenter):
-        xi, off = float(p.xi), float(p.offset)
-
-        def h(x, y):
-            xs = x + off
-            return (xs * xs - y + 0.5 * xi) / (y * y)
-
-        return h
-    if isinstance(p, CubicCenter):
-        a, b, pp, q, r, ss, off = (float(p.a), float(p.b), float(p.p),
-                                   float(p.q), float(p.r), float(p.s),
-                                   float(p.offset))
-
-        def h(x, y):
-            xs = x + off
-            return (pp * xs**3 + q * y**3 + r * xs * xs * y + ss * xs * y * y
-                    - 0.5 * xs * xs - a * xs * y - 0.5 * b * y * y)
-
-        return h
-    if isinstance(p, LinearSaddle):
-        al, be, de, mu, ga = (float(p.alpha), float(p.beta), float(p.delta),
-                              float(p.mu), float(p.gamma))
-
-        def h(x, y):
-            return -ga * x + mu * y - be * x * y - 0.5 * (al * x * x + de * y * y)
-
-        return h
-    raise DynamicsError(f"unknown payload {p!r}")  # pragma: no cover
+    num, den, _, _ = local_forms(zone.payload)
+    expr = _float_expr(num)
+    if den.degree() > 0:
+        expr = f"({expr}) / ({_float_expr(den)})"
+    return _compile(zone.payload.offset, expr)
 
 
 # Dormand-Prince 4(5) tableau

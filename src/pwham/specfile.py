@@ -17,18 +17,10 @@ the offending line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .systems import (
-    CubicCenter,
-    DoubleCenter,
-    GlobalCenter,
-    LinearSaddle,
-    PiecewiseSystem,
-    SystemError,
-    piecewise_system,
-)
+from .systems import FAMILIES, PiecewiseSystem, SystemError, piecewise_system
 
 
 class ParseError(ValueError):
@@ -38,18 +30,13 @@ class ParseError(ValueError):
         self.col = col
 
 
-ZONE_KEYS = {
-    "double_center": ("l", "n", "p", "offset"),
-    "global_center": ("xi", "offset"),
-    "cubic_center": ("a", "b", "p", "q", "r", "s", "offset"),
-    "linear": ("alpha", "beta", "delta", "mu", "gamma"),
-}
+ZONE_KEYS = {kind: tuple(f.name for f in fields(cls))
+             for kind, cls in FAMILIES.items()}
 
+# keys without a sensible zero default; every other key defaults to 0
 ZONE_REQUIRED = {
     "double_center": ("n",),
     "global_center": ("xi",),
-    "cubic_center": (),
-    "linear": (),
 }
 
 OPTION_KEYS = ("tol", "grid", "window", "verify")
@@ -70,12 +57,10 @@ class SystemSpecFile:
         lines = [f"version {self.version}"]
         lines.append("boundaries " + " ".join(str(b) for b in self.boundaries))
         for p, rev in zip(self.payloads, self.reverse):
-            kind = {DoubleCenter: "double_center", GlobalCenter: "global_center",
-                    CubicCenter: "cubic_center", LinearSaddle: "linear"}[type(p)]
-            parts = [f"zone {kind}"]
-            for k in ZONE_KEYS[kind]:
+            parts = [f"zone {p.kind}"]
+            for k in ZONE_KEYS[p.kind]:
                 v = getattr(p, k)
-                if v != 0 or k in ZONE_REQUIRED[kind]:
+                if v != 0 or k in ZONE_REQUIRED.get(p.kind, ()):
                     parts.append(f"{k}={v}")
             if rev:
                 parts.append("reverse=true")
@@ -130,7 +115,7 @@ def parse_spec(text: str) -> SystemSpecFile:
             if len(tokens) < 2:
                 raise ParseError("zone needs a kind", lineno, col)
             kind = tokens[1]
-            if kind not in ZONE_KEYS:
+            if kind not in FAMILIES:
                 raise ParseError(f"unknown zone kind {kind!r}", lineno,
                                  line.index(kind) + 1)
             kv: dict = {}
@@ -149,15 +134,13 @@ def parse_spec(text: str) -> SystemSpecFile:
                 if k in kv:
                     raise ParseError(f"duplicate key {k!r}", lineno, tcol)
                 kv[k] = _rat(v, lineno, tcol)
-            for k in ZONE_REQUIRED[kind]:
+            for k in ZONE_REQUIRED.get(kind, ()):
                 if k not in kv:
                     raise ParseError(f"zone kind {kind!r} requires {k!r}", lineno, col)
-            cls = {"double_center": DoubleCenter, "global_center": GlobalCenter,
-                   "cubic_center": CubicCenter, "linear": LinearSaddle}[kind]
             defaults = {k: Fraction(0) for k in ZONE_KEYS[kind]}
             defaults.update(kv)
             try:
-                payloads.append(cls(**defaults))
+                payloads.append(FAMILIES[kind](**defaults))
             except SystemError as e:
                 raise ParseError(str(e), lineno, col) from None
             reverse.append(rev)

@@ -1,15 +1,26 @@
 """Planar vector-field families and the piecewise-system container.
 
-Four zone families are supported, each carrying an exact first integral:
+Four zone families are supported.  Each is defined by one formula: its exact
+first integral H = num/den in the local frame X = x + offset, together with
+an integrating factor m, so that the field is m * (H_y, -H_x):
 
-* ``DoubleCenter``  -- quadratic Hamiltonian field with centers at (0,0) and
-  (0,1/n) in shifted coordinates,
-* ``GlobalCenter``  -- integrable quadratic field whose rational first
-  integral fills the upper half plane with closed orbits,
-* ``CubicCenter``   -- general cubic Hamiltonian whose origin is a center
-  exactly when b - a^2 > 0,
-* ``LinearSaddle``  -- affine linear Hamiltonian piece; a saddle when
-  beta^2 - alpha*delta > 0 and a linear center when it is negative.
+* ``DoubleCenter``  (m = -1)  -- quadratic Hamiltonian field with centers at
+  (0,0) and (0,1/n) in shifted coordinates,
+* ``GlobalCenter``  (m = y^3) -- integrable quadratic field whose rational
+  first integral fills the upper half plane with closed orbits,
+* ``CubicCenter``   (m = 1)   -- general cubic Hamiltonian whose origin is a
+  center exactly when b - a^2 > 0,
+* ``LinearSaddle``  (m = 1)   -- affine linear Hamiltonian piece in absolute
+  x; a saddle when beta^2 - alpha*delta > 0 and a linear center when it is
+  negative.
+
+The exact field and integral (``field_polys``, ``hamiltonian``) and the
+compiled float closures in ``dynamics`` are all derived from that formula.
+Adding a family means adding one ``@_family`` payload class with its
+``kind`` name and ``first_integral`` (numerator, denominator and integrating
+factor), listed in ``FAMILIES``; the per-family mathematics beyond the field
+(the theorem bounds, ``mirror_payload``, ``equilibria``) is written where it
+is used.
 
 A ``Zone`` places a family on a vertical strip (optionally time-reversed;
 reversal flips the flow direction but not the level sets, and it matters for
@@ -21,9 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import lru_cache
+from typing import ClassVar, Optional, Union
 
-from .algebra import MultiPoly, RatLike, UniPoly, rat, real_roots
+from .algebra import MultiPoly, RatLike, UniPoly, rat
 
 X = "x"
 Y = "y"
@@ -46,7 +58,28 @@ class SystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _family(cls):
+    """Make a zone-family payload class: a frozen dataclass with a ``kind``
+    name and ``first_integral(X, y) -> (num, den, m)``, the first integral
+    num/den in the local frame and the integrating factor m of its field
+    m * (H_y, -H_x).  The hash is computed once, because payloads key the
+    caches of derived forms below and long rationals are slow to hash."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_family
 class DoubleCenter:
     """dx/dt = -y + l*X^2 + n*y^2,  dy/dt = X + p*X^2 - 2*l*X*y,  X = x+offset.
 
@@ -54,6 +87,7 @@ class DoubleCenter:
     degenerate single-center member (it is what a continuous match with a
     linear piece forces, so it is accepted)."""
 
+    kind: ClassVar[str] = "double_center"
     l: Fraction
     n: Fraction
     p: Fraction
@@ -63,14 +97,20 @@ class DoubleCenter:
         for f in ("l", "n", "p", "offset"):
             object.__setattr__(self, f, rat(getattr(self, f)))
 
+    def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
+        num = (Fraction(1, 2) * (X * X + y * y) - self.l * X * X * y
+               - Fraction(self.n, 3) * y ** 3 + Fraction(self.p, 3) * X ** 3)
+        return num, 1, -1
 
-@dataclass(frozen=True)
+
+@_family
 class GlobalCenter:
     """dx/dt = y - 2*X^2 - xi,  dy/dt = -2*X*y, with X = x+offset, xi > 0.
 
     The first integral (X^2 - y + xi/2) / y^2 is rational; y = 0 is its
     singular locus and bounds the period annulus around (X,y) = (0, xi)."""
 
+    kind: ClassVar[str] = "global_center"
     xi: Fraction
     offset: Fraction = Fraction(0)
 
@@ -80,8 +120,11 @@ class GlobalCenter:
         if self.xi <= 0:
             raise SystemError("global center requires xi > 0")
 
+    def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
+        return X * X - y + self.xi / 2, y * y, y ** 3
 
-@dataclass(frozen=True)
+
+@_family
 class CubicCenter:
     """Hamiltonian field of G = p*X^3 + q*y^3 + r*X^2*y + s*X*y^2
     - X^2/2 - a*X*y - b*y^2/2 (with X = x+offset):
@@ -91,6 +134,7 @@ class CubicCenter:
 
     The origin (X=0, y=0) is a center iff b - a^2 > 0."""
 
+    kind: ClassVar[str] = "cubic_center"
     a: Fraction
     b: Fraction
     p: Fraction = Fraction(0)
@@ -107,8 +151,14 @@ class CubicCenter:
     def has_center_at_origin(self) -> bool:
         return self.b - self.a * self.a > 0
 
+    def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
+        num = (self.p * X ** 3 + self.q * y ** 3 + self.r * X * X * y
+               + self.s * X * y * y - Fraction(1, 2) * X * X
+               - self.a * X * y - Fraction(self.b, 2) * y * y)
+        return num, 1, 1
 
-@dataclass(frozen=True)
+
+@_family
 class LinearSaddle:
     """dx/dt = -beta*x - delta*y + mu,  dy/dt = alpha*x + beta*y + gamma.
 
@@ -116,6 +166,8 @@ class LinearSaddle:
     beta^2 - alpha*delta > 0 (eigenvalues +/- sqrt of that), a linear center
     when negative.  Fixture systems use both, so neither is rejected."""
 
+    kind: ClassVar[str] = "linear"
+    offset: ClassVar[Fraction] = Fraction(0)  # written in absolute x
     alpha: Fraction
     beta: Fraction
     delta: Fraction
@@ -138,15 +190,17 @@ class LinearSaddle:
     def is_linear_center(self) -> bool:
         return self.eigen_square < 0
 
+    def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
+        num = (-self.gamma * X + self.mu * y - self.beta * X * y
+               - Fraction(1, 2) * (self.alpha * X * X + self.delta * y * y))
+        return num, 1, 1
+
 
 Payload = Union[DoubleCenter, GlobalCenter, CubicCenter, LinearSaddle]
 
-KIND_NAMES = {
-    DoubleCenter: "double_center",
-    GlobalCenter: "global_center",
-    CubicCenter: "cubic_center",
-    LinearSaddle: "linear",
-}
+# the kind names of the spec file and reports
+FAMILIES = {cls.kind: cls for cls in (DoubleCenter, GlobalCenter, CubicCenter,
+                                      LinearSaddle)}
 
 
 @dataclass(frozen=True)
@@ -161,7 +215,7 @@ class Zone:
 
     @property
     def kind(self) -> str:
-        return KIND_NAMES[type(self.payload)]
+        return self.payload.kind
 
     def contains(self, x: Fraction | float) -> bool:
         lo_ok = self.x_lo is None or x > self.x_lo
@@ -202,72 +256,62 @@ def piecewise_system(payloads: list[Payload], boundaries: list[RatLike],
 
 
 # ---------------------------------------------------------------------------
-# fields and first integrals (exact)
+# fields and first integrals (exact), derived from each family's integral
 # ---------------------------------------------------------------------------
 
 
-def _shifted_x(offset: Fraction) -> MultiPoly:
-    return _x() + MultiPoly.const(offset)
+def _xy(v) -> MultiPoly:
+    """A polynomial (or rational constant) over both variables x and y."""
+    if isinstance(v, MultiPoly):
+        return v if v.vars == (X, Y) else MultiPoly.zero((X, Y)) + v
+    return MultiPoly.const(v, (X, Y))
+
+
+def _derive(p: Payload, xs: MultiPoly) -> tuple[MultiPoly, ...]:
+    """(num, den, fx, fy): the first integral num/den with X replaced by xs,
+    and the forward field m * (H_y, -H_x) by exact differentiation (d/dX is
+    d/dx).  A polynomial integral has den = 1 and a constant m; for a
+    rational one the quotient rule leaves den^2 under the derivatives, and
+    m cancels it."""
+    num, den, m = p.first_integral(xs, _y())
+    num = _xy(num)
+    if den == 1:
+        return num, _xy(1), num.diff(Y) * m, num.diff(X) * -m
+    den, m = _xy(den), _xy(m)
+    den2 = den * den
+    fx = (m * (num.diff(Y) * den - num * den.diff(Y))).exact_div(den2)
+    fy = (-m * (num.diff(X) * den - num * den.diff(X))).exact_div(den2)
+    return num, den, fx, fy
+
+
+@lru_cache(maxsize=8)
+def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
+    """(num, den, fx, fy) in the payload's local frame X = x + offset,
+    written in the variable x; the float code in ``dynamics`` compiles these,
+    so that it evaluates in the shifted frame."""
+    return _derive(p, _x())
+
+
+@lru_cache(maxsize=8)
+def _absolute_forms(p: Payload) -> tuple[MultiPoly, ...]:
+    if p.offset == 0:
+        return local_forms(p)
+    return _derive(p, _x() + MultiPoly.const(p.offset))
 
 
 def field_polys(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
     """The zone's vector field as exact polynomials in (x, y), absolute
     coordinates, with the reversal flag applied."""
-    p = zone.payload
-    y = _y()
-    if isinstance(p, DoubleCenter):
-        xs = _shifted_x(p.offset)
-        fx = -y + p.l * xs * xs + p.n * y * y
-        fy = xs + p.p * xs * xs - 2 * p.l * xs * y
-    elif isinstance(p, GlobalCenter):
-        xs = _shifted_x(p.offset)
-        fx = y - 2 * xs * xs - MultiPoly.const(p.xi)
-        fy = -2 * xs * y
-    elif isinstance(p, CubicCenter):
-        xs = _shifted_x(p.offset)
-        fx = (3 * p.q * y * y + p.r * xs * xs + 2 * p.s * xs * y
-              - p.a * xs - p.b * y)
-        fy = (xs + p.a * y - 3 * p.p * xs * xs - 2 * p.r * xs * y
-              - p.s * y * y)
-    elif isinstance(p, LinearSaddle):
-        x = _x()
-        fx = -p.beta * x - p.delta * y + MultiPoly.const(p.mu)
-        fy = p.alpha * x + p.beta * y + MultiPoly.const(p.gamma)
-    else:  # pragma: no cover
-        raise SystemError(f"unknown payload {p!r}")
-    if zone.reverse:
-        fx, fy = -fx, -fy
-    return fx, fy
+    _, _, fx, fy = _absolute_forms(zone.payload)
+    return (-fx, -fy) if zone.reverse else (fx, fy)
 
 
 def hamiltonian(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
     """First integral of the zone as a (numerator, denominator) pair in
     absolute coordinates.  Denominator is 1 except for the global center,
-    whose integral is (X^2 - y + xi/2) / y^2."""
-    p = zone.payload
-    y = _y()
-    one = MultiPoly.const(1)
-    if isinstance(p, DoubleCenter):
-        xs = _shifted_x(p.offset)
-        num = (Fraction(1, 2) * (xs * xs + y * y) - p.l * xs * xs * y
-               - Fraction(p.n, 3) * y ** 3 + Fraction(p.p, 3) * xs ** 3)
-        return num, one
-    if isinstance(p, GlobalCenter):
-        xs = _shifted_x(p.offset)
-        num = xs * xs - y + MultiPoly.const(Fraction(p.xi, 2))
-        return num, y * y
-    if isinstance(p, CubicCenter):
-        xs = _shifted_x(p.offset)
-        num = (p.p * xs ** 3 + p.q * y ** 3 + p.r * xs * xs * y
-               + p.s * xs * y * y - Fraction(1, 2) * xs * xs
-               - p.a * xs * y - Fraction(p.b, 2) * y * y)
-        return num, one
-    if isinstance(p, LinearSaddle):
-        x = _x()
-        num = (-p.gamma * x + p.mu * y - p.beta * x * y
-               - Fraction(1, 2) * (p.alpha * x * x + p.delta * y * y))
-        return num, one
-    raise SystemError(f"unknown payload {p!r}")  # pragma: no cover
+    whose integral is rational."""
+    num, den, _, _ = _absolute_forms(zone.payload)
+    return num, den
 
 
 def vector_field(zone: Zone, pt: tuple) -> tuple:
@@ -287,7 +331,7 @@ def boundary_restriction(zone: Zone, c: RatLike) -> UniPoly:
     in y.  Errors for the global center (rational integral); use
     global_restriction_constant for that family."""
     num, den = hamiltonian(zone)
-    if not (den - MultiPoly.const(1)).is_zero:
+    if den.degree() > 0:
         raise SystemError("rational integral: no polynomial restriction")
     return num.subs({X: rat(c)}).as_unipoly(Y)
 
@@ -296,8 +340,8 @@ def global_restriction_constant(zone: Zone, c: RatLike) -> Fraction:
     """K such that the global-center integral on x = c is (K - y) / y^2."""
     if not isinstance(zone.payload, GlobalCenter):
         raise SystemError("zone is not a global center")
-    xs = rat(c) + zone.payload.offset
-    return xs * xs + Fraction(zone.payload.xi, 2)
+    num, _ = hamiltonian(zone)
+    return num.eval({X: rat(c), Y: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -436,83 +480,3 @@ def mirror(ps: PiecewiseSystem) -> PiecewiseSystem:
         flags.append(z.reverse ^ flip)
     bounds = [-b for b in reversed(ps.boundaries)]
     return piecewise_system(payloads, bounds, flags)
-
-
-# ---------------------------------------------------------------------------
-# quadratic-center normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneralQuadCenter:
-    """dx/dt = -y + a1 x^2 + b1 xy + c1 y^2, dy/dt = x + a2 x^2 + b2 xy + c2 y^2."""
-
-    a1: Fraction
-    b1: Fraction
-    c1: Fraction
-    a2: Fraction
-    b2: Fraction
-    c2: Fraction
-
-    def __post_init__(self):
-        for f in ("a1", "b1", "c1", "a2", "b2", "c2"):
-            object.__setattr__(self, f, rat(getattr(self, f)))
-
-
-@dataclass(frozen=True)
-class NormalQuadCenter:
-    """Rotated form dx/dt = -y + l x^2 + m xy + n y^2, dy/dt = x + p x^2 + q xy.
-
-    Coefficients are floats (the rotation angle is transcendental); the
-    Hamiltonian sub-case is m = 0, q = -2l, n != 0."""
-
-    l: float
-    m: float
-    n: float
-    p: float
-    q: float
-
-    def is_hamiltonian_case(self, tol: float = 1e-9) -> bool:
-        return abs(self.m) < tol and abs(self.q + 2 * self.l) < tol and abs(self.n) > tol
-
-
-def cubic_residual(g: GeneralQuadCenter, theta: float) -> float:
-    """The y^2-in-v coefficient of the rotated second equation; the rotation
-    angle is chosen to kill it."""
-    s, c = math.sin(theta), math.cos(theta)
-    return (float(g.a1) * s**3 + float(g.b1 + g.a2) * s * s * c
-            + float(g.c1 + g.b2) * c * c * s + float(g.c2) * c**3)
-
-
-def rotate_to_normal(g: GeneralQuadCenter) -> tuple[float, NormalQuadCenter]:
-    """Rotate coordinates so the second equation loses its y^2 term.
-
-    The angle solves a cubic homogeneous trigonometric equation; in the
-    tangent substitution it is a real cubic root (one always exists), and
-    the degenerate leading case a1 = 0 is handled by theta = pi/2."""
-    cub = UniPoly([g.c2, g.c1 + g.b2, g.b1 + g.a2, g.a1], "t")
-    if cub.is_zero:
-        theta = 0.0
-    elif g.a1 == 0:
-        theta = math.pi / 2
-    else:
-        roots = real_roots(cub, Fraction(1, 10**15))
-        theta = math.atan(float(roots[0]))
-    s, c = math.sin(theta), math.cos(theta)
-
-    def rotate_quad(A: float, B: float, C: float) -> tuple[float, float, float]:
-        # x = c u + s v, y = -s u + c v applied to A x^2 + B xy + C y^2
-        return (A * c * c - B * c * s + C * s * s,
-                2 * A * c * s + B * (c * c - s * s) - 2 * C * c * s,
-                A * s * s + B * c * s + C * c * c)
-
-    P = (float(g.a1), float(g.b1), float(g.c1))
-    Q = (float(g.a2), float(g.b2), float(g.c2))
-    pu = rotate_quad(*P)
-    qu = rotate_quad(*Q)
-    # new components: cos*P - sin*Q and sin*P + cos*Q
-    l, m, n = (c * pu[i] - s * qu[i] for i in range(3))
-    p, q, r = (s * pu[i] + c * qu[i] for i in range(3))
-    if abs(r) > 1e-9 * (1 + max(map(abs, (l, m, n, p, q)))):  # pragma: no cover
-        raise SystemError(f"rotation failed to cancel the y^2 term: r = {r}")
-    return theta, NormalQuadCenter(l, m, n, p, q)

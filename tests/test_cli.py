@@ -200,9 +200,11 @@ def test_cli_sweep_cubic_family_thresholds(tmp_path):
 
 
 def test_cli_sweep_rejects_bad_param():
-    code, _ = run_cli("sweep", fixture_path("double_center_saddle.pwham"),
-                      "--param", "1.zzz", "--range", "0:1", "--samples", "2")
-    assert code == 3
+    # class attributes and methods of a payload are not parameters
+    for param in ("1.zzz", "1.offset", "0.kind", "1.is_saddle"):
+        code, _ = run_cli("sweep", fixture_path("double_center_saddle.pwham"),
+                          "--param", param, "--range", "0:1", "--samples", "2")
+        assert code == 3, param
 
 
 def test_cli_sweep_rejects_empty_range():

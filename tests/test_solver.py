@@ -303,6 +303,16 @@ def test_solve_double_center_fixture():
     assert abs(ys[1] - (1 + 2 * math.sqrt(3)) / 5) < 1e-9
 
 
+def test_solve_three_zone_direct_route():
+    """Two linear pieces left of a double center fall outside the
+    sum/difference shape, so solve takes the direct resultant fallback."""
+    ps = piecewise_system(
+        [LinearSaddle(2, 0, -2, F(1, 4), F(1, 4)), LinearSaddle(2, 0, -2, 0, -4),
+         DoubleCenter(0, 1, 0)], [-1, 1])
+    rep = solve(ps)
+    assert rep.diagnostics["topologies"]["three_zone"]["route"] == "direct"
+
+
 def test_solve_reports_eliminant_exact_and_route_invariant():
     """Re-running the direct elimination with permuted orders changes the
     eliminant only by extraneous factors: the screened candidate tuples are

@@ -1,30 +1,27 @@
-"""Vector-field families: Hamiltonians, conservation, saddle geometry,
-continuity, rotation to normal form."""
+"""Vector-field families: Hamiltonians, derived fields, conservation,
+saddle geometry, continuity."""
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from pwham.algebra import MultiPoly
+from pwham.dynamics import zone_field_fn, zone_integral_fn
 from pwham.systems import (
     CubicCenter,
     DoubleCenter,
-    GeneralQuadCenter,
     GlobalCenter,
     LinearSaddle,
     SystemError,
     Zone,
     boundary_restriction,
-    cubic_residual,
     equilibria,
     field_polys,
     hamiltonian,
     is_continuous,
     mirror,
     piecewise_system,
-    rotate_to_normal,
     saddle_data,
     separatrices,
     separatrix_lines,
@@ -112,6 +109,89 @@ def test_conservation_global_center_rational():
         dnum = _pderiv(num, "x") * fx + _pderiv(num, "y") * fy
         dden = _pderiv(den, "x") * fx + _pderiv(den, "y") * fy
         assert (dnum * den - num * dden).is_zero
+
+
+# -- derived forms against independent formulas ------------------------------------
+
+
+def _random_zones(rng, count):
+    """Random rational payloads of every family, random offset and reverse."""
+    def r():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(count):
+        for p in (DoubleCenter(l=r(), n=r(), p=r(), offset=r()),
+                  GlobalCenter(F(rng.randint(1, 9), rng.randint(1, 7)), offset=r()),
+                  CubicCenter(a=r(), b=r(), p=r(), q=r(), r=r(), s=r(), offset=r()),
+                  LinearSaddle(r(), r(), r(), r(), r())):
+            yield Zone(p, reverse=bool(rng.getrandbits(1)))
+
+
+def _readme_field(zone):
+    """The field of the README "Zone families" table, written out term by
+    term, with the reversal applied."""
+    p = zone.payload
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    if isinstance(p, DoubleCenter):
+        X = x + MultiPoly.const(p.offset)
+        fx, fy = -y + p.l * X * X + p.n * y * y, X + p.p * X * X - 2 * p.l * X * y
+    elif isinstance(p, GlobalCenter):
+        X = x + MultiPoly.const(p.offset)
+        fx, fy = y - 2 * X * X - MultiPoly.const(p.xi), -2 * X * y
+    elif isinstance(p, CubicCenter):
+        X = x + MultiPoly.const(p.offset)
+        fx = 3 * p.q * y * y + p.r * X * X + 2 * p.s * X * y - p.a * X - p.b * y
+        fy = X + p.a * y - 3 * p.p * X * X - 2 * p.r * X * y - p.s * y * y
+    else:
+        fx = -p.beta * x - p.delta * y + MultiPoly.const(p.mu)
+        fy = p.alpha * x + p.beta * y + MultiPoly.const(p.gamma)
+    return (-fx, -fy) if zone.reverse else (fx, fy)
+
+
+def _term_size(p: MultiPoly, at: dict) -> float:
+    """Sum of the absolute values of p's terms: the scale of float rounding
+    in evaluating p."""
+    return MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()}).eval_float(
+        {v: abs(t) for v, t in at.items()})
+
+
+def test_field_polys_match_readme_fields():
+    for z in _random_zones(random.Random(11), 60):
+        assert field_polys(z) == _readme_field(z), z
+
+
+def test_compiled_field_and_integral_match_exact_forms():
+    """The float closures agree with the exact forms to 1e-12 relative to
+    the size of the terms, at random points."""
+    rng = random.Random(12)
+    for z in _random_zones(rng, 40):
+        f, h = zone_field_fn(z), zone_integral_fn(z)
+        fx, fy = field_polys(z)
+        num, den = hamiltonian(z)
+        for _ in range(5):
+            at = {"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}
+            got = f(at["x"], at["y"])
+            for g, p in zip(got, (fx, fy)):
+                assert abs(g - p.eval_float(at)) <= 1e-12 * (1 + _term_size(p, at)), z
+            d = den.eval_float(at)
+            want = num.eval_float(at) / d
+            tol = 1e-12 * (1 + _term_size(num, at)) / abs(d)
+            assert abs(h(at["x"], at["y"]) - want) <= tol, z
+
+
+def test_compiled_field_is_exact_at_large_offset():
+    """The float field is evaluated in the shifted frame X = x + offset, so
+    a far-away zone loses only the rounding of x + offset, not the
+    cancellation between expanded monomials in x."""
+    off = F(10**9) + F(1, 3)
+    for p in (DoubleCenter(l=1, n=2, p=3, offset=off), GlobalCenter(F(4, 5), off),
+              CubicCenter(a=1, b=3, p=1, q=2, r=-1, s=1, offset=off)):
+        z = Zone(p)
+        x, y = float(-off) + 0.25, 0.75
+        exact = vector_field(z, (F(x), F(y)))
+        got = zone_field_fn(z)(x, y)
+        for g, e in zip(got, exact):
+            assert abs(g - float(e)) <= 1e-6 * abs(float(e)), p
 
 
 def _pderiv(p: MultiPoly, var: str) -> MultiPoly:
@@ -254,33 +334,6 @@ def test_mirror_involution_and_field():
         fx, fy = vector_field(ps.zones[zi], (x, y))
         gx, gy = vector_field(m.zones[2 - zi], (-x, y))
         assert (gx, gy) == (-fx, fy)
-
-
-# -- rotation to normal form --------------------------------------------------------
-
-
-def test_rotate_all_zero():
-    theta, nf = rotate_to_normal(GeneralQuadCenter(0, 0, 0, 0, 0, 0))
-    assert theta == 0
-    assert (nf.l, nf.m, nf.n, nf.p, nf.q) == (0, 0, 0, 0, 0)
-
-
-def test_rotate_degenerate_leading():
-    g = GeneralQuadCenter(0, 0, 0, 0, 0, 1)  # r(theta) = cos^3(theta)
-    theta, _ = rotate_to_normal(g)
-    assert abs(theta - math.pi / 2) < 1e-12
-    assert abs(cubic_residual(g, theta)) < 1e-12
-
-
-def test_rotate_random_residual():
-    rng = random.Random(10)
-    for _ in range(100):
-        g = GeneralQuadCenter(*[F(rng.randint(-3, 3)) for _ in range(6)])
-        theta, nf = rotate_to_normal(g)
-        assert abs(cubic_residual(g, theta)) < 1e-10
-        # the rotated linear part stays the rigid rotation (checked via the
-        # hamiltonian sub-case flag being well-defined)
-        nf.is_hamiltonian_case()
 
 
 def test_boundary_restriction_rational_rejected():
