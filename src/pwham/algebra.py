@@ -8,12 +8,16 @@ isolation and bisection refinement.
 
 Floating point never enters: coefficients are ``Fraction`` throughout, and
 root refinement returns rational approximations of prescribed accuracy.
+Every sign decision (Sturm variations, bracketing, bisection) runs on plain
+integers: ``_sign_at`` evaluates an integer-coefficient polynomial at ``n/m``
+by homogeneous Horner, so no ``Fraction`` is normalised in those loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -39,8 +43,15 @@ def rat(x: RatLike) -> Fraction:
     raise AlgebraError(f"not an exact rational: {x!r} ({type(x).__name__})")
 
 
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
+def _sign_at(ints: Sequence[int], n: int, m: int) -> int:
+    """sign(p(n/m)) for m > 0, where ints are p's integer coefficients in
+    ascending degree: homogeneous Horner, sum c_k n^k m^(d-k), on integers."""
+    acc = 0
+    mk = 1
+    for c in reversed(ints):
+        acc = acc * n + c * mk
+        mk *= m
+    return (acc > 0) - (acc < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +205,6 @@ class UniPoly:
         coefficient blowup in remainder sequences."""
         if self.is_zero:
             return self
-        from math import gcd, lcm
-
         den = 1
         for c in self.coeffs:
             den = lcm(den, c.denominator)
@@ -225,8 +234,6 @@ class UniPoly:
         out the integer content, leading coefficient positive)."""
         if self.is_zero:
             return self
-        from math import gcd, lcm
-
         den = 1
         for c in self.coeffs:
             den = lcm(den, c.denominator)
@@ -342,28 +349,27 @@ class RootInterval:
         return (self.lo + self.hi) / 2
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    # content reduction by a positive constant preserves every sign pattern
+def sturm_chain(p: UniPoly) -> list[list[int]]:
+    """Sturm sequence of p, each member as its integer coefficients."""
+    # content reduction by a positive constant preserves every sign pattern,
+    # and leaves integer coefficients
     chain = [p.reduce_content() if not p.is_zero else p, p.deriv().reduce_content() if not p.deriv().is_zero else p.deriv()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         rem = chain[-2].divmod(chain[-1])[1]
         if rem.is_zero:
             break
         chain.append((-rem).reduce_content())
-    return chain
+    return [[c.numerator for c in q.coeffs] for q in chain]
 
 
-def _variations(chain: Sequence[UniPoly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        s = _sign(q(x))
-        if s != 0:
-            signs.append(s)
+def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    n, m = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(q, n, m) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(p: UniPoly, lo: Fraction, hi: Fraction,
-                chain: Sequence[UniPoly] | None = None) -> int:
+                chain: Sequence[Sequence[int]] | None = None) -> int:
     """Number of distinct real roots of squarefree p in (lo, hi]."""
     if chain is None:
         chain = sturm_chain(p)
@@ -406,12 +412,16 @@ def sturm_isolate(p: UniPoly, lo: RatLike, hi: RatLike) -> list[RootInterval]:
 
 def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInterval:
     """Shrink (a, b] containing exactly one root until p changes sign strictly."""
+    def sign(x: Fraction) -> int:
+        # chain[0] is a positive multiple of p
+        return _sign_at(chain[0], x.numerator, x.denominator)
+
     for _ in range(10_000):
-        sa, sb = _sign(p(a)), _sign(p(b))
+        sa, sb = sign(a), sign(b)
         if sa == 0:
             # a root at the left endpoint is outside (a, b]: nudge inward
             step = (b - a) / 1024
-            while _sign(p(a + step)) == 0 or sturm_count(p, a + step, b, chain) != 1:
+            while sign(a + step) == 0 or sturm_count(p, a + step, b, chain) != 1:
                 step /= 2
             a = a + step
             continue
@@ -420,7 +430,7 @@ def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInt
             w = (b - a) / 2
             while True:
                 lo, hi = b - w, b + w
-                slo, shi = _sign(p(lo)), _sign(p(hi))
+                slo, shi = sign(lo), sign(hi)
                 if slo and shi and slo != shi and sturm_count(p, lo, hi, chain) == 1:
                     return RootInterval(lo, hi, slo, shi)
                 w /= 2
@@ -437,21 +447,32 @@ def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInt
 
 def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL) -> Fraction:
     """Bisect the isolating interval until its width is below tol; returns the
-    midpoint, a rational within tol of the true root."""
+    midpoint, a rational within tol of the true root.  An exact root hit at a
+    midpoint is returned as it is."""
     tol = rat(tol)
     if tol <= 0:
         raise AlgebraError("refinement tolerance must be positive")
-    lo, hi, slo = iv.lo, iv.hi, iv.sign_lo
-    while hi - lo >= tol:
-        mid = (lo + hi) / 2
-        sm = _sign(p(mid))
+    # den * p has p's signs and integer coefficients
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    # the interval is (a/m, b/m); each bisection doubles m
+    lo, hi = iv.lo, iv.hi
+    m = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    b = hi.numerator * (m // hi.denominator)
+    slo = iv.sign_lo
+    tn, td = tol.numerator, tol.denominator
+    while (b - a) * td >= tn * m:
+        mid = a + b
+        m *= 2
+        sm = _sign_at(ints, mid, m)
         if sm == 0:
-            return mid
+            return Fraction(mid, m)
         if sm == slo:
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return (lo + hi) / 2
+            a, b = 2 * a, mid
+    return Fraction(a + b, 2 * m)
 
 
 def real_roots(p: UniPoly, tol: RatLike = DEFAULT_REFINE_TOL,
@@ -672,20 +693,51 @@ class MultiPoly:
     # -- substitution / evaluation --------------------------------------------
 
     def subs(self, mapping: dict[str, "MultiPoly | RatLike"]) -> "MultiPoly":
-        """Substitute polynomials or rationals for variables."""
-        subs_polys: dict[str, MultiPoly] = {}
-        for k, v in mapping.items():
-            subs_polys[k] = v if isinstance(v, MultiPoly) else MultiPoly.const(rat(v))
-        out = MultiPoly.zero()
+        """Substitute polynomials or rationals for variables.
+
+        A rational value folds into the coefficients, ``c * val**k``; a
+        polynomial value is expanded.  The result's variables are those
+        that remain or come in with a polynomial value, over all terms, and
+        its terms keep the order of expanding term by term.
+        """
+        vals = {v: x if isinstance(x, MultiPoly) else rat(x) for v, x in mapping.items()}
+        out_vars: set[str] = set()
+        for i, v in enumerate(self.vars):
+            if any(e[i] for e in self.terms):
+                x = vals.get(v)
+                if x is None:
+                    out_vars.add(v)
+                elif isinstance(x, MultiPoly):
+                    out_vars.update(x.vars)
+        vs = tuple(sorted(out_vars))
+        pos = {v: i for i, v in enumerate(vs)}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            term = MultiPoly.const(c)
+            key = [0] * len(vs)
+            factor = None
             for v, k in zip(self.vars, e):
-                if k == 0:
+                if not k:
                     continue
-                base = subs_polys.get(v, MultiPoly.var(v))
-                term = term * base**k
-            out = out + term
-        return out
+                x = vals.get(v)
+                if x is None:
+                    key[pos[v]] = k
+                elif isinstance(x, MultiPoly):
+                    factor = x**k if factor is None else factor * x**k
+                else:
+                    c *= x**k
+            if not c:
+                continue
+            if factor is None:
+                parts = ((tuple(key), c),)
+            else:
+                parts = (MultiPoly(vs, {tuple(key): c}) * factor).terms.items()
+            for ek, ck in parts:
+                t = terms.get(ek, 0) + ck
+                if t:
+                    terms[ek] = t
+                else:
+                    del terms[ek]
+        return MultiPoly(vs, terms)
 
     def eval(self, point: dict[str, RatLike]) -> Fraction:
         acc = Fraction(0)

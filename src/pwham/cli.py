@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
         ps = piecewise_system(payloads, spec.boundaries, spec.reverse)
         try:
             rep = solver.solve(ps, verify=args.verify)
-            elim_roots = (len(solver._root_values(rep.eliminant, Fraction(1, 10**15)))
+            elim_roots = (len(solver._isolate(rep.eliminant)[1])
                           if rep.eliminant.degree >= 1 else 0)
             rows.append((str(val), elim_roots, len(rep.candidates),
                          len(rep.verified()), rep.bound.kind,

@@ -25,11 +25,14 @@ from .algebra import (
     AlgebraError,
     MultiPoly,
     RatLike,
+    RootInterval,
     UniPoly,
     rat,
     real_roots,
     refine_root,
     squarefree,
+    sturm_chain,
+    sturm_count,
     sturm_isolate,
 )
 from .matcher import (
@@ -208,26 +211,37 @@ def _residual_ok(eq: MultiPoly, point: dict[str, Fraction], rtol: float = RESIDU
     return val <= rtol * (1.0 + total)
 
 
-def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
-    """Distinct real roots with multiplicities, refined to tol."""
-    if p.is_zero:
-        raise PositiveDimensionalError("zero polynomial has a continuum of roots")
+def _isolate(p: UniPoly) -> tuple[UniPoly, list[RootInterval]]:
+    """The primitive squarefree part of p and the isolating intervals of its
+    real roots, one per distinct real root of p."""
     sf = squarefree(p).primitive()
     if sf.degree < 1:
-        return []
+        return sf, []
     b = sf.cauchy_bound()
+    return sf, sturm_isolate(sf, -b, b)
+
+
+def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
+    """Distinct real roots with exact multiplicities, refined to tol.
+
+    With g_1 = gcd(p, p') and g_{k+1} = gcd(g_k, g_k'), a root's multiplicity
+    is 1 plus the number of the squarefree parts g_k / g_{k+1} that vanish at
+    it, each decided by a Sturm count on the root's isolating interval.
+    """
+    if p.is_zero:
+        raise PositiveDimensionalError("zero polynomial has a continuum of roots")
+    sf, ivs = _isolate(p)
+    g = p.divmod(sf)[0]  # gcd(p, p') up to a constant factor
+    parts = []
+    while g.degree >= 1:
+        h = g.gcd(g.deriv())
+        part = g.divmod(h)[0]
+        parts.append((part, sturm_chain(part)))
+        g = h
     out = []
-    for iv in sturm_isolate(sf, -b, b):
+    for iv in ivs:
         r = refine_root(sf, iv, tol)
-        # a root of p' within the refined window means a (near-)multiple root
-        mult = 1
-        q = p.deriv()
-        while not q.is_zero and q.degree >= 1:
-            if q(r - 2 * tol) * q(r + 2 * tol) < 0:
-                mult += 1
-                q = q.deriv()
-            else:
-                break
+        mult = 1 + sum(1 for q, chain in parts if sturm_count(q, iv.lo, iv.hi, chain))
         out.append((r, mult))
     return out
 

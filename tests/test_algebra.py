@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pwham.algebra import (
     AlgebraError,
@@ -17,6 +18,7 @@ from pwham.algebra import (
     refine_root,
     resultant,
     squarefree,
+    sturm_count,
     sturm_isolate,
     uni_resultant,
 )
@@ -280,6 +282,113 @@ def test_refine_root_rejects_bad_tolerance():
     iv = sturm_isolate(p, 0, 2)[0]
     with pytest.raises(AlgebraError):
         refine_root(p, iv, F(0))
+
+
+def _reference_refine(p, iv, tol):
+    """Plain-Fraction bisection: the midpoint sequence refine_root must run."""
+    lo, hi = iv.lo, iv.hi
+    while hi - lo >= tol:
+        mid = (lo + hi) / 2
+        v = p(mid)
+        if v == 0:
+            return mid
+        if (1 if v > 0 else -1) == iv.sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, min_size=2, max_size=6), rationals.filter(bool),
+       st.sampled_from([F(1, 10**12), F(1, 10**18), F(1, 10**40), F(3, 7)]))
+def test_refine_root_matches_fraction_bisection(coeffs, scale, tol):
+    p = UniPoly(coeffs)
+    if p.degree < 1:
+        return
+    sf = squarefree(p)
+    b = sf.cauchy_bound()
+    for q in (sf.primitive(), sf * scale):
+        for iv in sturm_isolate(q, -b, b):
+            assert refine_root(q, iv, tol) == _reference_refine(q, iv, tol)
+
+
+def test_refine_root_returns_exact_midpoint_root():
+    p = P(-1, 2) * P(-7, 0, 1)  # (2y - 1)(y^2 - 7)
+    b = p.cauchy_bound()
+    ivs = sturm_isolate(p, -b, b)
+    assert len(ivs) == 3
+    for tol in (F(1, 10**12), F(1, 10**40)):
+        r = refine_root(p, ivs[1], tol)
+        assert r == F(1, 2) == _reference_refine(p, ivs[1], tol)
+    # dyadic widths reach a dyadic tolerance exactly: the loop stops only below it
+    tol = F(1, 2**10)
+    assert [refine_root(p, iv, tol) for iv in ivs] == [_reference_refine(p, iv, tol) for iv in ivs]
+
+
+def _reference_sturm_count(p, lo, hi):
+    """Distinct roots in (lo, hi] from a Sturm chain of Fraction polynomials."""
+    chain = [p, p.deriv()]
+    while chain[-1].degree > 0:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(-rem)
+
+    def variations(x):
+        signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, min_size=2, max_size=7), rationals, rationals)
+def test_sturm_count_matches_fraction_reference(coeffs, x1, x2):
+    sf = squarefree(UniPoly(coeffs)) if any(coeffs) else UniPoly(())
+    if sf.degree < 1 or x1 == x2:
+        return
+    lo, hi = min(x1, x2), max(x1, x2)
+    assert sturm_count(sf, lo, hi) == _reference_sturm_count(sf, lo, hi)
+
+
+def _reference_subs(p, mapping):
+    """Term-by-term expansion, every value as a polynomial."""
+    polys = {k: v if isinstance(v, MultiPoly) else MultiPoly.const(v)
+             for k, v in mapping.items()}
+    out = MultiPoly.zero()
+    for e, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for v, k in zip(p.vars, e):
+            if k:
+                term = term * polys.get(v, MultiPoly.var(v)) ** k
+        out = out + term
+    return out
+
+
+multipolys = st.builds(
+    lambda terms: MultiPoly(("x", "y", "z"), dict(terms)),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), rationals), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multipolys, st.sampled_from("xyzw"), rationals, st.sampled_from("xyzw"), multipolys)
+# x = -1 cancels the z term, then x^2*z brings it back after y
+@example(MultiPoly(("x", "y", "z"), {(1, 0, 1): F(1), (0, 0, 1): F(1), (0, 1, 0): F(1),
+                                     (2, 0, 1): F(1)}), "x", F(-1), "w", MultiPoly.zero())
+def test_subs_scalar_fold_matches_polynomial_expansion(p, v, q, v2, r):
+    folded = p.subs({v: q})
+    expanded = p.subs({v: MultiPoly.const(q)})
+    assert folded.vars == expanded.vars
+    assert folded.terms == expanded.terms
+    for mapping in ({v: q}, {v: q, v2: r}, {v2: r, v: q}):
+        ref = _reference_subs(p, mapping)
+        got = p.subs(mapping)
+        assert got.vars == ref.vars
+        assert list(got.terms.items()) == list(ref.terms.items())
 
 
 # -- quadratic discriminant ------------------------------------------------------

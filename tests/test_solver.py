@@ -390,6 +390,16 @@ def test_solve_multiplicity_flag_on_tangency():
     assert len(rep.candidates) == 0 or all(c.multiplicity >= 2 for c in rep.candidates)
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_root_values_exact_multiplicities(k):
+    y = UniPoly((0, 1))
+    p = (y - UniPoly((1,))) ** k * (y + UniPoly((2,))) * (3 * y - UniPoly((1,))) ** 2
+    roots = _root_values(p, F(1, 10**18))
+    assert [m for _, m in roots] == [1, 2, k]
+    for (r, _), exact in zip(roots, (F(-2), F(1, 3), F(1))):
+        assert abs(r - exact) < F(1, 10**18)
+
+
 def test_solve_two_point_subtopologies_reported_separately():
     ps = cubic_three_zone(b=F(-8, 5))
     rep = solve(ps, verify=False)
