@@ -355,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--tol", default=None, help="refinement tolerance (exact rational)")
+    p.add_argument("--tol", default=None,
+                   help="exact rational; drops three-zone sum/difference tuples "
+                        "whose pair spreads fall below 2*tol (default 1e-12)")
     p.add_argument("--grid", type=int, default=0,
                    help="run the shooting oracle with this grid size")
     p.add_argument("--window", default=None, help="oracle scan window LO:HI")

@@ -1,15 +1,18 @@
 """Numerical ground truth for the piecewise flow.
 
 Independent of the algebra: an embedded Dormand-Prince 4(5) integrator with
-PI step control drives event-driven arcs inside each strip, boundary hits
-are localized by bisection on the step, and only transversal Filippov
-crossings are followed (sliding or tangential boundary contact aborts with a
-typed error -- sliding segments are detected, never simulated).
+PI step control drives event-driven arcs inside each strip.  The integrator
+is FSAL: the field value at the end of an accepted step is the first stage
+of the next.  A boundary hit is localized by false position (Illinois) on
+the length of a real step from the last accepted point, and only
+transversal Filippov crossings are followed (sliding or tangential boundary
+contact aborts with a typed error -- sliding segments are detected, never
+simulated).
 
 On top of the arc integrator sit the boundary return map, a grid-scan
-shooting oracle for fixed points of the displacement map, and the candidate
-verifier that accepts an algebraic cycle only when the integrated loop
-reproduces its crossing ordinates and closes.
+shooting oracle whose displacement zeros are refined by the same false
+position, and the candidate verifier that accepts an algebraic cycle only
+when the integrated loop reproduces its crossing ordinates and closes.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class Trajectory:
     status: str    # reached-boundary | reached-time-limit | hit-equilibrium | left-window
     end: tuple
     drift: float   # max relative first-integral drift along the arc
+    steps: int        # accepted steps
+    rejected: int     # steps rejected by the error control
+    event_steps: int  # extra steps that localized the boundary hit
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +138,10 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _rk45_step(f, x, y, h):
-    """One Dormand-Prince step: returns (x5, y5, err_x, err_y, k1..k7)."""
-    k1x, k1y = f(x, y)
+def _rk45_step(f, x, y, h, k1):
+    """One Dormand-Prince step from (x, y) with k1 = f(x, y); returns
+    (x5, y5, err_x, err_y, k7) where k7 = f(x5, y5) is the next step's k1."""
+    k1x, k1y = k1
     k2x, k2y = f(x + h * _A[1][0] * k1x, y + h * _A[1][0] * k1y)
     a = _A[2]
     k3x, k3y = f(x + h * (a[0] * k1x + a[1] * k2x), y + h * (a[0] * k1y + a[1] * k2y))
@@ -150,11 +157,63 @@ def _rk45_step(f, x, y, h):
     b = _B5
     x5 = x + h * (b[0] * k1x + b[2] * k3x + b[3] * k4x + b[4] * k5x + b[5] * k6x)
     y5 = y + h * (b[0] * k1y + b[2] * k3y + b[3] * k4y + b[4] * k5y + b[5] * k6y)
-    k7x, k7y = f(x5, y5)
+    k7 = k7x, k7y = f(x5, y5)
     b = _B4
     x4 = x + h * (b[0] * k1x + b[2] * k3x + b[3] * k4x + b[4] * k5x + b[5] * k6x + b[6] * k7x)
     y4 = y + h * (b[0] * k1y + b[2] * k3y + b[3] * k4y + b[4] * k5y + b[5] * k6y + b[6] * k7y)
-    return x5, y5, x5 - x4, y5 - y4
+    return x5, y5, x5 - x4, y5 - y4, k7
+
+
+def _false_position(g, a, ga, b, gb, done, cap):
+    """Illinois false position for a zero of g in the bracket a < b, where
+    ga = g(a) and gb = g(b) have opposite signs.
+
+    Each of at most ``cap`` evaluations takes the secant point of the
+    bracket ends, or the midpoint when that point is not strictly inside;
+    an end kept twice in a row has its value halved, so both ends close in
+    superlinearly.  Stops when g returns None or ``done(g_t, b - a)`` holds
+    for the new value and bracket.  Returns (t, g(t)) of the last
+    evaluation."""
+    kept = 0  # +1 when a was kept last, -1 when b was
+    for _ in range(cap):
+        t = b - gb * (b - a) / (gb - ga)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        gt = g(t)
+        if gt is None:
+            break
+        if (gt > 0) == (ga > 0):
+            a, ga = t, gt
+            if kept < 0:
+                gb *= 0.5
+            kept = -1
+        else:
+            b, gb = t, gt
+            if kept > 0:
+                ga *= 0.5
+            kept = 1
+        if done(gt, b - a):
+            break
+    return t, gt
+
+
+def _land(f, x, y, k1, h, x5, y5, c, tol):
+    """Land on the edge x = c, crossed by the accepted step of length h from
+    (x, y) to (x5, y5), with a real step from (x, y) whose length is found by
+    false position on the miss x(s) - c.  Returns (step length, ordinate
+    reached, number of extra steps taken)."""
+    if abs(x5 - c) <= tol:
+        return h, y5, 0
+    ym, n = y5, 0
+
+    def miss(s):
+        nonlocal ym, n
+        n += 1
+        xs, ym, _, _, _ = _rk45_step(f, x, y, s, k1)
+        return xs - c
+
+    s, _ = _false_position(miss, 0.0, x - c, h, x5 - c, lambda r, _: abs(r) <= tol, 80)
+    return s, ym, n
 
 
 def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
@@ -174,10 +233,10 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
     x, y = float(start[0]), float(start[1])
 
-    fx, fy = f(x, y)
-    if abs(x - lo) <= cfg.event_tol and fx <= 0:
+    k1 = f(x, y)
+    if abs(x - lo) <= cfg.event_tol and k1[0] <= 0:
         raise NotEntryPoint("start on the lower edge with outward velocity")
-    if abs(x - hi) <= cfg.event_tol and fx >= 0:
+    if abs(x - hi) <= cfg.event_tol and k1[0] >= 0:
         raise NotEntryPoint("start on the upper edge with outward velocity")
 
     def safe_h(xx, yy):
@@ -195,7 +254,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     h = min(cfg.max_step, 1e-3)
     samples = [(t, x, y)] if record else []
     events: list = []
-    slow = 0
+    slow = steps = rejected = event_steps = 0
     armed_lo = abs(x - lo) > 10 * cfg.event_tol
     armed_hi = abs(x - hi) > 10 * cfg.event_tol
     status = "reached-time-limit"
@@ -205,33 +264,24 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
             status = "reached-time-limit"
             break
         h = min(h, cfg.max_step, cfg.max_time - t + 1e-9)
-        x5, y5, ex, ey = _rk45_step(f, x, y, h)
+        x5, y5, ex, ey, k7 = _rk45_step(f, x, y, h, k1)
         sc_x = cfg.atol + cfg.rtol * max(abs(x), abs(x5))
         sc_y = cfg.atol + cfg.rtol * max(abs(y), abs(y5))
         err = math.sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
         if err > 1.0:
+            rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
         # accepted
+        steps += 1
         hit_edge = None
         if armed_lo and x5 <= lo:
             hit_edge = "lo"
         elif armed_hi and x5 >= hi:
             hit_edge = "hi"
         if hit_edge is not None:
-            # localize the crossing by bisection on the step size
             c = lo if hit_edge == "lo" else hi
-            ha, hb = 0.0, h
-            xm, ym, h_loc = x5, y5, h
-            for _ in range(80):
-                if abs(xm - c) <= cfg.event_tol:
-                    break
-                h_loc = 0.5 * (ha + hb)
-                xm, ym, _, _ = _rk45_step(f, x, y, h_loc)
-                if (xm - c) * (x - c) > 0:
-                    ha = h_loc
-                else:
-                    hb = h_loc
+            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, c, cfg.event_tol)
             t += h_loc
             x, y = c, ym
             direction = 1 if hit_edge == "hi" else -1
@@ -241,7 +291,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
             status = "reached-boundary"
             break
         t += h
-        x, y = x5, y5
+        x, y, k1 = x5, y5, k7
         if record:
             samples.append((t, x, y))
         if monitor:
@@ -255,9 +305,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
         if abs(x) > cfg.window or abs(y) > cfg.window:
             status = "left-window"
             break
-        fx, fy = f(x, y)
-        speed = math.hypot(fx, fy)
-        if speed < 1e-12:
+        if math.hypot(*k1) < 1e-12:
             slow += 1
             if slow >= 10:
                 status = "hit-equilibrium"
@@ -268,7 +316,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     else:
         status = "reached-time-limit"
 
-    return Trajectory(samples, events, status, (x, y), drift)
+    return Trajectory(samples, events, status, (x, y), drift, steps, rejected, event_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +390,14 @@ class FlowMachine:
 
     def oracle(self, bindex: int, y_range: tuple, grid: int,
                directions: tuple = (1, -1)):
-        """Scan the displacement map for sign changes and refine each by
-        bisection; returns (sorted fixed ordinates, count of near-zero grid
-        nodes).  Undefined ordinates (sliding starts, escapes) are skipped.
+        """Scan the displacement map for exact zeros and sign changes on the
+        grid and refine each sign change by false position; returns (sorted
+        fixed ordinates, count of near-zero grid nodes).  Undefined
+        ordinates (sliding starts, escapes) are skipped.
+
+        A refinement stops when the displacement is undefined, below 1e-12,
+        or bracketed within 1e-10, after at most 60 evaluations; its last
+        point is a fixed point when the displacement there is below 1e-6.
         """
         if grid < 16:
             raise ValueError("oracle grid must be at least 16")
@@ -354,32 +407,15 @@ class FlowMachine:
         for direction in directions:
             ys = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
             ds = [self.displacement(bindex, y, direction) for y in ys]
-            for d in ds:
-                if d is not None and abs(d) < 1e-9:
-                    flat += 1
+            flat += sum(d is not None and abs(d) < 1e-9 for d in ds)
+            fixed += [y for y, d in zip(ys, ds) if d == 0.0]
             for i in range(grid - 1):
                 d1, d2 = ds[i], ds[i + 1]
-                if d1 is None or d2 is None:
-                    continue
-                if d1 == 0.0:
-                    fixed.append(ys[i])
-                    continue
-                if d1 * d2 < 0:
-                    a, b, da = ys[i], ys[i + 1], d1
-                    for _ in range(60):
-                        m = 0.5 * (a + b)
-                        dm = self.displacement(bindex, m, direction)
-                        if dm is None:
-                            break
-                        if abs(dm) < 1e-12 or (b - a) < 1e-10:
-                            a = b = m
-                            break
-                        if (dm > 0) == (da > 0):
-                            a, da = m, dm
-                        else:
-                            b = m
-                    y_star = 0.5 * (a + b)
-                    d_star = self.displacement(bindex, y_star, direction)
+                if d1 is not None and d2 is not None and d1 * d2 < 0:
+                    y_star, d_star = _false_position(
+                        lambda y: self.displacement(bindex, y, direction),
+                        ys[i], d1, ys[i + 1], d2,
+                        lambda d, width: abs(d) < 1e-12 or width < 1e-10, 60)
                     if d_star is not None and abs(d_star) < 1e-6:
                         fixed.append(y_star)
         fixed.sort()

@@ -17,7 +17,7 @@ Surviving candidates are handed to the dynamics oracle for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -723,10 +723,7 @@ def annulus_check(ps: PiecewiseSystem, positive_dimensional: bool,
     from . import dynamics
 
     base = cfg or dynamics.IntegratorConfig()
-    quick = dynamics.IntegratorConfig(
-        rtol=base.rtol, atol=base.atol, event_tol=base.event_tol,
-        max_time=min(base.max_time, 60.0), window=60.0,
-        max_step=base.max_step, max_steps=base.max_steps)
+    quick = replace(base, max_time=min(base.max_time, 60.0), window=60.0)
     machine = dynamics.FlowMachine(ps, quick)
     closed: list[float] = []
     for y in samples:

@@ -117,6 +117,34 @@ def test_cli_solve_pwl_fixture_digits():
     assert "verified cycles: 1" in out
 
 
+@pytest.mark.parametrize("name", [
+    "double_center_saddle.pwham",
+    "global_center_saddle.pwham",
+    "linear_center_center_saddle.pwham",
+    "linear_center_saddle_center.pwham",
+    "linear_saddle_center_saddle.pwham",
+    "linear_saddle_saddle_center.pwham",
+])
+def test_cli_oracle_points_match_verified_ordinates(name):
+    """The grid-128 oracle and the verified cycles agree to 1e-9, both ways,
+    on every boundary."""
+    code, out = run_cli("solve", fixture_path(name), "--grid", "128", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    verified: dict[str, list[float]] = {}
+    for cand in rep["candidates"]:
+        if cand["status"] == "verified":
+            for o in cand["ordinates"]:
+                verified.setdefault(str(o["boundary"]), []).append(o["y"])
+    assert verified
+    for b, points in rep["oracle"].items():
+        ordinates = verified.get(b, [])
+        for v in points:
+            assert min(abs(v - w) for w in ordinates) < 1e-9, (b, v, ordinates)
+        for w in ordinates:
+            assert min(abs(v - w) for v in points) < 1e-9, (b, w, points)
+
+
 def test_cli_solve_json_golden():
     code, out = run_cli("solve", fixture_path("global_center_saddle.pwham"),
                         "--json")

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pwham.dynamics import (
     DynamicsError,
@@ -13,10 +14,13 @@ from pwham.dynamics import (
     IntegratorConfig,
     NotEntryPoint,
     SlidingPoint,
+    _rk45_step,
     integrate_arc,
     oracle_window,
     return_map,
     shooting_oracle,
+    zone_field_fn,
+    zone_integral_fn,
 )
 from pwham.solver import solve
 from pwham.systems import (
@@ -80,13 +84,78 @@ def test_time_reversal_returns_to_start():
         assert abs(back.end[0] - x0) < 1e-7 and abs(back.end[1] - y0) < 1e-7
 
 
+def _landing_miss(zone, traj, forward=True):
+    """Distance from the edge of the real step that ends a boundary arc,
+    recomputed from the last accepted sample (the arc reports the landing
+    snapped onto the edge)."""
+    (t0, x0, y0), (t1, x1, y1) = traj.samples[-2:]
+    f0 = zone_field_fn(zone)
+    f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
+    xs, ys, _, _, _ = _rk45_step(f, x0, y0, t1 - t0, f(x0, y0))
+    assert abs(ys - y1) <= 1e-12 * (1 + abs(y1))
+    return abs(xs - x1)
+
+
 def test_event_accuracy():
     ps = global_center_saddle()
     m = FlowMachine(ps, IntegratorConfig())
-    y2, log = m.return_map(0, 1.5, 1)
+    y2, log = m.return_map(0, 1.5, 1, record=True)
     assert len(log) == 2
-    for _, _, _, traj in log:
-        assert abs(traj.end[0] - 0.0) <= m.cfg.event_tol
+    zone = 1
+    for bhit, _, dhit, traj in log:
+        assert traj.end[0] == 0.0
+        assert traj.event_steps <= 8
+        assert _landing_miss(ps.zones[zone], traj) <= m.cfg.event_tol
+        assert traj.steps == len(traj.samples) - 1
+        zone = bhit + 1 if dhit > 0 else bhit
+
+
+def test_integrator_counters_count_rejections():
+    # at a loose tolerance the five-fold step growth overshoots now and then
+    z = Zone(DoubleCenter(l=0, n=1, p=0))
+    cfg = IntegratorConfig(max_time=20.0, max_step=1.0, rtol=1e-6, atol=1e-8)
+    traj = integrate_arc(z, (0.3, 0.0), cfg)
+    assert traj.steps == len(traj.samples) - 1 > 0
+    assert traj.rejected > 0
+    assert traj.event_steps == 0
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_payloads = st.one_of(
+    st.builds(DoubleCenter, l=_small, n=_small, p=_small, offset=_small),
+    st.builds(GlobalCenter, xi=st.fractions(min_value=F(1, 4), max_value=2,
+                                            max_denominator=4), offset=_small),
+    st.builds(CubicCenter, a=_small, b=_small, p=_small, q=_small, r=_small,
+              s=_small, offset=_small),
+    st.builds(LinearSaddle, alpha=_small, beta=_small, delta=_small, mu=_small,
+              gamma=_small),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_payloads, reverse=st.booleans(), forward=st.booleans(),
+       edge=st.sampled_from(["lo", "hi", "inside"]),
+       y0=st.floats(min_value=-2.0, max_value=2.0),
+       x0=st.floats(min_value=-0.9, max_value=0.9))
+def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, y0, x0):
+    """Every arc that reaches an edge lands, by a real step, within event_tol
+    of it, and the first integral there matches the start to 1e-8 relative
+    (the verifier's drift rule)."""
+    if isinstance(payload, GlobalCenter):
+        y0 = 0.25 + abs(y0)  # the closed orbits fill y > 0
+    zone = Zone(payload, F(-1), F(1), reverse)
+    start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
+    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    try:
+        traj = integrate_arc(zone, start, cfg, forward=forward)
+    except NotEntryPoint:
+        assume(False)
+    assume(traj.status == "reached-boundary")
+    assert _landing_miss(zone, traj, forward) <= cfg.event_tol
+    assert traj.event_steps <= 80
+    H = zone_integral_fn(zone)
+    h0 = H(*start)
+    assert abs(H(*traj.end) - h0) <= 1e-8 * max(1.0, abs(h0))
 
 
 def test_not_entry_point():
@@ -143,6 +212,57 @@ def test_oracle_grid_minimum():
     ps = global_center_saddle()
     with pytest.raises(ValueError):
         shooting_oracle(ps, 0, (-1.0, 1.0), 8)
+
+
+class SyntheticMap(FlowMachine):
+    """A FlowMachine whose displacement map is a given function of y
+    (direction 1 only), counting its evaluations."""
+
+    def __init__(self, d):
+        self.d = d
+        self.calls = 0
+
+    def displacement(self, bindex, y, direction):
+        self.calls += 1
+        return self.d(y)
+
+
+def test_oracle_simple_root():
+    r = math.pi / 10
+    m = SyntheticMap(lambda y: math.sin(y - r) * (2 + y))
+    fixed, flat = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-10
+    assert flat == 0
+    assert m.calls - 64 <= 12
+
+
+def test_oracle_flat_triple_root():
+    # the displacement is below 1e-12 within 1e-4 of a triple root
+    r = 0.3141
+    m = SyntheticMap(lambda y: (y - r) ** 3)
+    fixed, _ = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-4
+
+
+def test_oracle_exact_zero_at_last_node():
+    m = SyntheticMap(lambda y: y - 1.0)
+    fixed, flat = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    assert fixed == [1.0] and flat == 1
+    assert m.calls == 64
+
+
+def test_oracle_skips_undefined_holes():
+    # roots at 0.3 (defined around it) and 0.6 (inside a hole that covers
+    # grid nodes), and one at -0.5 inside a hole between two grid nodes, so
+    # that its refinement runs into the hole and is dropped
+    def d(y):
+        if 0.5 < y < 0.7 or -0.5005 < y < -0.4995:
+            return None
+        return (y - 0.3) * (y - 0.6) * (y + 0.5)
+
+    m = SyntheticMap(d)
+    fixed, _ = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    assert len(fixed) == 1 and abs(fixed[0] - 0.3) < 1e-10
 
 
 def test_oracle_window_from_report():

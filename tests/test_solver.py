@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from pwham.algebra import MultiPoly, UniPoly
+from pwham.dynamics import IntegratorConfig
 from pwham.matcher import MatchingSystem, build_three_zone, build_two_zone
 from pwham.solver import (
     BoundInfo,
@@ -238,6 +239,15 @@ def test_annulus_continuous_matched_center_true():
         [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
     rep = solve(ps)
     assert rep.positive_dimensional and rep.annulus
+
+
+def test_annulus_check_keeps_caller_tolerances():
+    """With a tangency tolerance larger than every normal velocity each
+    boundary point counts as tangential, so no orbit can cross and close."""
+    ps = piecewise_system(
+        [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
+    assert annulus_check(ps, True)
+    assert not annulus_check(ps, True, cfg=IntegratorConfig(tangent_tol=1e3))
 
 
 def test_annulus_requires_closed_orbits():
