@@ -129,7 +129,7 @@ def cmd_analyze(args) -> int:
     spec = load_spec(args.file)
     ps = spec.to_system()
     cont, mism = is_continuous(ps)
-    bound = solver.theorem_bound(ps)
+    bound = solver.theorem_bound(ps, cont)
     lines = []
     lines.append(("continuous" if cont else "discontinuous") + "; " + _bound_text(bound))
     if bound.note:

@@ -1,13 +1,22 @@
 """Numerical ground truth for the piecewise flow.
 
-Independent of the algebra: an embedded Dormand-Prince 4(5) integrator with
-PI step control drives event-driven arcs inside each strip.  The integrator
-is FSAL: the field value at the end of an accepted step is the first stage
-of the next.  A boundary hit is localized by false position (Illinois) on
-the length of a real step from the last accepted point, and only
-transversal Filippov crossings are followed (sliding or tangential boundary
-contact aborts with a typed error -- sliding segments are detected, never
-simulated).
+Independent of the algebra, arcs inside each strip run event-driven until
+they reach a strip edge.  Only transversal Filippov crossings are followed
+(sliding or tangential boundary contact aborts with a typed error -- sliding
+segments are detected, never simulated).
+
+* A ``linear`` zone's arc is the exact flow of its field A u + b.  Because
+  trace A = 0, A^2 = e I, and u(t) = u0 + S1(t) f0 + S2(t) A f0 with
+  S1 = sinh(rt)/r, S2 = 2 sinh(rt/2)^2/e (r^2 = e, read as sin for e < 0
+  and as t, t^2/2 for e = 0).  A hit of x = c (or of the window) is a root
+  of one quadratic in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc
+  then lands at exactly x = c.  It takes no integration step.
+* Every other zone runs an embedded Dormand-Prince 4(5) integrator with PI
+  step control, FSAL (the field value at the end of an accepted step is the
+  first stage of the next).  A boundary hit is localized by false position
+  (Illinois) on the length of a real step from the last accepted point;
+  the landing then moves along the field onto x = c, so it stays on the
+  level curve to second order in the localization error.
 
 On top of the arc integrator sit the boundary return map, a grid-scan
 shooting oracle whose displacement zeros are refined by the same false
@@ -23,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import MultiPoly
-from .systems import GlobalCenter, PiecewiseSystem, Zone, local_forms
+from .systems import GlobalCenter, PiecewiseSystem, Zone, field_polys, local_forms
 
 
 class DynamicsError(Exception):
@@ -69,7 +78,7 @@ class Trajectory:
     events: list   # (t, edge, direction) with edge in {"lo", "hi"}
     status: str    # reached-boundary | reached-time-limit | hit-equilibrium | left-window
     end: tuple
-    drift: float   # max relative first-integral drift along the arc
+    drift: float   # relative first-integral drift (see integrate_arc)
     steps: int        # accepted steps
     rejected: int     # steps rejected by the error control
     event_steps: int  # extra steps that localized the boundary hit
@@ -197,47 +206,74 @@ def _false_position(g, a, ga, b, gb, done, cap):
     return t, gt
 
 
-def _land(f, x, y, k1, h, x5, y5, c, tol):
-    """Land on the edge x = c, crossed by the accepted step of length h from
-    (x, y) to (x5, y5), with a real step from (x, y) whose length is found by
-    false position on the miss x(s) - c.  Returns (step length, ordinate
-    reached, number of extra steps taken)."""
-    if abs(x5 - c) <= tol:
-        return h, y5, 0
-    ym, n = y5, 0
+def _land(f, x, y, k1, h, x5, y5, k7, c, tol):
+    """Land on the edge x = c, crossed outward by the accepted step of
+    length h from (x, y) to (x5, y5) with k7 = f(x5, y5), with a real step
+    from (x, y) whose length is found by false position on the miss
+    x(s) - c; a step that starts on the edge (it turned back before getting
+    inside) counts its start as event_tol inside.  The step's end (xm, ym)
+    then moves along its field onto x = c: y = ym + (c - xm) * fy / fx.
+    Returns (step length, ordinate reached, number of extra steps taken)."""
+    s, miss, n = h, x5 - c, 0
+    ym, km = y5, k7
+    if abs(miss) > tol:
+        def step_miss(s):
+            nonlocal ym, km, n
+            n += 1
+            xs, ym, _, _, km = _rk45_step(f, x, y, s, k1)
+            return xs - c
 
-    def miss(s):
-        nonlocal ym, n
-        n += 1
-        xs, ym, _, _, _ = _rk45_step(f, x, y, s, k1)
-        return xs - c
-
-    s, _ = _false_position(miss, 0.0, x - c, h, x5 - c, lambda r, _: abs(r) <= tol, 80)
-    return s, ym, n
+        inside = x - c if (x - c) * (x5 - c) < 0 else math.copysign(tol, c - x5)
+        s, miss = _false_position(step_miss, 0.0, inside, h, x5 - c,
+                                  lambda r, _: abs(r) <= tol, 80)
+    return s, ym - miss * km[1] / km[0] if km[0] else ym, n
 
 
 def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
                   record: bool = True, forward: bool = True) -> Trajectory:
-    """Integrate the zone's field from ``start`` until the trajectory reaches
-    a strip edge (localized to cfg.event_tol), the time limit, the spatial
-    window, or an equilibrium (speed below 1e-12 for ten accepted steps).
+    """Run the zone's flow from ``start`` until the trajectory reaches a
+    strip edge, the time limit, the spatial window, or an equilibrium.
 
-    A start on the boundary must have inward velocity.  The conserved
-    quantity's maximal relative drift along the arc is reported.
+    A ``linear`` zone takes its exact flow (no integration step); every
+    other zone takes Dormand-Prince steps.  A start on a strip edge must
+    cross it inward, or NotEntryPoint is raised.  ``drift`` is the relative
+    first-integral difference from the start: at the end of an exact arc,
+    and the largest over the accepted steps of an integrated one.
     """
     cfg = cfg or IntegratorConfig()
+    if zone.kind == "linear":
+        return _linear_arc(zone, start, cfg, record, forward)
+    return _dp5_arc(zone, start, cfg, record, forward)
+
+
+def _check_entry(x, y, fx, lo, hi, cfg):
+    """A start within event_tol of an edge must cross it inward; an inward
+    velocity below tangent_tol * (1 + |y|) is a tangency, as it is for
+    FlowMachine.crossing_direction."""
+    slack = cfg.tangent_tol * (1.0 + abs(y))
+    for name, c, inward in (("lower", lo, fx), ("upper", hi, -fx)):
+        if abs(x - c) <= cfg.event_tol and inward < slack:
+            how = "outward" if inward <= 0 else "tangential"
+            raise NotEntryPoint(f"start on the {name} edge with {how} velocity")
+
+
+def _strip(zone: Zone) -> tuple[float, float]:
+    return (float(zone.x_lo) if zone.x_lo is not None else -math.inf,
+            float(zone.x_hi) if zone.x_hi is not None else math.inf)
+
+
+def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
+    """Dormand-Prince arc: stops at a strip edge (localized to
+    cfg.event_tol), the time limit, the window, or an equilibrium (speed
+    below 1e-12 for ten accepted steps)."""
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
     hfun = zone_integral_fn(zone)
-    lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
-    hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
+    lo, hi = _strip(zone)
     x, y = float(start[0]), float(start[1])
 
     k1 = f(x, y)
-    if abs(x - lo) <= cfg.event_tol and k1[0] <= 0:
-        raise NotEntryPoint("start on the lower edge with outward velocity")
-    if abs(x - hi) <= cfg.event_tol and k1[0] >= 0:
-        raise NotEntryPoint("start on the upper edge with outward velocity")
+    _check_entry(x, y, k1[0], lo, hi, cfg)
 
     def safe_h(xx, yy):
         try:
@@ -255,8 +291,6 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     samples = [(t, x, y)] if record else []
     events: list = []
     slow = steps = rejected = event_steps = 0
-    armed_lo = abs(x - lo) > 10 * cfg.event_tol
-    armed_hi = abs(x - hi) > 10 * cfg.event_tol
     status = "reached-time-limit"
 
     for _ in range(cfg.max_steps):
@@ -275,13 +309,13 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
         # accepted
         steps += 1
         hit_edge = None
-        if armed_lo and x5 <= lo:
+        if x5 <= lo and x5 < x:
             hit_edge = "lo"
-        elif armed_hi and x5 >= hi:
+        elif x5 >= hi and x5 > x:
             hit_edge = "hi"
         if hit_edge is not None:
             c = lo if hit_edge == "lo" else hi
-            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, c, cfg.event_tol)
+            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, k7, c, cfg.event_tol)
             t += h_loc
             x, y = c, ym
             direction = 1 if hit_edge == "hi" else -1
@@ -298,10 +332,6 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
             hv = safe_h(x, y)
             if math.isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
-        if not armed_lo and abs(x - lo) > 10 * cfg.event_tol:
-            armed_lo = True
-        if not armed_hi and abs(x - hi) > 10 * cfg.event_tol:
-            armed_hi = True
         if abs(x) > cfg.window or abs(y) > cfg.window:
             status = "left-window"
             break
@@ -317,6 +347,145 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
         status = "reached-time-limit"
 
     return Trajectory(samples, events, status, (x, y), drift, steps, rejected, event_steps)
+
+
+# -- exact arcs of linear zones ------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _linear_parts(zone: Zone) -> tuple:
+    """(A, b, e, H) of the zone's field A u + b, reversal applied, read from
+    its exact field polynomials, and its float first integral H; A is
+    ((a11, a12), (a21, a22)) and e = a11^2 + a12*a21 is exact before the
+    float conversion, so its sign (saddle, center, or A^2 = 0) is decided
+    exactly."""
+    (a11, a12, b1), (a21, a22, b2) = (
+        [poly.terms.get(k, 0) for k in ((1, 0), (0, 1), (0, 0))]
+        for poly in field_polys(zone))
+    e = a11 * a11 + a12 * a21
+    return (((float(a11), float(a12)), (float(a21), float(a22))),
+            (float(b1), float(b2)), float(e), zone_integral_fn(zone))
+
+
+def _s12(e: float, t: float) -> tuple[float, float]:
+    """S1(t) and S2(t) of the flow u0 + S1 f0 + S2 A f0 with A^2 = e I;
+    the velocity is then (1 + e S2) f0 + S1 A f0."""
+    if e > 0:
+        r = math.sqrt(e)
+        h = math.sinh(0.5 * r * t)
+        return math.sinh(r * t) / r, 2.0 * h * h / e
+    if e < 0:
+        r = math.sqrt(-e)
+        h = math.sin(0.5 * r * t)
+        return math.sin(r * t) / r, -2.0 * h * h / e
+    return t, 0.5 * t * t
+
+
+def _first_crossing(e: float, u: float, f: float, g: float, level: float,
+                    outward: int) -> float:
+    """Least t > 0 at which the coordinate u + S1(t) f + S2(t) g crosses
+    ``level`` moving with the sign ``outward``; math.inf when it does not.
+
+    With s = 2 tanh(rt/2)/r (e = r^2 > 0), s = 2 tan(rt/2)/r (e = -r^2) or
+    s = t (e = 0), S1 = s/D and S2 = s^2/(2D) for D = 1 - e s^2/4 > 0, so
+    the crossings are the roots of (g/2 - e c0/4) s^2 + f s + c0 with
+    c0 = u - level, and the coordinate's velocity there has the sign of
+    the quadratic's slope.  The two roots have opposite slopes, so one of
+    them is the outward crossing."""
+    c0 = u - level
+    a2 = 0.5 * g - 0.25 * e * c0
+    disc = f * f - 4.0 * a2 * c0
+    if disc <= 0:
+        return math.inf  # no crossing, or a tangency
+    sg = math.copysign(1.0, f)
+    q = -0.5 * (f + sg * math.sqrt(disc))
+    # roots c0/q (slope sign sg) and q/a2 (slope sign -sg), as num/den
+    num, den = (c0, q) if sg == outward else (q, a2)
+    if e < 0:
+        r = math.sqrt(-e)
+        theta = 2.0 * math.atan2(r * num if den > 0 else -r * num, 2.0 * abs(den))
+        return (theta if theta > 0 else theta + 2.0 * math.pi) / r
+    if den == 0:
+        return math.inf
+    if e > 0:
+        r = math.sqrt(e)
+        half = 0.5 * r * num / den  # tanh(rt/2)
+        return 2.0 * math.atanh(half) / r if 0 < half < 1 else math.inf
+    s = num / den
+    return s if s > 0 else math.inf
+
+
+def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
+    """Exact arc of a linear zone, in pieces of at most two e-foldings for
+    a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
+    e^2-fold per piece).  A recorded arc has a sample at the end of every
+    piece, and its pieces last at most cfg.max_step and 1/(16 |A|) (|A| the
+    Frobenius norm): the velocity f, whose rate of change is A f, then
+    changes by about 1/16 of itself at most between samples.  Each piece
+    takes the least crossing time of the strip edges and of the window box
+    from its start; an edge hit is polished by Newton on x(t) - c and lands
+    at exactly x = c.  A piece that ends at speed below 1e-12 ends the arc
+    at the equilibrium it approaches."""
+    ((a11, a12), (a21, a22)), (b1, b2), e, hfun = _linear_parts(zone)
+    sign = 1.0 if forward else -1.0
+    lo, hi = _strip(zone)
+    w = cfg.window
+    x, y = float(start[0]), float(start[1])
+
+    def field(x, y):
+        return sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
+
+    _check_entry(x, y, field(x, y)[0], lo, hi, cfg)
+    h0 = hfun(x, y)
+    piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
+    if record:
+        norm = math.hypot(a11, a12, a21, a22)
+        piece = min(piece, cfg.max_step, 0.0625 / norm if norm else math.inf)
+    # (coordinate, level, outward sign, edge name or None for the window)
+    targets = [(0, c, out, edge) for c, out, edge in ((lo, -1, "lo"), (hi, 1, "hi"))
+               if math.isfinite(c)]
+    targets += [(k, out * w, out, None) for k in (0, 1) for out in (-1, 1)]
+    t = 0.0
+    samples = [(t, x, y)] if record else []
+    events: list = []
+    status = "left-window" if abs(x) > w or abs(y) > w else None
+    while status is None:
+        u = (x, y)
+        f = field(x, y)
+        g = (sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1]))
+        rest = cfg.max_time - t
+        span = min(rest, piece)
+        # the least crossing time; an edge wins a tie with the window
+        th, c, edge = min(((_first_crossing(e, u[k], f[k], g[k], c, out), c, edge)
+                           for k, c, out, edge in targets),
+                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
+        hit = th <= span * (1 + 1e-9)
+        if hit and edge:  # Newton on x(t) - c from the quadratic's root
+            for _ in range(3):
+                s1, s2 = _s12(e, th)
+                miss = x + s1 * f[0] + s2 * g[0] - c
+                rate = (1.0 + e * s2) * f[0] + s1 * g[0]
+                if miss == 0 or rate == 0 or not 0 < th - miss / rate <= span * (1 + 1e-9):
+                    break
+                th -= miss / rate
+        dt = th if hit else span
+        s1, s2 = _s12(e, dt)
+        x, y = x + s1 * f[0] + s2 * g[0], y + s1 * f[1] + s2 * g[1]
+        t += dt
+        if hit and edge:
+            x = c
+            events.append((t, edge, 1 if edge == "hi" else -1))
+            status = "reached-boundary"
+        elif hit:
+            status = "left-window"
+        elif math.hypot(*field(x, y)) < 1e-12:
+            status = "hit-equilibrium"
+        elif span == rest:
+            status = "reached-time-limit"
+        if record:
+            samples.append((t, x, y))
+    drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))
+    return Trajectory(samples, events, status, (x, y), drift, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

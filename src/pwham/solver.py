@@ -589,12 +589,14 @@ def _sgn(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
-def theorem_bound(ps: PiecewiseSystem) -> BoundInfo:
+def theorem_bound(ps: PiecewiseSystem, continuous: bool | None = None) -> BoundInfo:
     """Upper bound (or annulus / nonexistence statement) for the matched
     configuration.  Configurations with the nonlinear zone on the right are
-    reduced by mirror symmetry; anything else is reported as not covered."""
+    reduced by mirror symmetry; anything else is reported as not covered.
+    ``continuous`` is the system's ``is_continuous`` flag when the caller
+    has it already; otherwise it is computed where a bound needs it."""
     if len(ps.zones) == 2:
-        return _bound_two_zone(ps)
+        return _bound_two_zone(ps, continuous)
     if len(ps.zones) == 3:
         return _bound_three_zone(ps)
     return BoundInfo("not_covered", None, f"{len(ps.zones)}-zone system")
@@ -604,14 +606,15 @@ def _is_sad(z: Zone) -> bool:
     return isinstance(z.payload, LinearSaddle)
 
 
-def _bound_two_zone(ps: PiecewiseSystem) -> BoundInfo:
+def _bound_two_zone(ps: PiecewiseSystem, cont: bool | None) -> BoundInfo:
     a, b = ps.zones
     if _is_sad(a) and not _is_sad(b):
-        return _bound_two_zone(mirror(ps))
+        return _bound_two_zone(mirror(ps), cont)  # mirroring keeps continuity
     if not _is_sad(b):
         return BoundInfo("not_covered", None, f"{ps.kinds[0]}+{ps.kinds[1]}")
     sad: LinearSaddle = b.payload
-    cont, _ = is_continuous(ps)
+    if cont is None:
+        cont, _ = is_continuous(ps)
     if isinstance(a.payload, DoubleCenter):
         dc = a.payload
         if cont:
@@ -767,7 +770,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None,
     (optionally) dynamic verification of every candidate."""
     tol = rat(refine_tol)
     cont, mism = is_continuous(ps)
-    bound = theorem_bound(ps)
+    bound = theorem_bound(ps, cont)
     try:
         mss = matching_systems_for(ps)
     except MatchError as e:

@@ -117,16 +117,8 @@ def test_cli_solve_pwl_fixture_digits():
     assert "verified cycles: 1" in out
 
 
-@pytest.mark.parametrize("name", [
-    "double_center_saddle.pwham",
-    "global_center_saddle.pwham",
-    "linear_center_center_saddle.pwham",
-    "linear_center_saddle_center.pwham",
-    "linear_saddle_center_saddle.pwham",
-    "linear_saddle_saddle_center.pwham",
-])
-def test_cli_oracle_points_match_verified_ordinates(name):
-    """The grid-128 oracle and the verified cycles agree to 1e-9, both ways,
+def _oracle_agreement(name: str, tol: float):
+    """The grid-128 oracle and the verified cycles agree to tol, both ways,
     on every boundary."""
     code, out = run_cli("solve", fixture_path(name), "--grid", "128", "--json")
     assert code == 0
@@ -140,9 +132,32 @@ def test_cli_oracle_points_match_verified_ordinates(name):
     for b, points in rep["oracle"].items():
         ordinates = verified.get(b, [])
         for v in points:
-            assert min(abs(v - w) for w in ordinates) < 1e-9, (b, v, ordinates)
+            assert min(abs(v - w) for w in ordinates) < tol, (b, v, ordinates)
         for w in ordinates:
-            assert min(abs(v - w) for v in points) < 1e-9, (b, w, points)
+            assert min(abs(v - w) for v in points) < tol, (b, w, points)
+
+
+LINEAR_FIXTURES = [
+    "linear_center_center_saddle.pwham",
+    "linear_center_saddle_center.pwham",
+    "linear_saddle_center_saddle.pwham",
+    "linear_saddle_saddle_center.pwham",
+]
+
+
+@pytest.mark.parametrize("name", [
+    "double_center_saddle.pwham",
+    "global_center_saddle.pwham",
+] + LINEAR_FIXTURES)
+def test_cli_oracle_points_match_verified_ordinates(name):
+    _oracle_agreement(name, 1e-9)
+
+
+@pytest.mark.parametrize("name", LINEAR_FIXTURES)
+def test_cli_oracle_points_match_verified_ordinates_exact_flow(name):
+    """On the fully linear fixtures every arc is the exact flow, so the
+    oracle agrees with the verified ordinates to 1e-11."""
+    _oracle_agreement(name, 1e-11)
 
 
 def test_cli_solve_json_golden():

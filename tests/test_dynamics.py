@@ -2,6 +2,7 @@
 oracle, and candidate verification."""
 
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from pwham.dynamics import (
     IntegratorConfig,
     NotEntryPoint,
     SlidingPoint,
+    _dp5_arc,
     _rk45_step,
     integrate_arc,
     oracle_window,
@@ -23,16 +25,20 @@ from pwham.dynamics import (
     zone_integral_fn,
 )
 from pwham.solver import solve
+from pwham.specfile import load_spec
 from pwham.systems import (
     CubicCenter,
     DoubleCenter,
     GlobalCenter,
     LinearSaddle,
     Zone,
+    field_polys,
+    mirror,
     piecewise_system,
 )
 
 from conftest import (
+    FIXTURE_DIR,
     cubic_center_saddle,
     double_center_saddle,
     global_center_saddle,
@@ -85,14 +91,14 @@ def test_time_reversal_returns_to_start():
 
 
 def _landing_miss(zone, traj, forward=True):
-    """Distance from the edge of the real step that ends a boundary arc,
-    recomputed from the last accepted sample (the arc reports the landing
-    snapped onto the edge)."""
+    """Distance from the edge of the real step that ends an integrated
+    boundary arc, recomputed from the last accepted sample (the arc reports
+    the step's end moved along the field onto the edge)."""
     (t0, x0, y0), (t1, x1, y1) = traj.samples[-2:]
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
-    xs, ys, _, _, _ = _rk45_step(f, x0, y0, t1 - t0, f(x0, y0))
-    assert abs(ys - y1) <= 1e-12 * (1 + abs(y1))
+    xs, ys, _, _, (kx, ky) = _rk45_step(f, x0, y0, t1 - t0, f(x0, y0))
+    assert abs(ys + (x1 - xs) * ky / kx - y1) <= 1e-12 * (1 + abs(y1))
     return abs(xs - x1)
 
 
@@ -104,10 +110,30 @@ def test_event_accuracy():
     zone = 1
     for bhit, _, dhit, traj in log:
         assert traj.end[0] == 0.0
-        assert traj.event_steps <= 8
-        assert _landing_miss(ps.zones[zone], traj) <= m.cfg.event_tol
-        assert traj.steps == len(traj.samples) - 1
+        if ps.zones[zone].kind == "linear":  # exact arc: no step to recompute
+            assert traj.steps == traj.event_steps == 0
+        else:
+            assert traj.event_steps <= 8
+            assert _landing_miss(ps.zones[zone], traj) <= m.cfg.event_tol
+            assert traj.steps == len(traj.samples) - 1
         zone = bhit + 1 if dhit > 0 else bhit
+
+
+def test_steep_landing_stays_on_the_level_curve():
+    """At a steep crossing (|dy/dx| >= 10) a landing snapped sideways onto
+    x = c would miss the level curve by |dy/dx| times the localization
+    miss; moved along the field it keeps the first integral to 1e-10
+    relative, even at a loose localization tolerance."""
+    cfg = IntegratorConfig(event_tol=1e-7)
+    for k in range(1, 5):
+        zone = Zone(DoubleCenter(l=0, n=0, p=0), F(-2), 1 - F(k, 1000))
+        traj = integrate_arc(zone, (0.0, -1.0), cfg)
+        assert traj.status == "reached-boundary" and traj.steps > 0
+        fx, fy = zone_field_fn(zone)(*traj.end)
+        assert abs(fy / fx) >= 10
+        H = zone_integral_fn(zone)
+        h0 = H(0.0, -1.0)
+        assert abs(H(*traj.end) - h0) <= 1e-10 * max(1.0, abs(h0))
 
 
 def test_integrator_counters_count_rejections():
@@ -138,9 +164,10 @@ _payloads = st.one_of(
        y0=st.floats(min_value=-2.0, max_value=2.0),
        x0=st.floats(min_value=-0.9, max_value=0.9))
 def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, y0, x0):
-    """Every arc that reaches an edge lands, by a real step, within event_tol
-    of it, and the first integral there matches the start to 1e-8 relative
-    (the verifier's drift rule)."""
+    """Every integrated arc that reaches an edge lands, by a real step,
+    within event_tol of it, and the first integral there matches the start
+    to 1e-8 relative (the verifier's drift rule).  Exact arcs of linear
+    zones take no step; the integral check holds for them too."""
     if isinstance(payload, GlobalCenter):
         y0 = 0.25 + abs(y0)  # the closed orbits fill y > 0
     zone = Zone(payload, F(-1), F(1), reverse)
@@ -151,11 +178,90 @@ def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, 
     except NotEntryPoint:
         assume(False)
     assume(traj.status == "reached-boundary")
-    assert _landing_miss(zone, traj, forward) <= cfg.event_tol
+    if zone.kind != "linear":
+        assert _landing_miss(zone, traj, forward) <= cfg.event_tol
     assert traj.event_steps <= 80
     H = zone_integral_fn(zone)
     h0 = H(*start)
     assert abs(H(*traj.end) - h0) <= 1e-8 * max(1.0, abs(h0))
+
+
+_nonzero = _small.filter(bool)
+
+
+@st.composite
+def _linear_payloads(draw):
+    """Linear zones with e = beta^2 - alpha*delta of a drawn sign: saddle,
+    center, or e = 0 (nilpotent linear part)."""
+    beta, delta = draw(_small), draw(_nonzero)
+    e = draw(st.sampled_from([1, -1, 0])) * draw(st.fractions(
+        min_value=F(1, 4), max_value=4, max_denominator=4))
+    return LinearSaddle(alpha=(beta * beta - e) / delta, beta=beta, delta=delta,
+                        mu=draw(_small), gamma=draw(_small))
+
+
+def _fleeting(zone, p, cfg):
+    """True when the orbit through the edge point p stays on one side of the
+    edge for less than one max_step (the time 2 |f_x| / |d f_x / dt| of
+    its parabolic excursion): a crossing or re-entry that Dormand-Prince
+    steps of that length can step over, or see at a slightly other place."""
+    fxp, fyp = field_polys(zone)
+    at = {"x": p[0], "y": p[1]}
+    fx, fy = fxp.eval_float(at), fyp.eval_float(at)
+    rate = fxp.diff("x").eval_float(at) * fx + fxp.diff("y").eval_float(at) * fy
+    return 2 * abs(fx) <= abs(rate) * cfg.max_step
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_linear_payloads(), reverse=st.booleans(), forward=st.booleans(),
+       edge=st.sampled_from(["lo", "hi", "inside"]),
+       y0=st.floats(min_value=-2.0, max_value=2.0),
+       x0=st.floats(min_value=-0.9, max_value=0.9))
+def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
+    """The exact arc of a linear zone against Dormand-Prince steps from the
+    same start: the first integral kept to 1e-12 relative, recorded samples
+    at most max_step apart on the level curve, and the same status, edge
+    and landing (to 1e-9).  The exceptions are the reference's blind spots:
+    an arc that starts or ends on a fleeting excursion across an edge, and
+    a single step that jumps past the window onto an edge."""
+    zone = Zone(payload, F(-1), F(1), reverse)
+    start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
+    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    try:
+        ref = _dp5_arc(zone, start, cfg, True, forward)
+    except NotEntryPoint:
+        with pytest.raises(NotEntryPoint):
+            integrate_arc(zone, start, cfg, forward=forward)
+        return
+    exact = integrate_arc(zone, start, cfg, forward=forward)
+    assert exact.steps == exact.rejected == exact.event_steps == 0
+    H = zone_integral_fn(zone)
+    h0 = H(*start)
+    assert exact.drift == abs(H(*exact.end) - h0) / max(1.0, abs(h0)) <= 1e-12
+    ts = [t for t, _, _ in exact.samples]
+    assert ts[0] == 0.0 and all(0 < b - a <= cfg.max_step * (1 + 1e-9)
+                                for a, b in zip(ts, ts[1:]))
+    for _, x, y in exact.samples:
+        assert abs(H(x, y) - h0) <= 1e-12 * max(1.0, abs(h0))
+    edges = [a.end for a in (exact, ref) if a.events] + [start] * (edge != "inside")
+    if any(_fleeting(zone, p, cfg) for p in edges):
+        return
+    if ref.status == "reached-boundary" and max(map(abs, ref.end)) > cfg.window:
+        assert exact.status == "left-window"
+        return
+    assert exact.status == ref.status
+    assert [e[1:] for e in exact.events] == [e[1:] for e in ref.events]
+    if exact.events:
+        assert exact.end[0] == ref.end[0]
+        assert abs(exact.end[1] - ref.end[1]) <= 1e-9
+
+
+def test_exact_arc_stops_at_a_stiff_saddle_equilibrium():
+    # pieces of a saddle arc are 2/sqrt(e) long; a start at the equilibrium
+    # of e = 1e12 would need 2e8 of them to reach max_time
+    zone = Zone(LinearSaddle(alpha=10**12, beta=0, delta=-1, mu=0, gamma=0))
+    traj = integrate_arc(zone, (0.0, 0.0), IntegratorConfig())
+    assert traj.status == "hit-equilibrium" and traj.end == (0.0, 0.0)
 
 
 def test_not_entry_point():
@@ -212,6 +318,42 @@ def test_oracle_grid_minimum():
     ps = global_center_saddle()
     with pytest.raises(ValueError):
         shooting_oracle(ps, 0, (-1.0, 1.0), 8)
+
+
+def _defined_returns(m: FlowMachine, count: int = 4):
+    """Up to ``count`` (boundary, ordinate, direction, return ordinate)
+    samples where the return map is defined, spread over a scan of
+    (-3, 3) on every boundary."""
+    found = []
+    for b in range(len(m.bxs)):
+        for i in range(60):
+            y = -3.0 + 0.1 * i + 0.0123
+            try:
+                d = m.crossing_direction(b, y)
+                found.append((b, y, d, m.return_map(b, y, d)[0]))
+            except DynamicsError:
+                pass
+    return found[::max(1, len(found) // count)][:count]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURE_DIR)))
+def test_return_map_mirror_and_reversal_symmetry(name):
+    """The flow's exact symmetries on every fixture, to 1e-9: the mirrored
+    system x -> -x has the same return map on the mirrored boundary, with
+    the crossing direction flipped, and flipping every zone's reverse flag
+    gives the inverse return map."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+    machine = FlowMachine(ps)
+    mirrored = FlowMachine(mirror(ps))
+    reversed_ = FlowMachine(piecewise_system(
+        [z.payload for z in ps.zones], list(ps.boundaries),
+        [not z.reverse for z in ps.zones]))
+    last = len(ps.boundaries) - 1
+    samples = _defined_returns(machine)
+    assert samples
+    for b, y, d, y2 in samples:
+        assert abs(mirrored.return_map(last - b, y, -d)[0] - y2) <= 1e-9
+        assert abs(reversed_.return_map(b, y2, -d)[0] - y) <= 1e-9
 
 
 class SyntheticMap(FlowMachine):

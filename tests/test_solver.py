@@ -231,6 +231,22 @@ def test_bound_discriminant_note_sign():
     assert b.count == 1 and "sign 1" in b.note
 
 
+def test_solve_checks_continuity_once(monkeypatch):
+    """solve hands its continuity flag to the bound table instead of having
+    the table test continuity again (the mirrored branch included)."""
+    import pwham.solver as solver_mod
+
+    calls = []
+    original = solver_mod.is_continuous
+    monkeypatch.setattr(solver_mod, "is_continuous",
+                        lambda ps: calls.append(ps) or original(ps))
+    for ps in (double_center_saddle(), mirror(global_center_saddle())):
+        calls.clear()
+        rep = solve(ps, verify=False)
+        assert len(calls) == 1
+        assert rep.bound == theorem_bound(ps)  # the flag computed alone agrees
+
+
 # -- annulus ----------------------------------------------------------------------------
 
 
