@@ -85,10 +85,6 @@ class UniPoly:
     def const(cls, c: RatLike, var: str = "y") -> "UniPoly":
         return cls((c,), var)
 
-    @classmethod
-    def variable(cls, var: str = "y") -> "UniPoly":
-        return cls((0, 1), var)
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -166,9 +162,6 @@ class UniPoly:
         for _ in range(n):
             out = out * self
         return out
-
-    def scale(self, c: RatLike) -> "UniPoly":
-        return self * rat(c)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""
@@ -341,12 +334,6 @@ class RootInterval:
     hi: Fraction
     sign_lo: int
     sign_hi: int
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 def sturm_chain(p: UniPoly) -> list[list[int]]:

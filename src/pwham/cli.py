@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import dynamics, solver
 from .matcher import MatchError
 from .solver import InvariantViolation, NotCoveredError, SolveReport
-from .specfile import ZONE_KEYS, ParseError, SystemSpecFile, load_spec
+from .specfile import (ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_grid,
+                       parse_window)
 from .systems import LinearSaddle, PiecewiseSystem, equilibria, is_continuous, separatrix_lines
 
 
@@ -35,12 +36,15 @@ def _bound_text(b: solver.BoundInfo) -> str:
     return f"not covered ({b.case})"
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    lo, hi = text.split(":")
-    lo, hi = float(Fraction(lo)), float(Fraction(hi))
-    if lo >= hi:
-        raise ValueError("window must satisfy lo < hi")
-    return lo, hi
+def _arg_type(parse):
+    """An argparse ``type=`` from a spec-file value parser, so that a bad
+    value is a usage error (exit 2)."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return typed
 
 
 def report_to_json(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> dict:
@@ -161,13 +165,12 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     spec = load_spec(args.file)
     ps = spec.to_system()
-    tol = Fraction(args.tol) if args.tol else Fraction(spec.options.get("tol", "1e-12"))
-    rep = solver.solve(ps, verify=args.verify, refine_tol=tol)
+    rep = solver.solve(ps, verify=args.verify)
     oracle = None
-    grid = args.grid if args.grid else int(spec.options.get("grid", 0) or 0)
+    grid = args.grid or parse_grid(spec.options.get("grid", "0"))
     if grid:
-        window = _parse_window(args.window) if args.window else (
-            _parse_window(spec.options["window"]) if "window" in spec.options else None)
+        window = args.window or (
+            parse_window(spec.options["window"]) if "window" in spec.options else None)
         oracle = run_oracle(ps, rep, grid, window)
     if args.json:
         text = json.dumps(report_to_json(ps, rep, oracle), indent=2) + "\n"
@@ -249,7 +252,7 @@ def _polyline_svg(polylines, window, width=640, height=640):
 def cmd_portrait(args) -> int:
     spec = load_spec(args.file)
     ps = spec.to_system()
-    win = _parse_window(args.window) if args.window else (-4.0, 4.0)
+    win = args.window or (-4.0, 4.0)
     window = (win, win)
     cfg = dynamics.IntegratorConfig(max_time=60.0, window=10 * max(abs(win[0]), abs(win[1])))
     rep = solver.solve(ps, verify=args.verify)
@@ -355,12 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--tol", default=None,
-                   help="exact rational; drops three-zone sum/difference tuples "
-                        "whose pair spreads fall below 2*tol (default 1e-12)")
-    p.add_argument("--grid", type=int, default=0,
-                   help="run the shooting oracle with this grid size")
-    p.add_argument("--window", default=None, help="oracle scan window LO:HI")
+    p.add_argument("--grid", type=_arg_type(parse_grid), default=0,
+                   help="run the shooting oracle with this grid size (at least 16)")
+    p.add_argument("--window", type=_arg_type(parse_window), default=None,
+                   help="oracle scan window LO:HI")
 
     p = sub.add_parser("sweep", help="scan one parameter, CSV per sample")
     common(p)
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("portrait", help="sample level curves, separatrices, cycles")
     common(p)
     p.add_argument("--samples", type=int, default=7, help="seed grid per zone axis")
-    p.add_argument("--window", default=None, help="plot window LO:HI")
+    p.add_argument("--window", type=_arg_type(parse_window), default=None,
+                   help="plot window LO:HI")
     p.add_argument("--svg", default=None, help="also write an SVG rendering")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 

@@ -264,8 +264,9 @@ def _strip(zone: Zone) -> tuple[float, float]:
 
 def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince arc: stops at a strip edge (localized to
-    cfg.event_tol), the time limit, the window, or an equilibrium (speed
-    below 1e-12 for ten accepted steps)."""
+    cfg.event_tol; a landing outside the window leaves the window), the
+    time limit, the window, or an equilibrium (speed below 1e-12 for ten
+    accepted steps)."""
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
     hfun = zone_integral_fn(zone)
@@ -318,10 +319,12 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
             h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, k7, c, cfg.event_tol)
             t += h_loc
             x, y = c, ym
-            direction = 1 if hit_edge == "hi" else -1
-            events.append((t, hit_edge, direction))
             if record:
                 samples.append((t, x, y))
+            if abs(x) > cfg.window or abs(y) > cfg.window:
+                status = "left-window"  # the step left the window first
+                break
+            events.append((t, hit_edge, 1 if hit_edge == "hi" else -1))
             status = "reached-boundary"
             break
         t += h

@@ -3,34 +3,29 @@
 A periodic orbit that crosses the switching lines transversally pins its
 boundary ordinates to common level curves of the per-zone first integrals.
 This module turns a two- or three-zone system into the corresponding
-polynomial system, with
+polynomial system.  Every equation comes from one formula, whatever the
+zone's family: the zone's integral N/D restricted to the line x = c
+(``systems.restriction``), with denominators cleared,
 
-* outer-zone level equalities divided exactly by the coincident-point factor
-  (the difference of the two ordinates),
-* rational integrals cleared of denominators (introducing the spurious
-  ordinate y = 0 for the global center, recorded for screening),
-* all signs derived from the Hamiltonians themselves rather than from any
-  per-case shorthand, and
-* the sum/difference change of variables used by the three-zone analysis.
+* a level pair on one line, N(a) D(b) - N(b) D(a), divided exactly by the
+  coincident-point factor a - b,
+* a transport across a strip, N1(a) D2(b) - N2(b) D1(a), from the
+  restrictions to its two edges,
+
+and the ordinates of a zone whose restricted denominator is not constant
+(the global center's y^2) recorded as excluded from 0, because clearing it
+adds the spurious root y = 0.  The sum/difference change of variables used
+by the three-zone analysis lives here too.
 
 Ordinates on each boundary are stored canonically as (lower, upper).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from .algebra import MultiPoly, RatLike, rat
-from .systems import (
-    CubicCenter,
-    DoubleCenter,
-    GlobalCenter,
-    LinearSaddle,
-    PiecewiseSystem,
-    Zone,
-    boundary_restriction,
-    global_restriction_constant,
-)
+from .algebra import MultiPoly, RatLike, UniPoly, rat
+from .systems import PiecewiseSystem, Zone, restriction
 
 
 class MatchError(ValueError):
@@ -54,7 +49,6 @@ class MatchingSystem:
     provenance: list[str]
     boundaries: tuple[Fraction, ...]
     nonzero: tuple[str, ...] = ()
-    symbols: dict = field(default_factory=dict)
     degenerate_family: bool = False
 
 
@@ -83,66 +77,68 @@ class SumDiffSystem:
 # ---------------------------------------------------------------------------
 
 
-def _power_sum(va: MultiPoly, vb: MultiPoly, k: int) -> MultiPoly:
-    """(a^k - b^k) / (a - b) = sum_{i<k} a^i b^(k-1-i)."""
-    acc = MultiPoly.zero()
-    for i in range(k):
-        acc = acc + va**i * vb ** (k - 1 - i)
-    return acc
+def _in_pair(va: str, vb: str, terms: dict[tuple[int, int], Fraction]) -> MultiPoly:
+    """The polynomial with terms {(i, j): c} meaning c * va^i * vb^j."""
+    if va < vb:
+        return MultiPoly((va, vb), terms)
+    return MultiPoly((vb, va), {(j, i): c for (i, j), c in terms.items()})
+
+
+def _coeff(p: UniPoly, k: int) -> Fraction:
+    return p.coeffs[k] if k < len(p.coeffs) else Fraction(0)
 
 
 def pair_equation(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
-    """Level equality H(c, a) = H(c, b) with the exact factor (a - b)
-    removed; for the global center the y^2 denominators are cleared first,
-    which adds the spurious root y = 0 (caller records the exclusion)."""
-    a, b = MultiPoly.var(va), MultiPoly.var(vb)
-    if isinstance(zone.payload, GlobalCenter):
-        k = global_restriction_constant(zone, c)
-        return k * (a + b) - a * b
-    f = boundary_restriction(zone, c)
-    acc = MultiPoly.zero()
-    for k, coef in enumerate(f.coeffs):
-        if k == 0 or coef == 0:
-            continue
-        acc = acc + coef * _power_sum(a, b, k)
-    return acc
+    """Level equality N(a)/D(a) = N(b)/D(b) of the zone's integral on x = c,
+    cleared of denominators and divided exactly by (a - b):
+
+        sum_{i>j} (n_i d_j - n_j d_i) (ab)^j P_{i-j}(a, b),
+        P_k = sum_{l<k} a^l b^(k-1-l).
+
+    For a polynomial integral (D = 1) this is sum_i n_i P_i(a, b)."""
+    n, d, _, _ = restriction(zone, rat(c))
+    terms: dict[tuple[int, int], Fraction] = {}
+    for i in range(1, max(len(n.coeffs), len(d.coeffs))):
+        for j in range(i):
+            w = _coeff(n, i) * _coeff(d, j) - _coeff(n, j) * _coeff(d, i)
+            if w:
+                for l in range(i - j):
+                    key = (j + l, i - 1 - l)
+                    terms[key] = terms.get(key, 0) + w
+    return _in_pair(va, vb, terms)
 
 
 def transport_equation(zone: Zone, c_from: RatLike, c_to: RatLike,
                        v_from: str, v_to: str) -> MultiPoly:
-    """H(c_from, y_from) - H(c_to, y_to) for a polynomial-integral zone."""
-    f = boundary_restriction(zone, c_from)
-    g = boundary_restriction(zone, c_to)
-    a, b = MultiPoly.var(v_from), MultiPoly.var(v_to)
-    acc = MultiPoly.zero()
-    for k, coef in enumerate(f.coeffs):
-        if coef != 0:
-            acc = acc + coef * a**k
-    for k, coef in enumerate(g.coeffs):
-        if coef != 0:
-            acc = acc - coef * b**k
-    return acc
+    """Level equality across the zone's strip, H(c_from, a) = H(c_to, b),
+    cleared of denominators: N1(a) D2(b) - N2(b) D1(a)."""
+    n1, d1, _, _ = restriction(zone, rat(c_from))
+    n2, d2, _, _ = restriction(zone, rat(c_to))
+    terms: dict[tuple[int, int], Fraction] = {}
+    for i, ni in enumerate(n1.coeffs):
+        for j, dj in enumerate(d2.coeffs):
+            terms[i, j] = terms.get((i, j), 0) + ni * dj
+    for i, ni in enumerate(n2.coeffs):
+        for j, dj in enumerate(d1.coeffs):
+            terms[j, i] = terms.get((j, i), 0) - ni * dj
+    return _in_pair(v_from, v_to, terms)
 
 
 def raw_pair_difference(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
-    """Undivided level difference (numerator form).  Antisymmetric under
-    swapping the two ordinates; pair_equation is this divided by (a - b)
-    exactly (times the cleared denominator for rational integrals)."""
-    a, b = MultiPoly.var(va), MultiPoly.var(vb)
-    if isinstance(zone.payload, GlobalCenter):
-        k = global_restriction_constant(zone, c)
-        ka = MultiPoly.const(k)
-        return (ka - a) * b * b - (ka - b) * a * a
-    f = boundary_restriction(zone, c)
-    acc = MultiPoly.zero()
-    for k, coef in enumerate(f.coeffs):
-        if coef != 0:
-            acc = acc + coef * (a**k - b**k)
-    return acc
+    """Undivided level difference N(a) D(b) - N(b) D(a) on x = c.
+    Antisymmetric under swapping the two ordinates; pair_equation is this
+    divided by (a - b) exactly."""
+    return transport_equation(zone, c, c, va, vb)
 
 
-def _zone_nonzero(zone: Zone, names: tuple[str, ...]) -> tuple[str, ...]:
-    return names if isinstance(zone.payload, GlobalCenter) else ()
+def _nonzero(*uses: tuple[Zone, Fraction, tuple[str, ...]]) -> tuple[str, ...]:
+    """The ordinates excluded from 0: those of each (zone, c, names) use
+    whose restricted integral has a non-constant denominator."""
+    out: list[str] = []
+    for zone, c, names in uses:
+        if restriction(zone, c)[1].degree > 0:
+            out += [v for v in names if v not in out]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +164,7 @@ def build_two_zone(left: Zone, right: Zone, c: RatLike) -> MatchingSystem:
         orderings=[("y1", "y2")],
         provenance=[f"left zone level pair at x={c}", f"right zone level pair at x={c}"],
         boundaries=(c,),
-        nonzero=_zone_nonzero(left, ("y1", "y2")) + _zone_nonzero(right, ("y1", "y2")),
-        symbols=_two_zone_symbols(left, right),
+        nonzero=_nonzero((left, c, ("y1", "y2")), (right, c, ("y1", "y2"))),
         degenerate_family=degenerate,
     )
 
@@ -201,52 +196,10 @@ def build_three_zone(left: Zone, mid: Zone, right: Zone,
             f"right zone level pair at x={c2}",
         ],
         boundaries=(c1, c2),
-        nonzero=_zone_nonzero(left, ("y1", "y2")) + _zone_nonzero(right, ("y3", "y4")),
-        symbols=_three_zone_symbols(left, mid, right),
+        nonzero=_nonzero((left, c1, ("y1", "y2")), (mid, c1, ("y1", "y2")),
+                         (mid, c2, ("y3", "y4")), (right, c2, ("y3", "y4"))),
         degenerate_family=e1.is_zero or e4.is_zero,
     )
-
-
-def _two_zone_symbols(left: Zone, right: Zone) -> dict:
-    sym: dict = {}
-    lp, rp = left.payload, right.payload
-    if isinstance(rp, LinearSaddle):
-        if isinstance(lp, DoubleCenter) and lp.n != 0 and rp.delta != 0:
-            sym["discriminant"] = (Fraction(12) * rp.mu / (lp.n * rp.delta**2)
-                                   * (rp.delta - lp.n * rp.mu))
-        if isinstance(lp, CubicCenter):
-            sym["two_cycle_condition"] = (2 * lp.b * rp.delta * rp.mu * lp.q
-                                          - 3 * rp.mu**2 * lp.q**2)
-    return sym
-
-
-def _three_zone_symbols(left: Zone, mid: Zone, right: Zone) -> dict:
-    """Shorthand parameter combinations, one convention per left-zone family
-    (they differ between the case analyses and are kept only for reports)."""
-    if not (isinstance(mid.payload, LinearSaddle) and isinstance(right.payload, LinearSaddle)):
-        return {}
-    m, r = mid.payload, right.payload
-    lp = left.payload
-    if isinstance(lp, DoubleCenter):
-        return {
-            "l1": -(m.mu + m.beta),
-            "m1": m.mu - m.beta,
-            "l2": -(r.mu - r.beta),
-        }
-    if isinstance(lp, GlobalCenter):
-        return {
-            "l1": -(m.beta + m.mu),
-            "m1": m.beta - m.mu,
-            "l2": r.beta - r.mu,
-        }
-    if isinstance(lp, CubicCenter):
-        return {
-            "l1": -2 * (m.beta + m.mu),
-            "m1": 2 * (m.beta - m.mu),
-            "l2": 2 * (r.beta - r.mu),
-            "k1": 4 * m.gamma,
-        }
-    return {}
 
 
 # ---------------------------------------------------------------------------

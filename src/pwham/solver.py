@@ -53,7 +53,6 @@ from .systems import (
 )
 
 INTERNAL_REFINE = Fraction(1, 10**18)
-DEFAULT_TOL = Fraction(1, 10**12)
 RESIDUAL_RTOL = 1e-9
 
 
@@ -347,24 +346,29 @@ class _CoreResult:
     diagnostics: dict
 
 
-def _two_zone_core(ms: MatchingSystem, tol: Fraction) -> _CoreResult:
+def _direct_core(ms: MatchingSystem) -> _CoreResult:
+    """Plain resultant elimination in ``default_order(ms)`` down to y1; every
+    eliminant root is back-substituted, and a root that extends to no tuple
+    counts as extraneous.  The route of two-zone systems, and the fallback
+    for three-zone structures outside the sum/difference shape."""
     diag: dict = {"extraneous_roots": 0}
-    e1, e2 = ms.equations
+    if ms.topology == "three_zone":
+        diag["route"] = "direct"
     if ms.degenerate_family:
         return _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
     try:
-        elim = eliminate(ms, ("y2",))
+        elim = eliminate(ms)
     except PositiveDimensionalError:
         return _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
     tuples: list[tuple[tuple[Fraction, ...], int]] = []
     if elim.degree >= 1:
         for r, mult in _root_values(elim, INTERNAL_REFINE):
-            exts = back_substitute(r, ms, ("y2",))
+            exts = back_substitute(r, ms)
             if not exts:
                 diag["extraneous_roots"] += 1
             for t in exts:
                 tuples.append((t, mult))
-    return _CoreResult(elim, "y1", tuples, False, diag)
+    return _CoreResult(elim, "y1", _dedupe(tuples), False, diag)
 
 
 def _even_in(p: MultiPoly, var: str) -> bool:
@@ -402,7 +406,7 @@ def _halve_even(p: MultiPoly, var: str, newvar: str) -> MultiPoly:
     return out
 
 
-def _three_zone_core(ms: MatchingSystem, tol: Fraction) -> _CoreResult:
+def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
     """Sum/difference elimination; requires the middle and right zones to
     restrict to polynomials of degree <= 2 on the boundaries (true for every
     covered configuration once a lone nonlinear outer zone sits on the
@@ -492,11 +496,7 @@ def _three_zone_core(ms: MatchingSystem, tol: Fraction) -> _CoreResult:
             if V_hat < V_NOISE_FLOOR:
                 continue  # below the uncertainty induced by the refinements
             v_hat = rat_sqrt(V_hat)
-            if v_hat < 2 * tol:
-                continue  # coincident pair: not a crossing cycle
             for z_hat in _candidate_z(sdiff2, ssum2, u_hat, v_hat):
-                if z_hat < 2 * tol:
-                    continue
                 t = (
                     (u_hat - v_hat) / 2,
                     (u_hat + v_hat) / 2,
@@ -559,25 +559,6 @@ def _dedupe(tuples: list[tuple[tuple[Fraction, ...], int]],
             continue
         out.append((t, m))
     return out
-
-
-def _three_zone_generic(ms: MatchingSystem, tol: Fraction) -> _CoreResult:
-    """Fallback for three-zone structures outside the sum/difference shape:
-    plain resultant elimination down to y1."""
-    diag = {"extraneous_roots": 0, "route": "direct"}
-    try:
-        elim = eliminate(ms)
-    except PositiveDimensionalError:
-        return _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
-    tuples = []
-    if elim.degree >= 1:
-        for r, mult in _root_values(elim, INTERNAL_REFINE):
-            exts = back_substitute(r, ms)
-            if not exts:
-                diag["extraneous_roots"] += 1
-            for t in exts:
-                tuples.append((t, mult))
-    return _CoreResult(elim, "y1", _dedupe(tuples), False, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +744,10 @@ def _candidate_from_tuple(ms: MatchingSystem, topo_tag: str, zone_indices,
     )
 
 
-def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None,
-          refine_tol: RatLike = DEFAULT_TOL) -> SolveReport:
+def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
     """Full pipeline: continuity, theorem bound, matching systems for every
     crossing topology, elimination, isolation, refinement, screening, and
     (optionally) dynamic verification of every candidate."""
-    tol = rat(refine_tol)
     cont, mism = is_continuous(ps)
     bound = theorem_bound(ps, cont)
     try:
@@ -788,16 +767,16 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None,
             zidx = (0, 1, 2)
             bidx = (0, 1)
             try:
-                core = _three_zone_core(ms, tol)
+                core = _three_zone_core(ms)
             except MatchError:
-                core = _three_zone_generic(ms, tol)
+                core = _direct_core(ms)
         else:
             if len(mss) == 1:
                 tag, zidx, bidx = "two_zone", (0, 1), (0,)
             else:
                 i = k - 1
                 tag, zidx, bidx = f"two_zone@{i}", (i, i + 1), (i,)
-            core = _two_zone_core(ms, tol)
+            core = _direct_core(ms)
         diagnostics["topologies"][tag] = core.diagnostics
         if k == 0:
             main_elim, main_var = core.eliminant, core.var

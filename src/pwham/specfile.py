@@ -39,7 +39,31 @@ ZONE_REQUIRED = {
     "global_center": ("xi",),
 }
 
-OPTION_KEYS = ("tol", "grid", "window", "verify")
+
+def parse_grid(text: str) -> int:
+    """An oracle grid size: 0 (no oracle) or an integer of at least 16."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"grid is not an integer: {text!r}") from None
+    if n != 0 and n < 16:
+        raise ValueError(f"grid must be 0 (no oracle) or at least 16, got {n}")
+    return n
+
+
+def parse_window(text: str) -> tuple[float, float]:
+    """A scan window LO:HI of exact rationals with LO < HI."""
+    try:
+        lo, hi = (float(Fraction(t)) for t in text.split(":"))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"window is not LO:HI: {text!r}") from None
+    if lo >= hi:
+        raise ValueError(f"window must satisfy LO < HI: {text!r}")
+    return lo, hi
+
+
+# the ``option`` names and the parser that checks each value
+OPTIONS = {"grid": parse_grid, "window": parse_window}
 
 
 @dataclass
@@ -148,10 +172,16 @@ def parse_spec(text: str) -> SystemSpecFile:
             if len(tokens) < 3:
                 raise ParseError("option needs a name and a value", lineno, col)
             name = tokens[1]
-            if name not in OPTION_KEYS:
+            if name not in OPTIONS:
                 raise ParseError(f"unknown option {name!r}", lineno,
                                  line.index(name) + 1)
-            options[name] = " ".join(tokens[2:])
+            value = " ".join(tokens[2:])
+            try:
+                OPTIONS[name](value)
+            except ValueError as e:
+                vcol = line.index(tokens[2], line.index(name) + len(name)) + 1
+                raise ParseError(str(e), lineno, vcol) from None
+            options[name] = value
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col)
 

@@ -147,10 +147,6 @@ class CubicCenter:
         for f in ("a", "b", "p", "q", "r", "s", "offset"):
             object.__setattr__(self, f, rat(getattr(self, f)))
 
-    @property
-    def has_center_at_origin(self) -> bool:
-        return self.b - self.a * self.a > 0
-
     def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
         num = (self.p * X ** 3 + self.q * y ** 3 + self.r * X * X * y
                + self.s * X * y * y - Fraction(1, 2) * X * X
@@ -186,10 +182,6 @@ class LinearSaddle:
     def is_saddle(self) -> bool:
         return self.eigen_square > 0
 
-    @property
-    def is_linear_center(self) -> bool:
-        return self.eigen_square < 0
-
     def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
         num = (-self.gamma * X + self.mu * y - self.beta * X * y
                - Fraction(1, 2) * (self.alpha * X * X + self.delta * y * y))
@@ -216,11 +208,6 @@ class Zone:
     @property
     def kind(self) -> str:
         return self.payload.kind
-
-    def contains(self, x: Fraction | float) -> bool:
-        lo_ok = self.x_lo is None or x > self.x_lo
-        hi_ok = self.x_hi is None or x < self.x_hi
-        return lo_ok and hi_ok
 
 
 @dataclass(frozen=True)
@@ -326,22 +313,14 @@ def vector_field(zone: Zone, pt: tuple) -> tuple:
     return fx.eval(at), fy.eval(at)
 
 
-def boundary_restriction(zone: Zone, c: RatLike) -> UniPoly:
-    """Polynomial first integral restricted to the line x = c, as a UniPoly
-    in y.  Errors for the global center (rational integral); use
-    global_restriction_constant for that family."""
-    num, den = hamiltonian(zone)
-    if den.degree() > 0:
-        raise SystemError("rational integral: no polynomial restriction")
-    return num.subs({X: rat(c)}).as_unipoly(Y)
-
-
-def global_restriction_constant(zone: Zone, c: RatLike) -> Fraction:
-    """K such that the global-center integral on x = c is (K - y) / y^2."""
-    if not isinstance(zone.payload, GlobalCenter):
-        raise SystemError("zone is not a global center")
-    num, _ = hamiltonian(zone)
-    return num.eval({X: rat(c), Y: 0})
+@lru_cache(maxsize=16)
+def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
+    """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
+    applied) on the line x = c, as polynomials in y.  Every boundary
+    equation is built from these: the matcher's level pairs and transports,
+    its excluded ordinates, and the continuity test."""
+    at = {X: rat(c)}
+    return tuple(p.subs(at).as_unipoly(Y) for p in (*hamiltonian(zone), *field_polys(zone)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +420,9 @@ def is_continuous(ps: PiecewiseSystem) -> tuple[bool, list]:
     is (boundary abscissa, witness y, (gap_x, gap_y))."""
     mismatches = []
     for i, c in enumerate(ps.boundaries):
-        lfx, lfy = field_polys(ps.zones[i])
-        rfx, rfy = field_polys(ps.zones[i + 1])
-        dx = (lfx - rfx).subs({X: c}).as_unipoly(Y)
-        dy = (lfy - rfy).subs({X: c}).as_unipoly(Y)
+        _, _, lfx, lfy = restriction(ps.zones[i], c)
+        _, _, rfx, rfy = restriction(ps.zones[i + 1], c)
+        dx, dy = lfx - rfx, lfy - rfy
         if dx.is_zero and dy.is_zero:
             continue
         w = Fraction(0)

@@ -362,7 +362,7 @@ def test_criterion_7_companion_route_cross_check():
         direct = []
         for r, _ in _root_values(elim, F(1, 10**18)):
             direct += back_substitute(r, ms)
-        core = _three_zone_core(ms, F(1, 10**12))
+        core = _three_zone_core(ms)
         assert not core.positive_dimensional
         assert core.eliminant.degree <= 4
         key = lambda ts: sorted(tuple(round(float(v), 8) for v in t) for t in ts)

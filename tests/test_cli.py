@@ -18,8 +18,8 @@ from pwham.systems import GlobalCenter, LinearSaddle
 
 from conftest import fixture_path
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data",
-                      "global_center_saddle.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "global_center_saddle.json")
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -59,6 +59,41 @@ def test_parse_rejects_unknown_key_with_position():
     with pytest.raises(ParseError) as ei:
         parse_spec(bad)
     assert "line 3" in str(ei.value) and "wobble" in str(ei.value)
+
+
+_PAIR = ("version 1\nboundaries 0\n"
+         "zone global_center xi=1/2\n"
+         "zone linear alpha=0 beta=-1 delta=-1 mu=-1 gamma=0\n")
+
+
+@pytest.mark.parametrize("line, col", [
+    ("option tol 1e-9", 8),      # removed: it only dropped spreads in (1e-12, 2e-12]
+    ("option verify false", 8),  # removed: nothing read it
+    ("option grid abc", 13),
+    ("option grid 4", 13),
+    ("option window 3:1", 15),
+    ("option window abc", 15),
+    ("option window 1/0:2", 15),
+])
+def test_parse_rejects_bad_options_with_position(tmp_path, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_spec(_PAIR + line + "\n")
+    assert (ei.value.line, ei.value.col) == (5, col)
+    p = tmp_path / "bad.pwham"
+    p.write_text(_PAIR + "option grid 32\n" + line + "\n")
+    code, _ = run_cli("solve", str(p))
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "1e-9"], ["--grid", "4"], ["--grid", "abc"],
+    ["--window", "abc"], ["--window", "3:1"],
+])
+def test_cli_rejects_bad_solve_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["solve", fixture_path("global_center_saddle.pwham")] + argv)
+    assert ei.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_rational():
@@ -170,6 +205,35 @@ def test_cli_solve_json_golden():
     assert got == want
 
 
+@pytest.mark.parametrize("name", sorted(
+    n[:-len(".json")] for n in os.listdir(os.path.join(DATA, "solve_no_verify"))))
+def test_cli_solve_no_verify_golden(name):
+    """The exact part of every fixture's report: eliminant, 12-digit
+    ordinates and bound.  After a deliberate change, regenerate with
+    ``pwham solve fixtures/NAME.pwham --no-verify --json
+    > tests/data/solve_no_verify/NAME.json``."""
+    code, out = run_cli("solve", fixture_path(name + ".pwham"), "--no-verify", "--json")
+    assert code == 0
+    with open(os.path.join(DATA, "solve_no_verify", name + ".json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+def test_cli_solve_rational_middle_zone(tmp_path):
+    """A global center between two linear zones: the transport equations
+    come from its rational integral like any other."""
+    p = tmp_path / "lgl.pwham"
+    p.write_text("version 1\nboundaries -1 1\n"
+                 "zone linear alpha=1 delta=-1/2 mu=-3/2 gamma=2\n"
+                 "zone global_center xi=1/2\n"
+                 "zone linear alpha=3 beta=1/2 delta=-1/2 mu=2\n")
+    code, out = run_cli("solve", str(p), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bound"]["kind"] == "not_covered"
+    assert data["eliminant"]["var"] == "y1" and len(data["eliminant"]["coefficients"]) > 1
+    assert any(c["topology"] == "three_zone" for c in data["candidates"])
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     p = tmp_path / "bad.pwham"
     p.write_text("version 1\nboundaries 0\nzone bogus a=1\nzone linear\n")
@@ -225,7 +289,7 @@ def test_cli_sweep_cubic_family_thresholds(tmp_path):
 
     def u_disc(bval):
         ps = conftest.cubic_three_zone(b=bval)
-        core = _three_zone_core(build_three_zone(*ps.zones, -1, 1), F(1, 10**12))
+        core = _three_zone_core(build_three_zone(*ps.zones, -1, 1))
         e = core.eliminant
         return None if e.degree < 2 else (discriminant(e), e.degree)
 

@@ -221,9 +221,8 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
     at most max_step apart on the level curve, and the same status, edge
-    and landing (to 1e-9).  The exceptions are the reference's blind spots:
-    an arc that starts or ends on a fleeting excursion across an edge, and
-    a single step that jumps past the window onto an edge."""
+    and landing (to 1e-9).  The exception is the reference's blind spot: an
+    arc that starts or ends on a fleeting excursion across an edge."""
     zone = Zone(payload, F(-1), F(1), reverse)
     start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
     cfg = IntegratorConfig(max_time=10.0, window=20.0)
@@ -246,14 +245,21 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     edges = [a.end for a in (exact, ref) if a.events] + [start] * (edge != "inside")
     if any(_fleeting(zone, p, cfg) for p in edges):
         return
-    if ref.status == "reached-boundary" and max(map(abs, ref.end)) > cfg.window:
-        assert exact.status == "left-window"
-        return
     assert exact.status == ref.status
     assert [e[1:] for e in exact.events] == [e[1:] for e in ref.events]
     if exact.events:
         assert exact.end[0] == ref.end[0]
         assert abs(exact.end[1] - ref.end[1]) <= 1e-9
+
+
+def test_dp5_landing_outside_the_window_leaves_it():
+    """A step that leaves the window and crosses an edge ends the arc as
+    left-window, as the exact arc does, not at a landing beyond the window."""
+    zone = Zone(LinearSaddle(16, 2, F(1, 4), 1, F(1, 4)), F(-1), F(1))
+    cfg = IntegratorConfig(window=20.0)
+    for arc in (_dp5_arc(zone, (0.2897, 1 / 3), cfg, True, True),
+                integrate_arc(zone, (0.2897, 1 / 3), cfg)):
+        assert arc.status == "left-window" and not arc.events
 
 
 def test_exact_arc_stops_at_a_stiff_saddle_equilibrium():

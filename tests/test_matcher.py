@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwham.algebra import AlgebraError, MultiPoly
 from pwham.matcher import (
@@ -16,6 +17,7 @@ from pwham.matcher import (
     raw_pair_difference,
     sum_diff_round_trip,
     to_sum_diff,
+    transport_equation,
 )
 from pwham.systems import (
     CubicCenter,
@@ -158,20 +160,49 @@ def test_provenance_total():
     assert len(ms2.provenance) == len(ms2.equations) == 2
 
 
-def test_symbol_conventions_per_topology():
-    r = lambda v: F(v)
-    mid = LinearSaddle(1, r(2), r(3), r(5), r(7))
-    rgt = LinearSaddle(1, r(-1), r(4), r(6), r(0))
-    dc = build_three_zone(Zone(DoubleCenter(l=0, n=1, p=0, offset=1)),
-                          Zone(mid), Zone(rgt), -1, 1)
-    assert dc.symbols == {"l1": -(5 + 2), "m1": 5 - 2, "l2": -(6 - (-1))}
-    gc = build_three_zone(Zone(GlobalCenter(F(1, 2), offset=1)),
-                          Zone(mid), Zone(rgt), -1, 1)
-    assert gc.symbols == {"l1": -(2 + 5), "m1": 2 - 5, "l2": -1 - 6}
-    cc = build_three_zone(Zone(CubicCenter(a=0, b=2, q=1, offset=1)),
-                          Zone(mid), Zone(rgt), -1, 1)
-    assert cc.symbols == {"l1": -2 * (2 + 5), "m1": 2 * (2 - 5),
-                          "l2": 2 * (-1 - 6), "k1": 4 * 7}
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_zones = st.builds(
+    Zone,
+    payload=st.one_of(
+        st.builds(DoubleCenter, l=_small, n=_small, p=_small, offset=_small),
+        st.builds(GlobalCenter, xi=_small.filter(lambda v: v > 0), offset=_small),
+        st.builds(CubicCenter, a=_small, b=_small, p=_small, q=_small, r=_small,
+                  s=_small, offset=_small),
+        st.builds(LinearSaddle, alpha=_small, beta=_small, delta=_small, mu=_small,
+                  gamma=_small),
+    ),
+    reverse=st.booleans(),
+)
+
+
+def _on_line(zone, c, var):
+    """N and D of the zone's integral at (c, var), straight from hamiltonian."""
+    return tuple(p.subs({"x": c}).subs({"y": V(var)}) for p in hamiltonian(zone))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zone=_zones, c=_small, c2=_small)
+def test_boundary_equations_are_the_cleared_integral(zone, c, c2):
+    """For every family the level pair times (a - b) is N(a) D(b) - N(b) D(a)
+    exactly, and the transport from x = c to x = c2 is
+    N1(a) D2(b) - N2(b) D1(a), with N and D read from the integral on the
+    line independently of ``restriction``."""
+    na, da = _on_line(zone, c, "y1")
+    nb, db = _on_line(zone, c, "y2")
+    pair = pair_equation(zone, c, "y1", "y2")
+    assert (pair * (V("y1") - V("y2")) - (na * db - nb * da)).is_zero
+    assert (raw_pair_difference(zone, c, "y1", "y2") - (na * db - nb * da)).is_zero
+    n2, d2 = _on_line(zone, c2, "y3")
+    transport = transport_equation(zone, c, c2, "y1", "y3")
+    assert (transport - (na * d2 - n2 * da)).is_zero
+
+
+def test_rational_middle_zone_excludes_its_ordinates_from_zero():
+    gc = Zone(GlobalCenter(F(1, 2), offset=1))
+    mid = build_three_zone(Zone(LinearSaddle(1, 0, 1, 0, 0)), gc,
+                           Zone(LinearSaddle(1, 0, 1, 0, 0)), -1, 1)
+    assert mid.nonzero == ("y1", "y2", "y3", "y4")
+    assert mid.equations[1].degree("y1") == mid.equations[1].degree("y3") == 2
 
 
 # -- sum/difference substitution ---------------------------------------------------

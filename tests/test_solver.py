@@ -349,7 +349,7 @@ def test_solve_reports_eliminant_exact_and_route_invariant():
         ps = rand_config(rng, "double_center+saddle+saddle")
         ms = build_three_zone(*ps.zones, *ps.boundaries)
         try:
-            core = _three_zone_core(ms, F(1, 10**12))
+            core = _three_zone_core(ms)
         except Exception:
             continue
         if core.positive_dimensional:

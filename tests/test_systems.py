@@ -15,7 +15,6 @@ from pwham.systems import (
     LinearSaddle,
     SystemError,
     Zone,
-    boundary_restriction,
     equilibria,
     field_polys,
     hamiltonian,
@@ -334,8 +333,3 @@ def test_mirror_involution_and_field():
         fx, fy = vector_field(ps.zones[zi], (x, y))
         gx, gy = vector_field(m.zones[2 - zi], (-x, y))
         assert (gx, gy) == (-fx, fy)
-
-
-def test_boundary_restriction_rational_rejected():
-    with pytest.raises(SystemError):
-        boundary_restriction(Zone(GlobalCenter(F(1, 2))), 0)
