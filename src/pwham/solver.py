@@ -493,8 +493,6 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
         if not vs:
             diag["extraneous_roots"] += 1
         for V_hat in vs:
-            if V_hat < V_NOISE_FLOOR:
-                continue  # below the uncertainty induced by the refinements
             v_hat = rat_sqrt(V_hat)
             for z_hat in _candidate_z(sdiff2, ssum2, u_hat, v_hat):
                 t = (
@@ -513,10 +511,14 @@ V_NOISE_FLOOR = Fraction(1, 10**30)
 
 
 def _candidate_V(s1_uV: MultiPoly, r_uV: MultiPoly, u_hat: Fraction) -> list[Fraction]:
-    """Positive V values consistent with both reduced equations at u = u_hat.
+    """V values at or above the noise floor consistent with both reduced
+    equations at u = u_hat.
 
     V roots are refined far below the noise floor so that an exact V = 0
-    (a coincident pair) cannot surface as a tiny positive value."""
+    (a coincident pair) cannot surface as a tiny positive value; a V below
+    the floor is the uncertainty induced by the refinements, so a root of
+    u whose only V lie there extends to no pair, whichever side of the
+    true root its refinement landed on."""
     polys = []
     for p in (s1_uV, r_uV):
         q = p.subs({"u": u_hat})
@@ -527,7 +529,7 @@ def _candidate_V(s1_uV: MultiPoly, r_uV: MultiPoly, u_hat: Fraction) -> list[Fra
     roots = real_roots(polys[0], V_NOISE_FLOOR / 10**4)
     out = []
     for V in roots:
-        if V <= 0:
+        if V < V_NOISE_FLOOR:
             continue
         ok = all(_residual_ok(p, {"u": u_hat, "V": V}) for p in (s1_uV, r_uV))
         if ok:

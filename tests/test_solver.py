@@ -339,6 +339,20 @@ def test_solve_three_zone_direct_route():
     assert rep.diagnostics["topologies"]["three_zone"]["route"] == "direct"
 
 
+def test_three_zone_counts_a_coincident_pair_root_as_extraneous():
+    """The eliminant 3u^4 - 42u^3 + 148u^2 - 312u + 320 has the real roots
+    u = 2, where the pair coincides (V = 0), and u = 10, with no real pair;
+    neither extends to a crossing, so both count, whichever side of u = 2
+    the refinement lands on."""
+    ps = piecewise_system(
+        [DoubleCenter(l=-1, n=1, p=0, offset=1), LinearSaddle(F(-3, 2), 3, 1, 0, 0),
+         LinearSaddle(1, 2, 1, -3, F(-1, 2))], [-1, 1])
+    core = _three_zone_core(build_three_zone(*ps.zones, *ps.boundaries))
+    assert core.eliminant.monic() == UniPoly([320, -312, 148, -42, 3]).monic()
+    assert core.tuples == []
+    assert core.diagnostics["extraneous_roots"] == 2
+
+
 def test_solve_reports_eliminant_exact_and_route_invariant():
     """Re-running the direct elimination with permuted orders changes the
     eliminant only by extraneous factors: the screened candidate tuples are
