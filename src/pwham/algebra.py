@@ -8,6 +8,11 @@ isolation and bisection refinement.
 
 Floating point never enters: coefficients are ``Fraction`` throughout, and
 root refinement returns rational approximations of prescribed accuracy.
+Roots are isolated in a box whose half-width is a power of two (the Cauchy
+bound rounded up), so every isolating interval endpoint and every refined
+root is dyadic: a root refined to ``tol`` has about ``log2(1/tol)`` bits
+however large the coefficients are, and a dyadic root ``k / 2^j`` with
+``2^-j >= tol`` is returned exactly.
 Every sign decision (Sturm variations, bracketing, bisection) runs on plain
 integers: ``_sign_at`` evaluates an integer-coefficient polynomial at ``n/m``
 by homogeneous Horner, so no ``Fraction`` is normalised in those loops.
@@ -239,12 +244,25 @@ class UniPoly:
         return UniPoly([Fraction(v, g) for v in ints], self.var)
 
     def cauchy_bound(self) -> Fraction:
-        """1 + max |c_i / c_lead|: all real roots lie in (-B, B)."""
+        """The least power of two B >= 1 + max |c_i / c_lead|: all real roots
+        lie in (-B, B), and every bisection point of (-B, B) is dyadic."""
         if self.degree < 1:
             return Fraction(1)
-        lead = abs(self.lead)
-        m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        return 1 + m / lead
+        ints = _integer_coeffs(self)
+        lead = abs(ints[-1])
+        top = lead + max(abs(c) for c in ints[:-1])
+        # top / lead lies in (2^(k-1), 2^(k+1)); B is 2^k or 2^(k+1)
+        k = top.bit_length() - lead.bit_length()
+        if lead << k < top:
+            k += 1
+        return Fraction(1 << k)
+
+
+def _integer_coeffs(p: UniPoly) -> list[int]:
+    """p's coefficients times the lcm of their denominators: integers with
+    p's signs and ratios."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def squarefree(p: UniPoly) -> UniPoly:
@@ -268,54 +286,6 @@ def discriminant2(p: UniPoly) -> Fraction:
         raise AlgebraError(f"discriminant2 requires degree 2, got {p.degree}")
     a, b, c = p.coeffs[2], p.coeffs[1], p.coeffs[0]
     return b * b - 4 * a * c
-
-
-def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """Resultant of two univariate polynomials (Sylvester determinant)."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - n - 1 - i))
-    # plain fraction Gaussian elimination is fine at these sizes
-    det = Fraction(1)
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            f = rows[r][col] * inv
-            if f == 0:
-                continue
-            for c2 in range(col, size):
-                rows[r][c2] -= f * rows[col][c2]
-    return det
-
-
-def discriminant(p: UniPoly) -> Fraction:
-    """Resultant-based discriminant: Res(p, p') / lead(p), up to sign."""
-    if p.degree < 1:
-        raise AlgebraError("discriminant needs positive degree")
-    return uni_resultant(p, p.deriv()) / p.lead
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +345,12 @@ def sturm_isolate(p: UniPoly, lo: RatLike, hi: RatLike) -> list[RootInterval]:
         raise AlgebraError("empty isolation range")
     if p.is_zero:
         raise AlgebraError("cannot isolate roots of the zero polynomial")
-    if p.degree >= 1 and p.gcd(p.deriv()).degree > 0:
-        raise AlgebraError("polynomial is not squarefree; call squarefree first")
     if p.degree < 1:
         return []
     chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        # the chain ends in gcd(p, p')
+        raise AlgebraError("polynomial is not squarefree; call squarefree first")
     out: list[RootInterval] = []
     stack = [(lo, hi, sturm_count(p, lo, hi, chain))]
     while stack:
@@ -405,13 +376,6 @@ def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInt
 
     for _ in range(10_000):
         sa, sb = sign(a), sign(b)
-        if sa == 0:
-            # a root at the left endpoint is outside (a, b]: nudge inward
-            step = (b - a) / 1024
-            while sign(a + step) == 0 or sturm_count(p, a + step, b, chain) != 1:
-                step /= 2
-            a = a + step
-            continue
         if sb == 0:
             # the isolated root is exactly b: bracket it symmetrically
             w = (b - a) / 2
@@ -421,9 +385,10 @@ def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInt
                 if slo and shi and slo != shi and sturm_count(p, lo, hi, chain) == 1:
                     return RootInterval(lo, hi, slo, shi)
                 w /= 2
-        if sa != sb:
+        if sa and sa != sb:
             return RootInterval(a, b, sa, sb)
-        # same nonzero endpoint signs: tighten with Sturm counts
+        # both ends have one sign, or a root at a lies outside (a, b]:
+        # halve, keeping the half with the root
         m = (a + b) / 2
         if sturm_count(p, a, m, chain) >= 1:
             b = m
@@ -439,9 +404,7 @@ def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL)
     tol = rat(tol)
     if tol <= 0:
         raise AlgebraError("refinement tolerance must be positive")
-    # den * p has p's signs and integer coefficients
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints = _integer_coeffs(p)
     # the interval is (a/m, b/m); each bisection doubles m
     lo, hi = iv.lo, iv.hi
     m = lcm(lo.denominator, hi.denominator)
@@ -462,20 +425,24 @@ def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL)
     return Fraction(a + b, 2 * m)
 
 
-def real_roots(p: UniPoly, tol: RatLike = DEFAULT_REFINE_TOL,
-               lo: RatLike | None = None, hi: RatLike | None = None) -> list[Fraction]:
-    """All distinct real roots of p (any multiplicity) as rational
-    approximations within tol, ascending.  Search box defaults to the Cauchy
-    bound of the squarefree part."""
+def isolate_real_roots(p: UniPoly) -> tuple[UniPoly, list[RootInterval]]:
+    """The primitive squarefree part of p and one isolating interval per
+    distinct real root of p, found in the power-of-two box given by the
+    Cauchy bound, so every endpoint is dyadic."""
     if p.is_zero:
         raise AlgebraError("zero polynomial has every number as a root")
     sf = squarefree(p).primitive()
     if sf.degree < 1:
-        return []
+        return sf, []
     b = sf.cauchy_bound()
-    lo = rat(lo) if lo is not None else -b
-    hi = rat(hi) if hi is not None else b
-    return [refine_root(sf, iv, tol) for iv in sturm_isolate(sf, lo, hi)]
+    return sf, sturm_isolate(sf, -b, b)
+
+
+def real_roots(p: UniPoly, tol: RatLike = DEFAULT_REFINE_TOL) -> list[Fraction]:
+    """All distinct real roots of p (any multiplicity) as dyadic rationals
+    within tol, ascending; a dyadic root k / 2^j with 2^-j >= tol is exact."""
+    sf, ivs = isolate_real_roots(p)
+    return [refine_root(sf, iv, tol) for iv in ivs]
 
 
 # ---------------------------------------------------------------------------

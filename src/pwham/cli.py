@@ -13,6 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import dynamics, solver
+from .algebra import isolate_real_roots
 from .matcher import MatchError
 from .solver import InvariantViolation, NotCoveredError, SolveReport
 from .specfile import (ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_grid,
@@ -211,7 +212,7 @@ def cmd_sweep(args) -> int:
         ps = piecewise_system(payloads, spec.boundaries, spec.reverse)
         try:
             rep = solver.solve(ps, verify=args.verify)
-            elim_roots = (len(solver._isolate(rep.eliminant)[1])
+            elim_roots = (len(isolate_real_roots(rep.eliminant)[1])
                           if rep.eliminant.degree >= 1 else 0)
             rows.append((str(val), elim_roots, len(rep.candidates),
                          len(rep.verified()), rep.bound.kind,

@@ -25,16 +25,17 @@ from .algebra import (
     AlgebraError,
     MultiPoly,
     RatLike,
-    RootInterval,
     UniPoly,
+    isolate_real_roots,
     rat,
     real_roots,
     refine_root,
-    squarefree,
     sturm_chain,
     sturm_count,
-    sturm_isolate,
 )
+# not called here: bench/spans.py traces the isolation kernels under the
+# solver's names as well as the algebra module's
+from .algebra import squarefree, sturm_isolate  # noqa: F401
 from .matcher import (
     MatchError,
     MatchingSystem,
@@ -210,16 +211,6 @@ def _residual_ok(eq: MultiPoly, point: dict[str, Fraction], rtol: float = RESIDU
     return val <= rtol * (1.0 + total)
 
 
-def _isolate(p: UniPoly) -> tuple[UniPoly, list[RootInterval]]:
-    """The primitive squarefree part of p and the isolating intervals of its
-    real roots, one per distinct real root of p."""
-    sf = squarefree(p).primitive()
-    if sf.degree < 1:
-        return sf, []
-    b = sf.cauchy_bound()
-    return sf, sturm_isolate(sf, -b, b)
-
-
 def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
     """Distinct real roots with exact multiplicities, refined to tol.
 
@@ -229,7 +220,7 @@ def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
     """
     if p.is_zero:
         raise PositiveDimensionalError("zero polynomial has a continuum of roots")
-    sf, ivs = _isolate(p)
+    sf, ivs = isolate_real_roots(p)
     g = p.divmod(sf)[0]  # gcd(p, p') up to a constant factor
     parts = []
     while g.degree >= 1:

@@ -13,6 +13,7 @@ from pwham.algebra import (
     MultiPoly,
     UniPoly,
     discriminant2,
+    isolate_real_roots,
     rat,
     real_roots,
     refine_root,
@@ -20,8 +21,9 @@ from pwham.algebra import (
     squarefree,
     sturm_count,
     sturm_isolate,
-    uni_resultant,
 )
+
+from reference_algebra import uni_resultant
 
 
 def P(*coeffs, var="y"):
@@ -327,6 +329,63 @@ def test_refine_root_returns_exact_midpoint_root():
     # dyadic widths reach a dyadic tolerance exactly: the loop stops only below it
     tol = F(1, 2**10)
     assert [refine_root(p, iv, tol) for iv in ivs] == [_reference_refine(p, iv, tol) for iv in ivs]
+
+
+# -- dyadic isolation -------------------------------------------------------------
+
+
+def _is_dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**20),
+                min_size=2, max_size=8))
+@example([F(1), F(1)])  # the rational bound 2 is a power of two already
+@example([F(0), F(0), F(5)])  # no lower coefficient: bound 1
+@example([F(1, 3), F(-1, 10**20 - 1)])
+def test_cauchy_bound_is_the_least_power_of_two_above_the_rational_bound(coeffs):
+    p = UniPoly(coeffs)
+    if p.degree < 1:
+        return
+    rational = 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lead)
+    b = p.cauchy_bound()
+    assert b.denominator == 1 and _is_dyadic(1 / b)
+    assert rational <= b < 2 * rational
+
+
+@st.composite
+def shifted_integer_polys(draw):
+    """Small integer polynomials, half of them with every nonzero
+    coefficient shifted by +-1/d, d a 20-digit integer."""
+    coeffs = draw(st.lists(st.integers(-8, 8), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        coeffs = [c + F(draw(st.sampled_from((-1, 1))), draw(st.integers(10**19, 10**20 - 1)))
+                  if c else c for c in coeffs]
+    return UniPoly(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_integer_polys(), st.sampled_from([F(1, 10**12), F(1, 10**40), F(3, 7)]))
+@example(P(-20, 32, -13, 1), F(1, 10**12))  # (y - 2)(y - 10)(y - 1): integer roots
+def test_isolation_and_refinement_are_dyadic(p, tol):
+    if p.degree < 1:
+        return
+    sf, ivs = isolate_real_roots(p)
+    for iv in ivs:
+        assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
+        assert sturm_count(sf, iv.lo, iv.hi) == 1
+        r = refine_root(sf, iv, tol)
+        assert _is_dyadic(r)
+        assert r == _reference_refine(sf, iv, tol)
+
+
+def test_dyadic_roots_come_back_exact():
+    y = P(0, 1)
+    roots = real_roots((y - P(2)) * (y - P(10)) * (3 * y - P(1)), F(1, 10**12))
+    assert roots[1:] == [2, 10]
+    assert abs(roots[0] - F(1, 3)) < F(1, 10**12)
+    assert real_roots(P(-1, 2) * P(3, 4) ** 2, F(1, 10**12)) == [F(-3, 4), F(1, 2)]
 
 
 def _reference_sturm_count(p, lo, hi):

@@ -273,9 +273,9 @@ def test_cli_sweep_cubic_family_thresholds(tmp_path):
     eliminant real-root count is piecewise constant and every transition
     bracket contains a sign change (or degeneration) of the eliminant's
     discriminant -- the derived threshold criterion."""
-    from pwham.algebra import discriminant
     from pwham.matcher import build_three_zone
     from pwham.solver import _three_zone_core
+    from reference_algebra import discriminant
 
     out = tmp_path / "sweep.csv"
     code, _ = run_cli("sweep", fixture_path("cubic_center_saddle_saddle.pwham"),

@@ -440,6 +440,30 @@ def test_root_values_exact_multiplicities(k):
         assert abs(r - exact) < F(1, 10**18)
 
 
+def test_root_values_of_a_big_coefficient_eliminant_stay_small():
+    """Shifting the coefficients of the coincident-pair system above by
+    +-1/d (d of 20 digits) gives a quartic eliminant of about 1200 bits.
+    Its roots refined to 1e-40 are dyadic with about log2(1e40) bits: the
+    isolation box is a power of two, so no denominator of the coefficients
+    enters them."""
+    ds = iter(range(10**19 + 1, 10**19 + 10**6, 99991))
+
+    def s(v):
+        return v + F(1, next(ds)) if v else v
+
+    ps = piecewise_system(
+        [DoubleCenter(l=s(-1), n=s(1), p=0, offset=1), LinearSaddle(s(F(-3, 2)), s(3), s(1), 0, 0),
+         LinearSaddle(s(1), s(2), s(1), s(-3), s(F(-1, 2)))], [-1, 1])
+    elim = _three_zone_core(build_three_zone(*ps.zones, *ps.boundaries)).eliminant
+    assert elim.degree == 4
+    assert max(abs(c.numerator).bit_length() for c in elim.coeffs) > 1000
+    roots = _root_values(elim, F(1, 10**40))
+    assert [round(float(r), 6) for r, _ in roots] == [2.0, 10.0]
+    for r, _ in roots:
+        assert r.denominator & (r.denominator - 1) == 0
+        assert r.denominator <= 2**140
+
+
 def test_solve_two_point_subtopologies_reported_separately():
     ps = cubic_three_zone(b=F(-8, 5))
     rep = solve(ps, verify=False)
