@@ -635,6 +635,8 @@ class FlowMachine:
                         f"arc reached boundary {bhit} at y={yhit:.9f}, "
                         "not a declared crossing ordinate")
                 hits += 1
+                if hits < n_cross and bhit == b0 and dhit == direction:
+                    return "rejected", f"loop closed after {hits} of {n_cross} crossings"
                 if hits == n_cross:
                     if bhit != b0 or dhit != direction:
                         return "rejected", "loop ended on the wrong boundary or direction"

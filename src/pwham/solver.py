@@ -1,26 +1,52 @@
 """Elimination pipeline: matching system to screened candidate cycles.
 
-The route for a three-zone system works in sum/difference variables: the
-right-hand level pair fixes w, the transported pair is reduced by one
-resultant to a polynomial that is even in v, and the substitution V = v^2
-leaves two polynomials that are (for the covered families) linear in V, so
-the final eliminant in the swap-invariant u has degree at most four --
-exactly the shape behind the "at most four" counts.  Two-zone systems are
-eliminated directly to a univariate polynomial in the lower ordinate.
+Elimination runs one step per unknown (``_eliminate_step``): the equation
+of lowest degree in the unknown, the first one on a tie, is the pivot; a
+pivot linear in it with constant coefficients is solved and substituted,
+any other is paired with every other equation that contains the unknown in
+a resultant.  The gcd of what is left is the eliminant.  Two-zone systems
+take one step, in y2, down to the lower ordinate y1 (``eliminate``).
 
-Every eliminant root is refined by exact bisection, back-substituted through
-the remaining equations, and screened: ordering constraints, distinctness,
-excluded singular ordinates, and residuals of the original equations.
-Surviving candidates are handed to the dynamics oracle for verification.
+A three-zone system is rewritten in sum/difference variables u = y1 + y2,
+v = y2 - y1, w = y3 + y4 and z = y4 - y3, and eliminated in three steps:
+
+1. step w, with the right-hand pair equation listed first so that it is the
+   pivot: it is linear in w with constant coefficients, so w is a constant;
+2. step z: one resultant of the transported pair's difference and sum;
+3. what is left is even in v once an odd factor v is divided out (v = 0 is
+   the excluded coincident-pair locus); halved to V = v^2 it is linear in V
+   for the covered families, and step V leaves the eliminant in the
+   swap-invariant u, of degree at most four -- exactly the shape behind the
+   "at most four" counts.
+
+A spread z or V that no equation contains is free along a curve of
+solutions wherever the eliminant has a root: the system is
+positive-dimensional.  The route applies when the right-hand pair equation
+is free of z and at most linear in w, and after step w the difference
+equation is at most linear and the sum equation at most quadratic in z.
+Every other three-zone system is eliminated directly in (y4, y3, y2), route
+"direct".  The three steps do not need that shape, but they cost far more
+without it: run on 150 random three-zone systems with a family drawn per
+zone, they found the same candidates as the direct route in 18 times its
+time (272 s against 15 s on a 2-core VM; up to 140 times on one system), so
+the direct route stays.
+
+Every eliminant root is refined by exact bisection and extended one unknown
+at a time (``_extend``), each from the equation of lowest degree among
+those univariate in it, a linear one solved exactly.  Extensions are
+screened: ordering constraints, distinctness, excluded singular ordinates,
+and residuals of the original equations.  Surviving candidates are handed
+to the dynamics oracle for verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from . import algebra
 from .algebra import (
     AlgebraError,
     MultiPoly,
@@ -90,7 +116,6 @@ class CandidateCycle:
     boundary_xs: tuple[Fraction, ...]
     ordinates: tuple[tuple[int, Fraction], ...]
     multiplicity: int = 1
-    screens: dict = dc_field(default_factory=dict)
     status: str = "unverified"
     reason: str = ""
 
@@ -137,7 +162,7 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# generic elimination (configurable order) and back-substitution
+# elimination steps and back-substitution
 # ---------------------------------------------------------------------------
 
 
@@ -148,8 +173,48 @@ def default_order(ms: MatchingSystem) -> tuple[str, ...]:
     return ("y2",)
 
 
+def _eliminate_step(eqs: list[MultiPoly], v: str) -> list[MultiPoly]:
+    """Remove v from a list of equations.
+
+    The pivot is the equation of lowest degree in v, the first one on a tie.
+    A pivot linear in v with constant coefficients is solved and substituted
+    into the other equations that contain v; any other pivot is paired with
+    each of them in a resultant.  The equations free of v come first, in
+    their order.  Raises PositiveDimensionalError when a result vanishes.
+    """
+    keep, active = [], []
+    for e in eqs:
+        (active if e.degree(v) > 0 else keep).append(e)
+    if not active:
+        return keep
+    pivot = min(active, key=lambda e: e.degree(v))
+    others = [e for e in active if e is not pivot]
+    c = pivot.coeffs_in(v)
+    if len(c) == 2 and not (c[0].actual_vars() or c[1].actual_vars()):
+        root = -c[0].eval({}) / c[1].eval({})
+        new = [e.subs({v: root}) for e in others]
+    else:
+        # looked up at call time: bench/spans.py traces algebra.resultant
+        new = [algebra.resultant(pivot, e, v) for e in others]
+    if any(r.is_zero for r in new):
+        raise PositiveDimensionalError(f"resultant in {v} vanished")
+    return keep + new
+
+
+def _common_factor(eqs: list[MultiPoly], var: str) -> UniPoly:
+    """Primitive gcd of the equations left after elimination, all in var;
+    raises PositiveDimensionalError when every one of them vanished."""
+    polys = [e.as_unipoly(var) for e in eqs if not e.is_zero]
+    if not polys:
+        raise PositiveDimensionalError("all equations vanished during elimination")
+    out = polys[0]
+    for p in polys[1:]:
+        out = out.gcd(p).primitive()
+    return out.primitive()
+
+
 def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly:
-    """Successive Sylvester resultants over the given elimination order.
+    """One elimination step per variable of the given order, then the gcd.
 
     Returns a univariate polynomial in the surviving unknown whose real
     roots contain every crossing ordinate (plus possible extraneous roots
@@ -162,40 +227,10 @@ def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly
     survivor = [v for v in ms.unknowns if v not in order]
     if len(survivor) != 1:
         raise MatchError(f"elimination order must leave one unknown, left {survivor}")
-    eqs = [e for e in ms.equations]
+    eqs = list(ms.equations)
     for v in order:
-        keep, active = [], []
-        for e in eqs:
-            (active if e.degree(v) > 0 else keep).append(e)
-        if not active:
-            continue
-        pivot = min(active, key=lambda e: e.degree(v))
-        for e in active:
-            if e is pivot:
-                continue
-            r = resultant_or_flag(pivot, e, v)
-            if r is None:
-                raise PositiveDimensionalError(f"resultant in {v} vanished")
-            keep.append(r)
-        eqs = keep
-    out = UniPoly.zero(survivor[0])
-    got = False
-    for e in eqs:
-        if e.is_zero:
-            continue
-        u = e.as_unipoly(survivor[0])
-        out = u if not got else out.gcd(u).primitive()
-        got = True
-    if not got:
-        raise PositiveDimensionalError("all equations vanished during elimination")
-    return out.primitive() if not out.is_zero else out
-
-
-def resultant_or_flag(p: MultiPoly, q: MultiPoly, v: str) -> Optional[MultiPoly]:
-    from .algebra import resultant
-
-    r = resultant(p, q, v)
-    return None if r.is_zero else r
+        eqs = _eliminate_step(eqs, v)
+    return _common_factor(eqs, survivor[0])
 
 
 def _residual_ok(eq: MultiPoly, point: dict[str, Fraction], rtol: float = RESIDUAL_RTOL) -> bool:
@@ -236,56 +271,52 @@ def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
     return out
 
 
+def _extend(eqs: Sequence[MultiPoly], assign: dict[str, Fraction],
+            names: Iterable[str]) -> list[dict[str, Fraction]]:
+    """Every extension of assign to the unknowns in names, one at a time.
+
+    Each unknown takes the real roots of the equation of lowest degree in it
+    (the first on a tie) among those univariate in it once the values found
+    so far are substituted: a linear one is solved exactly, any other is
+    refined to INTERNAL_REFINE.  A branch that no equation fixes ends.
+    """
+    partial = [assign]
+    for v in names:
+        nxt = []
+        for a in partial:
+            best: Optional[UniPoly] = None
+            for eq in eqs:
+                if [w for w in eq.actual_vars() if w not in a] != [v]:
+                    continue
+                p = eq.subs({k: x for k, x in a.items() if k in eq.vars}).as_unipoly(v)
+                if p.degree >= 1 and (best is None or p.degree < best.degree):
+                    best = p
+            if best is None:
+                continue
+            roots = ([-best.coeffs[0] / best.coeffs[1]] if best.degree == 1
+                     else real_roots(best, INTERNAL_REFINE))
+            nxt += [{**a, v: x} for x in roots]
+        partial = nxt
+    return partial
+
+
 def back_substitute(root: RatLike, ms: MatchingSystem,
                     order: Sequence[str] | None = None,
-                    tol: Fraction = INTERNAL_REFINE,
                     ordered: bool = True) -> list[tuple[Fraction, ...]]:
     """Extend an eliminant root to full ordinate tuples.
 
-    Solves the remaining equations one unknown at a time (each becomes
-    univariate after substituting the values found so far, taken in reverse
-    elimination order), keeps real solutions only, and discards assignments
-    that fail any original equation, an ordering constraint, a distinctness
-    check, or an excluded-ordinate screen.  An empty result means the root
-    was extraneous.
+    Solves the equations for the eliminated unknowns in reverse elimination
+    order (``_extend``) and discards assignments that fail any original
+    equation, an ordering constraint, a distinctness check, or an
+    excluded-ordinate screen.  An empty result means the root was
+    extraneous.
     """
     if order is None:
         order = default_order(ms)
     survivor = [v for v in ms.unknowns if v not in order][0]
-    partial: list[dict[str, Fraction]] = [{survivor: rat(root)}]
-    for v in reversed(list(order)):
-        nxt: list[dict[str, Fraction]] = []
-        for assign in partial:
-            cands = _solve_one_unknown(ms, assign, v, tol)
-            for val in cands:
-                d = dict(assign)
-                d[v] = val
-                nxt.append(d)
-        partial = nxt
-    out = []
-    for assign in partial:
-        if _screens_pass(ms, assign, ordered=ordered):
-            out.append(tuple(assign[v] for v in ms.unknowns))
-    return out
-
-
-def _solve_one_unknown(ms: MatchingSystem, assign: dict[str, Fraction],
-                       v: str, tol: Fraction) -> list[Fraction]:
-    best: Optional[UniPoly] = None
-    for eq in ms.equations:
-        live = [w for w in eq.actual_vars() if w not in assign]
-        if live != [v]:
-            continue
-        u = eq.subs({k: val for k, val in assign.items() if k in eq.vars}).as_unipoly(v)
-        if u.is_zero:
-            continue
-        if u.degree == 0:
-            continue
-        if best is None or u.degree < best.degree:
-            best = u
-    if best is None:
-        return []
-    return real_roots(best, tol)
+    return [tuple(a[v] for v in ms.unknowns)
+            for a in _extend(ms.equations, {survivor: rat(root)}, reversed(order))
+            if _screens_pass(ms, a, ordered=ordered)]
 
 
 COINCIDENCE_GAP = Fraction(1, 10**12)
@@ -345,155 +376,83 @@ def _direct_core(ms: MatchingSystem) -> _CoreResult:
     diag: dict = {"extraneous_roots": 0}
     if ms.topology == "three_zone":
         diag["route"] = "direct"
+    posdim = _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
     if ms.degenerate_family:
-        return _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
+        return posdim
     try:
         elim = eliminate(ms)
     except PositiveDimensionalError:
-        return _CoreResult(UniPoly.zero("y1"), "y1", [], True, diag)
+        return posdim
     tuples: list[tuple[tuple[Fraction, ...], int]] = []
-    if elim.degree >= 1:
-        for r, mult in _root_values(elim, INTERNAL_REFINE):
-            exts = back_substitute(r, ms)
-            if not exts:
-                diag["extraneous_roots"] += 1
-            for t in exts:
-                tuples.append((t, mult))
+    for r, mult in _root_values(elim, INTERNAL_REFINE):
+        exts = back_substitute(r, ms)
+        if not exts:
+            diag["extraneous_roots"] += 1
+        for t in exts:
+            tuples.append((t, mult))
     return _CoreResult(elim, "y1", _dedupe(tuples), False, diag)
 
 
-def _even_in(p: MultiPoly, var: str) -> bool:
-    if var not in p.vars:
-        return True
-    i = p.vars.index(var)
-    return all(e[i] % 2 == 0 for e in p.terms)
-
-
-def _strip_odd_factor(p: MultiPoly, var: str) -> MultiPoly:
-    """If every term has odd degree in var, divide the factor var out once
-    (var = 0 is the excluded coincident-pair locus)."""
-    if p.is_zero or var not in p.vars:
-        return p
-    i = p.vars.index(var)
-    if all(e[i] % 2 == 1 for e in p.terms):
-        return p.exact_div(MultiPoly.var(var))
-    return p
-
-
-def _halve_even(p: MultiPoly, var: str, newvar: str) -> MultiPoly:
-    """Rewrite an even polynomial in var as a polynomial in newvar = var^2."""
+def _halve(p: MultiPoly, var: str, newvar: str) -> MultiPoly:
+    """p as a polynomial in newvar = var^2, after dividing out the factor var
+    once when every term is odd in var (var = 0 is the excluded
+    coincident-pair locus).  Raises MatchError when p is not even in var
+    after that."""
     if var not in p.vars:
         return p
     i = p.vars.index(var)
-    out = MultiPoly.zero()
-    nv = MultiPoly.var(newvar)
-    for e, c in p.terms.items():
-        mono = MultiPoly.const(c)
-        for j, (vname, k) in enumerate(zip(p.vars, e)):
-            if k == 0:
-                continue
-            mono = mono * (nv ** (k // 2) if j == i else MultiPoly.var(vname) ** k)
-        out = out + mono
-    return out
+    odd = all(e[i] % 2 for e in p.terms)
+    if any((e[i] - odd) % 2 for e in p.terms):
+        raise MatchError("loss of pair-swap symmetry")
+    names = p.vars[:i] + (newvar,) + p.vars[i + 1:]
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    return MultiPoly(tuple(names[j] for j in perm),
+                     {tuple((e[j] - odd) // 2 if j == i else e[j] for j in perm): c
+                      for e, c in p.terms.items()})
 
 
 def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
-    """Sum/difference elimination; requires the middle and right zones to
-    restrict to polynomials of degree <= 2 on the boundaries (true for every
-    covered configuration once a lone nonlinear outer zone sits on the
-    left).  Raises MatchError when the structure does not apply."""
+    """Sum/difference elimination: step w by the right pair equation, step
+    z, strip the odd factor v and halve to V = v^2, step V, and take the gcd
+    in u of what is left (see the module docstring).  A spread z or V that no
+    equation contains leaves a curve of solutions wherever the eliminant has
+    a root.  Raises MatchError when the system is outside the shape."""
     diag: dict = {"extraneous_roots": 0, "route": "sum_diff"}
-    sd = to_sum_diff(ms)
-    s1, sdiff, ssum, s4 = sd.equations
-
+    s1, sdiff, ssum, s4 = to_sum_diff(ms).equations
     if s4.degree("z") > 0 or s4.degree("w") > 1:
         raise MatchError("right zone restriction is not linear in the pair sum")
+    posdim = _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
     if ms.degenerate_family:
-        return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-
-    # stage 1: the right-hand pair sum
-    if s4.is_zero:
-        return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-    if s4.degree("w") == 0:
-        return _CoreResult(UniPoly.const(1, "u"), "u", [], False, diag)  # inconsistent
-    wc = s4.coeffs_in("w")
-    if wc[1].actual_vars() or wc[0].actual_vars():
-        raise MatchError("pair-sum coefficient is not constant")
-    w0 = -wc[0].eval({}) / wc[1].eval({})
-    diag["w0"] = w0
-    sdiff2 = sdiff.subs({"w": w0})
-    ssum2 = ssum.subs({"w": w0})
-    if sdiff2.degree("z") > 1 or ssum2.degree("z") > 2:
-        raise MatchError("middle zone restriction is not quadratic")
-
-    # stage 2: eliminate the right-hand pair spread z
-    dz_d, dz_s = sdiff2.degree("z"), ssum2.degree("z")
-    if dz_d >= 1 and dz_s >= 1:
-        r_uv = resultant_or_flag(sdiff2, ssum2, "z")
-        if r_uv is None:
-            return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-    elif dz_d >= 1:
-        r_uv = ssum2  # z-free already
-    elif dz_s >= 1:
-        r_uv = sdiff2
-    else:
-        # neither equation constrains z: if both hold on a curve, the spread
-        # is free -> not a discrete candidate set
-        if sdiff2.is_zero and ssum2.is_zero:
-            return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-        r_uv = sdiff2 if not sdiff2.is_zero else ssum2
-
-    r_uv = _strip_odd_factor(r_uv, "v")
-    if not (_even_in(r_uv, "v") and _even_in(s1, "v")):
-        raise MatchError("loss of pair-swap symmetry")  # pragma: no cover
-    s1_uV = _halve_even(s1, "v", "V")
-    r_uV = _halve_even(r_uv, "v", "V")
-
-    # stage 3: eliminate V = v^2
-    d1, d2 = s1_uV.degree("V"), r_uV.degree("V")
-    if d1 >= 1 and d2 >= 1:
-        elim_mp = resultant_or_flag(s1_uV, r_uV, "V")
-        if elim_mp is None:
-            return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-    elif d1 == 0 and d2 == 0:
-        a = s1_uV.as_unipoly("u") if not s1_uV.is_zero else UniPoly.zero("u")
-        b = r_uV.as_unipoly("u") if not r_uV.is_zero else UniPoly.zero("u")
-        if a.is_zero and b.is_zero:
-            return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-        g = a.gcd(b) if not (a.is_zero or b.is_zero) else (a if b.is_zero else b)
-        if g.degree >= 1:
-            # u constrained but the pair spread v is free
-            return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
+        return posdim
+    if s4.degree("w") == 0:  # a nonzero constant: no pair shares a level
         return _CoreResult(UniPoly.const(1, "u"), "u", [], False, diag)
-    else:
-        elim_mp = s1_uV if d1 == 0 else r_uV
-
-    if elim_mp.is_zero:
-        return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-    elim = elim_mp.as_unipoly("u").primitive() if elim_mp.degree("u") >= 0 else UniPoly.zero("u")
-    if elim.is_zero or elim.degree < 0:
-        return _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
-    if elim.degree == 0:
-        return _CoreResult(elim, "u", [], False, diag)
+    sd_eqs = [s4, s1, sdiff, ssum]  # the right pair first: the pivot of step w
+    try:
+        eqs = _eliminate_step(sd_eqs, "w")
+        _, diff, total = eqs  # s1 has no w and comes first
+        if diff.degree("z") > 1 or total.degree("z") > 2:
+            raise MatchError("middle zone restriction is not quadratic")
+        free = not any(e.degree("z") > 0 for e in eqs)
+        halved = [_halve(e, "v", "V") for e in _eliminate_step(eqs, "z")]
+        free = free or not any(e.degree("V") > 0 for e in halved)
+        elim = _common_factor(_eliminate_step(halved, "V"), "u")
+    except PositiveDimensionalError:
+        return posdim
+    if free and elim.degree >= 1:
+        return posdim
 
     tuples: list[tuple[tuple[Fraction, ...], int]] = []
     # u is refined far below the coincidence gap so that a pair spread of
     # exactly zero cannot masquerade as a tiny positive V
     for u_hat, mult in _root_values(elim, Fraction(1, 10**40)):
-        vs = _candidate_V(s1_uV, r_uV, u_hat)
+        vs = _candidate_V(halved, u_hat)
         if not vs:
             diag["extraneous_roots"] += 1
         for V_hat in vs:
-            v_hat = rat_sqrt(V_hat)
-            for z_hat in _candidate_z(sdiff2, ssum2, u_hat, v_hat):
-                t = (
-                    (u_hat - v_hat) / 2,
-                    (u_hat + v_hat) / 2,
-                    (w0 - z_hat) / 2,
-                    (w0 + z_hat) / 2,
-                )
-                assign = dict(zip(ms.unknowns, t))
-                if _screens_pass(ms, assign):
+            for a in _extend(sd_eqs, {"u": u_hat, "v": rat_sqrt(V_hat)}, ("w", "z")):
+                t = ((a["u"] - a["v"]) / 2, (a["u"] + a["v"]) / 2,
+                     (a["w"] - a["z"]) / 2, (a["w"] + a["z"]) / 2)
+                if _screens_pass(ms, dict(zip(ms.unknowns, t))):
                     tuples.append((t, mult))
     return _CoreResult(elim, "u", _dedupe(tuples), False, diag)
 
@@ -501,47 +460,22 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
 V_NOISE_FLOOR = Fraction(1, 10**30)
 
 
-def _candidate_V(s1_uV: MultiPoly, r_uV: MultiPoly, u_hat: Fraction) -> list[Fraction]:
-    """V values at or above the noise floor consistent with both reduced
-    equations at u = u_hat.
+def _candidate_V(eqs: list[MultiPoly], u_hat: Fraction) -> list[Fraction]:
+    """V values at or above the noise floor consistent with every halved
+    equation at u = u_hat, taken from the first one that contains V.
 
     V roots are refined far below the noise floor so that an exact V = 0
     (a coincident pair) cannot surface as a tiny positive value; a V below
     the floor is the uncertainty induced by the refinements, so a root of
     u whose only V lie there extends to no pair, whichever side of the
     true root its refinement landed on."""
-    polys = []
-    for p in (s1_uV, r_uV):
-        q = p.subs({"u": u_hat})
-        if q.degree("V") >= 1:
-            polys.append(q.as_unipoly("V"))
+    polys = [q.as_unipoly("V") for q in (p.subs({"u": u_hat}) for p in eqs)
+             if q.degree("V") >= 1]
     if not polys:
         return []
-    roots = real_roots(polys[0], V_NOISE_FLOOR / 10**4)
-    out = []
-    for V in roots:
-        if V < V_NOISE_FLOOR:
-            continue
-        ok = all(_residual_ok(p, {"u": u_hat, "V": V}) for p in (s1_uV, r_uV))
-        if ok:
-            out.append(V)
-    return out
-
-
-def _candidate_z(sdiff2: MultiPoly, ssum2: MultiPoly,
-                 u_hat: Fraction, v_hat: Fraction) -> list[Fraction]:
-    at = {"u": u_hat, "v": v_hat}
-    lin = sdiff2.subs(at)
-    if lin.degree("z") == 1:
-        c = lin.coeffs_in("z")
-        c1 = c[1].eval({})
-        if c1 != 0:
-            z = -c[0].eval({}) / c1
-            return [z]
-    quad = ssum2.subs(at)
-    if quad.degree("z") >= 1:
-        return [z for z in real_roots(quad.as_unipoly("z"), INTERNAL_REFINE)]
-    return []
+    return [V for V in real_roots(polys[0], V_NOISE_FLOOR / 10**4)
+            if V >= V_NOISE_FLOOR
+            and all(_residual_ok(p, {"u": u_hat, "V": V}) for p in eqs)]
 
 
 def _dedupe(tuples: list[tuple[tuple[Fraction, ...], int]],
@@ -688,34 +622,35 @@ _ANNULUS_SCHEDULE = (0.6, -0.6, 0.3, -0.3, 0.15, -0.15, 0.08, -0.08,
                      0.0025, -0.0025, 1.2, -1.2, 2.5, -2.5)
 
 
-def annulus_check(ps: PiecewiseSystem, positive_dimensional: bool,
-                  cfg=None, samples=_ANNULUS_SCHEDULE) -> bool:
-    """True iff the algebra reported a non-discrete solution set AND the flow
-    exhibits at least two distinct closed orbits through the first boundary.
+def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> bool:
+    """True iff the flow exhibits at least two distinct closed orbits through
+    one of the given boundaries, those of the crossing topologies whose
+    solution set the algebra found not discrete.
 
     Ordinates are sampled inside-out (bands of closed orbits hug the matched
     center) and the scan stops at the second confirmation."""
-    if not positive_dimensional:
+    if not boundaries:
         return False
     from . import dynamics
 
     base = cfg or dynamics.IntegratorConfig()
     quick = replace(base, max_time=min(base.max_time, 60.0), window=60.0)
     machine = dynamics.FlowMachine(ps, quick)
-    closed: list[float] = []
-    for y in samples:
-        for direction in (1, -1):
-            try:
-                y2, _ = machine.return_map(0, y, direction)
-            except dynamics.DynamicsError:
-                continue
-            if abs(y2 - y) < 1e-6:
-                closed.append(y)
-                break
-        # one oval meets the line twice; distinct magnitudes indicate
-        # genuinely different orbits of the band
-        if len({round(abs(v), 3) for v in closed}) >= 2:
-            return True
+    for b in boundaries:
+        closed: set[float] = set()
+        for y in _ANNULUS_SCHEDULE:
+            for direction in (1, -1):
+                try:
+                    y2, _ = machine.return_map(b, y, direction)
+                except dynamics.DynamicsError:
+                    continue
+                if abs(y2 - y) < 1e-6:
+                    closed.add(round(abs(y), 3))
+                    break
+            # one oval meets the line twice; distinct magnitudes indicate
+            # genuinely different orbits of the band
+            if len(closed) >= 2:
+                return True
     return False
 
 
@@ -733,7 +668,6 @@ def _candidate_from_tuple(ms: MatchingSystem, topo_tag: str, zone_indices,
         boundary_xs=ms.boundaries,
         ordinates=ords,
         multiplicity=mult,
-        screens={"ordering": True, "distinct": True, "residual": True},
     )
 
 
@@ -750,7 +684,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
 
     diagnostics: dict = {"topologies": {}}
     candidates: list[CandidateCycle] = []
-    posdim_any = False
+    posdim_boundaries: list[int] = []
     main_elim = UniPoly.zero("y1")
     main_var = "y1"
 
@@ -773,7 +707,8 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
         diagnostics["topologies"][tag] = core.diagnostics
         if k == 0:
             main_elim, main_var = core.eliminant, core.var
-        posdim_any = posdim_any or core.positive_dimensional
+        if core.positive_dimensional and bidx[0] not in posdim_boundaries:
+            posdim_boundaries.append(bidx[0])
         for t, mult in core.tuples:
             candidates.append(_candidate_from_tuple(ms, tag, zidx, bidx, t, mult))
 
@@ -784,7 +719,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
         for c in candidates:
             status, reason = machine.verify_candidate(c)
             c.status, c.reason = status, reason
-    annulus = annulus_check(ps, posdim_any, cfg=cfg) if posdim_any else False
+    annulus = annulus_check(ps, posdim_boundaries, cfg=cfg)
 
     report = SolveReport(
         continuous=cont,
@@ -793,7 +728,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
         candidates=candidates,
         eliminant=main_elim,
         eliminant_var=main_var,
-        positive_dimensional=posdim_any,
+        positive_dimensional=bool(posdim_boundaries),
         annulus=annulus,
         diagnostics=diagnostics,
     )

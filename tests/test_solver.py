@@ -262,8 +262,8 @@ def test_annulus_check_keeps_caller_tolerances():
     boundary point counts as tangential, so no orbit can cross and close."""
     ps = piecewise_system(
         [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
-    assert annulus_check(ps, True)
-    assert not annulus_check(ps, True, cfg=IntegratorConfig(tangent_tol=1e3))
+    assert annulus_check(ps, (0,))
+    assert not annulus_check(ps, (0,), cfg=IntegratorConfig(tangent_tol=1e3))
 
 
 def test_annulus_requires_closed_orbits():
@@ -279,7 +279,7 @@ def test_annulus_requires_closed_orbits():
 def test_annulus_cubic_fixture_false():
     rep = solve(cubic_center_saddle(), verify=False)
     assert not rep.positive_dimensional
-    assert not annulus_check(cubic_center_saddle(), rep.positive_dimensional)
+    assert not annulus_check(cubic_center_saddle(), (0,))
 
 
 # -- solve ------------------------------------------------------------------------------
@@ -353,14 +353,81 @@ def test_three_zone_counts_a_coincident_pair_root_as_extraneous():
     assert core.diagnostics["extraneous_roots"] == 2
 
 
+def test_three_zone_symmetric_system_is_positive_dimensional():
+    """The up-down symmetric system of the matcher's invariance test: after
+    the spread z goes, no equation contains V = v^2 while u = 0 solves them,
+    so the pair spread is free along a curve of solutions."""
+    ps = piecewise_system(
+        [LinearSaddle(8, 0, 10, 0, 8), LinearSaddle(-2, 0, 2, 0, -1),
+         LinearSaddle(8, 0, 10, 0, 8)], [-1, 1])
+    core = _three_zone_core(build_three_zone(*ps.zones, *ps.boundaries))
+    assert core.positive_dimensional
+    assert core.eliminant.is_zero and core.tuples == []
+
+
+@pytest.mark.parametrize("right, posdim", [
+    (LinearSaddle(1, 0, 0, 1, 0), False),  # right pair equation 1 = 0
+    (LinearSaddle(1, 0, 0, 0, 0), True),   # right pair equation 0 = 0
+])
+def test_three_zone_constant_right_pair(right, posdim):
+    """delta = 0 makes the right zone's restriction to x = 1 linear in y: a
+    nonzero slope puts no two ordinates on one level (a constant eliminant,
+    no tuples), a zero slope leaves a degenerate family."""
+    ps = piecewise_system(
+        [DoubleCenter(l=-1, n=1, p=0, offset=1), LinearSaddle(F(-3, 2), 3, 1, 0, 0), right],
+        [-1, 1])
+    ms = build_three_zone(*ps.zones, *ps.boundaries)
+    core = _three_zone_core(ms)
+    assert ms.degenerate_family == core.positive_dimensional == posdim
+    assert core.eliminant.degree == (-1 if posdim else 0)
+    assert core.tuples == []
+
+
+def _short_loop_system():
+    """The double center and the saddle close a cycle through (-1, -1/2)
+    and (-1, 1/2).  The saddle and the linear center at (2, 0) share their
+    levels on x = 1, so the crossings of x = 1 form a band of closed orbits
+    (two_zone@1 is positive-dimensional), and the three-zone equations hold
+    at (-1/2, 1/2, -1/2, 1/2) although no orbit crosses x = 1 there."""
+    return piecewise_system(
+        [DoubleCenter(l=F(-1, 120), n=F(1, 10), p=0, offset=2), LinearSaddle(-1, 0, 1, 0, 0),
+         LinearSaddle(1, 0, 1, 0, -2)], [-1, 1])
+
+
+def test_verify_rejects_a_loop_that_closes_before_its_last_crossing():
+    """The flow from (-1, -1/2) is back after two of the four declared
+    crossings; replaying that loop matches the declared ordinates again, so
+    the early return itself is the rejection."""
+    rep = solve(_short_loop_system())
+    status = {c.topology: (c.status, c.reason) for c in rep.candidates}
+    assert status["three_zone"] == ("rejected", "loop closed after 2 of 4 crossings")
+    assert status["two_zone@0"] == ("verified", "")
+
+
+def test_annulus_scans_the_boundary_of_the_positive_dimensional_topology():
+    """Only the topology at x = 1 is positive-dimensional, and the band of
+    closed orbits is seen on x = 1, not on x = -1."""
+    ps = _short_loop_system()
+    rep = solve(ps, verify=False)
+    assert rep.positive_dimensional and rep.annulus
+    assert annulus_check(ps, (1,)) and not annulus_check(ps, (0,))
+
+
 def test_solve_reports_eliminant_exact_and_route_invariant():
     """Re-running the direct elimination with permuted orders changes the
     eliminant only by extraneous factors: the screened candidate tuples are
     identical (and identical to the sum/difference route)."""
     rng = random.Random(31)
+    for name, draws in (("double_center+saddle+saddle", 40),
+                        ("global_center+saddle+saddle", 20),
+                        ("cubic_center+saddle+saddle", 20)):
+        _check_routes_agree(rng, name, draws)
+
+
+def _check_routes_agree(rng, name, draws):
     checked = 0
-    for _ in range(40):
-        ps = rand_config(rng, "double_center+saddle+saddle")
+    for _ in range(draws):
+        ps = rand_config(rng, name)
         ms = build_three_zone(*ps.zones, *ps.boundaries)
         try:
             core = _three_zone_core(ms)
@@ -384,7 +451,7 @@ def test_solve_reports_eliminant_exact_and_route_invariant():
         for v in vals:
             assert v == sumdiff
         checked += 1
-    assert checked >= 20
+    assert checked >= draws // 2
 
 
 def test_solve_candidate_residuals_small():
