@@ -8,10 +8,8 @@ and accepts every algebraic candidate only when the two agree.
 
 from .algebra import (
     MultiPoly,
-    Rat,
     RootInterval,
     UniPoly,
-    discriminant2,
     real_roots,
     refine_root,
     resultant,
@@ -23,13 +21,9 @@ from .dynamics import (
     IntegratorConfig,
     Trajectory,
     integrate_arc,
-    return_map,
-    shooting_oracle,
-    verify_candidate,
 )
 from .matcher import (
     MatchingSystem,
-    SumDiffSystem,
     build_three_zone,
     build_two_zone,
     to_sum_diff,
@@ -56,9 +50,6 @@ from .systems import (
     is_continuous,
     mirror,
     piecewise_system,
-    saddle_data,
-    separatrices,
-    vector_field,
 )
 
 __version__ = "0.1.0"
@@ -66,13 +57,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInfo", "CandidateCycle", "CubicCenter", "DoubleCenter",
     "FlowMachine", "GlobalCenter", "IntegratorConfig", "LinearSaddle",
-    "MatchingSystem", "MultiPoly", "PiecewiseSystem", "Rat", "RootInterval",
-    "SolveReport", "SumDiffSystem", "SystemSpecFile", "Trajectory", "UniPoly",
-    "Zone", "annulus_check", "back_substitute", "build_three_zone",
-    "build_two_zone", "discriminant2", "eliminate", "hamiltonian",
-    "integrate_arc", "is_continuous", "load_spec", "mirror", "parse_spec",
-    "piecewise_system", "real_roots", "refine_root", "resultant", "return_map",
-    "saddle_data", "separatrices", "shooting_oracle", "solve", "squarefree",
-    "sturm_isolate", "theorem_bound", "to_sum_diff", "vector_field",
-    "verify_candidate",
+    "MatchingSystem", "MultiPoly", "PiecewiseSystem", "RootInterval",
+    "SolveReport", "SystemSpecFile", "Trajectory", "UniPoly", "Zone",
+    "annulus_check", "back_substitute", "build_three_zone", "build_two_zone",
+    "eliminate", "hamiltonian", "integrate_arc", "is_continuous", "load_spec",
+    "mirror", "parse_spec", "piecewise_system", "real_roots", "refine_root",
+    "resultant", "solve", "squarefree", "sturm_isolate", "theorem_bound",
+    "to_sum_diff",
 ]

@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
-
 RatLike = Union[Fraction, int, str]
 
 DEFAULT_REFINE_TOL = Fraction(1, 10**12)
@@ -222,11 +220,6 @@ class UniPoly:
             return a
         return a * (1 / a.lead)
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lead)
-
     def primitive(self) -> "UniPoly":
         """Integer-primitive scalar multiple (clears denominators, divides
         out the integer content, leading coefficient positive)."""
@@ -278,14 +271,6 @@ def squarefree(p: UniPoly) -> UniPoly:
     if not r.is_zero:
         raise AlgebraError("gcd division left a remainder")  # unreachable
     return q
-
-
-def discriminant2(p: UniPoly) -> Fraction:
-    """b^2 - 4ac for a quadratic a*y^2 + b*y + c.  Errors on other degrees."""
-    if p.degree != 2:
-        raise AlgebraError(f"discriminant2 requires degree 2, got {p.degree}")
-    a, b, c = p.coeffs[2], p.coeffs[1], p.coeffs[0]
-    return b * b - 4 * a * c
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +468,6 @@ class MultiPoly:
     def var(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): Fraction(1)})
 
-    @classmethod
-    def from_unipoly(cls, p: UniPoly) -> "MultiPoly":
-        return cls((p.var,), {(k,): c for k, c in enumerate(p.coeffs) if c != 0})
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -666,6 +647,7 @@ class MultiPoly:
         vs = tuple(sorted(out_vars))
         pos = {v: i for i, v in enumerate(vs)}
         terms: dict[tuple[int, ...], Fraction] = {}
+        powers: dict[tuple[str, int], "MultiPoly | Fraction"] = {}
         for e, c in self.terms.items():
             key = [0] * len(vs)
             factor = None
@@ -675,10 +657,14 @@ class MultiPoly:
                 x = vals.get(v)
                 if x is None:
                     key[pos[v]] = k
-                elif isinstance(x, MultiPoly):
-                    factor = x**k if factor is None else factor * x**k
+                    continue
+                xk = powers.get((v, k))
+                if xk is None:
+                    xk = powers[v, k] = x**k
+                if isinstance(x, MultiPoly):
+                    factor = xk if factor is None else factor * xk
                 else:
-                    c *= x**k
+                    c *= xk
             if not c:
                 continue
             if factor is None:

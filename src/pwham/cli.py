@@ -18,7 +18,8 @@ from .matcher import MatchError
 from .solver import InvariantViolation, NotCoveredError, SolveReport
 from .specfile import (ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_grid,
                        parse_window)
-from .systems import LinearSaddle, PiecewiseSystem, equilibria, is_continuous, separatrix_lines
+from .systems import (PiecewiseSystem, SystemError, equilibria, is_continuous,
+                      piecewise_system, separatrix_lines)
 
 
 def _fmt12(v) -> str:
@@ -46,6 +47,15 @@ def _arg_type(parse):
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
     return typed
+
+
+def _parse_range(text: str) -> tuple[Fraction, Fraction]:
+    """A sweep range LO:HI of exact rationals; the sweep checks LO < HI."""
+    try:
+        lo, hi = (Fraction(t) for t in text.split(":"))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"range is not LO:HI: {text!r}") from None
+    return lo, hi
 
 
 def report_to_json(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> dict:
@@ -146,8 +156,8 @@ def cmd_analyze(args) -> int:
         desc = f"zone {i} ({z.kind}" + (", reversed" if z.reverse else "") + ")"
         if eqs:
             desc += ": equilibria " + ", ".join(f"({float(x):.6g}, {float(y):.6g})" for x, y in eqs)
-        if isinstance(z.payload, LinearSaddle) and z.payload.is_saddle:
-            seps = separatrix_lines(z.payload)
+        seps = separatrix_lines(z)
+        if seps:
             desc += "; separatrix directions " + ", ".join(
                 f"({dx:.6g}, {dy:.6g})" for _, (dx, dy) in seps)
         lines.append(desc)
@@ -196,19 +206,20 @@ def _resolve_param(spec: SystemSpecFile, path: str):
 def cmd_sweep(args) -> int:
     spec = load_spec(args.file)
     zi, name = _resolve_param(spec, args.param)
-    lo_s, hi_s = args.range.split(":")
-    lo, hi = Fraction(lo_s), Fraction(hi_s)
+    lo, hi = args.range
     if not lo < hi:
         raise NotCoveredError("sweep range must satisfy lo < hi")
     if args.samples < 2:
         raise NotCoveredError("sweep needs at least 2 samples")
-    from .systems import piecewise_system
 
     rows = []
     for k in range(args.samples):
         val = lo + (hi - lo) * k / (args.samples - 1)
         payloads = list(spec.payloads)
-        payloads[zi] = replace(payloads[zi], **{name: val})
+        try:
+            payloads[zi] = replace(payloads[zi], **{name: val})
+        except SystemError as e:
+            raise NotCoveredError(f"sample {args.param}={val}: {e}") from None
         ps = piecewise_system(payloads, spec.boundaries, spec.reverse)
         try:
             rep = solver.solve(ps, verify=args.verify)
@@ -287,13 +298,12 @@ def cmd_portrait(args) -> int:
                 if len(pts) >= 2:
                     polylines.append((f"level_z{zi}_{k}", "level", _clip(pts, window)))
                     k += 1
-        if isinstance(zone.payload, LinearSaddle) and zone.payload.is_saddle:
-            for si, (pt, (dx, dy)) in enumerate(separatrix_lines(zone.payload)):
-                span = (win[1] - win[0]) * 2
-                seg = [(pt[0] - dx * span, pt[1] - dy * span),
-                       (pt[0] + dx * span, pt[1] + dy * span)]
-                polylines.append((f"separatrix_z{zi}_{si}", "separatrix",
-                                  _clip_segment_to_strip(seg, xlo, xhi, window)))
+        for si, (pt, (dx, dy)) in enumerate(separatrix_lines(zone)):
+            span = (win[1] - win[0]) * 2
+            seg = [(pt[0] - dx * span, pt[1] - dy * span),
+                   (pt[0] + dx * span, pt[1] + dy * span)]
+            polylines.append((f"separatrix_z{zi}_{si}", "separatrix",
+                              _clip_segment_to_strip(seg, xlo, xhi, window)))
     for bi, b in enumerate(ps.boundaries):
         polylines.append((f"boundary_{bi}", "boundary",
                           [(float(b), win[0]), (float(b), win[1])]))
@@ -367,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scan one parameter, CSV per sample")
     common(p)
     p.add_argument("--param", required=True, help="ZONE_INDEX.NAME, e.g. 0.b")
-    p.add_argument("--range", required=True, help="LO:HI (exact rationals)")
+    p.add_argument("--range", required=True, type=_arg_type(_parse_range),
+                   help="LO:HI (exact rationals)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 

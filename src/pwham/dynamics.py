@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import MultiPoly
-from .systems import GlobalCenter, PiecewiseSystem, Zone, field_polys, local_forms
+from .systems import PiecewiseSystem, Zone, linear_part, local_forms
 
 
 class DynamicsError(Exception):
@@ -357,17 +357,15 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
 
 @lru_cache(maxsize=8)
 def _linear_parts(zone: Zone) -> tuple:
-    """(A, b, e, H) of the zone's field A u + b, reversal applied, read from
-    its exact field polynomials, and its float first integral H; A is
-    ((a11, a12), (a21, a22)) and e = a11^2 + a12*a21 is exact before the
-    float conversion, so its sign (saddle, center, or A^2 = 0) is decided
-    exactly."""
-    (a11, a12, b1), (a21, a22, b2) = (
-        [poly.terms.get(k, 0) for k in ((1, 0), (0, 1), (0, 0))]
-        for poly in field_polys(zone))
-    e = a11 * a11 + a12 * a21
-    return (((float(a11), float(a12)), (float(a21), float(a22))),
-            (float(b1), float(b2)), float(e), zone_integral_fn(zone))
+    """(A, b, e, H): floats of the zone's field A u + b and of e from
+    ``systems.linear_part``, reversal applied, and its float first integral
+    H.  e is exact before the float conversion, so its sign (saddle,
+    center, or A^2 = 0) is decided exactly.  Reversal negates the exact
+    coefficients, so a zero coefficient stays +0.0."""
+    ((a11, a12), (a21, a22)), (b1, b2), e = linear_part(zone.payload)
+    s = -1 if zone.reverse else 1
+    return (((float(s * a11), float(s * a12)), (float(s * a21), float(s * a22))),
+            (float(s * b1), float(s * b2)), float(e), zone_integral_fn(zone))
 
 
 def _s12(e: float, t: float) -> tuple[float, float]:
@@ -607,11 +605,6 @@ class FlowMachine:
         expected: dict[int, list[float]] = {}
         for b, v in cand.ordinates:
             expected.setdefault(b, []).append(float(v))
-        # singular-locus screen for global-center zones touching a boundary
-        for b, v in cand.ordinates:
-            for zi in (b, b + 1):
-                if isinstance(self.ps.zones[zi].payload, GlobalCenter) and abs(float(v)) < 1e-9:
-                    return "rejected", "integral singular locus"
         b0, y0v = min(cand.ordinates, key=lambda bv: bv[1])
         y0 = float(y0v)
         try:
@@ -652,25 +645,6 @@ class FlowMachine:
         except NonReturning as e:
             return "rejected", f"arc did not return: {e}"
         return "rejected", "loop did not close"  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience wrappers
-# ---------------------------------------------------------------------------
-
-
-def return_map(ps: PiecewiseSystem, bindex: int, y: float, direction: int = 1,
-               cfg: IntegratorConfig | None = None):
-    return FlowMachine(ps, cfg).return_map(bindex, y, direction)
-
-
-def shooting_oracle(ps: PiecewiseSystem, bindex: int, y_range: tuple,
-                    grid: int = 128, cfg: IntegratorConfig | None = None):
-    return FlowMachine(ps, cfg).oracle(bindex, y_range, grid)[0]
-
-
-def verify_candidate(ps: PiecewiseSystem, cand, cfg: IntegratorConfig | None = None):
-    return FlowMachine(ps, cfg).verify_candidate(cand)
 
 
 def oracle_window(report, default: tuple = (-10.0, 10.0)) -> tuple:

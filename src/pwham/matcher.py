@@ -14,8 +14,10 @@ zone's family: the zone's integral N/D restricted to the line x = c
 
 and the ordinates of a zone whose restricted denominator is not constant
 (the global center's y^2) recorded as excluded from 0, because clearing it
-adds the spurious root y = 0.  The sum/difference change of variables used
-by the three-zone analysis lives here too.
+adds the spurious root y = 0.  So the module reads zones only through
+``restriction`` and names no family.  ``to_sum_diff`` rewrites a three-zone
+system in the sum/difference variables of the three-zone elimination and
+returns its four equations.
 
 Ordinates on each boundary are stored canonically as (lower, upper).
 """
@@ -50,26 +52,6 @@ class MatchingSystem:
     boundaries: tuple[Fraction, ...]
     nonzero: tuple[str, ...] = ()
     degenerate_family: bool = False
-
-
-@dataclass
-class SumDiffSystem:
-    """The same three-zone system in u = y1+y2, v = y2-y1, w = y3+y4,
-    z = y4-y3; crossing solutions require v > 0 and z > 0 (v = z = 0 is the
-    coincident-point locus that the division already removed)."""
-
-    unknowns: tuple[str, str, str, str]
-    equations: list[MultiPoly]
-    source: MatchingSystem
-
-    def back_map(self) -> dict[str, MultiPoly]:
-        y1, y2, y3, y4 = (MultiPoly.var(v) for v in self.source.unknowns)
-        return {
-            "u": y1 + y2,
-            "v": y2 - y1,
-            "w": y3 + y4,
-            "z": y4 - y3,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +104,6 @@ def transport_equation(zone: Zone, c_from: RatLike, c_to: RatLike,
         for j, dj in enumerate(d1.coeffs):
             terms[j, i] = terms.get((j, i), 0) - ni * dj
     return _in_pair(v_from, v_to, terms)
-
-
-def raw_pair_difference(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
-    """Undivided level difference N(a) D(b) - N(b) D(a) on x = c.
-    Antisymmetric under swapping the two ordinates; pair_equation is this
-    divided by (a - b) exactly."""
-    return transport_equation(zone, c, c, va, vb)
 
 
 def _nonzero(*uses: tuple[Zone, Fraction, tuple[str, ...]]) -> tuple[str, ...]:
@@ -207,12 +182,14 @@ def build_three_zone(left: Zone, mid: Zone, right: Zone,
 # ---------------------------------------------------------------------------
 
 
-def to_sum_diff(ms: MatchingSystem) -> SumDiffSystem:
+def to_sum_diff(ms: MatchingSystem) -> list[MultiPoly]:
     """Rewrite a three-zone system in u = y1+y2, v = y2-y1, w = y3+y4,
-    z = y4-y3.  The transported pair is replaced by its difference and sum,
-    and every equation is doubled to clear halves.  The outer equations are
-    even in (v, z), which is what collapses the elimination to a quartic in
-    the swap-invariant u."""
+    z = y4-y3, as the equations [s1, s_diff, s_sum, s4]: the left pair, the
+    transported pair's difference and sum, and the right pair, each doubled
+    to clear halves.  The outer equations are even in (v, z), which is what
+    collapses the elimination to a quartic in the swap-invariant u; crossing
+    solutions need v > 0 and z > 0 (v = z = 0 is the coincident-point locus
+    that the pair division removed)."""
     if ms.topology != "three_zone":
         raise MatchError("sum/difference form applies to three-zone systems")
     u, v, w, z = (MultiPoly.var(t) for t in ("u", "v", "w", "z"))
@@ -228,21 +205,7 @@ def to_sum_diff(ms: MatchingSystem) -> SumDiffSystem:
     s_diff = 2 * (e3 - e2).subs(subs)
     s_sum = 2 * (e2 + e3).subs(subs)
     s4 = 2 * e4.subs(subs)
-    return SumDiffSystem(("u", "v", "w", "z"), [s1, s_diff, s_sum, s4], ms)
-
-
-def sum_diff_round_trip(sd: SumDiffSystem) -> list[MultiPoly]:
-    """Substitute the ordinate expressions back and undo the linear
-    recombination, recovering the original equations exactly."""
-    bm = sd.back_map()
-    s1, sdiff, ssum, s4 = (e.subs(bm) for e in sd.equations)
-    quarter = Fraction(1, 4)
-    return [
-        Fraction(1, 2) * s1,
-        quarter * (ssum - sdiff),
-        quarter * (ssum + sdiff),
-        Fraction(1, 2) * s4,
-    ]
+    return [s1, s_diff, s_sum, s4]
 
 
 def matching_systems_for(ps: PiecewiseSystem) -> list[MatchingSystem]:

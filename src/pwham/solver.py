@@ -111,9 +111,6 @@ class CandidateCycle:
     """
 
     topology: str
-    zone_indices: tuple[int, ...]
-    boundary_indices: tuple[int, ...]
-    boundary_xs: tuple[Fraction, ...]
     ordinates: tuple[tuple[int, Fraction], ...]
     multiplicity: int = 1
     status: str = "unverified"
@@ -121,9 +118,6 @@ class CandidateCycle:
 
     def ordinates_on(self, boundary_index: int) -> list[Fraction]:
         return [v for b, v in self.ordinates if b == boundary_index]
-
-    def floats(self) -> list[float]:
-        return [float(v) for _, v in self.ordinates]
 
 
 @dataclass
@@ -143,7 +137,6 @@ class BoundInfo:
 @dataclass
 class SolveReport:
     continuous: bool
-    continuity_mismatches: list
     bound: BoundInfo
     candidates: list[CandidateCycle]
     eliminant: UniPoly
@@ -418,7 +411,7 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
     equation contains leaves a curve of solutions wherever the eliminant has
     a root.  Raises MatchError when the system is outside the shape."""
     diag: dict = {"extraneous_roots": 0, "route": "sum_diff"}
-    s1, sdiff, ssum, s4 = to_sum_diff(ms).equations
+    s1, sdiff, ssum, s4 = to_sum_diff(ms)
     if s4.degree("z") > 0 or s4.degree("w") > 1:
         raise MatchError("right zone restriction is not linear in the pair sum")
     posdim = _CoreResult(UniPoly.zero("u"), "u", [], True, diag)
@@ -654,28 +647,11 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     return False
 
 
-def _candidate_from_tuple(ms: MatchingSystem, topo_tag: str, zone_indices,
-                          boundary_indices, t, mult) -> CandidateCycle:
-    if len(t) == 2:
-        ords = ((boundary_indices[0], t[0]), (boundary_indices[0], t[1]))
-    else:
-        ords = ((boundary_indices[0], t[0]), (boundary_indices[0], t[1]),
-                (boundary_indices[1], t[2]), (boundary_indices[1], t[3]))
-    return CandidateCycle(
-        topology=topo_tag,
-        zone_indices=zone_indices,
-        boundary_indices=boundary_indices,
-        boundary_xs=ms.boundaries,
-        ordinates=ords,
-        multiplicity=mult,
-    )
-
-
 def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
     """Full pipeline: continuity, theorem bound, matching systems for every
     crossing topology, elimination, isolation, refinement, screening, and
     (optionally) dynamic verification of every candidate."""
-    cont, mism = is_continuous(ps)
+    cont, _ = is_continuous(ps)
     bound = theorem_bound(ps, cont)
     try:
         mss = matching_systems_for(ps)
@@ -690,19 +666,16 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
 
     for k, ms in enumerate(mss):
         if ms.topology == "three_zone":
-            tag = "three_zone"
-            zidx = (0, 1, 2)
-            bidx = (0, 1)
+            tag, bidx = "three_zone", (0, 1)
             try:
                 core = _three_zone_core(ms)
             except MatchError:
                 core = _direct_core(ms)
         else:
             if len(mss) == 1:
-                tag, zidx, bidx = "two_zone", (0, 1), (0,)
+                tag, bidx = "two_zone", (0,)
             else:
-                i = k - 1
-                tag, zidx, bidx = f"two_zone@{i}", (i, i + 1), (i,)
+                tag, bidx = f"two_zone@{k - 1}", (k - 1,)
             core = _direct_core(ms)
         diagnostics["topologies"][tag] = core.diagnostics
         if k == 0:
@@ -710,7 +683,9 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
         if core.positive_dimensional and bidx[0] not in posdim_boundaries:
             posdim_boundaries.append(bidx[0])
         for t, mult in core.tuples:
-            candidates.append(_candidate_from_tuple(ms, tag, zidx, bidx, t, mult))
+            # (lower, upper) per boundary, lower boundary first
+            ords = tuple((bidx[i // 2], v) for i, v in enumerate(t))
+            candidates.append(CandidateCycle(tag, ords, mult))
 
     if verify:
         from . import dynamics
@@ -723,7 +698,6 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
 
     report = SolveReport(
         continuous=cont,
-        continuity_mismatches=mism,
         bound=bound,
         candidates=candidates,
         eliminant=main_elim,

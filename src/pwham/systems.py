@@ -15,12 +15,16 @@ an integrating factor m, so that the field is m * (H_y, -H_x):
   negative.
 
 The exact field and integral (``field_polys``, ``hamiltonian``) and the
-compiled float closures in ``dynamics`` are all derived from that formula.
-Adding a family means adding one ``@_family`` payload class with its
-``kind`` name and ``first_integral`` (numerator, denominator and integrating
-factor), listed in ``FAMILIES``; the per-family mathematics beyond the field
-(the theorem bounds, ``mirror_payload``, ``equilibria``) is written where it
-is used.
+compiled float closures in ``dynamics`` are all derived from that formula,
+and so is every piece of linear-zone geometry: ``linear_part`` reads the
+affine field A u + b exactly from the derived field, and the saddle's
+equilibrium, its separatrices (``separatrix_lines``) and the exact arcs in
+``dynamics`` are built on it.  Adding a family means adding one ``@_family``
+payload class with its ``kind`` name and ``first_integral`` (numerator,
+denominator and integrating factor), listed in ``FAMILIES``.  The only
+per-family code beyond that is here (``mirror_payload`` and the closed-form
+equilibria of the nonlinear families) and in the theorem-bound table of
+``solver``; no other module names a family class.
 
 A ``Zone`` places a family on a vertical strip (optionally time-reversed;
 reversal flips the flow direction but not the level sets, and it matters for
@@ -175,12 +179,10 @@ class LinearSaddle:
             object.__setattr__(self, f, rat(getattr(self, f)))
 
     @property
-    def eigen_square(self) -> Fraction:
-        return self.beta * self.beta - self.alpha * self.delta
-
-    @property
     def is_saddle(self) -> bool:
-        return self.eigen_square > 0
+        """e > 0 for the e of ``linear_part``, from the parameters: the
+        input generators test it on many payloads that are never solved."""
+        return self.beta * self.beta - self.alpha * self.delta > 0
 
     def first_integral(self, X: MultiPoly, y: MultiPoly) -> tuple:
         num = (-self.gamma * X + self.mu * y - self.beta * X * y
@@ -301,18 +303,6 @@ def hamiltonian(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
-def vector_field(zone: Zone, pt: tuple) -> tuple:
-    """Evaluate the field at a point; exact for rational input, float for
-    float input."""
-    fx, fy = field_polys(zone)
-    x, y = pt
-    if isinstance(x, float) or isinstance(y, float):
-        at = {X: float(x), Y: float(y)}
-        return fx.eval_float(at), fy.eval_float(at)
-    at = {X: rat(x), Y: rat(y)}
-    return fx.eval(at), fy.eval(at)
-
-
 @lru_cache(maxsize=16)
 def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
     """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
@@ -324,63 +314,51 @@ def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
 
 
 # ---------------------------------------------------------------------------
-# linear saddle geometry
+# linear parts and equilibria
 # ---------------------------------------------------------------------------
 
 
-def saddle_data(s: LinearSaddle) -> tuple[tuple[Fraction, Fraction], tuple[float, float]]:
-    """Equilibrium point (exact) and eigenvalue pair (floats) of the linear
-    Hamiltonian piece.  Errors when the linear part is degenerate."""
-    det = s.alpha * s.delta - s.beta * s.beta
-    if det == 0:
-        raise SystemError("degenerate linear part")
-    ex = -(s.beta * s.mu + s.delta * s.gamma) / det
-    ey = (s.alpha * s.mu + s.beta * s.gamma) / det
-    lam2 = float(s.eigen_square)
-    if lam2 >= 0:
-        lam = math.sqrt(lam2)
-        return (ex, ey), (lam, -lam)
-    lam = math.sqrt(-lam2)
-    return (ex, ey), (complex(0, lam), complex(0, -lam))
+@lru_cache(maxsize=8)
+def linear_part(p: Payload) -> tuple:
+    """(A, b, e): the affine part A u + b of the payload's forward field in
+    absolute coordinates, read exactly from its field polynomials, with
+    A = ((a11, a12), (a21, a22)), b = (b1, b2) and e = a11^2 + a12*a21.
+
+    For a ``linear`` zone this is the whole field.  Its trace is 0 (the
+    field is Hamiltonian), so A^2 = e I and det A = -e: a saddle when e > 0,
+    a linear center when e < 0."""
+    _, _, fx, fy = _absolute_forms(p)
+    (a11, a12, b1), (a21, a22, b2) = (
+        [Fraction(poly.terms.get(k, 0)) for k in ((1, 0), (0, 1), (0, 0))]
+        for poly in (fx, fy))
+    return ((a11, a12), (a21, a22)), (b1, b2), a11 * a11 + a12 * a21
 
 
-def separatrices(s: LinearSaddle) -> tuple[tuple[tuple[Fraction, Fraction], float], ...]:
-    """The two invariant lines through the saddle as (point, slope) pairs,
-    slopes -(beta +/- sqrt(beta^2 - alpha*delta)) / delta.
-
-    Errors when delta = 0 (formula degenerates; use separatrix_lines, which
-    falls back to eigenvector directions) or when the piece is not a saddle.
-    """
-    if s.delta == 0:
-        raise SystemError("separatrix formula degenerate; use eigenvectors")
-    if not s.is_saddle:
-        raise SystemError("not a saddle: no separatrices")
-    eq, _ = saddle_data(s)
-    root = math.sqrt(float(s.eigen_square))
-    d = float(s.delta)
-    b = float(s.beta)
-    return ((eq, -(b + root) / d), (eq, -(b - root) / d))
-
-
-def separatrix_lines(s: LinearSaddle) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Separatrices as (point, direction) pairs; handles delta = 0 via the
-    eigenvectors of the linear part."""
-    if not s.is_saddle:
-        raise SystemError("not a saddle: no separatrices")
-    eq, _ = saddle_data(s)
-    pt = (float(eq[0]), float(eq[1]))
-    root = math.sqrt(float(s.eigen_square))
-    a, b, d = float(s.alpha), float(s.beta), float(s.delta)
+def separatrix_lines(zone: Zone) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """The two invariant lines through a linear saddle as (point, unit
+    direction) pairs, one eigenvector of A per eigenvalue +/- sqrt(e); []
+    for every other zone.  Read from the forward field, so reversal keeps
+    the order of the lines."""
+    if zone.kind != "linear":
+        return []
+    ((a11, a12), (a21, a22)), _, e = linear_part(zone.payload)
+    if e <= 0:
+        return []
+    (ex, ey), = equilibria(zone)
+    pt = (float(ex), float(ey))
+    root = math.sqrt(float(e))
+    a11, a12, a21, a22 = float(a11), float(a12), float(a21), float(a22)
     out = []
     for lam in (root, -root):
-        # eigenvector of [[-b, -d], [a, b]]: (-b - lam) vx - d vy = 0
-        if d != 0:
-            v = (1.0, -(b + lam) / d)
-        elif abs(b + lam) > 1e-12:
+        # first row of A - lam: (a11 - lam) vx + a12 vy = 0
+        if a12 != 0:
+            v = (1.0, (lam - a11) / a12)
+        elif abs(lam - a11) > 1e-12:
             v = (0.0, 1.0)
         else:
-            # lam = -b row is vacuous; use a vx + (b - lam) vy = 0
-            v = (2.0 * b, -a) if (a or b) else (1.0, 0.0)
+            # the first row vanishes (lam = a11 = -a22); the second,
+            # a21 vx + (a22 - lam) vy = 0, has a22 - lam = 2 a22
+            v = (2.0 * a22, -a21)
         n = math.hypot(*v)
         out.append((pt, (v[0] / n, v[1] / n)))
     return out
@@ -397,11 +375,11 @@ def equilibria(zone: Zone) -> list[tuple[Fraction, Fraction]]:
     if isinstance(p, GlobalCenter):
         return [(-p.offset, p.xi)]
     if isinstance(p, LinearSaddle):
-        try:
-            eq, _ = saddle_data(p)
-            return [eq]
-        except SystemError:
+        # A u + b = 0 with A^-1 = A / e
+        ((a11, a12), (a21, a22)), (b1, b2), e = linear_part(p)
+        if e == 0:
             return []
+        return [(-(a11 * b1 + a12 * b2) / e, -(a21 * b1 + a22 * b2) / e)]
     if isinstance(p, CubicCenter):
         # origin of the shifted frame is always an equilibrium; others exist
         # but have no rational closed form in general

@@ -12,7 +12,6 @@ from pwham.algebra import (
     AlgebraError,
     MultiPoly,
     UniPoly,
-    discriminant2,
     isolate_real_roots,
     rat,
     real_roots,
@@ -168,7 +167,7 @@ def test_squarefree_examples():
     r = P(1, 0, 1)  # y^2 + 1 already squarefree
     assert squarefree(r) == r
     s = P(F(4, 5), -2, 1)
-    assert squarefree(s * s).monic() == s.monic()
+    assert squarefree(s * s).primitive() == s.primitive()
 
 
 def test_squarefree_zero_rejected():
@@ -450,17 +449,6 @@ def test_subs_scalar_fold_matches_polynomial_expansion(p, v, q, v2, r):
         assert list(got.terms.items()) == list(ref.terms.items())
 
 
-# -- quadratic discriminant ------------------------------------------------------
-
-
-def test_discriminant2_values():
-    assert discriminant2(P(F(4, 5), -2, 1)) == F(4, 5)
-    assert discriminant2(P(F(-8, 5), 2, 1)) == F(52, 5)
-    assert discriminant2(P(0, 0, 1)) == 0
-    with pytest.raises(AlgebraError):
-        discriminant2(P(1, 1))
-
-
 # -- misc ------------------------------------------------------------------------
 
 
@@ -472,7 +460,8 @@ def test_uni_resultant_agrees_with_multipoly():
         if p.degree < 1 or q.degree < 1:
             continue
         r1 = uni_resultant(p, q)
-        r2 = resultant(MultiPoly.from_unipoly(p), MultiPoly.from_unipoly(q), "y")
+        r2 = resultant(*(MultiPoly(("y",), {(k,): c for k, c in enumerate(u.coeffs) if c})
+                         for u in (p, q)), "y")
         assert MultiPoly.const(r1) == r2
 
 

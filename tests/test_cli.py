@@ -314,6 +314,23 @@ def test_cli_sweep_rejects_bad_param():
         assert code == 3, param
 
 
+@pytest.mark.parametrize("rng", ["abc", "1:x", "1", "0:1:2", "1/0:2"])
+def test_cli_sweep_rejects_malformed_range(rng, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["sweep", fixture_path("double_center_saddle.pwham"),
+              "--param", "1.mu", "--range", rng, "--samples", "2"])
+    assert ei.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_sample_outside_family(capsys):
+    # the sample xi = 0 is no global center
+    code, _ = run_cli("sweep", fixture_path("global_center_saddle.pwham"),
+                      "--param", "0.xi", "--range", "0:1", "--samples", "2")
+    assert code == 3
+    assert "0.xi=0" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_empty_range():
     code, _ = run_cli("sweep", fixture_path("double_center_saddle.pwham"),
                       "--param", "1.mu", "--range", "1:1", "--samples", "2")

@@ -19,8 +19,6 @@ from pwham.dynamics import (
     _rk45_step,
     integrate_arc,
     oracle_window,
-    return_map,
-    shooting_oracle,
     zone_field_fn,
     zone_integral_fn,
 )
@@ -280,7 +278,7 @@ def test_not_entry_point():
 def test_return_map_fixed_point_global_fixture():
     ps = global_center_saddle()
     y_star = (5 + math.sqrt(5)) / 5
-    y2, log = return_map(ps, 0, y_star, 1)
+    y2, log = FlowMachine(ps).return_map(0, y_star, 1)
     assert abs(y2 - y_star) < 1e-6
     assert len(log) == 2  # two crossings per loop
 
@@ -288,7 +286,7 @@ def test_return_map_fixed_point_global_fixture():
 def test_return_map_non_fixed_point():
     # start at 3/2: the loop returns at 2 (level-curve partners 1/2 and 2)
     ps = global_center_saddle()
-    y2, _ = return_map(ps, 0, 1.5, 1)
+    y2, _ = FlowMachine(ps).return_map(0, 1.5, 1)
     assert abs(y2 - 2.0) < 1e-6
     assert abs(y2 - 1.5) > 1e-3
 
@@ -297,33 +295,34 @@ def test_return_map_sliding_start_rejected():
     # the cubic fixture's upper matching ordinate is an attracting sliding point
     ps = cubic_center_saddle()
     with pytest.raises(SlidingPoint):
-        return_map(ps, 0, (1 + math.sqrt(5)) / 2, 1)
+        FlowMachine(ps).return_map(0, (1 + math.sqrt(5)) / 2, 1)
 
 
 def test_return_map_annulus_identity():
     ps = piecewise_system(
         [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
+    m = FlowMachine(ps)
     for y in (0.4, 0.9, 1.5):
-        y2, _ = return_map(ps, 0, y, -1)
+        y2, _ = m.return_map(0, y, -1)
         assert abs(y2 - y) < 1e-6
 
 
 def test_oracle_finds_fixture_cycles():
     ps = global_center_saddle()
-    fixed = shooting_oracle(ps, 0, (0.2, 3.0), 64)
+    fixed, _ = FlowMachine(ps).oracle(0, (0.2, 3.0), 64)
     assert any(abs(v - (5 + math.sqrt(5)) / 5) < 1e-6 for v in fixed)
     assert any(abs(v - (5 - math.sqrt(5)) / 5) < 1e-6 for v in fixed)
 
 
 def test_oracle_empty_for_obstructed_fixture():
     ps = cubic_center_saddle()
-    assert shooting_oracle(ps, 0, (-3.0, 3.0), 64) == []
+    assert FlowMachine(ps).oracle(0, (-3.0, 3.0), 64)[0] == []
 
 
 def test_oracle_grid_minimum():
     ps = global_center_saddle()
     with pytest.raises(ValueError):
-        shooting_oracle(ps, 0, (-1.0, 1.0), 8)
+        FlowMachine(ps).oracle(0, (-1.0, 1.0), 8)
 
 
 def _defined_returns(m: FlowMachine, count: int = 4):
@@ -437,15 +436,17 @@ def test_verify_pwl_cycle_arcwise():
 
 
 def test_verify_rejects_singular_locus_candidate():
+    """solve never proposes an ordinate on the global center's singular
+    locus y = 0 (the matcher excludes it from 0); handed to the verifier
+    directly, the arc from it runs along the invariant line y = 0 out of
+    the window, so integration rejects it."""
     from pwham.solver import CandidateCycle
 
     ps = global_center_saddle()
-    cand = CandidateCycle(
-        topology="two_zone", zone_indices=(0, 1), boundary_indices=(0,),
-        boundary_xs=(F(0),), ordinates=((0, F(0)), (0, F(2))))
+    cand = CandidateCycle(topology="two_zone", ordinates=((0, F(0)), (0, F(2))))
     m = FlowMachine(ps, IntegratorConfig())
     status, reason = m.verify_candidate(cand)
-    assert status == "rejected" and "singular" in reason
+    assert status == "rejected" and "did not return" in reason
 
 
 def test_verify_rejects_fabricated_tuple():
@@ -454,10 +455,7 @@ def test_verify_rejects_fabricated_tuple():
     from pwham.solver import CandidateCycle
 
     ps = cubic_center_saddle()
-    cand = CandidateCycle(
-        topology="two_zone", zone_indices=(0, 1), boundary_indices=(0,),
-        boundary_xs=(F(0),),
-        ordinates=((0, F(-3, 2)), (0, F(5, 2))))
+    cand = CandidateCycle(topology="two_zone", ordinates=((0, F(-3, 2)), (0, F(5, 2))))
     m = FlowMachine(ps, IntegratorConfig())
     status, reason = m.verify_candidate(cand)
     assert status == "rejected"

@@ -14,8 +14,6 @@ from pwham.matcher import (
     build_two_zone,
     matching_systems_for,
     pair_equation,
-    raw_pair_difference,
-    sum_diff_round_trip,
     to_sum_diff,
     transport_equation,
 )
@@ -114,7 +112,7 @@ def test_antisymmetry_and_exact_division():
         else:
             z = Zone(LinearSaddle(r(), r(), r(), r(), r()))
         c = r()
-        raw = raw_pair_difference(z, c, "y1", "y2")
+        raw = transport_equation(z, c, c, "y1", "y2")
         swapped = raw.subs({"y1": V("y2"), "y2": V("y1")})
         assert (raw + swapped).is_zero
         quotient = pair_equation(z, c, "y1", "y2")
@@ -191,7 +189,7 @@ def test_boundary_equations_are_the_cleared_integral(zone, c, c2):
     nb, db = _on_line(zone, c, "y2")
     pair = pair_equation(zone, c, "y1", "y2")
     assert (pair * (V("y1") - V("y2")) - (na * db - nb * da)).is_zero
-    assert (raw_pair_difference(zone, c, "y1", "y2") - (na * db - nb * da)).is_zero
+    assert (transport_equation(zone, c, c, "y1", "y2") - (na * db - nb * da)).is_zero
     n2, d2 = _on_line(zone, c2, "y3")
     transport = transport_equation(zone, c, c2, "y1", "y3")
     assert (transport - (na * d2 - n2 * da)).is_zero
@@ -214,23 +212,33 @@ def test_sum_diff_displayed_family():
     the spreads and one quadratic; the last is linear in the pair sum."""
     ps = cubic_three_zone(b=F(2))
     ms = build_three_zone(*ps.zones, -1, 1)
-    sd = to_sum_diff(ms)
+    s1, s_diff, s_sum, s4 = to_sum_diff(ms)
     u, v, w, z = (V(t) for t in ("u", "v", "w", "z"))
     q, b = F(1), F(2)
     s1_expected = F(1, 2) * q * (3 * u * u + v * v) - b * u
-    assert sd.equations[0].is_proportional_to(s1_expected)
-    assert sd.equations[1].degree("z") == 1 and sd.equations[1].degree("v") == 1
-    assert sd.equations[2].degree("z") == 2
-    assert sd.equations[3].is_proportional_to(w)
+    assert s1.is_proportional_to(s1_expected)
+    assert s_diff.degree("z") == 1 and s_diff.degree("v") == 1
+    assert s_sum.degree("z") == 2
+    assert s4.is_proportional_to(w)
 
 
 def test_sum_diff_coincident_locus():
     """Setting v = z = 0 gives the coincident-point equations; they are not
     trivially satisfied, which is why crossing solutions require v, z > 0."""
     ps = cubic_three_zone(b=F(2))
-    sd = to_sum_diff(build_three_zone(*ps.zones, -1, 1))
-    collapsed = [e.subs({"v": F(0), "z": F(0)}) for e in sd.equations]
+    collapsed = [e.subs({"v": F(0), "z": F(0)})
+                 for e in to_sum_diff(build_three_zone(*ps.zones, -1, 1))]
     assert any(not e.is_zero for e in collapsed)
+
+
+def sum_diff_round_trip(sd: list[MultiPoly]) -> list[MultiPoly]:
+    """Substitute the ordinate expressions back into the sum/difference
+    equations and undo the linear recombination: the original equations."""
+    y1, y2, y3, y4 = (V(t) for t in ("y1", "y2", "y3", "y4"))
+    back = {"u": y1 + y2, "v": y2 - y1, "w": y3 + y4, "z": y4 - y3}
+    s1, s_diff, s_sum, s4 = (e.subs(back) for e in sd)
+    half, quarter = F(1, 2), F(1, 4)
+    return [half * s1, quarter * (s_sum - s_diff), quarter * (s_sum + s_diff), half * s4]
 
 
 def test_sum_diff_round_trip_exact():

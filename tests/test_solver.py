@@ -48,14 +48,14 @@ def test_eliminate_cubic_fixture_quadratic():
     ps = cubic_center_saddle()
     ms = build_two_zone(ps.zones[0], ps.zones[1], 0)
     elim = eliminate(ms, ("y2",)).primitive()
-    assert elim.monic() == UniPoly([-1, -1, 1]).monic()
+    assert elim.primitive() == UniPoly([-1, -1, 1]).primitive()
 
 
 def test_eliminate_global_fixture_quadratic():
     ps = global_center_saddle()
     ms = build_two_zone(ps.zones[0], ps.zones[1], 0)
     elim = eliminate(ms, ("y2",)).primitive()
-    assert elim.monic() == UniPoly([F(4, 5), -2, 1]).monic()
+    assert elim.primitive() == UniPoly([F(4, 5), -2, 1]).primitive()
 
 
 def _displayed_octic(a: F) -> UniPoly:
@@ -89,7 +89,7 @@ def test_eliminate_reproduces_displayed_octic():
                             "three_zone", [], [""] * 4, (F(-1), F(1)))
         elim = eliminate(ms, ("y3", "y4", "y2")).primitive()
         assert elim.degree == 8
-        assert elim.monic() == _displayed_octic(a).primitive().monic()
+        assert elim.primitive() == _displayed_octic(a).primitive()
 
 
 def test_eliminate_order_must_leave_one_unknown():
@@ -348,7 +348,7 @@ def test_three_zone_counts_a_coincident_pair_root_as_extraneous():
         [DoubleCenter(l=-1, n=1, p=0, offset=1), LinearSaddle(F(-3, 2), 3, 1, 0, 0),
          LinearSaddle(1, 2, 1, -3, F(-1, 2))], [-1, 1])
     core = _three_zone_core(build_three_zone(*ps.zones, *ps.boundaries))
-    assert core.eliminant.monic() == UniPoly([320, -312, 148, -42, 3]).monic()
+    assert core.eliminant.primitive() == UniPoly([320, -312, 148, -42, 3]).primitive()
     assert core.tuples == []
     assert core.diagnostics["extraneous_roots"] == 2
 

@@ -1,11 +1,16 @@
 """Vector-field families: Hamiltonians, derived fields, conservation,
 saddle geometry, continuity."""
 
+import ast
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pwham
 from pwham.algebra import MultiPoly
 from pwham.dynamics import zone_field_fn, zone_integral_fn
 from pwham.systems import (
@@ -13,19 +18,22 @@ from pwham.systems import (
     DoubleCenter,
     GlobalCenter,
     LinearSaddle,
-    SystemError,
     Zone,
     equilibria,
     field_polys,
     hamiltonian,
     is_continuous,
     mirror,
+    linear_part,
     piecewise_system,
-    saddle_data,
-    separatrices,
     separatrix_lines,
-    vector_field,
 )
+
+
+def vector_field(zone: Zone, pt: tuple) -> tuple:
+    """The zone's exact field at a rational point."""
+    at = {"x": F(pt[0]), "y": F(pt[1])}
+    return tuple(p.eval(at) for p in field_polys(zone))
 
 
 # -- hamiltonian ---------------------------------------------------------------
@@ -219,76 +227,92 @@ def test_double_center_equilibria():
         assert ys == sorted([F(0), 1 / n])
 
 
-# -- saddle geometry -------------------------------------------------------------
+# -- linear parts and saddle geometry ---------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                       min_size=5, max_size=5),
+       reverse=st.booleans())
+def test_linear_part_is_the_field(coeffs, reverse):
+    """A linear zone's exact affine part has trace 0 and e = beta^2 -
+    alpha*delta, and its field is +/-(A u + b) under reversal."""
+    s = LinearSaddle(*coeffs)
+    ((a11, a12), (a21, a22)), (b1, b2), e = linear_part(s)
+    assert a11 + a22 == 0
+    assert e == s.beta ** 2 - s.alpha * s.delta
+    assert s.is_saddle == (e > 0)
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    sign = -1 if reverse else 1
+    fx, fy = field_polys(Zone(s, reverse=reverse))
+    assert (fx - sign * (a11 * x + a12 * y + b1)).is_zero
+    assert (fy - sign * (a21 * x + a22 * y + b2)).is_zero
 
 
 def test_saddle_data_examples():
-    eq, ev = saddle_data(LinearSaddle(0, -1, -1, -1, 0))
-    assert eq == (1, 0)
-    assert sorted(ev) == [-1.0, 1.0]
-    eq, ev = saddle_data(LinearSaddle(1, 0, -1, 0, 0))
-    assert eq == (0, 0)
-    assert sorted(ev) == [-1.0, 1.0]
-    _, ev = saddle_data(LinearSaddle(1, 1, 0, 0, 0))
-    assert sorted(ev) == [-1.0, 1.0]
+    """The exact equilibrium of a linear zone."""
+    assert equilibria(Zone(LinearSaddle(0, -1, -1, -1, 0))) == [(1, 0)]
+    assert equilibria(Zone(LinearSaddle(1, 0, -1, 0, 0))) == [(0, 0)]
+    assert equilibria(Zone(LinearSaddle(1, 1, 0, 0, 0))) == [(0, 0)]
+    assert equilibria(Zone(LinearSaddle(1, 0, 1, F(1, 2), 2))) == [(-2, F(1, 2))]
 
 
 def test_saddle_data_equilibrium_exact():
     rng = random.Random(4)
     for _ in range(100):
         s = LinearSaddle(*[F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(5)])
+        z = Zone(s, reverse=bool(rng.getrandbits(1)))
         if s.alpha * s.delta - s.beta**2 == 0:
-            with pytest.raises(SystemError):
-                saddle_data(s)
+            assert equilibria(z) == []
             continue
-        eq, _ = saddle_data(s)
-        assert vector_field(Zone(s), eq) == (0, 0)
+        (eq,) = equilibria(z)
+        assert vector_field(z, eq) == (0, 0)
+
+
+def _slopes(s: LinearSaddle) -> list[float]:
+    return [dy / dx for _, (dx, dy) in separatrix_lines(Zone(s))]
 
 
 def test_separatrices_examples():
-    (p1, m1), (p2, m2) = separatrices(LinearSaddle(1, 0, -1, 0, 0))
-    assert p1 == (0, 0)
-    assert sorted([m1, m2]) == [-1.0, 1.0]
-    (_, m1), (_, m2) = separatrices(LinearSaddle(0, 1, 1, 0, 0))
-    assert sorted([m1, m2]) == [-2.0, 0.0]
-    (_, m1), (_, m2) = separatrices(LinearSaddle(1, 2, 3, 0, 0))
-    assert sorted([m1, m2]) == [-1.0, -1 / 3]
-
-
-def test_separatrices_delta_zero_errors_with_eigenvector_fallback():
-    s = LinearSaddle(1, 1, 0, 0, 0)
-    with pytest.raises(SystemError, match="eigenvector"):
-        separatrices(s)
-    lines = separatrix_lines(s)
-    assert len(lines) == 2
+    ((p1, _), (p2, _)) = separatrix_lines(Zone(LinearSaddle(1, 0, -1, 0, 0)))
+    assert p1 == p2 == (0.0, 0.0)
+    assert sorted(_slopes(LinearSaddle(1, 0, -1, 0, 0))) == [-1.0, 1.0]
+    assert sorted(_slopes(LinearSaddle(0, 1, 1, 0, 0))) == pytest.approx([-2.0, 0.0])
+    assert sorted(_slopes(LinearSaddle(1, 2, 3, 0, 0))) == pytest.approx([-1.0, -1 / 3])
+    # no separatrices: a linear center, a degenerate linear part, a center family
+    assert separatrix_lines(Zone(LinearSaddle(1, 0, 1, 0, 0))) == []
+    assert separatrix_lines(Zone(LinearSaddle(1, 1, 1, 0, 0))) == []
+    assert separatrix_lines(Zone(CubicCenter(a=0, b=-1))) == []
 
 
 def test_separatrix_lines_are_invariant():
-    """The field at points on a separatrix is parallel to the line: exact
-    cross-product test on saddles with rational eigenvalues."""
+    """Each line runs through the exact equilibrium along an eigenvector of
+    A, for the eigenvalue +sqrt(e) first and -sqrt(e) second, whatever the
+    zone's reversal.  Saddles with delta = 0 take the eigenvector fallbacks
+    (a vertical line, and the second row of A - lam)."""
     rng = random.Random(6)
-    checked = 0
-    while checked < 100:
-        beta = F(rng.randint(-4, 4))
-        k = F(rng.randint(1, 4))
-        alpha = F(rng.choice((1, -1, 2)))
-        # choose delta so beta^2 - alpha*delta = k^2 (rational slopes)
-        if alpha == 0:
-            continue
-        delta = (beta * beta - k * k) / alpha
-        if delta == 0:
-            continue
-        s = LinearSaddle(alpha, beta, delta, F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
+    checked = flat = 0
+    while checked < 200:
+        alpha, beta, mu, gamma = (F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4))
+        delta = F(0) if rng.random() < 0.4 else F(rng.randint(-4, 4), rng.choice((1, 3)))
+        s = LinearSaddle(alpha, beta, delta, mu, gamma)
         if not s.is_saddle:
             continue
-        eq, _ = saddle_data(s)
-        for slope_pm in (1, -1):
-            slope = -(beta + slope_pm * k) / delta
-            for t in (F(1), F(-2), F(1, 2)):
-                pt = (eq[0] + t, eq[1] + slope * t)
-                vx, vy = vector_field(Zone(s), pt)
-                assert vx * slope - vy * 1 == 0  # cross product with (1, slope)
+        lines = separatrix_lines(Zone(s))
+        assert separatrix_lines(Zone(s, reverse=True)) == lines
+        (eq,) = equilibria(Zone(s))
+        ((a11, a12), (a21, a22)), _, e = linear_part(s)
+        root = math.sqrt(e)
+        assert len(lines) == 2
+        for (pt, (dx, dy)), lam in zip(lines, (root, -root)):
+            assert pt == (float(eq[0]), float(eq[1]))
+            assert math.hypot(dx, dy) == pytest.approx(1.0)
+            rx = float(a11) * dx + float(a12) * dy - lam * dx
+            ry = float(a21) * dx + float(a22) * dy - lam * dy
+            assert math.hypot(rx, ry) <= 1e-12 * (1 + abs(lam)), (s, lam)
+        flat += delta == 0
         checked += 1
+    assert flat >= 40
 
 
 # -- continuity -------------------------------------------------------------------
@@ -333,3 +357,26 @@ def test_mirror_involution_and_field():
         fx, fy = vector_field(ps.zones[zi], (x, y))
         gx, gy = vector_field(m.zones[2 - zi], (-x, y))
         assert (gx, gy) == (-fx, fy)
+
+
+# -- design rule -------------------------------------------------------------------
+
+
+def test_family_classes_stay_in_systems():
+    """Zone families are known to ``systems`` and the solver's bound table
+    only: dynamics, matcher and cli neither import nor name a family class."""
+    families = {"DoubleCenter", "GlobalCenter", "CubicCenter", "LinearSaddle"}
+    found = {}
+    for module in ("dynamics", "matcher", "cli"):
+        tree = ast.parse((Path(pwham.__file__).parent / f"{module}.py").read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+        if names & families:
+            found[module] = sorted(names & families)
+    assert not found
