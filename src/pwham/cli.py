@@ -121,10 +121,10 @@ def render_report(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> str:
 
 
 def run_oracle(ps: PiecewiseSystem, rep: SolveReport, grid: int,
-               window: tuple[float, float] | None, cfg=None) -> dict:
-    machine = dynamics.FlowMachine(ps, cfg or dynamics.IntegratorConfig())
+               window: tuple[float, float] | None) -> dict:
+    machine = dynamics.FlowMachine(ps)
     win = window or dynamics.oracle_window(rep)
-    return {b: machine.oracle(b, win, grid)[0] for b in range(len(ps.boundaries))}
+    return {b: machine.oracle(b, win, grid) for b in range(len(ps.boundaries))}
 
 
 def _write_out(text: str, path: str | None):
@@ -307,7 +307,7 @@ def cmd_portrait(args) -> int:
     for bi, b in enumerate(ps.boundaries):
         polylines.append((f"boundary_{bi}", "boundary",
                           [(float(b), win[0]), (float(b), win[1])]))
-    machine = dynamics.FlowMachine(ps, dynamics.IntegratorConfig())
+    machine = dynamics.FlowMachine(ps)
     for ci, c in enumerate(rep.verified()):
         b0, y0 = min(c.ordinates, key=lambda bv: bv[1])
         try:

@@ -52,22 +52,29 @@ class NonReturning(DynamicsError):
     pass
 
 
+# Dormand-Prince error control: relative and absolute tolerance per step
+RTOL = 1e-11
+ATOL = 1e-13
+EVENT_TOL = 1e-10    # landing distance from an edge; an edge start within it
+MAX_STEP = 0.2       # longest Dormand-Prince step and recorded exact piece
+TANGENT_TOL = 1e-9   # normal velocity below TANGENT_TOL * (1 + |y|): tangency
+MATCH_TOL = 1e-5     # a boundary hit this close matches a declared ordinate
+CLOSURE_TOL = 1e-6   # a loop or return closer than this is closed
+DRIFT_TOL = 1e-8     # relative first-integral drift an accepted arc may have
+MAX_HOPS = 12        # crossings a return map follows before giving up
+
+
 @dataclass
 class IntegratorConfig:
-    rtol: float = 1e-11
-    atol: float = 1e-13
-    event_tol: float = 1e-10
+    """The budgets of one arc: time, the window |x|, |y| <= window, and
+    accepted plus rejected steps."""
+
     max_time: float = 400.0
     window: float = 1e3
-    max_step: float = 0.2
     max_steps: int = 400_000
-    match_tol: float = 1e-5
-    closure_tol: float = 1e-6
-    tangent_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "event_tol", "max_time", "window",
-                     "max_step", "match_tol", "closure_tol", "tangent_tol"):
+        for name in ("max_time", "window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -206,26 +213,26 @@ def _false_position(g, a, ga, b, gb, done, cap):
     return t, gt
 
 
-def _land(f, x, y, k1, h, x5, y5, k7, c, tol):
+def _land(f, x, y, k1, h, x5, y5, k7, c):
     """Land on the edge x = c, crossed outward by the accepted step of
     length h from (x, y) to (x5, y5) with k7 = f(x5, y5), with a real step
     from (x, y) whose length is found by false position on the miss
     x(s) - c; a step that starts on the edge (it turned back before getting
-    inside) counts its start as event_tol inside.  The step's end (xm, ym)
+    inside) counts its start as EVENT_TOL inside.  The step's end (xm, ym)
     then moves along its field onto x = c: y = ym + (c - xm) * fy / fx.
     Returns (step length, ordinate reached, number of extra steps taken)."""
     s, miss, n = h, x5 - c, 0
     ym, km = y5, k7
-    if abs(miss) > tol:
+    if abs(miss) > EVENT_TOL:
         def step_miss(s):
             nonlocal ym, km, n
             n += 1
             xs, ym, _, _, km = _rk45_step(f, x, y, s, k1)
             return xs - c
 
-        inside = x - c if (x - c) * (x5 - c) < 0 else math.copysign(tol, c - x5)
+        inside = x - c if (x - c) * (x5 - c) < 0 else math.copysign(EVENT_TOL, c - x5)
         s, miss = _false_position(step_miss, 0.0, inside, h, x5 - c,
-                                  lambda r, _: abs(r) <= tol, 80)
+                                  lambda r, _: abs(r) <= EVENT_TOL, 80)
     return s, ym - miss * km[1] / km[0] if km[0] else ym, n
 
 
@@ -246,13 +253,13 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     return _dp5_arc(zone, start, cfg, record, forward)
 
 
-def _check_entry(x, y, fx, lo, hi, cfg):
-    """A start within event_tol of an edge must cross it inward; an inward
-    velocity below tangent_tol * (1 + |y|) is a tangency, as it is for
+def _check_entry(x, y, fx, lo, hi):
+    """A start within EVENT_TOL of an edge must cross it inward; an inward
+    velocity below TANGENT_TOL * (1 + |y|) is a tangency, as it is for
     FlowMachine.crossing_direction."""
-    slack = cfg.tangent_tol * (1.0 + abs(y))
+    slack = TANGENT_TOL * (1.0 + abs(y))
     for name, c, inward in (("lower", lo, fx), ("upper", hi, -fx)):
-        if abs(x - c) <= cfg.event_tol and inward < slack:
+        if abs(x - c) <= EVENT_TOL and inward < slack:
             how = "outward" if inward <= 0 else "tangential"
             raise NotEntryPoint(f"start on the {name} edge with {how} velocity")
 
@@ -264,7 +271,7 @@ def _strip(zone: Zone) -> tuple[float, float]:
 
 def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince arc: stops at a strip edge (localized to
-    cfg.event_tol; a landing outside the window leaves the window), the
+    EVENT_TOL; a landing outside the window leaves the window), the
     time limit, the window, or an equilibrium (speed below 1e-12 for ten
     accepted steps)."""
     f0 = zone_field_fn(zone)
@@ -274,7 +281,7 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
     x, y = float(start[0]), float(start[1])
 
     k1 = f(x, y)
-    _check_entry(x, y, k1[0], lo, hi, cfg)
+    _check_entry(x, y, k1[0], lo, hi)
 
     def safe_h(xx, yy):
         try:
@@ -288,7 +295,7 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
     t = 0.0
-    h = min(cfg.max_step, 1e-3)
+    h = min(MAX_STEP, 1e-3)
     samples = [(t, x, y)] if record else []
     events: list = []
     slow = steps = rejected = event_steps = 0
@@ -298,10 +305,10 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
         if t >= cfg.max_time:
             status = "reached-time-limit"
             break
-        h = min(h, cfg.max_step, cfg.max_time - t + 1e-9)
+        h = min(h, MAX_STEP, cfg.max_time - t + 1e-9)
         x5, y5, ex, ey, k7 = _rk45_step(f, x, y, h, k1)
-        sc_x = cfg.atol + cfg.rtol * max(abs(x), abs(x5))
-        sc_y = cfg.atol + cfg.rtol * max(abs(y), abs(y5))
+        sc_x = ATOL + RTOL * max(abs(x), abs(x5))
+        sc_y = ATOL + RTOL * max(abs(y), abs(y5))
         err = math.sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
         if err > 1.0:
             rejected += 1
@@ -316,7 +323,7 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
             hit_edge = "hi"
         if hit_edge is not None:
             c = lo if hit_edge == "lo" else hi
-            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, k7, c, cfg.event_tol)
+            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, k7, c)
             t += h_loc
             x, y = c, ym
             if record:
@@ -420,7 +427,7 @@ def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
     """Exact arc of a linear zone, in pieces of at most two e-foldings for
     a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
     e^2-fold per piece).  A recorded arc has a sample at the end of every
-    piece, and its pieces last at most cfg.max_step and 1/(16 |A|) (|A| the
+    piece, and its pieces last at most MAX_STEP and 1/(16 |A|) (|A| the
     Frobenius norm): the velocity f, whose rate of change is A f, then
     changes by about 1/16 of itself at most between samples.  Each piece
     takes the least crossing time of the strip edges and of the window box
@@ -436,12 +443,12 @@ def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
     def field(x, y):
         return sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
 
-    _check_entry(x, y, field(x, y)[0], lo, hi, cfg)
+    _check_entry(x, y, field(x, y)[0], lo, hi)
     h0 = hfun(x, y)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
-        piece = min(piece, cfg.max_step, 0.0625 / norm if norm else math.inf)
+        piece = min(piece, MAX_STEP, 0.0625 / norm if norm else math.inf)
     # (coordinate, level, outward sign, edge name or None for the window)
     targets = [(0, c, out, edge) for c, out, edge in ((lo, -1, "lo"), (hi, 1, "hi"))
                if math.isfinite(c)]
@@ -511,7 +518,7 @@ class FlowMachine:
         fxl = self.fields[bindex](c, y)[0]
         fxr = self.fields[bindex + 1](c, y)[0]
         scale = 1.0 + abs(y)
-        if abs(fxl) < self.cfg.tangent_tol * scale or abs(fxr) < self.cfg.tangent_tol * scale:
+        if abs(fxl) < TANGENT_TOL * scale or abs(fxr) < TANGENT_TOL * scale:
             raise SlidingPoint(f"tangential contact at boundary {bindex}, y={y}")
         if (fxl > 0) != (fxr > 0):
             raise SlidingPoint(f"sliding point at boundary {bindex}, y={y}")
@@ -527,8 +534,7 @@ class FlowMachine:
         bindex = self.ps.boundaries.index(bx)
         return bindex, traj.end[1], direction, traj
 
-    def return_map(self, bindex: int, y: float, direction: int,
-                   max_hops: int = 12, record: bool = False):
+    def return_map(self, bindex: int, y: float, direction: int, record: bool = False):
         """First return to boundary ``bindex`` with the same crossing
         direction.  Returns (ordinate, crossing log); the log holds
         (boundary index, ordinate, direction, trajectory?) per crossing."""
@@ -539,7 +545,7 @@ class FlowMachine:
         zone = bindex + 1 if direction > 0 else bindex
         state = (self.bxs[bindex], y)
         log = []
-        for _ in range(max_hops):
+        for _ in range(MAX_HOPS):
             bhit, yhit, dhit, traj = self._hop(zone, state, record)
             dchk = self.crossing_direction(bhit, yhit)
             if dchk != dhit:  # pragma: no cover
@@ -558,26 +564,24 @@ class FlowMachine:
             return None
         return y2 - y
 
-    def oracle(self, bindex: int, y_range: tuple, grid: int,
-               directions: tuple = (1, -1)):
-        """Scan the displacement map for exact zeros and sign changes on the
-        grid and refine each sign change by false position; returns (sorted
-        fixed ordinates, count of near-zero grid nodes).  Undefined
+    def oracle(self, bindex: int, y_range: tuple, grid: int) -> list[float]:
+        """Scan the displacement map in both crossing directions for exact
+        zeros and sign changes on the grid and refine each sign change by
+        false position; returns the sorted fixed ordinates.  Undefined
         ordinates (sliding starts, escapes) are skipped.
 
         A refinement stops when the displacement is undefined, below 1e-12,
         or bracketed within 1e-10, after at most 60 evaluations; its last
-        point is a fixed point when the displacement there is below 1e-6.
+        point is a fixed point when the displacement there is below
+        CLOSURE_TOL.
         """
         if grid < 16:
             raise ValueError("oracle grid must be at least 16")
         lo, hi = float(y_range[0]), float(y_range[1])
         fixed: list[float] = []
-        flat = 0
-        for direction in directions:
+        for direction in (1, -1):
             ys = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
             ds = [self.displacement(bindex, y, direction) for y in ys]
-            flat += sum(d is not None and abs(d) < 1e-9 for d in ds)
             fixed += [y for y, d in zip(ys, ds) if d == 0.0]
             for i in range(grid - 1):
                 d1, d2 = ds[i], ds[i + 1]
@@ -586,14 +590,14 @@ class FlowMachine:
                         lambda y: self.displacement(bindex, y, direction),
                         ys[i], d1, ys[i + 1], d2,
                         lambda d, width: abs(d) < 1e-12 or width < 1e-10, 60)
-                    if d_star is not None and abs(d_star) < 1e-6:
+                    if d_star is not None and abs(d_star) < CLOSURE_TOL:
                         fixed.append(y_star)
         fixed.sort()
         out = []
         for y in fixed:
             if not out or abs(y - out[-1]) > 1e-7:
                 out.append(y)
-        return out, flat
+        return out
 
     # -- candidate verification ---------------------------------------------
 
@@ -601,7 +605,6 @@ class FlowMachine:
         """Integrate the full declared loop; 'verified' only when every arc
         stays in its strip, every boundary hit matches a declared ordinate,
         and the loop closes.  Everything else is a typed rejection."""
-        cfg = self.cfg
         expected: dict[int, list[float]] = {}
         for b, v in cand.ordinates:
             expected.setdefault(b, []).append(float(v))
@@ -618,12 +621,12 @@ class FlowMachine:
         try:
             while hits < n_cross:
                 bhit, yhit, dhit, traj = self._hop(zone, state)
-                if traj.drift > 1e-8:
+                if traj.drift > DRIFT_TOL:
                     return "rejected", f"first-integral drift {traj.drift:.2e}"
                 self.crossing_direction(bhit, yhit)
                 match = min((abs(yhit - e) for e in expected.get(bhit, [])),
                             default=math.inf)
-                if match > cfg.match_tol:
+                if match > MATCH_TOL:
                     return "rejected", (
                         f"arc reached boundary {bhit} at y={yhit:.9f}, "
                         "not a declared crossing ordinate")
@@ -633,7 +636,7 @@ class FlowMachine:
                 if hits == n_cross:
                     if bhit != b0 or dhit != direction:
                         return "rejected", "loop ended on the wrong boundary or direction"
-                    if abs(yhit - y0) > cfg.closure_tol:
+                    if abs(yhit - y0) > CLOSURE_TOL:
                         return "rejected", f"loop failed to close: gap {abs(yhit - y0):.2e}"
                     return "verified", ""
                 zone = bhit + 1 if dhit > 0 else bhit
@@ -647,11 +650,11 @@ class FlowMachine:
         return "rejected", "loop did not close"  # pragma: no cover
 
 
-def oracle_window(report, default: tuple = (-10.0, 10.0)) -> tuple:
-    """Scan window: candidate bounding box inflated by two, else default."""
+def oracle_window(report) -> tuple:
+    """Scan window: candidate bounding box inflated by two, else (-10, 10)."""
     ys = [float(v) for c in report.candidates for _, v in c.ordinates]
     if not ys:
-        return default
+        return (-10.0, 10.0)
     lo, hi = min(ys), max(ys)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = max(half, 0.5)

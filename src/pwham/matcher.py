@@ -40,16 +40,13 @@ class MatchingSystem:
 
     ``orderings`` lists (lower, upper) variable pairs that must satisfy a
     strict inequality; ``nonzero`` lists variables excluded from 0 (cleared
-    rational denominators); ``provenance`` names the (boundary, zone) pair
-    behind each equation.
+    rational denominators).
     """
 
     unknowns: tuple[str, ...]
     equations: list[MultiPoly]
     topology: str
     orderings: list[tuple[str, str]]
-    provenance: list[str]
-    boundaries: tuple[Fraction, ...]
     nonzero: tuple[str, ...] = ()
     degenerate_family: bool = False
 
@@ -137,8 +134,6 @@ def build_two_zone(left: Zone, right: Zone, c: RatLike) -> MatchingSystem:
         equations=[e1, e2],
         topology="two_zone",
         orderings=[("y1", "y2")],
-        provenance=[f"left zone level pair at x={c}", f"right zone level pair at x={c}"],
-        boundaries=(c,),
         nonzero=_nonzero((left, c, ("y1", "y2")), (right, c, ("y1", "y2"))),
         degenerate_family=degenerate,
     )
@@ -164,13 +159,6 @@ def build_three_zone(left: Zone, mid: Zone, right: Zone,
         equations=[e1, e2, e3, e4],
         topology="three_zone",
         orderings=[("y1", "y2"), ("y3", "y4")],
-        provenance=[
-            f"left zone level pair at x={c1}",
-            f"middle zone transport x={c1} (lower) -> x={c2} (lower)",
-            f"middle zone transport x={c1} (upper) -> x={c2} (upper)",
-            f"right zone level pair at x={c2}",
-        ],
-        boundaries=(c1, c2),
         nonzero=_nonzero((left, c1, ("y1", "y2")), (mid, c1, ("y1", "y2")),
                          (mid, c2, ("y3", "y4")), (right, c2, ("y3", "y4"))),
         degenerate_family=e1.is_zero or e4.is_zero,
@@ -200,26 +188,22 @@ def to_sum_diff(ms: MatchingSystem) -> list[MultiPoly]:
         "y3": half * (w - z),
         "y4": half * (w + z),
     }
-    e1, e2, e3, e4 = ms.equations
-    s1 = 2 * e1.subs(subs)
-    s_diff = 2 * (e3 - e2).subs(subs)
-    s_sum = 2 * (e2 + e3).subs(subs)
-    s4 = 2 * e4.subs(subs)
-    return [s1, s_diff, s_sum, s4]
+    e1, e2, e3, e4 = (e.subs(subs) for e in ms.equations)
+    return [2 * e1, 2 * (e3 - e2), 2 * (e2 + e3), 2 * e4]
 
 
-def matching_systems_for(ps: PiecewiseSystem) -> list[MatchingSystem]:
-    """All crossing-cycle topologies of a system: the full multi-zone one
-    plus, for three-zone systems, the two adjacent-pair topologies (cycles
+def matching_systems_for(ps: PiecewiseSystem
+                         ) -> list[tuple[str, tuple[int, ...], MatchingSystem]]:
+    """All crossing-cycle topologies of a system as (tag, boundary indices,
+    matching system): the full multi-zone one plus, for three-zone systems,
+    the two adjacent-pair topologies ``two_zone@i`` on boundary i (cycles
     that cross only one of the lines; their middle arc must stay inside the
     strip, which the verifier enforces)."""
-    if len(ps.zones) == 2:
-        return [build_two_zone(ps.zones[0], ps.zones[1], ps.boundaries[0])]
-    if len(ps.zones) == 3:
-        return [
-            build_three_zone(ps.zones[0], ps.zones[1], ps.zones[2],
-                             ps.boundaries[0], ps.boundaries[1]),
-            build_two_zone(ps.zones[0], ps.zones[1], ps.boundaries[0]),
-            build_two_zone(ps.zones[1], ps.zones[2], ps.boundaries[1]),
-        ]
+    z, c = ps.zones, ps.boundaries
+    if len(z) == 2:
+        return [("two_zone", (0,), build_two_zone(z[0], z[1], c[0]))]
+    if len(z) == 3:
+        return [("three_zone", (0, 1), build_three_zone(*z, c[0], c[1])),
+                ("two_zone@0", (0,), build_two_zone(z[0], z[1], c[0])),
+                ("two_zone@1", (1,), build_two_zone(z[1], z[2], c[1]))]
     raise MatchError(f"unsupported zone count {len(ps.zones)}")

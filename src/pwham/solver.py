@@ -80,6 +80,7 @@ from .systems import (
 )
 
 INTERNAL_REFINE = Fraction(1, 10**18)
+LINEAR_BITS = 60
 RESIDUAL_RTOL = 1e-9
 
 
@@ -226,7 +227,7 @@ def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly
     return _common_factor(eqs, survivor[0])
 
 
-def _residual_ok(eq: MultiPoly, point: dict[str, Fraction], rtol: float = RESIDUAL_RTOL) -> bool:
+def _residual_ok(eq: MultiPoly, point: dict[str, Fraction]) -> bool:
     fpt = {k: float(v) for k, v in point.items()}
     total = 0.0
     for e, c in eq.terms.items():
@@ -236,7 +237,7 @@ def _residual_ok(eq: MultiPoly, point: dict[str, Fraction], rtol: float = RESIDU
                 t *= abs(fpt[var]) ** k
         total += t
     val = abs(eq.eval_float(fpt))
-    return val <= rtol * (1.0 + total)
+    return val <= RESIDUAL_RTOL * (1.0 + total)
 
 
 def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
@@ -270,7 +271,9 @@ def _extend(eqs: Sequence[MultiPoly], assign: dict[str, Fraction],
 
     Each unknown takes the real roots of the equation of lowest degree in it
     (the first on a tie) among those univariate in it once the values found
-    so far are substituted: a linear one is solved exactly, any other is
+    so far are substituted: a linear one is solved exactly and rounded to a
+    multiple of 2^-LINEAR_BITS (only float screens and verification read
+    it, and the exact quotient can carry hundreds of bits), any other is
     refined to INTERNAL_REFINE.  A branch that no equation fixes ends.
     """
     partial = [assign]
@@ -286,8 +289,11 @@ def _extend(eqs: Sequence[MultiPoly], assign: dict[str, Fraction],
                     best = p
             if best is None:
                 continue
-            roots = ([-best.coeffs[0] / best.coeffs[1]] if best.degree == 1
-                     else real_roots(best, INTERNAL_REFINE))
+            if best.degree == 1:
+                q = -best.coeffs[0] / best.coeffs[1]
+                roots = [Fraction(round(q * 2**LINEAR_BITS), 2**LINEAR_BITS)]
+            else:
+                roots = real_roots(best, INTERNAL_REFINE)
             nxt += [{**a, v: x} for x in roots]
         partial = nxt
     return partial
@@ -471,11 +477,13 @@ def _candidate_V(eqs: list[MultiPoly], u_hat: Fraction) -> list[Fraction]:
             and all(_residual_ok(p, {"u": u_hat, "V": V}) for p in eqs)]
 
 
-def _dedupe(tuples: list[tuple[tuple[Fraction, ...], int]],
-            tol: Fraction = Fraction(1, 10**9)) -> list:
+DEDUPE_GAP = Fraction(1, 10**9)
+
+
+def _dedupe(tuples: list[tuple[tuple[Fraction, ...], int]]) -> list:
     out: list[tuple[tuple[Fraction, ...], int]] = []
     for t, m in tuples:
-        if any(all(abs(a - b) < tol for a, b in zip(t, s)) for s, _ in out):
+        if any(all(abs(a - b) < DEDUPE_GAP for a, b in zip(t, s)) for s, _ in out):
             continue
         out.append((t, m))
     return out
@@ -610,9 +618,7 @@ def _bound_three_zone(ps: PiecewiseSystem) -> BoundInfo:
 # ---------------------------------------------------------------------------
 
 
-_ANNULUS_SCHEDULE = (0.6, -0.6, 0.3, -0.3, 0.15, -0.15, 0.08, -0.08,
-                     0.04, -0.04, 0.02, -0.02, 0.01, -0.01, 0.005, -0.005,
-                     0.0025, -0.0025, 1.2, -1.2, 2.5, -2.5)
+_ANNULUS_SCHEDULE = (0.6, 0.3, 0.15, 0.08, 0.04, 0.02, 0.01, 0.005, 0.0025, 1.2, 2.5)
 
 
 def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> bool:
@@ -620,8 +626,10 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     one of the given boundaries, those of the crossing topologies whose
     solution set the algebra found not discrete.
 
-    Ordinates are sampled inside-out (bands of closed orbits hug the matched
-    center) and the scan stops at the second confirmation."""
+    Magnitudes m are sampled inside-out (bands of closed orbits hug the
+    matched center), each at +m, then -m, in either crossing direction; one
+    oval meets the line twice, so a magnitude counts once when either point
+    closes, and the scan stops at the second closed magnitude."""
     if not boundaries:
         return False
     from . import dynamics
@@ -630,19 +638,12 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     quick = replace(base, max_time=min(base.max_time, 60.0), window=60.0)
     machine = dynamics.FlowMachine(ps, quick)
     for b in boundaries:
-        closed: set[float] = set()
-        for y in _ANNULUS_SCHEDULE:
-            for direction in (1, -1):
-                try:
-                    y2, _ = machine.return_map(b, y, direction)
-                except dynamics.DynamicsError:
-                    continue
-                if abs(y2 - y) < 1e-6:
-                    closed.add(round(abs(y), 3))
-                    break
-            # one oval meets the line twice; distinct magnitudes indicate
-            # genuinely different orbits of the band
-            if len(closed) >= 2:
+        closed = 0
+        for m in _ANNULUS_SCHEDULE:
+            closed += any(d is not None and abs(d) < dynamics.CLOSURE_TOL
+                          for d in (machine.displacement(b, y, direction)
+                                    for y in (m, -m) for direction in (1, -1)))
+            if closed >= 2:
                 return True
     return False
 
@@ -664,18 +665,10 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
     main_elim = UniPoly.zero("y1")
     main_var = "y1"
 
-    for k, ms in enumerate(mss):
-        if ms.topology == "three_zone":
-            tag, bidx = "three_zone", (0, 1)
-            try:
-                core = _three_zone_core(ms)
-            except MatchError:
-                core = _direct_core(ms)
-        else:
-            if len(mss) == 1:
-                tag, bidx = "two_zone", (0,)
-            else:
-                tag, bidx = f"two_zone@{k - 1}", (k - 1,)
+    for k, (tag, bidx, ms) in enumerate(mss):
+        try:
+            core = _three_zone_core(ms) if ms.topology == "three_zone" else _direct_core(ms)
+        except MatchError:
             core = _direct_core(ms)
         diagnostics["topologies"][tag] = core.diagnostics
         if k == 0:

@@ -107,7 +107,7 @@ def test_criterion_1_companion_honest_behavior():
     assert abs(ys[1] - (1 + math.sqrt(5)) / 2) < 1e-9
     assert cand.status == "rejected"
     machine = FlowMachine(ps, IntegratorConfig())
-    assert machine.oracle(0, (-4.0, 4.0), 64)[0] == []
+    assert machine.oracle(0, (-4.0, 4.0), 64) == []
 
 
 # -- criterion 2 -------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _oracle_sets(ps, rep, machine):
     is still a fixed point of the same return map."""
     out = {}
     for b in range(len(ps.boundaries)):
-        pts = list(machine.oracle(b, (-10.0, 10.0), 48)[0])
+        pts = list(machine.oracle(b, (-10.0, 10.0), 48))
         for c in rep.candidates:
             for v in c.ordinates_on(b):
                 for direction in (1, -1):

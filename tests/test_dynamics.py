@@ -9,7 +9,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pwham import dynamics
 from pwham.dynamics import (
+    EVENT_TOL,
+    MAX_STEP,
     DynamicsError,
     FlowMachine,
     IntegratorConfig,
@@ -52,10 +55,10 @@ def test_energy_conservation_linear_saddle():
     assert traj.drift < 1e-8
 
 
-def test_double_center_small_orbit_closes():
+def test_double_center_small_orbit_closes(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEP", 0.005)
     z = Zone(DoubleCenter(l=0, n=1, p=0))
-    cfg = IntegratorConfig(max_time=30.0, max_step=0.005)
-    traj = integrate_arc(z, (0.1, 0.0), cfg)
+    traj = integrate_arc(z, (0.1, 0.0), IntegratorConfig(max_time=30.0))
     assert traj.drift < 1e-8
     # interpolate the return crossing of the section y = 0, x > 0
     returns = []
@@ -112,20 +115,20 @@ def test_event_accuracy():
             assert traj.steps == traj.event_steps == 0
         else:
             assert traj.event_steps <= 8
-            assert _landing_miss(ps.zones[zone], traj) <= m.cfg.event_tol
+            assert _landing_miss(ps.zones[zone], traj) <= EVENT_TOL
             assert traj.steps == len(traj.samples) - 1
         zone = bhit + 1 if dhit > 0 else bhit
 
 
-def test_steep_landing_stays_on_the_level_curve():
+def test_steep_landing_stays_on_the_level_curve(monkeypatch):
     """At a steep crossing (|dy/dx| >= 10) a landing snapped sideways onto
     x = c would miss the level curve by |dy/dx| times the localization
     miss; moved along the field it keeps the first integral to 1e-10
     relative, even at a loose localization tolerance."""
-    cfg = IntegratorConfig(event_tol=1e-7)
+    monkeypatch.setattr(dynamics, "EVENT_TOL", 1e-7)
     for k in range(1, 5):
         zone = Zone(DoubleCenter(l=0, n=0, p=0), F(-2), 1 - F(k, 1000))
-        traj = integrate_arc(zone, (0.0, -1.0), cfg)
+        traj = integrate_arc(zone, (0.0, -1.0))
         assert traj.status == "reached-boundary" and traj.steps > 0
         fx, fy = zone_field_fn(zone)(*traj.end)
         assert abs(fy / fx) >= 10
@@ -134,11 +137,12 @@ def test_steep_landing_stays_on_the_level_curve():
         assert abs(H(*traj.end) - h0) <= 1e-10 * max(1.0, abs(h0))
 
 
-def test_integrator_counters_count_rejections():
+def test_integrator_counters_count_rejections(monkeypatch):
     # at a loose tolerance the five-fold step growth overshoots now and then
+    for name, value in (("MAX_STEP", 1.0), ("RTOL", 1e-6), ("ATOL", 1e-8)):
+        monkeypatch.setattr(dynamics, name, value)
     z = Zone(DoubleCenter(l=0, n=1, p=0))
-    cfg = IntegratorConfig(max_time=20.0, max_step=1.0, rtol=1e-6, atol=1e-8)
-    traj = integrate_arc(z, (0.3, 0.0), cfg)
+    traj = integrate_arc(z, (0.3, 0.0), IntegratorConfig(max_time=20.0))
     assert traj.steps == len(traj.samples) - 1 > 0
     assert traj.rejected > 0
     assert traj.event_steps == 0
@@ -177,7 +181,7 @@ def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, 
         assume(False)
     assume(traj.status == "reached-boundary")
     if zone.kind != "linear":
-        assert _landing_miss(zone, traj, forward) <= cfg.event_tol
+        assert _landing_miss(zone, traj, forward) <= EVENT_TOL
     assert traj.event_steps <= 80
     H = zone_integral_fn(zone)
     h0 = H(*start)
@@ -198,16 +202,16 @@ def _linear_payloads(draw):
                         mu=draw(_small), gamma=draw(_small))
 
 
-def _fleeting(zone, p, cfg):
+def _fleeting(zone, p):
     """True when the orbit through the edge point p stays on one side of the
-    edge for less than one max_step (the time 2 |f_x| / |d f_x / dt| of
+    edge for less than one MAX_STEP (the time 2 |f_x| / |d f_x / dt| of
     its parabolic excursion): a crossing or re-entry that Dormand-Prince
     steps of that length can step over, or see at a slightly other place."""
     fxp, fyp = field_polys(zone)
     at = {"x": p[0], "y": p[1]}
     fx, fy = fxp.eval_float(at), fyp.eval_float(at)
     rate = fxp.diff("x").eval_float(at) * fx + fxp.diff("y").eval_float(at) * fy
-    return 2 * abs(fx) <= abs(rate) * cfg.max_step
+    return 2 * abs(fx) <= abs(rate) * MAX_STEP
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,7 +222,7 @@ def _fleeting(zone, p, cfg):
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
-    at most max_step apart on the level curve, and the same status, edge
+    at most MAX_STEP apart on the level curve, and the same status, edge
     and landing (to 1e-9).  The exception is the reference's blind spot: an
     arc that starts or ends on a fleeting excursion across an edge."""
     zone = Zone(payload, F(-1), F(1), reverse)
@@ -236,12 +240,12 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     h0 = H(*start)
     assert exact.drift == abs(H(*exact.end) - h0) / max(1.0, abs(h0)) <= 1e-12
     ts = [t for t, _, _ in exact.samples]
-    assert ts[0] == 0.0 and all(0 < b - a <= cfg.max_step * (1 + 1e-9)
+    assert ts[0] == 0.0 and all(0 < b - a <= MAX_STEP * (1 + 1e-9)
                                 for a, b in zip(ts, ts[1:]))
     for _, x, y in exact.samples:
         assert abs(H(x, y) - h0) <= 1e-12 * max(1.0, abs(h0))
     edges = [a.end for a in (exact, ref) if a.events] + [start] * (edge != "inside")
-    if any(_fleeting(zone, p, cfg) for p in edges):
+    if any(_fleeting(zone, p) for p in edges):
         return
     assert exact.status == ref.status
     assert [e[1:] for e in exact.events] == [e[1:] for e in ref.events]
@@ -309,14 +313,14 @@ def test_return_map_annulus_identity():
 
 def test_oracle_finds_fixture_cycles():
     ps = global_center_saddle()
-    fixed, _ = FlowMachine(ps).oracle(0, (0.2, 3.0), 64)
+    fixed = FlowMachine(ps).oracle(0, (0.2, 3.0), 64)
     assert any(abs(v - (5 + math.sqrt(5)) / 5) < 1e-6 for v in fixed)
     assert any(abs(v - (5 - math.sqrt(5)) / 5) < 1e-6 for v in fixed)
 
 
 def test_oracle_empty_for_obstructed_fixture():
     ps = cubic_center_saddle()
-    assert FlowMachine(ps).oracle(0, (-3.0, 3.0), 64)[0] == []
+    assert FlowMachine(ps).oracle(0, (-3.0, 3.0), 64) == []
 
 
 def test_oracle_grid_minimum():
@@ -362,8 +366,8 @@ def test_return_map_mirror_and_reversal_symmetry(name):
 
 
 class SyntheticMap(FlowMachine):
-    """A FlowMachine whose displacement map is a given function of y
-    (direction 1 only), counting its evaluations."""
+    """A FlowMachine whose displacement map is a given function of y in
+    direction 1 and undefined in direction -1, counting its evaluations."""
 
     def __init__(self, d):
         self.d = d
@@ -371,31 +375,29 @@ class SyntheticMap(FlowMachine):
 
     def displacement(self, bindex, y, direction):
         self.calls += 1
-        return self.d(y)
+        return self.d(y) if direction == 1 else None
 
 
 def test_oracle_simple_root():
     r = math.pi / 10
     m = SyntheticMap(lambda y: math.sin(y - r) * (2 + y))
-    fixed, flat = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    fixed = m.oracle(0, (-1.0, 1.0), 64)
     assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-10
-    assert flat == 0
-    assert m.calls - 64 <= 12
+    assert m.calls - 2 * 64 <= 12
 
 
 def test_oracle_flat_triple_root():
     # the displacement is below 1e-12 within 1e-4 of a triple root
     r = 0.3141
     m = SyntheticMap(lambda y: (y - r) ** 3)
-    fixed, _ = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    fixed = m.oracle(0, (-1.0, 1.0), 64)
     assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-4
 
 
 def test_oracle_exact_zero_at_last_node():
     m = SyntheticMap(lambda y: y - 1.0)
-    fixed, flat = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
-    assert fixed == [1.0] and flat == 1
-    assert m.calls == 64
+    assert m.oracle(0, (-1.0, 1.0), 64) == [1.0]
+    assert m.calls == 2 * 64
 
 
 def test_oracle_skips_undefined_holes():
@@ -408,7 +410,7 @@ def test_oracle_skips_undefined_holes():
         return (y - 0.3) * (y - 0.6) * (y + 0.5)
 
     m = SyntheticMap(d)
-    fixed, _ = m.oracle(0, (-1.0, 1.0), 64, directions=(1,))
+    fixed = m.oracle(0, (-1.0, 1.0), 64)
     assert len(fixed) == 1 and abs(fixed[0] - 0.3) < 1e-10
 
 
@@ -462,5 +464,6 @@ def test_verify_rejects_fabricated_tuple():
 
 
 def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=-1.0)
+    for bad in ({"max_time": 0.0}, {"window": -1.0}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)

@@ -1,5 +1,5 @@
 """Matching systems: coincident-point division, transports, sum/difference
-substitution, provenance."""
+substitution, topologies."""
 
 import random
 from fractions import Fraction as F
@@ -27,7 +27,7 @@ from pwham.systems import (
     piecewise_system,
 )
 
-from conftest import cubic_three_zone, global_center_saddle
+from conftest import CONFIG_NAMES, cubic_three_zone, global_center_saddle, rand_config
 
 
 def V(name):
@@ -149,15 +149,6 @@ def test_three_zone_symmetric_system_invariance():
     assert tuples == flipped
 
 
-def test_provenance_total():
-    ps = cubic_three_zone()
-    ms = build_three_zone(*ps.zones, -1, 1)
-    assert len(ms.provenance) == len(ms.equations) == 4
-    assert all(p for p in ms.provenance)
-    ms2 = build_two_zone(ps.zones[0], ps.zones[1], -1)
-    assert len(ms2.provenance) == len(ms2.equations) == 2
-
-
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _zones = st.builds(
     Zone,
@@ -254,6 +245,23 @@ def test_sum_diff_round_trip_exact():
         assert all((a - b).is_zero for a, b in zip(back, ms.equations))
 
 
+def test_sum_diff_substitutes_each_transport_once():
+    """Substituting into the two transports once each and combining them
+    gives the polynomials of substituting into their difference and sum."""
+    rng = random.Random(23)
+    half = F(1, 2)
+    u, v, w, z = (V(t) for t in ("u", "v", "w", "z"))
+    subs = {"y1": half * (u - v), "y2": half * (u + v),
+            "y3": half * (w - z), "y4": half * (w + z)}
+    for i in range(30):
+        ps = rand_config(rng, CONFIG_NAMES[3 + i % 3])
+        ms = build_three_zone(*ps.zones, *ps.boundaries)
+        e1, e2, e3, e4 = ms.equations
+        expected = [2 * e1.subs(subs), 2 * (e3 - e2).subs(subs),
+                    2 * (e2 + e3).subs(subs), 2 * e4.subs(subs)]
+        assert all((a - b).is_zero for a, b in zip(to_sum_diff(ms), expected))
+
+
 def test_to_sum_diff_rejects_two_zone():
     ps = global_center_saddle()
     ms = build_two_zone(ps.zones[0], ps.zones[1], 0)
@@ -264,9 +272,13 @@ def test_to_sum_diff_rejects_two_zone():
 def test_matching_systems_for_topologies():
     ps3 = cubic_three_zone()
     systems = matching_systems_for(ps3)
-    assert [m.topology for m in systems] == ["three_zone", "two_zone", "two_zone"]
+    assert [(tag, b, m.topology) for tag, b, m in systems] == [
+        ("three_zone", (0, 1), "three_zone"),
+        ("two_zone@0", (0,), "two_zone"),
+        ("two_zone@1", (1,), "two_zone")]
     ps2 = global_center_saddle()
-    assert [m.topology for m in matching_systems_for(ps2)] == ["two_zone"]
+    assert [(tag, b, m.topology) for tag, b, m in matching_systems_for(ps2)] == [
+        ("two_zone", (0,), "two_zone")]
     with pytest.raises(MatchError):
         matching_systems_for(piecewise_system(
             [DoubleCenter(l=0, n=1, p=0)] * 4, [-1, 0, 1]))

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwham import dynamics
 from pwham.algebra import MultiPoly, UniPoly
-from pwham.dynamics import IntegratorConfig
 from pwham.matcher import MatchingSystem, build_three_zone, build_two_zone
 from pwham.solver import (
     BoundInfo,
@@ -85,8 +85,7 @@ def test_eliminate_reproduces_displayed_octic():
         q2 = y2 * y2 - y3 * y3 + F(1, 2) * (y2 - y3) + F(1, 2)
         q3 = y3 + y4
         q4 = y1 * y1 - y4 * y4 + F(1, 2) * (y1 - y4) + F(1, 2)
-        ms = MatchingSystem(("y1", "y2", "y3", "y4"), [q1, q2, q3, q4],
-                            "three_zone", [], [""] * 4, (F(-1), F(1)))
+        ms = MatchingSystem(("y1", "y2", "y3", "y4"), [q1, q2, q3, q4], "three_zone", [])
         elim = eliminate(ms, ("y3", "y4", "y2")).primitive()
         assert elim.degree == 8
         assert elim.primitive() == _displayed_octic(a).primitive()
@@ -257,13 +256,14 @@ def test_annulus_continuous_matched_center_true():
     assert rep.positive_dimensional and rep.annulus
 
 
-def test_annulus_check_keeps_caller_tolerances():
+def test_annulus_check_reads_the_tangency_tolerance(monkeypatch):
     """With a tangency tolerance larger than every normal velocity each
     boundary point counts as tangential, so no orbit can cross and close."""
     ps = piecewise_system(
         [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
     assert annulus_check(ps, (0,))
-    assert not annulus_check(ps, (0,), cfg=IntegratorConfig(tangent_tol=1e3))
+    monkeypatch.setattr(dynamics, "TANGENT_TOL", 1e3)
+    assert not annulus_check(ps, (0,))
 
 
 def test_annulus_requires_closed_orbits():
@@ -468,8 +468,7 @@ def test_solve_candidate_residuals_small():
             continue
         from pwham.matcher import matching_systems_for
 
-        mss = {("three_zone" if m.topology == "three_zone" else None): m
-               for m in matching_systems_for(ps)}
+        mss = {tag: m for tag, _, m in matching_systems_for(ps)}
         for c in rep.candidates:
             if c.topology != "three_zone":
                 continue
@@ -529,6 +528,25 @@ def test_root_values_of_a_big_coefficient_eliminant_stay_small():
     for r, _ in roots:
         assert r.denominator & (r.denominator - 1) == 0
         assert r.denominator <= 2**140
+
+
+def test_linear_back_substitution_is_dyadic():
+    """The upper ordinate of a two-zone candidate, solved exactly from the
+    saddle's linear pair equation, is rounded to a multiple of 2^-60: with
+    coefficients shifted by +-1/d (d of 20 digits) its exact quotient has a
+    denominator of over a hundred bits."""
+    ds = iter(range(10**19 + 1, 10**19 + 10**6, 99991))
+
+    def s(v):
+        return v + F(1, next(ds))
+
+    ps = piecewise_system(
+        [GlobalCenter(s(F(4, 5))), LinearSaddle(0, s(-1), s(-1), s(-1), 0)], [0])
+    (cand,) = solve(ps, verify=False).candidates
+    _, (_, upper) = cand.ordinates
+    assert abs(float(upper) - 1.4472135955) < 1e-9
+    d = upper.denominator
+    assert d & (d - 1) == 0 and d <= 2**60
 
 
 def test_solve_two_point_subtopologies_reported_separately():

@@ -2,6 +2,7 @@
 saddle geometry, continuity."""
 
 import ast
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pwham
 from pwham.algebra import MultiPoly
-from pwham.dynamics import zone_field_fn, zone_integral_fn
+from pwham.dynamics import IntegratorConfig, zone_field_fn, zone_integral_fn
 from pwham.systems import (
     CubicCenter,
     DoubleCenter,
@@ -380,3 +381,22 @@ def test_family_classes_stay_in_systems():
         if names & families:
             found[module] = sorted(names & families)
     assert not found
+
+
+def test_integrator_config_fields_are_set_by_callers():
+    """Every IntegratorConfig field is a budget that some call in the
+    package or the bench sets, by IntegratorConfig(...) or replace(...): a
+    field that no caller sets is a constant, not a setting."""
+    fields = [f.name for f in dataclasses.fields(IntegratorConfig)]
+    root = Path(__file__).resolve().parents[1]
+    given_ = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "IntegratorConfig":
+                given_.update(fields[:len(node.args)])
+            if name in ("IntegratorConfig", "replace"):
+                given_.update(k.arg for k in node.keywords)
+    assert set(fields) <= given_, sorted(set(fields) - given_)
