@@ -11,12 +11,15 @@ segments are detected, never simulated).
   and as t, t^2/2 for e = 0).  A hit of x = c (or of the window) is a root
   of one quadratic in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc
   then lands at exactly x = c.  It takes no integration step.
-* Every other zone runs an embedded Dormand-Prince 4(5) integrator with PI
-  step control, FSAL (the field value at the end of an accepted step is the
-  first stage of the next).  A boundary hit is localized by false position
-  (Illinois) on the length of a real step from the last accepted point;
-  the landing then moves along the field onto x = c, so it stays on the
-  level curve to second order in the localization error.
+* Every other zone runs the embedded Dormand-Prince 8(5,3) integrator
+  (DOP853) with FSAL (the field value at the end of an accepted step is the
+  first stage of the next) and scipy's error norm, which damps the
+  fifth-order estimate by the third-order one.  A boundary hit is localized
+  by false position (Illinois) on the length of a real step from the last
+  accepted point; the landing then moves along the field onto x = c, so it
+  stays on the level curve to second order in the localization error.  A
+  step that ends inside the strip but turns x around is checked for an
+  excursion across an edge by the cubic Hermite of x on the step.
 
 On top of the arc integrator sit the boundary return map, a grid-scan
 shooting oracle whose displacement zeros are refined by the same false
@@ -52,11 +55,11 @@ class NonReturning(DynamicsError):
     pass
 
 
-# Dormand-Prince error control: relative and absolute tolerance per step
+# DOP853 error control: relative and absolute tolerance per step
 RTOL = 1e-11
 ATOL = 1e-13
 EVENT_TOL = 1e-10    # landing distance from an edge; an edge start within it
-MAX_STEP = 0.2       # longest Dormand-Prince step and recorded exact piece
+MAX_STEP = 0.2       # longest integration step and recorded exact piece
 TANGENT_TOL = 1e-9   # normal velocity below TANGENT_TOL * (1 + |y|): tangency
 MATCH_TOL = 1e-5     # a boundary hit this close matches a declared ordinate
 CLOSURE_TOL = 1e-6   # a loop or return closer than this is closed
@@ -88,7 +91,7 @@ class Trajectory:
     drift: float   # relative first-integral drift (see integrate_arc)
     steps: int        # accepted steps
     rejected: int     # steps rejected by the error control
-    event_steps: int  # extra steps that localized the boundary hit
+    event_steps: int  # extra steps that localized the boundary hit or probed an excursion
 
 
 # ---------------------------------------------------------------------------
@@ -141,43 +144,141 @@ def zone_integral_fn(zone: Zone):
     return _compile(zone.payload.offset, expr)
 
 
-# Dormand-Prince 4(5) tableau
+# Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10), digits as in scipy's dop853_coefficients.py.  Row i of _A
+# builds stage i + 1 from stages 1..i; a 0.0 marks a stage the row skips.
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# eighth-order weights
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+      4.45031289275240888144113950566, 1.89151789931450038304281599044,
+      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+      4.47106157277725905176885569043e-2)
+# fifth-order error weights
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+# third-order error weights: _B minus a third-order rule on stages 1, 9, 12
+_E3 = tuple(b - w for b, w in zip(_B, (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
 
 
-def _rk45_step(f, x, y, h, k1):
-    """One Dormand-Prince step from (x, y) with k1 = f(x, y); returns
-    (x5, y5, err_x, err_y, k7) where k7 = f(x5, y5) is the next step's k1."""
+def _dop853_step(f, x, y, h, k1):
+    """One DOP853 step of length h > 0 from (x, y) with k1 = f(x, y); returns
+    (xn, yn, err, kn): the eighth-order end point, the error norm of
+    scipy's DOP853 (the fifth-order estimate, damped by the third-order
+    one, scaled by ATOL + RTOL * |coordinate|; the step passes at err <= 1),
+    and kn = f(xn, yn), the next step's k1."""
     k1x, k1y = k1
-    k2x, k2y = f(x + h * _A[1][0] * k1x, y + h * _A[1][0] * k1y)
+    a = _A[1]
+    k2x, k2y = f(x + h * a[0] * k1x, y + h * a[0] * k1y)
     a = _A[2]
     k3x, k3y = f(x + h * (a[0] * k1x + a[1] * k2x), y + h * (a[0] * k1y + a[1] * k2y))
     a = _A[3]
-    k4x, k4y = f(x + h * (a[0] * k1x + a[1] * k2x + a[2] * k3x),
-                 y + h * (a[0] * k1y + a[1] * k2y + a[2] * k3y))
+    k4x, k4y = f(x + h * (a[0] * k1x + a[2] * k3x), y + h * (a[0] * k1y + a[2] * k3y))
     a = _A[4]
-    k5x, k5y = f(x + h * (a[0] * k1x + a[1] * k2x + a[2] * k3x + a[3] * k4x),
-                 y + h * (a[0] * k1y + a[1] * k2y + a[2] * k3y + a[3] * k4y))
+    k5x, k5y = f(x + h * (a[0] * k1x + a[2] * k3x + a[3] * k4x),
+                 y + h * (a[0] * k1y + a[2] * k3y + a[3] * k4y))
     a = _A[5]
-    k6x, k6y = f(x + h * (a[0] * k1x + a[1] * k2x + a[2] * k3x + a[3] * k4x + a[4] * k5x),
-                 y + h * (a[0] * k1y + a[1] * k2y + a[2] * k3y + a[3] * k4y + a[4] * k5y))
-    b = _B5
-    x5 = x + h * (b[0] * k1x + b[2] * k3x + b[3] * k4x + b[4] * k5x + b[5] * k6x)
-    y5 = y + h * (b[0] * k1y + b[2] * k3y + b[3] * k4y + b[4] * k5y + b[5] * k6y)
-    k7 = k7x, k7y = f(x5, y5)
-    b = _B4
-    x4 = x + h * (b[0] * k1x + b[2] * k3x + b[3] * k4x + b[4] * k5x + b[5] * k6x + b[6] * k7x)
-    y4 = y + h * (b[0] * k1y + b[2] * k3y + b[3] * k4y + b[4] * k5y + b[5] * k6y + b[6] * k7y)
-    return x5, y5, x5 - x4, y5 - y4, k7
+    k6x, k6y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x),
+                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y))
+    a = _A[6]
+    k7x, k7y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x),
+                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y))
+    a = _A[7]
+    k8x, k8y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x),
+                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y))
+    a = _A[8]
+    k9x, k9y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
+                          + a[7] * k8x),
+                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
+                          + a[7] * k8y))
+    a = _A[9]
+    k10x, k10y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
+                            + a[7] * k8x + a[8] * k9x),
+                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
+                            + a[7] * k8y + a[8] * k9y))
+    a = _A[10]
+    k11x, k11y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
+                            + a[7] * k8x + a[8] * k9x + a[9] * k10x),
+                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
+                            + a[7] * k8y + a[8] * k9y + a[9] * k10y))
+    a = _A[11]
+    k12x, k12y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
+                            + a[7] * k8x + a[8] * k9x + a[9] * k10x + a[10] * k11x),
+                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
+                            + a[7] * k8y + a[8] * k9y + a[9] * k10y + a[10] * k11y))
+    b = _B
+    xn = x + h * (b[0] * k1x + b[5] * k6x + b[6] * k7x + b[7] * k8x + b[8] * k9x
+                  + b[9] * k10x + b[10] * k11x + b[11] * k12x)
+    yn = y + h * (b[0] * k1y + b[5] * k6y + b[6] * k7y + b[7] * k8y + b[8] * k9y
+                  + b[9] * k10y + b[10] * k11y + b[11] * k12y)
+    kn = f(xn, yn)
+    sx = ATOL + RTOL * max(abs(x), abs(xn))
+    sy = ATOL + RTOL * max(abs(y), abs(yn))
+    e = _E5
+    e5 = (((e[0] * k1x + e[5] * k6x + e[6] * k7x + e[7] * k8x + e[8] * k9x
+            + e[9] * k10x + e[10] * k11x + e[11] * k12x) / sx) ** 2
+          + ((e[0] * k1y + e[5] * k6y + e[6] * k7y + e[7] * k8y + e[8] * k9y
+              + e[9] * k10y + e[10] * k11y + e[11] * k12y) / sy) ** 2)
+    if not e5:
+        return xn, yn, 0.0, kn
+    e = _E3
+    e3 = (((e[0] * k1x + e[5] * k6x + e[6] * k7x + e[7] * k8x + e[8] * k9x
+            + e[9] * k10x + e[10] * k11x + e[11] * k12x) / sx) ** 2
+          + ((e[0] * k1y + e[5] * k6y + e[6] * k7y + e[7] * k8y + e[8] * k9y
+              + e[9] * k10y + e[10] * k11y + e[11] * k12y) / sy) ** 2)
+    return xn, yn, h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)), kn
+
+
+def _hermite_peak(x0, x1, d0, d1):
+    """(theta, p(theta)) at the extremum in (0, 1) of the cubic Hermite p
+    with p(0) = x0, p(1) = x1, p'(0) = d0, p'(1) = d1, where d0 and d1
+    differ in sign, so that p' has exactly one root in (0, 1)."""
+    a = d0 + d1 - 2.0 * (x1 - x0)  # p = x0 + d0 t + b t^2 + a t^3
+    b = x1 - x0 - d0 - a
+    if a == 0.0:
+        theta = -0.5 * d0 / b
+    else:  # the roots of p' = d0 + 2b t + 3a t^2 are q / 3a and d0 / q
+        q = -(b + math.copysign(math.sqrt(max(0.0, b * b - 3.0 * a * d0)), b))
+        theta = q / (3.0 * a)
+        if not 0.0 < theta < 1.0:
+            theta = d0 / q
+    theta = min(max(theta, 0.0), 1.0)
+    return theta, x0 + theta * (d0 + theta * (b + theta * a))
 
 
 def _false_position(g, a, ga, b, gb, done, cap):
@@ -213,25 +314,25 @@ def _false_position(g, a, ga, b, gb, done, cap):
     return t, gt
 
 
-def _land(f, x, y, k1, h, x5, y5, k7, c):
-    """Land on the edge x = c, crossed outward by the accepted step of
-    length h from (x, y) to (x5, y5) with k7 = f(x5, y5), with a real step
-    from (x, y) whose length is found by false position on the miss
-    x(s) - c; a step that starts on the edge (it turned back before getting
-    inside) counts its start as EVENT_TOL inside.  The step's end (xm, ym)
-    then moves along its field onto x = c: y = ym + (c - xm) * fy / fx.
-    Returns (step length, ordinate reached, number of extra steps taken)."""
-    s, miss, n = h, x5 - c, 0
-    ym, km = y5, k7
+def _land(f, x, y, k1, h, xn, yn, kn, c):
+    """Land on the edge x = c, crossed outward by the step of length h from
+    (x, y) to (xn, yn) with kn = f(xn, yn), with a real step from (x, y)
+    whose length is found by false position on the miss x(s) - c; a step
+    that starts on the edge (it turned back before getting inside) counts
+    its start as EVENT_TOL inside.  The step's end (xm, ym) then moves
+    along its field onto x = c: y = ym + (c - xm) * fy / fx.  Returns (step
+    length, ordinate reached, number of extra steps taken)."""
+    s, miss, n = h, xn - c, 0
+    ym, km = yn, kn
     if abs(miss) > EVENT_TOL:
         def step_miss(s):
             nonlocal ym, km, n
             n += 1
-            xs, ym, _, _, km = _rk45_step(f, x, y, s, k1)
+            xs, ym, _, km = _dop853_step(f, x, y, s, k1)
             return xs - c
 
-        inside = x - c if (x - c) * (x5 - c) < 0 else math.copysign(EVENT_TOL, c - x5)
-        s, miss = _false_position(step_miss, 0.0, inside, h, x5 - c,
+        inside = x - c if (x - c) * (xn - c) < 0 else math.copysign(EVENT_TOL, c - xn)
+        s, miss = _false_position(step_miss, 0.0, inside, h, xn - c,
                                   lambda r, _: abs(r) <= EVENT_TOL, 80)
     return s, ym - miss * km[1] / km[0] if km[0] else ym, n
 
@@ -242,7 +343,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     strip edge, the time limit, the spatial window, or an equilibrium.
 
     A ``linear`` zone takes its exact flow (no integration step); every
-    other zone takes Dormand-Prince steps.  A start on a strip edge must
+    other zone takes DOP853 steps.  A start on a strip edge must
     cross it inward, or NotEntryPoint is raised.  ``drift`` is the relative
     first-integral difference from the start: at the end of an exact arc,
     and the largest over the accepted steps of an integrated one.
@@ -250,7 +351,7 @@ def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
     cfg = cfg or IntegratorConfig()
     if zone.kind == "linear":
         return _linear_arc(zone, start, cfg, record, forward)
-    return _dp5_arc(zone, start, cfg, record, forward)
+    return _dop853_arc(zone, start, cfg, record, forward)
 
 
 def _check_entry(x, y, fx, lo, hi):
@@ -269,11 +370,15 @@ def _strip(zone: Zone) -> tuple[float, float]:
             float(zone.x_hi) if zone.x_hi is not None else math.inf)
 
 
-def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
-    """Dormand-Prince arc: stops at a strip edge (localized to
+def _dop853_arc(zone, start, cfg, record, forward) -> Trajectory:
+    """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
     EVENT_TOL; a landing outside the window leaves the window), the
     time limit, the window, or an equilibrium (speed below 1e-12 for ten
-    accepted steps)."""
+    accepted steps).  An accepted step whose end lies inside the strip but
+    whose x-velocity changes sign may have crossed an edge and come back:
+    when the cubic Hermite of x on the step (end points and end slopes, no
+    extra field evaluation) peaks beyond an edge, a real step to that peak
+    decides, and lands on the edge when it is beyond too."""
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
     hfun = zone_integral_fn(zone)
@@ -306,24 +411,30 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
             status = "reached-time-limit"
             break
         h = min(h, MAX_STEP, cfg.max_time - t + 1e-9)
-        x5, y5, ex, ey, k7 = _rk45_step(f, x, y, h, k1)
-        sc_x = ATOL + RTOL * max(abs(x), abs(x5))
-        sc_y = ATOL + RTOL * max(abs(y), abs(y5))
-        err = math.sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
+        xn, yn, err, kn = _dop853_step(f, x, y, h, k1)
         if err > 1.0:
             rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** -0.125)
             continue
         # accepted
         steps += 1
         hit_edge = None
-        if x5 <= lo and x5 < x:
+        if xn <= lo and xn < x:
             hit_edge = "lo"
-        elif x5 >= hi and x5 > x:
+        elif xn >= hi and xn > x:
             hit_edge = "hi"
+        elif k1[0] * kn[0] < 0:  # x turns within the step
+            edge, c = ("hi", hi) if k1[0] > 0 else ("lo", lo)
+            theta, peak = _hermite_peak(x, xn, h * k1[0], h * kn[0])
+            if (peak - c) * k1[0] >= 0:
+                xs, ys, _, ks = _dop853_step(f, x, y, theta * h, k1)
+                event_steps += 1
+                if (xs - c) * k1[0] >= 0:
+                    hit_edge, h, xn, yn, kn = edge, theta * h, xs, ys, ks
         if hit_edge is not None:
             c = lo if hit_edge == "lo" else hi
-            h_loc, ym, event_steps = _land(f, x, y, k1, h, x5, y5, k7, c)
+            h_loc, ym, n = _land(f, x, y, k1, h, xn, yn, kn, c)
+            event_steps += n
             t += h_loc
             x, y = c, ym
             if record:
@@ -335,7 +446,7 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
             status = "reached-boundary"
             break
         t += h
-        x, y, k1 = x5, y5, k7
+        x, y, k1 = xn, yn, kn
         if record:
             samples.append((t, x, y))
         if monitor:
@@ -352,7 +463,7 @@ def _dp5_arc(zone, start, cfg, record, forward) -> Trajectory:
                 break
         else:
             slow = 0
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
     else:
         status = "reached-time-limit"
 
@@ -570,10 +681,14 @@ class FlowMachine:
         false position; returns the sorted fixed ordinates.  Undefined
         ordinates (sliding starts, escapes) are skipped.
 
-        A refinement stops when the displacement is undefined, below 1e-12,
-        or bracketed within 1e-10, after at most 60 evaluations; its last
-        point is a fixed point when the displacement there is below
-        CLOSURE_TOL.
+        A sign change is refined only when one of its ends is at least
+        CLOSURE_TOL from closing: between two nodes that both close, the
+        map is the identity at the verifier's resolution, a band of closed
+        orbits (which ``solver.annulus_check`` reports) whose displacement
+        signs are integration noise.  A refinement stops when the
+        displacement is undefined, below 1e-12, or bracketed within 1e-10,
+        after at most 60 evaluations; its last point is a fixed point when
+        the displacement there is below CLOSURE_TOL.
         """
         if grid < 16:
             raise ValueError("oracle grid must be at least 16")
@@ -585,7 +700,8 @@ class FlowMachine:
             fixed += [y for y, d in zip(ys, ds) if d == 0.0]
             for i in range(grid - 1):
                 d1, d2 = ds[i], ds[i + 1]
-                if d1 is not None and d2 is not None and d1 * d2 < 0:
+                if (d1 is not None and d2 is not None and d1 * d2 < 0
+                        and max(abs(d1), abs(d2)) >= CLOSURE_TOL):
                     y_star, d_star = _false_position(
                         lambda y: self.displacement(bindex, y, direction),
                         ys[i], d1, ys[i + 1], d2,

@@ -195,6 +195,16 @@ def test_cli_oracle_points_match_verified_ordinates_exact_flow(name):
     _oracle_agreement(name, 1e-11)
 
 
+def test_cli_oracle_finds_no_fixed_point_on_a_period_annulus():
+    """Every grid displacement of the continuous double center is below
+    1e-12, with signs set by integration noise; the oracle reports none of
+    them as a fixed point."""
+    code, out = run_cli("solve", fixture_path("continuous_double_center.pwham"),
+                        "--grid", "128", "--json")
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"0": []}
+
+
 def test_cli_solve_json_golden():
     code, out = run_cli("solve", fixture_path("global_center_saddle.pwham"),
                         "--json")

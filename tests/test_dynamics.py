@@ -18,8 +18,8 @@ from pwham.dynamics import (
     IntegratorConfig,
     NotEntryPoint,
     SlidingPoint,
-    _dp5_arc,
-    _rk45_step,
+    _dop853_arc,
+    _dop853_step,
     integrate_arc,
     oracle_window,
     zone_field_fn,
@@ -98,7 +98,7 @@ def _landing_miss(zone, traj, forward=True):
     (t0, x0, y0), (t1, x1, y1) = traj.samples[-2:]
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
-    xs, ys, _, _, (kx, ky) = _rk45_step(f, x0, y0, t1 - t0, f(x0, y0))
+    xs, ys, _, (kx, ky) = _dop853_step(f, x0, y0, t1 - t0, f(x0, y0))
     assert abs(ys + (x1 - xs) * ky / kx - y1) <= 1e-12 * (1 + abs(y1))
     return abs(xs - x1)
 
@@ -135,6 +135,59 @@ def test_steep_landing_stays_on_the_level_curve(monkeypatch):
         H = zone_integral_fn(zone)
         h0 = H(0.0, -1.0)
         assert abs(H(*traj.end) - h0) <= 1e-10 * max(1.0, abs(h0))
+
+
+def test_dop853_tableau_transcription():
+    """The weights are consistent (the solution weights sum to 1, both
+    error weights to 0), every stage from the third on satisfies
+    sum_j a_ij c_j = c_i^2 / 2 with c_i its row sum (which a typo in any
+    row breaks), and fixed steps of h and h/2 on a nonlinear arc shrink
+    the global error by at least 2^7.5 against a much finer reference."""
+    assert abs(sum(dynamics._B) - 1) <= 1e-15
+    assert abs(sum(dynamics._E5)) <= 1e-15 and abs(sum(dynamics._E3)) <= 1e-15
+    c = [sum(row) for row in dynamics._A]
+    assert abs(c[-1] - 1) <= 1e-14
+    for i, row in enumerate(dynamics._A[2:], start=2):
+        assert abs(sum(a * c[j] for j, a in enumerate(row)) - c[i] ** 2 / 2) <= 1e-12
+
+    f = zone_field_fn(Zone(CubicCenter(a=0, b=1, r=1)))
+
+    def fixed_steps(n, t=3.0):
+        x, y = 0.4, 0.0
+        k = f(x, y)
+        for _ in range(n):
+            x, y, _, k = _dop853_step(f, x, y, t / n, k)
+        return x, y
+
+    ref = fixed_steps(384)
+    coarse, fine = math.dist(fixed_steps(6), ref), math.dist(fixed_steps(12), ref)
+    assert fine > 0 and coarse / fine >= 2 ** 7.5
+
+
+def test_nonlinear_arcs_take_few_steps():
+    """Eighth-order steps keep nonlinear arcs short at RTOL: the cubic
+    fixture's center reaches its edge, and the global center's escape
+    leaves the window, within a fixed budget of tried steps."""
+    traj = integrate_arc(cubic_center_saddle().zones[0], (0.0, 0.5))
+    assert traj.status == "reached-boundary"
+    assert traj.steps + traj.rejected <= 40
+    traj = integrate_arc(global_center_saddle().zones[0], (0.0, -3.0))
+    assert traj.status == "left-window"
+    assert traj.steps + traj.rejected <= 120
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_arc_sees_an_excursion_within_one_step(k):
+    """On the field (-y, x) from (0, 1/2) the orbit's largest x is 1/2; it
+    stays beyond an edge 10^-k below that for 4 * 10^(-k/2) time units,
+    well inside one step, and comes back.  The arc still lands on the
+    edge, on its level curve."""
+    zone = Zone(CubicCenter(a=0, b=1, p=0, q=0, r=0, s=0), None, F(1, 2) - F(1, 10**k))
+    traj = integrate_arc(zone, (0.0, 0.5), IntegratorConfig(max_time=6.0))
+    assert traj.status == "reached-boundary" and traj.events[-1][1] == "hi"
+    H = zone_integral_fn(zone)
+    h0 = H(0.0, 0.5)
+    assert abs(H(*traj.end) - h0) <= 1e-10 * abs(h0)
 
 
 def test_integrator_counters_count_rejections(monkeypatch):
@@ -229,7 +282,7 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
     cfg = IntegratorConfig(max_time=10.0, window=20.0)
     try:
-        ref = _dp5_arc(zone, start, cfg, True, forward)
+        ref = _dop853_arc(zone, start, cfg, True, forward)
     except NotEntryPoint:
         with pytest.raises(NotEntryPoint):
             integrate_arc(zone, start, cfg, forward=forward)
@@ -259,7 +312,7 @@ def test_dp5_landing_outside_the_window_leaves_it():
     left-window, as the exact arc does, not at a landing beyond the window."""
     zone = Zone(LinearSaddle(16, 2, F(1, 4), 1, F(1, 4)), F(-1), F(1))
     cfg = IntegratorConfig(window=20.0)
-    for arc in (_dp5_arc(zone, (0.2897, 1 / 3), cfg, True, True),
+    for arc in (_dop853_arc(zone, (0.2897, 1 / 3), cfg, True, True),
                 integrate_arc(zone, (0.2897, 1 / 3), cfg)):
         assert arc.status == "left-window" and not arc.events
 
@@ -397,6 +450,14 @@ def test_oracle_flat_triple_root():
 def test_oracle_exact_zero_at_last_node():
     m = SyntheticMap(lambda y: y - 1.0)
     assert m.oracle(0, (-1.0, 1.0), 64) == [1.0]
+    assert m.calls == 2 * 64
+
+
+def test_oracle_ignores_noise_on_a_band_of_closed_orbits():
+    # every node closes (|d| < 1e-12) with alternating signs: a period
+    # annulus whose displacement is integration noise, not fixed points
+    m = SyntheticMap(lambda y: 5e-13 if round((y + 1) * 63 / 2) % 2 else -5e-13)
+    assert m.oracle(0, (-1.0, 1.0), 64) == []
     assert m.calls == 2 * 64
 
 
