@@ -14,12 +14,15 @@ segments are detected, never simulated).
 * Every other zone runs the embedded Dormand-Prince 8(5,3) integrator
   (DOP853) with FSAL (the field value at the end of an accepted step is the
   first stage of the next) and scipy's error norm, which damps the
-  fifth-order estimate by the third-order one.  A boundary hit is localized
-  by false position (Illinois) on the length of a real step from the last
-  accepted point; the landing then moves along the field onto x = c, so it
-  stays on the level curve to second order in the localization error.  A
-  step that ends inside the strip but turns x around is checked for an
-  excursion across an edge by the cubic Hermite of x on the step.
+  fifth-order estimate by the third-order one.  The step is generated code
+  with the zone's field inlined in its 13 evaluations, compiled once per
+  payload type (``_zone_code``).  A boundary hit is localized by false
+  position (Illinois) on the length of a real step from the last accepted
+  point; the landing then moves along the field onto x = c, so it stays on
+  the level curve to second order in the localization error, except at a
+  tangency, where it keeps the step's ordinate.  A step that ends inside
+  the strip but turns x around is checked for an excursion across an edge
+  by the cubic Hermite of x on the step.
 
 On top of the arc integrator sit the boundary return map, a grid-scan
 shooting oracle whose displacement zeros are refined by the same false
@@ -31,10 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MultiPoly
 from .systems import PiecewiseSystem, Zone, linear_part, local_forms
 
 
@@ -95,53 +96,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# compiled field / integral closures
+# generated float code: fields, first integrals and DOP853 steps
 # ---------------------------------------------------------------------------
-
-
-def _float_expr(p: MultiPoly, sign: int = 1) -> str:
-    """Straight-line float code for sign * p in the variables x and y; zero
-    coefficients are absent from a MultiPoly, so they cost nothing."""
-    terms = []
-    for e, c in sorted(p.terms.items(), reverse=True):
-        c = sign * float(c)
-        mono = "*".join(v for v, k in zip(p.vars, e) for _ in range(k))
-        if not mono:
-            terms.append(repr(c))
-        elif abs(c) == 1.0:
-            terms.append(mono if c > 0 else "-" + mono)
-        else:
-            terms.append(f"{c!r}*{mono}")
-    return " + ".join(terms) or "0.0"
-
-
-def _compile(offset: Fraction, expr: str):
-    """A function (x, y) -> expr, with expr evaluated in the local frame
-    X = x + offset (bound to the name x): a distant zone then loses no
-    precision to cancellation between expanded monomials in x."""
-    shift = f"    x = x + {float(offset)!r}\n" if offset else ""
-    namespace: dict = {}
-    exec(compile(f"def f(x, y):\n{shift}    return {expr}\n", "<zone>", "exec"),
-         namespace)
-    return namespace["f"]
-
-
-@lru_cache(maxsize=8)
-def zone_field_fn(zone: Zone):
-    """Float field (dx/dt, dy/dt) of the zone, reversal applied."""
-    _, _, fx, fy = local_forms(zone.payload)
-    s = -1 if zone.reverse else 1
-    return _compile(zone.payload.offset, f"{_float_expr(fx, s)}, {_float_expr(fy, s)}")
-
-
-@lru_cache(maxsize=8)
-def zone_integral_fn(zone: Zone):
-    """Float first integral (value of the conserved quantity)."""
-    num, den, _, _ = local_forms(zone.payload)
-    expr = _float_expr(num)
-    if den.degree() > 0:
-        expr = f"({expr}) / ({_float_expr(den)})"
-    return _compile(zone.payload.offset, expr)
 
 
 # Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
@@ -196,72 +152,154 @@ _E3 = tuple(b - w for b, w in zip(_B, (
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
 
 
-def _dop853_step(f, x, y, h, k1):
-    """One DOP853 step of length h > 0 from (x, y) with k1 = f(x, y); returns
-    (xn, yn, err, kn): the eighth-order end point, the error norm of
-    scipy's DOP853 (the fifth-order estimate, damped by the third-order
-    one, scaled by ATOL + RTOL * |coordinate|; the step passes at err <= 1),
-    and kn = f(xn, yn), the next step's k1."""
-    k1x, k1y = k1
-    a = _A[1]
-    k2x, k2y = f(x + h * a[0] * k1x, y + h * a[0] * k1y)
-    a = _A[2]
-    k3x, k3y = f(x + h * (a[0] * k1x + a[1] * k2x), y + h * (a[0] * k1y + a[1] * k2y))
-    a = _A[3]
-    k4x, k4y = f(x + h * (a[0] * k1x + a[2] * k3x), y + h * (a[0] * k1y + a[2] * k3y))
-    a = _A[4]
-    k5x, k5y = f(x + h * (a[0] * k1x + a[2] * k3x + a[3] * k4x),
-                 y + h * (a[0] * k1y + a[2] * k3y + a[3] * k4y))
-    a = _A[5]
-    k6x, k6y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x),
-                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y))
-    a = _A[6]
-    k7x, k7y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x),
-                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y))
-    a = _A[7]
-    k8x, k8y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x),
-                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y))
-    a = _A[8]
-    k9x, k9y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
-                          + a[7] * k8x),
-                 y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
-                          + a[7] * k8y))
-    a = _A[9]
-    k10x, k10y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
-                            + a[7] * k8x + a[8] * k9x),
-                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
-                            + a[7] * k8y + a[8] * k9y))
-    a = _A[10]
-    k11x, k11y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
-                            + a[7] * k8x + a[8] * k9x + a[9] * k10x),
-                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
-                            + a[7] * k8y + a[8] * k9y + a[9] * k10y))
-    a = _A[11]
-    k12x, k12y = f(x + h * (a[0] * k1x + a[3] * k4x + a[4] * k5x + a[5] * k6x + a[6] * k7x
-                            + a[7] * k8x + a[8] * k9x + a[9] * k10x + a[10] * k11x),
-                   y + h * (a[0] * k1y + a[3] * k4y + a[4] * k5y + a[5] * k6y + a[6] * k7y
-                            + a[7] * k8y + a[8] * k9y + a[9] * k10y + a[10] * k11y))
-    b = _B
-    xn = x + h * (b[0] * k1x + b[5] * k6x + b[6] * k7x + b[7] * k8x + b[8] * k9x
-                  + b[9] * k10x + b[10] * k11x + b[11] * k12x)
-    yn = y + h * (b[0] * k1y + b[5] * k6y + b[6] * k7y + b[7] * k8y + b[8] * k9y
-                  + b[9] * k10y + b[10] * k11y + b[11] * k12y)
-    kn = f(xn, yn)
-    sx = ATOL + RTOL * max(abs(x), abs(xn))
-    sy = ATOL + RTOL * max(abs(y), abs(yn))
-    e = _E5
-    e5 = (((e[0] * k1x + e[5] * k6x + e[6] * k7x + e[7] * k8x + e[8] * k9x
-            + e[9] * k10x + e[10] * k11x + e[11] * k12x) / sx) ** 2
-          + ((e[0] * k1y + e[5] * k6y + e[6] * k7y + e[7] * k8y + e[8] * k9y
-              + e[9] * k10y + e[10] * k11y + e[11] * k12y) / sy) ** 2)
-    if not e5:
-        return xn, yn, 0.0, kn
-    e = _E3
-    e3 = (((e[0] * k1x + e[5] * k6x + e[6] * k7x + e[7] * k8x + e[8] * k9x
-            + e[9] * k10x + e[10] * k11x + e[11] * k12x) / sx) ** 2
-          + ((e[0] * k1y + e[5] * k6y + e[6] * k7y + e[7] * k8y + e[8] * k9y
-              + e[9] * k10y + e[10] * k11y + e[11] * k12y) / sy) ** 2)
-    return xn, yn, h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)), kn
+# The code of a zone is generated per payload type, for the union of the
+# monomial supports of that type's zones seen so far: a zone passes its own
+# coefficients and 0.0 for the union's other terms, so a new system compiles
+# nothing once its family's support is covered, and the number of compiles is
+# bounded by the families' supports.  A padded term adds 0.0 * monomial,
+# which changes no finite value (at most the sign of a zero result); where a
+# monomial overflows it gives NaN, which the step's err <= 1 test rejects
+# like the overflow itself.  _SUPPORTS maps (payload type, part) to
+# the union of each polynomial's exponents, part "field" (fx, fy) or
+# "integral" (num, den); _MAKERS maps (payload type, source generator) to the
+# support it was compiled for and its ``make(offset, *coefficients)``.
+_SUPPORTS: dict = {}
+_MAKERS: dict = {}
+
+
+def _poly_code(exps, coeffs, names=("x", "y")) -> str:
+    """Straight-line float code for sum coeffs[i] * x^i y^j over the
+    exponents (i, j), left to right in the given (descending) order."""
+    terms = []
+    for (i, j), c in zip(exps, coeffs):
+        mono = "*".join([names[0]] * i + [names[1]] * j)
+        terms.append(f"{c}*{mono}" if mono else c)
+    return " + ".join(terms) or "0.0"
+
+
+def _params(support) -> tuple[str, list[list[str]]]:
+    """The parameter list ``o, c0, c1, ...`` of a maker and the coefficient
+    names of each polynomial of the support."""
+    names, k = [], 0
+    for exps in support:
+        names.append([f"c{k + i}" for i in range(len(exps))])
+        k += len(exps)
+    return ", ".join(["o"] + [c for cs in names for c in cs]), names
+
+
+def _field_source(support) -> str:
+    params, (cx, cy) = _params(support)
+    fxs, fys = support
+    return (f"def make({params}):\n"
+            "    def field(x, y):\n"
+            "        x = x + o\n"
+            f"        return {_poly_code(fxs, cx)}, {_poly_code(fys, cy)}\n"
+            "    return field\n")
+
+
+def _integral_source(support) -> str:
+    params, (cn, cd) = _params(support)
+    nums, dens = support
+    expr = _poly_code(nums, cn)
+    if any(e != (0, 0) for e in dens):
+        expr = f"({expr}) / ({_poly_code(dens, cd)})"
+    return (f"def make({params}):\n"
+            "    def integral(x, y):\n"
+            "        x = x + o\n"
+            f"        return {expr}\n"
+            "    return integral\n")
+
+
+def _step_source(support) -> str:
+    """One DOP853 step with the field inlined in all 13 evaluations:
+    ``step(x, y, h, k1) -> (xn, yn, err, kn)`` for a step of length h > 0
+    from (x, y) with k1 = f(x, y): the eighth-order end point, the error
+    norm of scipy's DOP853 (the fifth-order estimate, damped by the
+    third-order one, scaled by ATOL + RTOL * |coordinate|; the step passes
+    at err <= 1), and kn = f(xn, yn), the next step's k1.  The tableau is
+    written as literals and each row skips its zero entries; the field is
+    the one of ``_field_source``, so the step does the float operations of
+    the generic step on that field, in the same order.  ATOL and RTOL are
+    read when the step runs."""
+    params, (cx, cy) = _params(support)
+    fxs, fys = support
+    ind = "        "
+
+    def evaluate(px, py, k):
+        return [f"{ind}X = {px} + o", f"{ind}Y = {py}",
+                f"{ind}{k}x = {_poly_code(fxs, cx, ('X', 'Y'))}",
+                f"{ind}{k}y = {_poly_code(fys, cy, ('X', 'Y'))}"]
+
+    def combo(weights, v):
+        return " + ".join(f"{w!r} * k{j + 1}{v}" for j, w in enumerate(weights) if w)
+
+    def norm(e):
+        return f"((({combo(e, 'x')}) / sx) ** 2 + (({combo(e, 'y')}) / sy) ** 2)"
+
+    lines = [f"def make({params}):", "    def step(x, y, h, k1):", f"{ind}k1x, k1y = k1"]
+    for i in range(1, len(_A)):
+        if i == 1:
+            px, py = (f"{v} + h * {_A[1][0]!r} * k1{v}" for v in "xy")
+        else:
+            px, py = (f"{v} + h * ({combo(_A[i], v)})" for v in "xy")
+        lines += evaluate(px, py, f"k{i + 1}")
+    lines += [f"{ind}xn = x + h * ({combo(_B, 'x')})", f"{ind}yn = y + h * ({combo(_B, 'y')})"]
+    lines += evaluate("xn", "yn", "kn")
+    lines += [f"{ind}sx = ATOL + RTOL * max(abs(x), abs(xn))",
+              f"{ind}sy = ATOL + RTOL * max(abs(y), abs(yn))",
+              f"{ind}e5 = {norm(_E5)}",
+              f"{ind}if not e5:",
+              f"{ind}    return xn, yn, 0.0, (knx, kny)",
+              f"{ind}e3 = {norm(_E3)}",
+              f"{ind}return xn, yn, h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)), (knx, kny)",
+              "    return step", ""]
+    return "\n".join(lines)
+
+
+def _zone_code(zone: Zone, part: str, source, sign: int):
+    """The zone's function generated by ``source``: the payload type's
+    ``make`` for the union support of ``part`` (compiled first when the
+    zone grows that union), called with the zone's offset and its
+    coefficients times ``sign``.
+
+    The polynomials are those of ``local_forms``, evaluated in the local
+    frame X = x + offset (bound to the name x), so that a distant zone
+    loses no precision to cancellation between expanded monomials in x."""
+    num, den, fx, fy = local_forms(zone.payload)
+    polys = (fx, fy) if part == "field" else (num, den)
+    key = (type(zone.payload), part)
+    support = tuple(tuple(sorted(set(old).union(p.terms), reverse=True))
+                    for old, p in zip(_SUPPORTS.get(key, ((), ())), polys))
+    _SUPPORTS[key] = support
+    compiled = _MAKERS.get((key[0], source))
+    if compiled is None or compiled[0] != support:
+        namespace: dict = {}
+        exec(compile(source(support), "<zone>", "exec"), globals(), namespace)
+        compiled = _MAKERS[key[0], source] = (support, namespace["make"])
+    return compiled[1](float(zone.payload.offset),
+                       *[sign * float(p.terms.get(e, 0)) for p, exps in zip(polys, support)
+                         for e in exps])
+
+
+@lru_cache(maxsize=8)
+def zone_field_fn(zone: Zone):
+    """Float field (dx/dt, dy/dt) of the zone, reversal applied."""
+    return _zone_code(zone, "field", _field_source, -1 if zone.reverse else 1)
+
+
+@lru_cache(maxsize=8)
+def zone_integral_fn(zone: Zone):
+    """Float first integral (value of the conserved quantity)."""
+    return _zone_code(zone, "integral", _integral_source, 1)
+
+
+@lru_cache(maxsize=8)
+def zone_step_fns(zone: Zone) -> tuple:
+    """The zone's DOP853 steps (``_step_source``) backward and forward in
+    time, indexed by ``forward``; reversal and direction are folded into the
+    signs of the field's coefficients."""
+    s = -1 if zone.reverse else 1
+    return tuple(_zone_code(zone, "field", _step_source, sign) for sign in (-s, s))
 
 
 def _hermite_peak(x0, x1, d0, d1):
@@ -314,44 +352,74 @@ def _false_position(g, a, ga, b, gb, done, cap):
     return t, gt
 
 
-def _land(f, x, y, k1, h, xn, yn, kn, c):
+def _land(step, x, y, k1, h, xn, yn, kn, c):
     """Land on the edge x = c, crossed outward by the step of length h from
-    (x, y) to (xn, yn) with kn = f(xn, yn), with a real step from (x, y)
-    whose length is found by false position on the miss x(s) - c; a step
-    that starts on the edge (it turned back before getting inside) counts
-    its start as EVENT_TOL inside.  The step's end (xm, ym) then moves
-    along its field onto x = c: y = ym + (c - xm) * fy / fx.  Returns (step
-    length, ordinate reached, number of extra steps taken)."""
+    (x, y) to (xn, yn) with kn the field at (xn, yn), with a real ``step``
+    from (x, y) whose length is found by false position on the miss
+    x(s) - c; a step that starts on the edge (it turned back before getting
+    inside) counts its start as EVENT_TOL inside.  The step's end (xm, ym)
+    then moves along its field onto x = c: y = ym + (c - xm) * fy / fx,
+    unless |fx| there is below TANGENT_TOL * (1 + |ym|): at a tangency that
+    move is unbounded, and the step's ordinate stays.  Returns (step length,
+    ordinate reached, number of extra steps taken)."""
     s, miss, n = h, xn - c, 0
     ym, km = yn, kn
     if abs(miss) > EVENT_TOL:
         def step_miss(s):
             nonlocal ym, km, n
             n += 1
-            xs, ym, _, km = _dop853_step(f, x, y, s, k1)
+            xs, ym, _, km = step(x, y, s, k1)
             return xs - c
 
         inside = x - c if (x - c) * (xn - c) < 0 else math.copysign(EVENT_TOL, c - xn)
         s, miss = _false_position(step_miss, 0.0, inside, h, xn - c,
                                   lambda r, _: abs(r) <= EVENT_TOL, 80)
-    return s, ym - miss * km[1] / km[0] if km[0] else ym, n
+    if abs(km[0]) >= TANGENT_TOL * (1.0 + abs(ym)):
+        ym = ym - miss * km[1] / km[0]
+    return s, ym, n
 
 
-def integrate_arc(zone: Zone, start: tuple, cfg: IntegratorConfig | None = None,
+class ArcPlan:
+    """What an arc in one zone reads, prepared once: the strip as floats,
+    the float field (reversal applied) and first integral, and either the
+    exact linear part (a ``linear`` zone) or, built on first use, the
+    zone's DOP853 steps (``zone_step_fns``)."""
+
+    __slots__ = ("zone", "lo", "hi", "field", "integral", "linear", "_steps")
+
+    def __init__(self, zone: Zone):
+        self.zone = zone
+        self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
+        self.hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
+        self.field = zone_field_fn(zone)
+        self.integral = zone_integral_fn(zone)
+        self.linear = _linear_parts(zone) if zone.kind == "linear" else None
+        self._steps = None
+
+    def step(self, forward: bool):
+        """The zone's DOP853 step forward or backward in time."""
+        if self._steps is None:
+            self._steps = zone_step_fns(self.zone)
+        return self._steps[forward]
+
+
+def integrate_arc(zone: Zone | ArcPlan, start: tuple, cfg: IntegratorConfig | None = None,
                   record: bool = True, forward: bool = True) -> Trajectory:
     """Run the zone's flow from ``start`` until the trajectory reaches a
     strip edge, the time limit, the spatial window, or an equilibrium.
 
-    A ``linear`` zone takes its exact flow (no integration step); every
-    other zone takes DOP853 steps.  A start on a strip edge must
-    cross it inward, or NotEntryPoint is raised.  ``drift`` is the relative
-    first-integral difference from the start: at the end of an exact arc,
-    and the largest over the accepted steps of an integrated one.
+    ``zone`` is a Zone or its ArcPlan.  A ``linear`` zone takes its exact
+    flow (no integration step); every other zone takes DOP853 steps.  A
+    start on a strip edge must cross it inward, or NotEntryPoint is raised.
+    ``drift`` is the relative first-integral difference from the start: at
+    the end of an exact arc, and the largest over the accepted steps and the
+    landing of an integrated one.
     """
+    plan = zone if isinstance(zone, ArcPlan) else ArcPlan(zone)
     cfg = cfg or IntegratorConfig()
-    if zone.kind == "linear":
-        return _linear_arc(zone, start, cfg, record, forward)
-    return _dop853_arc(zone, start, cfg, record, forward)
+    if plan.linear is not None:
+        return _linear_arc(plan, start, cfg, record, forward)
+    return _dop853_arc(plan, start, cfg, record, forward)
 
 
 def _check_entry(x, y, fx, lo, hi):
@@ -365,27 +433,24 @@ def _check_entry(x, y, fx, lo, hi):
             raise NotEntryPoint(f"start on the {name} edge with {how} velocity")
 
 
-def _strip(zone: Zone) -> tuple[float, float]:
-    return (float(zone.x_lo) if zone.x_lo is not None else -math.inf,
-            float(zone.x_hi) if zone.x_hi is not None else math.inf)
-
-
-def _dop853_arc(zone, start, cfg, record, forward) -> Trajectory:
+def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
     EVENT_TOL; a landing outside the window leaves the window), the
     time limit, the window, or an equilibrium (speed below 1e-12 for ten
-    accepted steps).  An accepted step whose end lies inside the strip but
-    whose x-velocity changes sign may have crossed an edge and come back:
-    when the cubic Hermite of x on the step (end points and end slopes, no
-    extra field evaluation) peaks beyond an edge, a real step to that peak
-    decides, and lands on the edge when it is beyond too."""
-    f0 = zone_field_fn(zone)
-    f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
-    hfun = zone_integral_fn(zone)
-    lo, hi = _strip(zone)
+    accepted steps).  A step passes only at an error norm err <= 1, so a
+    NaN norm is rejected.  An accepted step whose end lies inside the strip
+    but whose x-velocity changes sign may have crossed an edge and come
+    back: when the cubic Hermite of x on the step (end points and end
+    slopes, no extra field evaluation) peaks beyond an edge, a real step to
+    that peak decides, and lands on the edge when it is beyond too."""
+    step = plan.step(forward)
+    hfun = plan.integral
+    lo, hi = plan.lo, plan.hi
     x, y = float(start[0]), float(start[1])
 
-    k1 = f(x, y)
+    k1 = plan.field(x, y)
+    if not forward:
+        k1 = (-k1[0], -k1[1])
     _check_entry(x, y, k1[0], lo, hi)
 
     def safe_h(xx, yy):
@@ -411,8 +476,8 @@ def _dop853_arc(zone, start, cfg, record, forward) -> Trajectory:
             status = "reached-time-limit"
             break
         h = min(h, MAX_STEP, cfg.max_time - t + 1e-9)
-        xn, yn, err, kn = _dop853_step(f, x, y, h, k1)
-        if err > 1.0:
+        xn, yn, err, kn = step(x, y, h, k1)
+        if not err <= 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.125)
             continue
@@ -427,18 +492,22 @@ def _dop853_arc(zone, start, cfg, record, forward) -> Trajectory:
             edge, c = ("hi", hi) if k1[0] > 0 else ("lo", lo)
             theta, peak = _hermite_peak(x, xn, h * k1[0], h * kn[0])
             if (peak - c) * k1[0] >= 0:
-                xs, ys, _, ks = _dop853_step(f, x, y, theta * h, k1)
+                xs, ys, _, ks = step(x, y, theta * h, k1)
                 event_steps += 1
                 if (xs - c) * k1[0] >= 0:
                     hit_edge, h, xn, yn, kn = edge, theta * h, xs, ys, ks
         if hit_edge is not None:
             c = lo if hit_edge == "lo" else hi
-            h_loc, ym, n = _land(f, x, y, k1, h, xn, yn, kn, c)
+            h_loc, ym, n = _land(step, x, y, k1, h, xn, yn, kn, c)
             event_steps += n
             t += h_loc
             x, y = c, ym
             if record:
                 samples.append((t, x, y))
+            if monitor:
+                hv = safe_h(x, y)
+                if math.isfinite(hv):
+                    drift = max(drift, abs(hv - h0) / scale_h)
             if abs(x) > cfg.window or abs(y) > cfg.window:
                 status = "left-window"  # the step left the window first
                 break
@@ -473,17 +542,16 @@ def _dop853_arc(zone, start, cfg, record, forward) -> Trajectory:
 # -- exact arcs of linear zones ------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _linear_parts(zone: Zone) -> tuple:
-    """(A, b, e, H): floats of the zone's field A u + b and of e from
-    ``systems.linear_part``, reversal applied, and its float first integral
-    H.  e is exact before the float conversion, so its sign (saddle,
-    center, or A^2 = 0) is decided exactly.  Reversal negates the exact
-    coefficients, so a zero coefficient stays +0.0."""
+    """(A, b, e): floats of the zone's field A u + b and of e from
+    ``systems.linear_part``, reversal applied.  e is exact before the float
+    conversion, so its sign (saddle, center, or A^2 = 0) is decided
+    exactly.  Reversal negates the exact coefficients, so a zero coefficient
+    stays +0.0."""
     ((a11, a12), (a21, a22)), (b1, b2), e = linear_part(zone.payload)
     s = -1 if zone.reverse else 1
     return (((float(s * a11), float(s * a12)), (float(s * a21), float(s * a22))),
-            (float(s * b1), float(s * b2)), float(e), zone_integral_fn(zone))
+            (float(s * b1), float(s * b2)), float(e))
 
 
 def _s12(e: float, t: float) -> tuple[float, float]:
@@ -534,7 +602,7 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     return s if s > 0 else math.inf
 
 
-def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
+def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Exact arc of a linear zone, in pieces of at most two e-foldings for
     a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
     e^2-fold per piece).  A recorded arc has a sample at the end of every
@@ -545,9 +613,10 @@ def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
     from its start; an edge hit is polished by Newton on x(t) - c and lands
     at exactly x = c.  A piece that ends at speed below 1e-12 ends the arc
     at the equilibrium it approaches."""
-    ((a11, a12), (a21, a22)), (b1, b2), e, hfun = _linear_parts(zone)
+    ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
+    hfun = plan.integral
     sign = 1.0 if forward else -1.0
-    lo, hi = _strip(zone)
+    lo, hi = plan.lo, plan.hi
     w = cfg.window
     x, y = float(start[0]), float(start[1])
 
@@ -613,21 +682,35 @@ def _linear_arc(zone, start, cfg, record, forward) -> Trajectory:
 
 
 class FlowMachine:
-    """Caches compiled fields for one system and runs the boundary maps."""
+    """The boundary maps of one system: the return map, the displacement,
+    the shooting oracle and the candidate verifier.
+
+    Each zone gets an ArcPlan on first use, so that the hop loop reads
+    floats and compiled code only: no lookup keyed on a Zone, no Fraction
+    compared or converted.  The field, the first integral and the DOP853
+    step that a plan holds are generated per payload type and compiled once
+    for every zone of that type (see ``_zone_code``); the step has the field
+    inlined in its 13 evaluations."""
 
     def __init__(self, ps: PiecewiseSystem, cfg: IntegratorConfig | None = None):
         self.ps = ps
         self.cfg = cfg or IntegratorConfig()
-        self.fields = [zone_field_fn(z) for z in ps.zones]
+        self._plans: list = [None] * len(ps.zones)
         self.bxs = [float(b) for b in ps.boundaries]
+
+    def _plan(self, zone_index: int) -> ArcPlan:
+        plan = self._plans[zone_index]
+        if plan is None:
+            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index])
+        return plan
 
     def crossing_direction(self, bindex: int, y: float) -> int:
         """+1 / -1 for a transversal crossing at (x_b, y); raises
         SlidingPoint when the two adjacent normal velocities disagree in
         sign or one of them vanishes (Filippov sliding / tangency)."""
         c = self.bxs[bindex]
-        fxl = self.fields[bindex](c, y)[0]
-        fxr = self.fields[bindex + 1](c, y)[0]
+        fxl = self._plan(bindex).field(c, y)[0]
+        fxr = self._plan(bindex + 1).field(c, y)[0]
         scale = 1.0 + abs(y)
         if abs(fxl) < TANGENT_TOL * scale or abs(fxr) < TANGENT_TOL * scale:
             raise SlidingPoint(f"tangential contact at boundary {bindex}, y={y}")
@@ -636,14 +719,14 @@ class FlowMachine:
         return 1 if fxl > 0 else -1
 
     def _hop(self, zone_index: int, state: tuple, record: bool = False):
-        traj = integrate_arc(self.ps.zones[zone_index], state, self.cfg, record=record)
+        """The arc from ``state`` through zone ``zone_index``: (boundary
+        index, ordinate, direction, trajectory) of its landing.  Zone i lies
+        between boundaries i - 1 and i."""
+        traj = integrate_arc(self._plan(zone_index), state, self.cfg, record=record)
         if traj.status != "reached-boundary":
             raise NonReturning(f"arc in zone {zone_index} ended with {traj.status}")
         _, edge, direction = traj.events[-1]
-        z = self.ps.zones[zone_index]
-        bx = z.x_hi if edge == "hi" else z.x_lo
-        bindex = self.ps.boundaries.index(bx)
-        return bindex, traj.end[1], direction, traj
+        return zone_index if edge == "hi" else zone_index - 1, traj.end[1], direction, traj
 
     def return_map(self, bindex: int, y: float, direction: int, record: bool = False):
         """First return to boundary ``bindex`` with the same crossing

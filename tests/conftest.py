@@ -8,8 +8,13 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# a failing property test prints the blob that reproduces its example
+settings.register_profile("pwham", print_blob=True)
+settings.load_profile("pwham")
 
 from pwham.systems import (
     CubicCenter,

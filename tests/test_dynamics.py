@@ -7,23 +7,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham import dynamics
 from pwham.dynamics import (
+    DRIFT_TOL,
     EVENT_TOL,
+    MAX_HOPS,
     MAX_STEP,
+    ArcPlan,
     DynamicsError,
     FlowMachine,
     IntegratorConfig,
+    NonReturning,
     NotEntryPoint,
     SlidingPoint,
     _dop853_arc,
-    _dop853_step,
     integrate_arc,
     oracle_window,
     zone_field_fn,
     zone_integral_fn,
+    zone_step_fns,
 )
 from pwham.solver import solve
 from pwham.specfile import load_spec
@@ -39,12 +43,15 @@ from pwham.systems import (
 )
 
 from conftest import (
+    CONFIG_NAMES,
     FIXTURE_DIR,
     cubic_center_saddle,
     double_center_saddle,
     global_center_saddle,
     linear_center_saddle_center,
+    rand_config,
 )
+from reference_dynamics import dop853_step
 
 
 def test_energy_conservation_linear_saddle():
@@ -98,7 +105,7 @@ def _landing_miss(zone, traj, forward=True):
     (t0, x0, y0), (t1, x1, y1) = traj.samples[-2:]
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
-    xs, ys, _, (kx, ky) = _dop853_step(f, x0, y0, t1 - t0, f(x0, y0))
+    xs, ys, _, (kx, ky) = dop853_step(f, x0, y0, t1 - t0, f(x0, y0))
     assert abs(ys + (x1 - xs) * ky / kx - y1) <= 1e-12 * (1 + abs(y1))
     return abs(xs - x1)
 
@@ -156,7 +163,7 @@ def test_dop853_tableau_transcription():
         x, y = 0.4, 0.0
         k = f(x, y)
         for _ in range(n):
-            x, y, _, k = _dop853_step(f, x, y, t / n, k)
+            x, y, _, k = dop853_step(f, x, y, t / n, k)
         return x, y
 
     ref = fixed_steps(384)
@@ -221,8 +228,9 @@ _payloads = st.one_of(
 def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, y0, x0):
     """Every integrated arc that reaches an edge lands, by a real step,
     within event_tol of it, and the first integral there matches the start
-    to 1e-8 relative (the verifier's drift rule).  Exact arcs of linear
-    zones take no step; the integral check holds for them too."""
+    to 1e-8 relative (the verifier's drift rule), which the reported drift
+    covers.  Exact arcs of linear zones take no step; the integral checks
+    hold for them too."""
     if isinstance(payload, GlobalCenter):
         y0 = 0.25 + abs(y0)  # the closed orbits fill y > 0
     zone = Zone(payload, F(-1), F(1), reverse)
@@ -238,7 +246,44 @@ def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, 
     assert traj.event_steps <= 80
     H = zone_integral_fn(zone)
     h0 = H(*start)
-    assert abs(H(*traj.end) - h0) <= 1e-8 * max(1.0, abs(h0))
+    gap = abs(H(*traj.end) - h0) / max(1.0, abs(h0))
+    assert gap <= 1e-8 and traj.drift >= gap
+
+
+_offsets = st.sampled_from([F(0), F(1)])
+_nonlinear_payloads = st.one_of(
+    st.builds(DoubleCenter, l=_small, n=_small, p=_small, offset=_offsets),
+    st.builds(GlobalCenter, xi=st.fractions(min_value=F(1, 4), max_value=2,
+                                            max_denominator=4), offset=_offsets),
+    st.builds(CubicCenter, a=_small, b=_small, p=_small, q=_small, r=_small,
+              s=_small, offset=_offsets),
+)
+
+
+def _same_floats(got, want) -> bool:
+    """Equal float for float, a NaN matching a NaN."""
+    return all(a == b or (a != a and b != b) for a, b in zip(got, want, strict=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_nonlinear_payloads, reverse=st.booleans(), forward=st.booleans(),
+       x=st.floats(min_value=-3.0, max_value=3.0), y=st.floats(min_value=-3.0, max_value=3.0),
+       h=st.floats(min_value=0.0, max_value=MAX_STEP, exclude_min=True))
+def test_step_kernel_is_the_reference_step(payload, reverse, forward, x, y, h):
+    """A zone's generated DOP853 step (field inlined, coefficients signed
+    by reversal and direction) returns exactly what the reference step
+    returns on the zone's float field, run backward by negating it: the
+    same (xn, yn, err, kn), float for float, also where a stage overflows.
+    Both are built afresh, so they pad the same family support."""
+    zone_field_fn.cache_clear()
+    zone_step_fns.cache_clear()
+    zone = Zone(payload, reverse=reverse)
+    f0 = zone_field_fn(zone)
+    f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
+    k1 = f(x, y)
+    xn, yn, err, kn = zone_step_fns(zone)[forward](x, y, h, k1)
+    rx, ry, rerr, rkn = dop853_step(f, x, y, h, k1)
+    assert _same_floats((xn, yn, err, *kn), (rx, ry, rerr, *rkn))
 
 
 _nonzero = _small.filter(bool)
@@ -272,6 +317,9 @@ def _fleeting(zone, p):
        edge=st.sampled_from(["lo", "hi", "inside"]),
        y0=st.floats(min_value=-2.0, max_value=2.0),
        x0=st.floats(min_value=-0.9, max_value=0.9))
+# a grazing landing: backward from (1, 0) the orbit touches x = -1 at (-1, 0)
+@example(payload=LinearSaddle(alpha=1, beta=-1, delta=1, mu=1, gamma=0), reverse=False,
+         forward=False, edge="hi", y0=0.0, x0=0.0)
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
@@ -282,7 +330,7 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
     cfg = IntegratorConfig(max_time=10.0, window=20.0)
     try:
-        ref = _dop853_arc(zone, start, cfg, True, forward)
+        ref = _dop853_arc(ArcPlan(zone), start, cfg, True, forward)
     except NotEntryPoint:
         with pytest.raises(NotEntryPoint):
             integrate_arc(zone, start, cfg, forward=forward)
@@ -312,9 +360,39 @@ def test_dp5_landing_outside_the_window_leaves_it():
     left-window, as the exact arc does, not at a landing beyond the window."""
     zone = Zone(LinearSaddle(16, 2, F(1, 4), 1, F(1, 4)), F(-1), F(1))
     cfg = IntegratorConfig(window=20.0)
-    for arc in (_dop853_arc(zone, (0.2897, 1 / 3), cfg, True, True),
+    for arc in (_dop853_arc(ArcPlan(zone), (0.2897, 1 / 3), cfg, True, True),
                 integrate_arc(zone, (0.2897, 1 / 3), cfg)):
         assert arc.status == "left-window" and not arc.events
+
+
+def test_grazing_landing_stays_on_the_level_curve():
+    """Backward from (1, 0), the orbit of this saddle touches x = -1 at
+    (-1, 0), a double root of x(t) = -1, and the exact arc goes on to
+    x = 1.  DOP853 lands on x = -1 there, where dx/dt is about 0: moving
+    the step's end along the field by miss * fy / fx would go anywhere (it
+    went to y = 1, where H is -1 against -0.5), so the landing keeps the
+    step's ordinate, and H stays within DRIFT_TOL.  The reported drift
+    covers the landed point."""
+    zone = Zone(LinearSaddle(alpha=1, beta=-1, delta=1, mu=1, gamma=0), F(-1), F(1))
+    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    traj = _dop853_arc(ArcPlan(zone), (1.0, 0.0), cfg, True, False)
+    assert traj.status == "reached-boundary" and traj.end[0] == -1.0
+    H = zone_integral_fn(zone)
+    h0 = H(1.0, 0.0)
+    gap = abs(H(*traj.end) - h0) / max(1.0, abs(h0))
+    assert gap <= DRIFT_TOL and traj.drift >= gap
+
+
+def test_nan_error_norm_rejects_the_step():
+    """From (-1, 1e100) the stages of a long step overflow, and the error
+    norm comes out NaN.  A step passes only at err <= 1, so the NaN step is
+    rejected like a large error and shrunk until it is finite: the arc
+    reaches its edge x = 0 instead of running on at (nan, nan)."""
+    zone = Zone(CubicCenter(a=0, b=1, q=1), None, F(0))
+    traj = integrate_arc(zone, (-1.0, 1e100), IntegratorConfig(max_time=50.0, window=1e300))
+    assert traj.status == "reached-boundary" and traj.rejected > 0
+    assert traj.end[0] == 0.0 and math.isfinite(traj.end[1])
+
 
 
 def test_exact_arc_stops_at_a_stiff_saddle_equilibrium():
@@ -416,6 +494,79 @@ def test_return_map_mirror_and_reversal_symmetry(name):
     for b, y, d, y2 in samples:
         assert abs(mirrored.return_map(last - b, y, -d)[0] - y2) <= 1e-9
         assert abs(reversed_.return_map(b, y2, -d)[0] - y) <= 1e-9
+
+
+def _composed_return(machine: FlowMachine, b: int, y: float, direction: int):
+    """The return map of ``machine`` composed from public integrate_arc
+    calls on the system's Zones, each landing read back to its boundary by
+    the boundary's value: (return ordinate, [(boundary, ordinate,
+    direction)] per crossing)."""
+    ps = machine.ps
+    if machine.crossing_direction(b, y) != direction:
+        raise SlidingPoint("opposite crossing")
+    zone, state, log = b + 1 if direction > 0 else b, (float(ps.boundaries[b]), y), []
+    for _ in range(MAX_HOPS):
+        traj = integrate_arc(ps.zones[zone], state, machine.cfg, record=False)
+        if traj.status != "reached-boundary":
+            raise NonReturning(traj.status)
+        _, edge, dhit = traj.events[-1]
+        bhit = ps.boundaries.index(ps.zones[zone].x_hi if edge == "hi" else ps.zones[zone].x_lo)
+        machine.crossing_direction(bhit, traj.end[1])
+        log.append((bhit, traj.end[1], dhit))
+        if bhit == b and dhit == direction:
+            return traj.end[1], log
+        zone, state = bhit + 1 if dhit > 0 else bhit, (float(ps.boundaries[bhit]), traj.end[1])
+    raise NonReturning("hop limit")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURE_DIR)))
+def test_return_map_is_composed_integrate_arc_calls(name):
+    """The plan-driven return map equals, float for float, the composition
+    of public integrate_arc calls on the Zones, at 16 grid ordinates of the
+    oracle window on every boundary, in both crossing directions; where one
+    is undefined, so is the other, with the same error type."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+    machine = FlowMachine(ps)
+    lo, hi = oracle_window(solve(ps, verify=False))
+    defined = 0
+    for b in range(len(ps.boundaries)):
+        for y in (lo + (hi - lo) * i / 15 for i in range(16)):
+            for direction in (1, -1):
+                try:
+                    want = _composed_return(machine, b, y, direction)
+                except DynamicsError as e:
+                    with pytest.raises(type(e)):
+                        machine.return_map(b, y, direction)
+                    continue
+                got, log = machine.return_map(b, y, direction)
+                assert (got, [entry[:3] for entry in log]) == want
+                defined += 1
+    assert defined
+
+
+def test_bulk_systems_stop_compiling():
+    """Field, integral and step code is compiled per payload type for the
+    union of the monomial supports seen, so the number of compiles is
+    bounded by the families, not by the systems: once the zones of the
+    first 600 bulk systems (criterion-5 generator, seed 505) have their
+    code, the zones of the next 600 compile nothing new.  Each zone builds
+    what an arc plan can build: field, integral and, for a nonlinear zone,
+    its steps."""
+    rng = random.Random(505)
+    units = [rand_config(rng, CONFIG_NAMES[i % 6]) for i in range(1200)]
+
+    def build(systems):
+        for ps in systems:
+            for zone in ps.zones:
+                plan = ArcPlan(zone)
+                if plan.linear is None:
+                    plan.step(True)
+
+    build(units[:600])
+    compiled = dict(dynamics._MAKERS)
+    build(units[600:])
+    assert dynamics._MAKERS == compiled
+
 
 
 class SyntheticMap(FlowMachine):
