@@ -17,6 +17,7 @@ the offending line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -110,6 +111,12 @@ def _bool(token: str, line: int, col: int) -> bool:
     raise ParseError(f"not a boolean: {token!r}", line, col)
 
 
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a line, each with its column,
+    read left to right."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
 def parse_spec(text: str) -> SystemSpecFile:
     version = None
     boundaries: list[Fraction] = []
@@ -119,33 +126,26 @@ def parse_spec(text: str) -> SystemSpecFile:
     saw_boundaries = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        tokens = _tokens(raw.split("#", 1)[0])
+        if not tokens:
             continue
-        tokens = line.split()
-        head = tokens[0]
-        col = line.index(head) + 1
+        (head, col), args = tokens[0], tokens[1:]
         if head == "version":
-            if len(tokens) != 2 or tokens[1] != "1":
+            if [t for t, _ in args] != ["1"]:
                 raise ParseError("expected 'version 1'", lineno, col)
             version = 1
         elif head == "boundaries":
             saw_boundaries = True
-            boundaries = []
-            pos = len(head) + 1
-            for tok in tokens[1:]:
-                boundaries.append(_rat(tok, lineno, line.index(tok, pos) + 1))
+            boundaries = [_rat(tok, lineno, tcol) for tok, tcol in args]
         elif head == "zone":
-            if len(tokens) < 2:
+            if not args:
                 raise ParseError("zone needs a kind", lineno, col)
-            kind = tokens[1]
+            kind, kcol = args[0]
             if kind not in FAMILIES:
-                raise ParseError(f"unknown zone kind {kind!r}", lineno,
-                                 line.index(kind) + 1)
+                raise ParseError(f"unknown zone kind {kind!r}", lineno, kcol)
             kv: dict = {}
             rev = False
-            for tok in tokens[2:]:
-                tcol = line.index(tok) + 1
+            for tok, tcol in args[1:]:
                 if "=" not in tok:
                     raise ParseError(f"expected key=value, got {tok!r}", lineno, tcol)
                 k, v = tok.split("=", 1)
@@ -169,17 +169,15 @@ def parse_spec(text: str) -> SystemSpecFile:
                 raise ParseError(str(e), lineno, col) from None
             reverse.append(rev)
         elif head == "option":
-            if len(tokens) < 3:
+            if len(args) < 2:
                 raise ParseError("option needs a name and a value", lineno, col)
-            name = tokens[1]
+            (name, ncol), (_, vcol) = args[:2]
             if name not in OPTIONS:
-                raise ParseError(f"unknown option {name!r}", lineno,
-                                 line.index(name) + 1)
-            value = " ".join(tokens[2:])
+                raise ParseError(f"unknown option {name!r}", lineno, ncol)
+            value = " ".join(t for t, _ in args[1:])
             try:
                 OPTIONS[name](value)
             except ValueError as e:
-                vcol = line.index(tokens[2], line.index(name) + len(name)) + 1
                 raise ParseError(str(e), lineno, vcol) from None
             options[name] = value
         else:
@@ -189,6 +187,8 @@ def parse_spec(text: str) -> SystemSpecFile:
         raise ParseError("missing 'version 1' line", 1)
     if not saw_boundaries:
         raise ParseError("missing 'boundaries' line", 1)
+    if not payloads:
+        raise ParseError("missing 'zone' line", 1)
     if len(payloads) != len(boundaries) + 1:
         raise ParseError(
             f"{len(payloads)} zones need {len(payloads) - 1} boundaries, "

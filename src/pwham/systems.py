@@ -14,17 +14,26 @@ an integrating factor m, so that the field is m * (H_y, -H_x):
   x; a saddle when beta^2 - alpha*delta > 0 and a linear center when it is
   negative.
 
-The exact field and integral (``field_polys``, ``hamiltonian``) and the
-compiled float closures in ``dynamics`` are all derived from that formula,
-and so is every piece of linear-zone geometry: ``linear_part`` reads the
-affine field A u + b exactly from the derived field, and the saddle's
-equilibrium, its separatrices (``separatrix_lines``) and the exact arcs in
-``dynamics`` are built on it.  Adding a family means adding one ``@_family``
-payload class with its ``kind`` name and ``first_integral`` (numerator,
-denominator and integrating factor), listed in ``FAMILIES``.  The only
-per-family code beyond that is here (``mirror_payload`` and the closed-form
-equilibria of the nonlinear families) and in the theorem-bound table of
-``solver``; no other module names a family class.
+The contract of a family: its integral num/den and factor m are affine in
+each parameter (every field but ``offset``), with no product of two
+parameters, and the payload with every parameter 1, or with one of them 2,
+is valid.  Then so is each of the derived forms (num, den, fx, fy), and the
+family's template (``_template``) holds them once, as an affine coefficient
+row per monomial, read off ``_derive`` at those points the first time a
+payload of the family is used; nothing is derived at import.  A payload's
+exact forms in its local frame (``local_forms``), their restriction to a
+switching line (``restriction``) and the compiled float closures in
+``dynamics`` all come from the template (``hamiltonian`` gives the
+integral in absolute x), and so does every piece of linear-zone geometry:
+``linear_part`` reads the affine field A u + b exactly from the derived
+field, and the saddle's equilibrium, its separatrices
+(``separatrix_lines``) and the exact arcs in ``dynamics`` are built on it.
+Adding a family means adding one ``@_family`` payload class
+with its ``kind`` name and ``first_integral`` (numerator, denominator and
+integrating factor), listed in ``FAMILIES``.  The only per-family code
+beyond that is here (``mirror_payload`` and the closed-form equilibria of
+the nonlinear families) and in the theorem-bound table of ``solver``; no
+other module names a family class.
 
 A ``Zone`` places a family on a vertical strip (optionally time-reversed;
 reversal flips the flow direction but not the level sets, and it matters for
@@ -34,7 +43,7 @@ the crossing-versus-sliding classification on the switching lines).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, Optional, Union
@@ -273,26 +282,54 @@ def _derive(p: Payload, xs: MultiPoly) -> tuple[MultiPoly, ...]:
     return num, den, fx, fy
 
 
+@lru_cache(maxsize=None)
+def _template(cls) -> tuple:
+    """(names, forms): the family's parameters, the fields other than
+    ``offset``, and its exact forms as affine functions of them.  For each
+    of (num, den, fx, fy) in the local frame, ``forms`` holds the rows
+    (exponent, constant, weights), weights a tuple of (parameter index,
+    weight), so that the monomial's coefficient at parameter values v is
+    constant + sum(w * v[i]).
+
+    Read off ``_derive`` at the base point where every parameter is 1 and at
+    one point per parameter with that parameter 2: exact because every
+    family's integral, hence its field, is affine in each parameter and has
+    no product of two of them.  Built on first use, once per family."""
+    names = tuple(f.name for f in fields(cls) if f.name != "offset")
+    ones = dict.fromkeys(names, 1)
+    base = _derive(cls(**ones), _x())
+    steps = [_derive(cls(**{**ones, n: 2}), _x()) for n in names]
+    out = []
+    for k, b in enumerate(base):
+        deltas = [s[k] - b for s in steps]
+        rows = []
+        for e in sorted(set(b.terms).union(*(d.terms for d in deltas))):
+            w = tuple((i, d.terms[e]) for i, d in enumerate(deltas) if e in d.terms)
+            rows.append((e, b.terms.get(e, 0) - sum(v for _, v in w), w))
+        out.append(tuple(rows))
+    return names, tuple(out)
+
+
 @lru_cache(maxsize=8)
 def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
     """(num, den, fx, fy) in the payload's local frame X = x + offset,
-    written in the variable x; the float code in ``dynamics`` compiles these,
+    written in the variable x: the family's template (``_template``) at the
+    payload's parameters.  The float code in ``dynamics`` compiles these,
     so that it evaluates in the shifted frame."""
-    return _derive(p, _x())
+    names, forms = _template(type(p))
+    v = [getattr(p, n) for n in names]
+    return tuple(MultiPoly((X, Y), {e: sum((w * v[i] for i, w in ws if v[i]), c)
+                                    for e, c, ws in rows})
+                 for rows in forms)
 
 
 @lru_cache(maxsize=8)
 def _absolute_forms(p: Payload) -> tuple[MultiPoly, ...]:
+    """(num, den, fx, fy) in absolute coordinates: the forms of
+    ``hamiltonian`` and ``linear_part``."""
     if p.offset == 0:
         return local_forms(p)
     return _derive(p, _x() + MultiPoly.const(p.offset))
-
-
-def field_polys(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
-    """The zone's vector field as exact polynomials in (x, y), absolute
-    coordinates, with the reversal flag applied."""
-    _, _, fx, fy = _absolute_forms(zone.payload)
-    return (-fx, -fy) if zone.reverse else (fx, fy)
 
 
 def hamiltonian(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
@@ -306,11 +343,22 @@ def hamiltonian(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
 @lru_cache(maxsize=16)
 def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
     """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
-    applied) on the line x = c, as polynomials in y.  Every boundary
-    equation is built from these: the matcher's level pairs and transports,
-    its excluded ordinates, and the continuity test."""
-    at = {X: rat(c)}
-    return tuple(p.subs(at).as_unipoly(Y) for p in (*hamiltonian(zone), *field_polys(zone)))
+    applied) on the line x = c, as polynomials in y: the local forms at
+    X = c + offset.  Every boundary equation is built from these: the
+    matcher's level pairs and transports, its excluded ordinates, and the
+    continuity test."""
+    at = rat(c) + zone.payload.offset
+    out = []
+    for k, poly in enumerate(local_forms(zone.payload)):
+        cs = [0] * (poly.degree(Y) + 1)
+        for (i, j), a in poly.terms.items():
+            if i:
+                if not at:
+                    continue
+                a *= at ** i
+            cs[j] += a
+        out.append(UniPoly([-a for a in cs] if k > 1 and zone.reverse else cs, Y))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

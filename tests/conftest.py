@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import sys
@@ -144,3 +145,19 @@ def continuous_cubic_center_match(rng: random.Random) -> PiecewiseSystem:
     alpha = a * a / b + abs(rand_rat(rng)) + F(1, 2)
     right = LinearSaddle(alpha=alpha, beta=a, delta=b, mu=0, gamma=0)
     return piecewise_system([left, right], [0])
+
+
+def translate(ps: PiecewiseSystem, t: F) -> PiecewiseSystem:
+    """The system moved right by t: every boundary moves by +t, every
+    offset by -t, and a linear zone, written in absolute x, takes
+    mu + beta*t and gamma - alpha*t."""
+    payloads = []
+    for z in ps.zones:
+        p = z.payload
+        if isinstance(p, LinearSaddle):
+            p = dataclasses.replace(p, mu=p.mu + p.beta * t, gamma=p.gamma - p.alpha * t)
+        else:
+            p = dataclasses.replace(p, offset=p.offset - t)
+        payloads.append(p)
+    return piecewise_system(payloads, [b + t for b in ps.boundaries],
+                            [z.reverse for z in ps.zones])

@@ -11,10 +11,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwham.cli import main
-from pwham.specfile import ParseError, SystemSpecFile, load_spec, parse_spec
-from pwham.systems import GlobalCenter, LinearSaddle
+from pwham.specfile import ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_spec
+from pwham.systems import FAMILIES, GlobalCenter, LinearSaddle
 
 from conftest import fixture_path
 
@@ -110,6 +111,58 @@ def test_parse_rejects_zone_boundary_mismatch():
            "zone linear alpha=0 beta=1 delta=1 mu=0 gamma=0\n")
     with pytest.raises(ParseError, match="zones"):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize("body, line, col, message", [
+    # a repeated token is reported where it repeats, not where it first occurs
+    ("boundaries\nzone double_center l=1 n=0 p=0 l=1", 3, 32, "duplicate key 'l'"),
+    ("boundaries\nzone double_center  l=1   n=0 l=1", 3, 31, "duplicate key 'l'"),
+    ("boundaries\nzone zo", 3, 6, "unknown zone kind 'zo'"),
+    ("boundaries 1 1 1x", 2, 16, "not an exact rational: '1x'"),
+    ("boundaries\nzone linear reverse=true reverse=maybe", 3, 26, "not a boolean"),
+    ("boundaries\nzone linear\noption grid  grid", 4, 14, "grid is not an integer"),
+    ("boundaries", 1, 1, "missing 'zone' line"),
+    ("boundaries 0 1", 1, 1, "missing 'zone' line"),
+])
+def test_parse_error_positions(body, line, col, message):
+    with pytest.raises(ParseError) as ei:
+        parse_spec("version 1\n" + body + "\n")
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert message in str(ei.value)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**20)
+
+
+@st.composite
+def _specs(draw):
+    """A valid spec of one to three zones: every family, random reverse
+    flags, random (possibly zero) rationals and both options or neither."""
+    count = draw(st.integers(1, 3))
+    payloads = []
+    for kind in draw(st.lists(st.sampled_from(sorted(FAMILIES)), min_size=count,
+                              max_size=count)):
+        values = {k: draw(_rationals) for k in ZONE_KEYS[kind]}
+        if kind == "global_center":
+            values["xi"] = abs(values["xi"]) or F(1)
+        payloads.append(FAMILIES[kind](**values))
+    bounds = sorted(draw(st.sets(_rationals, min_size=count - 1, max_size=count - 1)))
+    options = {}
+    if draw(st.booleans()):
+        options["grid"] = str(draw(st.sampled_from([0, 16, 64, 128, 1000])))
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.sets(_rationals, min_size=2, max_size=2)))
+        options["window"] = f"{lo}:{hi}"
+    reverse = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return SystemSpecFile(1, payloads, reverse, bounds, options)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs())
+def test_serialize_parse_round_trip(spec):
+    text = spec.serialize()
+    assert parse_spec(text) == spec
+    assert parse_spec(text).serialize() == text
 
 
 def test_all_shipped_fixtures_parse():

@@ -37,7 +37,6 @@ from pwham.systems import (
     GlobalCenter,
     LinearSaddle,
     Zone,
-    field_polys,
     mirror,
     piecewise_system,
 )
@@ -52,6 +51,7 @@ from conftest import (
     rand_config,
 )
 from reference_dynamics import dop853_step
+from reference_systems import field_polys
 
 
 def test_energy_conservation_linear_saddle():

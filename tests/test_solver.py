@@ -1,6 +1,7 @@
 """Elimination pipeline, theorem bounds, candidate screening, solve reports."""
 
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -30,14 +31,18 @@ from pwham.systems import (
     piecewise_system,
 )
 
+from pwham.specfile import load_spec
+
 from conftest import (
     CONFIG_NAMES,
+    FIXTURE_DIR,
     cubic_center_saddle,
     cubic_three_zone,
     double_center_saddle,
     global_center_saddle,
     linear_center_saddle_center,
     rand_config,
+    translate,
 )
 
 
@@ -554,3 +559,20 @@ def test_solve_two_point_subtopologies_reported_separately():
     rep = solve(ps, verify=False)
     tags = {c.topology for c in rep.candidates}
     assert tags <= {"three_zone", "two_zone@0", "two_zone@1"}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURE_DIR)
+                                        if n.endswith(".pwham")))
+def test_solve_is_translation_invariant(name):
+    """Moving a fixture right by a dyadic t keeps every candidate, its
+    exact ordinates and its status (the ordinates are y-values, which the
+    move leaves alone), and the continuity, dimension and annulus flags."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+
+    def answer(rep):
+        return ([(c.topology, c.ordinates, c.status) for c in rep.candidates],
+                rep.continuous, rep.positive_dimensional, rep.annulus)
+
+    want = answer(solve(ps))
+    for t in (F(3, 8), F(-5, 4)):
+        assert answer(solve(translate(ps, t))) == want, t

@@ -4,7 +4,10 @@ saddle geometry, continuity."""
 import ast
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,20 +18,26 @@ import pwham
 from pwham.algebra import MultiPoly
 from pwham.dynamics import IntegratorConfig, zone_field_fn, zone_integral_fn
 from pwham.systems import (
+    FAMILIES,
     CubicCenter,
     DoubleCenter,
     GlobalCenter,
     LinearSaddle,
     Zone,
+    _derive,
     equilibria,
-    field_polys,
     hamiltonian,
     is_continuous,
     mirror,
     linear_part,
+    local_forms,
     piecewise_system,
+    restriction,
     separatrix_lines,
 )
+
+from conftest import translate
+from reference_systems import field_polys, restriction_by_subs
 
 
 def vector_field(zone: Zone, pt: tuple) -> tuple:
@@ -154,6 +163,74 @@ def _readme_field(zone):
         fx = -p.beta * x - p.delta * y + MultiPoly.const(p.mu)
         fy = p.alpha * x + p.beta * y + MultiPoly.const(p.gamma)
     return (-fx, -fy) if zone.reverse else (fx, fy)
+
+
+# rationals with zeros, small values and 20-digit denominators
+_rats = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(F, st.integers(-10**21, 10**21), st.integers(10**19, 10**20)))
+
+
+@st.composite
+def _zones(draw, cls):
+    """A zone of family cls: every field (offset included) a random
+    rational, xi made positive, random reversal."""
+    values = {f.name: draw(_rats) for f in dataclasses.fields(cls)}
+    if cls is GlobalCenter:
+        values["xi"] = abs(values["xi"]) or F(1)
+    return Zone(cls(**values), reverse=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(FAMILIES)))
+def test_template_forms_are_the_derived_forms(data, kind):
+    """The family template gives exactly the forms that ``_derive`` builds
+    from the family's integral, and the restriction to a line is exactly
+    the substitution x = c into the absolute forms."""
+    zone = data.draw(_zones(FAMILIES[kind]))
+    c = data.draw(_rats)
+    assert local_forms(zone.payload) == _derive(zone.payload, MultiPoly.var("x"))
+    assert restriction(zone, c) == restriction_by_subs(zone, c)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_forms_are_affine(kind):
+    """The template is fitted at the base point and one step per parameter;
+    at a point that moves every parameter at once it still gives the derived
+    forms, so no family has a product of two parameters in its integral."""
+    cls = FAMILIES[kind]
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "offset"]
+    p = cls(**{n: F(2 * i + 7, 5) for i, n in enumerate(names)})
+    assert local_forms(p) == _derive(p, MultiPoly.var("x"))
+
+
+def test_import_builds_no_template():
+    """The templates are built on first use: importing the package and its
+    command line derives no family's forms."""
+    code = ("import pwham, pwham.cli\n"
+            "from pwham import systems\n"
+            "print(systems._template.cache_info().currsize)")
+    src = str(Path(pwham.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(FAMILIES)),
+       t=st.builds(lambda k, m: F(k, 2 ** m), st.integers(-64, 64), st.integers(0, 6)))
+def test_boundary_translation_restricts_equally(data, kind, t):
+    """Moving a zone and its line by t leaves the field restricted to the
+    line unchanged and changes the integral's numerator by a constant."""
+    zone = data.draw(_zones(FAMILIES[kind]))
+    c = data.draw(_rats)
+    moved = translate(piecewise_system([zone.payload], [], [zone.reverse]), t).zones[0]
+    n, d, fx, fy = restriction(zone, c)
+    n2, d2, fx2, fy2 = restriction(moved, c + t)
+    assert (fx2, fy2, d2) == (fx, fy, d)
+    assert (n2 - n).degree <= 0
 
 
 def _term_size(p: MultiPoly, at: dict) -> float:
