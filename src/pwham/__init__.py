@@ -46,7 +46,6 @@ from .systems import (
     LinearSaddle,
     PiecewiseSystem,
     Zone,
-    hamiltonian,
     is_continuous,
     mirror,
     piecewise_system,
@@ -60,8 +59,7 @@ __all__ = [
     "MatchingSystem", "MultiPoly", "PiecewiseSystem", "RootInterval",
     "SolveReport", "SystemSpecFile", "Trajectory", "UniPoly", "Zone",
     "annulus_check", "back_substitute", "build_three_zone", "build_two_zone",
-    "eliminate", "hamiltonian", "integrate_arc", "is_continuous", "load_spec",
-    "mirror", "parse_spec", "piecewise_system", "real_roots", "refine_root",
-    "resultant", "solve", "squarefree", "sturm_isolate", "theorem_bound",
-    "to_sum_diff",
+    "eliminate", "integrate_arc", "is_continuous", "load_spec", "mirror",
+    "parse_spec", "piecewise_system", "real_roots", "refine_root", "resultant",
+    "solve", "squarefree", "sturm_isolate", "theorem_bound", "to_sum_diff",
 ]

@@ -16,13 +16,13 @@ segments are detected, never simulated).
   first stage of the next) and scipy's error norm, which damps the
   fifth-order estimate by the third-order one.  The step is generated code
   with the zone's field inlined in its 13 evaluations, compiled once per
-  payload type (``_zone_code``).  A boundary hit is localized by false
-  position (Illinois) on the length of a real step from the last accepted
-  point; the landing then moves along the field onto x = c, so it stays on
-  the level curve to second order in the localization error, except at a
-  tangency, where it keeps the step's ordinate.  A step that ends inside
-  the strip but turns x around is checked for an excursion across an edge
-  by the cubic Hermite of x on the step.
+  distinct monomial support (``_zone_code``).  A boundary hit is localized
+  by false position (Illinois) on the length of a real step from the last
+  accepted point; the landing then moves along the field onto x = c, so it
+  stays on the level curve to second order in the localization error,
+  except at a tangency, where it keeps the step's ordinate.  A step that
+  ends inside the strip but turns x around is checked for an excursion
+  across an edge by the cubic Hermite of x on the step.
 
 On top of the arc integrator sit the boundary return map, a grid-scan
 shooting oracle whose displacement zeros are refined by the same false
@@ -70,8 +70,8 @@ MAX_HOPS = 12        # crossings a return map follows before giving up
 
 @dataclass
 class IntegratorConfig:
-    """The budgets of one arc: time, the window |x|, |y| <= window, and
-    accepted plus rejected steps."""
+    """The budgets of one arc: time, the window |x - centre|, |y| <= window
+    (``ArcPlan.centre``), and accepted plus rejected steps."""
 
     max_time: float = 400.0
     window: float = 1e3
@@ -150,21 +150,6 @@ _E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
 _E3 = tuple(b - w for b, w in zip(_B, (
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
-
-
-# The code of a zone is generated per payload type, for the union of the
-# monomial supports of that type's zones seen so far: a zone passes its own
-# coefficients and 0.0 for the union's other terms, so a new system compiles
-# nothing once its family's support is covered, and the number of compiles is
-# bounded by the families' supports.  A padded term adds 0.0 * monomial,
-# which changes no finite value (at most the sign of a zero result); where a
-# monomial overflows it gives NaN, which the step's err <= 1 test rejects
-# like the overflow itself.  _SUPPORTS maps (payload type, part) to
-# the union of each polynomial's exponents, part "field" (fx, fy) or
-# "integral" (num, den); _MAKERS maps (payload type, source generator) to the
-# support it was compiled for and its ``make(offset, *coefficients)``.
-_SUPPORTS: dict = {}
-_MAKERS: dict = {}
 
 
 def _poly_code(exps, coeffs, names=("x", "y")) -> str:
@@ -256,29 +241,30 @@ def _step_source(support) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _maker(source, support):
+    """The ``make(offset, *coefficients)`` that ``source`` generates for a
+    monomial support, one tuple of exponents per polynomial; compiled once
+    per distinct (source, support)."""
+    namespace: dict = {}
+    exec(compile(source(support), "<zone>", "exec"), globals(), namespace)
+    return namespace["make"]
+
+
 def _zone_code(zone: Zone, part: str, source, sign: int):
-    """The zone's function generated by ``source``: the payload type's
-    ``make`` for the union support of ``part`` (compiled first when the
-    zone grows that union), called with the zone's offset and its
-    coefficients times ``sign``.
+    """The zone's function generated by ``source`` for the zone's own
+    monomials of ``part``, "field" (fx, fy) or "integral" (num, den), called
+    with the zone's offset and its coefficients times ``sign``.
 
     The polynomials are those of ``local_forms``, evaluated in the local
     frame X = x + offset (bound to the name x), so that a distant zone
     loses no precision to cancellation between expanded monomials in x."""
     num, den, fx, fy = local_forms(zone.payload)
     polys = (fx, fy) if part == "field" else (num, den)
-    key = (type(zone.payload), part)
-    support = tuple(tuple(sorted(set(old).union(p.terms), reverse=True))
-                    for old, p in zip(_SUPPORTS.get(key, ((), ())), polys))
-    _SUPPORTS[key] = support
-    compiled = _MAKERS.get((key[0], source))
-    if compiled is None or compiled[0] != support:
-        namespace: dict = {}
-        exec(compile(source(support), "<zone>", "exec"), globals(), namespace)
-        compiled = _MAKERS[key[0], source] = (support, namespace["make"])
-    return compiled[1](float(zone.payload.offset),
-                       *[sign * float(p.terms.get(e, 0)) for p, exps in zip(polys, support)
-                         for e in exps])
+    support = tuple(tuple(sorted(p.terms, reverse=True)) for p in polys)
+    return _maker(source, support)(float(zone.payload.offset),
+                                   *[sign * float(p.terms[e])
+                                     for p, exps in zip(polys, support) for e in exps])
 
 
 @lru_cache(maxsize=8)
@@ -381,14 +367,16 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
 
 class ArcPlan:
     """What an arc in one zone reads, prepared once: the strip as floats,
-    the float field (reversal applied) and first integral, and either the
-    exact linear part (a ``linear`` zone) or, built on first use, the
-    zone's DOP853 steps (``zone_step_fns``)."""
+    the abscissa ``centre`` that the window is measured from, the float
+    field (reversal applied) and first integral, and either the exact
+    linear part (a ``linear`` zone) or, built on first use, the zone's
+    DOP853 steps (``zone_step_fns``)."""
 
-    __slots__ = ("zone", "lo", "hi", "field", "integral", "linear", "_steps")
+    __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps")
 
-    def __init__(self, zone: Zone):
+    def __init__(self, zone: Zone, centre: float = 0.0):
         self.zone = zone
+        self.centre = centre
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
         self.hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
         self.field = zone_field_fn(zone)
@@ -445,7 +433,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     that peak decides, and lands on the edge when it is beyond too."""
     step = plan.step(forward)
     hfun = plan.integral
-    lo, hi = plan.lo, plan.hi
+    lo, hi, centre = plan.lo, plan.hi, plan.centre
     x, y = float(start[0]), float(start[1])
 
     k1 = plan.field(x, y)
@@ -508,7 +496,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
                 hv = safe_h(x, y)
                 if math.isfinite(hv):
                     drift = max(drift, abs(hv - h0) / scale_h)
-            if abs(x) > cfg.window or abs(y) > cfg.window:
+            if abs(x - centre) > cfg.window or abs(y) > cfg.window:
                 status = "left-window"  # the step left the window first
                 break
             events.append((t, hit_edge, 1 if hit_edge == "hi" else -1))
@@ -522,7 +510,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             hv = safe_h(x, y)
             if math.isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
-        if abs(x) > cfg.window or abs(y) > cfg.window:
+        if abs(x - centre) > cfg.window or abs(y) > cfg.window:
             status = "left-window"
             break
         if math.hypot(*k1) < 1e-12:
@@ -616,7 +604,7 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
-    lo, hi = plan.lo, plan.hi
+    lo, hi, centre = plan.lo, plan.hi, plan.centre
     w = cfg.window
     x, y = float(start[0]), float(start[1])
 
@@ -632,11 +620,12 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     # (coordinate, level, outward sign, edge name or None for the window)
     targets = [(0, c, out, edge) for c, out, edge in ((lo, -1, "lo"), (hi, 1, "hi"))
                if math.isfinite(c)]
-    targets += [(k, out * w, out, None) for k in (0, 1) for out in (-1, 1)]
+    targets += [(k, mid + out * w, out, None)
+                for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)]
     t = 0.0
     samples = [(t, x, y)] if record else []
     events: list = []
-    status = "left-window" if abs(x) > w or abs(y) > w else None
+    status = "left-window" if abs(x - centre) > w or abs(y) > w else None
     while status is None:
         u = (x, y)
         f = field(x, y)
@@ -688,20 +677,23 @@ class FlowMachine:
     Each zone gets an ArcPlan on first use, so that the hop loop reads
     floats and compiled code only: no lookup keyed on a Zone, no Fraction
     compared or converted.  The field, the first integral and the DOP853
-    step that a plan holds are generated per payload type and compiled once
-    for every zone of that type (see ``_zone_code``); the step has the field
-    inlined in its 13 evaluations."""
+    step that a plan holds are generated for the zone's own monomials and
+    compiled once per distinct support (see ``_zone_code``); the step has
+    the field inlined in its 13 evaluations.  Every plan measures the
+    window from the mean of the float boundaries, so that moving a system
+    along x moves its window with it."""
 
     def __init__(self, ps: PiecewiseSystem, cfg: IntegratorConfig | None = None):
         self.ps = ps
         self.cfg = cfg or IntegratorConfig()
         self._plans: list = [None] * len(ps.zones)
         self.bxs = [float(b) for b in ps.boundaries]
+        self.centre = sum(self.bxs) / len(self.bxs) if self.bxs else 0.0
 
     def _plan(self, zone_index: int) -> ArcPlan:
         plan = self._plans[zone_index]
         if plan is None:
-            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index])
+            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index], self.centre)
         return plan
 
     def crossing_direction(self, bindex: int, y: float) -> int:
@@ -713,9 +705,9 @@ class FlowMachine:
         fxr = self._plan(bindex + 1).field(c, y)[0]
         scale = 1.0 + abs(y)
         if abs(fxl) < TANGENT_TOL * scale or abs(fxr) < TANGENT_TOL * scale:
-            raise SlidingPoint(f"tangential contact at boundary {bindex}, y={y}")
+            raise SlidingPoint(f"tangential contact at boundary {bindex}, y={y:.9g}")
         if (fxl > 0) != (fxr > 0):
-            raise SlidingPoint(f"sliding point at boundary {bindex}, y={y}")
+            raise SlidingPoint(f"sliding point at boundary {bindex}, y={y:.9g}")
         return 1 if fxl > 0 else -1
 
     def _hop(self, zone_index: int, state: tuple, record: bool = False):
@@ -735,7 +727,7 @@ class FlowMachine:
         d0 = self.crossing_direction(bindex, y)
         if d0 != direction:
             raise SlidingPoint(
-                f"crossing at boundary {bindex}, y={y} runs opposite to requested")
+                f"crossing at boundary {bindex}, y={y:.9g} runs opposite to requested")
         zone = bindex + 1 if direction > 0 else bindex
         state = (self.bxs[bindex], y)
         log = []

@@ -20,20 +20,22 @@ parameters, and the payload with every parameter 1, or with one of them 2,
 is valid.  Then so is each of the derived forms (num, den, fx, fy), and the
 family's template (``_template``) holds them once, as an affine coefficient
 row per monomial, read off ``_derive`` at those points the first time a
-payload of the family is used; nothing is derived at import.  A payload's
-exact forms in its local frame (``local_forms``), their restriction to a
-switching line (``restriction``) and the compiled float closures in
-``dynamics`` all come from the template (``hamiltonian`` gives the
-integral in absolute x), and so does every piece of linear-zone geometry:
-``linear_part`` reads the affine field A u + b exactly from the derived
-field, and the saddle's equilibrium, its separatrices
-(``separatrix_lines``) and the exact arcs in ``dynamics`` are built on it.
-Adding a family means adding one ``@_family`` payload class
-with its ``kind`` name and ``first_integral`` (numerator, denominator and
-integrating factor), listed in ``FAMILIES``.  The only per-family code
-beyond that is here (``mirror_payload`` and the closed-form equilibria of
-the nonlinear families) and in the theorem-bound table of ``solver``; no
-other module names a family class.
+payload of the family is used; nothing is derived at import, and nothing
+else in the package calls ``_derive``.  A payload's exact forms in its
+local frame (``local_forms``), their restriction to a switching line
+(``restriction``) and the compiled float closures in ``dynamics`` (one
+compile per distinct monomial support) all come from the template, and so
+does every piece of linear-zone geometry: ``linear_part`` reads the affine
+field A u + b of a ``linear`` payload exactly from its local forms, and the
+saddle's equilibrium, its separatrices (``separatrix_lines``) and the exact
+arcs in ``dynamics`` are built on it.  The integral in absolute x is
+derived only by the tests, as their check on the template.  Adding a family
+means adding one ``@_family`` payload class with its ``kind`` name and
+``first_integral`` (numerator, denominator and integrating factor), listed
+in ``FAMILIES``.  The only per-family code beyond that is here
+(``mirror_payload`` and the closed-form equilibria of the nonlinear
+families) and in the theorem-bound table of ``solver``; no other module
+names a family class.
 
 A ``Zone`` places a family on a vertical strip (optionally time-reversed;
 reversal flips the flow direction but not the level sets, and it matters for
@@ -297,8 +299,8 @@ def _template(cls) -> tuple:
     no product of two of them.  Built on first use, once per family."""
     names = tuple(f.name for f in fields(cls) if f.name != "offset")
     ones = dict.fromkeys(names, 1)
-    base = _derive(cls(**ones), _x())
-    steps = [_derive(cls(**{**ones, n: 2}), _x()) for n in names]
+    base, *steps = (_derive(cls(**point), _x())
+                    for point in [ones] + [{**ones, n: 2} for n in names])
     out = []
     for k, b in enumerate(base):
         deltas = [s[k] - b for s in steps]
@@ -321,23 +323,6 @@ def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly((X, Y), {e: sum((w * v[i] for i, w in ws if v[i]), c)
                                     for e, c, ws in rows})
                  for rows in forms)
-
-
-@lru_cache(maxsize=8)
-def _absolute_forms(p: Payload) -> tuple[MultiPoly, ...]:
-    """(num, den, fx, fy) in absolute coordinates: the forms of
-    ``hamiltonian`` and ``linear_part``."""
-    if p.offset == 0:
-        return local_forms(p)
-    return _derive(p, _x() + MultiPoly.const(p.offset))
-
-
-def hamiltonian(zone: Zone) -> tuple[MultiPoly, MultiPoly]:
-    """First integral of the zone as a (numerator, denominator) pair in
-    absolute coordinates.  Denominator is 1 except for the global center,
-    whose integral is rational."""
-    num, den, _, _ = _absolute_forms(zone.payload)
-    return num, den
 
 
 @lru_cache(maxsize=16)
@@ -367,15 +352,15 @@ def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
 
 
 @lru_cache(maxsize=8)
-def linear_part(p: Payload) -> tuple:
-    """(A, b, e): the affine part A u + b of the payload's forward field in
-    absolute coordinates, read exactly from its field polynomials, with
+def linear_part(p: LinearSaddle) -> tuple:
+    """(A, b, e): the forward field A u + b of a ``linear`` payload, read
+    exactly from its field polynomials (``local_forms``: a linear payload is
+    written in absolute x, so its local frame is the absolute one), with
     A = ((a11, a12), (a21, a22)), b = (b1, b2) and e = a11^2 + a12*a21.
 
-    For a ``linear`` zone this is the whole field.  Its trace is 0 (the
-    field is Hamiltonian), so A^2 = e I and det A = -e: a saddle when e > 0,
-    a linear center when e < 0."""
-    _, _, fx, fy = _absolute_forms(p)
+    The trace is 0 (the field is Hamiltonian), so A^2 = e I and
+    det A = -e: a saddle when e > 0, a linear center when e < 0."""
+    _, _, fx, fy = local_forms(p)
     (a11, a12, b1), (a21, a22, b2) = (
         [Fraction(poly.terms.get(k, 0)) for k in ((1, 0), (0, 1), (0, 0))]
         for poly in (fx, fy))

@@ -2,8 +2,9 @@
 
 ``absolute_forms`` derives a payload's exact forms straight from its
 family's ``first_integral`` in absolute coordinates, by substituting
-X = x + offset into the integral and differentiating; ``field_polys`` and
-``restriction_by_subs`` read the field and the restricted forms from it.
+X = x + offset into the integral and differentiating; ``hamiltonian``,
+``field_polys`` and ``restriction_by_subs`` read the integral, the field and
+the restricted forms from it.
 This is the derivation that ``pwham.systems`` replaced with a per-family
 affine template: the check on the template's forms.
 """
@@ -17,6 +18,14 @@ from pwham.systems import Zone, _derive
 def absolute_forms(p) -> tuple:
     """(num, den, fx, fy) of the payload in absolute coordinates."""
     return _derive(p, MultiPoly.var("x") + MultiPoly.const(p.offset))
+
+
+def hamiltonian(zone: Zone) -> tuple:
+    """The zone's first integral as a (numerator, denominator) pair in
+    absolute coordinates; the denominator is 1 except for the global
+    center, whose integral is rational."""
+    num, den, _, _ = absolute_forms(zone.payload)
+    return num, den
 
 
 def field_polys(zone: Zone) -> tuple:

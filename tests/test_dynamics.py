@@ -37,6 +37,7 @@ from pwham.systems import (
     GlobalCenter,
     LinearSaddle,
     Zone,
+    local_forms,
     mirror,
     piecewise_system,
 )
@@ -545,28 +546,36 @@ def test_return_map_is_composed_integrate_arc_calls(name):
 
 
 def test_bulk_systems_stop_compiling():
-    """Field, integral and step code is compiled per payload type for the
-    union of the monomial supports seen, so the number of compiles is
-    bounded by the families, not by the systems: once the zones of the
-    first 600 bulk systems (criterion-5 generator, seed 505) have their
-    code, the zones of the next 600 compile nothing new.  Each zone builds
-    what an arc plan can build: field, integral and, for a nonlinear zone,
-    its steps."""
+    """Field, integral and step code is compiled for each zone's own
+    monomial support, once per distinct (source generator, support): once
+    the zones of the first 600 bulk systems (criterion-5 generator, seed
+    505) have their code, the zones of the next 600 compile nothing new,
+    and no support was compiled twice.  Each zone builds what an arc plan
+    can build: field, integral and, for a nonlinear zone, its steps."""
     rng = random.Random(505)
     units = [rand_config(rng, CONFIG_NAMES[i % 6]) for i in range(1200)]
+    for cached in (dynamics._maker, dynamics.zone_field_fn, dynamics.zone_integral_fn,
+                   dynamics.zone_step_fns):
+        cached.cache_clear()
+    seen = set()
 
     def build(systems):
         for ps in systems:
             for zone in ps.zones:
+                num, den, fx, fy = local_forms(zone.payload)
+                field, integral = (tuple(tuple(sorted(p.terms, reverse=True)) for p in part)
+                                   for part in ((fx, fy), (num, den)))
+                seen.update({(dynamics._field_source, field),
+                             (dynamics._integral_source, integral)})
                 plan = ArcPlan(zone)
                 if plan.linear is None:
+                    seen.add((dynamics._step_source, field))
                     plan.step(True)
 
     build(units[:600])
-    compiled = dict(dynamics._MAKERS)
+    compiled = dynamics._maker.cache_info().misses
     build(units[600:])
-    assert dynamics._MAKERS == compiled
-
+    assert dynamics._maker.cache_info().misses == compiled == len(seen)
 
 
 class SyntheticMap(FlowMachine):

@@ -23,11 +23,11 @@ from pwham.systems import (
     GlobalCenter,
     LinearSaddle,
     Zone,
-    hamiltonian,
     piecewise_system,
 )
 
 from conftest import CONFIG_NAMES, cubic_three_zone, global_center_saddle, rand_config
+from reference_systems import hamiltonian
 
 
 def V(name):

@@ -564,15 +564,17 @@ def test_solve_two_point_subtopologies_reported_separately():
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURE_DIR)
                                         if n.endswith(".pwham")))
 def test_solve_is_translation_invariant(name):
-    """Moving a fixture right by a dyadic t keeps every candidate, its
-    exact ordinates and its status (the ordinates are y-values, which the
-    move leaves alone), and the continuity, dimension and annulus flags."""
+    """Moving a fixture right by t keeps every candidate, its exact
+    ordinates, its status and its reason (the ordinates are y-values, which
+    the move leaves alone), and the continuity, dimension and annulus flags.
+    The large moves check that the integrator's window moves with the
+    system."""
     ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
 
     def answer(rep):
-        return ([(c.topology, c.ordinates, c.status) for c in rep.candidates],
+        return ([(c.topology, c.ordinates, c.status, c.reason) for c in rep.candidates],
                 rep.continuous, rep.positive_dimensional, rep.annulus)
 
     want = answer(solve(ps))
-    for t in (F(3, 8), F(-5, 4)):
+    for t in (F(3, 8), F(-5, 4), F(1024), F(10**6)):
         assert answer(solve(translate(ps, t))) == want, t

@@ -26,7 +26,6 @@ from pwham.systems import (
     Zone,
     _derive,
     equilibria,
-    hamiltonian,
     is_continuous,
     mirror,
     linear_part,
@@ -37,7 +36,7 @@ from pwham.systems import (
 )
 
 from conftest import translate
-from reference_systems import field_polys, restriction_by_subs
+from reference_systems import field_polys, hamiltonian, restriction_by_subs
 
 
 def vector_field(zone: Zone, pt: tuple) -> tuple:
@@ -458,6 +457,24 @@ def test_family_classes_stay_in_systems():
         if names & families:
             found[module] = sorted(names & families)
     assert not found
+
+
+def test_exact_forms_have_one_derivation():
+    """``systems._template`` is the one place in the package that derives
+    a family's exact forms: ``_derive`` has exactly one call site in
+    ``src/pwham``, and it lies inside ``_template``."""
+    calls = []
+    for path in sorted(Path(pwham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_derive"):
+                owner = parents[node]
+                while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                    owner = parents[owner]
+                calls.append((path.stem, getattr(owner, "name", None)))
+    assert calls == [("systems", "_template")]
 
 
 def test_integrator_config_fields_are_set_by_callers():
