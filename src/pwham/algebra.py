@@ -197,44 +197,29 @@ class UniPoly:
         return UniPoly(q, self.var), UniPoly(r, self.var)
 
     def reduce_content(self) -> "UniPoly":
-        """Divide by the positive rational content (sign preserved); curbs
-        coefficient blowup in remainder sequences."""
+        """Divide by the positive rational content (sign preserved): coprime
+        integer coefficients; curbs coefficient blowup in remainder
+        sequences."""
         if self.is_zero:
             return self
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, int(c * den))
-        scale = Fraction(den, g)
-        return UniPoly([c * scale for c in self.coeffs], self.var)
+        ints = _integer_coeffs(self)
+        g = gcd(*ints)
+        return UniPoly([Fraction(v, g) for v in ints], self.var)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd by a content-reduced (primitive) remainder sequence."""
         a, b = self.reduce_content(), other.reduce_content()
         while not b.is_zero:
-            r = a.divmod(b)[1]
-            a, b = b, (r.reduce_content() if not r.is_zero else r)
+            a, b = b, a.divmod(b)[1].reduce_content()
         if a.is_zero:
             return a
         return a * (1 / a.lead)
 
     def primitive(self) -> "UniPoly":
-        """Integer-primitive scalar multiple (clears denominators, divides
-        out the integer content, leading coefficient positive)."""
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return UniPoly([Fraction(v, g) for v in ints], self.var)
+        """Integer-primitive scalar multiple: ``reduce_content`` with the
+        leading coefficient made positive."""
+        p = self.reduce_content()
+        return -p if not p.is_zero and p.lead < 0 else p
 
     def cauchy_bound(self) -> Fraction:
         """The least power of two B >= 1 + max |c_i / c_lead|: all real roots
@@ -295,7 +280,7 @@ def sturm_chain(p: UniPoly) -> list[list[int]]:
     """Sturm sequence of p, each member as its integer coefficients."""
     # content reduction by a positive constant preserves every sign pattern,
     # and leaves integer coefficients
-    chain = [p.reduce_content() if not p.is_zero else p, p.deriv().reduce_content() if not p.deriv().is_zero else p.deriv()]
+    chain = [p.reduce_content(), p.deriv().reduce_content()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         rem = chain[-2].divmod(chain[-1])[1]
         if rem.is_zero:

@@ -363,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="continuity, equilibria, theorem bound")
     common(p)
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="find, screen and verify crossing cycles")
     common(p)
+    p.set_defaults(run=cmd_solve)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--grid", type=_arg_type(parse_grid), default=0,
@@ -376,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scan one parameter, CSV per sample")
     common(p)
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--param", required=True, help="ZONE_INDEX.NAME, e.g. 0.b")
     p.add_argument("--range", required=True, type=_arg_type(_parse_range),
                    help="LO:HI (exact rationals)")
@@ -384,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", help="sample level curves, separatrices, cycles")
     common(p)
+    p.set_defaults(run=cmd_portrait)
     p.add_argument("--samples", type=int, default=7, help="seed grid per zone axis")
     p.add_argument("--window", type=_arg_type(parse_window), default=None,
                    help="plot window LO:HI")
@@ -396,19 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "portrait":
-            return cmd_portrait(args)
-        raise AssertionError("unreachable")
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+        return args.run(args)
+    except (ParseError, FileNotFoundError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except (NotCoveredError, MatchError) as e:

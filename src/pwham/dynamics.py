@@ -20,14 +20,17 @@ segments are detected, never simulated).
   by false position (Illinois) on the length of a real step from the last
   accepted point; the landing then moves along the field onto x = c, so it
   stays on the level curve to second order in the localization error,
-  except at a tangency, where it keeps the step's ordinate.  A step that
-  ends inside the strip but turns x around is checked for an excursion
-  across an edge by the cubic Hermite of x on the step.
+  except at a tangency, where it keeps the step's ordinate.  The landed
+  step takes the place of the accepted one, and both end the same way.  A
+  step that ends inside the strip but turns x around is checked for an
+  excursion across an edge by the cubic Hermite of x on the step.
 
-On top of the arc integrator sit the boundary return map, a grid-scan
-shooting oracle whose displacement zeros are refined by the same false
-position, and the candidate verifier that accepts an algebraic cycle only
-when the integrated loop reproduces its crossing ordinates and closes.
+Either arc reports the strip edge it ends on (``Trajectory.edge``).  One
+orbit walk, ``FlowMachine._walk``, runs the arcs hop by hop and checks that
+each landing is a crossing.  The boundary return map, a grid-scan shooting
+oracle whose displacement zeros are refined by the same false position, and
+the candidate verifier, which accepts an algebraic cycle only when the walk
+reproduces its crossing ordinates and closes, all read that walk.
 """
 
 from __future__ import annotations
@@ -85,8 +88,10 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
+    """One arc: its samples, the one strip edge it ends on, why it ended."""
+
     samples: list  # (t, x, y)
-    events: list   # (t, edge, direction) with edge in {"lo", "hi"}
+    edge: str | None  # "lo" | "hi" for a reached-boundary arc, else None
     status: str    # reached-boundary | reached-time-limit | hit-equilibrium | left-window
     end: tuple
     drift: float   # relative first-integral drift (see integrate_arc)
@@ -366,9 +371,9 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
 
 
 class ArcPlan:
-    """What an arc in one zone reads, prepared once: the strip as floats,
-    the abscissa ``centre`` that the window is measured from, the float
-    field (reversal applied) and first integral, and either the exact
+    """What every hop through one zone reads, prepared once: the strip as
+    floats, the abscissa ``centre`` that the window is measured from, the
+    float field (reversal applied) and first integral, and either the exact
     linear part (a ``linear`` zone) or, built on first use, the zone's
     DOP853 steps (``zone_step_fns``)."""
 
@@ -455,7 +460,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     t = 0.0
     h = min(MAX_STEP, 1e-3)
     samples = [(t, x, y)] if record else []
-    events: list = []
+    edge = None
     slow = steps = rejected = event_steps = 0
     status = "reached-time-limit"
 
@@ -469,39 +474,25 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.125)
             continue
-        # accepted
+        # accepted; a boundary hit replaces it with the step that lands
         steps += 1
-        hit_edge = None
         if xn <= lo and xn < x:
-            hit_edge = "lo"
+            edge = "lo"
         elif xn >= hi and xn > x:
-            hit_edge = "hi"
+            edge = "hi"
         elif k1[0] * kn[0] < 0:  # x turns within the step
-            edge, c = ("hi", hi) if k1[0] > 0 else ("lo", lo)
+            side, c = ("hi", hi) if k1[0] > 0 else ("lo", lo)
             theta, peak = _hermite_peak(x, xn, h * k1[0], h * kn[0])
             if (peak - c) * k1[0] >= 0:
                 xs, ys, _, ks = step(x, y, theta * h, k1)
                 event_steps += 1
                 if (xs - c) * k1[0] >= 0:
-                    hit_edge, h, xn, yn, kn = edge, theta * h, xs, ys, ks
-        if hit_edge is not None:
-            c = lo if hit_edge == "lo" else hi
-            h_loc, ym, n = _land(step, x, y, k1, h, xn, yn, kn, c)
+                    edge, h, xn, yn, kn = side, theta * h, xs, ys, ks
+        if edge is not None:
+            c = lo if edge == "lo" else hi
+            h, yn, n = _land(step, x, y, k1, h, xn, yn, kn, c)
+            xn = c
             event_steps += n
-            t += h_loc
-            x, y = c, ym
-            if record:
-                samples.append((t, x, y))
-            if monitor:
-                hv = safe_h(x, y)
-                if math.isfinite(hv):
-                    drift = max(drift, abs(hv - h0) / scale_h)
-            if abs(x - centre) > cfg.window or abs(y) > cfg.window:
-                status = "left-window"  # the step left the window first
-                break
-            events.append((t, hit_edge, 1 if hit_edge == "hi" else -1))
-            status = "reached-boundary"
-            break
         t += h
         x, y, k1 = xn, yn, kn
         if record:
@@ -511,7 +502,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             if math.isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
         if abs(x - centre) > cfg.window or abs(y) > cfg.window:
-            status = "left-window"
+            status, edge = "left-window", None  # a landing beyond it left it first
+            break
+        if edge is not None:
+            status = "reached-boundary"
             break
         if math.hypot(*k1) < 1e-12:
             slow += 1
@@ -524,7 +518,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     else:
         status = "reached-time-limit"
 
-    return Trajectory(samples, events, status, (x, y), drift, steps, rejected, event_steps)
+    return Trajectory(samples, edge, status, (x, y), drift, steps, rejected, event_steps)
 
 
 # -- exact arcs of linear zones ------------------------------------------------
@@ -618,13 +612,13 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         norm = math.hypot(a11, a12, a21, a22)
         piece = min(piece, MAX_STEP, 0.0625 / norm if norm else math.inf)
     # (coordinate, level, outward sign, edge name or None for the window)
-    targets = [(0, c, out, edge) for c, out, edge in ((lo, -1, "lo"), (hi, 1, "hi"))
+    targets = [(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
                if math.isfinite(c)]
     targets += [(k, mid + out * w, out, None)
                 for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)]
     t = 0.0
     samples = [(t, x, y)] if record else []
-    events: list = []
+    edge = None
     status = "left-window" if abs(x - centre) > w or abs(y) > w else None
     while status is None:
         u = (x, y)
@@ -633,11 +627,11 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         rest = cfg.max_time - t
         span = min(rest, piece)
         # the least crossing time; an edge wins a tie with the window
-        th, c, edge = min(((_first_crossing(e, u[k], f[k], g[k], c, out), c, edge)
-                           for k, c, out, edge in targets),
+        th, c, side = min(((_first_crossing(e, u[k], f[k], g[k], c, out), c, side)
+                           for k, c, out, side in targets),
                           key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
         hit = th <= span * (1 + 1e-9)
-        if hit and edge:  # Newton on x(t) - c from the quadratic's root
+        if hit and side:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
                 s1, s2 = _s12(e, th)
                 miss = x + s1 * f[0] + s2 * g[0] - c
@@ -649,10 +643,8 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         s1, s2 = _s12(e, dt)
         x, y = x + s1 * f[0] + s2 * g[0], y + s1 * f[1] + s2 * g[1]
         t += dt
-        if hit and edge:
-            x = c
-            events.append((t, edge, 1 if edge == "hi" else -1))
-            status = "reached-boundary"
+        if hit and side:
+            x, edge, status = c, side, "reached-boundary"
         elif hit:
             status = "left-window"
         elif math.hypot(*field(x, y)) < 1e-12:
@@ -662,7 +654,7 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         if record:
             samples.append((t, x, y))
     drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))
-    return Trajectory(samples, events, status, (x, y), drift, 0, 0, 0)
+    return Trajectory(samples, edge, status, (x, y), drift, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +666,8 @@ class FlowMachine:
     """The boundary maps of one system: the return map, the displacement,
     the shooting oracle and the candidate verifier.
 
-    Each zone gets an ArcPlan on first use, so that the hop loop reads
+    Every orbit runs through one walk (``_walk``), one hop per zone it
+    crosses.  Each zone gets an ArcPlan on first use, so that the walk reads
     floats and compiled code only: no lookup keyed on a Zone, no Fraction
     compared or converted.  The field, the first integral and the DOP853
     step that a plan holds are generated for the zone's own monomials and
@@ -713,12 +706,29 @@ class FlowMachine:
     def _hop(self, zone_index: int, state: tuple, record: bool = False):
         """The arc from ``state`` through zone ``zone_index``: (boundary
         index, ordinate, direction, trajectory) of its landing.  Zone i lies
-        between boundaries i - 1 and i."""
+        between boundaries i - 1 and i, and an arc that ends on its upper
+        edge crosses it upward."""
         traj = integrate_arc(self._plan(zone_index), state, self.cfg, record=record)
         if traj.status != "reached-boundary":
             raise NonReturning(f"arc in zone {zone_index} ended with {traj.status}")
-        _, edge, direction = traj.events[-1]
-        return zone_index if edge == "hi" else zone_index - 1, traj.end[1], direction, traj
+        if traj.edge == "hi":
+            return zone_index, traj.end[1], 1, traj
+        return zone_index - 1, traj.end[1], -1, traj
+
+    def _walk(self, bindex: int, y: float, direction: int, record: bool = False):
+        """The orbit from (x_b, y) crossing boundary ``bindex`` with
+        ``direction``, one hop at a time: each hop runs through the zone
+        the crossing enters, and its landing must be a crossing in the
+        direction the arc arrived with.  Yields (boundary index, ordinate,
+        direction, trajectory) per landing; raises NonReturning after
+        MAX_HOPS hops."""
+        for _ in range(MAX_HOPS):
+            zone = bindex + 1 if direction > 0 else bindex
+            bindex, y, direction, traj = self._hop(zone, (self.bxs[bindex], y), record)
+            if self.crossing_direction(bindex, y) != direction:  # pragma: no cover
+                raise SlidingPoint(f"inconsistent crossing at boundary {bindex}")
+            yield bindex, y, direction, traj
+        raise NonReturning("no return within the hop limit")
 
     def return_map(self, bindex: int, y: float, direction: int, record: bool = False):
         """First return to boundary ``bindex`` with the same crossing
@@ -728,20 +738,11 @@ class FlowMachine:
         if d0 != direction:
             raise SlidingPoint(
                 f"crossing at boundary {bindex}, y={y:.9g} runs opposite to requested")
-        zone = bindex + 1 if direction > 0 else bindex
-        state = (self.bxs[bindex], y)
         log = []
-        for _ in range(MAX_HOPS):
-            bhit, yhit, dhit, traj = self._hop(zone, state, record)
-            dchk = self.crossing_direction(bhit, yhit)
-            if dchk != dhit:  # pragma: no cover
-                raise SlidingPoint(f"inconsistent crossing at boundary {bhit}")
+        for bhit, yhit, dhit, traj in self._walk(bindex, y, direction, record):
             log.append((bhit, yhit, dhit, traj))
             if bhit == bindex and dhit == direction:
                 return yhit, log
-            zone = bhit + 1 if dhit > 0 else bhit
-            state = (self.bxs[bhit], yhit)
-        raise NonReturning("no return within the hop limit")
 
     def displacement(self, bindex: int, y: float, direction: int):
         try:
@@ -793,9 +794,11 @@ class FlowMachine:
     # -- candidate verification ---------------------------------------------
 
     def verify_candidate(self, cand) -> tuple[str, str]:
-        """Integrate the full declared loop; 'verified' only when every arc
-        stays in its strip, every boundary hit matches a declared ordinate,
-        and the loop closes.  Everything else is a typed rejection."""
+        """Walk the full declared loop from its least ordinate; 'verified'
+        only when every arc stays in its strip and keeps its first integral,
+        every landing is a crossing that matches a declared ordinate, and
+        the loop closes after all of its crossings and not before.
+        Everything else is a typed rejection."""
         expected: dict[int, list[float]] = {}
         for b, v in cand.ordinates:
             expected.setdefault(b, []).append(float(v))
@@ -805,40 +808,32 @@ class FlowMachine:
             direction = self.crossing_direction(b0, y0)
         except SlidingPoint as e:
             return "rejected", f"start not a crossing point: {e}"
-        zone = b0 + 1 if direction > 0 else b0
-        state = (self.bxs[b0], y0)
         n_cross = len(cand.ordinates)
-        hits = 0
         try:
-            while hits < n_cross:
-                bhit, yhit, dhit, traj = self._hop(zone, state)
+            for hits, (bhit, yhit, dhit, traj) in enumerate(self._walk(b0, y0, direction), 1):
                 if traj.drift > DRIFT_TOL:
                     return "rejected", f"first-integral drift {traj.drift:.2e}"
-                self.crossing_direction(bhit, yhit)
                 match = min((abs(yhit - e) for e in expected.get(bhit, [])),
                             default=math.inf)
                 if match > MATCH_TOL:
                     return "rejected", (
                         f"arc reached boundary {bhit} at y={yhit:.9f}, "
                         "not a declared crossing ordinate")
-                hits += 1
-                if hits < n_cross and bhit == b0 and dhit == direction:
-                    return "rejected", f"loop closed after {hits} of {n_cross} crossings"
                 if hits == n_cross:
-                    if bhit != b0 or dhit != direction:
-                        return "rejected", "loop ended on the wrong boundary or direction"
-                    if abs(yhit - y0) > CLOSURE_TOL:
-                        return "rejected", f"loop failed to close: gap {abs(yhit - y0):.2e}"
-                    return "verified", ""
-                zone = bhit + 1 if dhit > 0 else bhit
-                state = (self.bxs[bhit], yhit)
+                    break
+                if bhit == b0 and dhit == direction:
+                    return "rejected", f"loop closed after {hits} of {n_cross} crossings"
         except SlidingPoint as e:
             return "rejected", f"sliding obstruction: {e}"
         except NotEntryPoint as e:
             return "rejected", f"arc leaves zone: {e}"
         except NonReturning as e:
             return "rejected", f"arc did not return: {e}"
-        return "rejected", "loop did not close"  # pragma: no cover
+        if bhit != b0 or dhit != direction:
+            return "rejected", "loop ended on the wrong boundary or direction"
+        if abs(yhit - y0) > CLOSURE_TOL:
+            return "rejected", f"loop failed to close: gap {abs(yhit - y0):.2e}"
+        return "verified", ""
 
 
 def oracle_window(report) -> tuple:

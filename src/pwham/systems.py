@@ -267,13 +267,13 @@ def _xy(v) -> MultiPoly:
     return MultiPoly.const(v, (X, Y))
 
 
-def _derive(p: Payload, xs: MultiPoly) -> tuple[MultiPoly, ...]:
-    """(num, den, fx, fy): the first integral num/den with X replaced by xs,
-    and the forward field m * (H_y, -H_x) by exact differentiation (d/dX is
-    d/dx).  A polynomial integral has den = 1 and a constant m; for a
-    rational one the quotient rule leaves den^2 under the derivatives, and
-    m cancels it."""
-    num, den, m = p.first_integral(xs, _y())
+def _derive(p: Payload) -> tuple[MultiPoly, ...]:
+    """(num, den, fx, fy): the first integral num/den in the local frame,
+    written in the variable x, and the forward field m * (H_y, -H_x) by
+    exact differentiation.  A polynomial integral has den = 1 and a
+    constant m; for a rational one the quotient rule leaves den^2 under the
+    derivatives, and m cancels it."""
+    num, den, m = p.first_integral(_x(), _y())
     num = _xy(num)
     if den == 1:
         return num, _xy(1), num.diff(Y) * m, num.diff(X) * -m
@@ -299,7 +299,7 @@ def _template(cls) -> tuple:
     no product of two of them.  Built on first use, once per family."""
     names = tuple(f.name for f in fields(cls) if f.name != "offset")
     ones = dict.fromkeys(names, 1)
-    base, *steps = (_derive(cls(**point), _x())
+    base, *steps = (_derive(cls(**point))
                     for point in [ones] + [{**ones, n: 2} for n in names])
     out = []
     for k, b in enumerate(base):

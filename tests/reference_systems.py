@@ -1,10 +1,10 @@
 """Reference implementations that only the tests use.
 
 ``absolute_forms`` derives a payload's exact forms straight from its
-family's ``first_integral`` in absolute coordinates, by substituting
-X = x + offset into the integral and differentiating; ``hamiltonian``,
-``field_polys`` and ``restriction_by_subs`` read the integral, the field and
-the restricted forms from it.
+family's ``first_integral`` (``systems._derive`` at the payload itself) and
+moves them to absolute coordinates by substituting X = x + offset;
+``hamiltonian``, ``field_polys`` and ``restriction_by_subs`` read the
+integral, the field and the restricted forms from it.
 This is the derivation that ``pwham.systems`` replaced with a per-family
 affine template: the check on the template's forms.
 """
@@ -16,8 +16,10 @@ from pwham.systems import Zone, _derive
 
 
 def absolute_forms(p) -> tuple:
-    """(num, den, fx, fy) of the payload in absolute coordinates."""
-    return _derive(p, MultiPoly.var("x") + MultiPoly.const(p.offset))
+    """(num, den, fx, fy) of the payload in absolute coordinates: the
+    derived local forms with X = x + offset substituted (d/dX is d/dx)."""
+    shift = {"x": MultiPoly.var("x") + MultiPoly.const(p.offset)}
+    return tuple(f.subs(shift) for f in _derive(p))
 
 
 def hamiltonian(zone: Zone) -> tuple:

@@ -1,10 +1,12 @@
 """Numerical flow: conservation, event accuracy, return maps, the shooting
 oracle, and candidate verification."""
 
+import itertools
 import math
 import os
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -192,7 +194,7 @@ def test_arc_sees_an_excursion_within_one_step(k):
     edge, on its level curve."""
     zone = Zone(CubicCenter(a=0, b=1, p=0, q=0, r=0, s=0), None, F(1, 2) - F(1, 10**k))
     traj = integrate_arc(zone, (0.0, 0.5), IntegratorConfig(max_time=6.0))
-    assert traj.status == "reached-boundary" and traj.events[-1][1] == "hi"
+    assert traj.status == "reached-boundary" and traj.edge == "hi"
     H = zone_integral_fn(zone)
     h0 = H(0.0, 0.5)
     assert abs(H(*traj.end) - h0) <= 1e-10 * abs(h0)
@@ -346,12 +348,12 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
                                 for a, b in zip(ts, ts[1:]))
     for _, x, y in exact.samples:
         assert abs(H(x, y) - h0) <= 1e-12 * max(1.0, abs(h0))
-    edges = [a.end for a in (exact, ref) if a.events] + [start] * (edge != "inside")
+    edges = [a.end for a in (exact, ref) if a.edge] + [start] * (edge != "inside")
     if any(_fleeting(zone, p) for p in edges):
         return
     assert exact.status == ref.status
-    assert [e[1:] for e in exact.events] == [e[1:] for e in ref.events]
-    if exact.events:
+    assert exact.edge == ref.edge
+    if exact.edge:
         assert exact.end[0] == ref.end[0]
         assert abs(exact.end[1] - ref.end[1]) <= 1e-9
 
@@ -363,7 +365,7 @@ def test_dp5_landing_outside_the_window_leaves_it():
     cfg = IntegratorConfig(window=20.0)
     for arc in (_dop853_arc(ArcPlan(zone), (0.2897, 1 / 3), cfg, True, True),
                 integrate_arc(zone, (0.2897, 1 / 3), cfg)):
-        assert arc.status == "left-window" and not arc.events
+        assert arc.status == "left-window" and arc.edge is None
 
 
 def test_grazing_landing_stays_on_the_level_curve():
@@ -510,7 +512,7 @@ def _composed_return(machine: FlowMachine, b: int, y: float, direction: int):
         traj = integrate_arc(ps.zones[zone], state, machine.cfg, record=False)
         if traj.status != "reached-boundary":
             raise NonReturning(traj.status)
-        _, edge, dhit = traj.events[-1]
+        edge, dhit = traj.edge, 1 if traj.edge == "hi" else -1
         bhit = ps.boundaries.index(ps.zones[zone].x_hi if edge == "hi" else ps.zones[zone].x_lo)
         machine.crossing_direction(bhit, traj.end[1])
         log.append((bhit, traj.end[1], dhit))
@@ -682,6 +684,84 @@ def test_verify_rejects_fabricated_tuple():
     m = FlowMachine(ps, IntegratorConfig())
     status, reason = m.verify_candidate(cand)
     assert status == "rejected"
+
+
+class ScriptedWalk(FlowMachine):
+    """A FlowMachine on the boundaries ``bxs`` whose hops replay ``script``:
+    each entry is a landing (boundary, ordinate, direction, drift) or an
+    exception that the hop raises.  A point's crossing direction is the one
+    of the start or of the landing made there.  ``zones`` logs the zone
+    each hop runs through."""
+
+    def __init__(self, bxs, start, script):
+        self.bxs = bxs
+        self.script = iter(script)
+        self.directions = {(start[0], start[1]): start[2]}
+        self.zones = []
+
+    def crossing_direction(self, bindex, y):
+        return self.directions[bindex, y]
+
+    def _hop(self, zone_index, state, record=False):
+        self.zones.append(zone_index)
+        step = next(self.script)
+        if isinstance(step, Exception):
+            raise step
+        b, y, d, drift = step
+        self.directions[b, y] = d
+        return b, y, d, SimpleNamespace(drift=drift)
+
+
+def _scripted_verdict(ordinates, script):
+    """verify_candidate of a two-boundary ScriptedWalk started at the least
+    declared ordinate, crossing upward, with the given hops."""
+    from pwham.solver import CandidateCycle
+
+    cand = CandidateCycle(topology="two_zone", ordinates=tuple((b, F(y)) for b, y in ordinates))
+    b0, y0 = min(ordinates, key=lambda by: by[1])
+    return ScriptedWalk([0.0, 1.0], (b0, float(y0), 1), script).verify_candidate(cand)
+
+
+def test_verify_rejects_first_integral_drift():
+    status, reason = _scripted_verdict(((0, 1), (0, 2)), [(0, 2.0, -1, 1e-6)])
+    assert (status, reason) == ("rejected", "first-integral drift 1.00e-06")
+
+
+def test_verify_rejects_a_loop_ending_in_the_wrong_direction():
+    """The last declared crossing is matched, but against the start's
+    direction."""
+    status, reason = _scripted_verdict(((0, 1), (0, 2)),
+                                       [(0, 2.0, -1, 0.0), (0, 2.0 + 1e-7, -1, 0.0)])
+    assert (status, reason) == ("rejected", "loop ended on the wrong boundary or direction")
+
+
+def test_verify_rejects_a_loop_with_a_gap():
+    """The loop comes back within MATCH_TOL of the start, but not within
+    CLOSURE_TOL."""
+    status, reason = _scripted_verdict(((0, 1), (0, 2)),
+                                       [(0, 2.0, -1, 0.0), (0, 1.0 + 5e-6, 1, 0.0)])
+    assert (status, reason) == ("rejected", "loop failed to close: gap 5.00e-06")
+
+
+def test_verify_rejects_an_arc_that_leaves_its_zone():
+    status, reason = _scripted_verdict(
+        ((0, 1), (0, 2)), [NotEntryPoint("start on the lower edge with outward velocity")])
+    assert (status, reason) == (
+        "rejected", "arc leaves zone: start on the lower edge with outward velocity")
+
+
+def test_return_map_gives_up_after_the_hop_limit():
+    """A walk that keeps landing on its start boundary in the opposite
+    direction never returns: after the first hop, up into zone 1, every hop
+    runs down through zone 0; the return map raises after MAX_HOPS hops,
+    and the displacement is undefined."""
+    m = ScriptedWalk([0.0], (0, 1.0, 1), itertools.repeat((0, 2.0, -1, 0.0)))
+    with pytest.raises(NonReturning, match="no return within the hop limit"):
+        m.return_map(0, 1.0, 1)
+    assert m.zones == [1] + [0] * (MAX_HOPS - 1)
+    m = ScriptedWalk([0.0], (0, 1.0, 1), itertools.repeat((0, 2.0, -1, 0.0)))
+    assert m.displacement(0, 1.0, 1) is None
+    assert len(m.zones) == MAX_HOPS
 
 
 def test_integrator_config_validation():

@@ -189,7 +189,7 @@ def test_template_forms_are_the_derived_forms(data, kind):
     the substitution x = c into the absolute forms."""
     zone = data.draw(_zones(FAMILIES[kind]))
     c = data.draw(_rats)
-    assert local_forms(zone.payload) == _derive(zone.payload, MultiPoly.var("x"))
+    assert local_forms(zone.payload) == _derive(zone.payload)
     assert restriction(zone, c) == restriction_by_subs(zone, c)
 
 
@@ -201,7 +201,7 @@ def test_family_forms_are_affine(kind):
     cls = FAMILIES[kind]
     names = [f.name for f in dataclasses.fields(cls) if f.name != "offset"]
     p = cls(**{n: F(2 * i + 7, 5) for i, n in enumerate(names)})
-    assert local_forms(p) == _derive(p, MultiPoly.var("x"))
+    assert local_forms(p) == _derive(p)
 
 
 def test_import_builds_no_template():
@@ -457,6 +457,30 @@ def test_family_classes_stay_in_systems():
         if names & families:
             found[module] = sorted(names & families)
     assert not found
+
+
+def test_orbits_have_one_walk():
+    """``FlowMachine._walk`` is the one loop over hops in the package: every
+    call of ``_hop`` and every read of ``MAX_HOPS`` in ``src/pwham`` lies
+    inside it."""
+    uses = []
+    for path in sorted(Path(pwham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "_hop"
+            read = isinstance(node, ast.Name) and node.id == "MAX_HOPS" and isinstance(
+                node.ctx, ast.Load)
+            if called or read:
+                owner, scope = parents[node], []
+                while not isinstance(owner, ast.Module):
+                    if isinstance(owner, (ast.FunctionDef, ast.ClassDef)):
+                        scope.insert(0, owner.name)
+                    owner = parents[owner]
+                uses.append((path.stem, ".".join(scope), "_hop" if called else "MAX_HOPS"))
+    assert sorted(uses) == [("dynamics", "FlowMachine._walk", "MAX_HOPS"),
+                            ("dynamics", "FlowMachine._walk", "_hop")]
 
 
 def test_exact_forms_have_one_derivation():
