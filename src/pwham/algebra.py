@@ -4,7 +4,7 @@ Everything the elimination pipeline touches lives here: arbitrary-precision
 rationals (stdlib ``Fraction``), dense univariate polynomials, sparse
 multivariate polynomials, Sylvester resultants computed by fraction-free
 (Bareiss) elimination, squarefree decomposition, Sturm-sequence real-root
-isolation and bisection refinement.
+isolation and root refinement.
 
 Floating point never enters: coefficients are ``Fraction`` throughout, and
 root refinement returns rational approximations of prescribed accuracy.
@@ -13,9 +13,17 @@ bound rounded up), so every isolating interval endpoint and every refined
 root is dyadic: a root refined to ``tol`` has about ``log2(1/tol)`` bits
 however large the coefficients are, and a dyadic root ``k / 2^j`` with
 ``2^-j >= tol`` is returned exactly.
-Every sign decision (Sturm variations, bracketing, bisection) runs on plain
-integers: ``_sign_at`` evaluates an integer-coefficient polynomial at ``n/m``
-by homogeneous Horner, so no ``Fraction`` is normalised in those loops.
+Refinement returns what bisecting to ``tol`` would, without running the
+bisection: that result is the midpoint of the one cell of the interval's
+dyadic grid, at the depth the bisection reaches, that holds the root.
+``refine_root`` finds the cell by one integer division for a linear
+polynomial, and otherwise by Newton guesses on grid indices, each confirmed
+by exact signs at both ends of its cell, with bisection inside the
+confirmed bracket when a guess misses.
+Every sign decision (Sturm variations, bracketing, refinement) runs on
+plain integers: ``_sign_at`` evaluates an integer-coefficient polynomial at
+``n/m`` by homogeneous Horner, so no ``Fraction`` is normalised in those
+loops.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from typing import Iterable, Sequence, Union
 RatLike = Union[Fraction, int, str]
 
 DEFAULT_REFINE_TOL = Fraction(1, 10**12)
+# refine_root bisects to this depth, then tries Newton stages of this many
+# levels, doubled after each guess that lands and halved after each miss
+_BISECT_DEPTH = 6
+_NEWTON_STEP = 4
 
 
 class AlgebraError(ValueError):
@@ -46,14 +58,20 @@ def rat(x: RatLike) -> Fraction:
     raise AlgebraError(f"not an exact rational: {x!r} ({type(x).__name__})")
 
 
-def _sign_at(ints: Sequence[int], n: int, m: int) -> int:
-    """sign(p(n/m)) for m > 0, where ints are p's integer coefficients in
-    ascending degree: homogeneous Horner, sum c_k n^k m^(d-k), on integers."""
+def _value_at(ints: Sequence[int], n: int, m: int) -> int:
+    """m^d p(n/m), where ints are the integer coefficients of p, of degree d,
+    in ascending degree: homogeneous Horner, sum c_k n^k m^(d-k)."""
     acc = 0
     mk = 1
     for c in reversed(ints):
         acc = acc * n + c * mk
         mk *= m
+    return acc
+
+
+def _sign_at(ints: Sequence[int], n: int, m: int) -> int:
+    """sign(p(n/m)) for m > 0, on integers only."""
+    acc = _value_at(ints, n, m)
     return (acc > 0) - (acc < 0)
 
 
@@ -368,31 +386,74 @@ def _bracket_single_root(p: UniPoly, chain, a: Fraction, b: Fraction) -> RootInt
 
 
 def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL) -> Fraction:
-    """Bisect the isolating interval until its width is below tol; returns the
-    midpoint, a rational within tol of the true root.  An exact root hit at a
-    midpoint is returned as it is."""
+    """The midpoint of the isolating interval after bisecting it until its
+    width is below tol, a dyadic rational within tol of the true root; an
+    exact root hit at a bisection point is returned as it is.
+
+    The bisection count K depends only on the width and tol, so the result
+    is fixed: the midpoint of the depth-K cell of the interval's dyadic grid
+    that holds the root, or the root itself when it is a grid point of depth
+    at most K (the points the bisection evaluates).  That cell is found
+    directly: by one integer division for linear p, and otherwise by Newton
+    guesses on grid indices, each stage about doubling the depth and
+    confirmed by exact integer signs at both ends of its cell; a guess that
+    misses falls back to bisection inside the bracket its signs confirmed.
+    """
     tol = rat(tol)
     if tol <= 0:
         raise AlgebraError("refinement tolerance must be positive")
     ints = _integer_coeffs(p)
-    # the interval is (a/m, b/m); each bisection doubles m
+    # the interval is (a/m, (a + s)/m); the depth-k grid point i is
+    # (a 2^k + i s) / (m 2^k), and K is the least k with s / (m 2^k) < tol
     lo, hi = iv.lo, iv.hi
     m = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (m // lo.denominator)
-    b = hi.numerator * (m // hi.denominator)
-    slo = iv.sign_lo
-    tn, td = tol.numerator, tol.denominator
-    while (b - a) * td >= tn * m:
-        mid = a + b
-        m *= 2
-        sm = _sign_at(ints, mid, m)
-        if sm == 0:
-            return Fraction(mid, m)
-        if sm == slo:
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-    return Fraction(a + b, 2 * m)
+    s = hi.numerator * (m // hi.denominator) - a
+    K = (s * tol.denominator // (tol.numerator * m)).bit_length()
+    if len(ints) == 2:
+        # the root -c0/c1 sits at index -(c0 m + c1 a) 2^K / (c1 s)
+        c0, c1 = ints
+        j, r = divmod(-(c0 * m + c1 * a) << K, c1 * s)
+        if r == 0:
+            return Fraction((a << K) + j * s, m << K)
+    else:
+        slo = iv.sign_lo
+        dints = [k * c for k, c in enumerate(ints)][1:]
+        k = j = 0  # the root lies in cell j of depth k
+        step = _NEWTON_STEP
+        while k < K:
+            k2 = min(K, k + step if k else _BISECT_DEPTH)
+            top = m << k2
+            lo_i, hi_i = j << (k2 - k), (j + 1) << (k2 - k)
+            probes = []
+            if k:
+                # a Newton step from the cell's midpoint, in depth-k2 indices
+                x = (2 * j + 1) << (k2 - k - 1)
+                n = (a << k2) + x * s
+                t = _value_at(dints, n, top) * s
+                if t:
+                    g = x - (2 * _value_at(ints, n, top) + t) // (2 * t)
+                    probes.append(min(max(g, lo_i + 1), hi_i - 1))
+            newton = bool(probes)
+            evals = 0
+            while hi_i - lo_i > 1:
+                # the guess, then its neighbour towards the root, then halves
+                i = probes.pop() if probes else (lo_i + hi_i) >> 1
+                n = (a << k2) + i * s
+                si = _sign_at(ints, n, top)
+                if si == 0:
+                    return Fraction(n, top)
+                if si == slo:
+                    lo_i = i
+                else:
+                    hi_i = i
+                evals += 1
+                if newton and evals == 1:
+                    probes.append(i + 1 if si == slo else i - 1)
+            if newton:
+                step = 2 * step if evals <= 2 else max(1, step // 2)
+            k, j = k2, lo_i
+    return Fraction(2 * ((a << K) + j * s) + s, m << (K + 1))
 
 
 def isolate_real_roots(p: UniPoly) -> tuple[UniPoly, list[RootInterval]]:
@@ -612,57 +673,32 @@ class MultiPoly:
 
     # -- substitution / evaluation --------------------------------------------
 
-    def subs(self, mapping: dict[str, "MultiPoly | RatLike"]) -> "MultiPoly":
-        """Substitute polynomials or rationals for variables.
-
-        A rational value folds into the coefficients, ``c * val**k``; a
-        polynomial value is expanded.  The result's variables are those
-        that remain or come in with a polynomial value, over all terms, and
-        its terms keep the order of expanding term by term.
-        """
-        vals = {v: x if isinstance(x, MultiPoly) else rat(x) for v, x in mapping.items()}
-        out_vars: set[str] = set()
-        for i, v in enumerate(self.vars):
-            if any(e[i] for e in self.terms):
-                x = vals.get(v)
-                if x is None:
-                    out_vars.add(v)
-                elif isinstance(x, MultiPoly):
-                    out_vars.update(x.vars)
-        vs = tuple(sorted(out_vars))
-        pos = {v: i for i, v in enumerate(vs)}
+    def subs(self, mapping: dict[str, RatLike]) -> "MultiPoly":
+        """Substitute rationals for variables, each folding into the
+        coefficients as ``c * val**k``.  The result's variables are those
+        left with a positive exponent in some term, and its terms keep
+        their order.  A polynomial value raises AlgebraError."""
+        vals = {v: rat(x) for v, x in mapping.items()}
+        keep = [i for i, v in enumerate(self.vars)
+                if v not in vals and any(e[i] for e in self.terms)]
         terms: dict[tuple[int, ...], Fraction] = {}
-        powers: dict[tuple[str, int], "MultiPoly | Fraction"] = {}
+        powers: dict[tuple[str, int], Fraction] = {}
         for e, c in self.terms.items():
-            key = [0] * len(vs)
-            factor = None
             for v, k in zip(self.vars, e):
-                if not k:
-                    continue
-                x = vals.get(v)
-                if x is None:
-                    key[pos[v]] = k
-                    continue
-                xk = powers.get((v, k))
-                if xk is None:
-                    xk = powers[v, k] = x**k
-                if isinstance(x, MultiPoly):
-                    factor = xk if factor is None else factor * xk
-                else:
+                if k and v in vals:
+                    xk = powers.get((v, k))
+                    if xk is None:
+                        xk = powers[v, k] = vals[v] ** k
                     c *= xk
             if not c:
                 continue
-            if factor is None:
-                parts = ((tuple(key), c),)
+            key = tuple(e[i] for i in keep)
+            t = terms.get(key, 0) + c
+            if t:
+                terms[key] = t
             else:
-                parts = (MultiPoly(vs, {tuple(key): c}) * factor).terms.items()
-            for ek, ck in parts:
-                t = terms.get(ek, 0) + ck
-                if t:
-                    terms[ek] = t
-                else:
-                    del terms[ek]
-        return MultiPoly(vs, terms)
+                del terms[key]
+        return MultiPoly(tuple(self.vars[i] for i in keep), terms)
 
     def eval(self, point: dict[str, RatLike]) -> Fraction:
         acc = Fraction(0)

@@ -17,7 +17,10 @@ and the ordinates of a zone whose restricted denominator is not constant
 adds the spurious root y = 0.  So the module reads zones only through
 ``restriction`` and names no family.  ``to_sum_diff`` rewrites a three-zone
 system in the sum/difference variables of the three-zone elimination and
-returns its four equations.
+returns its four equations.  It reads the image of each monomial
+``y_a^i y_b^j`` in ``(u, v, w, z)`` from a bounded module-level cache
+(``_image``, an ``lru_cache``): few monomials occur, whatever the
+coefficients, so each binomial expansion is made once per process.
 
 Ordinates on each boundary are stored canonically as (lower, upper).
 """
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
+
 from .algebra import MultiPoly, RatLike, UniPoly, rat
 from .systems import PiecewiseSystem, Zone, restriction
 
@@ -170,6 +176,34 @@ def build_three_zone(left: Zone, mid: Zone, right: Zone,
 # ---------------------------------------------------------------------------
 
 
+# y1, y2 = (u -+ v)/2 and y3, y4 = (w -+ z)/2: each ordinate's pair-sum
+# position in (u, v, w, z) (its spread is the next one) and spread sign
+_SUM_DIFF = {"y1": (0, -1), "y2": (0, 1), "y3": (2, -1), "y4": (2, 1)}
+_UVWZ = ("u", "v", "w", "z")
+
+
+@lru_cache(maxsize=256)
+def _image(names: tuple[str, ...], exps: tuple[int, ...]
+           ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The terms of 2 * prod y^k, (y, k) in zip(names, exps), in (u, v, w, z),
+    each factor ((S -+ D)/2)^k expanded by the binomial theorem."""
+    terms = {(0, 0, 0, 0): Fraction(2)}
+    for y, k in zip(names, exps):
+        if not k:
+            continue
+        at, sign = _SUM_DIFF[y]
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, c in terms.items():
+            for l in range(k + 1):
+                f = list(e)
+                f[at] += k - l
+                f[at + 1] += l
+                t = tuple(f)
+                out[t] = out.get(t, 0) + c * Fraction(comb(k, l) * sign**l, 2**k)
+        terms = {e: c for e, c in out.items() if c}
+    return tuple(terms.items())
+
+
 def to_sum_diff(ms: MatchingSystem) -> list[MultiPoly]:
     """Rewrite a three-zone system in u = y1+y2, v = y2-y1, w = y3+y4,
     z = y4-y3, as the equations [s1, s_diff, s_sum, s4]: the left pair, the
@@ -177,19 +211,22 @@ def to_sum_diff(ms: MatchingSystem) -> list[MultiPoly]:
     to clear halves.  The outer equations are even in (v, z), which is what
     collapses the elimination to a quartic in the swap-invariant u; crossing
     solutions need v > 0 and z > 0 (v = z = 0 is the coincident-point locus
-    that the pair division removed)."""
+    that the pair division removed).
+
+    Each monomial's image comes from the bounded ``_image`` cache, and the
+    four equations are summed from the images in one pass over the terms."""
     if ms.topology != "three_zone":
         raise MatchError("sum/difference form applies to three-zone systems")
-    u, v, w, z = (MultiPoly.var(t) for t in ("u", "v", "w", "z"))
-    half = Fraction(1, 2)
-    subs = {
-        "y1": half * (u - v),
-        "y2": half * (u + v),
-        "y3": half * (w - z),
-        "y4": half * (w + z),
-    }
-    e1, e2, e3, e4 = (e.subs(subs) for e in ms.equations)
-    return [2 * e1, 2 * (e3 - e2), 2 * (e2 + e3), 2 * e4]
+    s1, s_diff, s_sum, s4 = {}, {}, {}, {}
+    e1, e2, e3, e4 = ms.equations
+    for eq, targets in ((e1, ((s1, 1),)), (e2, ((s_diff, -1), (s_sum, 1))),
+                        (e3, ((s_diff, 1), (s_sum, 1))), (e4, ((s4, 1),))):
+        for e, c in eq.terms.items():
+            for t, w in _image(eq.vars, e):
+                cw = c * w
+                for acc, sign in targets:
+                    acc[t] = acc.get(t, 0) + sign * cw
+    return [MultiPoly(_UVWZ, acc) for acc in (s1, s_diff, s_sum, s4)]
 
 
 def matching_systems_for(ps: PiecewiseSystem

@@ -11,8 +11,9 @@ A file is a sequence of directives, one per line; ``#`` starts a comment.
 Zones are listed left to right; there must be one more zone than boundary.
 Every numeric literal is parsed as an exact rational: ``4/5``, ``0.8`` and
 ``8e-1`` all denote the same number, and no floating point sneaks into the
-elimination pipeline.  Unknown directives, kinds and keys are rejected with
-the offending line and column.
+elimination pipeline.  Unknown directives, kinds and keys, malformed
+values and a decimal exponent above ``MAX_EXPONENT`` are rejected with the
+offending line and column.
 """
 
 from __future__ import annotations
@@ -52,12 +53,28 @@ def parse_grid(text: str) -> int:
     return n
 
 
+# a decimal exponent above this is rejected before it is expanded, since
+# 1e999999999 alone takes gigabytes; int() caps a literal at 4300 digits
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
+def _exact(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent above MAX_EXPONENT."""
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_EXPONENT}: {text!r}")
+    return Fraction(text)
+
+
 def parse_window(text: str) -> tuple[float, float]:
     """A scan window LO:HI of exact rationals with LO < HI."""
     try:
-        lo, hi = (float(Fraction(t)) for t in text.split(":"))
+        lo, hi = (float(_exact(t)) for t in text.split(":"))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"window is not LO:HI: {text!r}") from None
+    except OverflowError:
+        raise ValueError(f"window bound beyond the float range: {text!r}") from None
     if lo >= hi:
         raise ValueError(f"window must satisfy LO < HI: {text!r}")
     return lo, hi
@@ -97,7 +114,7 @@ class SystemSpecFile:
 
 def _rat(token: str, line: int, col: int) -> Fraction:
     try:
-        return Fraction(token)
+        return _exact(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not an exact rational: {token!r}", line, col) from None
 

@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use.
 
 ``uni_resultant`` is a plain-Fraction Sylvester determinant, the check on
-``algebra.resultant``; ``discriminant`` is built on it.
+``algebra.resultant``; ``discriminant`` is built on it.  ``expand_subs``
+substitutes polynomials as well as rationals for variables, which
+``MultiPoly.subs`` (rationals only) does not.
 """
 
 from fractions import Fraction
 
-from pwham.algebra import AlgebraError, UniPoly
+from pwham.algebra import AlgebraError, MultiPoly, UniPoly
 
 
 def uni_resultant(p: UniPoly, q: UniPoly) -> Fraction:
@@ -55,3 +57,18 @@ def discriminant(p: UniPoly) -> Fraction:
     if p.degree < 1:
         raise AlgebraError("discriminant needs positive degree")
     return uni_resultant(p, p.deriv()) / p.lead
+
+
+def expand_subs(p: MultiPoly, mapping: dict) -> MultiPoly:
+    """Substitute polynomials or rationals for variables by term-by-term
+    expansion, every value as a polynomial."""
+    polys = {k: v if isinstance(v, MultiPoly) else MultiPoly.const(v)
+             for k, v in mapping.items()}
+    out = MultiPoly.zero()
+    for e, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for v, k in zip(p.vars, e):
+            if k:
+                term = term * polys.get(v, MultiPoly.var(v)) ** k
+        out = out + term
+    return out

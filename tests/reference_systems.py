@@ -14,12 +14,14 @@ from fractions import Fraction
 from pwham.algebra import MultiPoly
 from pwham.systems import Zone, _derive
 
+from reference_algebra import expand_subs
+
 
 def absolute_forms(p) -> tuple:
     """(num, den, fx, fy) of the payload in absolute coordinates: the
     derived local forms with X = x + offset substituted (d/dX is d/dx)."""
     shift = {"x": MultiPoly.var("x") + MultiPoly.const(p.offset)}
-    return tuple(f.subs(shift) for f in _derive(p))
+    return tuple(expand_subs(f, shift) for f in _derive(p))
 
 
 def hamiltonian(zone: Zone) -> tuple:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from pwham.algebra import (
     AlgebraError,
     MultiPoly,
+    RootInterval,
     UniPoly,
     isolate_real_roots,
     rat,
@@ -22,7 +23,7 @@ from pwham.algebra import (
     sturm_isolate,
 )
 
-from reference_algebra import uni_resultant
+from reference_algebra import expand_subs, uni_resultant
 
 
 def P(*coeffs, var="y"):
@@ -152,7 +153,7 @@ def test_matching_pair_resultant_reproduces_displayed_elimination():
     r = resultant(eq_a, eq_b, "y4")
     # the second equation is linear, so direct substitution is the oracle
     y4v = -y3 - MultiPoly.const(2 * l2)
-    direct = eq_a.subs({"y4": y4v})
+    direct = expand_subs(eq_a, {"y4": y4v})
     assert r.is_proportional_to(direct)
 
 
@@ -330,6 +331,63 @@ def test_refine_root_returns_exact_midpoint_root():
     assert [refine_root(p, iv, tol) for iv in ivs] == [_reference_refine(p, iv, tol) for iv in ivs]
 
 
+def _root_interval(p, lo, hi):
+    """(lo, hi) as the isolating interval of p's one root inside it."""
+    slo, shi = (1 if p(x) > 0 else -1 for x in (lo, hi))
+    assert p(lo) and p(hi) and slo != shi and sturm_count(squarefree(p), lo, hi) == 1
+    return RootInterval(lo, hi, slo, shi)
+
+
+BIG20 = 10**19 + 39
+BIG300 = 2**300 // 3
+
+
+@pytest.mark.parametrize("tol", [F(1, 10**9), F(1, 10**18), F(1, 10**40), F(1, 2**64)])
+@pytest.mark.parametrize("lo, hi", [(F(-3, 4), F(5, 4)), (F(-2, 3), F(9, 7))])
+def test_refine_root_jump_matches_bisection_at_grid_points(lo, hi, tol):
+    """Roots on, next to and between the points of the bisection's dyadic
+    grid: refine_root jumps to the cell the bisection ends in, and returns a
+    root the bisection would evaluate exactly as it is."""
+    K = ((hi - lo) / tol).__floor__().bit_length()  # the bisection count
+    h = (hi - lo) / 2**K  # the depth-K cell width
+    on = [lo + 5 * (hi - lo) / 2**7, lo + (2**(K - 1) + 1) * h, (lo + hi) / 2]
+    roots = on + [r + d for r in on for d in (h, -h, h / 3, -h / 3, h / 2**30, -F(1, BIG20))]
+    others = P(2 + F(1, BIG20), 0, 1) * P(-7, 1)  # no root in (lo, hi)
+    for r in roots:
+        for p in (P(-r, 1), P(-r * BIG20, BIG20), P(-r * BIG300, BIG300),
+                  P(-r, 1) * others, P(-r * BIG300, BIG300) * others):
+            iv = _root_interval(p, lo, hi)
+            assert refine_root(p, iv, tol) == _reference_refine(p, iv, tol), (p, tol)
+    assert refine_root(P(-on[0], 1), _root_interval(P(-on[0], 1), lo, hi), tol) == on[0]
+
+
+@pytest.mark.parametrize("tol", [F(1, 10**9), F(1, 10**18), F(1, 10**40), F(1, 2**100)])
+def test_refine_root_falls_back_to_bisection_on_wide_intervals(tol):
+    """Isolating intervals that are wide against the root's curvature, where
+    the Newton guesses miss, and big-numerator coefficients."""
+    cases = [
+        (P(-F(1, 2**100), 0, 0, 0, 0, 1), F(-1), F(1)),  # root 2^-20
+        (P(-F(1, 10**30), 0, 0, 1), F(-1), F(2)),  # root 10^-10
+        (P(-144, -1614, 29, 436, 18), F(0), F(128)),  # a guess lands on the root -2, outside
+        (P(-1, 0, 0, 0, 0, 0, 0, 10**12), F(0), F(64)),
+        (P(-BIG300 - 1, 3 * BIG300, 0, BIG300), F(0), F(1)),
+        (P(F(-7, BIG20), 2 + F(1, BIG20), 1) * P(-BIG20, 10**19), F(1, 2), F(2)),
+    ]
+    for p, lo, hi in cases:
+        iv = _root_interval(p, lo, hi)
+        assert refine_root(p, iv, tol) == _reference_refine(p, iv, tol), (p, tol)
+
+
+def test_refine_root_interval_already_below_tol():
+    """K = 0: the interval is narrower than tol, so no bisection runs and the
+    midpoint comes back, even when the root is elsewhere in the interval."""
+    tol = F(1, 10**6)
+    for p, lo, hi in ((P(-1, 3), F(1, 3) - tol / 4, F(1, 3) + tol / 3),
+                      (P(-2, 0, 1), F(14142135, 10**7), F(14142136, 10**7))):
+        iv = _root_interval(p, lo, hi)
+        assert refine_root(p, iv, tol) == (lo + hi) / 2 == _reference_refine(p, iv, tol)
+
+
 # -- dyadic isolation -------------------------------------------------------------
 
 
@@ -413,20 +471,6 @@ def test_sturm_count_matches_fraction_reference(coeffs, x1, x2):
     assert sturm_count(sf, lo, hi) == _reference_sturm_count(sf, lo, hi)
 
 
-def _reference_subs(p, mapping):
-    """Term-by-term expansion, every value as a polynomial."""
-    polys = {k: v if isinstance(v, MultiPoly) else MultiPoly.const(v)
-             for k, v in mapping.items()}
-    out = MultiPoly.zero()
-    for e, c in p.terms.items():
-        term = MultiPoly.const(c)
-        for v, k in zip(p.vars, e):
-            if k:
-                term = term * polys.get(v, MultiPoly.var(v)) ** k
-        out = out + term
-    return out
-
-
 multipolys = st.builds(
     lambda terms: MultiPoly(("x", "y", "z"), dict(terms)),
     st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), rationals), max_size=8))
@@ -439,14 +483,12 @@ multipolys = st.builds(
                                      (2, 0, 1): F(1)}), "x", F(-1), "w", MultiPoly.zero())
 def test_subs_scalar_fold_matches_polynomial_expansion(p, v, q, v2, r):
     folded = p.subs({v: q})
-    expanded = p.subs({v: MultiPoly.const(q)})
+    expanded = expand_subs(p, {v: MultiPoly.const(q)})
     assert folded.vars == expanded.vars
-    assert folded.terms == expanded.terms
-    for mapping in ({v: q}, {v: q, v2: r}, {v2: r, v: q}):
-        ref = _reference_subs(p, mapping)
-        got = p.subs(mapping)
-        assert got.vars == ref.vars
-        assert list(got.terms.items()) == list(ref.terms.items())
+    assert list(folded.terms.items()) == list(expanded.terms.items())
+    # subs folds rationals only: a polynomial value is not an exact rational
+    with pytest.raises(AlgebraError):
+        p.subs({v: q, v2: r})
 
 
 # -- misc ------------------------------------------------------------------------

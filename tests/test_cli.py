@@ -6,15 +6,17 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwham.cli import main
-from pwham.specfile import ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_spec
+from pwham.specfile import (MAX_EXPONENT, ZONE_KEYS, ParseError, SystemSpecFile, load_spec,
+                            parse_spec)
 from pwham.systems import FAMILIES, GlobalCenter, LinearSaddle
 
 from conftest import fixture_path
@@ -163,6 +165,94 @@ def test_serialize_parse_round_trip(spec):
     text = spec.serialize()
     assert parse_spec(text) == spec
     assert parse_spec(text).serialize() == text
+
+
+def _parses_or_raises_positioned(text):
+    """parse_spec(text) returns, or raises ParseError at a line and column
+    that exist in text; any other exception is a parser bug."""
+    try:
+        parse_spec(text)
+    except ParseError as e:
+        lines = text.splitlines() or [""]
+        assert 1 <= e.line <= len(lines)
+        assert 1 <= e.col <= max(1, len(lines[e.line - 1]))
+        assert str(e).startswith(f"line {e.line}, column {e.col}: ")
+
+
+_FIXTURE_TEXTS = [open(fixture_path(n), encoding="utf-8").read() for n in sorted(
+    os.listdir(os.path.dirname(fixture_path("x"))))]
+_OPTIONS = _PAIR + "option grid 32\noption window -1:1\n"
+# tokens of the grammar and values at its edges: overflowing floats, zero
+# denominators, huge exponents, missing keys or values
+_VOCAB = ["version", "boundaries", "zone", "option", "grid", "window", "reverse=true",
+          "reverse=maybe", "#", "=", "x=", "=1", "0", "1", "-1", "1/0", "0/0", "1e400",
+          "-1e-400", "1e4301", "1_0", "nan", "inf", "0:1e400", "3:1",
+          "1e400:1e401", "99999999999999999999", "xi=0", "n=0", "l=1e400"] + sorted(FAMILIES)
+_token = st.one_of(st.sampled_from(_VOCAB), st.text(min_size=1).map(lambda t: "".join(t.split()) or "0"))
+_grammar_text = st.lists(st.one_of(_token, st.sampled_from([" ", "\n", "\t"])), max_size=40).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _grammar_text))
+def test_parser_fuzz_arbitrary_text(text):
+    _parses_or_raises_positioned(text)
+
+
+def _token_spots(lines):
+    """(line index, match) of every token of the lines."""
+    return [(i, m) for i, line in enumerate(lines) for m in re.finditer(r"\S+", line)]
+
+
+def _mutants(lines, i, m, words):
+    """The text with the token m of line i deleted, duplicated, and replaced
+    by each word, whole or after the token's last '=' or ':'."""
+    tok, line = m.group(), lines[i]
+    cut = max(tok.rfind("="), tok.rfind(":")) + 1
+    news = ["", tok + " " + tok] + words + ([tok[:cut] + w for w in words] if cut else [])
+    for new in news:
+        yield "\n".join(lines[:i] + [line[:m.start()] + new + line[m.end():]] + lines[i + 1:]) + "\n"
+
+
+@st.composite
+def _mutated_spec_texts(draw):
+    """A valid spec (a fixture, one with both options or a serialized random
+    one) with one token deleted, duplicated or replaced."""
+    text = draw(st.one_of(st.sampled_from(_FIXTURE_TEXTS + [_OPTIONS]),
+                          _specs().map(SystemSpecFile.serialize)))
+    lines = text.splitlines()
+    i, m = draw(st.sampled_from(_token_spots(lines)))
+    return draw(st.sampled_from(list(_mutants(lines, i, m, [draw(_token)]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_spec_texts())
+@example(_OPTIONS.replace("-1:1", "-1:1e400"))  # raised OverflowError
+def test_parser_fuzz_mutated_specs(text):
+    _parses_or_raises_positioned(text)
+
+
+def test_parser_every_single_token_mutation_of_the_fixtures():
+    """The sweep behind the fuzzer: every token of every fixture and of a
+    spec with both options, mutated with each vocabulary word."""
+    for text in _FIXTURE_TEXTS + [_OPTIONS]:
+        lines = text.splitlines()
+        for i, m in _token_spots(lines):
+            for mutated in _mutants(lines, i, m, _VOCAB):
+                _parses_or_raises_positioned(mutated)
+
+
+def test_parse_rejects_out_of_range_literals_with_position():
+    """A window bound past the float range and a decimal exponent above
+    MAX_EXPONENT are positioned parse errors."""
+    with pytest.raises(ParseError) as ei:
+        parse_spec(_PAIR + "option window 0:1e400\n")
+    assert (ei.value.line, ei.value.col) == (5, 15)
+    assert "float range" in str(ei.value)
+    with pytest.raises(ParseError) as ei:
+        parse_spec(_PAIR.replace("xi=1/2", f"xi=1e{MAX_EXPONENT + 1}"))
+    assert (ei.value.line, ei.value.col) == (3, 20)
+    assert parse_spec(_PAIR.replace("xi=1/2", f"xi=1e-{MAX_EXPONENT}")).payloads[0].xi \
+        == F(1, 10**MAX_EXPONENT)
 
 
 def test_all_shipped_fixtures_parse():

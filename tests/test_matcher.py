@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwham.algebra import AlgebraError, MultiPoly
 from pwham.matcher import (
@@ -27,6 +27,7 @@ from pwham.systems import (
 )
 
 from conftest import CONFIG_NAMES, cubic_three_zone, global_center_saddle, rand_config
+from reference_algebra import expand_subs
 from reference_systems import hamiltonian
 
 
@@ -75,8 +76,8 @@ def test_three_zone_transports_match_hamiltonians():
         hmid, _ = hamiltonian(mid)
         for vfrom, vto, eq in (("y1", "y3", ms.equations[1]),
                                ("y2", "y4", ms.equations[2])):
-            direct = (hmid.subs({"x": F(-1)}).subs({"y": V(vfrom)})
-                      - hmid.subs({"x": F(1)}).subs({"y": V(vto)}))
+            direct = (expand_subs(hmid.subs({"x": F(-1)}), {"y": V(vfrom)})
+                      - expand_subs(hmid.subs({"x": F(1)}), {"y": V(vto)}))
             assert (eq - direct).is_zero
 
 
@@ -113,7 +114,7 @@ def test_antisymmetry_and_exact_division():
             z = Zone(LinearSaddle(r(), r(), r(), r(), r()))
         c = r()
         raw = transport_equation(z, c, c, "y1", "y2")
-        swapped = raw.subs({"y1": V("y2"), "y2": V("y1")})
+        swapped = expand_subs(raw, {"y1": V("y2"), "y2": V("y1")})
         assert (raw + swapped).is_zero
         quotient = pair_equation(z, c, "y1", "y2")
         if raw.is_zero:
@@ -138,7 +139,7 @@ def test_three_zone_symmetric_system_invariance():
     ps = piecewise_system([outer, mid, outer], [-1, 1])
     ms = build_three_zone(*ps.zones, -1, 1)
     sub = {"y1": -V("y2"), "y2": -V("y1"), "y3": -V("y4"), "y4": -V("y3")}
-    mapped = [e.subs(sub) for e in ms.equations]
+    mapped = [expand_subs(e, sub) for e in ms.equations]
     for m in mapped:
         assert any(m.is_proportional_to(e) for e in ms.equations), m
     from pwham.solver import solve
@@ -166,7 +167,7 @@ _zones = st.builds(
 
 def _on_line(zone, c, var):
     """N and D of the zone's integral at (c, var), straight from hamiltonian."""
-    return tuple(p.subs({"x": c}).subs({"y": V(var)}) for p in hamiltonian(zone))
+    return tuple(expand_subs(p.subs({"x": c}), {"y": V(var)}) for p in hamiltonian(zone))
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,7 +228,7 @@ def sum_diff_round_trip(sd: list[MultiPoly]) -> list[MultiPoly]:
     equations and undo the linear recombination: the original equations."""
     y1, y2, y3, y4 = (V(t) for t in ("y1", "y2", "y3", "y4"))
     back = {"u": y1 + y2, "v": y2 - y1, "w": y3 + y4, "z": y4 - y3}
-    s1, s_diff, s_sum, s4 = (e.subs(back) for e in sd)
+    s1, s_diff, s_sum, s4 = (expand_subs(e, back) for e in sd)
     half, quarter = F(1, 2), F(1, 4)
     return [half * s1, quarter * (s_sum - s_diff), quarter * (s_sum + s_diff), half * s4]
 
@@ -245,21 +246,44 @@ def test_sum_diff_round_trip_exact():
         assert all((a - b).is_zero for a, b in zip(back, ms.equations))
 
 
-def test_sum_diff_substitutes_each_transport_once():
-    """Substituting into the two transports once each and combining them
-    gives the polynomials of substituting into their difference and sum."""
-    rng = random.Random(23)
+def _sum_diff_by_expansion(ms):
+    """The sum/difference equations by substituting the ordinate halves
+    into the matching equations and recombining them."""
     half = F(1, 2)
     u, v, w, z = (V(t) for t in ("u", "v", "w", "z"))
     subs = {"y1": half * (u - v), "y2": half * (u + v),
             "y3": half * (w - z), "y4": half * (w + z)}
+    e1, e2, e3, e4 = ms.equations
+    return [2 * expand_subs(e1, subs), 2 * expand_subs(e3 - e2, subs),
+            2 * expand_subs(e2 + e3, subs), 2 * expand_subs(e4, subs)]
+
+
+def test_sum_diff_substitutes_each_transport_once():
+    """Substituting into the two transports once each and combining them
+    gives the polynomials of substituting into their difference and sum."""
+    rng = random.Random(23)
     for i in range(30):
         ps = rand_config(rng, CONFIG_NAMES[3 + i % 3])
         ms = build_three_zone(*ps.zones, *ps.boundaries)
-        e1, e2, e3, e4 = ms.equations
-        expected = [2 * e1.subs(subs), 2 * (e3 - e2).subs(subs),
-                    2 * (e2 + e3).subs(subs), 2 * e4.subs(subs)]
+        expected = _sum_diff_by_expansion(ms)
         assert all((a - b).is_zero for a, b in zip(to_sum_diff(ms), expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(zones=st.tuples(_zones, _zones, _zones),
+       cs=st.tuples(_small, _small).filter(lambda t: t[0] != t[1]))
+# a rational (global center) middle integral, and reversed zones
+@example(zones=(Zone(DoubleCenter(l=1, n=2, p=F(-1, 2), offset=-1)),
+                Zone(GlobalCenter(F(3, 4), offset=F(1, 2)), reverse=True),
+                Zone(LinearSaddle(1, F(1, 2), -2, 3, F(-1, 4)), reverse=True)),
+         cs=(F(-1), F(3, 2)))
+def test_sum_diff_matches_expansion_for_every_family(zones, cs):
+    """For three-zone systems with a family drawn per zone, the cached
+    monomial images give the polynomials of substituting into the
+    equations directly."""
+    ms = build_three_zone(*zones, *sorted(cs))
+    got = to_sum_diff(ms)
+    assert all((a - b).is_zero for a, b in zip(got, _sum_diff_by_expansion(ms)))
 
 
 def test_to_sum_diff_rejects_two_zone():
