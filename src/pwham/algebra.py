@@ -24,6 +24,18 @@ Every sign decision (Sturm variations, bracketing, refinement) runs on
 plain integers: ``_sign_at`` evaluates an integer-coefficient polynomial at
 ``n/m`` by homogeneous Horner, so no ``Fraction`` is normalised in those
 loops.
+So do the remainder sequences behind ``UniPoly.gcd``, ``squarefree`` and
+``sturm_chain``: primitive pseudo-remainder sequences (Collins) on the
+coprime integer coefficients, each pseudo-remainder scaled by
+``|lc|^(delta+1)``, a positive factor, so that every content-reduced member
+is the one the Euclidean sequence over the rationals gives, signs included.
+Exact quotients (``UniPoly.exact_div``, the squarefree part) divide the
+primitive parts, whose quotient is an integer polynomial by Gauss's lemma,
+and scale back once.  A resultant against a linear pivot clears
+denominators once, ``Res(P/dP, Q/dQ) = Res(P, Q) / (dP dQ^deg P)``, sums the
+pivot formula over integer term dicts, and divides each term once.  Each
+of these returns the same ``Fraction`` values as the plain rational
+computation.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
@@ -194,50 +207,33 @@ class UniPoly:
     def deriv(self) -> "UniPoly":
         return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+    def exact_div(self, other: "UniPoly") -> "UniPoly":
+        """self / other when other divides self; raises AlgebraError otherwise.
+
+        By Gauss's lemma the quotient of the two integer primitive parts is
+        an integer polynomial, so the division runs on integers and the
+        quotient is scaled back once."""
         if other.is_zero:
             raise AlgebraError("division by zero polynomial")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.lead
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-            r.pop()
-        return UniPoly(q, self.var), UniPoly(r, self.var)
-
-    def reduce_content(self) -> "UniPoly":
-        """Divide by the positive rational content (sign preserved): coprime
-        integer coefficients; curbs coefficient blowup in remainder
-        sequences."""
         if self.is_zero:
             return self
-        ints = _integer_coeffs(self)
-        g = gcd(*ints)
-        return UniPoly([Fraction(v, g) for v in ints], self.var)
+        a, b = _primitive_ints(self), _primitive_ints(other)
+        # self = (lead / a[-1]) a and other = (other.lead / b[-1]) b
+        s = self.lead * b[-1] / (other.lead * a[-1])
+        return UniPoly([s * c for c in _exact_quotient(a, b)], self.var)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd by a content-reduced (primitive) remainder sequence."""
-        a, b = self.reduce_content(), other.reduce_content()
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1].reduce_content()
-        if a.is_zero:
-            return a
-        return a * (1 / a.lead)
+        """Monic gcd by a primitive remainder sequence on integers."""
+        g = _gcd_ints(_primitive_ints(self), _primitive_ints(other))
+        if not g:
+            return UniPoly.zero(self.var)
+        return UniPoly([Fraction(c, g[-1]) for c in g], self.var)
 
     def primitive(self) -> "UniPoly":
-        """Integer-primitive scalar multiple: ``reduce_content`` with the
-        leading coefficient made positive."""
-        p = self.reduce_content()
-        return -p if not p.is_zero and p.lead < 0 else p
+        """Integer-primitive scalar multiple with a positive leading
+        coefficient."""
+        ints = _primitive_ints(self)
+        return UniPoly([-c for c in ints] if ints and ints[-1] < 0 else ints, self.var)
 
     def cauchy_bound(self) -> Fraction:
         """The least power of two B >= 1 + max |c_i / c_lead|: all real roots
@@ -261,19 +257,84 @@ def _integer_coeffs(p: UniPoly) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
+def _primitive_ints(p: UniPoly) -> list[int]:
+    """p's coefficients as coprime integers: a positive multiple of p."""
+    return _content_free(_integer_coeffs(p))
+
+
+def _content_free(ints: list[int]) -> list[int]:
+    """ints divided by their (positive) gcd."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b (integer
+    coefficients, b nonzero), a positive multiple of it, so every sign of
+    the remainder is kept; a itself when deg a < deg b."""
+    db = len(b) - 1
+    delta = len(a) - 1 - db
+    r = list(a)
+    if delta < 0:
+        return r
+    lc, low = b[-1], b[:-1]
+    for k in range(delta, -1, -1):
+        # r <- lc * r - t x^k b, which cancels r's top coefficient t
+        t = r.pop()
+        r = [lc * c for c in r]
+        if t:
+            for i, c in enumerate(low):
+                r[k + i] -= t * c
+    if lc < 0 and delta % 2 == 0:
+        r = [-c for c in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of two integer polynomials, by the primitive
+    pseudo-remainder sequence (Collins); each member is the content-reduced
+    remainder of the Euclidean sequence, since a pseudo-remainder is a
+    positive multiple of the remainder."""
+    while b:
+        a, b = b, _content_free(_prem(a, b))
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials whose quotient has integer
+    coefficients; raises AlgebraError when the division is inexact."""
+    db = len(b) - 1
+    lc, low = b[-1], b[:-1]
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, m = divmod(r.pop(), lc)
+        if m:
+            raise AlgebraError("inexact polynomial division")
+        q[k] = t
+        if t:
+            for i, c in enumerate(low):
+                r[k + i] -= t * c
+    if any(r):
+        raise AlgebraError("inexact polynomial division")
+    return q
+
+
 def squarefree(p: UniPoly) -> UniPoly:
     """p / gcd(p, p'): same real roots, all simple.  Errors on zero input."""
     if p.is_zero:
         raise AlgebraError("squarefree part of the zero polynomial")
     if p.degree == 0:
         return p
-    g = p.gcd(p.deriv())
-    if g.degree == 0:
+    a = _primitive_ints(p)
+    g = _gcd_ints(a, _content_free([k * c for k, c in enumerate(a)][1:]))
+    if len(g) == 1:
         return p
-    q, r = p.divmod(g)
-    if not r.is_zero:
-        raise AlgebraError("gcd division left a remainder")  # unreachable
-    return q
+    # p = (lead / a[-1]) a and the monic gcd is g / g[-1]
+    s = p.lead * g[-1] / a[-1]
+    return UniPoly([s * c for c in _exact_quotient(a, g)], p.var)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +356,18 @@ class RootInterval:
 
 
 def sturm_chain(p: UniPoly) -> list[list[int]]:
-    """Sturm sequence of p, each member as its integer coefficients."""
-    # content reduction by a positive constant preserves every sign pattern,
-    # and leaves integer coefficients
-    chain = [p.reduce_content(), p.deriv().reduce_content()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero:
+    """Sturm sequence of p, each member as its coprime integer
+    coefficients: the negated pseudo-remainders, content-reduced, are
+    positive multiples of the Euclidean Sturm sequence's members, so every
+    sign pattern is kept."""
+    a = _primitive_ints(p)
+    chain = [a, _content_free([k * c for k, c in enumerate(a)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _prem(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append((-rem).reduce_content())
-    return [[c.numerator for c in q.coeffs] for q in chain]
+        chain.append(_content_free([-c for c in rem]))
+    return chain
 
 
 def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
@@ -785,6 +848,34 @@ def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
     return det if sign > 0 else -det
 
 
+def _integer_coeffs_in(p: MultiPoly, var: str, vs: tuple[str, ...]
+                       ) -> tuple[int, list[dict[tuple[int, ...], int]]]:
+    """The lcm d of p's denominators and the coefficients of d p as a
+    polynomial in var, ascending, each an integer term dict over vs (which
+    holds every other variable of p)."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    i = p.vars.index(var)
+    pos = [vs.index(v) for v in p.vars if v != var]
+    out: list[dict[tuple[int, ...], int]] = [{} for _ in range(p.degree(var) + 1)]
+    for e, c in p.terms.items():
+        ne = [0] * len(vs)
+        for j, k in zip(pos, e[:i] + e[i + 1:]):
+            ne[j] = k
+        out[e[i]][tuple(ne)] = c.numerator * (den // c.denominator)
+    return den, out
+
+
+def _integer_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
+                 ) -> dict[tuple[int, ...], int]:
+    """Product of two integer term dicts over the same variables."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of p and q with respect to var.
 
@@ -795,18 +886,32 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     dp, dq = p.degree(var), q.degree(var)
     if dp < 1 or dq < 1:
         raise AlgebraError(f"not eliminable: degree in {var} is {min(dp, dq)}")
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
     if dq == 1:
-        # Res(p, q1*v + q0) = (-1)^deg(p) * sum p_i (-q0)^i q1^(deg p - i)
-        q1, q0 = qc[1], qc[0]
-        acc = MultiPoly.zero()
+        # Res(p, q1 v + q0) = (-1)^deg(p) sum p_i (-q0)^i q1^(deg p - i) is
+        # homogeneous of degree 1 in p's coefficients and deg p in q's, so
+        # with p = P / dP and q = Q / dQ for integer P and Q it is
+        # Res(P, Q) / (dP dQ^deg p)
+        vs = tuple(sorted((set(p.vars) | set(q.vars)) - {var}))
+        dP, pc = _integer_coeffs_in(p, var, vs)
+        dQ, (q0, q1) = _integer_coeffs_in(q, var, vs)
+        one = {(0,) * len(vs): 1}
+        neg_q0 = {e: -c for e, c in q0.items()}
+        pow0, pow1 = [one], [one]
+        for _ in range(dp):
+            pow0.append(_integer_mul(pow0[-1], neg_q0))
+            pow1.append(_integer_mul(pow1[-1], q1))
+        acc: dict[tuple[int, ...], int] = {}
         for i, ci in enumerate(pc):
-            acc = acc + ci * (-q0) ** i * q1 ** (dp - i)
-        return acc if dp % 2 == 0 else -acc
+            if ci:
+                for e, c in _integer_mul(_integer_mul(ci, pow0[i]), pow1[dp - i]).items():
+                    acc[e] = acc.get(e, 0) + c
+        den = dP * dQ**dp if dp % 2 == 0 else -dP * dQ**dp
+        return MultiPoly(vs, {e: Fraction(c, den) for e, c in acc.items() if c})
     if dp == 1:
         r = resultant(q, p, var)
         return r if (dp * dq) % 2 == 0 else -r
+    pc = p.coeffs_in(var)
+    qc = q.coeffs_in(var)
     size = dp + dq
     zero = MultiPoly.zero()
     rows: list[list[MultiPoly]] = []

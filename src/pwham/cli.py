@@ -16,8 +16,8 @@ from . import dynamics, solver
 from .algebra import isolate_real_roots
 from .matcher import MatchError
 from .solver import InvariantViolation, NotCoveredError, SolveReport
-from .specfile import (ZONE_KEYS, ParseError, SystemSpecFile, load_spec, parse_grid,
-                       parse_window)
+from .specfile import (ZONE_KEYS, ParseError, SystemSpecFile, _exact, load_spec,
+                       parse_grid, parse_window)
 from .systems import (PiecewiseSystem, SystemError, equilibria, is_continuous,
                       piecewise_system, separatrix_lines)
 
@@ -50,9 +50,10 @@ def _arg_type(parse):
 
 
 def _parse_range(text: str) -> tuple[Fraction, Fraction]:
-    """A sweep range LO:HI of exact rationals; the sweep checks LO < HI."""
+    """A sweep range LO:HI of exact rationals, each with a decimal exponent
+    of at most MAX_EXPONENT; the sweep checks LO < HI."""
     try:
-        lo, hi = (Fraction(t) for t in text.split(":"))
+        lo, hi = (_exact(t) for t in text.split(":"))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"range is not LO:HI: {text!r}") from None
     return lo, hi

@@ -250,11 +250,11 @@ def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
     if p.is_zero:
         raise PositiveDimensionalError("zero polynomial has a continuum of roots")
     sf, ivs = isolate_real_roots(p)
-    g = p.divmod(sf)[0]  # gcd(p, p') up to a constant factor
+    g = p.exact_div(sf)  # gcd(p, p') up to a constant factor
     parts = []
     while g.degree >= 1:
         h = g.gcd(g.deriv())
-        part = g.divmod(h)[0]
+        part = g.exact_div(h)
         parts.append((part, sturm_chain(part)))
         g = h
     out = []

@@ -68,16 +68,20 @@ def _exact(text: str) -> Fraction:
 
 
 def parse_window(text: str) -> tuple[float, float]:
-    """A scan window LO:HI of exact rationals with LO < HI."""
+    """A scan window LO:HI of exact rationals with LO < HI, as two distinct
+    floats."""
     try:
-        lo, hi = (float(_exact(t)) for t in text.split(":"))
+        lo, hi = (_exact(t) for t in text.split(":"))
+        flo, fhi = float(lo), float(hi)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"window is not LO:HI: {text!r}") from None
     except OverflowError:
         raise ValueError(f"window bound beyond the float range: {text!r}") from None
     if lo >= hi:
         raise ValueError(f"window must satisfy LO < HI: {text!r}")
-    return lo, hi
+    if flo == fhi:
+        raise ValueError(f"window bounds round to the same float: {text!r}")
+    return flo, fhi
 
 
 # the ``option`` names and the parser that checks each value

@@ -19,11 +19,13 @@ from pwham.algebra import (
     refine_root,
     resultant,
     squarefree,
+    sturm_chain,
     sturm_count,
     sturm_isolate,
 )
 
-from reference_algebra import expand_subs, uni_resultant
+import reference_algebra as ref
+from reference_algebra import expand_subs, poly_divmod, uni_resultant
 
 
 def P(*coeffs, var="y"):
@@ -449,7 +451,7 @@ def _reference_sturm_count(p, lo, hi):
     """Distinct roots in (lo, hi] from a Sturm chain of Fraction polynomials."""
     chain = [p, p.deriv()]
     while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
+        rem = poly_divmod(chain[-2], chain[-1])[1]
         if rem.is_zero:
             break
         chain.append(-rem)
@@ -469,6 +471,96 @@ def test_sturm_count_matches_fraction_reference(coeffs, x1, x2):
         return
     lo, hi = min(x1, x2), max(x1, x2)
     assert sturm_count(sf, lo, hi) == _reference_sturm_count(sf, lo, hi)
+
+
+# -- integer kernels against their Fraction references ----------------------------
+
+# small rationals, 20-digit and about 300-bit numbers (the bigcoef scale),
+# every sign
+coefficients = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(10**19, 10**20)),
+    st.builds(F, st.integers(-2**300, 2**300), st.integers(2**299, 2**300)),
+)
+# zero, constant and nonconstant, with any leading coefficient
+unipolys = st.lists(coefficients, max_size=5).map(UniPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unipolys, unipolys, unipolys)
+# negative, non-unit leading coefficients and degree gaps of 1 and 2
+@example(P(1, 2, 3, -5), P(1, -3), P(2, -7))
+@example(P(4, 0, 1, -6, 2), P(1, 3, -2), P(-1, -2))
+@example(P(), P(), P(1))
+@example(P(3), P(), P(1, 1))
+def test_gcd_matches_fraction_remainder_sequence(a, b, c):
+    for p, q in ((a * c, b * c), (a, b), (a * c, c)):
+        g = p.gcd(q)
+        assert g.coeffs == ref.gcd(p, q).coeffs
+        assert all(type(x) is F for x in g.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unipolys, unipolys)
+@example(P(-2, 3), P(1, 0, -4))  # a linear factor squared, negative leads
+@example(P(5), P())
+def test_squarefree_and_exact_div_match_fraction_division(a, b):
+    p = a * b * b
+    if p.is_zero:
+        return
+    assert squarefree(p).coeffs == ref.squarefree(p).coeffs
+    if not b.is_zero:
+        assert p.exact_div(b).coeffs == poly_divmod(p, b)[0].coeffs == (a * b).coeffs
+        if b.degree >= 1:
+            with pytest.raises(AlgebraError):
+                (p + UniPoly((1,))).exact_div(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unipolys, unipolys)
+@example(P(-1, 0, 0, -7), P(1))
+# 5 y^4 + 2 y - 2 by -3 y^2 + 8 y + 10: two division steps by a negative lead
+@example(P(-2, -2, 1, 0, 0, 1), P(1))
+@example(P(), P())
+@example(P(F(-3, 5)), P())
+def test_sturm_chain_matches_content_reduced_fraction_chain(a, b):
+    for p in (a, a * b, a * b * b):
+        assert sturm_chain(p) == ref.sturm_chain(p)
+
+
+@st.composite
+def linear_pivot_pairs(draw):
+    """p of degree >= 1 and q of degree 1 in v, their coefficients
+    polynomials over variable sets drawn apart."""
+    var_sets = st.sampled_from([(), ("a",), ("a", "b"), ("b", "c"), ("c",)])
+
+    def poly_over(vs):
+        return draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vs)), coefficients,
+                                    max_size=3).map(lambda t: MultiPoly(vs, t)))
+
+    pv, qv = draw(var_sets), draw(var_sets)
+    v = MultiPoly.var("v")
+    pc = [poly_over(pv) for _ in range(draw(st.integers(2, 4)))]
+    if pc[-1].is_zero:
+        pc[-1] = MultiPoly.const(draw(coefficients.filter(bool)), pv)
+    q1 = poly_over(qv)
+    if q1.is_zero:
+        q1 = MultiPoly.const(-3, qv)
+    p = sum((c * v**i for i, c in enumerate(pc)), MultiPoly.zero())
+    return p, q1 * v + poly_over(qv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_pivot_pairs())
+def test_linear_pivot_resultant_matches_fraction_formula(pq):
+    p, q = pq
+    expected = ref.linear_resultant(p, q, "v")
+    r = resultant(p, q, "v")
+    assert r.vars == expected.vars and r.terms == expected.terms
+    # the linear q first takes the dp == 1 branch, which swaps back with the
+    # sign of Res(q, p) = (-1)^(deg p deg q) Res(p, q)
+    swapped = resultant(q, p, "v")
+    assert swapped.terms == (expected if p.degree("v") % 2 == 0 else -expected).terms
 
 
 multipolys = st.builds(

@@ -9,14 +9,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pwham.cli import main
+from pwham.cli import _parse_range, main
 from pwham.specfile import (MAX_EXPONENT, ZONE_KEYS, ParseError, SystemSpecFile, load_spec,
-                            parse_spec)
+                            parse_spec, parse_window)
 from pwham.systems import FAMILIES, GlobalCenter, LinearSaddle
 
 from conftest import fixture_path
@@ -255,6 +256,22 @@ def test_parse_rejects_out_of_range_literals_with_position():
         == F(1, 10**MAX_EXPONENT)
 
 
+def test_parse_window_compares_the_exact_bounds():
+    """LO < HI is decided on the exact rationals; an increasing window whose
+    bounds round to one float is refused for that reason, not as LO >= HI."""
+    assert parse_window("1e-300:1e-299") == (1e-300, 1e-299)
+    with pytest.raises(ValueError, match="round to the same float"):
+        parse_window("1e-400:1e-399")
+    with pytest.raises(ValueError, match="round to the same float"):
+        parse_window(f"1:{1 + F(1, 10**30)}")
+    for text in ("1e-399:1e-400", "1/3:1/3", "2:1"):
+        with pytest.raises(ValueError, match="must satisfy LO < HI"):
+            parse_window(text)
+    with pytest.raises(ParseError, match="round to the same float") as ei:
+        parse_spec(_PAIR + "option window 1e-400:1e-399\n")
+    assert (ei.value.line, ei.value.col) == (5, 15)
+
+
 def test_all_shipped_fixtures_parse():
     import glob
 
@@ -474,6 +491,22 @@ def test_cli_sweep_rejects_malformed_range(rng, capsys):
               "--param", "1.mu", "--range", rng, "--samples", "2"])
     assert ei.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_sweep_range_caps_decimal_exponents(capsys):
+    """A decimal exponent above MAX_EXPONENT is refused before it is
+    expanded (0:1e5000000 used to take seconds), like a spec-file literal."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="range is not LO:HI"):
+        _parse_range("0:1e5000000")
+    with pytest.raises(SystemExit) as ei:
+        main(["sweep", fixture_path("double_center_saddle.pwham"),
+              "--param", "1.mu", "--range", f"0:1e{MAX_EXPONENT + 1}", "--samples", "2"])
+    assert time.perf_counter() - t0 < 0.5
+    assert ei.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert _parse_range(f"-1e-{MAX_EXPONENT}:1e{MAX_EXPONENT}") == (
+        F(-1, 10**MAX_EXPONENT), F(10**MAX_EXPONENT))
 
 
 def test_cli_sweep_rejects_sample_outside_family(capsys):
