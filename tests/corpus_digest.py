@@ -4,20 +4,25 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints two SHA-256 digests:
+It prints three SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
   300 ``annulus`` units, each at its default seed; a unit that raises
   contributes its exception instead;
 * ``fixtures``: the stdout and exit code of
-  ``pwham solve FIXTURE --grid 128 --json`` on every fixture.
+  ``pwham solve FIXTURE --grid 128 --json`` on every fixture;
+* ``oracle``: the shooting oracle's fixed ordinates,
+  ``FlowMachine(ps).oracle(b, oracle_window(rep), 64)`` on every boundary b
+  with ``rep = solve(ps, verify=False)``, over the first 60 ``bulk`` and the
+  first 60 ``annulus`` units at their default seeds: the shooting side on
+  systems that are not fixtures.
 
 The inputs come from ``bench/workloads.build_units``, so they are the
 benchmark's own.  ``--root`` imports pwham and the workloads from another
 checkout (say, a copy of the parent commit), so that two commits compare by
 two runs of this one script: a change that keeps every answer prints the
-same two lines.
+same three lines.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import os
 import sys
 
 CORPORA = (("bulk", 600), ("bigcoef", 120), ("annulus", 300))
+ORACLE_CORPORA = (("bulk", 60), ("annulus", 60))
+ORACLE_SCAN_GRID = 64
 
 
 def main(argv=None) -> int:
@@ -40,7 +47,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    from pwham import cli, solver
+    from pwham import cli, dynamics, solver
     import workloads
 
     h = hashlib.sha256()
@@ -64,6 +71,20 @@ def main(argv=None) -> int:
             code = cli.main(["solve", path, "--grid", str(workloads.ORACLE_GRID), "--json"])
         h.update(f"{os.path.basename(path)} {code}\n{out.getvalue()}".encode())
     print(f"fixtures {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    for name, count in ORACLE_CORPORA:
+        for _, label, ps in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
+            try:
+                window = dynamics.oracle_window(solver.solve(ps, verify=False))
+                machine = dynamics.FlowMachine(ps)
+                entry = {"label": label,
+                         "oracle": [machine.oracle(b, window, ORACLE_SCAN_GRID)
+                                    for b in range(len(ps.boundaries))]}
+            except Exception as e:  # the failure is part of the answer
+                entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+            h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    print(f"oracle {h.hexdigest()}")
     return 0
 
 

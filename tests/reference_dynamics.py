@@ -1,8 +1,16 @@
 """Reference implementations that only the tests use.
 
-``dop853_step`` is one Dormand-Prince 8(5,3) step on any field function,
-written out stage by stage from the tableau in ``pwham.dynamics``: the check
-on the steps that ``dynamics`` generates per zone with the field inlined.
+* ``dop853_step`` is one Dormand-Prince 8(5,3) step on any field function,
+  written out stage by stage from the tableau in ``pwham.dynamics``: the
+  check on the steps that ``dynamics`` generates per zone with the field
+  inlined.
+* ``linear_arc`` is the exact arc of a linear zone written for reading: it
+  builds the crossing-target table on every call, takes each piece's least
+  crossing time with ``min`` and a key, and holds the velocity f and its
+  rate A f as tuples.  ``dynamics._linear_arc`` keeps each window's table
+  on the ArcPlan, picks the least time in a loop and holds f and A f as
+  scalars, with the same float operations in the same order; the tests
+  require the two trajectories to be equal.
 """
 
 import math
@@ -78,3 +86,76 @@ def dop853_step(f, x, y, h, k1):
           + ((e[0] * k1y + e[5] * k6y + e[6] * k7y + e[7] * k8y + e[8] * k9y
               + e[9] * k10y + e[10] * k11y + e[11] * k12y) / sy) ** 2)
     return xn, yn, h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)), kn
+
+
+def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
+    """Exact arc of a linear zone, in pieces of at most two e-foldings for
+    a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
+    e^2-fold per piece).  A recorded arc has a sample at the end of every
+    piece, and its pieces last at most MAX_STEP and 1/(16 |A|) (|A| the
+    Frobenius norm): the velocity f, whose rate of change is A f, then
+    changes by about 1/16 of itself at most between samples.  Each piece
+    takes the least crossing time of the strip edges and of the window box
+    from its start; an edge hit is polished by Newton on x(t) - c and lands
+    at exactly x = c.  A piece that ends at speed below 1e-12 ends the arc
+    at the equilibrium it approaches."""
+    ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
+    hfun = plan.integral
+    sign = 1.0 if forward else -1.0
+    lo, hi, centre = plan.lo, plan.hi, plan.centre
+    w = cfg.window
+    x, y = float(start[0]), float(start[1])
+
+    def field(x, y):
+        return sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
+
+    dynamics._check_entry(x, y, field(x, y)[0], lo, hi)
+    h0 = hfun(x, y)
+    piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
+    if record:
+        norm = math.hypot(a11, a12, a21, a22)
+        piece = min(piece, dynamics.MAX_STEP, 0.0625 / norm if norm else math.inf)
+    # (coordinate, level, outward sign, edge name or None for the window)
+    targets = [(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
+               if math.isfinite(c)]
+    targets += [(k, mid + out * w, out, None)
+                for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)]
+    t = 0.0
+    samples = [(t, x, y)] if record else []
+    edge = None
+    status = "left-window" if abs(x - centre) > w or abs(y) > w else None
+    while status is None:
+        u = (x, y)
+        f = field(x, y)
+        g = (sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1]))
+        rest = cfg.max_time - t
+        span = min(rest, piece)
+        # the least crossing time; an edge wins a tie with the window
+        th, c, side = min(((dynamics._first_crossing(e, u[k], f[k], g[k], c, out),
+                            c, side) for k, c, out, side in targets),
+                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
+        hit = th <= span * (1 + 1e-9)
+        if hit and side:  # Newton on x(t) - c from the quadratic's root
+            for _ in range(3):
+                s1, s2 = dynamics._s12(e, th)
+                miss = x + s1 * f[0] + s2 * g[0] - c
+                rate = (1.0 + e * s2) * f[0] + s1 * g[0]
+                if miss == 0 or rate == 0 or not 0 < th - miss / rate <= span * (1 + 1e-9):
+                    break
+                th -= miss / rate
+        dt = th if hit else span
+        s1, s2 = dynamics._s12(e, dt)
+        x, y = x + s1 * f[0] + s2 * g[0], y + s1 * f[1] + s2 * g[1]
+        t += dt
+        if hit and side:
+            x, edge, status = c, side, "reached-boundary"
+        elif hit:
+            status = "left-window"
+        elif math.hypot(*field(x, y)) < 1e-12:
+            status = "hit-equilibrium"
+        elif span == rest:
+            status = "reached-time-limit"
+        if record:
+            samples.append((t, x, y))
+    drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))
+    return dynamics.Trajectory(samples, edge, status, (x, y), drift, 0, 0, 0)

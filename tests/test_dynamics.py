@@ -53,7 +53,7 @@ from conftest import (
     linear_center_saddle_center,
     rand_config,
 )
-from reference_dynamics import dop853_step
+from reference_dynamics import dop853_step, linear_arc
 from reference_systems import field_polys
 
 
@@ -356,6 +356,77 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     if exact.edge:
         assert exact.end[0] == ref.end[0]
         assert abs(exact.end[1] - ref.end[1]) <= 1e-9
+
+
+_STRIPS = {"both": (F(-1), F(1)), "lo": (F(-1), None), "hi": (None, F(1)), "none": (None, None)}
+
+
+def _same_arc(plan, start, cfg, record, forward):
+    """The exact arc of ``dynamics`` and ``reference_dynamics.linear_arc``
+    end the same way, with the same samples, end, drift and counters, float
+    for float; or both raise the same NotEntryPoint."""
+    try:
+        want = linear_arc(plan, start, cfg, record, forward)
+    except NotEntryPoint as e:
+        with pytest.raises(NotEntryPoint, match=str(e)):
+            integrate_arc(plan, start, cfg, record=record, forward=forward)
+        return None
+    got = integrate_arc(plan, start, cfg, record=record, forward=forward)
+    assert repr(got) == repr(want)
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_linear_payloads(), reverse=st.booleans(), forward=st.booleans(),
+       record=st.booleans(), strip=st.sampled_from(sorted(_STRIPS)),
+       edge=st.sampled_from(["lo", "hi", "inside"]),
+       y0=st.floats(min_value=-3.0, max_value=3.0),
+       x0=st.floats(min_value=-0.9, max_value=0.9),
+       centre=st.sampled_from([0.0, 0.375, -2.5]),
+       window=st.floats(min_value=0.5, max_value=50.0) | st.just(1e3),
+       max_time=st.floats(min_value=0.05, max_value=30.0))
+# the window's sides in x on the strip's edges: an edge hit ties with the window
+@example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
+         forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
+         centre=0.0, window=1.0, max_time=10.0)
+def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record, strip,
+                                               edge, y0, x0, centre, window, max_time):
+    """The exact arc, with each window's target table kept on the plan, is
+    the reference, which builds the table on every call: the same
+    trajectory, or the same NotEntryPoint, on open and closed strips, from
+    either edge or inside, under any window, centre and time budget."""
+    lo, hi = _STRIPS[strip]
+    zone = Zone(payload, lo, hi, reverse)
+    c = {"lo": lo, "hi": hi}.get(edge)
+    start = (float(c) if c is not None else x0, y0)
+    _same_arc(ArcPlan(zone, centre), start,
+              IntegratorConfig(max_time=max_time, window=window), record, forward)
+
+
+def test_exact_linear_arc_keeps_one_target_table_per_window():
+    """One plan under two windows, and back: each arc is the reference's
+    for its own window, so a table kept from the other window is not
+    reused.  Under window 20 the arc leaves the window; under 1e3 it
+    reaches an edge."""
+    plan = ArcPlan(Zone(LinearSaddle(16, 2, F(1, 4), 1, F(1, 4)), F(-1), F(1)))
+    start = (0.2897, 1 / 3)
+    arcs = [_same_arc(plan, start, IntegratorConfig(window=w), True, True)
+            for w in (20.0, 1e3, 20.0)]
+    assert [a.status for a in arcs] == ["left-window", "reached-boundary", "left-window"]
+
+
+def test_step_budget_ends_with_step_limit():
+    """An integrated arc that uses up ``max_steps`` (accepted and rejected
+    steps) ends with ``step-limit``, not with the time limit, and a hop
+    that ends so names the step limit."""
+    ps = cubic_center_saddle()
+    cfg = IntegratorConfig(max_steps=5)
+    assert integrate_arc(ps.zones[0], (0.0, 0.5)).status == "reached-boundary"
+    traj = integrate_arc(ps.zones[0], (0.0, 0.5), cfg)
+    assert traj.status == "step-limit" and traj.edge is None
+    assert traj.steps + traj.rejected == 5
+    with pytest.raises(NonReturning, match="ended with step-limit"):
+        FlowMachine(ps, cfg)._hop(0, (0.0, 0.5))
 
 
 def test_dp5_landing_outside_the_window_leaves_it():
