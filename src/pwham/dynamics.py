@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .systems import PiecewiseSystem, Zone, linear_part, local_forms
+from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms, restriction
 
 
 class DynamicsError(Exception):
@@ -69,21 +69,29 @@ MATCH_TOL = 1e-5     # a boundary hit this close matches a declared ordinate
 CLOSURE_TOL = 1e-6   # a loop or return closer than this is closed
 DRIFT_TOL = 1e-8     # relative first-integral drift an accepted arc may have
 MAX_HOPS = 12        # crossings a return map follows before giving up
+WINDOW_FACTOR = 8    # an arc's own window: this times a power of two above its reach
 
 
 @dataclass
 class IntegratorConfig:
     """The budgets of one arc: time, the window |x - centre|, |y| <= window
-    (``ArcPlan.centre``), and accepted plus rejected steps."""
+    (``ArcPlan.centre``), and accepted plus rejected steps.  With
+    ``window=None``, the default, each arc sizes its own window from the
+    system's scale, its start and the landings it can reach
+    (``ArcPlan.window``); a number is an absolute window for every arc."""
 
     max_time: float = 400.0
-    window: float = 1e3
+    window: float | None = None
     max_steps: int = 400_000
 
     def __post_init__(self):
-        for name in ("max_time", "window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # written as `not v > 0`, so that NaN is refused too
+        if not self.max_time > 0:
+            raise ValueError("max_time must be positive")
+        if self.window is not None and not self.window > 0:
+            raise ValueError("window must be positive")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -371,18 +379,69 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
     return s, ym, n
 
 
+def _fujiwara(cs) -> float:
+    """Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved, on
+    the moduli of the roots of the polynomial whose float coefficients
+    ``cs`` run from the highest degree down (leading zeros skipped); 0.0
+    for a constant.  A NaN term makes the bound NaN."""
+    cs = list(cs)
+    while cs and cs[0] == 0:
+        del cs[0]
+    n = len(cs) - 1
+    bound = 0.0
+    for k in range(1, n + 1):
+        term = (abs(cs[k] / cs[0]) * (0.5 if k == n else 1.0)) ** (1.0 / k)
+        if not term <= bound:
+            bound = term
+    return 2.0 * bound
+
+
+@lru_cache(maxsize=8)
+def _landing_bound(zone: Zone) -> tuple:
+    """What bounds the landings of the zone's arcs on its finite edges, as
+    (floor, reach, levels) for ``ArcPlan.window``.
+
+    An arc on the level h0 lands on the edge x = c only at a real root of
+    N(c, y) - h0 D(c, y) (``systems.restriction``), whose moduli Fujiwara's
+    bound caps.  Where every finite edge has a constant D(c, y) = d and the
+    same degree n and leading coefficient of N(c, y) / d, only the constant
+    term a_0 = n_0 / d - h0 moves with h0: the other terms give the
+    ``floor``, and the a_0 terms are at most k (|h0 - mid| + half)^(1/n),
+    for the midpoint and half-width of the edges' n_0 / d; ``reach`` is
+    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and
+    ``levels`` holds each edge's float coefficients of N and D, highest
+    degree first, for a bound per arc."""
+    floor, reach, levels = 0.0, None, []
+    edges = [[[float(a) for a in p.coeffs] for p in restriction(zone, c)[:2]]
+             for c in (zone.x_lo, zone.x_hi) if c is not None]
+    over_d = [[a / den[0] for a in num] for num, den in edges if len(den) == 1]
+    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
+            and len({(len(cs), cs[-1]) for cs in over_d}) == 1):
+        n = len(over_d[0]) - 1
+        floor = max(_fujiwara(cs[:0:-1] + [0.0]) for cs in over_d)
+        c0s = [cs[0] for cs in over_d]
+        reach = (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
+                 2.0 * (2.0 * abs(over_d[0][-1])) ** (-1.0 / n), 1.0 / n)
+    else:
+        for num, den in edges:
+            width = max(len(num), len(den))
+            levels.append(tuple(tuple(reversed(p + [0.0] * (width - len(p)))) for p in (num, den)))
+    return floor, reach, tuple(levels)
+
+
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
     floats, the abscissa ``centre`` that the window is measured from, the
-    float field (reversal applied) and first integral, and either the exact
-    linear part (a ``linear`` zone), with each window's crossing-target
-    table (``targets``), or, built on first use, the zone's DOP853 steps
-    (``zone_step_fns``)."""
+    system's ``scale`` and the zone's ``_landing_bound`` (for ``window``),
+    the float field (reversal applied) and first integral, and either the
+    exact linear part (a ``linear`` zone), with each window's
+    crossing-target table (``targets``), or, built on first use, the zone's
+    DOP853 steps (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets")
+                 "_targets", "_floor", "_reach", "_levels")
 
-    def __init__(self, zone: Zone, centre: float = 0.0):
+    def __init__(self, zone: Zone, centre: float = 0.0, scale: float = 1.0):
         self.zone = zone
         self.centre = centre
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
@@ -392,6 +451,32 @@ class ArcPlan:
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
         self._targets: dict = {}
+        fixed, self._reach, self._levels = _landing_bound(zone)
+        self._floor = max(scale, fixed)
+
+    def window(self, x: float, y: float, h0: float) -> float:
+        """The window of an arc from (x, y) on the level h0 of the first
+        integral (math.inf for a start where it divides by zero):
+        WINDOW_FACTOR times the next power of two above q = max(scale,
+        |x - centre|, |y|, R), with R a root bound of N(c, y) - h0 D(c, y)
+        on each finite edge c (of D(c, y) for an infinite h0).  The arc can
+        end on an edge only at such a root, so the window holds every
+        landing it can reach.  math.inf when q is not a finite number."""
+        q = self._floor  # compared one by one: a linear arc pays this on every hop
+        if abs(x - self.centre) > q:
+            q = abs(x - self.centre)
+        if abs(y) > q:
+            q = abs(y)
+        if self._reach is not None:
+            mid, half, k, inv = self._reach
+            r = k * (abs(h0 - mid) + half) ** inv
+            if not r <= q:
+                q = r
+        for num, den in self._levels:
+            r = _fujiwara([n - h0 * d for n, d in zip(num, den)] if math.isfinite(h0) else den)
+            if not r <= q:
+                q = r
+        return math.ldexp(WINDOW_FACTOR, math.frexp(q)[1]) if q < math.inf else math.inf
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -402,17 +487,21 @@ class ArcPlan:
     def targets(self, window: float) -> tuple:
         """The levels an exact arc may cross under ``window``, built once
         per window: the finite strip edges, then the window's sides in x
-        (about ``centre``), as the targets of x, and the window's sides in
-        y as those of y.  Each target is (level, outward sign, edge name or
-        None for a window side, the factor of its crossing time in the
-        comparison: 1 + 1e-9 for a window side, so that an edge wins a tie
-        with the window)."""
+        (about ``centre``) that lie inside the strip, as the targets of x,
+        and the window's sides in y as those of y.  A side in x on or beyond
+        an edge is left out: an arc from inside the strip reaches the edge
+        first.  Each target is (level, outward sign, edge name or None for a
+        window side, the factor of its crossing time in the comparison:
+        1 + 1e-9 for a window side, so that an edge wins a tie with the
+        window)."""
         table = self._targets.get(window)
         if table is None:
             x_targets = [(c, out, side, 1.0)
                          for c, out, side in ((self.lo, -1, "lo"), (self.hi, 1, "hi"))
                          if math.isfinite(c)]
-            x_targets += [(self.centre + out * window, out, None, 1 + 1e-9) for out in (-1, 1)]
+            x_targets += [(c, out, None, 1 + 1e-9)
+                          for out in (-1, 1) for c in (self.centre + out * window,)
+                          if self.lo < c < self.hi]
             y_targets = tuple((out * window, out, None, 1 + 1e-9) for out in (-1, 1))
             table = self._targets[window] = (tuple(x_targets), y_targets)
         return table
@@ -477,6 +566,8 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         h0 = hfun(x, y)
     except ZeroDivisionError:
         h0 = math.inf
+    if window is None:
+        window = plan.window(x, y, h0)
     monitor = isfinite(h0)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
@@ -609,6 +700,14 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     return s if s > 0 else math.inf
 
 
+def _leaving(u: float, f: float, g: float, w: float) -> bool:
+    """True when the coordinate u, with velocity f and acceleration g, lies
+    beyond +-w or on it and moving out: by f, or by g where f is 0.  The
+    crossing roots of ``_first_crossing`` are at t > 0, so an exact arc
+    tests its start with this."""
+    return abs(u) > w or (abs(u) == w and u * (f or g) > 0)
+
+
 def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Exact arc of a linear zone, in pieces of at most two e-foldings for
     a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
@@ -618,20 +717,24 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     changes by about 1/16 of itself at most between samples.  Each piece
     takes the least crossing time of the strip edges and of the window box
     from its start (``ArcPlan.targets``); an edge hit is polished by Newton
-    on x(t) - c and lands at exactly x = c.  A piece that ends at speed
-    below 1e-12 ends the arc at the equilibrium it approaches."""
+    on x(t) - c and lands at exactly x = c.  An arc that starts beyond the
+    window, or on a side and moving out (``_leaving``), leaves it at t = 0.
+    A piece that ends at speed below 1e-12 ends the arc at the equilibrium
+    it approaches."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
     lo, hi, centre = plan.lo, plan.hi, plan.centre
     w, max_time = cfg.window, cfg.max_time
-    x_targets, y_targets = plan.targets(w)
     x, y = float(start[0]), float(start[1])
     # the velocity f at (x, y); its rate A f is (g0, g1)
     f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
 
     _check_entry(x, y, f0, lo, hi)
     h0 = hfun(x, y)
+    if w is None:
+        w = plan.window(x, y, h0)
+    x_targets, y_targets = plan.targets(w)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
@@ -639,7 +742,11 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
-    status = "left-window" if abs(x - centre) > w or abs(y) > w else None
+    status = None
+    if not (abs(x - centre) < w and abs(y) < w):  # on or beyond the window
+        g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
+        if _leaving(x - centre, f0, g0, w) or _leaving(y, f1, g1, w):
+            status = "left-window"
     while status is None:
         g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
         rest = max_time - t
@@ -702,7 +809,8 @@ class FlowMachine:
     compiled once per distinct support (see ``_zone_code``); the step has
     the field inlined in its 13 evaluations.  Every plan measures the
     window from the mean of the float boundaries, so that moving a system
-    along x moves its window with it."""
+    along x moves its window with it, and sizes it (``ArcPlan.window``)
+    from the system's ``scale``, so that scaling a system scales it."""
 
     def __init__(self, ps: PiecewiseSystem, cfg: IntegratorConfig | None = None):
         self.ps = ps
@@ -711,10 +819,21 @@ class FlowMachine:
         self.bxs = [float(b) for b in ps.boundaries]
         self.centre = sum(self.bxs) / len(self.bxs) if self.bxs else 0.0
 
+    @cached_property
+    def scale(self) -> float:
+        """The system's scale, at least 1: the largest |x - centre| of a
+        boundary and the largest |x - centre| or |y| of a closed-form
+        equilibrium (``systems.equilibria``) of any zone.  Computed when the
+        first plan is built, so a machine that builds none never pays it."""
+        pts = [(b, 0.0) for b in self.bxs] + [
+            (float(ex), float(ey)) for z in self.ps.zones for ex, ey in equilibria(z)]
+        return max([1.0] + [max(abs(px - self.centre), abs(py)) for px, py in pts])
+
     def _plan(self, zone_index: int) -> ArcPlan:
         plan = self._plans[zone_index]
         if plan is None:
-            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index], self.centre)
+            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index], self.centre,
+                                                     self.scale)
         return plan
 
     def crossing_direction(self, bindex: int, y: float) -> int:

@@ -631,17 +631,19 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     orbits hug the matched center), each at +m, then -m, in either crossing
     direction; one oval meets the line twice, so a magnitude counts once
     when either point closes, and the scan stops at the second closed
-    magnitude.  The order stays although an inside-out one (0.0025 up to
-    2.5) runs the annulus workload 2.7 times as fast with the same flags:
-    at that speed the bench's per-unit latency lists push its peak memory
-    past the bound, so the sort waits for the bench fix to per-unit memory
-    (ROADMAP item 8)."""
+    magnitude.  The scan runs on a quick budget: the caller's, with the
+    time cut to at most 60; each arc sizes its own window as any arc does
+    (``dynamics.ArcPlan.window``) unless the caller set one.  The order
+    stays although an inside-out one (0.0025 up to 2.5) runs the annulus
+    workload 2.7 times as fast with the same flags: at that speed the
+    bench's per-unit latency lists push its peak memory past the bound, so
+    the sort waits for the bench fix to per-unit memory (ROADMAP item 11)."""
     if not boundaries:
         return False
     from . import dynamics
 
     base = cfg or dynamics.IntegratorConfig()
-    quick = replace(base, max_time=min(base.max_time, 60.0), window=60.0)
+    quick = replace(base, max_time=min(base.max_time, 60.0))
     machine = dynamics.FlowMachine(ps, quick)
     for b in boundaries:
         closed = 0

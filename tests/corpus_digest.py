@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints three SHA-256 digests:
+It prints four SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -16,13 +16,19 @@ It prints three SHA-256 digests:
   ``FlowMachine(ps).oracle(b, oracle_window(rep), 64)`` on every boundary b
   with ``rep = solve(ps, verify=False)``, over the first 60 ``bulk`` and the
   first 60 ``annulus`` units at their default seeds: the shooting side on
-  systems that are not fixtures.
+  systems that are not fixtures;
+* ``returns``: the ``repr`` of ``FlowMachine(ps, cfg).displacement(b, y, d)``
+  at 41 evenly spaced ordinates y across ``oracle_window(rep)``, on every
+  boundary b in both crossing directions d, under the default budget and
+  under ``IntegratorConfig(max_time=60)``, over the fixtures, the first 100
+  ``bulk`` and the first 100 ``annulus`` units: every return map, defined
+  or not, float for float (43 132 maps, 1 796 of them defined).
 
 The inputs come from ``bench/workloads.build_units``, so they are the
 benchmark's own.  ``--root`` imports pwham and the workloads from another
 checkout (say, a copy of the parent commit), so that two commits compare by
 two runs of this one script: a change that keeps every answer prints the
-same three lines.
+same four lines.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import sys
 CORPORA = (("bulk", 600), ("bigcoef", 120), ("annulus", 300))
 ORACLE_CORPORA = (("bulk", 60), ("annulus", 60))
 ORACLE_SCAN_GRID = 64
+RETURN_CORPORA = (("bulk", 100), ("annulus", 100))
+RETURN_ORDINATES = 41
 
 
 def main(argv=None) -> int:
@@ -47,7 +55,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    from pwham import cli, dynamics, solver
+    from pwham import cli, dynamics, solver, specfile
     import workloads
 
     h = hashlib.sha256()
@@ -85,6 +93,26 @@ def main(argv=None) -> int:
                 entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"oracle {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    systems = [(os.path.basename(path), specfile.load_spec(path).to_system())
+               for path in workloads.fixture_paths()]
+    for name, count in RETURN_CORPORA:
+        systems += [(label, ps) for _, label, ps in
+                    workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count)]
+    for label, ps in systems:
+        try:
+            lo, hi = dynamics.oracle_window(solver.solve(ps, verify=False))
+            ys = [lo + (hi - lo) * i / (RETURN_ORDINATES - 1) for i in range(RETURN_ORDINATES)]
+            entry = {"label": label, "returns": [
+                [repr(machine.displacement(b, y, d)) for y in ys]
+                for machine in (dynamics.FlowMachine(ps),
+                                dynamics.FlowMachine(ps, dynamics.IntegratorConfig(max_time=60)))
+                for b in range(len(ps.boundaries)) for d in (1, -1)]}
+        except Exception as e:  # the failure is part of the answer
+            entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    print(f"returns {h.hexdigest()}")
     return 0
 
 

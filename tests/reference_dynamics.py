@@ -97,20 +97,26 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     changes by about 1/16 of itself at most between samples.  Each piece
     takes the least crossing time of the strip edges and of the window box
     from its start; an edge hit is polished by Newton on x(t) - c and lands
-    at exactly x = c.  A piece that ends at speed below 1e-12 ends the arc
-    at the equilibrium it approaches."""
+    at exactly x = c.  An arc that starts beyond the window, or on one of
+    its sides and moving out (by its velocity, or by its acceleration where
+    that velocity is 0), leaves it at t = 0.  A piece that ends at speed
+    below 1e-12 ends the arc at the equilibrium it approaches.  Without a
+    window in ``cfg`` the arc takes the plan's (``ArcPlan.window``)."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
     lo, hi, centre = plan.lo, plan.hi, plan.centre
-    w = cfg.window
     x, y = float(start[0]), float(start[1])
 
     def field(x, y):
         return sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
 
+    def rate(f):
+        return sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1])
+
     dynamics._check_entry(x, y, field(x, y)[0], lo, hi)
     h0 = hfun(x, y)
+    w = cfg.window if cfg.window is not None else plan.window(x, y, h0)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
@@ -123,11 +129,16 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
-    status = "left-window" if abs(x - centre) > w or abs(y) > w else None
+    f = field(x, y)
+    g = rate(f)
+    status = None
+    for u, fu, gu in ((x - centre, f[0], g[0]), (y, f[1], g[1])):
+        if abs(u) > w or (abs(u) == w and u * (fu if fu != 0 else gu) > 0):
+            status = "left-window"
     while status is None:
         u = (x, y)
         f = field(x, y)
-        g = (sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1]))
+        g = rate(f)
         rest = cfg.max_time - t
         span = min(rest, piece)
         # the least crossing time; an edge wins a tie with the window

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham import dynamics
+from pwham.algebra import UniPoly, real_roots
 from pwham.dynamics import (
     DRIFT_TOL,
     EVENT_TOL,
@@ -42,6 +43,7 @@ from pwham.systems import (
     local_forms,
     mirror,
     piecewise_system,
+    restriction,
 )
 
 from conftest import (
@@ -228,6 +230,9 @@ _payloads = st.one_of(
        edge=st.sampled_from(["lo", "hi", "inside"]),
        y0=st.floats(min_value=-2.0, max_value=2.0),
        x0=st.floats(min_value=-0.9, max_value=0.9))
+# the restricted integral vanishes on the upper edge (X = 0 there)
+@example(payload=CubicCenter(a=0, b=0, s=1, offset=-1), reverse=False, forward=False,
+         edge="lo", y0=0.0, x0=0.0)
 def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, y0, x0):
     """Every integrated arc that reaches an edge lands, by a real step,
     within event_tol of it, and the first integral there matches the start
@@ -383,8 +388,12 @@ def _same_arc(plan, start, cfg, record, forward):
        y0=st.floats(min_value=-3.0, max_value=3.0),
        x0=st.floats(min_value=-0.9, max_value=0.9),
        centre=st.sampled_from([0.0, 0.375, -2.5]),
-       window=st.floats(min_value=0.5, max_value=50.0) | st.just(1e3),
+       window=st.floats(min_value=0.5, max_value=50.0) | st.just(1e3) | st.none(),
        max_time=st.floats(min_value=0.05, max_value=30.0))
+# a start on the window's upper side, moving along it and curving out
+@example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
+         forward=True, record=True, strip="both", edge="inside", y0=1.0, x0=0.0,
+         centre=0.0, window=1.0, max_time=10.0)
 # the window's sides in x on the strip's edges: an edge hit ties with the window
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
@@ -394,7 +403,8 @@ def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record
     """The exact arc, with each window's target table kept on the plan, is
     the reference, which builds the table on every call: the same
     trajectory, or the same NotEntryPoint, on open and closed strips, from
-    either edge or inside, under any window, centre and time budget."""
+    either edge or inside, under any window (or the arc's own), centre and
+    time budget."""
     lo, hi = _STRIPS[strip]
     zone = Zone(payload, lo, hi, reverse)
     c = {"lo": lo, "hi": hi}.get(edge)
@@ -437,6 +447,63 @@ def test_dp5_landing_outside_the_window_leaves_it():
     for arc in (_dop853_arc(ArcPlan(zone), (0.2897, 1 / 3), cfg, True, True),
                 integrate_arc(zone, (0.2897, 1 / 3), cfg)):
         assert arc.status == "left-window" and arc.edge is None
+
+
+def test_exact_arc_from_a_window_side_moving_out_leaves_it():
+    """From (0, 1) this saddle moves along y = 1, the window's upper side,
+    with dy/dt = x = 0 and d2y/dt2 = 1: it leaves the window at once.  The
+    exact arc ends there, left-window at t = 0, and DOP853 ends left-window
+    after one step; neither lands on x = 1 at y = sqrt(2)."""
+    zone = Zone(LinearSaddle(1, 0, -1, 0, 0), F(-1), F(1))
+    cfg = IntegratorConfig(window=1.0)
+    exact = integrate_arc(zone, (0.0, 1.0), cfg)
+    assert (exact.status, exact.edge, exact.end, exact.samples) == (
+        "left-window", None, (0.0, 1.0), [(0.0, 0.0, 1.0)])
+    stepped = _dop853_arc(ArcPlan(zone), (0.0, 1.0), cfg, True, True)
+    assert stepped.status == "left-window" and stepped.steps == 1
+
+
+def test_window_holds_every_landing_the_arc_can_reach():
+    """On the global center's zone, from y0 = 0.409 on x = 0, the orbit
+    comes back to x = 0 at y = 52/3.  The system's scale is 1, so a window
+    from the scale and the start alone would be WINDOW_FACTOR * 2 = 16,
+    below the landing; the root bound of the restricted level polynomial
+    sizes the window past it, and the hop reaches the edge."""
+    m = FlowMachine(global_center_saddle())
+    y0 = 0.40944881889763773
+    assert m.scale == 1.0
+    bindex, y, direction, traj = m._hop(0, (0.0, y0))
+    assert (bindex, direction, traj.status) == (0, 1, "reached-boundary")
+    assert abs(y - 52 / 3) < 1e-6
+    assert m._plan(0).window(0.0, y0, m._plan(0).integral(0.0, y0)) >= 2 * y
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
+       y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
+def test_window_holds_every_edge_root(config, seed, y0):
+    """From a point on any boundary of a random system of each covered
+    configuration, every real root of N(c, y) - h0 D(c, y) on either
+    finite edge c of the zone, at the start's level h0, lies inside the
+    arc's window, before its WINDOW_FACTOR: the closed-form bound of
+    constant-denominator zones and the per-arc bound of the global
+    center's rational integral alike."""
+    ps = rand_config(random.Random(seed), config)
+    m = FlowMachine(ps)
+    for i, zone in enumerate(ps.zones):
+        plan = m._plan(i)
+        edges = [c for c in (zone.x_lo, zone.x_hi) if c is not None]
+        for start in ((float(c), y0) for c in edges):
+            try:
+                h0 = plan.integral(*start)
+            except ZeroDivisionError:
+                continue
+            w = plan.window(*start, h0) / dynamics.WINDOW_FACTOR
+            for c in edges:
+                num, den = restriction(zone, c)[:2]
+                level = num - den * UniPoly.const(F(h0))
+                if not level.is_zero:
+                    assert all(abs(r) < w for r in real_roots(level, F(1, 2**20)))
 
 
 def test_grazing_landing_stays_on_the_level_curve():
@@ -836,6 +903,10 @@ def test_return_map_gives_up_after_the_hop_limit():
 
 
 def test_integrator_config_validation():
-    for bad in ({"max_time": 0.0}, {"window": -1.0}):
+    """Budgets must be positive numbers; NaN is not one (it would switch
+    a window off), and an arc needs at least one step."""
+    for bad in ({"max_time": 0.0}, {"window": -1.0}, {"max_time": math.nan},
+                {"window": math.nan}, {"max_steps": 0}):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
+    assert IntegratorConfig().window is None

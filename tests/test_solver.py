@@ -578,3 +578,22 @@ def test_solve_is_translation_invariant(name):
     want = answer(solve(ps))
     for t in (F(3, 8), F(-5, 4), F(1024), F(10**6)):
         assert answer(solve(translate(ps, t))) == want, t
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURE_DIR)
+                                        if n.startswith("linear_")))
+def test_solve_is_scale_invariant(name):
+    """Scaling an all-linear fixture by k (``mu``, ``gamma`` and the
+    boundaries times k) scales every orbit by k, so every candidate keeps
+    its status from k = 1e-7 to 1e7: the integrator's window scales with
+    the system.  A fixed window of 1e3 rejected the cycle at k = 1e4 and
+    1e7 ("arc in zone 2 ended with left-window")."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+    want = [c.status for c in solve(ps).candidates]
+    assert "verified" in want
+    for k in (F(1, 10**7), F(10**2), F(10**4), F(10**7)):
+        scaled = piecewise_system(
+            [LinearSaddle(p.alpha, p.beta, p.delta, p.mu * k, p.gamma * k)
+             for p in (z.payload for z in ps.zones)],
+            [b * k for b in ps.boundaries], [z.reverse for z in ps.zones])
+        assert [c.status for c in solve(scaled).candidates] == want, k
