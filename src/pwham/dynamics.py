@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms, restriction
+from .reach import fujiwara, landing_bound, turning_bound, turning_points
+from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms
 
 
 class DynamicsError(Exception):
@@ -78,7 +79,9 @@ class IntegratorConfig:
     (``ArcPlan.centre``), and accepted plus rejected steps.  With
     ``window=None``, the default, each arc sizes its own window from the
     system's scale, its start and the landings it can reach
-    (``ArcPlan.window``); a number is an absolute window for every arc."""
+    (``ArcPlan.window``), and widens it once, to its level curve's turning
+    points, if it reaches it (``ArcPlan.widen``); a number is an absolute
+    window for every arc."""
 
     max_time: float = 400.0
     window: float | None = None
@@ -379,69 +382,25 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
     return s, ym, n
 
 
-def _fujiwara(cs) -> float:
-    """Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved, on
-    the moduli of the roots of the polynomial whose float coefficients
-    ``cs`` run from the highest degree down (leading zeros skipped); 0.0
-    for a constant.  A NaN term makes the bound NaN."""
-    cs = list(cs)
-    while cs and cs[0] == 0:
-        del cs[0]
-    n = len(cs) - 1
-    bound = 0.0
-    for k in range(1, n + 1):
-        term = (abs(cs[k] / cs[0]) * (0.5 if k == n else 1.0)) ** (1.0 / k)
-        if not term <= bound:
-            bound = term
-    return 2.0 * bound
-
-
-@lru_cache(maxsize=8)
-def _landing_bound(zone: Zone) -> tuple:
-    """What bounds the landings of the zone's arcs on its finite edges, as
-    (floor, reach, levels) for ``ArcPlan.window``.
-
-    An arc on the level h0 lands on the edge x = c only at a real root of
-    N(c, y) - h0 D(c, y) (``systems.restriction``), whose moduli Fujiwara's
-    bound caps.  Where every finite edge has a constant D(c, y) = d and the
-    same degree n and leading coefficient of N(c, y) / d, only the constant
-    term a_0 = n_0 / d - h0 moves with h0: the other terms give the
-    ``floor``, and the a_0 terms are at most k (|h0 - mid| + half)^(1/n),
-    for the midpoint and half-width of the edges' n_0 / d; ``reach`` is
-    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and
-    ``levels`` holds each edge's float coefficients of N and D, highest
-    degree first, for a bound per arc."""
-    floor, reach, levels = 0.0, None, []
-    edges = [[[float(a) for a in p.coeffs] for p in restriction(zone, c)[:2]]
-             for c in (zone.x_lo, zone.x_hi) if c is not None]
-    over_d = [[a / den[0] for a in num] for num, den in edges if len(den) == 1]
-    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
-            and len({(len(cs), cs[-1]) for cs in over_d}) == 1):
-        n = len(over_d[0]) - 1
-        floor = max(_fujiwara(cs[:0:-1] + [0.0]) for cs in over_d)
-        c0s = [cs[0] for cs in over_d]
-        reach = (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
-                 2.0 * (2.0 * abs(over_d[0][-1])) ** (-1.0 / n), 1.0 / n)
-    else:
-        for num, den in edges:
-            width = max(len(num), len(den))
-            levels.append(tuple(tuple(reversed(p + [0.0] * (width - len(p)))) for p in (num, den)))
-    return floor, reach, tuple(levels)
+def _window_above(q: float, factor: float = WINDOW_FACTOR) -> float:
+    """``factor`` times the next power of two above q; math.inf when q is
+    not a finite number."""
+    return math.ldexp(factor, math.frexp(q)[1]) if q < math.inf else math.inf
 
 
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
     floats, the abscissa ``centre`` that the window is measured from, the
-    system's ``scale`` and the zone's ``_landing_bound`` (for ``window``),
-    the float field (reversal applied) and first integral, and either the
-    exact linear part (a ``linear`` zone), with each window's
-    crossing-target table (``targets``), or, built on first use, the zone's
-    DOP853 steps (``zone_step_fns``)."""
+    system's ``scale`` and the zone's ``reach`` bounds (for ``window`` and
+    ``widen``, built on first use), the float field (reversal applied) and
+    first integral, and either the exact linear part (a ``linear`` zone),
+    with each window's crossing-target table (``targets``), or, built on
+    first use, the zone's DOP853 steps (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_floor", "_reach", "_levels")
+                 "_targets", "_scale", "_bound", "_turns")
 
-    def __init__(self, zone: Zone, centre: float = 0.0, scale: float = 1.0):
+    def __init__(self, zone: Zone, centre: float = 0.0, scale=1.0):
         self.zone = zone
         self.centre = centre
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
@@ -451,8 +410,11 @@ class ArcPlan:
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
         self._targets: dict = {}
-        fixed, self._reach, self._levels = _landing_bound(zone)
-        self._floor = max(scale, fixed)
+        # the system's scale, or a function that gives it: read, with the
+        # landing bound, when the first arc sizes its window
+        self._scale = scale
+        self._bound = None
+        self._turns = None
 
     def window(self, x: float, y: float, h0: float) -> float:
         """The window of an arc from (x, y) on the level h0 of the first
@@ -461,22 +423,51 @@ class ArcPlan:
         |x - centre|, |y|, R), with R a root bound of N(c, y) - h0 D(c, y)
         on each finite edge c (of D(c, y) for an infinite h0).  The arc can
         end on an edge only at such a root, so the window holds every
-        landing it can reach.  math.inf when q is not a finite number."""
-        q = self._floor  # compared one by one: a linear arc pays this on every hop
+        landing it can reach.  math.inf when q is not a finite number.  An
+        arc that reaches this window widens it once (``widen``)."""
+        if self._bound is None:
+            scale = self._scale() if callable(self._scale) else self._scale
+            fixed, reach, levels = landing_bound(self.zone)
+            self._bound = (max(scale, fixed), reach, levels)
+        # compared one by one: a linear arc pays this on every hop
+        q, reach, levels = self._bound
         if abs(x - self.centre) > q:
             q = abs(x - self.centre)
         if abs(y) > q:
             q = abs(y)
-        if self._reach is not None:
-            mid, half, k, inv = self._reach
+        if reach is not None:
+            mid, half, k, inv = reach
             r = k * (abs(h0 - mid) + half) ** inv
             if not r <= q:
                 q = r
-        for num, den in self._levels:
-            r = _fujiwara([n - h0 * d for n, d in zip(num, den)] if math.isfinite(h0) else den)
+        for num, den in levels:
+            r = fujiwara([n - h0 * d for n, d in zip(num, den)] if math.isfinite(h0) else den)
             if not r <= q:
                 q = r
-        return math.ldexp(WINDOW_FACTOR, math.frexp(q)[1]) if q < math.inf else math.inf
+        return _window_above(q)
+
+    def widen(self, window: float, h0: float) -> float:
+        """The window an arc on the level h0 goes on in once it reached its
+        own ``window``: the larger of that and twice the next power of two
+        above the level curve's turning points (``reach.turning_points``:
+        the x-extrema for a zone unbounded in x, the y-extrema always).  An
+        arc's x and y are extreme only at its ends and at such points, so
+        no arc that returns to an edge, and no closed orbit, leaves the
+        widened window.  The bound holds every turning point, so its margin
+        only has to cover the arc's drift off its level curve."""
+        if self._turns is None:
+            tx, ty = turning_points(self.zone)
+            # |x - centre| <= |X| + |offset + centre| for X = x + offset
+            shift = abs(float(self.zone.payload.offset) + self.centre)
+            self._turns = tuple((t, add) for t, add in ((tx, shift), (ty, 0.0))
+                                if t is not None)
+        q = 0.0
+        for turn, add in self._turns:
+            r = turning_bound(turn, h0) + add
+            if not r <= q:
+                q = r
+        wide = _window_above(q, 2.0)
+        return wide if wide > window else window
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -540,9 +531,10 @@ def _check_entry(x, y, fx, lo, hi):
 def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
     EVENT_TOL; a landing outside the window leaves the window), the
-    time limit, the window, an equilibrium (speed below 1e-12 for ten
-    accepted steps), or after ``cfg.max_steps`` accepted and rejected
-    steps (status ``step-limit``).  A step passes only at an error norm
+    time limit, the window (the arc's own window widens once,
+    ``ArcPlan.widen``, before it ends the arc), an equilibrium (speed
+    below 1e-12 for ten accepted steps), or after ``cfg.max_steps``
+    accepted and rejected steps (status ``step-limit``).  A step passes only at an error norm
     err <= 1, so a NaN norm is rejected.  An accepted step whose end lies
     inside the strip but whose x-velocity changes sign may have crossed an
     edge and come back: when the cubic Hermite of x on the step (end points
@@ -566,7 +558,8 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         h0 = hfun(x, y)
     except ZeroDivisionError:
         h0 = math.inf
-    if window is None:
+    own = window is None
+    if own:
         window = plan.window(x, y, h0)
     monitor = isfinite(h0)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
@@ -618,8 +611,12 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             if isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
         if abs(x - centre) > window or abs(y) > window:
-            status, edge = "left-window", None  # a landing beyond it left it first
-            break
+            if own:  # the arc's own window widens once, to its turning points
+                own = False
+                window = plan.widen(window, h0)
+            if abs(x - centre) > window or abs(y) > window:
+                status, edge = "left-window", None  # a landing beyond it left it first
+                break
         if edge is not None:
             status = "reached-boundary"
             break
@@ -719,8 +716,10 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     from its start (``ArcPlan.targets``); an edge hit is polished by Newton
     on x(t) - c and lands at exactly x = c.  An arc that starts beyond the
     window, or on a side and moving out (``_leaving``), leaves it at t = 0.
-    A piece that ends at speed below 1e-12 ends the arc at the equilibrium
-    it approaches."""
+    A piece that reaches the arc's own window widens it once
+    (``ArcPlan.widen``), and the arc goes on from there under the wider
+    window's targets.  A piece that ends at speed below 1e-12 ends the arc
+    at the equilibrium it approaches."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
@@ -732,7 +731,8 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
 
     _check_entry(x, y, f0, lo, hi)
     h0 = hfun(x, y)
-    if w is None:
+    own = w is None
+    if own:
         w = plan.window(x, y, h0)
     x_targets, y_targets = plan.targets(w)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
@@ -778,8 +778,15 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         t += dt
         if hit and side:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:
-            status = "left-window"
+        elif hit:  # the arc's own window widens once, to its turning points
+            wide = plan.widen(w, h0) if own else w
+            own = False
+            if wide > w:
+                w = wide
+                x_targets, y_targets = plan.targets(w)
+                f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
+            else:
+                status = "left-window"
         else:
             f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
             if math.hypot(f0, f1) < 1e-12:
@@ -795,6 +802,22 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
 # ---------------------------------------------------------------------------
 # piecewise flow machinery
 # ---------------------------------------------------------------------------
+
+
+def _scale_of(ps: PiecewiseSystem, bxs: list, centre: float):
+    """A function that computes ``FlowMachine.scale`` on its first call and
+    keeps it.  It holds the system, not the machine, so that the machine's
+    plans do not hold the machine in a reference cycle."""
+    kept: list = []
+
+    def scale() -> float:
+        if not kept:
+            pts = [(b, 0.0) for b in bxs] + [
+                (float(ex), float(ey)) for z in ps.zones for ex, ey in equilibria(z)]
+            kept.append(max([1.0] + [max(abs(px - centre), abs(py)) for px, py in pts]))
+        return kept[0]
+
+    return scale
 
 
 class FlowMachine:
@@ -818,22 +841,22 @@ class FlowMachine:
         self._plans: list = [None] * len(ps.zones)
         self.bxs = [float(b) for b in ps.boundaries]
         self.centre = sum(self.bxs) / len(self.bxs) if self.bxs else 0.0
+        self._scale = _scale_of(ps, self.bxs, self.centre)
 
-    @cached_property
+    @property
     def scale(self) -> float:
         """The system's scale, at least 1: the largest |x - centre| of a
         boundary and the largest |x - centre| or |y| of a closed-form
         equilibrium (``systems.equilibria``) of any zone.  Computed when the
-        first plan is built, so a machine that builds none never pays it."""
-        pts = [(b, 0.0) for b in self.bxs] + [
-            (float(ex), float(ey)) for z in self.ps.zones for ex, ey in equilibria(z)]
-        return max([1.0] + [max(abs(px - self.centre), abs(py)) for px, py in pts])
+        first arc sizes its window, so a machine that runs none (one whose
+        candidates fail ``crossing_direction``) never pays it."""
+        return self._scale()
 
     def _plan(self, zone_index: int) -> ArcPlan:
         plan = self._plans[zone_index]
         if plan is None:
             plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index], self.centre,
-                                                     self.scale)
+                                                     self._scale)
         return plan
 
     def crossing_direction(self, bindex: int, y: float) -> int:

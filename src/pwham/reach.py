@@ -1,0 +1,202 @@
+"""Bounds on where an arc of one zone can go, as floats per zone and per
+level of the first integral: its landings on the zone's finite edges
+(``landing_bound``) and the turning points of its level curve, where
+dx/dt or dy/dt vanishes (``turning_points``, ``turning_bound``).
+``dynamics.ArcPlan`` sizes each arc's window from them.  Every bound is
+Fujiwara's bound on the moduli of a polynomial's roots (``fujiwara``).
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+from .systems import Zone, local_forms, restriction
+
+
+def fujiwara(cs) -> float:
+    """Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved, on
+    the moduli of the roots of the polynomial whose float coefficients
+    ``cs`` run from the highest degree down (leading zeros skipped); 0.0
+    for a constant.  A NaN term makes the bound NaN."""
+    cs = list(cs)
+    while cs and cs[0] == 0:
+        del cs[0]
+    n = len(cs) - 1
+    bound = 0.0
+    for k in range(1, n + 1):
+        term = (abs(cs[k] / cs[0]) * (0.5 if k == n else 1.0)) ** (1.0 / k)
+        if not term <= bound:
+            bound = term
+    return 2.0 * bound
+
+
+@lru_cache(maxsize=8)
+def landing_bound(zone: Zone) -> tuple:
+    """What bounds the landings of the zone's arcs on its finite edges, as
+    (floor, reach, levels) for ``ArcPlan.window``.
+
+    An arc on the level h0 lands on the edge x = c only at a real root of
+    N(c, y) - h0 D(c, y) (``systems.restriction``), whose moduli Fujiwara's
+    bound caps.  Where every finite edge has a constant D(c, y) = d and the
+    same degree n and leading coefficient of N(c, y) / d, only the constant
+    term a_0 = n_0 / d - h0 moves with h0: the other terms give the
+    ``floor``, and the a_0 terms are at most k (|h0 - mid| + half)^(1/n),
+    for the midpoint and half-width of the edges' n_0 / d; ``reach`` is
+    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and
+    ``levels`` holds each edge's float coefficients of N and D, highest
+    degree first, for a bound per arc."""
+    floor, reach, levels = 0.0, None, []
+    edges = [[[float(a) for a in p.coeffs] for p in restriction(zone, c)[:2]]
+             for c in (zone.x_lo, zone.x_hi) if c is not None]
+    over_d = [[a / den[0] for a in num] for num, den in edges if len(den) == 1]
+    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
+            and len({(len(cs), cs[-1]) for cs in over_d}) == 1):
+        n = len(over_d[0]) - 1
+        floor = max(fujiwara(cs[:0:-1] + [0.0]) for cs in over_d)
+        c0s = [cs[0] for cs in over_d]
+        reach = (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
+                 2.0 * (2.0 * abs(over_d[0][-1])) ** (-1.0 / n), 1.0 / n)
+    else:
+        for num, den in edges:
+            width = max(len(num), len(den))
+            levels.append(tuple(tuple(reversed(p + [0.0] * (width - len(p)))) for p in (num, den)))
+    return floor, reach, tuple(levels)
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Product of two polynomials in (w, h), as {(power of w, power of h):
+    float coefficient}."""
+    out: dict = {}
+    for (i, j), u in a.items():
+        for (k, m), v in b.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0.0) + u * v
+    return out
+
+
+def _add(a: dict, b: dict, s: float = 1.0) -> dict:
+    """a + s b, for polynomials as in ``_mul``."""
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0.0) + s * v
+    return out
+
+
+def _eliminant(P: list, Q: list):
+    """A polynomial T(w, h) whose real roots in w, at a level h, hold the w
+    of every real common zero of P and Q, both given as coefficient lists
+    over the powers of the eliminated variable v (ascending) of polynomials
+    in (w, h): the resultant in v for P linear in v, the resultant times a
+    power of P's leading coefficient for P quadratic in v (from the
+    pseudo-remainder r1 v + r0 of Q: T = r1^2 p0 - r0 r1 p1 + r0^2 p2).
+    None when P or Q is free of v (P the velocity of w's coordinate: it is
+    then monotone, or Q the level: w is then fixed); {} (no bound) when P
+    is of higher degree in v, which no family is."""
+    while P and not any(P[-1].values()):
+        P = P[:-1]
+    while Q and not any(Q[-1].values()):
+        Q = Q[:-1]
+    if len(P) < 2 or len(Q) < 2:
+        return None
+    if len(P) == 2:  # sum_k q_k (-p0)^k p1^(n-k)
+        p0, p1 = P
+        T: dict = {}
+        for k, qk in enumerate(Q):
+            for _ in range(k):
+                qk = _mul(qk, p0)
+            for _ in range(len(Q) - 1 - k):
+                qk = _mul(qk, p1)
+            T = _add(T, qk, (-1.0) ** k)
+        return T
+    if len(P) > 3:
+        return {}
+    p0, p1, p2 = P
+    R = list(Q)
+    while len(R) > 2:  # R <- p2 R - lead v^d P, which drops R's top term
+        d, lead = len(R) - 3, R[-1]
+        R = [_add(_mul(p2, R[i]), _mul(lead, P[i - d]), -1.0) if i >= d else _mul(p2, R[i])
+             for i in range(len(R) - 1)]
+    r0, r1 = R
+    T = _add(_mul(_mul(r1, r1), p0), _mul(_mul(r0, r1), p1), -1.0)
+    return _add(T, _mul(_mul(r0, r0), p2))
+
+
+@lru_cache(maxsize=8)
+def turning_points(zone: Zone) -> tuple:
+    """(Tx, Ty), each (``_reach_of``, ``_rows``) of a polynomial T(w, h)
+    (``_eliminant``) whose real roots in w at the level h hold the
+    X = x + offset of every point of the level curve N - h D = 0 where
+    dx/dt = 0 (Tx: None for a zone bounded on both sides, whose x the
+    strip bounds), and the y of every point where dy/dt = 0 (Ty).  None
+    also where there is no such point to bound."""
+    num, den, fx, fy = ({e: float(c) for e, c in p.terms.items() if c}
+                        for p in local_forms(zone.payload))
+
+    def split(p: dict, v: int, h: int = 0, sign: float = 1.0) -> list:
+        out = [{} for _ in range(max((e[v] for e in p), default=0) + 1)]
+        for e, c in p.items():
+            out[e[v]][e[1 - v], h] = sign * c
+        return out
+
+    def level(v: int) -> list:
+        n, d = split(num, v), split(den, v, 1, -1.0)
+        return [{**a, **b} for a, b in zip(n + [{}] * (len(d) - len(n)),
+                                           d + [{}] * (len(n) - len(d)))]
+
+    bounded = zone.x_lo is not None and zone.x_hi is not None
+    tx = None if bounded else _eliminant(split(fx, 1), level(1))
+    rows = [t if t is None else _rows(t) for t in (tx, _eliminant(split(fy, 0), level(0)))]
+    return tuple(r if r is None else (_reach_of(r), r) for r in rows)
+
+
+def _rows(T: dict) -> tuple:
+    """T(w, h) as its coefficients in w, highest power first, each the
+    tuple of its coefficients in h, highest power first (Horner's order)."""
+    keys = [e for e, c in T.items() if c]
+    nw = max((i for i, _ in keys), default=-1)
+    nh = max((j for _, j in keys), default=0)
+    rows = [[0.0] * (nh + 1) for _ in range(nw + 1)]
+    for i, j in keys:
+        rows[nw - i][nh - j] = T[i, j]
+    return tuple(map(tuple, rows))
+
+
+def _reach_of(rows: tuple):
+    """For T(w, h) = A(w) + c h with A of degree n >= 1 (every linear zone),
+    Fujiwara's bound at a level h as a closed form: the terms of A's other
+    coefficients give ``floor``, and the constant term's is
+    k |h - m|^(1/n), m = -a_0 / c; returns (floor, k, m, 1/n), or None for
+    any other T (given as ``_rows``)."""
+    n = len(rows) - 1
+    if n < 1 or len(rows[0]) != 2 or any(hc[0] for hc in rows[:-1]) or not rows[-1][0]:
+        return None
+    c, a0 = rows[-1]
+    return (fujiwara([hc[1] for hc in rows[:-1]] + [0.0]),
+            2.0 * (abs(c) / (2.0 * abs(rows[0][1]))) ** (1.0 / n), -a0 / c, 1.0 / n)
+
+
+def turning_bound(turn: tuple, h0: float) -> float:
+    """Fujiwara's bound on the roots in w of T(w, h0), for ``turn`` =
+    (``_reach_of``, ``_rows``) of T from ``turning_points``: the closed
+    form where there is one, and for an infinite h0 the bound for T's
+    leading coefficient in h (the level curve D = 0); math.inf when that is
+    the zero polynomial."""
+    reach, rows = turn
+    if math.isfinite(h0):
+        if reach is not None:
+            floor, k, m, inv = reach
+            r = k * abs(h0 - m) ** inv
+            return r if r > floor else floor
+        cs = []
+        for hc in rows:
+            v = 0.0
+            for c in hc:
+                v = v * h0 + c
+            cs.append(v)
+    else:
+        top = next((k for k in range(len(rows[0]) if rows else 0)
+                    if any(hc[k] for hc in rows)), None)
+        cs = [hc[top] for hc in rows] if top is not None else []
+    if not any(cs):
+        return math.inf
+    return fujiwara(cs)

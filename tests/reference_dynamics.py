@@ -101,7 +101,8 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     its sides and moving out (by its velocity, or by its acceleration where
     that velocity is 0), leaves it at t = 0.  A piece that ends at speed
     below 1e-12 ends the arc at the equilibrium it approaches.  Without a
-    window in ``cfg`` the arc takes the plan's (``ArcPlan.window``)."""
+    window in ``cfg`` the arc takes the plan's (``ArcPlan.window``), and a
+    piece that reaches it widens it once (``ArcPlan.widen``)."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
@@ -116,16 +117,19 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
 
     dynamics._check_entry(x, y, field(x, y)[0], lo, hi)
     h0 = hfun(x, y)
-    w = cfg.window if cfg.window is not None else plan.window(x, y, h0)
+    own = cfg.window is None
+    w = plan.window(x, y, h0) if own else cfg.window
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
         piece = min(piece, dynamics.MAX_STEP, 0.0625 / norm if norm else math.inf)
-    # (coordinate, level, outward sign, edge name or None for the window)
-    targets = [(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
-               if math.isfinite(c)]
-    targets += [(k, mid + out * w, out, None)
-                for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)]
+
+    def targets(w):  # (coordinate, level, outward sign, edge name or None for the window)
+        return ([(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
+                 if math.isfinite(c)]
+                + [(k, mid + out * w, out, None)
+                   for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)])
+
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
@@ -143,7 +147,7 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         span = min(rest, piece)
         # the least crossing time; an edge wins a tie with the window
         th, c, side = min(((dynamics._first_crossing(e, u[k], f[k], g[k], c, out),
-                            c, side) for k, c, out, side in targets),
+                            c, side) for k, c, out, side in targets(w)),
                           key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
         hit = th <= span * (1 + 1e-9)
         if hit and side:  # Newton on x(t) - c from the quadratic's root
@@ -160,8 +164,13 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         t += dt
         if hit and side:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:
-            status = "left-window"
+        elif hit:  # the arc's own window widens once
+            wide = plan.widen(w, h0) if own else w
+            own = False
+            if wide > w:
+                w = wide
+            else:
+                status = "left-window"
         elif math.hypot(*field(x, y)) < 1e-12:
             status = "hit-equilibrium"
         elif span == rest:

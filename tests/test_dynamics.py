@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham import dynamics
-from pwham.algebra import UniPoly, real_roots
+from pwham.algebra import UniPoly, real_roots, resultant
 from pwham.dynamics import (
     DRIFT_TOL,
     EVENT_TOL,
@@ -394,6 +394,11 @@ def _same_arc(plan, start, cfg, record, forward):
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=1.0, x0=0.0,
          centre=0.0, window=1.0, max_time=10.0)
+# the arc's own window widens to its turning point at y = -100 and the arc
+# lands at (1, -1)
+@example(payload=LinearSaddle(alpha=1, beta=0, delta=F(1, 10000), mu=0, gamma=0),
+         reverse=False, forward=True, record=False, strip="both", edge="lo", y0=-1.0,
+         x0=0.0, centre=0.0, window=None, max_time=30.0)
 # the window's sides in x on the strip's edges: an edge hit ties with the window
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
@@ -478,6 +483,30 @@ def test_window_holds_every_landing_the_arc_can_reach():
     assert m._plan(0).window(0.0, y0, m._plan(0).integral(0.0, y0)) >= 2 * y
 
 
+def test_widened_window_holds_the_orbit_between_landings():
+    """Orbits that reach 100 times farther than their landings: the level
+    ellipses of X^2 + y^2 / 10^4, in x beyond a half-plane's edge, and in y
+    inside a strip, of an exact linear zone and of a DOP853 cubic center.
+    The arc's own window (from the scale, the start and the landings) is
+    below that reach; the arc widens it to the turning points and lands."""
+    ps = piecewise_system([LinearSaddle(1, 0, 1, 0, 0), LinearSaddle(F(1, 10**4), 0, 1, 0, 0)],
+                          [1])
+    m = FlowMachine(ps)
+    bindex, y, direction, traj = m._hop(1, (1.0, -1.0))
+    assert (bindex, direction, traj.status) == (0, -1, "reached-boundary")
+    assert abs(y - 1.0) < 1e-9
+    plan = m._plan(1)
+    h0 = plan.integral(1.0, -1.0)
+    assert plan.window(1.0, -1.0, h0) < 100 < plan.widen(plan.window(1.0, -1.0, h0), h0)
+    for payload in (LinearSaddle(1, 0, F(1, 10**4), 0, 0), CubicCenter(0, F(1, 10**4))):
+        plan = ArcPlan(Zone(payload, F(-1), F(1)))
+        traj = integrate_arc(plan, (-1.0, -1.0), record=True)
+        assert (traj.status, traj.edge) == ("reached-boundary", "hi")
+        assert abs(traj.end[1] + 1.0) < 1e-6
+        assert min(y for _, _, y in traj.samples) < -99
+        assert plan.window(-1.0, -1.0, plan.integral(-1.0, -1.0)) < 99
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
@@ -498,12 +527,52 @@ def test_window_holds_every_edge_root(config, seed, y0):
                 h0 = plan.integral(*start)
             except ZeroDivisionError:
                 continue
+            if not math.isfinite(h0):  # overflowed next to the singular locus
+                continue
             w = plan.window(*start, h0) / dynamics.WINDOW_FACTOR
             for c in edges:
                 num, den = restriction(zone, c)[:2]
                 level = num - den * UniPoly.const(F(h0))
                 if not level.is_zero:
                     assert all(abs(r) < w for r in real_roots(level, F(1, 2**20)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
+       y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
+def test_widened_window_holds_every_turning_point(config, seed, y0):
+    """Every real point of the level curve N - h0 D = 0 where dy/dt = 0,
+    and, in a zone unbounded in x, every one where dx/dt = 0, lies inside
+    the widened window (``ArcPlan.widen``) before its factor of 2, at
+    the level h0 of a start on any boundary of a random system of each
+    covered configuration: checked against the exact resultants of the
+    zone's field component and its level polynomial."""
+    ps = rand_config(random.Random(seed), config)
+    m = FlowMachine(ps)
+    for i, zone in enumerate(ps.zones):
+        plan = m._plan(i)
+        num, den, fx, fy = local_forms(zone.payload)
+        offset = float(zone.payload.offset)
+        for c in (c for c in (zone.x_lo, zone.x_hi) if c is not None):
+            try:
+                h0 = plan.integral(float(c), y0)
+            except ZeroDivisionError:
+                continue
+            if not math.isfinite(h0):  # overflowed next to the singular locus
+                continue
+            w = plan.widen(0.0, h0) / 2
+            level = num - den * F(h0)
+            checks = [(fy, "x", 0.0)]
+            if zone.x_lo is None or zone.x_hi is None:
+                checks.append((fx, "y", offset + m.centre))
+            for velocity, v, shift in checks:
+                if velocity.degree(v) < 1 or level.degree(v) < 1:
+                    continue
+                res = resultant(velocity, level, v)
+                if res.is_zero:
+                    continue
+                for r in real_roots(res.as_unipoly(), F(1, 2**20)):  # each within 2^-20
+                    assert abs(float(r) - shift) < w + 2.0**-20
 
 
 def test_grazing_landing_stays_on_the_level_curve():
