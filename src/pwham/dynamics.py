@@ -400,7 +400,7 @@ class ArcPlan:
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
                  "_targets", "_scale", "_bound", "_turns")
 
-    def __init__(self, zone: Zone, centre: float = 0.0, scale=1.0):
+    def __init__(self, zone: Zone, centre: float = 0.0, scale=None):
         self.zone = zone
         self.centre = centre
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
@@ -410,8 +410,8 @@ class ArcPlan:
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
         self._targets: dict = {}
-        # the system's scale, or a function that gives it: read, with the
-        # landing bound, when the first arc sizes its window
+        # a function that gives the system's scale (None: 1), called, with
+        # the landing bound built, when the first arc sizes its window
         self._scale = scale
         self._bound = None
         self._turns = None
@@ -426,7 +426,7 @@ class ArcPlan:
         landing it can reach.  math.inf when q is not a finite number.  An
         arc that reaches this window widens it once (``widen``)."""
         if self._bound is None:
-            scale = self._scale() if callable(self._scale) else self._scale
+            scale = self._scale() if self._scale is not None else 1.0
             fixed, reach, levels = landing_bound(self.zone)
             self._bound = (max(scale, fixed), reach, levels)
         # compared one by one: a linear arc pays this on every hop
@@ -530,12 +530,14 @@ def _check_entry(x, y, fx, lo, hi):
 
 def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
-    EVENT_TOL; a landing outside the window leaves the window), the
-    time limit, the window (the arc's own window widens once,
-    ``ArcPlan.widen``, before it ends the arc), an equilibrium (speed
-    below 1e-12 for ten accepted steps), or after ``cfg.max_steps``
-    accepted and rejected steps (status ``step-limit``).  A step passes only at an error norm
-    err <= 1, so a NaN norm is rejected.  An accepted step whose end lies
+    EVENT_TOL; a landing outside the window leaves the window, unless it
+    lies on the window's side to 1e-9 relative: an edge wins a tie, as in
+    the exact arc), the time limit, the window (the arc's own window
+    widens once, ``ArcPlan.widen``, before it ends the arc), an
+    equilibrium (speed below 1e-12 for ten accepted steps), or after
+    ``cfg.max_steps`` accepted and rejected steps (status
+    ``step-limit``).  A step passes only at an error norm err <= 1, so a
+    NaN norm is rejected.  An accepted step whose end lies
     inside the strip but whose x-velocity changes sign may have crossed an
     edge and come back: when the cubic Hermite of x on the step (end points
     and end slopes, no extra field evaluation) peaks beyond an edge, a real
@@ -614,8 +616,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             if own:  # the arc's own window widens once, to its turning points
                 own = False
                 window = plan.widen(window, h0)
-            if abs(x - centre) > window or abs(y) > window:
-                status, edge = "left-window", None  # a landing beyond it left it first
+            # a landing beyond it left it first; one on its side is a tie
+            limit = window * (1 + 1e-9) if edge is not None else window
+            if abs(x - centre) > limit or abs(y) > limit:
+                status, edge = "left-window", None
                 break
         if edge is not None:
             status = "reached-boundary"

@@ -328,6 +328,10 @@ def _fleeting(zone, p):
 # a grazing landing: backward from (1, 0) the orbit touches x = -1 at (-1, 0)
 @example(payload=LinearSaddle(alpha=1, beta=-1, delta=1, mu=1, gamma=0), reverse=False,
          forward=False, edge="hi", y0=0.0, x0=0.0)
+# a landing on the window's corner: backward from (1, 0) the orbit returns
+# to x = 1 at y = 20 exactly, and the integrated one 7e-15 beyond it
+@example(payload=LinearSaddle(alpha=4, beta=-1, delta=F(1, 4), mu=F(3, 2), gamma=-1),
+         reverse=False, forward=False, edge="hi", y0=0.0, x0=0.0)
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
