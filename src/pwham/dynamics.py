@@ -534,7 +534,8 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     lies on the window's side to 1e-9 relative: an edge wins a tie, as in
     the exact arc), the time limit, the window (the arc's own window
     widens once, ``ArcPlan.widen``, before it ends the arc), an
-    equilibrium (speed below 1e-12 for ten accepted steps), or after
+    equilibrium (speed below 1e-12 at the start or for ten accepted
+    steps), or after
     ``cfg.max_steps`` accepted and rejected steps (status
     ``step-limit``).  A step passes only at an error norm err <= 1, so a
     NaN norm is rejected.  An accepted step whose end lies
@@ -571,8 +572,11 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     samples = [(t, x, y)] if record else []
     edge = None
     slow = steps = rejected = event_steps = 0
+    # a start at speed below 1e-12 is at the equilibrium, as the exact arc
+    # decides after its first piece; no walk starts there (``_check_entry``)
+    at_rest = hypot(k1[0], k1[1]) < 1e-12
 
-    for _ in range(cfg.max_steps):
+    for _ in range(0 if at_rest else cfg.max_steps):
         if t >= max_time:
             status = "reached-time-limit"
             break
@@ -633,7 +637,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             slow = 0
         h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
     else:
-        status = "step-limit"
+        status = "hit-equilibrium" if at_rest else "step-limit"
 
     return Trajectory(samples, edge, status, (x, y), drift, steps, rejected, event_steps)
 

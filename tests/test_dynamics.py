@@ -332,6 +332,9 @@ def _fleeting(zone, p):
 # to x = 1 at y = 20 exactly, and the integrated one 7e-15 beyond it
 @example(payload=LinearSaddle(alpha=4, beta=-1, delta=F(1, 4), mu=F(3, 2), gamma=-1),
          reverse=False, forward=False, edge="hi", y0=0.0, x0=0.0)
+# a start 4e-13 from a saddle point: at the equilibrium for both arcs
+@example(payload=LinearSaddle(alpha=-1, beta=0, delta=1, mu=0, gamma=0), reverse=False,
+         forward=False, edge="inside", y0=0.0, x0=3.8502316449144774e-13)
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
