@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reach import fujiwara, landing_bound, turning_bound, turning_points
+from .reach import fujiwara, landing_bound, no_root_beyond, turning_bound, turning_points
 from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms
 
 
@@ -391,14 +391,15 @@ def _window_above(q: float, factor: float = WINDOW_FACTOR) -> float:
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
     floats, the abscissa ``centre`` that the window is measured from, the
-    system's ``scale`` and the zone's ``reach`` bounds (for ``window`` and
-    ``widen``, built on first use), the float field (reversal applied) and
-    first integral, and either the exact linear part (a ``linear`` zone),
-    with each window's crossing-target table (``targets``), or, built on
-    first use, the zone's DOP853 steps (``zone_step_fns``)."""
+    system's ``scale`` and the zone's ``reach`` bounds (for ``window``,
+    ``widen`` and ``escaped``, built on first use), the float field
+    (reversal applied) and first integral, and either the exact linear
+    part (a ``linear`` zone), with each window's crossing-target table
+    (``targets``), or, built on first use, the zone's DOP853 steps
+    (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_scale", "_bound", "_turns")
+                 "_targets", "_scale", "_bound", "_turns", "_escape")
 
     def __init__(self, zone: Zone, centre: float = 0.0, scale=None):
         self.zone = zone
@@ -414,7 +415,7 @@ class ArcPlan:
         # the landing bound built, when the first arc sizes its window
         self._scale = scale
         self._bound = None
-        self._turns = None
+        self._turns = self._escape = None
 
     def window(self, x: float, y: float, h0: float) -> float:
         """The window of an arc from (x, y) on the level h0 of the first
@@ -428,7 +429,7 @@ class ArcPlan:
         if self._bound is None:
             scale = self._scale() if self._scale is not None else 1.0
             fixed, reach, levels = landing_bound(self.zone)
-            self._bound = (max(scale, fixed), reach, levels)
+            self._bound = (max(scale, fixed), reach, levels if reach is None else ())
         # compared one by one: a linear arc pays this on every hop
         q, reach, levels = self._bound
         if abs(x - self.centre) > q:
@@ -468,6 +469,35 @@ class ArcPlan:
                 q = r
         wide = _window_above(q, 2.0)
         return wide if wide > window else window
+
+    def escaped(self, y: float, h: float) -> bool:
+        """True when an arc at the ordinate y on the level h, moving away
+        from y = 0, can land on no edge again: |y| lies beyond every real
+        root on y's side (``reach.no_root_beyond``, of p(-y) for y < 0) of
+        each finite edge's N(c, y) - h D(c, y) (``reach.landing_bound``) and
+        of the y-eliminant of the turning points (``reach.turning_points``),
+        so y moves on outward and meets no landing.  False for an infinite h,
+        whose coefficients are NaN."""
+        polys = self._escape  # rows as in ``reach._rows``; the turning points' once the edges pass
+        if polys is None:
+            polys = self._escape = [tuple(zip([-d for d in den], num))
+                                    for num, den in landing_bound(self.zone)[2]] + [None]
+        a, ah = abs(y), abs(h)
+        for i, rows in enumerate(polys):
+            if rows is None:  # a nonzero constant where y is monotone: no condition
+                ty = turning_points(self.zone)[1]
+                rows = polys[i] = ty[1] if ty is not None else ((1.0,),)
+            cs, mags = [], []
+            for k, row in enumerate(rows, 1 - len(rows)):  # k: minus the power of y
+                v = m = 0.0
+                for c in row:
+                    v = v * h + c
+                    m = m * ah + abs(c)
+                cs.append(v if y > 0 or k % 2 == 0 else -v)
+                mags.append(m)
+            if not no_root_beyond(cs, mags, a):
+                return False
+        return True
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -533,7 +563,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     EVENT_TOL; a landing outside the window leaves the window, unless it
     lies on the window's side to 1e-9 relative: an edge wins a tie, as in
     the exact arc), the time limit, the window (the arc's own window
-    widens once, ``ArcPlan.widen``, before it ends the arc), an
+    widens once, ``ArcPlan.widen``, before it ends the arc; an arc moving
+    away from y = 0 leaves its own window once ``ArcPlan.escaped`` holds,
+    tried at its first such step and each time |y| doubled since), an
     equilibrium (speed below 1e-12 at the start or for ten accepted
     steps), or after
     ``cfg.max_steps`` accepted and rejected steps (status
@@ -565,6 +597,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     if own:
         window = plan.window(x, y, h0)
     monitor = isfinite(h0)
+    tried = 0.0 if own and monitor else math.inf  # |y| at which to try an escape proof
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
     t = 0.0
@@ -628,6 +661,11 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         if edge is not None:
             status = "reached-boundary"
             break
+        if y * k1[1] > 0 and abs(y) >= tried:
+            if plan.escaped(y, hv):
+                status = "left-window"
+                break
+            tried = 2.0 * abs(y)
         if hypot(k1[0], k1[1]) < 1e-12:
             slow += 1
             if slow >= 10:

@@ -4,6 +4,9 @@ level of the first integral: its landings on the zone's finite edges
 dx/dt or dy/dt vanishes (``turning_points``, ``turning_bound``).
 ``dynamics.ArcPlan`` sizes each arc's window from them.  Every bound is
 Fujiwara's bound on the moduli of a polynomial's roots (``fujiwara``).
+The same polynomials prove an escape (``no_root_beyond``): past every
+root of the edges' level polynomials and of the turning points, an arc
+meets no landing.
 """
 
 from __future__ import annotations
@@ -18,17 +21,40 @@ def fujiwara(cs) -> float:
     """Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved, on
     the moduli of the roots of the polynomial whose float coefficients
     ``cs`` run from the highest degree down (leading zeros skipped); 0.0
-    for a constant.  A NaN term makes the bound NaN."""
+    for a nonzero constant, and math.inf for the zero polynomial, of which
+    every number is a root.  A NaN term makes the bound NaN."""
     cs = list(cs)
     while cs and cs[0] == 0:
         del cs[0]
     n = len(cs) - 1
+    if n < 0:
+        return math.inf
     bound = 0.0
     for k in range(1, n + 1):
         term = (abs(cs[k] / cs[0]) * (0.5 if k == n else 1.0)) ** (1.0 / k)
         if not term <= bound:
             bound = term
     return 2.0 * bound
+
+
+def no_root_beyond(cs, mags, a: float) -> bool:
+    """True when the polynomial with float coefficients ``cs``, highest
+    degree first, has no real root at or beyond a >= 0: each coefficient
+    of its Taylor shift p(a + s) has the leading one's sign, by more than
+    1e-9 times that of the shift of ``mags``, bounds on the coefficients'
+    moduli that scale their rounding (Descartes' rule of signs; Collins &
+    Akritas).  False for the zero polynomial and on NaN."""
+    p, q = list(cs), list(mags)
+    while p and p[0] == 0 and q[0] == 0:
+        del p[0], q[0]
+    sign = 1.0 if p and p[0] > 0 else -1.0
+    for i in range(len(p) - 1, -1, -1):  # each pass fixes coefficient i
+        for j in range(1, i + 1):
+            p[j] += a * p[j - 1]
+            q[j] += a * q[j - 1]
+        if not sign * p[i] > 1e-9 * q[i]:
+            return False
+    return bool(p)
 
 
 @lru_cache(maxsize=8)
@@ -43,25 +69,27 @@ def landing_bound(zone: Zone) -> tuple:
     term a_0 = n_0 / d - h0 moves with h0: the other terms give the
     ``floor``, and the a_0 terms are at most k (|h0 - mid| + half)^(1/n),
     for the midpoint and half-width of the edges' n_0 / d; ``reach`` is
-    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and
-    ``levels`` holds each edge's float coefficients of N and D, highest
-    degree first, for a bound per arc."""
-    floor, reach, levels = 0.0, None, []
-    edges = [[[float(a) for a in p.coeffs] for p in restriction(zone, c)[:2]]
-             for c in (zone.x_lo, zone.x_hi) if c is not None]
-    over_d = [[a / den[0] for a in num] for num, den in edges if len(den) == 1]
-    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
-            and len({(len(cs), cs[-1]) for cs in over_d}) == 1):
-        n = len(over_d[0]) - 1
-        floor = max(fujiwara(cs[:0:-1] + [0.0]) for cs in over_d)
-        c0s = [cs[0] for cs in over_d]
-        reach = (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
-                 2.0 * (2.0 * abs(over_d[0][-1])) ** (-1.0 / n), 1.0 / n)
-    else:
-        for num, den in edges:
+    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and the
+    window bounds the roots per arc.  ``levels`` holds each edge's float
+    coefficients of N and D, highest degree first and padded to one
+    length, the zone's one conversion of them: ``ArcPlan.escaped`` reads
+    them too."""
+    edges = []
+    for c in (zone.x_lo, zone.x_hi):
+        if c is not None:
+            num, den = ([float(a) for a in reversed(p.coeffs)] for p in restriction(zone, c)[:2])
             width = max(len(num), len(den))
-            levels.append(tuple(tuple(reversed(p + [0.0] * (width - len(p)))) for p in (num, den)))
-    return floor, reach, tuple(levels)
+            edges.append(tuple(tuple([0.0] * (width - len(p)) + p) for p in (num, den)))
+    # a nonzero N has no leading zero where D is a constant
+    over_d = [[a / den[-1] for a in num] for num, den in edges if den[-1] and not any(den[:-1])]
+    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
+            and len({(len(cs), cs[0]) for cs in over_d}) == 1):
+        n = len(over_d[0]) - 1
+        c0s = [cs[-1] for cs in over_d]
+        return (max(fujiwara(cs[:-1] + [0.0]) for cs in over_d),
+                (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
+                 2.0 * (2.0 * abs(over_d[0][0])) ** (-1.0 / n), 1.0 / n), tuple(edges))
+    return 0.0, None, tuple(edges)
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -197,6 +225,4 @@ def turning_bound(turn: tuple, h0: float) -> float:
         top = next((k for k in range(len(rows[0]) if rows else 0)
                     if any(hc[k] for hc in rows)), None)
         cs = [hc[top] for hc in rows] if top is not None else []
-    if not any(cs):
-        return math.inf
     return fujiwara(cs)

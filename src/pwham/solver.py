@@ -635,7 +635,7 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     time cut to at most 60; each arc sizes its own window as any arc does
     (``dynamics.ArcPlan.window``) unless the caller set one.  The order
     stays although an inside-out one (0.0025 up to 2.5) runs the annulus
-    workload 2.7 times as fast with the same flags: at that speed the
+    workload 2.0 times as fast with the same flags: at that speed the
     bench's per-unit latency lists push its peak memory past the bound, so
     the sort waits for the bench fix to per-unit memory (ROADMAP item 11)."""
     if not boundaries:

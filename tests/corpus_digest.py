@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints four SHA-256 digests:
+It prints five SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -22,13 +22,19 @@ It prints four SHA-256 digests:
   boundary b in both crossing directions d, under the default budget and
   under ``IntegratorConfig(max_time=60)``, over the fixtures, the first 100
   ``bulk`` and the first 100 ``annulus`` units: every return map, defined
-  or not, float for float (43 132 maps, 1 796 of them defined).
+  or not, float for float (43 132 maps, 1 796 of them defined);
+* ``arcs``: the status, the edge and, for a landing, the end point of every
+  ``dynamics.integrate_arc`` call while ``workloads.run_unit`` runs one
+  ``cli_oracle`` pass, the first 300 ``annulus`` units and the first 300
+  ``bulk`` units at their default seeds: every arc the solver, the
+  verifier, the annulus scan and the oracle run, whatever the walk makes
+  of it.
 
 The inputs come from ``bench/workloads.build_units``, so they are the
 benchmark's own.  ``--root`` imports pwham and the workloads from another
 checkout (say, a copy of the parent commit), so that two commits compare by
 two runs of this one script: a change that keeps every answer prints the
-same four lines.
+same five lines.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ ORACLE_CORPORA = (("bulk", 60), ("annulus", 60))
 ORACLE_SCAN_GRID = 64
 RETURN_CORPORA = (("bulk", 100), ("annulus", 100))
 RETURN_ORDINATES = 41
+ARC_CORPORA = (("cli_oracle", None), ("annulus", 300), ("bulk", 300))
 
 
 def main(argv=None) -> int:
@@ -113,6 +120,29 @@ def main(argv=None) -> int:
             entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
         h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"returns {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    arc = dynamics.integrate_arc
+
+    def logged(*args, **kwargs):
+        traj = arc(*args, **kwargs)
+        landed = traj.status == "reached-boundary"
+        h.update(f"{traj.status} {traj.edge} {traj.end if landed else ''}\n".encode())
+        return traj
+
+    dynamics.integrate_arc = logged
+    try:
+        for name, count in ARC_CORPORA:
+            count = count or len(workloads.fixture_paths())
+            for unit in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
+                h.update(f"{unit[1]}\n".encode())
+                try:
+                    workloads.run_unit(unit)
+                except Exception as e:  # the failure is part of the answer
+                    h.update(f"raised {type(e).__name__}: {e}\n".encode())
+    finally:
+        dynamics.integrate_arc = arc
+    print(f"arcs {h.hexdigest()}")
     return 0
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham import dynamics
-from pwham.algebra import UniPoly, real_roots, resultant
+from pwham.algebra import UniPoly, isolate_real_roots, real_roots, resultant, sturm_count
 from pwham.dynamics import (
     DRIFT_TOL,
     EVENT_TOL,
@@ -32,6 +32,7 @@ from pwham.dynamics import (
     zone_integral_fn,
     zone_step_fns,
 )
+from pwham.reach import fujiwara, no_root_beyond
 from pwham.solver import solve
 from pwham.specfile import load_spec
 from pwham.systems import (
@@ -495,7 +496,10 @@ def test_widened_window_holds_the_orbit_between_landings():
     ellipses of X^2 + y^2 / 10^4, in x beyond a half-plane's edge, and in y
     inside a strip, of an exact linear zone and of a DOP853 cubic center.
     The arc's own window (from the scale, the start and the landings) is
-    below that reach; the arc widens it to the turning points and lands."""
+    below that reach; the arc widens it to the turning points and lands.
+    The integrated arc moves away from y = 0 on its way out, so it tries
+    to prove an escape (``ArcPlan.escaped``), which the turning point near
+    y = -100 refuses."""
     ps = piecewise_system([LinearSaddle(1, 0, 1, 0, 0), LinearSaddle(F(1, 10**4), 0, 1, 0, 0)],
                           [1])
     m = FlowMachine(ps)
@@ -512,6 +516,7 @@ def test_widened_window_holds_the_orbit_between_landings():
         assert abs(traj.end[1] + 1.0) < 1e-6
         assert min(y for _, _, y in traj.samples) < -99
         assert plan.window(-1.0, -1.0, plan.integral(-1.0, -1.0)) < 99
+        assert not plan.escaped(-50.0, plan.integral(-1.0, -1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,6 +585,86 @@ def test_widened_window_holds_every_turning_point(config, seed, y0):
                     continue
                 for r in real_roots(res.as_unipoly(), F(1, 2**20)):  # each within 2^-20
                     assert abs(float(r) - shift) < w + 2.0**-20
+
+
+def test_fujiwara_bound_of_a_constant():
+    """A nonzero constant has no root, so its bound is 0.0; every number is
+    a root of the zero polynomial, so its bound is math.inf."""
+    assert fujiwara([-3.0]) == fujiwara([0.0, 2.0]) == 0.0
+    assert fujiwara([]) == fujiwara([0.0, 0.0]) == math.inf
+
+
+def _expand(roots, lead):
+    """Coefficients, highest degree first, of lead * prod (w - r)."""
+    cs = [lead]
+    for r in roots:
+        cs = [u - r * v for u, v in zip(cs + [0], [0] + cs)]
+    return cs
+
+
+_eighths = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cs=st.lists(_eighths, min_size=1, max_size=7)
+       | st.builds(_expand, st.lists(_eighths, max_size=5), st.sampled_from([F(1), F(-3, 2)])),
+       a=st.fractions(min_value=0, max_value=4, max_denominator=8))
+@example(cs=_expand([F(1), F(-2)], F(1)), a=F(1))  # a root exactly at a
+@example(cs=[F(1), -1 - F(1, 2**40)], a=F(1))  # a root just past a
+@example(cs=[F(0), F(0)], a=F(0))  # the zero polynomial
+def test_no_root_beyond_is_sound(cs, a):
+    """Whenever ``reach.no_root_beyond`` says that a float polynomial has
+    no real root at or beyond a, exact isolation on the same coefficients,
+    read as rationals, finds none: the polynomial is not zero, a is not a
+    root, and no root lies in (a, every root's isolating interval]."""
+    fl = [float(c) for c in cs]
+    if no_root_beyond(fl, [abs(c) for c in fl], float(a)):
+        p = UniPoly([F(c) for c in reversed(fl)])
+        sf, ivs = isolate_real_roots(p)
+        top = max([iv.hi for iv in ivs] + [a])
+        assert p(a) != 0 and (not ivs or sturm_count(sf, a, top) == 0)
+
+
+def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
+    """The test refuses a root exactly at a, a root 2^-40 past it and the
+    zero polynomial, and proves a polynomial of one sign past its roots,
+    also where a coefficient of p itself vanishes."""
+    def proves(cs, a):
+        return no_root_beyond(cs, [abs(c) for c in cs], a)
+    assert not proves([1.0, 1.0, -2.0], 1.0)  # (w - 1)(w + 2)
+    assert proves([1.0, 1.0, -2.0], 1.5)
+    assert not proves([1.0, -1 - 2.0**-40], 1.0)
+    assert not proves([0.0, 0.0], 0.0) and not proves([], 1.0)
+    assert not proves([-1.0, 0.0, -1.0], 0.0) and proves([-1.0, 0.0, -1.0], 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
+       y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]),
+       forward=st.booleans())
+def test_escape_proof_changes_no_arc(config, seed, y0, forward):
+    """From a point on either edge of each nonlinear zone of a random
+    system of each covered configuration, an integrated arc under its own
+    window ends with the same status and edge, and a landing at the same
+    point, as it does when ``ArcPlan.escaped`` refuses every proof: an arc
+    ends at a proof only where it would have left its window."""
+    ps = rand_config(random.Random(seed), config)
+    m = FlowMachine(ps)
+    for i, zone in enumerate(ps.zones):
+        if zone.kind == "linear":
+            continue
+        plan = m._plan(i)
+        for start in ((float(c), y0) for c in (zone.x_lo, zone.x_hi) if c is not None):
+            try:
+                proven = integrate_arc(plan, start, record=False, forward=forward)
+            except NotEntryPoint:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ArcPlan, "escaped", lambda self, y, h: False)
+                refused = integrate_arc(plan, start, record=False, forward=forward)
+            assert (proven.status, proven.edge) == (refused.status, refused.edge)
+            if proven.status == "reached-boundary":
+                assert proven.end == refused.end
 
 
 def test_grazing_landing_stays_on_the_level_curve():
