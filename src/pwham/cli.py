@@ -222,15 +222,12 @@ def cmd_sweep(args) -> int:
         except SystemError as e:
             raise NotCoveredError(f"sample {args.param}={val}: {e}") from None
         ps = piecewise_system(payloads, spec.boundaries, spec.reverse)
-        try:
-            rep = solver.solve(ps, verify=args.verify)
-            elim_roots = (len(isolate_real_roots(rep.eliminant)[1])
-                          if rep.eliminant.degree >= 1 else 0)
-            rows.append((str(val), elim_roots, len(rep.candidates),
-                         len(rep.verified()), rep.bound.kind,
-                         rep.bound.count if rep.bound.count is not None else ""))
-        except solver.PositiveDimensionalError:
-            rows.append((str(val), "", "", "", "positive_dimensional", ""))
+        rep = solver.solve(ps, verify=args.verify)
+        elim_roots = (len(isolate_real_roots(rep.eliminant)[1])
+                      if rep.eliminant.degree >= 1 else 0)
+        rows.append((str(val), elim_roots, len(rep.candidates),
+                     len(rep.verified()), rep.bound.kind,
+                     rep.bound.count if rep.bound.count is not None else ""))
     buf = []
     buf.append("param_value,eliminant_real_roots,candidates,verified_cycles,bound_kind,bound_count")
     for r in rows:

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reach import fujiwara, landing_bound, no_root_beyond, turning_bound, turning_points
+from .reach import beyond_every_root, edge_levels, root_bound, turning_points
 from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms
 
 
@@ -391,7 +391,8 @@ def _window_above(q: float, factor: float = WINDOW_FACTOR) -> float:
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
     floats, the abscissa ``centre`` that the window is measured from, the
-    system's ``scale`` and the zone's ``reach`` bounds (for ``window``,
+    system's ``scale`` and the zone's reach polynomials (``reach``: its
+    edges' level polynomials and its turning points, for ``window``,
     ``widen`` and ``escaped``, built on first use), the float field
     (reversal applied) and first integral, and either the exact linear
     part (a ``linear`` zone), with each window's crossing-target table
@@ -399,7 +400,7 @@ class ArcPlan:
     (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_scale", "_bound", "_turns", "_escape")
+                 "_targets", "_scale", "_bound", "_turns")
 
     def __init__(self, zone: Zone, centre: float = 0.0, scale=None):
         self.zone = zone
@@ -412,37 +413,30 @@ class ArcPlan:
         self._steps = None
         self._targets: dict = {}
         # a function that gives the system's scale (None: 1), called, with
-        # the landing bound built, when the first arc sizes its window
+        # the edges' level polynomials built, when the first arc sizes its window
         self._scale = scale
-        self._bound = None
-        self._turns = self._escape = None
+        self._bound = self._turns = None
 
     def window(self, x: float, y: float, h0: float) -> float:
         """The window of an arc from (x, y) on the level h0 of the first
         integral (math.inf for a start where it divides by zero):
         WINDOW_FACTOR times the next power of two above q = max(scale,
-        |x - centre|, |y|, R), with R a root bound of N(c, y) - h0 D(c, y)
-        on each finite edge c (of D(c, y) for an infinite h0).  The arc can
-        end on an edge only at such a root, so the window holds every
-        landing it can reach.  math.inf when q is not a finite number.  An
-        arc that reaches this window widens it once (``widen``)."""
+        |x - centre|, |y|, R), with R the root bound (``reach.root_bound``)
+        of N(c, y) - h0 D(c, y) on each finite edge c (``reach.edge_levels``).
+        The arc can end on an edge only at such a root, so the window holds
+        every landing it can reach.  math.inf when q is not a finite number.
+        An arc that reaches this window widens it once (``widen``)."""
         if self._bound is None:
-            scale = self._scale() if self._scale is not None else 1.0
-            fixed, reach, levels = landing_bound(self.zone)
-            self._bound = (max(scale, fixed), reach, levels if reach is None else ())
+            self._bound = (self._scale() if self._scale is not None else 1.0,
+                           edge_levels(self.zone))
         # compared one by one: a linear arc pays this on every hop
-        q, reach, levels = self._bound
+        q, edges = self._bound
         if abs(x - self.centre) > q:
             q = abs(x - self.centre)
         if abs(y) > q:
             q = abs(y)
-        if reach is not None:
-            mid, half, k, inv = reach
-            r = k * (abs(h0 - mid) + half) ** inv
-            if not r <= q:
-                q = r
-        for num, den in levels:
-            r = fujiwara([n - h0 * d for n, d in zip(num, den)] if math.isfinite(h0) else den)
+        for edge in edges:
+            r = root_bound(edge, h0)
             if not r <= q:
                 q = r
         return _window_above(q)
@@ -450,22 +444,22 @@ class ArcPlan:
     def widen(self, window: float, h0: float) -> float:
         """The window an arc on the level h0 goes on in once it reached its
         own ``window``: the larger of that and twice the next power of two
-        above the level curve's turning points (``reach.turning_points``:
-        the x-extrema for a zone unbounded in x, the y-extrema always).  An
-        arc's x and y are extreme only at its ends and at such points, so
-        no arc that returns to an edge, and no closed orbit, leaves the
-        widened window.  The bound holds every turning point, so its margin
-        only has to cover the arc's drift off its level curve."""
+        above the root bounds of the level curve's turning points
+        (``reach.turning_points``: the x-extrema for a zone unbounded in x,
+        the y-extrema always).  An arc's x and y are extreme only at its
+        ends and at such points, so no arc that returns to an edge, and no
+        closed orbit, leaves the widened window.  The bound holds every
+        turning point, so its margin only has to cover the arc's drift off
+        its level curve."""
         if self._turns is None:
-            tx, ty = turning_points(self.zone)
-            # |x - centre| <= |X| + |offset + centre| for X = x + offset
-            shift = abs(float(self.zone.payload.offset) + self.centre)
-            self._turns = tuple((t, add) for t, add in ((tx, shift), (ty, 0.0))
-                                if t is not None)
+            self._turns = turning_points(self.zone)
+        tx, ty = self._turns
         q = 0.0
-        for turn, add in self._turns:
-            r = turning_bound(turn, h0) + add
-            if not r <= q:
+        if tx is not None:  # |x - centre| <= |X| + |offset + centre| for X = x + offset
+            q = root_bound(tx, h0) + abs(float(self.zone.payload.offset) + self.centre)
+        if ty is not None:
+            r = root_bound(ty, h0)
+            if not r <= q and q == q:  # a NaN bound of Tx stays: the window is infinite
                 q = r
         wide = _window_above(q, 2.0)
         return wide if wide > window else window
@@ -473,31 +467,18 @@ class ArcPlan:
     def escaped(self, y: float, h: float) -> bool:
         """True when an arc at the ordinate y on the level h, moving away
         from y = 0, can land on no edge again: |y| lies beyond every real
-        root on y's side (``reach.no_root_beyond``, of p(-y) for y < 0) of
-        each finite edge's N(c, y) - h D(c, y) (``reach.landing_bound``) and
-        of the y-eliminant of the turning points (``reach.turning_points``),
-        so y moves on outward and meets no landing.  False for an infinite h,
-        whose coefficients are NaN."""
-        polys = self._escape  # rows as in ``reach._rows``; the turning points' once the edges pass
-        if polys is None:
-            polys = self._escape = [tuple(zip([-d for d in den], num))
-                                    for num, den in landing_bound(self.zone)[2]] + [None]
-        a, ah = abs(y), abs(h)
-        for i, rows in enumerate(polys):
-            if rows is None:  # a nonzero constant where y is monotone: no condition
-                ty = turning_points(self.zone)[1]
-                rows = polys[i] = ty[1] if ty is not None else ((1.0,),)
-            cs, mags = [], []
-            for k, row in enumerate(rows, 1 - len(rows)):  # k: minus the power of y
-                v = m = 0.0
-                for c in row:
-                    v = v * h + c
-                    m = m * ah + abs(c)
-                cs.append(v if y > 0 or k % 2 == 0 else -v)
-                mags.append(m)
-            if not no_root_beyond(cs, mags, a):
+        root on y's side (``reach.beyond_every_root``) of each finite
+        edge's N(c, y) - h D(c, y) and then of the y-eliminant of the
+        turning points, if there is one, so y moves on outward and meets no
+        landing.  False for an infinite h."""
+        edges = self._bound[1] if self._bound is not None else edge_levels(self.zone)
+        for _, rows in edges:
+            if not beyond_every_root(rows, y, h):
                 return False
-        return True
+        if self._turns is None:
+            self._turns = turning_points(self.zone)
+        ty = self._turns[1]
+        return ty is None or beyond_every_root(ty[1], y, h)  # None: y is monotone
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -851,9 +832,11 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
 
 
 def _scale_of(ps: PiecewiseSystem, bxs: list, centre: float):
-    """A function that computes ``FlowMachine.scale`` on its first call and
-    keeps it.  It holds the system, not the machine, so that the machine's
-    plans do not hold the machine in a reference cycle."""
+    """A function that computes the system's scale when the first arc sizes
+    its window, and keeps it: at least 1, the largest |x - centre| of a
+    boundary and the largest |x - centre| or |y| of a closed-form equilibrium
+    of any zone.  It holds the system, not the machine, so that the
+    machine's plans do not hold the machine in a reference cycle."""
     kept: list = []
 
     def scale() -> float:
@@ -888,15 +871,6 @@ class FlowMachine:
         self.bxs = [float(b) for b in ps.boundaries]
         self.centre = sum(self.bxs) / len(self.bxs) if self.bxs else 0.0
         self._scale = _scale_of(ps, self.bxs, self.centre)
-
-    @property
-    def scale(self) -> float:
-        """The system's scale, at least 1: the largest |x - centre| of a
-        boundary and the largest |x - centre| or |y| of a closed-form
-        equilibrium (``systems.equilibria``) of any zone.  Computed when the
-        first arc sizes its window, so a machine that runs none (one whose
-        candidates fail ``crossing_direction``) never pays it."""
-        return self._scale()
 
     def _plan(self, zone_index: int) -> ArcPlan:
         plan = self._plans[zone_index]

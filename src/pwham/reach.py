@@ -1,12 +1,13 @@
-"""Bounds on where an arc of one zone can go, as floats per zone and per
-level of the first integral: its landings on the zone's finite edges
-(``landing_bound``) and the turning points of its level curve, where
-dx/dt or dy/dt vanishes (``turning_points``, ``turning_bound``).
-``dynamics.ArcPlan`` sizes each arc's window from them.  Every bound is
-Fujiwara's bound on the moduli of a polynomial's roots (``fujiwara``).
-The same polynomials prove an escape (``no_root_beyond``): past every
-root of the edges' level polynomials and of the turning points, an arc
-meets no landing.
+"""Bounds on where an arc of one zone can go, per zone and per level h of
+the first integral.  Every bound reads a polynomial T(w, h) in one form,
+(closed form, rows) (``_reach_of``, ``_rows``), whose real roots in w at
+h hold the places to bound: the landings on each finite edge x = c, the
+roots in y of N(c, y) - h D(c, y) (``edge_levels``), and the turning
+points of the level curve, where dx/dt or dy/dt vanishes
+(``turning_points``).  ``dynamics.ArcPlan`` reads them three ways: the
+window and the widened window by Fujiwara's bound on the roots' moduli
+(``root_bound``), and the escape proof by a one-sign test past every root
+on the arc's side (``beyond_every_root``).
 """
 
 from __future__ import annotations
@@ -58,38 +59,21 @@ def no_root_beyond(cs, mags, a: float) -> bool:
 
 
 @lru_cache(maxsize=8)
-def landing_bound(zone: Zone) -> tuple:
-    """What bounds the landings of the zone's arcs on its finite edges, as
-    (floor, reach, levels) for ``ArcPlan.window``.
-
-    An arc on the level h0 lands on the edge x = c only at a real root of
-    N(c, y) - h0 D(c, y) (``systems.restriction``), whose moduli Fujiwara's
-    bound caps.  Where every finite edge has a constant D(c, y) = d and the
-    same degree n and leading coefficient of N(c, y) / d, only the constant
-    term a_0 = n_0 / d - h0 moves with h0: the other terms give the
-    ``floor``, and the a_0 terms are at most k (|h0 - mid| + half)^(1/n),
-    for the midpoint and half-width of the edges' n_0 / d; ``reach`` is
-    (mid, half, k, 1/n).  For any other zone ``reach`` is None, and the
-    window bounds the roots per arc.  ``levels`` holds each edge's float
-    coefficients of N and D, highest degree first and padded to one
-    length, the zone's one conversion of them: ``ArcPlan.escaped`` reads
-    them too."""
-    edges = []
+def edge_levels(zone: Zone) -> tuple:
+    """One (``_reach_of``, ``_rows``) per finite edge x = c of the zone, of
+    its level polynomial N(c, y) - h D(c, y) (``systems.restriction``) in
+    (y, h): an arc on the level h lands on the edge only at a real root in
+    y.  The closed form exists where D(c, y) is a nonzero constant and
+    N(c, y) is not, as on every edge but the global center's."""
+    out = []
     for c in (zone.x_lo, zone.x_hi):
         if c is not None:
             num, den = ([float(a) for a in reversed(p.coeffs)] for p in restriction(zone, c)[:2])
             width = max(len(num), len(den))
-            edges.append(tuple(tuple([0.0] * (width - len(p)) + p) for p in (num, den)))
-    # a nonzero N has no leading zero where D is a constant
-    over_d = [[a / den[-1] for a in num] for num, den in edges if den[-1] and not any(den[:-1])]
-    if (edges and len(over_d) == len(edges) and all(len(cs) > 1 for cs in over_d)
-            and len({(len(cs), cs[0]) for cs in over_d}) == 1):
-        n = len(over_d[0]) - 1
-        c0s = [cs[-1] for cs in over_d]
-        return (max(fujiwara(cs[:-1] + [0.0]) for cs in over_d),
-                (0.5 * (max(c0s) + min(c0s)), 0.5 * (max(c0s) - min(c0s)),
-                 2.0 * (2.0 * abs(over_d[0][0])) ** (-1.0 / n), 1.0 / n), tuple(edges))
-    return 0.0, None, tuple(edges)
+            num, den = ([0.0] * (width - len(p)) + p for p in (num, den))
+            rows = tuple(zip([-d for d in den], num))
+            out.append((_reach_of(rows), rows))
+    return tuple(out)
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -190,7 +174,8 @@ def _rows(T: dict) -> tuple:
 
 
 def _reach_of(rows: tuple):
-    """For T(w, h) = A(w) + c h with A of degree n >= 1 (every linear zone),
+    """For T(w, h) = A(w) + c h with A of degree n >= 1 (every linear
+    zone's turning points, and every edge with a constant D(c, y)),
     Fujiwara's bound at a level h as a closed form: the terms of A's other
     coefficients give ``floor``, and the constant term's is
     k |h - m|^(1/n), m = -a_0 / c; returns (floor, k, m, 1/n), or None for
@@ -203,26 +188,45 @@ def _reach_of(rows: tuple):
             2.0 * (abs(c) / (2.0 * abs(rows[0][1]))) ** (1.0 / n), -a0 / c, 1.0 / n)
 
 
-def turning_bound(turn: tuple, h0: float) -> float:
-    """Fujiwara's bound on the roots in w of T(w, h0), for ``turn`` =
-    (``_reach_of``, ``_rows``) of T from ``turning_points``: the closed
-    form where there is one, and for an infinite h0 the bound for T's
-    leading coefficient in h (the level curve D = 0); math.inf when that is
+def root_bound(poly: tuple, h: float) -> float:
+    """Fujiwara's bound on the roots in w of T(w, h), for ``poly`` =
+    (``_reach_of``, ``_rows``) of T: the closed form where there is one, at
+    any level (math.inf at an infinite h, NaN at a NaN h); otherwise, for
+    a finite h, the bound of T(w, h), and for any other h the bound for
+    T's leading coefficient in h (the curve D = 0); math.inf when that is
     the zero polynomial."""
-    reach, rows = turn
-    if math.isfinite(h0):
-        if reach is not None:
-            floor, k, m, inv = reach
-            r = k * abs(h0 - m) ** inv
-            return r if r > floor else floor
+    reach, rows = poly
+    if reach is not None:
+        floor, k, m, inv = reach
+        r = k * abs(h - m) ** inv
+        return floor if r <= floor else r
+    if math.isfinite(h):
         cs = []
         for hc in rows:
             v = 0.0
             for c in hc:
-                v = v * h0 + c
+                v = v * h + c
             cs.append(v)
     else:
         top = next((k for k in range(len(rows[0]) if rows else 0)
                     if any(hc[k] for hc in rows)), None)
         cs = [hc[top] for hc in rows] if top is not None else []
     return fujiwara(cs)
+
+
+def beyond_every_root(rows: tuple, y: float, h: float) -> bool:
+    """True when |y| lies beyond every real root on y's side of T(w, h),
+    for T given as ``_rows``: ``no_root_beyond`` |y| of T(w, h), or of
+    T(-w, h) for y < 0, with the moduli at |h| of T's coefficients as the
+    scale of their rounding.  False for an infinite h, whose coefficients
+    are NaN."""
+    cs, mags = [], []
+    ah = abs(h)
+    for k, row in enumerate(rows, 1 - len(rows)):  # k: minus the power of w
+        v = m = 0.0
+        for c in row:
+            v = v * h + c
+            m = m * ah + abs(c)
+        cs.append(v if y > 0 or k % 2 == 0 else -v)
+        mags.append(m)
+    return no_root_beyond(cs, mags, abs(y))

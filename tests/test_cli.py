@@ -438,6 +438,16 @@ def test_cli_sweep_csv(tmp_path):
         assert (c == 2) == (v < 1), (v, c)
 
 
+def test_cli_sweep_writes_a_positive_dimensional_sample():
+    """At gamma = 0 the continuous double center's matching system is
+    positive dimensional; the solver reports it, and the sweep writes its
+    row from the report like any other."""
+    code, out = run_cli("sweep", fixture_path("continuous_double_center.pwham"),
+                        "--param", "1.gamma", "--range", "0:1", "--samples", "3", "--no-verify")
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0,0,no_limit_cycle,0"
+
+
 def test_cli_sweep_cubic_family_thresholds(tmp_path):
     """Sweeping the cubic three-zone family's quadratic coefficient: the
     eliminant real-root count is piecewise constant and every transition

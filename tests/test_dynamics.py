@@ -32,7 +32,7 @@ from pwham.dynamics import (
     zone_integral_fn,
     zone_step_fns,
 )
-from pwham.reach import fujiwara, no_root_beyond
+from pwham.reach import edge_levels, fujiwara, no_root_beyond, root_bound, turning_points
 from pwham.solver import solve
 from pwham.specfile import load_spec
 from pwham.systems import (
@@ -484,7 +484,7 @@ def test_window_holds_every_landing_the_arc_can_reach():
     sizes the window past it, and the hop reaches the edge."""
     m = FlowMachine(global_center_saddle())
     y0 = 0.40944881889763773
-    assert m.scale == 1.0
+    assert m._scale() == 1.0
     bindex, y, direction, traj = m._hop(0, (0.0, y0))
     assert (bindex, direction, traj.status) == (0, 1, "reached-boundary")
     assert abs(y - 52 / 3) < 1e-6
@@ -585,6 +585,52 @@ def test_widened_window_holds_every_turning_point(config, seed, y0):
                     continue
                 for r in real_roots(res.as_unipoly(), F(1, 2**20)):  # each within 2^-20
                     assert abs(float(r) - shift) < w + 2.0**-20
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
+       exponent=st.floats(min_value=-6.0, max_value=9.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_closed_forms_bound_as_their_rows_do(config, seed, exponent, sign):
+    """Every reach polynomial with a closed form, of every zone of a random
+    system of each covered configuration (each finite edge's level
+    polynomial, the turning points' Tx and Ty), gives the bound at a level
+    h = m +- 10^exponent, near and far from its m, that Fujiwara's bound on
+    its rows at h gives, to 1e-9 relative.  Nearer m than 1e-6, the rows'
+    constant term c h + a_0 cancels to its rounding, which the closed form
+    does not see."""
+    ps = rand_config(random.Random(seed), config)
+    closed = [p for z in ps.zones for p in (*edge_levels(z), *turning_points(z))
+              if p is not None and p[0] is not None]
+    assert closed  # every configuration has a linear zone
+    for reach, rows in closed:
+        h = reach[2] + sign * 10.0**exponent
+        a, b = root_bound((reach, rows), h), root_bound((None, rows), h)
+        assert abs(a - b) <= 1e-9 * max(1.0, a, b), (reach, rows, h)
+
+
+def test_closed_forms_hold_at_non_finite_levels():
+    """A closed form applies at any level.  From (0, 1e200) a linear
+    saddle's first integral overflows to an infinite level, where the arc's
+    window and its widened window are both math.inf; a NaN level gives a
+    NaN bound, and an infinite widened window.  The global center's edge, with no closed form, is bounded
+    at an infinite level by the root bound of D(c, y), so its window there
+    is finite."""
+    plan = ArcPlan(Zone(LinearSaddle(1, 0, -1, 0, 0), F(-1), F(1)))
+    h0 = plan.integral(0.0, 1e200)
+    assert math.isinf(h0)
+    assert plan.window(0.0, 1e200, h0) == plan.widen(0.0, h0) == math.inf
+    assert all(math.isnan(root_bound(e, math.nan)) for e in edge_levels(plan.zone))
+    # Tx has a closed form and Ty none: Ty's finite bound does not hide Tx's NaN
+    cubic = ArcPlan(Zone(CubicCenter(a=0, b=1, p=-1), None, F(0)))
+    tx, ty = turning_points(cubic.zone)
+    assert tx[0] is not None and ty[0] is None
+    assert cubic.widen(0.0, math.nan) == math.inf
+    zone = global_center_saddle().zones[0]
+    (edge,) = edge_levels(zone)
+    den = restriction(zone, zone.x_hi)[1]
+    assert edge[0] is None
+    assert root_bound(edge, math.inf) == fujiwara([float(a) for a in reversed(den.coeffs)])
+    assert ArcPlan(zone).window(0.0, 1.0, math.inf) == dynamics.WINDOW_FACTOR * 2
 
 
 def test_fujiwara_bound_of_a_constant():

@@ -483,6 +483,20 @@ def test_orbits_have_one_walk():
                             ("dynamics", "FlowMachine._walk", "_hop")]
 
 
+def test_root_tests_live_in_reach():
+    """Every reach polynomial is read through ``reach``: ``fujiwara`` and
+    ``no_root_beyond`` are named nowhere in ``src/pwham`` but in
+    ``reach.py``, so no other module bounds or tests roots of its own."""
+    names = {"fujiwara", "no_root_beyond"}
+    uses = set()
+    for path in sorted(Path(pwham.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a Name's id, an Attribute's attr, an import's or a def's name
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in names:
+                uses.add(path.stem)
+    assert uses == {"reach"}
+
+
 def test_exact_forms_have_one_derivation():
     """``systems._template`` is the one place in the package that derives
     a family's exact forms: ``_derive`` has exactly one call site in
