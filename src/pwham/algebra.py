@@ -2,9 +2,8 @@
 
 Everything the elimination pipeline touches lives here: arbitrary-precision
 rationals (stdlib ``Fraction``), dense univariate polynomials, sparse
-multivariate polynomials, Sylvester resultants computed by fraction-free
-(Bareiss) elimination, squarefree decomposition, Sturm-sequence real-root
-isolation and root refinement.
+multivariate polynomials, resultants, squarefree decomposition,
+Sturm-sequence real-root isolation and root refinement.
 
 Floating point never enters: coefficients are ``Fraction`` throughout, and
 root refinement returns rational approximations of prescribed accuracy.
@@ -31,11 +30,13 @@ coprime integer coefficients, each pseudo-remainder scaled by
 is the one the Euclidean sequence over the rationals gives, signs included.
 Exact quotients (``UniPoly.exact_div``, the squarefree part) divide the
 primitive parts, whose quotient is an integer polynomial by Gauss's lemma,
-and scale back once.  A resultant against a linear pivot clears
-denominators once, ``Res(P/dP, Q/dQ) = Res(P, Q) / (dP dQ^deg P)``, sums the
-pivot formula over integer term dicts, and divides each term once.  Each
-of these returns the same ``Fraction`` values as the plain rational
-computation.
+and scale back once; so does ``MultiPoly.exact_div``.  Every resultant
+reduces to one against a linear pivot, by pseudo-remainders (Collins):
+``Res(q, r) lc(q)^(deg p - deg r) = lc(q)^(e deg q) Res(q, p)`` for
+``r = lc(q)^e p mod q``.  The linear pivot clears denominators once,
+``Res(P/dP, Q/dQ) = Res(P, Q) / (dP dQ^deg P)``, sums the pivot formula
+over integer term dicts, and divides each term once.  Each of these
+returns the same ``Fraction`` values as the plain rational computation.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class UniPoly:
         lie in (-B, B), and every bisection point of (-B, B) is dyadic."""
         if self.degree < 1:
             return Fraction(1)
-        ints = _integer_coeffs(self)
+        ints = _integer_coeffs(self.coeffs)
         lead = abs(ints[-1])
         top = lead + max(abs(c) for c in ints[:-1])
         # top / lead lies in (2^(k-1), 2^(k+1)); B is 2^k or 2^(k+1)
@@ -250,16 +251,16 @@ class UniPoly:
         return Fraction(1 << k)
 
 
-def _integer_coeffs(p: UniPoly) -> list[int]:
-    """p's coefficients times the lcm of their denominators: integers with
-    p's signs and ratios."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+def _integer_coeffs(cs: Sequence[Fraction]) -> list[int]:
+    """The coefficients cs times the lcm of their denominators: integers
+    with their signs and ratios."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
 
 
 def _primitive_ints(p: UniPoly) -> list[int]:
     """p's coefficients as coprime integers: a positive multiple of p."""
-    return _content_free(_integer_coeffs(p))
+    return _content_free(_integer_coeffs(p.coeffs))
 
 
 def _content_free(ints: list[int]) -> list[int]:
@@ -465,7 +466,7 @@ def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL)
     tol = rat(tol)
     if tol <= 0:
         raise AlgebraError("refinement tolerance must be positive")
-    ints = _integer_coeffs(p)
+    ints = _integer_coeffs(p.coeffs)
     # the interval is (a/m, (a + s)/m); the depth-k grid point i is
     # (a 2^k + i s) / (m 2^k), and K is the least k with s / (m 2^k) < tol
     lo, hi = iv.lo, iv.hi
@@ -702,29 +703,37 @@ class MultiPoly:
 
     # -- leading-term exact division (any admissible order: lex here) ---------
 
-    def _lead_term(self) -> tuple[tuple[int, ...], Fraction]:
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises if other does not divide self."""
+        """Exact division; raises if other does not divide self.  It divides
+        the primitive integer parts, whose quotient has integer
+        coefficients (Gauss's lemma), by leading terms: each step takes the
+        remainder's, and what it subtracts lies below."""
         a, b = self._align(other)
         if b.is_zero:
             raise AlgebraError("division by zero polynomial")
         if a.is_zero:
             return a
-        eb, cb = b._lead_term()
-        q_terms: dict[tuple[int, ...], Fraction] = {}
-        r = a
-        while not r.is_zero:
-            er, cr = r._lead_term()
+        r, d = (dict(zip(p.terms, _content_free(_integer_coeffs(list(p.terms.values())))))
+                for p in (a, b))
+        ea, eb = max(r), max(d)
+        s = a.terms[ea] * d[eb] / (b.terms[eb] * r[ea])  # a / b = s r / d
+        cb, rest = d.pop(eb), list(d.items())
+        q_terms: dict[tuple[int, ...], int] = {}
+        while r:
+            er = max(r)
             eq = tuple(x - y for x, y in zip(er, eb))
-            if any(k < 0 for k in eq):
+            cq, m = divmod(r.pop(er), cb)
+            if m or any(k < 0 for k in eq):
                 raise AlgebraError("inexact polynomial division")
-            cq = cr / cb
-            q_terms[eq] = q_terms.get(eq, Fraction(0)) + cq
-            r = r - MultiPoly(a.vars, {eq: cq}) * b
-        return MultiPoly(a.vars, q_terms)
+            q_terms[eq] = cq
+            for e, c in rest:
+                t = tuple(map(add, eq, e))
+                v = r.get(t, 0) - cq * c
+                if v:
+                    r[t] = v
+                else:
+                    del r[t]
+        return MultiPoly(a.vars, {e: s * c for e, c in q_terms.items()})
 
     def diff(self, var: str) -> "MultiPoly":
         """Partial derivative in var."""
@@ -823,31 +832,6 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant (Bareiss); entries are polynomials and all
-    internal divisions are exact."""
-    n = len(m)
-    if n == 0:
-        return MultiPoly.const(1)
-    sign = 1
-    prev = MultiPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if piv is None:
-                return MultiPoly.zero()
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MultiPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 def _integer_coeffs_in(p: MultiPoly, var: str, vs: tuple[str, ...]
                        ) -> tuple[int, list[dict[tuple[int, ...], int]]]:
     """The lcm d of p's denominators and the coefficients of d p as a
@@ -877,7 +861,8 @@ def _integer_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
 
 
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of p and q with respect to var.
+    """Sylvester resultant of p and q with respect to var, reduced by
+    pseudo-remainders to the linear-pivot formula.
 
     Vanishes exactly where p and q share a root in var, up to extraneous
     factors supported on the vanishing locus of the leading coefficients;
@@ -907,18 +892,19 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
                     acc[e] = acc.get(e, 0) + c
         den = dP * dQ**dp if dp % 2 == 0 else -dP * dQ**dp
         return MultiPoly(vs, {e: Fraction(c, den) for e, c in acc.items() if c})
-    if dp == 1:
+    if dp < dq:
         r = resultant(q, p, var)
         return r if (dp * dq) % 2 == 0 else -r
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    size = dp + dq
-    zero = MultiPoly.zero()
-    rows: list[list[MultiPoly]] = []
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    for i in range(dq):
-        rows.append([zero] * i + prow + [zero] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qrow + [zero] * (size - dq - 1 - i))
-    return _bareiss_det(rows)
+    # dp >= dq >= 2: r = lc(q)^e p mod q with e = dp - dq + 1, of degree dr,
+    # has Res(q, r) lc(q)^(dp - dr) = lc(q)^(e dq) Res(q, p) (Collins); the
+    # recursion ends at the linear pivot above
+    lead, x, r = q.coeffs_in(var)[-1], MultiPoly.var(var), p
+    for k in range(dp - dq, -1, -1):  # each pass drops the term of v^(k + dq)
+        top = r.coeffs_in(var)[k + dq:]
+        r = lead * r - top[0] * x**k * q if top else lead * r
+    dr = r.degree(var)
+    if dr < 0:
+        return MultiPoly.zero()
+    res = r.coeffs_in(var)[0] ** dq if dr == 0 else resultant(q, r, var)
+    res = res.exact_div(lead ** ((dp - dq + 1) * dq - (dp - dr)))
+    return res if (dp * dq) % 2 == 0 else -res

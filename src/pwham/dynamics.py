@@ -200,11 +200,12 @@ def _field_source(support) -> str:
 
 
 def _integral_source(support) -> str:
+    """The first integral num / den, math.inf where den is 0."""
     params, (cn, cd) = _params(support)
     nums, dens = support
     expr = _poly_code(nums, cn)
     if any(e != (0, 0) for e in dens):
-        expr = f"({expr}) / ({_poly_code(dens, cd)})"
+        expr = f"({expr}) / d if (d := {_poly_code(dens, cd)}) else math.inf"
     return (f"def make({params}):\n"
             "    def integral(x, y):\n"
             "        x = x + o\n"
@@ -570,10 +571,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         k1 = (-k1[0], -k1[1])
     _check_entry(x, y, k1[0], lo, hi)
 
-    try:
-        h0 = hfun(x, y)
-    except ZeroDivisionError:
-        h0 = math.inf
+    h0 = hfun(x, y)
     own = window is None
     if own:
         window = plan.window(x, y, h0)
@@ -624,10 +622,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         if record:
             samples.append((t, x, y))
         if monitor:
-            try:
-                hv = hfun(x, y)
-            except ZeroDivisionError:
-                hv = math.inf
+            hv = hfun(x, y)
             if isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
         if abs(x - centre) > window or abs(y) > window:

@@ -3,7 +3,7 @@ the first integral.  Every bound reads a polynomial T(w, h) in one form,
 (closed form, rows) (``_reach_of``, ``_rows``), whose real roots in w at
 h hold the places to bound: the landings on each finite edge x = c, the
 roots in y of N(c, y) - h D(c, y) (``edge_levels``), and the turning
-points of the level curve, where dx/dt or dy/dt vanishes
+points of the level curve, the critical points of N - h D in X and in y
 (``turning_points``).  ``dynamics.ArcPlan`` reads them three ways: the
 window and the widened window by Fujiwara's bound on the roots' moduli
 (``root_bound``), and the escape proof by a one-sign test past every root
@@ -94,70 +94,54 @@ def _add(a: dict, b: dict, s: float = 1.0) -> dict:
     return out
 
 
-def _eliminant(P: list, Q: list):
-    """A polynomial T(w, h) whose real roots in w, at a level h, hold the w
-    of every real common zero of P and Q, both given as coefficient lists
-    over the powers of the eliminated variable v (ascending) of polynomials
-    in (w, h): the resultant in v for P linear in v, the resultant times a
-    power of P's leading coefficient for P quadratic in v (from the
-    pseudo-remainder r1 v + r0 of Q: T = r1^2 p0 - r0 r1 p1 + r0^2 p2).
-    None when P or Q is free of v (P the velocity of w's coordinate: it is
-    then monotone, or Q the level: w is then fixed); {} (no bound) when P
-    is of higher degree in v, which no family is."""
-    while P and not any(P[-1].values()):
-        P = P[:-1]
-    while Q and not any(Q[-1].values()):
-        Q = Q[:-1]
-    if len(P) < 2 or len(Q) < 2:
+def _critical(Q: list):
+    """T(w, h), whose real roots in w at a level h hold the w of every real
+    zero of L = dL/dv = 0, for L given by its coefficients Q over the powers
+    of v (ascending), each a polynomial in (w, h): Res_v(dL/dv, L) up to a
+    constant factor, reduced as ``algebra.resultant`` reduces it, down to
+    sum_k q_k (-p0)^k p1^(n-k) for the side p1 v + p0 linear in v.  None when
+    L is at most linear in v: w is then monotone on the curve, or fixed."""
+    P = [{e: k * c for e, c in a.items()} for k, a in enumerate(Q)][1:]
+    if len(P) < 2:
         return None
-    if len(P) == 2:  # sum_k q_k (-p0)^k p1^(n-k)
-        p0, p1 = P
-        T: dict = {}
-        for k, qk in enumerate(Q):
-            for _ in range(k):
-                qk = _mul(qk, p0)
-            for _ in range(len(Q) - 1 - k):
-                qk = _mul(qk, p1)
-            T = _add(T, qk, (-1.0) ** k)
-        return T
-    if len(P) > 3:
-        return {}
-    p0, p1, p2 = P
-    R = list(Q)
-    while len(R) > 2:  # R <- p2 R - lead v^d P, which drops R's top term
-        d, lead = len(R) - 3, R[-1]
-        R = [_add(_mul(p2, R[i]), _mul(lead, P[i - d]), -1.0) if i >= d else _mul(p2, R[i])
-             for i in range(len(R) - 1)]
-    r0, r1 = R
-    T = _add(_mul(_mul(r1, r1), p0), _mul(_mul(r0, r1), p1), -1.0)
-    return _add(T, _mul(_mul(r0, r0), p2))
+    while len(P) > 2:  # (Q, P) <- (P, lc(P)^e Q mod P)
+        R = Q
+        while len(R) >= len(P):  # R <- lc(P) R - lc(R) v^d P drops R's top term
+            d, lead = len(R) - len(P), R[-1]
+            R = [_add(_mul(P[-1], R[i]), _mul(lead, P[i - d]), -1.0) if i >= d
+                 else _mul(P[-1], R[i]) for i in range(len(R) - 1)]
+        Q, P = P, R
+    p0, p1 = P
+    T: dict = {}
+    for k, qk in enumerate(Q):
+        for _ in range(k):
+            qk = _mul(qk, p0)
+        for _ in range(len(Q) - 1 - k):
+            qk = _mul(qk, p1)
+        T = _add(T, qk, (-1.0) ** k)
+    return T
 
 
 @lru_cache(maxsize=8)
 def turning_points(zone: Zone) -> tuple:
-    """(Tx, Ty), each (``_reach_of``, ``_rows``) of a polynomial T(w, h)
-    (``_eliminant``) whose real roots in w at the level h hold the
-    X = x + offset of every point of the level curve N - h D = 0 where
-    dx/dt = 0 (Tx: None for a zone bounded on both sides, whose x the
-    strip bounds), and the y of every point where dy/dt = 0 (Ty).  None
-    also where there is no such point to bound."""
-    num, den, fx, fy = ({e: float(c) for e, c in p.terms.items() if c}
-                        for p in local_forms(zone.payload))
+    """(Tx, Ty), each (``_reach_of``, ``_rows``) of the ``_critical``
+    polynomial of the level polynomial L = N - h D in the local frame: the
+    X = x + offset of its points where dL/dy = 0 (Tx; None for a zone
+    bounded in x), and the y of those where dL/dX = 0 (Ty).  The field is
+    m/D (dL/dy, -dL/dX) on the level curve, m the integrating factor, so
+    these hold every point off D = 0 where dx/dt or dy/dt vanishes."""
+    num, den = local_forms(zone.payload)[:2]
 
-    def split(p: dict, v: int, h: int = 0, sign: float = 1.0) -> list:
-        out = [{} for _ in range(max((e[v] for e in p), default=0) + 1)]
-        for e, c in p.items():
-            out[e[v]][e[1 - v], h] = sign * c
+    def level(v: int) -> list:  # L over the powers of v, w the other coordinate
+        out = [{} for _ in range(max(e[v] for e in (*num.terms, *den.terms)) + 1)]
+        for p, k, s in ((num, 0, 1.0), (den, 1, -1.0)):
+            for e, c in p.terms.items():
+                out[e[v]][e[1 - v], k] = s * float(c)
         return out
 
-    def level(v: int) -> list:
-        n, d = split(num, v), split(den, v, 1, -1.0)
-        return [{**a, **b} for a, b in zip(n + [{}] * (len(d) - len(n)),
-                                           d + [{}] * (len(n) - len(d)))]
-
     bounded = zone.x_lo is not None and zone.x_hi is not None
-    tx = None if bounded else _eliminant(split(fx, 1), level(1))
-    rows = [t if t is None else _rows(t) for t in (tx, _eliminant(split(fy, 0), level(0)))]
+    tx = None if bounded else _critical(level(1))
+    rows = [t if t is None else _rows(t) for t in (tx, _critical(level(0)))]
     return tuple(r if r is None else (_reach_of(r), r) for r in rows)
 
 
@@ -191,15 +175,17 @@ def _reach_of(rows: tuple):
 def root_bound(poly: tuple, h: float) -> float:
     """Fujiwara's bound on the roots in w of T(w, h), for ``poly`` =
     (``_reach_of``, ``_rows``) of T: the closed form where there is one, at
-    any level (math.inf at an infinite h, NaN at a NaN h); otherwise, for
-    a finite h, the bound of T(w, h), and for any other h the bound for
-    T's leading coefficient in h (the curve D = 0); math.inf when that is
-    the zero polynomial."""
+    any level (math.inf at an infinite h); otherwise, for a finite h, the
+    bound of T(w, h), and for an infinite h the bound for T's leading
+    coefficient in h (the curve D = 0); math.inf when that is the zero
+    polynomial.  NaN at a NaN h, where nothing is known."""
     reach, rows = poly
     if reach is not None:
         floor, k, m, inv = reach
         r = k * abs(h - m) ** inv
         return floor if r <= floor else r
+    if h != h:
+        return h
     if math.isfinite(h):
         cs = []
         for hc in rows:

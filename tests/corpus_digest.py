@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints five SHA-256 digests:
+It prints six SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -28,13 +28,19 @@ It prints five SHA-256 digests:
   ``cli_oracle`` pass, the first 300 ``annulus`` units and the first 300
   ``bulk`` units at their default seeds: every arc the solver, the
   verifier, the annulus scan and the oracle run, whatever the walk makes
-  of it.
+  of it;
+* ``mixed``: ``cli.report_to_json`` plus every candidate's exact ordinates
+  of ``solve(ps, verify=False)`` over 40 three-zone systems at each of the
+  seeds 7 and 11, with boundaries -1 and 1 and each zone's family drawn
+  uniformly from the four (offsets 1, 0 and -1 from left to right): the
+  general elimination that no benchmark workload takes, with resultants of
+  two nonlinear equations.
 
-The inputs come from ``bench/workloads.build_units``, so they are the
-benchmark's own.  ``--root`` imports pwham and the workloads from another
-checkout (say, a copy of the parent commit), so that two commits compare by
-two runs of this one script: a change that keeps every answer prints the
-same five lines.
+The inputs come from ``bench/workloads``, so they are the benchmark's own
+(``build_units``) or drawn by its generators (``mixed``).  ``--root``
+imports pwham and the workloads from another checkout (say, a copy of the
+parent commit), so that two commits compare by two runs of this one
+script: a change that keeps every answer prints the same six lines.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
+from dataclasses import replace
 
 CORPORA = (("bulk", 600), ("bigcoef", 120), ("annulus", 300))
 ORACLE_CORPORA = (("bulk", 60), ("annulus", 60))
@@ -53,6 +61,10 @@ ORACLE_SCAN_GRID = 64
 RETURN_CORPORA = (("bulk", 100), ("annulus", 100))
 RETURN_ORDINATES = 41
 ARC_CORPORA = (("cli_oracle", None), ("annulus", 300), ("bulk", 300))
+MIXED_SEEDS = (7, 11)
+MIXED_COUNT = 40
+# a zone of each family: the center of a two-zone configuration, or a saddle
+MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+saddle", None)
 
 
 def main(argv=None) -> int:
@@ -63,6 +75,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     from pwham import cli, dynamics, solver, specfile
+    from pwham.systems import piecewise_system
     import workloads
 
     h = hashlib.sha256()
@@ -143,6 +156,28 @@ def main(argv=None) -> int:
     finally:
         dynamics.integrate_arc = arc
     print(f"arcs {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    for seed in MIXED_SEEDS:
+        rng = random.Random(seed)
+        for i in range(MIXED_COUNT):
+            zones = []
+            for offset in (1, 0, -1):
+                config = rng.choice(MIXED_FAMILIES)
+                zones.append(workloads.rand_saddle(rng) if config is None else
+                             replace(workloads.rand_config(rng, config).zones[0].payload,
+                                     offset=offset))
+            ps = piecewise_system(zones, [-1, 1])
+            try:
+                rep = solver.solve(ps, verify=False)
+            except Exception as e:  # the failure is part of the answer
+                entry = {"label": f"mixed-{seed}-{i}", "raised": f"{type(e).__name__}: {e}"}
+            else:
+                entry = {"label": f"mixed-{seed}-{i}", "report": cli.report_to_json(ps, rep),
+                         "exact": [[[b, str(v)] for b, v in c.ordinates]
+                                   for c in rep.candidates]}
+            h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    print(f"mixed {h.hexdigest()}")
     return 0
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham.algebra import (
     AlgebraError,
@@ -528,26 +528,36 @@ def test_sturm_chain_matches_content_reduced_fraction_chain(a, b):
         assert sturm_chain(p) == ref.sturm_chain(p)
 
 
+var_sets = st.sampled_from([(), ("a",), ("a", "b"), ("b", "c"), ("c",)])
+
+
+def polys_over(vs, cs=coefficients, top=2):
+    """Polynomials of up to three terms over the variables vs, of degree up
+    to top in each."""
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * len(vs)), cs,
+                           max_size=3).map(lambda t: MultiPoly(vs, t))
+
+
+@st.composite
+def polys_in_v(draw, lo: int, hi: int, cs=coefficients, top=2):
+    """A polynomial of degree lo to hi in v, its coefficients polynomials
+    over one drawn variable set (``polys_over``)."""
+    vs = draw(var_sets)
+    pc = [draw(polys_over(vs, cs, top)) for _ in range(draw(st.integers(lo, hi)) + 1)]
+    if pc[-1].is_zero:
+        pc[-1] = MultiPoly.const(draw(cs.filter(bool)), vs)
+    return sum((c * MultiPoly.var("v")**i for i, c in enumerate(pc)), MultiPoly.zero())
+
+
 @st.composite
 def linear_pivot_pairs(draw):
     """p of degree >= 1 and q of degree 1 in v, their coefficients
     polynomials over variable sets drawn apart."""
-    var_sets = st.sampled_from([(), ("a",), ("a", "b"), ("b", "c"), ("c",)])
-
-    def poly_over(vs):
-        return draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vs)), coefficients,
-                                    max_size=3).map(lambda t: MultiPoly(vs, t)))
-
-    pv, qv = draw(var_sets), draw(var_sets)
-    v = MultiPoly.var("v")
-    pc = [poly_over(pv) for _ in range(draw(st.integers(2, 4)))]
-    if pc[-1].is_zero:
-        pc[-1] = MultiPoly.const(draw(coefficients.filter(bool)), pv)
-    q1 = poly_over(qv)
+    p, qv = draw(polys_in_v(1, 3)), draw(var_sets)
+    q1 = draw(polys_over(qv))
     if q1.is_zero:
         q1 = MultiPoly.const(-3, qv)
-    p = sum((c * v**i for i, c in enumerate(pc)), MultiPoly.zero())
-    return p, q1 * v + poly_over(qv)
+    return p, q1 * MultiPoly.var("v") + draw(polys_over(qv))
 
 
 @settings(max_examples=100, deadline=None)
@@ -561,6 +571,30 @@ def test_linear_pivot_resultant_matches_fraction_formula(pq):
     # sign of Res(q, p) = (-1)^(deg p deg q) Res(p, q)
     swapped = resultant(q, p, "v")
     assert swapped.terms == (expected if p.degree("v") % 2 == 0 else -expected).terms
+
+
+@st.composite
+def general_pairs(draw):
+    """p and q of degree 2 to 4 in v, with coefficients over variable sets
+    drawn apart, and a rational point of (a, b, c) where both leading
+    coefficients in v are nonzero."""
+    p, q = (draw(polys_in_v(2, 4, rationals, 1)) for _ in range(2))
+    point = {name: draw(rationals) for name in "abc"}
+    assume(all(not f.coeffs_in("v")[-1].subs(point).is_zero for f in (p, q)))
+    return p, q, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_pairs())
+def test_general_resultant_specialises_to_the_univariate_one(pqa):
+    """Where both leading coefficients in v stay nonzero, the resultant
+    commutes with specialising the other variables: resultant(p, q, v) at
+    the point equals the Sylvester determinant of the specialised pair, in
+    both argument orders."""
+    p, q, point = pqa
+    for a, b in ((p, q), (q, p)):
+        expected = uni_resultant(*(f.subs(point).as_unipoly("v") for f in (a, b)))
+        assert resultant(a, b, "v").subs(point) == MultiPoly.const(expected)
 
 
 multipolys = st.builds(

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pwham import dynamics
-from pwham.algebra import UniPoly, isolate_real_roots, real_roots, resultant, sturm_count
+from pwham.algebra import (
+    MultiPoly,
+    UniPoly,
+    isolate_real_roots,
+    real_roots,
+    resultant,
+    sturm_count,
+)
 from pwham.dynamics import (
     DRIFT_TOL,
     EVENT_TOL,
@@ -588,6 +595,37 @@ def test_widened_window_holds_every_turning_point(config, seed, y0):
 
 
 @settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6))
+def test_turning_points_are_the_critical_points_of_the_level(config, seed):
+    """Tx and Ty of every zone of a random system of each covered
+    configuration equal, up to one constant factor, the float image of the
+    exact resultant of dL/dv and L = N - h D in v (y for Tx, X for Ty),
+    with h a variable: the critical points of the level polynomial, with no
+    root on the global center's singular locus y = 0.  Each is None where
+    L is at most linear in v, and Tx also for a zone bounded in x."""
+    h = MultiPoly.var("h")
+    for zone in rand_config(random.Random(seed), config).zones:
+        num, den = local_forms(zone.payload)[:2]
+        level = num - den * h
+        bounded = zone.x_lo is not None and zone.x_hi is not None
+        for (v, w), got in zip((("y", "x"), ("x", "y")), turning_points(zone)):
+            if level.degree(v) < 2 or (v == "y" and bounded):
+                assert got is None
+                continue
+            exact = resultant(level.diff(v), level, v)
+            iw, ih = exact.vars.index(w), exact.vars.index("h")
+            want = {(e[iw], e[ih]): float(c) for e, c in exact.terms.items()}
+            rows = got[1]
+            have = {(len(rows) - 1 - i, len(row) - 1 - j): c
+                    for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+            top = max(have, key=lambda e: abs(have[e]))
+            factor = want.get(top, 0.0) / have[top]
+            scale = max(abs(c) for c in want.values())
+            for e in have.keys() | want.keys():
+                assert abs(have.get(e, 0.0) * factor - want.get(e, 0.0)) <= 1e-9 * scale, (zone, v)
+
+
+@settings(max_examples=60, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        exponent=st.floats(min_value=-6.0, max_value=9.0), sign=st.sampled_from([-1.0, 1.0]))
 def test_closed_forms_bound_as_their_rows_do(config, seed, exponent, sign):
@@ -611,10 +649,12 @@ def test_closed_forms_bound_as_their_rows_do(config, seed, exponent, sign):
 def test_closed_forms_hold_at_non_finite_levels():
     """A closed form applies at any level.  From (0, 1e200) a linear
     saddle's first integral overflows to an infinite level, where the arc's
-    window and its widened window are both math.inf; a NaN level gives a
-    NaN bound, and an infinite widened window.  The global center's edge, with no closed form, is bounded
-    at an infinite level by the root bound of D(c, y), so its window there
-    is finite."""
+    window and its widened window are both math.inf.  A NaN level gives a
+    NaN bound, with or without a closed form, so every window and widened
+    window at a NaN level is infinite.  The global center's edge, with no
+    closed form, is bounded at an infinite level by the root bound of
+    D(c, y), so its window there is finite; its first integral is math.inf
+    on D = 0."""
     plan = ArcPlan(Zone(LinearSaddle(1, 0, -1, 0, 0), F(-1), F(1)))
     h0 = plan.integral(0.0, 1e200)
     assert math.isinf(h0)
@@ -625,12 +665,15 @@ def test_closed_forms_hold_at_non_finite_levels():
     tx, ty = turning_points(cubic.zone)
     assert tx[0] is not None and ty[0] is None
     assert cubic.widen(0.0, math.nan) == math.inf
+    assert ArcPlan(Zone(DoubleCenter(1, 1, 1), None, F(0))).widen(0.0, math.nan) == math.inf
     zone = global_center_saddle().zones[0]
     (edge,) = edge_levels(zone)
     den = restriction(zone, zone.x_hi)[1]
     assert edge[0] is None
     assert root_bound(edge, math.inf) == fujiwara([float(a) for a in reversed(den.coeffs)])
     assert ArcPlan(zone).window(0.0, 1.0, math.inf) == dynamics.WINDOW_FACTOR * 2
+    assert ArcPlan(zone).window(0.0, 0.5, math.nan) == math.inf
+    assert ArcPlan(zone).integral(0.0, 0.0) == math.inf
 
 
 def test_fujiwara_bound_of_a_constant():
