@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .reach import beyond_every_root, edge_levels, root_bound, turning_points
-from .systems import PiecewiseSystem, Zone, equilibria, linear_part, local_forms
+from .systems import PiecewiseSystem, Zone, linear_part, local_forms
 
 
 class DynamicsError(Exception):
@@ -77,8 +77,8 @@ WINDOW_FACTOR = 8    # an arc's own window: this times a power of two above its 
 class IntegratorConfig:
     """The budgets of one arc: time, the window |x - centre|, |y| <= window
     (``ArcPlan.centre``), and accepted plus rejected steps.  With
-    ``window=None``, the default, each arc sizes its own window from the
-    system's scale, its start and the landings it can reach
+    ``window=None``, the default, each arc sizes its own window from its
+    zone's edges, its start and the landings it can reach
     (``ArcPlan.window``), and widens it once, to its level curve's turning
     points, if it reaches it (``ArcPlan.widen``); a number is an absolute
     window for every arc."""
@@ -391,45 +391,44 @@ def _window_above(q: float, factor: float = WINDOW_FACTOR) -> float:
 
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
-    floats, the abscissa ``centre`` that the window is measured from, the
-    system's ``scale`` and the zone's reach polynomials (``reach``: its
-    edges' level polynomials and its turning points, for ``window``,
-    ``widen`` and ``escaped``, built on first use), the float field
-    (reversal applied) and first integral, and either the exact linear
-    part (a ``linear`` zone), with each window's crossing-target table
-    (``targets``), or, built on first use, the zone's DOP853 steps
+    floats, the abscissa ``centre`` that the window is measured from (the
+    mean of the finite edges, 0 without one), the zone's reach polynomials
+    (``reach``: its edges' level polynomials and its turning points, for
+    ``window``, ``widen`` and ``escaped``, built on first use), the float
+    field (reversal applied) and first integral, and either the exact
+    linear part (a ``linear`` zone), with each window's crossing-target
+    table (``targets``), or, built on first use, the zone's DOP853 steps
     (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_scale", "_bound", "_turns")
+                 "_targets", "_bound", "_turns")
 
-    def __init__(self, zone: Zone, centre: float = 0.0, scale=None):
+    def __init__(self, zone: Zone):
         self.zone = zone
-        self.centre = centre
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
         self.hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
+        edges = [c for c in (self.lo, self.hi) if math.isfinite(c)]
+        self.centre = sum(edges) / len(edges) if edges else 0.0
         self.field = zone_field_fn(zone)
         self.integral = zone_integral_fn(zone)
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
         self._targets: dict = {}
-        # a function that gives the system's scale (None: 1), called, with
-        # the edges' level polynomials built, when the first arc sizes its window
-        self._scale = scale
         self._bound = self._turns = None
 
     def window(self, x: float, y: float, h0: float) -> float:
         """The window of an arc from (x, y) on the level h0 of the first
         integral (math.inf for a start where it divides by zero):
-        WINDOW_FACTOR times the next power of two above q = max(scale,
-        |x - centre|, |y|, R), with R the root bound (``reach.root_bound``)
-        of N(c, y) - h0 D(c, y) on each finite edge c (``reach.edge_levels``).
-        The arc can end on an edge only at such a root, so the window holds
-        every landing it can reach.  math.inf when q is not a finite number.
-        An arc that reaches this window widens it once (``widen``)."""
+        WINDOW_FACTOR times the next power of two above q = max(half,
+        |x - centre|, |y|, R), with half the strip's half-width (0 for a
+        half-plane), which holds both edges, and R the root bound
+        (``reach.root_bound``) of N(c, y) - h0 D(c, y) on each finite edge c
+        (``reach.edge_levels``), which holds every landing the arc can
+        reach.  math.inf when q is not a finite number.  An arc that reaches
+        this window widens it once (``widen``)."""
         if self._bound is None:
-            self._bound = (self._scale() if self._scale is not None else 1.0,
-                           edge_levels(self.zone))
+            width = self.hi - self.lo
+            self._bound = (0.5 * width if width < math.inf else 0.0, edge_levels(self.zone))
         # compared one by one: a linear arc pays this on every hop
         q, edges = self._bound
         if abs(x - self.centre) > q:
@@ -547,18 +546,17 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     the exact arc), the time limit, the window (the arc's own window
     widens once, ``ArcPlan.widen``, before it ends the arc; an arc moving
     away from y = 0 leaves its own window once ``ArcPlan.escaped`` holds,
-    tried at its first such step and each time |y| doubled since), an
-    equilibrium (speed below 1e-12 at the start or for ten accepted
-    steps), or after
-    ``cfg.max_steps`` accepted and rejected steps (status
-    ``step-limit``).  A step passes only at an error norm err <= 1, so a
-    NaN norm is rejected.  An accepted step whose end lies
-    inside the strip but whose x-velocity changes sign may have crossed an
-    edge and come back: when the cubic Hermite of x on the step (end points
-    and end slopes, no extra field evaluation) peaks beyond an edge, a real
-    step to that peak decides, and lands on the edge when it is beyond
-    too.  A point where the first integral divides by zero is left out of
-    the drift."""
+    tried at its first such step and each time |y| doubled since; a step
+    that overflows the float range leaves every window), an equilibrium
+    (speed below 1e-12 at the start or for ten accepted steps), or after
+    ``cfg.max_steps`` accepted and rejected steps (status ``step-limit``).
+    A step passes only at an error norm err <= 1, so a NaN norm is
+    rejected.  An accepted step whose end lies inside the strip but whose
+    x-velocity changes sign may have crossed an edge and come back: when
+    the cubic Hermite of x on the step (end points and end slopes, no extra
+    field evaluation) peaks beyond an edge, a real step to that peak
+    decides, and lands on the edge when it is beyond too.  A point where
+    the first integral divides by zero is left out of the drift."""
     step = plan.step(forward)
     hfun = plan.integral
     lo, hi, centre = plan.lo, plan.hi, plan.centre
@@ -593,7 +591,11 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             status = "reached-time-limit"
             break
         h = min(h, max_step, max_time - t + 1e-9)
-        xn, yn, err, kn = step(x, y, h, k1)
+        try:
+            xn, yn, err, kn = step(x, y, h, k1)
+        except OverflowError:  # the error norm squared a stage beyond 1e154
+            status = "left-window"
+            break
         if not err <= 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.125)
@@ -826,24 +828,6 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _scale_of(ps: PiecewiseSystem, bxs: list, centre: float):
-    """A function that computes the system's scale when the first arc sizes
-    its window, and keeps it: at least 1, the largest |x - centre| of a
-    boundary and the largest |x - centre| or |y| of a closed-form equilibrium
-    of any zone.  It holds the system, not the machine, so that the
-    machine's plans do not hold the machine in a reference cycle."""
-    kept: list = []
-
-    def scale() -> float:
-        if not kept:
-            pts = [(b, 0.0) for b in bxs] + [
-                (float(ex), float(ey)) for z in ps.zones for ex, ey in equilibria(z)]
-            kept.append(max([1.0] + [max(abs(px - centre), abs(py)) for px, py in pts]))
-        return kept[0]
-
-    return scale
-
-
 class FlowMachine:
     """The boundary maps of one system: the return map, the displacement,
     the shooting oracle and the candidate verifier.
@@ -854,24 +838,20 @@ class FlowMachine:
     compared or converted.  The field, the first integral and the DOP853
     step that a plan holds are generated for the zone's own monomials and
     compiled once per distinct support (see ``_zone_code``); the step has
-    the field inlined in its 13 evaluations.  Every plan measures the
-    window from the mean of the float boundaries, so that moving a system
-    along x moves its window with it, and sizes it (``ArcPlan.window``)
-    from the system's ``scale``, so that scaling a system scales it."""
+    the field inlined in its 13 evaluations.  Every plan measures and sizes
+    its window from its own zone (``ArcPlan.window``), so that moving or
+    scaling a system moves or scales every window with it."""
 
     def __init__(self, ps: PiecewiseSystem, cfg: IntegratorConfig | None = None):
         self.ps = ps
         self.cfg = cfg or IntegratorConfig()
         self._plans: list = [None] * len(ps.zones)
         self.bxs = [float(b) for b in ps.boundaries]
-        self.centre = sum(self.bxs) / len(self.bxs) if self.bxs else 0.0
-        self._scale = _scale_of(ps, self.bxs, self.centre)
 
     def _plan(self, zone_index: int) -> ArcPlan:
         plan = self._plans[zone_index]
         if plan is None:
-            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index], self.centre,
-                                                     self._scale)
+            plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index])
         return plan
 
     def crossing_direction(self, bindex: int, y: float) -> int:

@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints six SHA-256 digests:
+It prints seven SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -34,13 +34,18 @@ It prints six SHA-256 digests:
   seeds 7 and 11, with boundaries -1 and 1 and each zone's family drawn
   uniformly from the four (offsets 1, 0 and -1 from left to right): the
   general elimination that no benchmark workload takes, with resultants of
-  two nonlinear equations.
+  two nonlinear equations;
+* ``mixed_returns``: the ``repr`` of ``FlowMachine(ps, cfg).displacement(b, y, d)``
+  on the same 80 three-zone systems at 21 evenly spaced ordinates y from
+  -5 to 5, on both boundaries b in both crossing directions d, under the
+  default budget and under ``IntegratorConfig(max_time=60)``: arcs through
+  nonlinear middle and right zones, which no other corpus has.
 
 The inputs come from ``bench/workloads``, so they are the benchmark's own
 (``build_units``) or drawn by its generators (``mixed``).  ``--root``
 imports pwham and the workloads from another checkout (say, a copy of the
 parent commit), so that two commits compare by two runs of this one
-script: a change that keeps every answer prints the same six lines.
+script: a change that keeps every answer prints the same seven lines.
 """
 
 from __future__ import annotations
@@ -65,6 +70,30 @@ MIXED_SEEDS = (7, 11)
 MIXED_COUNT = 40
 # a zone of each family: the center of a two-zone configuration, or a saddle
 MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+saddle", None)
+MIXED_RETURN_ORDINATES = [-5 + 10 * i / 20 for i in range(21)]
+
+
+def _mixed_systems(workloads, piecewise_system):
+    """(label, system) of the ``mixed`` corpus, in order."""
+    for seed in MIXED_SEEDS:
+        rng = random.Random(seed)
+        for i in range(MIXED_COUNT):
+            zones = []
+            for offset in (1, 0, -1):
+                config = rng.choice(MIXED_FAMILIES)
+                zones.append(workloads.rand_saddle(rng) if config is None else
+                             replace(workloads.rand_config(rng, config).zones[0].payload,
+                                     offset=offset))
+            yield f"mixed-{seed}-{i}", piecewise_system(zones, [-1, 1])
+
+
+def _return_maps(dynamics, ps, ys):
+    """The ``repr`` of every displacement at the ordinates ys, per budget
+    (the default, then ``max_time=60``), boundary and crossing direction."""
+    return [[repr(machine.displacement(b, y, d)) for y in ys]
+            for machine in (dynamics.FlowMachine(ps),
+                            dynamics.FlowMachine(ps, dynamics.IntegratorConfig(max_time=60)))
+            for b in range(len(ps.boundaries)) for d in (1, -1)]
 
 
 def main(argv=None) -> int:
@@ -124,11 +153,7 @@ def main(argv=None) -> int:
         try:
             lo, hi = dynamics.oracle_window(solver.solve(ps, verify=False))
             ys = [lo + (hi - lo) * i / (RETURN_ORDINATES - 1) for i in range(RETURN_ORDINATES)]
-            entry = {"label": label, "returns": [
-                [repr(machine.displacement(b, y, d)) for y in ys]
-                for machine in (dynamics.FlowMachine(ps),
-                                dynamics.FlowMachine(ps, dynamics.IntegratorConfig(max_time=60)))
-                for b in range(len(ps.boundaries)) for d in (1, -1)]}
+            entry = {"label": label, "returns": _return_maps(dynamics, ps, ys)}
         except Exception as e:  # the failure is part of the answer
             entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
         h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
@@ -158,26 +183,28 @@ def main(argv=None) -> int:
     print(f"arcs {h.hexdigest()}")
 
     h = hashlib.sha256()
-    for seed in MIXED_SEEDS:
-        rng = random.Random(seed)
-        for i in range(MIXED_COUNT):
-            zones = []
-            for offset in (1, 0, -1):
-                config = rng.choice(MIXED_FAMILIES)
-                zones.append(workloads.rand_saddle(rng) if config is None else
-                             replace(workloads.rand_config(rng, config).zones[0].payload,
-                                     offset=offset))
-            ps = piecewise_system(zones, [-1, 1])
-            try:
-                rep = solver.solve(ps, verify=False)
-            except Exception as e:  # the failure is part of the answer
-                entry = {"label": f"mixed-{seed}-{i}", "raised": f"{type(e).__name__}: {e}"}
-            else:
-                entry = {"label": f"mixed-{seed}-{i}", "report": cli.report_to_json(ps, rep),
-                         "exact": [[[b, str(v)] for b, v in c.ordinates]
-                                   for c in rep.candidates]}
-            h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    mixed = list(_mixed_systems(workloads, piecewise_system))
+    for label, ps in mixed:
+        try:
+            rep = solver.solve(ps, verify=False)
+        except Exception as e:  # the failure is part of the answer
+            entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+        else:
+            entry = {"label": label, "report": cli.report_to_json(ps, rep),
+                     "exact": [[[b, str(v)] for b, v in c.ordinates]
+                               for c in rep.candidates]}
+        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"mixed {h.hexdigest()}")
+
+    h = hashlib.sha256()
+    for label, ps in mixed:
+        try:
+            entry = {"label": label,
+                     "returns": _return_maps(dynamics, ps, MIXED_RETURN_ORDINATES)}
+        except Exception as e:  # the failure is part of the answer
+            entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    print(f"mixed_returns {h.hexdigest()}")
     return 0
 
 

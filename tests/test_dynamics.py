@@ -378,7 +378,8 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
         assert abs(exact.end[1] - ref.end[1]) <= 1e-9
 
 
-_STRIPS = {"both": (F(-1), F(1)), "lo": (F(-1), None), "hi": (None, F(1)), "none": (None, None)}
+_STRIPS = {"both": (F(-1), F(1)), "lo": (F(-1), None), "hi": (None, F(1)), "none": (None, None),
+           "off": (F(-5, 2), F(1)), "right": (F(3, 8), None)}
 
 
 def _same_arc(plan, start, cfg, record, forward):
@@ -402,34 +403,35 @@ def _same_arc(plan, start, cfg, record, forward):
        edge=st.sampled_from(["lo", "hi", "inside"]),
        y0=st.floats(min_value=-3.0, max_value=3.0),
        x0=st.floats(min_value=-0.9, max_value=0.9),
-       centre=st.sampled_from([0.0, 0.375, -2.5]),
        window=st.floats(min_value=0.5, max_value=50.0) | st.just(1e3) | st.none(),
        max_time=st.floats(min_value=0.05, max_value=30.0))
 # a start on the window's upper side, moving along it and curving out
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=1.0, x0=0.0,
-         centre=0.0, window=1.0, max_time=10.0)
+         window=1.0, max_time=10.0)
 # the arc's own window widens to its turning point at y = -100 and the arc
 # lands at (1, -1)
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=F(1, 10000), mu=0, gamma=0),
          reverse=False, forward=True, record=False, strip="both", edge="lo", y0=-1.0,
-         x0=0.0, centre=0.0, window=None, max_time=30.0)
+         x0=0.0, window=None, max_time=30.0)
 # the window's sides in x on the strip's edges: an edge hit ties with the window
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
-         centre=0.0, window=1.0, max_time=10.0)
+         window=1.0, max_time=10.0)
 def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record, strip,
-                                               edge, y0, x0, centre, window, max_time):
+                                               edge, y0, x0, window, max_time):
     """The exact arc, with each window's target table kept on the plan, is
     the reference, which builds the table on every call: the same
-    trajectory, or the same NotEntryPoint, on open and closed strips, from
-    either edge or inside, under any window (or the arc's own), centre and
-    time budget."""
+    trajectory, or the same NotEntryPoint, on open and closed strips, some
+    with edges off x = 0 (so off-centre windows), from either edge or
+    inside, under any window (or the arc's own) and time budget."""
     lo, hi = _STRIPS[strip]
     zone = Zone(payload, lo, hi, reverse)
     c = {"lo": lo, "hi": hi}.get(edge)
+    if c is None:
+        assume((lo is None or lo < x0) and (hi is None or x0 < hi))
     start = (float(c) if c is not None else x0, y0)
-    _same_arc(ArcPlan(zone, centre), start,
+    _same_arc(ArcPlan(zone), start,
               IntegratorConfig(max_time=max_time, window=window), record, forward)
 
 
@@ -485,24 +487,57 @@ def test_exact_arc_from_a_window_side_moving_out_leaves_it():
 
 def test_window_holds_every_landing_the_arc_can_reach():
     """On the global center's zone, from y0 = 0.409 on x = 0, the orbit
-    comes back to x = 0 at y = 52/3.  The system's scale is 1, so a window
-    from the scale and the start alone would be WINDOW_FACTOR * 2 = 16,
-    below the landing; the root bound of the restricted level polynomial
-    sizes the window past it, and the hop reaches the edge."""
+    comes back to x = 0 at y = 52/3.  A window from the start alone would
+    be WINDOW_FACTOR / 2 = 4, below the landing; the root bound of the
+    restricted level polynomial sizes the window past it, and the hop
+    reaches the edge."""
     m = FlowMachine(global_center_saddle())
     y0 = 0.40944881889763773
-    assert m._scale() == 1.0
+    assert m._plan(0).centre == 0.0 and dynamics._window_above(y0) == 4.0
     bindex, y, direction, traj = m._hop(0, (0.0, y0))
     assert (bindex, direction, traj.status) == (0, 1, "reached-boundary")
     assert abs(y - 52 / 3) < 1e-6
     assert m._plan(0).window(0.0, y0, m._plan(0).integral(0.0, y0)) >= 2 * y
 
 
+def test_strip_window_holds_both_edges():
+    """The saddle dx/dt = x, dy/dt = -y in the strip -100 < x < 100, run
+    directly from (0.01, 0.01), lands on x = 100 at y = 1e-6: the strip's
+    half-width puts both edges inside the window.  A strip has no x-turning
+    point to widen to, so a window sized from a floor of 1 (16 wide) ended
+    this arc left-window at x = 16."""
+    zone = Zone(LinearSaddle(alpha=0, beta=-1, delta=0, mu=0, gamma=0), F(-100), F(100))
+    traj = integrate_arc(zone, (0.01, 0.01))
+    assert (traj.status, traj.edge) == ("reached-boundary", "hi")
+    assert traj.end[0] == 100.0 and abs(traj.end[1] - 1e-6) < 1e-15
+
+
+def test_window_scales_with_the_system():
+    """Scaling ``linear_center_center_saddle`` by k = 2^-30 (``mu``,
+    ``gamma`` and the boundaries times k, as in
+    ``test_solve_is_scale_invariant``) scales the window of the first hop
+    of its verified cycle by exactly k: 32 -> 2^-25.  A floor of 1 on the
+    window's reach held it at 16."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, "linear_center_center_saddle.pwham")).to_system()
+    (cand,) = [c for c in solve(ps).candidates if c.status == "verified"]
+    b0, y0 = min(cand.ordinates, key=lambda bv: bv[1])
+    windows = []
+    for k in (F(1), F(1, 2**30)):
+        m = FlowMachine(piecewise_system(
+            [LinearSaddle(p.alpha, p.beta, p.delta, p.mu * k, p.gamma * k)
+             for p in (z.payload for z in ps.zones)],
+            [b * k for b in ps.boundaries], [z.reverse for z in ps.zones]))
+        x, y = m.bxs[b0], float(y0 * k)
+        plan = m._plan(b0 + 1 if m.crossing_direction(b0, y) > 0 else b0)
+        windows.append(plan.window(x, y, plan.integral(x, y)))
+    assert windows == [32.0, 2.0**-25]
+
+
 def test_widened_window_holds_the_orbit_between_landings():
     """Orbits that reach 100 times farther than their landings: the level
     ellipses of X^2 + y^2 / 10^4, in x beyond a half-plane's edge, and in y
     inside a strip, of an exact linear zone and of a DOP853 cubic center.
-    The arc's own window (from the scale, the start and the landings) is
+    The arc's own window (from the zone, the start and the landings) is
     below that reach; the arc widens it to the turning points and lands.
     The integrated arc moves away from y = 0 on its way out, so it tries
     to prove an escape (``ArcPlan.escaped``), which the turning point near
@@ -529,31 +564,33 @@ def test_widened_window_holds_the_orbit_between_landings():
 @settings(max_examples=60, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
+# edge roots at +-1.0e-12, inside a window of 8 * 1.8e-12: 2^-20 would not resolve them
+@example(config="global_center+saddle", seed=0, y0=1e-12)
 def test_window_holds_every_edge_root(config, seed, y0):
     """From a point on any boundary of a random system of each covered
     configuration, every real root of N(c, y) - h0 D(c, y) on either
     finite edge c of the zone, at the start's level h0, lies inside the
     arc's window, before its WINDOW_FACTOR: the closed-form bound of
     constant-denominator zones and the per-arc bound of the global
-    center's rational integral alike."""
+    center's rational integral alike.  The roots are refined to
+    min(2^-20, w 2^-20) for a window w, so that a small window is checked
+    as closely as a large one."""
     ps = rand_config(random.Random(seed), config)
     m = FlowMachine(ps)
     for i, zone in enumerate(ps.zones):
         plan = m._plan(i)
         edges = [c for c in (zone.x_lo, zone.x_hi) if c is not None]
         for start in ((float(c), y0) for c in edges):
-            try:
-                h0 = plan.integral(*start)
-            except ZeroDivisionError:
-                continue
-            if not math.isfinite(h0):  # overflowed next to the singular locus
+            h0 = plan.integral(*start)
+            if not math.isfinite(h0):  # D = 0, or overflowed next to the singular locus
                 continue
             w = plan.window(*start, h0) / dynamics.WINDOW_FACTOR
+            tol = F(min(2.0**-20, w * 2.0**-20))
             for c in edges:
                 num, den = restriction(zone, c)[:2]
                 level = num - den * UniPoly.const(F(h0))
                 if not level.is_zero:
-                    assert all(abs(r) < w for r in real_roots(level, F(1, 2**20)))
+                    assert all(abs(r) < w for r in real_roots(level, tol))
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,7 +602,8 @@ def test_widened_window_holds_every_turning_point(config, seed, y0):
     the widened window (``ArcPlan.widen``) before its factor of 2, at
     the level h0 of a start on any boundary of a random system of each
     covered configuration: checked against the exact resultants of the
-    zone's field component and its level polynomial."""
+    zone's field component and its level polynomial, refined to
+    tol = min(2^-20, w 2^-20) for a widened window w, with tol as slack."""
     ps = rand_config(random.Random(seed), config)
     m = FlowMachine(ps)
     for i, zone in enumerate(ps.zones):
@@ -573,25 +611,23 @@ def test_widened_window_holds_every_turning_point(config, seed, y0):
         num, den, fx, fy = local_forms(zone.payload)
         offset = float(zone.payload.offset)
         for c in (c for c in (zone.x_lo, zone.x_hi) if c is not None):
-            try:
-                h0 = plan.integral(float(c), y0)
-            except ZeroDivisionError:
-                continue
-            if not math.isfinite(h0):  # overflowed next to the singular locus
+            h0 = plan.integral(float(c), y0)
+            if not math.isfinite(h0):  # D = 0, or overflowed next to the singular locus
                 continue
             w = plan.widen(0.0, h0) / 2
+            tol = min(2.0**-20, w * 2.0**-20)
             level = num - den * F(h0)
             checks = [(fy, "x", 0.0)]
             if zone.x_lo is None or zone.x_hi is None:
-                checks.append((fx, "y", offset + m.centre))
+                checks.append((fx, "y", offset + plan.centre))
             for velocity, v, shift in checks:
                 if velocity.degree(v) < 1 or level.degree(v) < 1:
                     continue
                 res = resultant(velocity, level, v)
                 if res.is_zero:
                     continue
-                for r in real_roots(res.as_unipoly(), F(1, 2**20)):  # each within 2^-20
-                    assert abs(float(r) - shift) < w + 2.0**-20
+                for r in real_roots(res.as_unipoly(), F(tol)):  # each within tol
+                    assert abs(float(r) - shift) < w + tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -731,6 +767,10 @@ def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]),
        forward=st.booleans())
+# next to the global center's singular locus y = 0 the level is 3.5e155 and
+# the widened window infinite: without the proof the arc runs out of the
+# float range, where its step's error norm overflows
+@example(config="global_center+saddle", seed=0, y0=2.0681958835003208e-78, forward=True)
 def test_escape_proof_changes_no_arc(config, seed, y0, forward):
     """From a point on either edge of each nonlinear zone of a random
     system of each covered configuration, an integrated arc under its own
