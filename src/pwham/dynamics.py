@@ -8,9 +8,10 @@ segments are detected, never simulated).
 * A ``linear`` zone's arc is the exact flow of its field A u + b.  Because
   trace A = 0, A^2 = e I, and u(t) = u0 + S1(t) f0 + S2(t) A f0 with
   S1 = sinh(rt)/r, S2 = 2 sinh(rt/2)^2/e (r^2 = e, read as sin for e < 0
-  and as t, t^2/2 for e = 0).  A hit of x = c (or of the window) is a root
+  and as t, t^2/2 for e = 0).  A hit of x = c (or of a window) is a root
   of one quadratic in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc
-  then lands at exactly x = c.  It takes no integration step.
+  then lands at exactly x = c.  The same quadratic, over all t > 0, decides
+  that an arc can cross no edge at all.  It takes no integration step.
 * Every other zone runs the embedded Dormand-Prince 8(5,3) integrator
   (DOP853) with FSAL (the field value at the end of an accepted step is the
   first stage of the next) and scipy's error norm, which damps the
@@ -23,7 +24,9 @@ segments are detected, never simulated).
   except at a tangency, where it keeps the step's ordinate.  The landed
   step takes the place of the accepted one, and both end the same way.  A
   step that ends inside the strip but turns x around is checked for an
-  excursion across an edge by the cubic Hermite of x on the step.
+  excursion across an edge by the cubic Hermite of x on the step.  An arc
+  that moves outward past every root of its zone's reach polynomials
+  (``reach``) is proven never to land, and ends there.
 
 Either arc reports the strip edge it ends on (``Trajectory.edge``).  One
 orbit walk, ``FlowMachine._walk``, runs the arcs hop by hop and checks that
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reach import beyond_every_root, edge_levels, root_bound, turning_points
+from .reach import beyond_every_root, edge_levels, turning_points
 from .systems import PiecewiseSystem, Zone, linear_part, local_forms
 
 
@@ -70,18 +73,19 @@ MATCH_TOL = 1e-5     # a boundary hit this close matches a declared ordinate
 CLOSURE_TOL = 1e-6   # a loop or return closer than this is closed
 DRIFT_TOL = 1e-8     # relative first-integral drift an accepted arc may have
 MAX_HOPS = 12        # crossings a return map follows before giving up
-WINDOW_FACTOR = 8    # an arc's own window: this times a power of two above its reach
+WINDOW_FACTOR = 8    # the backstop window: this times a power of two above the start
 
 
 @dataclass
 class IntegratorConfig:
     """The budgets of one arc: time, the window |x - centre|, |y| <= window
     (``ArcPlan.centre``), and accepted plus rejected steps.  With
-    ``window=None``, the default, each arc sizes its own window from its
-    zone's edges, its start and the landings it can reach
-    (``ArcPlan.window``), and widens it once, to its level curve's turning
-    points, if it reaches it (``ArcPlan.widen``); a number is an absolute
-    window for every arc."""
+    ``window=None``, the default, an arc has no window: it ends when it
+    can land on no edge again (an exact arc that crosses no edge and leaves
+    every bounded set, an integrated one by ``ArcPlan.escaped``), and only
+    an integrated arc at a level where its first integral is not finite
+    keeps a backstop (``ArcPlan.window``).  A number is an absolute window
+    for every arc."""
 
     max_time: float = 400.0
     window: float | None = None
@@ -383,25 +387,18 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
     return s, ym, n
 
 
-def _window_above(q: float, factor: float = WINDOW_FACTOR) -> float:
-    """``factor`` times the next power of two above q; math.inf when q is
-    not a finite number."""
-    return math.ldexp(factor, math.frexp(q)[1]) if q < math.inf else math.inf
-
-
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
-    floats, the abscissa ``centre`` that the window is measured from (the
+    floats, the abscissa ``centre`` that a window is measured from (the
     mean of the finite edges, 0 without one), the zone's reach polynomials
     (``reach``: its edges' level polynomials and its turning points, for
-    ``window``, ``widen`` and ``escaped``, built on first use), the float
-    field (reversal applied) and first integral, and either the exact
-    linear part (a ``linear`` zone), with each window's crossing-target
-    table (``targets``), or, built on first use, the zone's DOP853 steps
-    (``zone_step_fns``)."""
+    ``escaped``, built on first use), the float field (reversal applied)
+    and first integral, and either the exact linear part (a ``linear``
+    zone), with each window's crossing-target table (``targets``), or,
+    built on first use, the zone's DOP853 steps (``zone_step_fns``)."""
 
     __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_bound", "_turns")
+                 "_targets", "_reach")
 
     def __init__(self, zone: Zone):
         self.zone = zone
@@ -414,71 +411,39 @@ class ArcPlan:
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
         self._targets: dict = {}
-        self._bound = self._turns = None
+        self._reach = None
 
-    def window(self, x: float, y: float, h0: float) -> float:
-        """The window of an arc from (x, y) on the level h0 of the first
-        integral (math.inf for a start where it divides by zero):
-        WINDOW_FACTOR times the next power of two above q = max(half,
-        |x - centre|, |y|, R), with half the strip's half-width (0 for a
-        half-plane), which holds both edges, and R the root bound
-        (``reach.root_bound``) of N(c, y) - h0 D(c, y) on each finite edge c
-        (``reach.edge_levels``), which holds every landing the arc can
-        reach.  math.inf when q is not a finite number.  An arc that reaches
-        this window widens it once (``widen``)."""
-        if self._bound is None:
-            width = self.hi - self.lo
-            self._bound = (0.5 * width if width < math.inf else 0.0, edge_levels(self.zone))
-        # compared one by one: a linear arc pays this on every hop
-        q, edges = self._bound
-        if abs(x - self.centre) > q:
-            q = abs(x - self.centre)
-        if abs(y) > q:
-            q = abs(y)
-        for edge in edges:
-            r = root_bound(edge, h0)
-            if not r <= q:
-                q = r
-        return _window_above(q)
+    def window(self, x: float, y: float) -> float:
+        """The backstop window of an integrated arc from (x, y) at a level
+        where the first integral is not finite (a start on D = 0, such as
+        the global center's y = 0), which no escape proof can read:
+        WINDOW_FACTOR times the next power of two above max(half,
+        |x - centre|, |y|), with half the strip's half-width (0 for a
+        half-plane), which holds both edges; math.inf when that is not a
+        finite number."""
+        width = self.hi - self.lo
+        q = max(0.5 * width if width < math.inf else 0.0, abs(x - self.centre), abs(y))
+        return math.ldexp(WINDOW_FACTOR, math.frexp(q)[1]) if q < math.inf else math.inf
 
-    def widen(self, window: float, h0: float) -> float:
-        """The window an arc on the level h0 goes on in once it reached its
-        own ``window``: the larger of that and twice the next power of two
-        above the root bounds of the level curve's turning points
-        (``reach.turning_points``: the x-extrema for a zone unbounded in x,
-        the y-extrema always).  An arc's x and y are extreme only at its
-        ends and at such points, so no arc that returns to an edge, and no
-        closed orbit, leaves the widened window.  The bound holds every
-        turning point, so its margin only has to cover the arc's drift off
-        its level curve."""
-        if self._turns is None:
-            self._turns = turning_points(self.zone)
-        tx, ty = self._turns
-        q = 0.0
-        if tx is not None:  # |x - centre| <= |X| + |offset + centre| for X = x + offset
-            q = root_bound(tx, h0) + abs(float(self.zone.payload.offset) + self.centre)
-        if ty is not None:
-            r = root_bound(ty, h0)
-            if not r <= q and q == q:  # a NaN bound of Tx stays: the window is infinite
-                q = r
-        wide = _window_above(q, 2.0)
-        return wide if wide > window else window
-
-    def escaped(self, y: float, h: float) -> bool:
-        """True when an arc at the ordinate y on the level h, moving away
-        from y = 0, can land on no edge again: |y| lies beyond every real
-        root on y's side (``reach.beyond_every_root``) of each finite
-        edge's N(c, y) - h D(c, y) and then of the y-eliminant of the
-        turning points, if there is one, so y moves on outward and meets no
-        landing.  False for an infinite h."""
-        edges = self._bound[1] if self._bound is not None else edge_levels(self.zone)
-        for _, rows in edges:
-            if not beyond_every_root(rows, y, h):
-                return False
-        if self._turns is None:
-            self._turns = turning_points(self.zone)
-        ty = self._turns[1]
-        return ty is None or beyond_every_root(ty[1], y, h)  # None: y is monotone
+    def escaped(self, axis: int, w: float, h: float) -> bool:
+        """True when an arc on the level h, at w = X = x + offset (``axis``
+        0) or w = y (``axis`` 1) and moving away from w = 0, can land on no
+        edge again: |w| lies beyond every real root on w's side
+        (``reach.beyond_every_root``) of the turning points' eliminant in
+        that coordinate, if there is one, so w moves on outward; for y,
+        also of each finite edge's N(c, y) - h D(c, y), so y meets no
+        landing.  For X the caller checks that the arc moves away from the
+        zone's one edge, which x then never comes back to.  False for an
+        infinite h."""
+        if self._reach is None:
+            self._reach = (edge_levels(self.zone), turning_points(self.zone))
+        edges, turns = self._reach
+        if axis:
+            for rows in edges:
+                if not beyond_every_root(rows, w, h):
+                    return False
+        rows = turns[axis]
+        return rows is None or beyond_every_root(rows, w, h)  # None: w is monotone
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -486,25 +451,27 @@ class ArcPlan:
             self._steps = zone_step_fns(self.zone)
         return self._steps[forward]
 
-    def targets(self, window: float) -> tuple:
+    def targets(self, window: float | None) -> tuple:
         """The levels an exact arc may cross under ``window``, built once
         per window: the finite strip edges, then the window's sides in x
         (about ``centre``) that lie inside the strip, as the targets of x,
-        and the window's sides in y as those of y.  A side in x on or beyond
-        an edge is left out: an arc from inside the strip reaches the edge
-        first.  Each target is (level, outward sign, edge name or None for a
-        window side, the factor of its crossing time in the comparison:
-        1 + 1e-9 for a window side, so that an edge wins a tie with the
-        window)."""
+        and the window's sides in y as those of y; the edges alone for no
+        window.  A side in x on or beyond an edge is left out: an arc from
+        inside the strip reaches the edge first.  Each target is (level,
+        outward sign, edge name or None for a window side, the factor of its
+        crossing time in the comparison: 1 + 1e-9 for a window side, so that
+        an edge wins a tie with the window)."""
         table = self._targets.get(window)
         if table is None:
             x_targets = [(c, out, side, 1.0)
                          for c, out, side in ((self.lo, -1, "lo"), (self.hi, 1, "hi"))
                          if math.isfinite(c)]
-            x_targets += [(c, out, None, 1 + 1e-9)
-                          for out in (-1, 1) for c in (self.centre + out * window,)
-                          if self.lo < c < self.hi]
-            y_targets = tuple((out * window, out, None, 1 + 1e-9) for out in (-1, 1))
+            y_targets = ()
+            if window is not None:
+                x_targets += [(c, out, None, 1 + 1e-9)
+                              for out in (-1, 1) for c in (self.centre + out * window,)
+                              if self.lo < c < self.hi]
+                y_targets = tuple((out * window, out, None, 1 + 1e-9) for out in (-1, 1))
             table = self._targets[window] = (tuple(x_targets), y_targets)
         return table
 
@@ -512,7 +479,8 @@ class ArcPlan:
 def integrate_arc(zone: Zone | ArcPlan, start: tuple, cfg: IntegratorConfig | None = None,
                   record: bool = True, forward: bool = True) -> Trajectory:
     """Run the zone's flow from ``start`` until the trajectory reaches a
-    strip edge, the time limit, the spatial window, or an equilibrium.
+    strip edge, the time limit, a window, or an equilibrium, or until it is
+    decided that it can land on no edge again (status ``left-window``).
 
     ``zone`` is a Zone or its ArcPlan.  A ``linear`` zone takes its exact
     flow (no integration step); every other zone takes DOP853 steps.  A
@@ -543,13 +511,15 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
     EVENT_TOL; a landing outside the window leaves the window, unless it
     lies on the window's side to 1e-9 relative: an edge wins a tie, as in
-    the exact arc), the time limit, the window (the arc's own window
-    widens once, ``ArcPlan.widen``, before it ends the arc; an arc moving
-    away from y = 0 leaves its own window once ``ArcPlan.escaped`` holds,
-    tried at its first such step and each time |y| doubled since; a step
-    that overflows the float range leaves every window), an equilibrium
-    (speed below 1e-12 at the start or for ten accepted steps), or after
-    ``cfg.max_steps`` accepted and rejected steps (status ``step-limit``).
+    the exact arc), the time limit, an absolute window or, without one, an
+    escape proof (``ArcPlan.escaped``: for an arc moving away from y = 0,
+    or from X = 0 and from the one edge of a half-plane, tried at its
+    first such step and each time |y|, or |X|, doubled since; at a level
+    where the first integral is not finite, which no proof reads, the
+    backstop ``ArcPlan.window``), a step that overflows the float range
+    (``left-window``), an equilibrium (speed below 1e-12 at the start or
+    for ten accepted steps), or after ``cfg.max_steps`` accepted and
+    rejected steps (status ``step-limit``).
     A step passes only at an error norm err <= 1, so a NaN norm is
     rejected.  An accepted step whose end lies inside the strip but whose
     x-velocity changes sign may have crossed an edge and come back: when
@@ -570,11 +540,15 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     _check_entry(x, y, k1[0], lo, hi)
 
     h0 = hfun(x, y)
-    own = window is None
-    if own:
-        window = plan.window(x, y, h0)
     monitor = isfinite(h0)
-    tried = 0.0 if own and monitor else math.inf  # |y| at which to try an escape proof
+    # |y| and |X| at which to try an escape proof (with no window, at a
+    # finite level); X only in a half-plane, moving to the side ``away``
+    # from its edge (either side without one)
+    tried = 0.0 if window is None and monitor else math.inf
+    tried_x = tried if lo == -math.inf or hi == math.inf else math.inf
+    if window is None:  # no proof reads a non-finite level: a backstop there
+        window = math.inf if monitor else plan.window(x, y)
+    away, offset = (lo > -math.inf) - (hi < math.inf), float(plan.zone.payload.offset)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
     t = 0.0
@@ -628,9 +602,6 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             if isfinite(hv):
                 drift = max(drift, abs(hv - h0) / scale_h)
         if abs(x - centre) > window or abs(y) > window:
-            if own:  # the arc's own window widens once, to its turning points
-                own = False
-                window = plan.widen(window, h0)
             # a landing beyond it left it first; one on its side is a tie
             limit = window * (1 + 1e-9) if edge is not None else window
             if abs(x - centre) > limit or abs(y) > limit:
@@ -640,10 +611,16 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             status = "reached-boundary"
             break
         if y * k1[1] > 0 and abs(y) >= tried:
-            if plan.escaped(y, hv):
+            if plan.escaped(1, y, hv):
                 status = "left-window"
                 break
             tried = 2.0 * abs(y)
+        X = x + offset
+        if X * k1[0] > 0 and away * k1[0] >= 0 and abs(X) >= tried_x:
+            if plan.escaped(0, X, hv):
+                status = "left-window"
+                break
+            tried_x = 2.0 * abs(X)
         if hypot(k1[0], k1[1]) < 1e-12:
             slow += 1
             if slow >= 10:
@@ -729,6 +706,23 @@ def _leaving(u: float, f: float, g: float, w: float) -> bool:
     return abs(u) > w or (abs(u) == w and u * (f or g) > 0)
 
 
+def _unbounded(e: float, f0: float, f1: float, g0: float, g1: float) -> bool:
+    """True when the exact flow from a point with velocity f and rate
+    g = A f leaves every bounded set as t grows: for a saddle (e = r^2 > 0)
+    when the coefficient f/r + g/e of e^(rt) / 2 in x or in y exceeds
+    1e-9 (|f/r| + |g/e|), which covers its rounding, so that a start on a
+    stable separatrix goes on toward the equilibrium; for e = 0 when the
+    arc is not at rest (speed 1e-12 or more); a center never."""
+    if e > 0:
+        r = math.sqrt(e)
+        for f, g in ((f0, g0), (f1, g1)):
+            a, b = f / r, g / e
+            if abs(a + b) > 1e-9 * (abs(a) + abs(b)):
+                return True
+        return False
+    return e == 0 and math.hypot(f0, f1) >= 1e-12
+
+
 def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Exact arc of a linear zone, in pieces of at most two e-foldings for
     a saddle (so that rounding in u0 + S1 f0 + S2 A f0 grows at most
@@ -736,13 +730,14 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     piece, and its pieces last at most MAX_STEP and 1/(16 |A|) (|A| the
     Frobenius norm): the velocity f, whose rate of change is A f, then
     changes by about 1/16 of itself at most between samples.  Each piece
-    takes the least crossing time of the strip edges and of the window box
-    from its start (``ArcPlan.targets``); an edge hit is polished by Newton
-    on x(t) - c and lands at exactly x = c.  An arc that starts beyond the
-    window, or on a side and moving out (``_leaving``), leaves it at t = 0.
-    A piece that reaches the arc's own window widens it once
-    (``ArcPlan.widen``), and the arc goes on from there under the wider
-    window's targets.  A piece that ends at speed below 1e-12 ends the arc
+    takes the least crossing time of the strip edges and of the window box,
+    if ``cfg`` sets one, from its start (``ArcPlan.targets``); an edge hit
+    is polished by Newton on x(t) - c and lands at exactly x = c.  An arc
+    that starts beyond the window, or on a side and moving out
+    (``_leaving``), leaves it at t = 0.  Without a window, an arc whose
+    piece starts where it crosses no edge for any t > 0 and leaves every
+    bounded set (``_unbounded``) can land on no edge, and ends there as
+    ``left-window``.  A piece that ends at speed below 1e-12 ends the arc
     at the equilibrium it approaches."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
@@ -755,9 +750,6 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
 
     _check_entry(x, y, f0, lo, hi)
     h0 = hfun(x, y)
-    own = w is None
-    if own:
-        w = plan.window(x, y, h0)
     x_targets, y_targets = plan.targets(w)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
@@ -767,7 +759,7 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     samples = [(t, x, y)] if record else []
     edge = None
     status = None
-    if not (abs(x - centre) < w and abs(y) < w):  # on or beyond the window
+    if w is not None and not (abs(x - centre) < w and abs(y) < w):  # on or beyond it
         g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
         if _leaving(x - centre, f0, g0, w) or _leaving(y, f1, g1, w):
             status = "left-window"
@@ -778,15 +770,18 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         # the least crossing time by its key (a window's time scaled by
         # 1 + 1e-9, so an edge wins a tie with the window); the first of
         # equal keys wins
-        key = None
+        th = key = math.inf
         for level, out, name, scale in x_targets:
             tk = _first_crossing(e, x, f0, g0, level, out)
-            if key is None or tk * scale < key:
+            if tk * scale < key:
                 th, key, c, side = tk, tk * scale, level, name
         for level, out, name, scale in y_targets:
             tk = _first_crossing(e, y, f1, g1, level, out)
             if tk * scale < key:
                 th, key, c, side = tk, tk * scale, level, name
+        if w is None and th == math.inf and _unbounded(e, f0, f1, g0, g1):
+            status = "left-window"
+            break
         hit = th <= span * (1 + 1e-9)
         if hit and side:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
@@ -802,15 +797,8 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         t += dt
         if hit and side:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:  # the arc's own window widens once, to its turning points
-            wide = plan.widen(w, h0) if own else w
-            own = False
-            if wide > w:
-                w = wide
-                x_targets, y_targets = plan.targets(w)
-                f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
-            else:
-                status = "left-window"
+        elif hit:
+            status = "left-window"
         else:
             f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
             if math.hypot(f0, f1) < 1e-12:
@@ -838,9 +826,9 @@ class FlowMachine:
     compared or converted.  The field, the first integral and the DOP853
     step that a plan holds are generated for the zone's own monomials and
     compiled once per distinct support (see ``_zone_code``); the step has
-    the field inlined in its 13 evaluations.  Every plan measures and sizes
-    its window from its own zone (``ArcPlan.window``), so that moving or
-    scaling a system moves or scales every window with it."""
+    the field inlined in its 13 evaluations.  An arc that cannot land
+    again ends on a decision read from its own zone, not on a window, so
+    that moving or scaling a system moves or scales every arc with it."""
 
     def __init__(self, ps: PiecewiseSystem, cfg: IntegratorConfig | None = None):
         self.ps = ps

@@ -1,41 +1,19 @@
-"""Bounds on where an arc of one zone can go, per zone and per level h of
-the first integral.  Every bound reads a polynomial T(w, h) in one form,
-(closed form, rows) (``_reach_of``, ``_rows``), whose real roots in w at
-h hold the places to bound: the landings on each finite edge x = c, the
-roots in y of N(c, y) - h D(c, y) (``edge_levels``), and the turning
-points of the level curve, the critical points of N - h D in X and in y
-(``turning_points``).  ``dynamics.ArcPlan`` reads them three ways: the
-window and the widened window by Fujiwara's bound on the roots' moduli
-(``root_bound``), and the escape proof by a one-sign test past every root
-on the arc's side (``beyond_every_root``).
+"""Where an arc of one zone can go, per zone and per level h of the first
+integral.  Every question reads a polynomial T(w, h) in one form, its rows
+of coefficients (``_rows``), whose real roots in w at h hold the places
+that decide it: the landings on each finite edge x = c, the roots in y of
+N(c, y) - h D(c, y) (``edge_levels``), and the turning points of the level
+curve, the critical points of N - h D in X and in y (``turning_points``).
+``dynamics.ArcPlan.escaped`` reads them by a one-sign test past every root
+on the arc's side (``beyond_every_root``): an arc past all of them can
+land on no edge again.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .systems import Zone, local_forms, restriction
-
-
-def fujiwara(cs) -> float:
-    """Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved, on
-    the moduli of the roots of the polynomial whose float coefficients
-    ``cs`` run from the highest degree down (leading zeros skipped); 0.0
-    for a nonzero constant, and math.inf for the zero polynomial, of which
-    every number is a root.  A NaN term makes the bound NaN."""
-    cs = list(cs)
-    while cs and cs[0] == 0:
-        del cs[0]
-    n = len(cs) - 1
-    if n < 0:
-        return math.inf
-    bound = 0.0
-    for k in range(1, n + 1):
-        term = (abs(cs[k] / cs[0]) * (0.5 if k == n else 1.0)) ** (1.0 / k)
-        if not term <= bound:
-            bound = term
-    return 2.0 * bound
 
 
 def no_root_beyond(cs, mags, a: float) -> bool:
@@ -60,19 +38,16 @@ def no_root_beyond(cs, mags, a: float) -> bool:
 
 @lru_cache(maxsize=8)
 def edge_levels(zone: Zone) -> tuple:
-    """One (``_reach_of``, ``_rows``) per finite edge x = c of the zone, of
-    its level polynomial N(c, y) - h D(c, y) (``systems.restriction``) in
-    (y, h): an arc on the level h lands on the edge only at a real root in
-    y.  The closed form exists where D(c, y) is a nonzero constant and
-    N(c, y) is not, as on every edge but the global center's."""
+    """The ``_rows`` of each finite edge x = c of the zone, of its level
+    polynomial N(c, y) - h D(c, y) (``systems.restriction``) in (y, h): an
+    arc on the level h lands on the edge only at a real root in y."""
     out = []
     for c in (zone.x_lo, zone.x_hi):
         if c is not None:
             num, den = ([float(a) for a in reversed(p.coeffs)] for p in restriction(zone, c)[:2])
             width = max(len(num), len(den))
             num, den = ([0.0] * (width - len(p)) + p for p in (num, den))
-            rows = tuple(zip([-d for d in den], num))
-            out.append((_reach_of(rows), rows))
+            out.append(tuple(zip([-d for d in den], num)))
     return tuple(out)
 
 
@@ -124,12 +99,12 @@ def _critical(Q: list):
 
 @lru_cache(maxsize=8)
 def turning_points(zone: Zone) -> tuple:
-    """(Tx, Ty), each (``_reach_of``, ``_rows``) of the ``_critical``
-    polynomial of the level polynomial L = N - h D in the local frame: the
-    X = x + offset of its points where dL/dy = 0 (Tx; None for a zone
-    bounded in x), and the y of those where dL/dX = 0 (Ty).  The field is
-    m/D (dL/dy, -dL/dX) on the level curve, m the integrating factor, so
-    these hold every point off D = 0 where dx/dt or dy/dt vanishes."""
+    """(Tx, Ty), each the ``_rows`` of the ``_critical`` polynomial of the
+    level polynomial L = N - h D in the local frame: the X = x + offset of
+    its points where dL/dy = 0 (Tx; None for a zone bounded in x), and the
+    y of those where dL/dX = 0 (Ty).  The field is m/D (dL/dy, -dL/dX) on
+    the level curve, m the integrating factor, so these hold every point
+    off D = 0 where dx/dt or dy/dt vanishes."""
     num, den = local_forms(zone.payload)[:2]
 
     def level(v: int) -> list:  # L over the powers of v, w the other coordinate
@@ -141,8 +116,7 @@ def turning_points(zone: Zone) -> tuple:
 
     bounded = zone.x_lo is not None and zone.x_hi is not None
     tx = None if bounded else _critical(level(1))
-    rows = [t if t is None else _rows(t) for t in (tx, _critical(level(0)))]
-    return tuple(r if r is None else (_reach_of(r), r) for r in rows)
+    return tuple(t if t is None else _rows(t) for t in (tx, _critical(level(0))))
 
 
 def _rows(T: dict) -> tuple:
@@ -157,53 +131,10 @@ def _rows(T: dict) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _reach_of(rows: tuple):
-    """For T(w, h) = A(w) + c h with A of degree n >= 1 (every linear
-    zone's turning points, and every edge with a constant D(c, y)),
-    Fujiwara's bound at a level h as a closed form: the terms of A's other
-    coefficients give ``floor``, and the constant term's is
-    k |h - m|^(1/n), m = -a_0 / c; returns (floor, k, m, 1/n), or None for
-    any other T (given as ``_rows``)."""
-    n = len(rows) - 1
-    if n < 1 or len(rows[0]) != 2 or any(hc[0] for hc in rows[:-1]) or not rows[-1][0]:
-        return None
-    c, a0 = rows[-1]
-    return (fujiwara([hc[1] for hc in rows[:-1]] + [0.0]),
-            2.0 * (abs(c) / (2.0 * abs(rows[0][1]))) ** (1.0 / n), -a0 / c, 1.0 / n)
-
-
-def root_bound(poly: tuple, h: float) -> float:
-    """Fujiwara's bound on the roots in w of T(w, h), for ``poly`` =
-    (``_reach_of``, ``_rows``) of T: the closed form where there is one, at
-    any level (math.inf at an infinite h); otherwise, for a finite h, the
-    bound of T(w, h), and for an infinite h the bound for T's leading
-    coefficient in h (the curve D = 0); math.inf when that is the zero
-    polynomial.  NaN at a NaN h, where nothing is known."""
-    reach, rows = poly
-    if reach is not None:
-        floor, k, m, inv = reach
-        r = k * abs(h - m) ** inv
-        return floor if r <= floor else r
-    if h != h:
-        return h
-    if math.isfinite(h):
-        cs = []
-        for hc in rows:
-            v = 0.0
-            for c in hc:
-                v = v * h + c
-            cs.append(v)
-    else:
-        top = next((k for k in range(len(rows[0]) if rows else 0)
-                    if any(hc[k] for hc in rows)), None)
-        cs = [hc[top] for hc in rows] if top is not None else []
-    return fujiwara(cs)
-
-
-def beyond_every_root(rows: tuple, y: float, h: float) -> bool:
-    """True when |y| lies beyond every real root on y's side of T(w, h),
-    for T given as ``_rows``: ``no_root_beyond`` |y| of T(w, h), or of
-    T(-w, h) for y < 0, with the moduli at |h| of T's coefficients as the
+def beyond_every_root(rows: tuple, w: float, h: float) -> bool:
+    """True when |w| lies beyond every real root on w's side of T(w, h),
+    for T given as ``_rows``: ``no_root_beyond`` |w| of T(w, h), or of
+    T(-w, h) for w < 0, with the moduli at |h| of T's coefficients as the
     scale of their rounding.  False for an infinite h, whose coefficients
     are NaN."""
     cs, mags = [], []
@@ -213,6 +144,6 @@ def beyond_every_root(rows: tuple, y: float, h: float) -> bool:
         for c in row:
             v = v * h + c
             m = m * ah + abs(c)
-        cs.append(v if y > 0 or k % 2 == 0 else -v)
+        cs.append(v if w > 0 or k % 2 == 0 else -v)
         mags.append(m)
-    return no_root_beyond(cs, mags, abs(y))
+    return no_root_beyond(cs, mags, abs(w))

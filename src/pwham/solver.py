@@ -632,8 +632,8 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     direction; one oval meets the line twice, so a magnitude counts once
     when either point closes, and the scan stops at the second closed
     magnitude.  The scan runs on a quick budget: the caller's, with the
-    time cut to at most 60; each arc sizes its own window as any arc does
-    (``dynamics.ArcPlan.window``) unless the caller set one.  An
+    time cut to at most 60; each arc ends on its own decision as any arc
+    does (``dynamics.integrate_arc``) unless the caller set a window.  An
     inside-out order (0.0025 up to 2.5) runs the annulus workload 2.0 times
     as fast with the same flags, at 6.1% more peak memory in 20 s bench
     runs, inside the bench's 10% bound; the order stays as it is until a

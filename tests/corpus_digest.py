@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT]
 
-It prints seven SHA-256 digests:
+It prints eight SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -39,13 +39,16 @@ It prints seven SHA-256 digests:
   on the same 80 three-zone systems at 21 evenly spaced ordinates y from
   -5 to 5, on both boundaries b in both crossing directions d, under the
   default budget and under ``IntegratorConfig(max_time=60)``: arcs through
-  nonlinear middle and right zones, which no other corpus has.
+  nonlinear middle and right zones, which no other corpus has;
+* ``mixed_arcs``: the status, the edge and, for a landing, the end point of
+  every ``dynamics.integrate_arc`` call while the ``mixed_returns`` maps
+  run, as ``arcs`` logs them: a changed arc there that no map shows.
 
 The inputs come from ``bench/workloads``, so they are the benchmark's own
 (``build_units``) or drawn by its generators (``mixed``).  ``--root``
 imports pwham and the workloads from another checkout (say, a copy of the
 parent commit), so that two commits compare by two runs of this one
-script: a change that keeps every answer prints the same seven lines.
+script: a change that keeps every answer prints the same eight lines.
 """
 
 from __future__ import annotations
@@ -94,6 +97,25 @@ def _return_maps(dynamics, ps, ys):
             for machine in (dynamics.FlowMachine(ps),
                             dynamics.FlowMachine(ps, dynamics.IntegratorConfig(max_time=60)))
             for b in range(len(ps.boundaries)) for d in (1, -1)]
+
+
+@contextlib.contextmanager
+def _arc_log(dynamics, h):
+    """Hash into h the status, the edge and, for a landing, the end point
+    of every ``dynamics.integrate_arc`` call made while the block runs."""
+    arc = dynamics.integrate_arc
+
+    def logged(*args, **kwargs):
+        traj = arc(*args, **kwargs)
+        landed = traj.status == "reached-boundary"
+        h.update(f"{traj.status} {traj.edge} {traj.end if landed else ''}\n".encode())
+        return traj
+
+    dynamics.integrate_arc = logged
+    try:
+        yield
+    finally:
+        dynamics.integrate_arc = arc
 
 
 def main(argv=None) -> int:
@@ -160,16 +182,7 @@ def main(argv=None) -> int:
     print(f"returns {h.hexdigest()}")
 
     h = hashlib.sha256()
-    arc = dynamics.integrate_arc
-
-    def logged(*args, **kwargs):
-        traj = arc(*args, **kwargs)
-        landed = traj.status == "reached-boundary"
-        h.update(f"{traj.status} {traj.edge} {traj.end if landed else ''}\n".encode())
-        return traj
-
-    dynamics.integrate_arc = logged
-    try:
+    with _arc_log(dynamics, h):
         for name, count in ARC_CORPORA:
             count = count or len(workloads.fixture_paths())
             for unit in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
@@ -178,8 +191,6 @@ def main(argv=None) -> int:
                     workloads.run_unit(unit)
                 except Exception as e:  # the failure is part of the answer
                     h.update(f"raised {type(e).__name__}: {e}\n".encode())
-    finally:
-        dynamics.integrate_arc = arc
     print(f"arcs {h.hexdigest()}")
 
     h = hashlib.sha256()
@@ -196,15 +207,18 @@ def main(argv=None) -> int:
         h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"mixed {h.hexdigest()}")
 
-    h = hashlib.sha256()
-    for label, ps in mixed:
-        try:
-            entry = {"label": label,
-                     "returns": _return_maps(dynamics, ps, MIXED_RETURN_ORDINATES)}
-        except Exception as e:  # the failure is part of the answer
-            entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
-        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    h, arcs = hashlib.sha256(), hashlib.sha256()
+    with _arc_log(dynamics, arcs):
+        for label, ps in mixed:
+            arcs.update(f"{label}\n".encode())
+            try:
+                entry = {"label": label,
+                         "returns": _return_maps(dynamics, ps, MIXED_RETURN_ORDINATES)}
+            except Exception as e:  # the failure is part of the answer
+                entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+            h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"mixed_returns {h.hexdigest()}")
+    print(f"mixed_arcs {arcs.hexdigest()}")
     return 0
 
 

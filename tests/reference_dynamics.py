@@ -101,8 +101,12 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     its sides and moving out (by its velocity, or by its acceleration where
     that velocity is 0), leaves it at t = 0.  A piece that ends at speed
     below 1e-12 ends the arc at the equilibrium it approaches.  Without a
-    window in ``cfg`` the arc takes the plan's (``ArcPlan.window``), and a
-    piece that reaches it widens it once (``ArcPlan.widen``)."""
+    window in ``cfg`` the targets are the edges alone, and a piece that
+    starts where the arc crosses no edge for any t > 0 and leaves every
+    bounded set ends the arc there, left-window: for a saddle (e = r^2 > 0)
+    when x or y has a coefficient f/r + g/e of e^(rt) / 2 above 1e-9 times
+    its rounding scale |f/r| + |g/e|, for e = 0 when the arc is not at rest
+    (speed 1e-12 or more), and for a center never."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
@@ -115,10 +119,16 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     def rate(f):
         return sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1])
 
+    def unbounded(f, g):
+        if e > 0:
+            r = math.sqrt(e)
+            return any(abs(fk / r + gk / e) > 1e-9 * (abs(fk / r) + abs(gk / e))
+                       for fk, gk in zip(f, g))
+        return e == 0 and math.hypot(*f) >= 1e-12
+
     dynamics._check_entry(x, y, field(x, y)[0], lo, hi)
     h0 = hfun(x, y)
-    own = cfg.window is None
-    w = plan.window(x, y, h0) if own else cfg.window
+    w = cfg.window
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
@@ -127,8 +137,8 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     def targets(w):  # (coordinate, level, outward sign, edge name or None for the window)
         return ([(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
                  if math.isfinite(c)]
-                + [(k, mid + out * w, out, None)
-                   for k, mid in ((0, centre), (1, 0.0)) for out in (-1, 1)])
+                + [(k, mid + out * w, out, None) for k, mid in ((0, centre), (1, 0.0))
+                   for out in (-1, 1) if w is not None])
 
     t = 0.0
     samples = [(t, x, y)] if record else []
@@ -137,7 +147,7 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     g = rate(f)
     status = None
     for u, fu, gu in ((x - centre, f[0], g[0]), (y, f[1], g[1])):
-        if abs(u) > w or (abs(u) == w and u * (fu if fu != 0 else gu) > 0):
+        if w is not None and (abs(u) > w or (abs(u) == w and u * (fu if fu != 0 else gu) > 0)):
             status = "left-window"
     while status is None:
         u = (x, y)
@@ -148,7 +158,11 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         # the least crossing time; an edge wins a tie with the window
         th, c, side = min(((dynamics._first_crossing(e, u[k], f[k], g[k], c, out),
                             c, side) for k, c, out, side in targets(w)),
-                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9))
+                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9),
+                          default=(math.inf, None, None))
+        if w is None and th == math.inf and unbounded(f, g):
+            status = "left-window"
+            break
         hit = th <= span * (1 + 1e-9)
         if hit and side:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
@@ -164,13 +178,8 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         t += dt
         if hit and side:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:  # the arc's own window widens once
-            wide = plan.widen(w, h0) if own else w
-            own = False
-            if wide > w:
-                w = wide
-            else:
-                status = "left-window"
+        elif hit:
+            status = "left-window"
         elif math.hypot(*field(x, y)) < 1e-12:
             status = "hit-equilibrium"
         elif span == rest:

@@ -16,7 +16,6 @@ from pwham.algebra import (
     MultiPoly,
     UniPoly,
     isolate_real_roots,
-    real_roots,
     resultant,
     sturm_count,
 )
@@ -39,7 +38,7 @@ from pwham.dynamics import (
     zone_integral_fn,
     zone_step_fns,
 )
-from pwham.reach import edge_levels, fujiwara, no_root_beyond, root_bound, turning_points
+from pwham.reach import no_root_beyond, turning_points
 from pwham.solver import solve
 from pwham.specfile import load_spec
 from pwham.systems import (
@@ -51,7 +50,6 @@ from pwham.systems import (
     local_forms,
     mirror,
     piecewise_system,
-    restriction,
 )
 
 from conftest import (
@@ -409,11 +407,26 @@ def _same_arc(plan, start, cfg, record, forward):
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=1.0, x0=0.0,
          window=1.0, max_time=10.0)
-# the arc's own window widens to its turning point at y = -100 and the arc
+# with no window the orbit runs out to its turning point at y = -100 and
 # lands at (1, -1)
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=F(1, 10000), mu=0, gamma=0),
          reverse=False, forward=True, record=False, strip="both", edge="lo", y0=-1.0,
          x0=0.0, window=None, max_time=30.0)
+# a start on the stable separatrix, whose growth coefficient is exactly 0:
+# the arc goes on until rounding turns it out along the unstable one, and
+# it lands at (1, 2.4999999999999996)
+@example(payload=LinearSaddle(alpha=3, beta=1, delta=-1, mu=0, gamma=-1), reverse=False,
+         forward=True, record=False, strip="both", edge="lo", y0=1.5, x0=0.0,
+         window=None, max_time=400.0)
+# on the hyperbola y^2 - x^2 = 3, moving away from the edge x = -1: it
+# crosses no edge and leaves every bounded set, so it ends at t = 0
+@example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
+         forward=True, record=True, strip="lo", edge="lo", y0=2.0, x0=0.0,
+         window=None, max_time=30.0)
+# a zone with no edges: no target at all
+@example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
+         forward=True, record=True, strip="none", edge="inside", y0=0.0, x0=0.5,
+         window=None, max_time=30.0)
 # the window's sides in x on the strip's edges: an edge hit ties with the window
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
@@ -424,7 +437,7 @@ def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record
     the reference, which builds the table on every call: the same
     trajectory, or the same NotEntryPoint, on open and closed strips, some
     with edges off x = 0 (so off-centre windows), from either edge or
-    inside, under any window (or the arc's own) and time budget."""
+    inside, under any window (or none) and time budget."""
     lo, hi = _STRIPS[strip]
     zone = Zone(payload, lo, hi, reverse)
     c = {"lo": lo, "hi": hi}.get(edge)
@@ -487,147 +500,46 @@ def test_exact_arc_from_a_window_side_moving_out_leaves_it():
 
 def test_window_holds_every_landing_the_arc_can_reach():
     """On the global center's zone, from y0 = 0.409 on x = 0, the orbit
-    comes back to x = 0 at y = 52/3.  A window from the start alone would
-    be WINDOW_FACTOR / 2 = 4, below the landing; the root bound of the
-    restricted level polynomial sizes the window past it, and the hop
-    reaches the edge."""
+    comes back to x = 0 at y = 52/3, 42 times farther out than its start:
+    the hop reaches the edge there."""
     m = FlowMachine(global_center_saddle())
     y0 = 0.40944881889763773
-    assert m._plan(0).centre == 0.0 and dynamics._window_above(y0) == 4.0
     bindex, y, direction, traj = m._hop(0, (0.0, y0))
     assert (bindex, direction, traj.status) == (0, 1, "reached-boundary")
     assert abs(y - 52 / 3) < 1e-6
-    assert m._plan(0).window(0.0, y0, m._plan(0).integral(0.0, y0)) >= 2 * y
 
 
 def test_strip_window_holds_both_edges():
     """The saddle dx/dt = x, dy/dt = -y in the strip -100 < x < 100, run
-    directly from (0.01, 0.01), lands on x = 100 at y = 1e-6: the strip's
-    half-width puts both edges inside the window.  A strip has no x-turning
-    point to widen to, so a window sized from a floor of 1 (16 wide) ended
-    this arc left-window at x = 16."""
+    directly from (0.01, 0.01), lands on x = 100 at y = 1e-6: with no
+    window its targets are the two edges.  A window sized from a floor of
+    1 (16 wide) ended this arc left-window at x = 16."""
     zone = Zone(LinearSaddle(alpha=0, beta=-1, delta=0, mu=0, gamma=0), F(-100), F(100))
     traj = integrate_arc(zone, (0.01, 0.01))
     assert (traj.status, traj.edge) == ("reached-boundary", "hi")
     assert traj.end[0] == 100.0 and abs(traj.end[1] - 1e-6) < 1e-15
 
 
-def test_window_scales_with_the_system():
-    """Scaling ``linear_center_center_saddle`` by k = 2^-30 (``mu``,
-    ``gamma`` and the boundaries times k, as in
-    ``test_solve_is_scale_invariant``) scales the window of the first hop
-    of its verified cycle by exactly k: 32 -> 2^-25.  A floor of 1 on the
-    window's reach held it at 16."""
-    ps = load_spec(os.path.join(FIXTURE_DIR, "linear_center_center_saddle.pwham")).to_system()
-    (cand,) = [c for c in solve(ps).candidates if c.status == "verified"]
-    b0, y0 = min(cand.ordinates, key=lambda bv: bv[1])
-    windows = []
-    for k in (F(1), F(1, 2**30)):
-        m = FlowMachine(piecewise_system(
-            [LinearSaddle(p.alpha, p.beta, p.delta, p.mu * k, p.gamma * k)
-             for p in (z.payload for z in ps.zones)],
-            [b * k for b in ps.boundaries], [z.reverse for z in ps.zones]))
-        x, y = m.bxs[b0], float(y0 * k)
-        plan = m._plan(b0 + 1 if m.crossing_direction(b0, y) > 0 else b0)
-        windows.append(plan.window(x, y, plan.integral(x, y)))
-    assert windows == [32.0, 2.0**-25]
-
-
 def test_widened_window_holds_the_orbit_between_landings():
     """Orbits that reach 100 times farther than their landings: the level
     ellipses of X^2 + y^2 / 10^4, in x beyond a half-plane's edge, and in y
     inside a strip, of an exact linear zone and of a DOP853 cubic center.
-    The arc's own window (from the zone, the start and the landings) is
-    below that reach; the arc widens it to the turning points and lands.
-    The integrated arc moves away from y = 0 on its way out, so it tries
-    to prove an escape (``ArcPlan.escaped``), which the turning point near
-    y = -100 refuses."""
+    Each arc lands.  The integrated arc moves away from y = 0 on its way
+    out, so it tries to prove an escape (``ArcPlan.escaped``), which the
+    turning point near y = -100 refuses."""
     ps = piecewise_system([LinearSaddle(1, 0, 1, 0, 0), LinearSaddle(F(1, 10**4), 0, 1, 0, 0)],
                           [1])
     m = FlowMachine(ps)
     bindex, y, direction, traj = m._hop(1, (1.0, -1.0))
     assert (bindex, direction, traj.status) == (0, -1, "reached-boundary")
     assert abs(y - 1.0) < 1e-9
-    plan = m._plan(1)
-    h0 = plan.integral(1.0, -1.0)
-    assert plan.window(1.0, -1.0, h0) < 100 < plan.widen(plan.window(1.0, -1.0, h0), h0)
     for payload in (LinearSaddle(1, 0, F(1, 10**4), 0, 0), CubicCenter(0, F(1, 10**4))):
         plan = ArcPlan(Zone(payload, F(-1), F(1)))
         traj = integrate_arc(plan, (-1.0, -1.0), record=True)
         assert (traj.status, traj.edge) == ("reached-boundary", "hi")
         assert abs(traj.end[1] + 1.0) < 1e-6
         assert min(y for _, _, y in traj.samples) < -99
-        assert plan.window(-1.0, -1.0, plan.integral(-1.0, -1.0)) < 99
-        assert not plan.escaped(-50.0, plan.integral(-1.0, -1.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
-       y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
-# edge roots at +-1.0e-12, inside a window of 8 * 1.8e-12: 2^-20 would not resolve them
-@example(config="global_center+saddle", seed=0, y0=1e-12)
-def test_window_holds_every_edge_root(config, seed, y0):
-    """From a point on any boundary of a random system of each covered
-    configuration, every real root of N(c, y) - h0 D(c, y) on either
-    finite edge c of the zone, at the start's level h0, lies inside the
-    arc's window, before its WINDOW_FACTOR: the closed-form bound of
-    constant-denominator zones and the per-arc bound of the global
-    center's rational integral alike.  The roots are refined to
-    min(2^-20, w 2^-20) for a window w, so that a small window is checked
-    as closely as a large one."""
-    ps = rand_config(random.Random(seed), config)
-    m = FlowMachine(ps)
-    for i, zone in enumerate(ps.zones):
-        plan = m._plan(i)
-        edges = [c for c in (zone.x_lo, zone.x_hi) if c is not None]
-        for start in ((float(c), y0) for c in edges):
-            h0 = plan.integral(*start)
-            if not math.isfinite(h0):  # D = 0, or overflowed next to the singular locus
-                continue
-            w = plan.window(*start, h0) / dynamics.WINDOW_FACTOR
-            tol = F(min(2.0**-20, w * 2.0**-20))
-            for c in edges:
-                num, den = restriction(zone, c)[:2]
-                level = num - den * UniPoly.const(F(h0))
-                if not level.is_zero:
-                    assert all(abs(r) < w for r in real_roots(level, tol))
-
-
-@settings(max_examples=40, deadline=None)
-@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
-       y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]))
-def test_widened_window_holds_every_turning_point(config, seed, y0):
-    """Every real point of the level curve N - h0 D = 0 where dy/dt = 0,
-    and, in a zone unbounded in x, every one where dx/dt = 0, lies inside
-    the widened window (``ArcPlan.widen``) before its factor of 2, at
-    the level h0 of a start on any boundary of a random system of each
-    covered configuration: checked against the exact resultants of the
-    zone's field component and its level polynomial, refined to
-    tol = min(2^-20, w 2^-20) for a widened window w, with tol as slack."""
-    ps = rand_config(random.Random(seed), config)
-    m = FlowMachine(ps)
-    for i, zone in enumerate(ps.zones):
-        plan = m._plan(i)
-        num, den, fx, fy = local_forms(zone.payload)
-        offset = float(zone.payload.offset)
-        for c in (c for c in (zone.x_lo, zone.x_hi) if c is not None):
-            h0 = plan.integral(float(c), y0)
-            if not math.isfinite(h0):  # D = 0, or overflowed next to the singular locus
-                continue
-            w = plan.widen(0.0, h0) / 2
-            tol = min(2.0**-20, w * 2.0**-20)
-            level = num - den * F(h0)
-            checks = [(fy, "x", 0.0)]
-            if zone.x_lo is None or zone.x_hi is None:
-                checks.append((fx, "y", offset + plan.centre))
-            for velocity, v, shift in checks:
-                if velocity.degree(v) < 1 or level.degree(v) < 1:
-                    continue
-                res = resultant(velocity, level, v)
-                if res.is_zero:
-                    continue
-                for r in real_roots(res.as_unipoly(), F(tol)):  # each within tol
-                    assert abs(float(r) - shift) < w + tol
+        assert not plan.escaped(1, -50.0, plan.integral(-1.0, -1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,7 +563,7 @@ def test_turning_points_are_the_critical_points_of_the_level(config, seed):
             exact = resultant(level.diff(v), level, v)
             iw, ih = exact.vars.index(w), exact.vars.index("h")
             want = {(e[iw], e[ih]): float(c) for e, c in exact.terms.items()}
-            rows = got[1]
+            rows = got
             have = {(len(rows) - 1 - i, len(row) - 1 - j): c
                     for i, row in enumerate(rows) for j, c in enumerate(row) if c}
             top = max(have, key=lambda e: abs(have[e]))
@@ -659,64 +571,6 @@ def test_turning_points_are_the_critical_points_of_the_level(config, seed):
             scale = max(abs(c) for c in want.values())
             for e in have.keys() | want.keys():
                 assert abs(have.get(e, 0.0) * factor - want.get(e, 0.0)) <= 1e-9 * scale, (zone, v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
-       exponent=st.floats(min_value=-6.0, max_value=9.0), sign=st.sampled_from([-1.0, 1.0]))
-def test_closed_forms_bound_as_their_rows_do(config, seed, exponent, sign):
-    """Every reach polynomial with a closed form, of every zone of a random
-    system of each covered configuration (each finite edge's level
-    polynomial, the turning points' Tx and Ty), gives the bound at a level
-    h = m +- 10^exponent, near and far from its m, that Fujiwara's bound on
-    its rows at h gives, to 1e-9 relative.  Nearer m than 1e-6, the rows'
-    constant term c h + a_0 cancels to its rounding, which the closed form
-    does not see."""
-    ps = rand_config(random.Random(seed), config)
-    closed = [p for z in ps.zones for p in (*edge_levels(z), *turning_points(z))
-              if p is not None and p[0] is not None]
-    assert closed  # every configuration has a linear zone
-    for reach, rows in closed:
-        h = reach[2] + sign * 10.0**exponent
-        a, b = root_bound((reach, rows), h), root_bound((None, rows), h)
-        assert abs(a - b) <= 1e-9 * max(1.0, a, b), (reach, rows, h)
-
-
-def test_closed_forms_hold_at_non_finite_levels():
-    """A closed form applies at any level.  From (0, 1e200) a linear
-    saddle's first integral overflows to an infinite level, where the arc's
-    window and its widened window are both math.inf.  A NaN level gives a
-    NaN bound, with or without a closed form, so every window and widened
-    window at a NaN level is infinite.  The global center's edge, with no
-    closed form, is bounded at an infinite level by the root bound of
-    D(c, y), so its window there is finite; its first integral is math.inf
-    on D = 0."""
-    plan = ArcPlan(Zone(LinearSaddle(1, 0, -1, 0, 0), F(-1), F(1)))
-    h0 = plan.integral(0.0, 1e200)
-    assert math.isinf(h0)
-    assert plan.window(0.0, 1e200, h0) == plan.widen(0.0, h0) == math.inf
-    assert all(math.isnan(root_bound(e, math.nan)) for e in edge_levels(plan.zone))
-    # Tx has a closed form and Ty none: Ty's finite bound does not hide Tx's NaN
-    cubic = ArcPlan(Zone(CubicCenter(a=0, b=1, p=-1), None, F(0)))
-    tx, ty = turning_points(cubic.zone)
-    assert tx[0] is not None and ty[0] is None
-    assert cubic.widen(0.0, math.nan) == math.inf
-    assert ArcPlan(Zone(DoubleCenter(1, 1, 1), None, F(0))).widen(0.0, math.nan) == math.inf
-    zone = global_center_saddle().zones[0]
-    (edge,) = edge_levels(zone)
-    den = restriction(zone, zone.x_hi)[1]
-    assert edge[0] is None
-    assert root_bound(edge, math.inf) == fujiwara([float(a) for a in reversed(den.coeffs)])
-    assert ArcPlan(zone).window(0.0, 1.0, math.inf) == dynamics.WINDOW_FACTOR * 2
-    assert ArcPlan(zone).window(0.0, 0.5, math.nan) == math.inf
-    assert ArcPlan(zone).integral(0.0, 0.0) == math.inf
-
-
-def test_fujiwara_bound_of_a_constant():
-    """A nonzero constant has no root, so its bound is 0.0; every number is
-    a root of the zero polynomial, so its bound is math.inf."""
-    assert fujiwara([-3.0]) == fujiwara([0.0, 2.0]) == 0.0
-    assert fujiwara([]) == fujiwara([0.0, 0.0]) == math.inf
 
 
 def _expand(roots, lead):
@@ -766,34 +620,54 @@ def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
 @settings(max_examples=40, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]),
-       forward=st.booleans())
-# next to the global center's singular locus y = 0 the level is 3.5e155 and
-# the widened window infinite: without the proof the arc runs out of the
-# float range, where its step's error norm overflows
-@example(config="global_center+saddle", seed=0, y0=2.0681958835003208e-78, forward=True)
-def test_escape_proof_changes_no_arc(config, seed, y0, forward):
-    """From a point on either edge of each nonlinear zone of a random
-    system of each covered configuration, an integrated arc under its own
-    window ends with the same status and edge, and a landing at the same
-    point, as it does when ``ArcPlan.escaped`` refuses every proof: an arc
-    ends at a proof only where it would have left its window."""
+       forward=st.booleans(), depth=st.just(0.0) | st.floats(min_value=0.0, max_value=4.0))
+# next to the global center's singular locus y = 0 the level is 3.5e155:
+# without the proof the arc runs out of the float range, where its step's
+# error norm overflows
+@example(config="global_center+saddle", seed=0, y0=2.0681958835003208e-78, forward=True,
+         depth=0.0)
+# a finite-time blow-up: without the proof the arc stalls near x, y = 4.3e14
+# and takes every step of its budget
+@example(config="double_center+saddle", seed=2132, y0=2.0, forward=False, depth=0.0)
+def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
+    """From a point at ``depth`` inside either edge of each nonlinear zone
+    (a half-plane) of a random system of each covered configuration, an
+    integrated arc with no window lands where it lands when
+    ``ArcPlan.escaped`` refuses every proof, in y and in x, and an arc
+    that ends otherwise (by a proof, say) never lands with the proofs
+    refused.  With no proof and no window an escaping arc ends only on its
+    budget, so the reference runs 4096 steps past the proven arc's."""
     ps = rand_config(random.Random(seed), config)
     m = FlowMachine(ps)
     for i, zone in enumerate(ps.zones):
         if zone.kind == "linear":
             continue
         plan = m._plan(i)
-        for start in ((float(c), y0) for c in (zone.x_lo, zone.x_hi) if c is not None):
+        for c, inward in ((zone.x_lo, 1), (zone.x_hi, -1)):
+            if c is None:
+                continue
+            start = (float(c) + inward * depth, y0)
             try:
                 proven = integrate_arc(plan, start, record=False, forward=forward)
             except NotEntryPoint:
                 continue
+            cfg = IntegratorConfig(max_steps=proven.steps + proven.rejected + 4096)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ArcPlan, "escaped", lambda self, y, h: False)
-                refused = integrate_arc(plan, start, record=False, forward=forward)
-            assert (proven.status, proven.edge) == (refused.status, refused.edge)
-            if proven.status == "reached-boundary":
-                assert proven.end == refused.end
+                mp.setattr(ArcPlan, "escaped", lambda self, axis, w, h: False)
+                refused = integrate_arc(plan, start, cfg, record=False, forward=forward)
+            if "reached-boundary" in (proven.status, refused.status):
+                assert (proven.status, proven.edge, proven.end) == (
+                    refused.status, refused.edge, refused.end)
+
+
+def test_arc_on_the_singular_locus_has_a_bounded_cost():
+    """The global center's first integral is not finite on its singular
+    locus y = 0, so no escape proof can read an arc that starts there; its
+    backstop window (``ArcPlan.window``) ends it within a few dozen steps
+    (33), where with no window it would run on until its floats overflow
+    (3 353 steps)."""
+    traj = integrate_arc(Zone(GlobalCenter(F(4, 5)), None, F(0)), (0.0, 0.0))
+    assert traj.status == "left-window" and traj.steps <= 64
 
 
 def test_grazing_landing_stays_on_the_level_curve():

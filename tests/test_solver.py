@@ -567,8 +567,8 @@ def test_solve_is_translation_invariant(name):
     """Moving a fixture right by t keeps every candidate, its exact
     ordinates, its status and its reason (the ordinates are y-values, which
     the move leaves alone), and the continuity, dimension and annulus flags.
-    The large moves check that the integrator's window moves with the
-    system."""
+    The large moves check that the decisions that end the integrator's
+    arcs move with the system."""
     ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
 
     def answer(rep):
@@ -585,9 +585,9 @@ def test_solve_is_translation_invariant(name):
 def test_solve_is_scale_invariant(name):
     """Scaling an all-linear fixture by k (``mu``, ``gamma`` and the
     boundaries times k) scales every orbit by k, so every candidate keeps
-    its status from k = 1e-7 to 1e7: the integrator's window scales with
-    the system.  A fixed window of 1e3 rejected the cycle at k = 1e4 and
-    1e7 ("arc in zone 2 ended with left-window")."""
+    its status from k = 1e-7 to 1e7: no arc ends on a window of a fixed
+    size.  A fixed window of 1e3 rejected the cycle at k = 1e4 and 1e7
+    ("arc in zone 2 ended with left-window")."""
     ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
     want = [c.status for c in solve(ps).candidates]
     assert "verified" in want

@@ -484,10 +484,10 @@ def test_orbits_have_one_walk():
 
 
 def test_root_tests_live_in_reach():
-    """Every reach polynomial is read through ``reach``: ``fujiwara`` and
-    ``no_root_beyond`` are named nowhere in ``src/pwham`` but in
-    ``reach.py``, so no other module bounds or tests roots of its own."""
-    names = {"fujiwara", "no_root_beyond"}
+    """Every reach polynomial is read through ``reach``: ``no_root_beyond``
+    is named nowhere in ``src/pwham`` but in ``reach.py``, so no other
+    module tests roots of its own."""
+    names = {"no_root_beyond"}
     uses = set()
     for path in sorted(Path(pwham.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
