@@ -73,7 +73,6 @@ MATCH_TOL = 1e-5     # a boundary hit this close matches a declared ordinate
 CLOSURE_TOL = 1e-6   # a loop or return closer than this is closed
 DRIFT_TOL = 1e-8     # relative first-integral drift an accepted arc may have
 MAX_HOPS = 12        # crossings a return map follows before giving up
-WINDOW_FACTOR = 8    # the backstop window: this times a power of two above the start
 
 
 @dataclass
@@ -82,10 +81,8 @@ class IntegratorConfig:
     (``ArcPlan.centre``), and accepted plus rejected steps.  With
     ``window=None``, the default, an arc has no window: it ends when it
     can land on no edge again (an exact arc that crosses no edge and leaves
-    every bounded set, an integrated one by ``ArcPlan.escaped``), and only
-    an integrated arc at a level where its first integral is not finite
-    keeps a backstop (``ArcPlan.window``).  A number is an absolute window
-    for every arc."""
+    every bounded set, an integrated one by ``ArcPlan.escaped``, at every
+    level).  A number is an absolute window for every arc."""
 
     max_time: float = 400.0
     window: float | None = None
@@ -413,18 +410,6 @@ class ArcPlan:
         self._targets: dict = {}
         self._reach = None
 
-    def window(self, x: float, y: float) -> float:
-        """The backstop window of an integrated arc from (x, y) at a level
-        where the first integral is not finite (a start on D = 0, such as
-        the global center's y = 0), which no escape proof can read:
-        WINDOW_FACTOR times the next power of two above max(half,
-        |x - centre|, |y|), with half the strip's half-width (0 for a
-        half-plane), which holds both edges; math.inf when that is not a
-        finite number."""
-        width = self.hi - self.lo
-        q = max(0.5 * width if width < math.inf else 0.0, abs(x - self.centre), abs(y))
-        return math.ldexp(WINDOW_FACTOR, math.frexp(q)[1]) if q < math.inf else math.inf
-
     def escaped(self, axis: int, w: float, h: float) -> bool:
         """True when an arc on the level h, at w = X = x + offset (``axis``
         0) or w = y (``axis`` 1) and moving away from w = 0, can land on no
@@ -433,8 +418,9 @@ class ArcPlan:
         that coordinate, if there is one, so w moves on outward; for y,
         also of each finite edge's N(c, y) - h D(c, y), so y meets no
         landing.  For X the caller checks that the arc moves away from the
-        zone's one edge, which x then never comes back to.  False for an
-        infinite h."""
+        zone's one edge, which x then never comes back to.  An infinite h
+        (a point on D = 0) reads the limit of the level's polynomials; a
+        NaN h is refused."""
         if self._reach is None:
             self._reach = (edge_levels(self.zone), turning_points(self.zone))
         edges, turns = self._reach
@@ -512,11 +498,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     EVENT_TOL; a landing outside the window leaves the window, unless it
     lies on the window's side to 1e-9 relative: an edge wins a tie, as in
     the exact arc), the time limit, an absolute window or, without one, an
-    escape proof (``ArcPlan.escaped``: for an arc moving away from y = 0,
-    or from X = 0 and from the one edge of a half-plane, tried at its
-    first such step and each time |y|, or |X|, doubled since; at a level
-    where the first integral is not finite, which no proof reads, the
-    backstop ``ArcPlan.window``), a step that overflows the float range
+    escape proof (``ArcPlan.escaped`` at the level of the step's end: for
+    an arc moving away from y = 0, or from X = 0 and from the one edge of a
+    half-plane, tried at its first such step and each time |y|, or |X|,
+    doubled since), a step that overflows the float range
     (``left-window``), an equilibrium (speed below 1e-12 at the start or
     for ten accepted steps), or after ``cfg.max_steps`` accepted and
     rejected steps (status ``step-limit``).
@@ -525,8 +510,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     x-velocity changes sign may have crossed an edge and come back: when
     the cubic Hermite of x on the step (end points and end slopes, no extra
     field evaluation) peaks beyond an edge, a real step to that peak
-    decides, and lands on the edge when it is beyond too.  A point where
-    the first integral divides by zero is left out of the drift."""
+    decides, and lands on the edge when it is beyond too.  The drift is
+    measured from a start where the first integral is finite, and a point
+    where it divides by zero is left out of it."""
     step = plan.step(forward)
     hfun = plan.integral
     lo, hi, centre = plan.lo, plan.hi, plan.centre
@@ -541,13 +527,12 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
 
     h0 = hfun(x, y)
     monitor = isfinite(h0)
-    # |y| and |X| at which to try an escape proof (with no window, at a
-    # finite level); X only in a half-plane, moving to the side ``away``
-    # from its edge (either side without one)
-    tried = 0.0 if window is None and monitor else math.inf
+    # |y| and |X| at which to try an escape proof (with no window); X only
+    # in a half-plane, moving to the side ``away`` from its edge (either
+    # side without one)
+    tried = 0.0 if window is None else math.inf
     tried_x = tried if lo == -math.inf or hi == math.inf else math.inf
-    if window is None:  # no proof reads a non-finite level: a backstop there
-        window = math.inf if monitor else plan.window(x, y)
+    window = math.inf if window is None else window
     away, offset = (lo > -math.inf) - (hi < math.inf), float(plan.zone.payload.offset)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
@@ -597,10 +582,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         x, y, k1 = xn, yn, kn
         if record:
             samples.append((t, x, y))
-        if monitor:
-            hv = hfun(x, y)
-            if isfinite(hv):
-                drift = max(drift, abs(hv - h0) / scale_h)
+        hv = hfun(x, y)
+        if monitor and isfinite(hv):
+            drift = max(drift, abs(hv - h0) / scale_h)
         if abs(x - centre) > window or abs(y) > window:
             # a landing beyond it left it first; one on its side is a tie
             limit = window * (1 + 1e-9) if edge is not None else window

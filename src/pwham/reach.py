@@ -6,11 +6,14 @@ N(c, y) - h D(c, y) (``edge_levels``), and the turning points of the level
 curve, the critical points of N - h D in X and in y (``turning_points``).
 ``dynamics.ArcPlan.escaped`` reads them by a one-sign test past every root
 on the arc's side (``beyond_every_root``): an arc past all of them can
-land on no edge again.
+land on no edge again.  An infinite level, where the arc lies on D = 0
+(the global center's y = 0), is read as the limit h -> inf: the rows'
+coefficients of the top power of h.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .systems import Zone, local_forms, restriction
@@ -135,8 +138,12 @@ def beyond_every_root(rows: tuple, w: float, h: float) -> bool:
     """True when |w| lies beyond every real root on w's side of T(w, h),
     for T given as ``_rows``: ``no_root_beyond`` |w| of T(w, h), or of
     T(-w, h) for w < 0, with the moduli at |h| of T's coefficients as the
-    scale of their rounding.  False for an infinite h, whose coefficients
-    are NaN."""
+    scale of their rounding.  An infinite h reads the limit of
+    T(w, h) / h^nh, the first column of the rows (their coefficients of
+    the top power nh of h): the factor h^nh is common to every
+    coefficient, so it changes no one-sign test.  False for a NaN h."""
+    if abs(h) == math.inf:
+        rows, h = [row[:1] for row in rows], 1.0
     cs, mags = [], []
     ah = abs(h)
     for k, row in enumerate(rows, 1 - len(rows)):  # k: minus the power of w

@@ -25,10 +25,12 @@ positive-dimensional.  The route applies when the right-hand pair equation
 is free of z and at most linear in w, and after step w the difference
 equation is at most linear and the sum equation at most quadratic in z.
 Every other three-zone system is eliminated directly in (y4, y3, y2), route
-"direct".  The three steps do not need that shape, but they cost far more
-without it: run on 150 random three-zone systems with a family drawn per
-zone, they found the same candidates as the direct route in 18 times its
-time (272 s against 15 s on a 2-core VM; up to 140 times on one system), so
+"direct".  The three steps do not need that shape (z is then extended from
+the equations left after step w, before w), but they cost far more without
+it: on the 66 of 80 random three-zone systems with a family drawn per zone
+that take the fallback, they found the same tuples and flags as the direct
+route (one root's multiplicity differed) in 22 times its time (29.4 s
+against 1.35 s on a 2-core VM; 0.5 to 141 times per system, median 11), so
 the direct route stays.
 
 Every eliminant root is refined by exact bisection and extended one unknown
@@ -42,7 +44,7 @@ to the dynamics oracle for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -631,9 +633,9 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
     orbits hug the matched center), each at +m, then -m, in either crossing
     direction; one oval meets the line twice, so a magnitude counts once
     when either point closes, and the scan stops at the second closed
-    magnitude.  The scan runs on a quick budget: the caller's, with the
-    time cut to at most 60; each arc ends on its own decision as any arc
-    does (``dynamics.integrate_arc``) unless the caller set a window.  An
+    magnitude.  The scan runs on the caller's budget as given, as the
+    verifier does; each arc ends on its own decision as any arc does
+    (``dynamics.integrate_arc``) unless the caller set a window.  An
     inside-out order (0.0025 up to 2.5) runs the annulus workload 2.0 times
     as fast with the same flags, at 6.1% more peak memory in 20 s bench
     runs, inside the bench's 10% bound; the order stays as it is until a
@@ -642,9 +644,7 @@ def annulus_check(ps: PiecewiseSystem, boundaries: Sequence[int], cfg=None) -> b
         return False
     from . import dynamics
 
-    base = cfg or dynamics.IntegratorConfig()
-    quick = replace(base, max_time=min(base.max_time, 60.0))
-    machine = dynamics.FlowMachine(ps, quick)
+    machine = dynamics.FlowMachine(ps, cfg or dynamics.IntegratorConfig())
     for b in boundaries:
         closed = 0
         for m in _ANNULUS_SCHEDULE:

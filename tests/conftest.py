@@ -17,6 +17,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 settings.register_profile("pwham", print_blob=True)
 settings.load_profile("pwham")
 
+from pwham.dynamics import IntegratorConfig
 from pwham.systems import (
     CubicCenter,
     DoubleCenter,
@@ -27,6 +28,9 @@ from pwham.systems import (
 )
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+# the integrator budget of the bulk sweeps
+BULK_CFG = IntegratorConfig(max_time=120.0, max_steps=120_000)
 
 
 def fixture_path(name: str) -> str:
@@ -123,6 +127,24 @@ CONFIG_NAMES = (
     "global_center+saddle+saddle",
     "cubic_center+saddle+saddle",
 )
+
+# a zone of each family: the center of a two-zone configuration, or a saddle
+MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+saddle", None)
+
+
+def rand_mixed(rng: random.Random) -> PiecewiseSystem:
+    """Three zones split by x = -1 and x = 1, each zone's family drawn
+    uniformly from the four, at offsets 1, 0 and -1 from left to right:
+    the general elimination, with resultants of two nonlinear equations.
+    Seeds 7 and 11, 40 draws each, give the ``mixed`` corpus of
+    ``corpus_digest.py``."""
+    zones = []
+    for offset in (1, 0, -1):
+        config = rng.choice(MIXED_FAMILIES)
+        zones.append(rand_saddle(rng) if config is None else
+                     dataclasses.replace(rand_config(rng, config).zones[0].payload,
+                                         offset=offset))
+    return piecewise_system(zones, [-1, 1])
 
 
 def continuous_double_center_match(rng: random.Random) -> PiecewiseSystem:

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tests/corpus_digest.py [--root CHECKOUT]
+    python3 tests/corpus_digest.py [--root CHECKOUT] [--census]
 
 It prints eight SHA-256 digests:
 
@@ -49,11 +49,22 @@ The inputs come from ``bench/workloads``, so they are the benchmark's own
 imports pwham and the workloads from another checkout (say, a copy of the
 parent commit), so that two commits compare by two runs of this one
 script: a change that keeps every answer prints the same eight lines.
+
+``--census`` prints one more line per arc corpus (``cli_oracle``,
+``annulus`` and ``bulk`` of ``arcs``, and ``mixed_returns`` for
+``mixed_arcs``): how many arcs end on a landing, on the escape proof in y
+or in x (the axis of the ``ArcPlan.escaped`` call that returned True), on
+a linear zone's decision (its ``left-window``), as another ``left-window``
+(an absolute window or a step that overflows), at an equilibrium, on the
+time limit or on the step limit, and the sum of their accepted DOP853
+steps.  Without it nothing is wrapped but ``integrate_arc``, for the two
+arc digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -118,10 +129,53 @@ def _arc_log(dynamics, h):
         dynamics.integrate_arc = arc
 
 
+ARC_ENDS = {"reached-boundary": "landing", "hit-equilibrium": "equilibrium",
+            "reached-time-limit": "time", "step-limit": "steps"}
+
+
+@contextlib.contextmanager
+def _census(dynamics, tally):
+    """Count into the Counter ``tally`` how every ``dynamics.integrate_arc``
+    call made while the block runs ends, and sum its accepted steps: a
+    ``left-window`` arc is a proof when an ``ArcPlan.escaped`` call of the
+    arc returned True, else a linear decision in a ``linear`` zone, else
+    another ``left-window``."""
+    arc, escaped = dynamics.integrate_arc, dynamics.ArcPlan.escaped
+    proofs = []
+
+    def proving(self, axis, w, h):
+        proven = escaped(self, axis, w, h)
+        if proven:
+            proofs.append(axis)
+        return proven
+
+    def counted(zone, *args, **kwargs):
+        proofs.clear()
+        traj = arc(zone, *args, **kwargs)
+        if traj.status != "left-window":
+            end = ARC_ENDS[traj.status]
+        elif proofs:
+            end = ("x proof", "y proof")[proofs[-1]]
+        else:
+            kind = (zone.zone if isinstance(zone, dynamics.ArcPlan) else zone).kind
+            end = "linear decision" if kind == "linear" else "other left-window"
+        tally[end] += 1
+        tally["accepted steps"] += traj.steps
+        return traj
+
+    dynamics.integrate_arc, dynamics.ArcPlan.escaped = counted, proving
+    try:
+        yield
+    finally:
+        dynamics.integrate_arc, dynamics.ArcPlan.escaped = arc, escaped
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="checkout whose src/ and bench/ are imported")
+    ap.add_argument("--census", action="store_true",
+                    help="also count how the arcs of each arc corpus end")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -181,16 +235,23 @@ def main(argv=None) -> int:
         h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"returns {h.hexdigest()}")
 
+    tallies = {name: collections.Counter() for name, _ in ARC_CORPORA}
+    tallies["mixed_returns"] = collections.Counter()
+
+    def census(name):
+        return _census(dynamics, tallies[name]) if args.census else contextlib.nullcontext()
+
     h = hashlib.sha256()
     with _arc_log(dynamics, h):
         for name, count in ARC_CORPORA:
             count = count or len(workloads.fixture_paths())
-            for unit in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
-                h.update(f"{unit[1]}\n".encode())
-                try:
-                    workloads.run_unit(unit)
-                except Exception as e:  # the failure is part of the answer
-                    h.update(f"raised {type(e).__name__}: {e}\n".encode())
+            with census(name):
+                for unit in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
+                    h.update(f"{unit[1]}\n".encode())
+                    try:
+                        workloads.run_unit(unit)
+                    except Exception as e:  # the failure is part of the answer
+                        h.update(f"raised {type(e).__name__}: {e}\n".encode())
     print(f"arcs {h.hexdigest()}")
 
     h = hashlib.sha256()
@@ -208,7 +269,7 @@ def main(argv=None) -> int:
     print(f"mixed {h.hexdigest()}")
 
     h, arcs = hashlib.sha256(), hashlib.sha256()
-    with _arc_log(dynamics, arcs):
+    with _arc_log(dynamics, arcs), census("mixed_returns"):
         for label, ps in mixed:
             arcs.update(f"{label}\n".encode())
             try:
@@ -219,6 +280,12 @@ def main(argv=None) -> int:
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"mixed_returns {h.hexdigest()}")
     print(f"mixed_arcs {arcs.hexdigest()}")
+    if args.census:
+        ends = ("landing", "y proof", "x proof", "linear decision", "other left-window",
+                "equilibrium", "time", "steps")
+        for name, tally in tallies.items():
+            counts = ", ".join(f"{end} {tally[end]}" for end in ends)
+            print(f"census {name}: {counts}; accepted steps {tally['accepted steps']}")
     return 0
 
 

@@ -35,6 +35,7 @@ from pwham.specfile import load_spec
 from pwham.systems import piecewise_system
 
 from conftest import (
+    BULK_CFG,
     CONFIG_NAMES,
     continuous_cubic_center_match,
     continuous_double_center_match,
@@ -50,9 +51,6 @@ def record(num: int, ok: bool, detail: str):
     line = f"acceptance criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     _RESULTS.append(line)
     print(line)
-
-
-BULK_CFG = IntegratorConfig(max_time=120.0, max_steps=120_000)
 
 FIXTURES = (
     "global_center_saddle.pwham",

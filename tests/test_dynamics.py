@@ -38,7 +38,7 @@ from pwham.dynamics import (
     zone_integral_fn,
     zone_step_fns,
 )
-from pwham.reach import no_root_beyond, turning_points
+from pwham.reach import beyond_every_root, edge_levels, no_root_beyond, turning_points
 from pwham.solver import solve
 from pwham.specfile import load_spec
 from pwham.systems import (
@@ -617,6 +617,32 @@ def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
     assert not proves([-1.0, 0.0, -1.0], 0.0) and proves([-1.0, 0.0, -1.0], 0.5)
 
 
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_an_infinite_level_reads_the_top_power_of_h(config):
+    """At h = +-inf, ``beyond_every_root`` is ``no_root_beyond`` on the
+    rows' first column, their coefficients of the top power of h, with its
+    moduli as the scale; a NaN level refuses.  On the global center's
+    singular locus y = 0 that column of Tx is a positive multiple of
+    (4, 0, 2 xi), 4 X^2 + 2 xi, a positive multiple of -dx/dt there: it
+    has no real root, so an arc there moving away from its edge is
+    proven at once."""
+    zone = rand_config(random.Random(7), config).zones[0]
+    tx, ty = turning_points(zone)
+    for rows in (r for r in (tx, ty, *edge_levels(zone)) if r is not None):
+        for w in (-3.0, -0.5, 0.25, 2.0, 40.0):
+            top = [row[0] if w > 0 or k % 2 == 0 else -row[0]
+                   for k, row in enumerate(rows, 1 - len(rows))]
+            want = no_root_beyond(top, [abs(c) for c in top], abs(w))
+            assert beyond_every_root(rows, w, math.inf) == want
+            assert beyond_every_root(rows, w, -math.inf) == want
+            assert not beyond_every_root(rows, w, math.nan)
+    if zone.kind == "global_center":
+        xi = float(zone.payload.xi)
+        (a, *_), (b, *_), (c, *_) = tx
+        assert b == 0 and a > 0 and c == pytest.approx(a / 4 * 2 * xi)
+        assert beyond_every_root(tx, -1e-9, math.inf)
+
+
 @settings(max_examples=40, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]),
@@ -629,6 +655,9 @@ def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
 # a finite-time blow-up: without the proof the arc stalls near x, y = 4.3e14
 # and takes every step of its budget
 @example(config="double_center+saddle", seed=2132, y0=2.0, forward=False, depth=0.0)
+# on the singular locus y = 0 the level is infinite: the x proof ends the
+# arc after one step, and without it the arc runs to an overflow
+@example(config="global_center+saddle", seed=0, y0=0.0, forward=True, depth=0.0)
 def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
     """From a point at ``depth`` inside either edge of each nonlinear zone
     (a half-plane) of a random system of each covered configuration, an
@@ -661,13 +690,17 @@ def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
 
 
 def test_arc_on_the_singular_locus_has_a_bounded_cost():
-    """The global center's first integral is not finite on its singular
-    locus y = 0, so no escape proof can read an arc that starts there; its
-    backstop window (``ArcPlan.window``) ends it within a few dozen steps
-    (33), where with no window it would run on until its floats overflow
-    (3 353 steps)."""
+    """The global center's first integral is infinite on its singular
+    locus y = 0, where the flow keeps y = 0.  The x proof reads that level
+    as the limit h -> inf, where Tx has no real root, so the arc from
+    (0, 0) that moves away from its edge x = 0 ends after one step (it took
+    33 to a backstop window, and with no window it would run on until its
+    floats overflow, 3 353 steps).  The same start in a strip lands on its
+    far edge at y = 0."""
     traj = integrate_arc(Zone(GlobalCenter(F(4, 5)), None, F(0)), (0.0, 0.0))
-    assert traj.status == "left-window" and traj.steps <= 64
+    assert traj.status == "left-window" and traj.steps == 1
+    traj = integrate_arc(Zone(GlobalCenter(F(4, 5)), F(-1), F(0)), (0.0, 0.0))
+    assert traj.status == "reached-boundary" and traj.edge == "lo" and traj.end == (-1.0, 0.0)
 
 
 def test_grazing_landing_stays_on_the_level_curve():

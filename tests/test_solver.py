@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwham import dynamics
 from pwham.algebra import MultiPoly, UniPoly
@@ -34,6 +35,7 @@ from pwham.systems import (
 from pwham.specfile import load_spec
 
 from conftest import (
+    BULK_CFG,
     CONFIG_NAMES,
     FIXTURE_DIR,
     cubic_center_saddle,
@@ -42,6 +44,7 @@ from conftest import (
     global_center_saddle,
     linear_center_saddle_center,
     rand_config,
+    rand_mixed,
     translate,
 )
 
@@ -255,10 +258,14 @@ def test_solve_checks_continuity_once(monkeypatch):
 
 
 def test_annulus_continuous_matched_center_true():
-    ps = piecewise_system(
-        [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
-    rep = solve(ps)
-    assert rep.positive_dimensional and rep.annulus
+    """A matched center reports its band of closed orbits.  The circles of
+    the linear center of rate 1/20 on both sides take 20 pi to go round,
+    past the time cut of 60 that the scan once had: it reads the caller's
+    budget, as the verifier does."""
+    slow = LinearSaddle(F(1, 20), 0, F(1, 20), 0, 0)
+    for payloads in ([DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [slow, slow]):
+        rep = solve(piecewise_system(payloads, [0]))
+        assert rep.positive_dimensional and rep.annulus, payloads
 
 
 def test_annulus_check_reads_the_tangency_tolerance(monkeypatch):
@@ -578,6 +585,35 @@ def test_solve_is_translation_invariant(name):
     want = answer(solve(ps))
     for t in (F(3, 8), F(-5, 4), F(1024), F(10**6)):
         assert answer(solve(translate(ps, t))) == want, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.sampled_from((*CONFIG_NAMES, "mixed")), seed=st.integers(0, 10**6))
+def test_solve_keeps_its_answer_under_translation_and_time_reversal(source, seed):
+    """A random system of a covered configuration, or of three zones with
+    a family drawn per zone, keeps every candidate (topology, exact
+    ordinates, status) and the continuity, dimension and annulus flags
+    when it moves right by 3/8, -5/4 or 1024, and when every zone's flow
+    runs backward (each ``reverse`` flag flipped).  Rejection reasons may
+    differ under reversal: the verifier then walks the other way and can
+    meet another obstruction first."""
+    rng = random.Random(seed)
+    ps = rand_mixed(rng) if source == "mixed" else rand_config(rng, source)
+
+    def answer(ps):
+        try:
+            rep = solve(ps, cfg=BULK_CFG)
+        except Exception as e:  # the failure is part of the answer
+            return type(e).__name__
+        return ([(c.topology, c.ordinates, c.status) for c in rep.candidates],
+                rep.continuous, rep.positive_dimensional, rep.annulus)
+
+    want = answer(ps)
+    for t in (F(3, 8), F(-5, 4), F(1024)):
+        assert answer(translate(ps, t)) == want, t
+    reversed_ = piecewise_system([z.payload for z in ps.zones], ps.boundaries,
+                                 [not z.reverse for z in ps.zones])
+    assert answer(reversed_) == want
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURE_DIR)
