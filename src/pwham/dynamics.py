@@ -418,13 +418,16 @@ class ArcPlan:
         that coordinate, if there is one, so w moves on outward; for y,
         also of each finite edge's N(c, y) - h D(c, y), so y meets no
         landing.  For X the caller checks that the arc moves away from the
-        zone's one edge, which x then never comes back to.  An infinite h
-        (a point on D = 0) reads the limit of the level's polynomials; a
-        NaN h is refused."""
+        zone's one edge, which x then never comes back to.  The y proof
+        refuses an infinite h: it never runs on D = 0, and next to it, where
+        h overflowed, the edges' roots in y lie at the arc's scale, which
+        no limit in h holds."""
         if self._reach is None:
             self._reach = (edge_levels(self.zone), turning_points(self.zone))
         edges, turns = self._reach
         if axis:
+            if not math.isfinite(h):
+                return False
             for rows in edges:
                 if not beyond_every_root(rows, w, h):
                     return False
@@ -501,7 +504,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     escape proof (``ArcPlan.escaped`` at the level of the step's end: for
     an arc moving away from y = 0, or from X = 0 and from the one edge of a
     half-plane, tried at its first such step and each time |y|, or |X|,
-    doubled since), a step that overflows the float range
+    doubled since), a step or a landing that overflows the float range
     (``left-window``), an equilibrium (speed below 1e-12 at the start or
     for ten accepted steps), or after ``cfg.max_steps`` accepted and
     rejected steps (status ``step-limit``).
@@ -592,7 +595,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
                 status, edge = "left-window", None
                 break
         if edge is not None:
-            status = "reached-boundary"
+            if isfinite(y):
+                status = "reached-boundary"
+            else:  # a landing beyond the float range
+                status, edge = "left-window", None
             break
         if y * k1[1] > 0 and abs(y) >= tried:
             if plan.escaped(1, y, hv):

@@ -6,9 +6,8 @@ N(c, y) - h D(c, y) (``edge_levels``), and the turning points of the level
 curve, the critical points of N - h D in X and in y (``turning_points``).
 ``dynamics.ArcPlan.escaped`` reads them by a one-sign test past every root
 on the arc's side (``beyond_every_root``): an arc past all of them can
-land on no edge again.  An infinite level, where the arc lies on D = 0
-(the global center's y = 0), is read as the limit h -> inf: the rows'
-coefficients of the top power of h.
+land on no edge again.  An infinite level (on D = 0, the global center's
+y = 0, or where N / D overflows) is read as the limit h -> inf.
 """
 
 from __future__ import annotations
@@ -140,9 +139,13 @@ def beyond_every_root(rows: tuple, w: float, h: float) -> bool:
     T(-w, h) for w < 0, with the moduli at |h| of T's coefficients as the
     scale of their rounding.  An infinite h reads the limit of
     T(w, h) / h^nh, the first column of the rows (their coefficients of
-    the top power nh of h): the factor h^nh is common to every
-    coefficient, so it changes no one-sign test.  False for a NaN h."""
+    the top power nh of h) where that column keeps T's degree in w, so
+    that no root of T runs off to infinity as h grows: the global
+    center's Tx (4 X^2 + 2 xi), not the Tx of a constant D, whose level
+    is infinite only where N overflows.  False for a NaN h."""
     if abs(h) == math.inf:
+        if not rows[0][0]:
+            return False
         rows, h = [row[:1] for row in rows], 1.0
     cs, mags = [], []
     ah = abs(h)

@@ -17,6 +17,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 settings.register_profile("pwham", print_blob=True)
 settings.load_profile("pwham")
 
+import corpus_digest
 from pwham.dynamics import IntegratorConfig
 from pwham.systems import (
     CubicCenter,
@@ -128,23 +129,11 @@ CONFIG_NAMES = (
     "cubic_center+saddle+saddle",
 )
 
-# a zone of each family: the center of a two-zone configuration, or a saddle
-MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+saddle", None)
-
-
 def rand_mixed(rng: random.Random) -> PiecewiseSystem:
-    """Three zones split by x = -1 and x = 1, each zone's family drawn
-    uniformly from the four, at offsets 1, 0 and -1 from left to right:
-    the general elimination, with resultants of two nonlinear equations.
-    Seeds 7 and 11, 40 draws each, give the ``mixed`` corpus of
-    ``corpus_digest.py``."""
-    zones = []
-    for offset in (1, 0, -1):
-        config = rng.choice(MIXED_FAMILIES)
-        zones.append(rand_saddle(rng) if config is None else
-                     dataclasses.replace(rand_config(rng, config).zones[0].payload,
-                                         offset=offset))
-    return piecewise_system(zones, [-1, 1])
+    """``corpus_digest.rand_mixed`` on these generators, which equal the
+    benchmark's: seeds 7 and 11, 40 draws each, give the ``mixed`` corpus
+    of ``corpus_digest.py``."""
+    return corpus_digest.rand_mixed(rng, rand_config, rand_saddle, piecewise_system)
 
 
 def continuous_double_center_match(rng: random.Random) -> PiecewiseSystem:

@@ -87,18 +87,26 @@ MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+
 MIXED_RETURN_ORDINATES = [-5 + 10 * i / 20 for i in range(21)]
 
 
+def rand_mixed(rng, rand_config, rand_saddle, piecewise_system):
+    """Three zones split by x = -1 and x = 1, each zone's family drawn
+    uniformly from ``MIXED_FAMILIES`` by the given generators, at offsets
+    1, 0 and -1 from left to right: the general elimination, with
+    resultants of two nonlinear equations."""
+    zones = []
+    for offset in (1, 0, -1):
+        config = rng.choice(MIXED_FAMILIES)
+        zones.append(rand_saddle(rng) if config is None else
+                     replace(rand_config(rng, config).zones[0].payload, offset=offset))
+    return piecewise_system(zones, [-1, 1])
+
+
 def _mixed_systems(workloads, piecewise_system):
     """(label, system) of the ``mixed`` corpus, in order."""
     for seed in MIXED_SEEDS:
         rng = random.Random(seed)
         for i in range(MIXED_COUNT):
-            zones = []
-            for offset in (1, 0, -1):
-                config = rng.choice(MIXED_FAMILIES)
-                zones.append(workloads.rand_saddle(rng) if config is None else
-                             replace(workloads.rand_config(rng, config).zones[0].payload,
-                                     offset=offset))
-            yield f"mixed-{seed}-{i}", piecewise_system(zones, [-1, 1])
+            ps = rand_mixed(rng, workloads.rand_config, workloads.rand_saddle, piecewise_system)
+            yield f"mixed-{seed}-{i}", ps
 
 
 def _return_maps(dynamics, ps, ys):

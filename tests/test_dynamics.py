@@ -60,6 +60,7 @@ from conftest import (
     global_center_saddle,
     linear_center_saddle_center,
     rand_config,
+    rand_mixed,
 )
 from reference_dynamics import dop853_step, linear_arc
 from reference_systems import field_polys
@@ -618,33 +619,29 @@ def test_no_root_beyond_refuses_a_root_at_or_just_past_a():
 
 
 @pytest.mark.parametrize("config", CONFIG_NAMES)
-def test_an_infinite_level_reads_the_top_power_of_h(config):
-    """At h = +-inf, ``beyond_every_root`` is ``no_root_beyond`` on the
-    rows' first column, their coefficients of the top power of h, with its
-    moduli as the scale; a NaN level refuses.  On the global center's
-    singular locus y = 0 that column of Tx is a positive multiple of
-    (4, 0, 2 xi), 4 X^2 + 2 xi, a positive multiple of -dx/dt there: it
-    has no real root, so an arc there moving away from its edge is
-    proven at once."""
+def test_an_infinite_level_is_read_only_where_its_limit_holds(config):
+    """At h = +-inf the global center's Tx reads its top power of h, 4 X^2
+    + 2 xi times a positive constant, which has no real root, so every X
+    is beyond every root; the Tx of a constant D loses its degree in X
+    there, so an overflowed level refuses, as the y proof refuses any
+    infinite level.  A NaN level refuses every proof."""
     zone = rand_config(random.Random(7), config).zones[0]
+    plan = ArcPlan(zone)
     tx, ty = turning_points(zone)
-    for rows in (r for r in (tx, ty, *edge_levels(zone)) if r is not None):
-        for w in (-3.0, -0.5, 0.25, 2.0, 40.0):
-            top = [row[0] if w > 0 or k % 2 == 0 else -row[0]
-                   for k, row in enumerate(rows, 1 - len(rows))]
-            want = no_root_beyond(top, [abs(c) for c in top], abs(w))
-            assert beyond_every_root(rows, w, math.inf) == want
-            assert beyond_every_root(rows, w, -math.inf) == want
+    for w in (-3.0, -0.5, -1e-170, 0.25, 2.0, 40.0):
+        for h in (math.inf, -math.inf):
+            assert beyond_every_root(tx, w, h) == (zone.kind == "global_center")
+            assert not plan.escaped(1, w, h)
+        for rows in (r for r in (tx, ty, *edge_levels(zone)) if r is not None):
             assert not beyond_every_root(rows, w, math.nan)
     if zone.kind == "global_center":
         xi = float(zone.payload.xi)
         (a, *_), (b, *_), (c, *_) = tx
         assert b == 0 and a > 0 and c == pytest.approx(a / 4 * 2 * xi)
-        assert beyond_every_root(tx, -1e-9, math.inf)
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6),
+@given(config=st.sampled_from(CONFIG_NAMES + ("mixed",)), seed=st.integers(0, 10**6),
        y0=st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([0.0, 1e-3, -1e-3]),
        forward=st.booleans(), depth=st.just(0.0) | st.floats(min_value=0.0, max_value=4.0))
 # next to the global center's singular locus y = 0 the level is 3.5e155:
@@ -658,15 +655,20 @@ def test_an_infinite_level_reads_the_top_power_of_h(config):
 # on the singular locus y = 0 the level is infinite: the x proof ends the
 # arc after one step, and without it the arc runs to an overflow
 @example(config="global_center+saddle", seed=0, y0=0.0, forward=True, depth=0.0)
+# next to y = 0 in the strip -1 < x < 1 the level overflows to inf: the arc
+# lands on x = -1 at y = 1.6e-160, where no limit of the level reads it
+@example(config="mixed", seed=0, y0=1e-160, forward=True, depth=0.5)
 def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
     """From a point at ``depth`` inside either edge of each nonlinear zone
-    (a half-plane) of a random system of each covered configuration, an
-    integrated arc with no window lands where it lands when
-    ``ArcPlan.escaped`` refuses every proof, in y and in x, and an arc
-    that ends otherwise (by a proof, say) never lands with the proofs
-    refused.  With no proof and no window an escaping arc ends only on its
-    budget, so the reference runs 4096 steps past the proven arc's."""
-    ps = rand_config(random.Random(seed), config)
+    (a half-plane, or in ``mixed`` also a strip) of a random system of each
+    covered configuration and of the ``mixed`` generator, an integrated arc
+    with no window lands where it lands when ``ArcPlan.escaped`` refuses
+    every proof, in y and in x, and an arc that ends otherwise (by a
+    proof, say) never lands with the proofs refused.  With no proof and no
+    window an escaping arc ends only on its budget, so the reference runs
+    4096 steps past the proven arc's."""
+    rng = random.Random(seed)
+    ps = rand_mixed(rng) if config == "mixed" else rand_config(rng, config)
     m = FlowMachine(ps)
     for i, zone in enumerate(ps.zones):
         if zone.kind == "linear":
@@ -676,6 +678,8 @@ def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
             if c is None:
                 continue
             start = (float(c) + inward * depth, y0)
+            if not plan.lo <= start[0] <= plan.hi:  # past a strip's far edge
+                continue
             try:
                 proven = integrate_arc(plan, start, record=False, forward=forward)
             except NotEntryPoint:
@@ -701,6 +705,36 @@ def test_arc_on_the_singular_locus_has_a_bounded_cost():
     assert traj.status == "left-window" and traj.steps == 1
     traj = integrate_arc(Zone(GlobalCenter(F(4, 5)), F(-1), F(0)), (0.0, 0.0))
     assert traj.status == "reached-boundary" and traj.edge == "lo" and traj.end == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("y0", [1e-160, 1e-170])
+def test_arc_next_to_the_singular_locus_lands(y0):
+    """Off y = 0 but next to it the level is inf: N / D overflows (y0 =
+    1e-160), or D = y^2 underflows to 0 (1e-170).  The orbit of (-0.5, y0),
+    h y^2 + y = X^2 + xi/2, moves left with y growing and lands on x = -1
+    at y = y0 sqrt(5/2), since the y proof refuses that level.  In the
+    half-plane x < 1 the x proof ends it after one step: dx/dt = y - 2 X^2
+    - xi < 0 there, so x never comes back."""
+    traj = integrate_arc(Zone(GlobalCenter(F(1, 2)), F(-1), F(1)), (-0.5, y0))
+    assert traj.status == "reached-boundary" and traj.edge == "lo"
+    assert traj.end[0] == -1.0 and traj.end[1] == pytest.approx(y0 * math.sqrt(2.5))
+    traj = integrate_arc(Zone(GlobalCenter(F(1, 2)), None, F(1)), (-0.5, y0))
+    assert traj.status == "left-window" and traj.steps == 1
+
+
+def test_arcs_at_an_overflowed_level():
+    """With a constant D the level is inf where N overflows.  From
+    (-1e103, 0) the level curve of this double center turns back to the
+    edge x = 0, which the arc reaches at y = -1e103, since the y proof
+    refuses that level.  From (-0.5, 1e120) the landing on x = 0 lies
+    beyond the float range, so the arc leaves instead of landing at
+    y = inf."""
+    zone = Zone(DoubleCenter(l=3, n=3, p=-3), None, F(0))
+    traj = integrate_arc(zone, (-1e103, 0.0))
+    assert traj.status == "reached-boundary" and traj.edge == "hi"
+    assert traj.end[1] == pytest.approx(-1e103)
+    traj = integrate_arc(zone, (-0.5, 1e120))
+    assert traj.status == "left-window" and traj.edge is None
 
 
 def test_grazing_landing_stays_on_the_level_curve():

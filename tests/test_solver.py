@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwham import dynamics
+from pwham.dynamics import FlowMachine
 from pwham.algebra import MultiPoly, UniPoly
 from pwham.matcher import MatchingSystem, build_three_zone, build_two_zone
 from pwham.solver import (
@@ -273,9 +274,9 @@ def test_annulus_check_reads_the_tangency_tolerance(monkeypatch):
     boundary point counts as tangential, so no orbit can cross and close."""
     ps = piecewise_system(
         [DoubleCenter(l=0, n=0, p=0), LinearSaddle(1, 0, 1, 0, 0)], [0])
-    assert annulus_check(ps, (0,))
+    assert annulus_check(FlowMachine(ps), (0,))
     monkeypatch.setattr(dynamics, "TANGENT_TOL", 1e3)
-    assert not annulus_check(ps, (0,))
+    assert not annulus_check(FlowMachine(ps), (0,))
 
 
 def test_annulus_requires_closed_orbits():
@@ -291,7 +292,7 @@ def test_annulus_requires_closed_orbits():
 def test_annulus_cubic_fixture_false():
     rep = solve(cubic_center_saddle(), verify=False)
     assert not rep.positive_dimensional
-    assert not annulus_check(cubic_center_saddle(), (0,))
+    assert not annulus_check(FlowMachine(cubic_center_saddle()), (0,))
 
 
 # -- solve ------------------------------------------------------------------------------
@@ -422,7 +423,7 @@ def test_annulus_scans_the_boundary_of_the_positive_dimensional_topology():
     ps = _short_loop_system()
     rep = solve(ps, verify=False)
     assert rep.positive_dimensional and rep.annulus
-    assert annulus_check(ps, (1,)) and not annulus_check(ps, (0,))
+    assert annulus_check(FlowMachine(ps), (1,)) and not annulus_check(FlowMachine(ps), (0,))
 
 
 def test_solve_reports_eliminant_exact_and_route_invariant():
