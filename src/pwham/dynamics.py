@@ -8,9 +8,9 @@ segments are detected, never simulated).
 * A ``linear`` zone's arc is the exact flow of its field A u + b.  Because
   trace A = 0, A^2 = e I, and u(t) = u0 + S1(t) f0 + S2(t) A f0 with
   S1 = sinh(rt)/r, S2 = 2 sinh(rt/2)^2/e (r^2 = e, read as sin for e < 0
-  and as t, t^2/2 for e = 0).  A hit of x = c (or of a window) is a root
-  of one quadratic in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc
-  then lands at exactly x = c.  The same quadratic, over all t > 0, decides
+  and as t, t^2/2 for e = 0).  A hit of x = c is a root of one quadratic
+  in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc then lands at
+  exactly x = c.  The same quadratic, over all t > 0, decides
   that an arc can cross no edge at all.  It takes no integration step.
 * Every other zone runs the embedded Dormand-Prince 8(5,3) integrator
   (DOP853) with FSAL (the field value at the end of an accepted step is the
@@ -26,7 +26,8 @@ segments are detected, never simulated).
   step that ends inside the strip but turns x around is checked for an
   excursion across an edge by the cubic Hermite of x on the step.  An arc
   that moves outward past every root of its zone's reach polynomials
-  (``reach``) is proven never to land, and ends there.
+  (``reach``) is proven never to land, and ends there; so does one whose
+  step collapses, as at a blow-up.
 
 Either arc reports the strip edge it ends on (``Trajectory.edge``).  One
 orbit walk, ``FlowMachine._walk``, runs the arcs hop by hop and checks that
@@ -77,12 +78,13 @@ MAX_HOPS = 12        # crossings a return map follows before giving up
 
 @dataclass
 class IntegratorConfig:
-    """The budgets of one arc: time, the window |x - centre|, |y| <= window
-    (``ArcPlan.centre``), and accepted plus rejected steps.  With
-    ``window=None``, the default, an arc has no window: it ends when it
-    can land on no edge again (an exact arc that crosses no edge and leaves
-    every bounded set, an integrated one by ``ArcPlan.escaped``, at every
-    level).  A number is an absolute window for every arc."""
+    """The budgets of one arc: time, the window |x|, |y| <= window, and
+    accepted plus rejected steps.  With ``window=None``, the default, an
+    arc has no window: it ends when it can land on no edge again (an exact
+    arc that crosses no edge and leaves every bounded set, an integrated
+    one by ``ArcPlan.escaped``, at every level).  A number is a bound read
+    after each exact piece or DOP853 step: an arc whose piece or step ends
+    beyond it ends there, a landing included, and it proves no escape."""
 
     max_time: float = 400.0
     window: float | None = None
@@ -104,8 +106,9 @@ class Trajectory:
 
     samples: list  # (t, x, y)
     edge: str | None  # "lo" | "hi" for a reached-boundary arc, else None
-    status: str    # reached-boundary | reached-time-limit | hit-equilibrium | left-window
-                   # | step-limit (DOP853 only: cfg.max_steps used up)
+    status: str    # reached-boundary | reached-time-limit | hit-equilibrium | step-limit
+                   # (DOP853 only: cfg.max_steps used up) | left-window (beyond the window,
+                   # proven never to land, or a DOP853 step that overflowed or collapsed)
     end: tuple
     drift: float   # relative first-integral drift (see integrate_arc)
     steps: int        # accepted steps
@@ -386,28 +389,26 @@ def _land(step, x, y, k1, h, xn, yn, kn, c):
 
 class ArcPlan:
     """What every hop through one zone reads, prepared once: the strip as
-    floats, the abscissa ``centre`` that a window is measured from (the
-    mean of the finite edges, 0 without one), the zone's reach polynomials
-    (``reach``: its edges' level polynomials and its turning points, for
-    ``escaped``, built on first use), the float field (reversal applied)
-    and first integral, and either the exact linear part (a ``linear``
-    zone), with each window's crossing-target table (``targets``), or,
-    built on first use, the zone's DOP853 steps (``zone_step_fns``)."""
+    floats, its finite ``edges`` as (level, outward sign, name), the zone's
+    reach polynomials (``reach``: its edges' level polynomials and its
+    turning points, for ``escaped``, built on first use), the float field
+    (reversal applied) and first integral, and either the exact linear
+    part (a ``linear`` zone) or, built on first use, the zone's DOP853
+    steps (``zone_step_fns``)."""
 
-    __slots__ = ("zone", "lo", "hi", "centre", "field", "integral", "linear", "_steps",
-                 "_targets", "_reach")
+    __slots__ = ("zone", "lo", "hi", "edges", "field", "integral", "linear", "_steps",
+                 "_reach")
 
     def __init__(self, zone: Zone):
         self.zone = zone
         self.lo = float(zone.x_lo) if zone.x_lo is not None else -math.inf
         self.hi = float(zone.x_hi) if zone.x_hi is not None else math.inf
-        edges = [c for c in (self.lo, self.hi) if math.isfinite(c)]
-        self.centre = sum(edges) / len(edges) if edges else 0.0
+        self.edges = tuple((c, out, side) for c, out, side in
+                           ((self.lo, -1, "lo"), (self.hi, 1, "hi")) if math.isfinite(c))
         self.field = zone_field_fn(zone)
         self.integral = zone_integral_fn(zone)
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
         self._steps = None
-        self._targets: dict = {}
         self._reach = None
 
     def escaped(self, axis: int, w: float, h: float) -> bool:
@@ -440,36 +441,13 @@ class ArcPlan:
             self._steps = zone_step_fns(self.zone)
         return self._steps[forward]
 
-    def targets(self, window: float | None) -> tuple:
-        """The levels an exact arc may cross under ``window``, built once
-        per window: the finite strip edges, then the window's sides in x
-        (about ``centre``) that lie inside the strip, as the targets of x,
-        and the window's sides in y as those of y; the edges alone for no
-        window.  A side in x on or beyond an edge is left out: an arc from
-        inside the strip reaches the edge first.  Each target is (level,
-        outward sign, edge name or None for a window side, the factor of its
-        crossing time in the comparison: 1 + 1e-9 for a window side, so that
-        an edge wins a tie with the window)."""
-        table = self._targets.get(window)
-        if table is None:
-            x_targets = [(c, out, side, 1.0)
-                         for c, out, side in ((self.lo, -1, "lo"), (self.hi, 1, "hi"))
-                         if math.isfinite(c)]
-            y_targets = ()
-            if window is not None:
-                x_targets += [(c, out, None, 1 + 1e-9)
-                              for out in (-1, 1) for c in (self.centre + out * window,)
-                              if self.lo < c < self.hi]
-                y_targets = tuple((out * window, out, None, 1 + 1e-9) for out in (-1, 1))
-            table = self._targets[window] = (tuple(x_targets), y_targets)
-        return table
-
 
 def integrate_arc(zone: Zone | ArcPlan, start: tuple, cfg: IntegratorConfig | None = None,
                   record: bool = True, forward: bool = True) -> Trajectory:
     """Run the zone's flow from ``start`` until the trajectory reaches a
-    strip edge, the time limit, a window, or an equilibrium, or until it is
-    decided that it can land on no edge again (status ``left-window``).
+    strip edge, the time limit, or an equilibrium, or ends beyond the
+    window, or until it is decided that it can land on no edge again
+    (status ``left-window``).
 
     ``zone`` is a Zone or its ArcPlan.  A ``linear`` zone takes its exact
     flow (no integration step); every other zone takes DOP853 steps.  A
@@ -498,18 +476,23 @@ def _check_entry(x, y, fx, lo, hi):
 
 def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     """Dormand-Prince 8(5,3) arc: stops at a strip edge (localized to
-    EVENT_TOL; a landing outside the window leaves the window, unless it
-    lies on the window's side to 1e-9 relative: an edge wins a tie, as in
-    the exact arc), the time limit, an absolute window or, without one, an
-    escape proof (``ArcPlan.escaped`` at the level of the step's end: for
-    an arc moving away from y = 0, or from X = 0 and from the one edge of a
-    half-plane, tried at its first such step and each time |y|, or |X|,
-    doubled since), a step or a landing that overflows the float range
-    (``left-window``), an equilibrium (speed below 1e-12 at the start or
+    EVENT_TOL), the time limit, after a step that ends beyond the window
+    (a landing included) or, without one, at an escape proof
+    (``ArcPlan.escaped`` at the level of the step's end: for an arc moving
+    away from y = 0, or from X = 0 and from the one edge of a half-plane,
+    tried at its first such step and each time |y|, or |X|, doubled
+    since), where the float range ends (a start whose field overflows, a
+    step or a landing search step whose error norm does, a landing at an
+    infinite ordinate), where the step collapses (``left-window`` for all
+    of these), at an equilibrium (speed below 1e-12 at the start or
     for ten accepted steps), or after ``cfg.max_steps`` accepted and
     rejected steps (status ``step-limit``).
     A step passes only at an error norm err <= 1, so a NaN norm is
-    rejected.  An accepted step whose end lies inside the strip but whose
+    rejected.  The step collapses when the error control's step falls
+    below 2^-40 t, so that t converges, as at a finite-time blow-up (read
+    before the step is cut to the time left, so that a short last step
+    ends on the time limit), or when a rejected step is cut so short that
+    u + h f(u) rounds to u, as where every error norm is NaN.  An accepted step whose end lies inside the strip but whose
     x-velocity changes sign may have crossed an edge and come back: when
     the cubic Hermite of x on the step (end points and end slopes, no extra
     field evaluation) peaks beyond an edge, a real step to that peak
@@ -518,7 +501,7 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     where it divides by zero is left out of it."""
     step = plan.step(forward)
     hfun = plan.integral
-    lo, hi, centre = plan.lo, plan.hi, plan.centre
+    lo, hi = plan.lo, plan.hi
     max_time, window, max_step = cfg.max_time, cfg.window, MAX_STEP
     isfinite, hypot = math.isfinite, math.hypot
     x, y = float(start[0]), float(start[1])
@@ -545,12 +528,16 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     edge = None
     slow = steps = rejected = event_steps = 0
     # a start at speed below 1e-12 is at the equilibrium, as the exact arc
-    # decides after its first piece; no walk starts there (``_check_entry``)
-    at_rest = hypot(k1[0], k1[1]) < 1e-12
+    # decides after its first piece; no walk starts there (``_check_entry``).
+    # One whose speed overflows (or is NaN) lies beyond the float range.
+    speed = hypot(k1[0], k1[1])
 
-    for _ in range(0 if at_rest else cfg.max_steps):
+    for _ in range(cfg.max_steps if 1e-12 <= speed < math.inf else 0):
         if t >= max_time:
             status = "reached-time-limit"
+            break
+        if h < 2.0 ** -40 * t:  # the step collapsed: t converges
+            status = "left-window"
             break
         h = min(h, max_step, max_time - t + 1e-9)
         try:
@@ -561,6 +548,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         if not err <= 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.125)
+            if x + h * k1[0] == x and y + h * k1[1] == y:  # the step collapsed
+                status = "left-window"
+                break
             continue
         # accepted; a boundary hit replaces it with the step that lands
         steps += 1
@@ -578,7 +568,11 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
                     edge, h, xn, yn, kn = side, theta * h, xs, ys, ks
         if edge is not None:
             c = lo if edge == "lo" else hi
-            h, yn, n = _land(step, x, y, k1, h, xn, yn, kn, c)
+            try:
+                h, yn, n = _land(step, x, y, k1, h, xn, yn, kn, c)
+            except OverflowError:  # a search step's error norm, as above
+                status, edge = "left-window", None
+                break
             xn = c
             event_steps += n
         t += h
@@ -588,12 +582,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
         hv = hfun(x, y)
         if monitor and isfinite(hv):
             drift = max(drift, abs(hv - h0) / scale_h)
-        if abs(x - centre) > window or abs(y) > window:
-            # a landing beyond it left it first; one on its side is a tie
-            limit = window * (1 + 1e-9) if edge is not None else window
-            if abs(x - centre) > limit or abs(y) > limit:
-                status, edge = "left-window", None
-                break
+        if abs(x) > window or abs(y) > window:  # a landing beyond it left it first
+            status, edge = "left-window", None
+            break
         if edge is not None:
             if isfinite(y):
                 status = "reached-boundary"
@@ -620,7 +611,8 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
             slow = 0
         h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
     else:
-        status = "hit-equilibrium" if at_rest else "step-limit"
+        status = ("hit-equilibrium" if speed < 1e-12 else
+                  "step-limit" if speed < math.inf else "left-window")
 
     return Trajectory(samples, edge, status, (x, y), drift, steps, rejected, event_steps)
 
@@ -688,14 +680,6 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     return s if s > 0 else math.inf
 
 
-def _leaving(u: float, f: float, g: float, w: float) -> bool:
-    """True when the coordinate u, with velocity f and acceleration g, lies
-    beyond +-w or on it and moving out: by f, or by g where f is 0.  The
-    crossing roots of ``_first_crossing`` are at t > 0, so an exact arc
-    tests its start with this."""
-    return abs(u) > w or (abs(u) == w and u * (f or g) > 0)
-
-
 def _unbounded(e: float, f0: float, f1: float, g0: float, g1: float) -> bool:
     """True when the exact flow from a point with velocity f and rate
     g = A f leaves every bounded set as t grows: for a saddle (e = r^2 > 0)
@@ -720,27 +704,26 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     piece, and its pieces last at most MAX_STEP and 1/(16 |A|) (|A| the
     Frobenius norm): the velocity f, whose rate of change is A f, then
     changes by about 1/16 of itself at most between samples.  Each piece
-    takes the least crossing time of the strip edges and of the window box,
-    if ``cfg`` sets one, from its start (``ArcPlan.targets``); an edge hit
-    is polished by Newton on x(t) - c and lands at exactly x = c.  An arc
-    that starts beyond the window, or on a side and moving out
-    (``_leaving``), leaves it at t = 0.  Without a window, an arc whose
-    piece starts where it crosses no edge for any t > 0 and leaves every
-    bounded set (``_unbounded``) can land on no edge, and ends there as
-    ``left-window``.  A piece that ends at speed below 1e-12 ends the arc
-    at the equilibrium it approaches."""
+    takes the least crossing time of the finite strip edges
+    (``ArcPlan.edges``) from its start; a hit is polished by Newton on
+    x(t) - c and lands at exactly x = c.  A piece that ends at speed below
+    1e-12 ends the arc at the equilibrium it approaches.  A piece that ends
+    beyond the window, if ``cfg`` sets one, ends the arc there as
+    ``left-window``, whatever else it reached.  Without a window, an arc
+    whose piece starts where it crosses no edge for any t > 0 and leaves
+    every bounded set (``_unbounded``) can land on no edge, and ends there
+    as ``left-window``."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
-    lo, hi, centre = plan.lo, plan.hi, plan.centre
-    w, max_time = cfg.window, cfg.max_time
+    edges, max_time = plan.edges, cfg.max_time
+    window = math.inf if cfg.window is None else cfg.window
     x, y = float(start[0]), float(start[1])
     # the velocity f at (x, y); its rate A f is (g0, g1)
     f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
 
-    _check_entry(x, y, f0, lo, hi)
+    _check_entry(x, y, f0, plan.lo, plan.hi)
     h0 = hfun(x, y)
-    x_targets, y_targets = plan.targets(w)
     piece = 2.0 / math.sqrt(e) if e > 0 else math.inf
     if record:
         norm = math.hypot(a11, a12, a21, a22)
@@ -749,31 +732,21 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     samples = [(t, x, y)] if record else []
     edge = None
     status = None
-    if w is not None and not (abs(x - centre) < w and abs(y) < w):  # on or beyond it
-        g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
-        if _leaving(x - centre, f0, g0, w) or _leaving(y, f1, g1, w):
-            status = "left-window"
     while status is None:
         g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
         rest = max_time - t
         span = piece if piece < rest else rest
-        # the least crossing time by its key (a window's time scaled by
-        # 1 + 1e-9, so an edge wins a tie with the window); the first of
-        # equal keys wins
-        th = key = math.inf
-        for level, out, name, scale in x_targets:
+        # the least crossing time; the first of equal times wins
+        th = math.inf
+        for level, out, name in edges:
             tk = _first_crossing(e, x, f0, g0, level, out)
-            if tk * scale < key:
-                th, key, c, side = tk, tk * scale, level, name
-        for level, out, name, scale in y_targets:
-            tk = _first_crossing(e, y, f1, g1, level, out)
-            if tk * scale < key:
-                th, key, c, side = tk, tk * scale, level, name
-        if w is None and th == math.inf and _unbounded(e, f0, f1, g0, g1):
+            if tk < th:
+                th, c, side = tk, level, name
+        if cfg.window is None and th == math.inf and _unbounded(e, f0, f1, g0, g1):
             status = "left-window"
             break
         hit = th <= span * (1 + 1e-9)
-        if hit and side:  # Newton on x(t) - c from the quadratic's root
+        if hit:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
                 s1, s2 = _s12(e, th)
                 miss = x + s1 * f0 + s2 * g0 - c
@@ -785,16 +758,16 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
         s1, s2 = _s12(e, dt)
         x, y = x + s1 * f0 + s2 * g0, y + s1 * f1 + s2 * g1
         t += dt
-        if hit and side:
+        if hit:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:
-            status = "left-window"
         else:
             f0, f1 = sign * (a11 * x + a12 * y + b1), sign * (a21 * x + a22 * y + b2)
             if math.hypot(f0, f1) < 1e-12:
                 status = "hit-equilibrium"
             elif span == rest:
                 status = "reached-time-limit"
+        if abs(x) > window or abs(y) > window:
+            status, edge = "left-window", None
         if record:
             samples.append((t, x, y))
     drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))

@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT] [--census]
 
-It prints eight SHA-256 digests:
+It prints nine SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -42,20 +42,23 @@ It prints eight SHA-256 digests:
   nonlinear middle and right zones, which no other corpus has;
 * ``mixed_arcs``: the status, the edge and, for a landing, the end point of
   every ``dynamics.integrate_arc`` call while the ``mixed_returns`` maps
-  run, as ``arcs`` logs them: a changed arc there that no map shows.
+  run, as ``arcs`` logs them: a changed arc there that no map shows;
+* ``portraits``: the CSV that ``pwham portrait FIXTURE --samples 7``
+  writes, and its exit code, on every fixture: the one caller that sets a
+  window (``IntegratorConfig.window``).
 
 The inputs come from ``bench/workloads``, so they are the benchmark's own
 (``build_units``) or drawn by its generators (``mixed``).  ``--root``
 imports pwham and the workloads from another checkout (say, a copy of the
 parent commit), so that two commits compare by two runs of this one
-script: a change that keeps every answer prints the same eight lines.
+script: a change that keeps every answer prints the same nine lines.
 
 ``--census`` prints one more line per arc corpus (``cli_oracle``,
 ``annulus`` and ``bulk`` of ``arcs``, and ``mixed_returns`` for
 ``mixed_arcs``): how many arcs end on a landing, on the escape proof in y
 or in x (the axis of the ``ArcPlan.escaped`` call that returned True), on
 a linear zone's decision (its ``left-window``), as another ``left-window``
-(an absolute window or a step that overflows), at an equilibrium, on the
+(a window, a step that overflows or collapses), at an equilibrium, on the
 time limit or on the step limit, and the sum of their accepted DOP853
 steps.  Without it nothing is wrapped but ``integrate_arc``, for the two
 arc digests.
@@ -107,6 +110,18 @@ def _mixed_systems(workloads, piecewise_system):
         for i in range(MIXED_COUNT):
             ps = rand_mixed(rng, workloads.rand_config, workloads.rand_saddle, piecewise_system)
             yield f"mixed-{seed}-{i}", ps
+
+
+def _cli_digest(cli, workloads, command, *options):
+    """SHA-256 of the stdout and exit code of ``pwham COMMAND FIXTURE
+    OPTIONS...`` on every fixture."""
+    h = hashlib.sha256()
+    for path in workloads.fixture_paths():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, path, *options])
+        h.update(f"{os.path.basename(path)} {code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
 
 
 def _return_maps(dynamics, ps, ys):
@@ -205,13 +220,8 @@ def main(argv=None) -> int:
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"solve {h.hexdigest()}")
 
-    h = hashlib.sha256()
-    for path in workloads.fixture_paths():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["solve", path, "--grid", str(workloads.ORACLE_GRID), "--json"])
-        h.update(f"{os.path.basename(path)} {code}\n{out.getvalue()}".encode())
-    print(f"fixtures {h.hexdigest()}")
+    grid = str(workloads.ORACLE_GRID)
+    print(f"fixtures {_cli_digest(cli, workloads, 'solve', '--grid', grid, '--json')}")
 
     h = hashlib.sha256()
     for name, count in ORACLE_CORPORA:
@@ -288,6 +298,7 @@ def main(argv=None) -> int:
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"mixed_returns {h.hexdigest()}")
     print(f"mixed_arcs {arcs.hexdigest()}")
+    print(f"portraits {_cli_digest(cli, workloads, 'portrait', '--samples', '7')}")
     if args.census:
         ends = ("landing", "y proof", "x proof", "linear decision", "other left-window",
                 "equilibrium", "time", "steps")

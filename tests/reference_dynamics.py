@@ -5,12 +5,12 @@
   check on the steps that ``dynamics`` generates per zone with the field
   inlined.
 * ``linear_arc`` is the exact arc of a linear zone written for reading: it
-  builds the crossing-target table on every call, takes each piece's least
-  crossing time with ``min`` and a key, and holds the velocity f and its
-  rate A f as tuples.  ``dynamics._linear_arc`` keeps each window's table
-  on the ArcPlan, picks the least time in a loop and holds f and A f as
-  scalars, with the same float operations in the same order; the tests
-  require the two trajectories to be equal.
+  lists the strip's finite edges on every call, takes each piece's least
+  crossing time with ``min``, and holds the velocity f and its rate A f as
+  tuples.  ``dynamics._linear_arc`` reads the edges from the ArcPlan,
+  picks the least time in a loop and holds f and A f as scalars, with the
+  same float operations in the same order; the tests require the two
+  trajectories to be equal.
 """
 
 import math
@@ -95,22 +95,21 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     piece, and its pieces last at most MAX_STEP and 1/(16 |A|) (|A| the
     Frobenius norm): the velocity f, whose rate of change is A f, then
     changes by about 1/16 of itself at most between samples.  Each piece
-    takes the least crossing time of the strip edges and of the window box
-    from its start; an edge hit is polished by Newton on x(t) - c and lands
-    at exactly x = c.  An arc that starts beyond the window, or on one of
-    its sides and moving out (by its velocity, or by its acceleration where
-    that velocity is 0), leaves it at t = 0.  A piece that ends at speed
-    below 1e-12 ends the arc at the equilibrium it approaches.  Without a
-    window in ``cfg`` the targets are the edges alone, and a piece that
-    starts where the arc crosses no edge for any t > 0 and leaves every
-    bounded set ends the arc there, left-window: for a saddle (e = r^2 > 0)
-    when x or y has a coefficient f/r + g/e of e^(rt) / 2 above 1e-9 times
-    its rounding scale |f/r| + |g/e|, for e = 0 when the arc is not at rest
-    (speed 1e-12 or more), and for a center never."""
+    takes the least crossing time of the finite strip edges from its start;
+    a hit is polished by Newton on x(t) - c and lands at exactly x = c.  A
+    piece that ends at speed below 1e-12 ends the arc at the equilibrium it
+    approaches.  A piece that ends with |x| or |y| beyond the window of
+    ``cfg``, if it sets one, ends the arc left-window, whatever else it
+    reached.  Without a window, a piece that starts where the arc crosses
+    no edge for any t > 0 and leaves every bounded set ends the arc there,
+    left-window: for a saddle (e = r^2 > 0) when x or y has a coefficient
+    f/r + g/e of e^(rt) / 2 above 1e-9 times its rounding scale
+    |f/r| + |g/e|, for e = 0 when the arc is not at rest (speed 1e-12 or
+    more), and for a center never."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
-    lo, hi, centre = plan.lo, plan.hi, plan.centre
+    lo, hi = plan.lo, plan.hi
     x, y = float(start[0]), float(start[1])
 
     def field(x, y):
@@ -134,37 +133,27 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         norm = math.hypot(a11, a12, a21, a22)
         piece = min(piece, dynamics.MAX_STEP, 0.0625 / norm if norm else math.inf)
 
-    def targets(w):  # (coordinate, level, outward sign, edge name or None for the window)
-        return ([(0, c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
-                 if math.isfinite(c)]
-                + [(k, mid + out * w, out, None) for k, mid in ((0, centre), (1, 0.0))
-                   for out in (-1, 1) if w is not None])
+    edges = [(c, out, side) for c, out, side in ((lo, -1, "lo"), (hi, 1, "hi"))
+             if math.isfinite(c)]
 
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
-    f = field(x, y)
-    g = rate(f)
     status = None
-    for u, fu, gu in ((x - centre, f[0], g[0]), (y, f[1], g[1])):
-        if w is not None and (abs(u) > w or (abs(u) == w and u * (fu if fu != 0 else gu) > 0)):
-            status = "left-window"
     while status is None:
-        u = (x, y)
         f = field(x, y)
         g = rate(f)
         rest = cfg.max_time - t
         span = min(rest, piece)
-        # the least crossing time; an edge wins a tie with the window
-        th, c, side = min(((dynamics._first_crossing(e, u[k], f[k], g[k], c, out),
-                            c, side) for k, c, out, side in targets(w)),
-                          key=lambda hit: hit[0] if hit[2] else hit[0] * (1 + 1e-9),
-                          default=(math.inf, None, None))
+        # the least crossing time; the first of equal times wins
+        th, c, side = min(((dynamics._first_crossing(e, x, f[0], g[0], c, out), c, side)
+                           for c, out, side in edges),
+                          key=lambda hit: hit[0], default=(math.inf, None, None))
         if w is None and th == math.inf and unbounded(f, g):
             status = "left-window"
             break
         hit = th <= span * (1 + 1e-9)
-        if hit and side:  # Newton on x(t) - c from the quadratic's root
+        if hit:  # Newton on x(t) - c from the quadratic's root
             for _ in range(3):
                 s1, s2 = dynamics._s12(e, th)
                 miss = x + s1 * f[0] + s2 * g[0] - c
@@ -176,14 +165,14 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         s1, s2 = dynamics._s12(e, dt)
         x, y = x + s1 * f[0] + s2 * g[0], y + s1 * f[1] + s2 * g[1]
         t += dt
-        if hit and side:
+        if hit:
             x, edge, status = c, side, "reached-boundary"
-        elif hit:
-            status = "left-window"
         elif math.hypot(*field(x, y)) < 1e-12:
             status = "hit-equilibrium"
         elif span == rest:
             status = "reached-time-limit"
+        if w is not None and (abs(x) > w or abs(y) > w):
+            status, edge = "left-window", None
         if record:
             samples.append((t, x, y))
     drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))

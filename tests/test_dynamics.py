@@ -250,7 +250,7 @@ def test_boundary_landing_is_on_edge_and_level(payload, reverse, forward, edge, 
         y0 = 0.25 + abs(y0)  # the closed orbits fill y > 0
     zone = Zone(payload, F(-1), F(1), reverse)
     start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
-    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    cfg = IntegratorConfig(max_time=10.0)
     try:
         traj = integrate_arc(zone, start, cfg, forward=forward)
     except NotEntryPoint:
@@ -335,8 +335,6 @@ def _fleeting(zone, p):
 # a grazing landing: backward from (1, 0) the orbit touches x = -1 at (-1, 0)
 @example(payload=LinearSaddle(alpha=1, beta=-1, delta=1, mu=1, gamma=0), reverse=False,
          forward=False, edge="hi", y0=0.0, x0=0.0)
-# a landing on the window's corner: backward from (1, 0) the orbit returns
-# to x = 1 at y = 20 exactly, and the integrated one 7e-15 beyond it
 @example(payload=LinearSaddle(alpha=4, beta=-1, delta=F(1, 4), mu=F(3, 2), gamma=-1),
          reverse=False, forward=False, edge="hi", y0=0.0, x0=0.0)
 # a start 4e-13 from a saddle point: at the equilibrium for both arcs
@@ -350,7 +348,7 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     arc that starts or ends on a fleeting excursion across an edge."""
     zone = Zone(payload, F(-1), F(1), reverse)
     start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
-    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    cfg = IntegratorConfig(max_time=10.0)
     try:
         ref = _dop853_arc(ArcPlan(zone), start, cfg, True, forward)
     except NotEntryPoint:
@@ -404,7 +402,8 @@ def _same_arc(plan, start, cfg, record, forward):
        x0=st.floats(min_value=-0.9, max_value=0.9),
        window=st.floats(min_value=0.5, max_value=50.0) | st.just(1e3) | st.none(),
        max_time=st.floats(min_value=0.05, max_value=30.0))
-# a start on the window's upper side, moving along it and curving out
+# a start on the window's upper side, moving along it and curving out: it
+# ends after its first piece
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=1.0, x0=0.0,
          window=1.0, max_time=10.0)
@@ -428,17 +427,17 @@ def _same_arc(plan, start, cfg, record, forward):
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="none", edge="inside", y0=0.0, x0=0.5,
          window=None, max_time=30.0)
-# the window's sides in x on the strip's edges: an edge hit ties with the window
+# the window's sides in x on the strip's edges: a landing on its side is inside it
 @example(payload=LinearSaddle(alpha=1, beta=0, delta=-1, mu=0, gamma=0), reverse=False,
          forward=True, record=True, strip="both", edge="inside", y0=0.0, x0=0.5,
          window=1.0, max_time=10.0)
 def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record, strip,
                                                edge, y0, x0, window, max_time):
-    """The exact arc, with each window's target table kept on the plan, is
-    the reference, which builds the table on every call: the same
-    trajectory, or the same NotEntryPoint, on open and closed strips, some
-    with edges off x = 0 (so off-centre windows), from either edge or
-    inside, under any window (or none) and time budget."""
+    """The exact arc, which reads the edges from its plan, is the
+    reference, which lists them on every call: the same trajectory, or the
+    same NotEntryPoint, on open and closed strips, some with edges off
+    x = 0, from either edge or inside, under any window (or none) and time
+    budget."""
     lo, hi = _STRIPS[strip]
     zone = Zone(payload, lo, hi, reverse)
     c = {"lo": lo, "hi": hi}.get(edge)
@@ -447,18 +446,6 @@ def test_exact_linear_arc_equals_the_reference(payload, reverse, forward, record
     start = (float(c) if c is not None else x0, y0)
     _same_arc(ArcPlan(zone), start,
               IntegratorConfig(max_time=max_time, window=window), record, forward)
-
-
-def test_exact_linear_arc_keeps_one_target_table_per_window():
-    """One plan under two windows, and back: each arc is the reference's
-    for its own window, so a table kept from the other window is not
-    reused.  Under window 20 the arc leaves the window; under 1e3 it
-    reaches an edge."""
-    plan = ArcPlan(Zone(LinearSaddle(16, 2, F(1, 4), 1, F(1, 4)), F(-1), F(1)))
-    start = (0.2897, 1 / 3)
-    arcs = [_same_arc(plan, start, IntegratorConfig(window=w), True, True)
-            for w in (20.0, 1e3, 20.0)]
-    assert [a.status for a in arcs] == ["left-window", "reached-boundary", "left-window"]
 
 
 def test_step_budget_ends_with_step_limit():
@@ -487,16 +474,22 @@ def test_dp5_landing_outside_the_window_leaves_it():
 
 def test_exact_arc_from_a_window_side_moving_out_leaves_it():
     """From (0, 1) this saddle moves along y = 1, the window's upper side,
-    with dy/dt = x = 0 and d2y/dt2 = 1: it leaves the window at once.  The
-    exact arc ends there, left-window at t = 0, and DOP853 ends left-window
-    after one step; neither lands on x = 1 at y = sqrt(2)."""
+    with dy/dt = x = 0 and d2y/dt2 = 1: it moves out of the window at once.
+    The window is read after each piece or step, so the recorded exact arc
+    ends left-window after its first piece, at y = 1.001, and DOP853 after
+    its first step; neither lands on x = 1 at y = sqrt(2), as both do with
+    no window."""
     zone = Zone(LinearSaddle(1, 0, -1, 0, 0), F(-1), F(1))
     cfg = IntegratorConfig(window=1.0)
     exact = integrate_arc(zone, (0.0, 1.0), cfg)
-    assert (exact.status, exact.edge, exact.end, exact.samples) == (
-        "left-window", None, (0.0, 1.0), [(0.0, 0.0, 1.0)])
+    assert (exact.status, exact.edge, len(exact.samples)) == ("left-window", None, 2)
+    assert 1.0 < exact.end[1] < 1.002
     stepped = _dop853_arc(ArcPlan(zone), (0.0, 1.0), cfg, True, True)
-    assert stepped.status == "left-window" and stepped.steps == 1
+    assert (stepped.status, stepped.edge, stepped.steps) == ("left-window", None, 1)
+    for arc in (integrate_arc(zone, (0.0, 1.0)), _dop853_arc(ArcPlan(zone), (0.0, 1.0),
+                                                             IntegratorConfig(), True, True)):
+        assert (arc.status, arc.edge) == ("reached-boundary", "hi")
+        assert arc.end[1] == pytest.approx(math.sqrt(2))
 
 
 def test_window_holds_every_landing_the_arc_can_reach():
@@ -649,8 +642,8 @@ def test_an_infinite_level_is_read_only_where_its_limit_holds(config):
 # error norm overflows
 @example(config="global_center+saddle", seed=0, y0=2.0681958835003208e-78, forward=True,
          depth=0.0)
-# a finite-time blow-up: without the proof the arc stalls near x, y = 4.3e14
-# and takes every step of its budget
+# a finite-time blow-up: without the proof the arc ends when its step
+# collapses, near x, y = 3.5e13
 @example(config="double_center+saddle", seed=2132, y0=2.0, forward=False, depth=0.0)
 # on the singular locus y = 0 the level is infinite: the x proof ends the
 # arc after one step, and without it the arc runs to an overflow
@@ -728,13 +721,64 @@ def test_arcs_at_an_overflowed_level():
     edge x = 0, which the arc reaches at y = -1e103, since the y proof
     refuses that level.  From (-0.5, 1e120) the landing on x = 0 lies
     beyond the float range, so the arc leaves instead of landing at
-    y = inf."""
+    y = inf.  From (-0.5, 1e140) the first accepted step crosses x = 0,
+    and a step of the landing search squares a stage beyond 1e154 in its
+    error norm: the arc leaves, as one whose own step overflows does,
+    where that OverflowError escaped ``integrate_arc``."""
     zone = Zone(DoubleCenter(l=3, n=3, p=-3), None, F(0))
     traj = integrate_arc(zone, (-1e103, 0.0))
     assert traj.status == "reached-boundary" and traj.edge == "hi"
     assert traj.end[1] == pytest.approx(-1e103)
     traj = integrate_arc(zone, (-0.5, 1e120))
     assert traj.status == "left-window" and traj.edge is None
+    traj = integrate_arc(zone, (-0.5, 1e140))
+    assert (traj.status, traj.edge, traj.steps) == ("left-window", None, 1)
+
+
+def test_an_arc_whose_steps_all_fail_ends():
+    """Where every step's error norm is NaN, every step is rejected, and
+    these arcs ran to their 400 000-step budget.  At (-0.5, 1e156) the
+    speed of the first double center overflows to inf: the arc ends before
+    its first step.  At (-0.5, 1e154) the second one's field is finite,
+    (-1e308, 3e154), but sums of its stages overflow: the arc ends once the
+    rejected step no longer moves the point, after 459 rejections."""
+    for payload, y0, rejected in ((DoubleCenter(l=3, n=3, p=-3), 1e156, 0),
+                                  (DoubleCenter(l=3, n=-1, p=-1), 1e154, 459)):
+        zone = Zone(payload, None, F(0))
+        for forward in (True, False):
+            traj = integrate_arc(zone, (-0.5, y0), forward=forward)
+            assert (traj.status, traj.steps, traj.rejected) == ("left-window", 0, rejected)
+
+
+def test_a_blow_up_ends_when_its_step_collapses():
+    """The seed-2132 arc of ``test_escape_proof_changes_no_arc`` with its
+    escape proofs refused: x and y blow up in finite time, the step shrinks
+    with the time left, and t converges to 1.18259.  The arc ran to its
+    400 000-step budget; it ends left-window once its step falls below
+    2^-40 t, after about 113 000 steps."""
+    ps = rand_config(random.Random(2132), "double_center+saddle")
+    zone = next(z for z in ps.zones if z.kind != "linear")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ArcPlan, "escaped", lambda self, axis, w, h: False)
+        traj = integrate_arc(zone, (0.0, 2.0), record=False, forward=False)
+    assert traj.status == "left-window" and traj.edge is None
+    assert traj.steps + traj.rejected < IntegratorConfig().max_steps / 2
+    assert min(abs(v) for v in traj.end) > 1e13
+
+
+def test_a_short_last_step_ends_on_the_time_limit():
+    """The time limit falls one float past the end of a step at t = 1500,
+    so the next step is cut to the 1e-9 left past it, below 2^-40 t =
+    1.4e-9.  The collapse is read on the error control's step before that
+    cut, so the arc still ends on the time limit."""
+    zone = Zone(DoubleCenter(l=0, n=1, p=0))
+    full = integrate_arc(zone, (0.3, 0.0), IntegratorConfig(max_time=1600.0))
+    tk = next(t for t, _, _ in full.samples if t >= 1500.0)
+    cfg = IntegratorConfig(max_time=math.nextafter(tk, math.inf))
+    traj = integrate_arc(zone, (0.3, 0.0), cfg)
+    assert traj.status == "reached-time-limit"
+    (t0, *_), (t1, *_) = traj.samples[-2:]
+    assert t0 == tk and t1 - t0 < 2.0 ** -40 * t0
 
 
 def test_grazing_landing_stays_on_the_level_curve():
@@ -746,7 +790,7 @@ def test_grazing_landing_stays_on_the_level_curve():
     step's ordinate, and H stays within DRIFT_TOL.  The reported drift
     covers the landed point."""
     zone = Zone(LinearSaddle(alpha=1, beta=-1, delta=1, mu=1, gamma=0), F(-1), F(1))
-    cfg = IntegratorConfig(max_time=10.0, window=20.0)
+    cfg = IntegratorConfig(max_time=10.0)
     traj = _dop853_arc(ArcPlan(zone), (1.0, 0.0), cfg, True, False)
     assert traj.status == "reached-boundary" and traj.end[0] == -1.0
     H = zone_integral_fn(zone)
