@@ -49,6 +49,20 @@ def _arg_type(parse):
     return typed
 
 
+def _samples(least: int):
+    """An argparse ``type=`` for a sample count of at least ``least``, so
+    that a smaller count is a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError(f"samples is not an integer: {text!r}") from None
+        if n < least:
+            raise ValueError(f"samples must be at least {least}, got {n}")
+        return n
+    return _arg_type(parse)
+
+
 def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     """A sweep range LO:HI of exact rationals, each with a decimal exponent
     of at most MAX_EXPONENT; the sweep checks LO < HI."""
@@ -210,8 +224,6 @@ def cmd_sweep(args) -> int:
     lo, hi = args.range
     if not lo < hi:
         raise NotCoveredError("sweep range must satisfy lo < hi")
-    if args.samples < 2:
-        raise NotCoveredError("sweep needs at least 2 samples")
 
     rows = []
     for k in range(args.samples):
@@ -380,13 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="ZONE_INDEX.NAME, e.g. 0.b")
     p.add_argument("--range", required=True, type=_arg_type(_parse_range),
                    help="LO:HI (exact rationals)")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_samples(2), required=True,
+                   help="samples across the range, at least 2")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 
     p = sub.add_parser("portrait", help="sample level curves, separatrices, cycles")
     common(p)
     p.set_defaults(run=cmd_portrait)
-    p.add_argument("--samples", type=int, default=7, help="seed grid per zone axis")
+    p.add_argument("--samples", type=_samples(1), default=7,
+                   help="seed grid per zone axis, at least 1")
     p.add_argument("--window", type=_arg_type(parse_window), default=None,
                    help="plot window LO:HI")
     p.add_argument("--svg", default=None, help="also write an SVG rendering")

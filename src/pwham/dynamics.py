@@ -656,7 +656,8 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     the crossings are the roots of (g/2 - e c0/4) s^2 + f s + c0 with
     c0 = u - level, and the coordinate's velocity there has the sign of
     the quadratic's slope.  The two roots have opposite slopes, so one of
-    them is the outward crossing."""
+    them is the outward crossing.  A saddle's crossing so late that
+    tanh(rt/2) rounds onto 1 is read by ``_late_crossing``."""
     c0 = u - level
     a2 = 0.5 * g - 0.25 * e * c0
     disc = f * f - 4.0 * a2 * c0
@@ -675,9 +676,40 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     if e > 0:
         r = math.sqrt(e)
         half = 0.5 * r * num / den  # tanh(rt/2)
-        return 2.0 * math.atanh(half) / r if 0 < half < 1 else math.inf
+        if 0 < half < 1:
+            return 2.0 * math.atanh(half) / r
+        return _late_crossing(r, u, f, g, level, outward)
     s = num / den
     return s if s > 0 else math.inf
+
+
+def _late_crossing(r: float, u: float, f: float, g: float, level: float,
+                   outward: int) -> float:
+    """``_first_crossing`` of a saddle (e = r^2) at r t > 30, where
+    tanh(rt/2) is within 2e-13 of 1 and can round onto it; math.inf when
+    there is none.  In q = e^(-rt) the coordinate is P + Q / q + W q, with
+    P = u - g/e, Q = (f/r + g/e)/2 and W = (g/e - f/r)/2, so its crossings
+    are the roots of W q^2 + (P - level) q + Q in 0 < q < 1: the least
+    positive root moves with the sign of Q, the other against it.  A root
+    q below e^-30 needs |Q| below e^-30 (|P - level| + |W|), which most
+    calls fail.  A Q below 1e-9 of its terms is read as 0, as in
+    ``_unbounded``: the coordinate then tends to P and crosses nothing
+    late."""
+    a, b = f / r, g / (r * r)
+    grow, decay, c0 = 0.5 * (a + b), 0.5 * (b - a), u - b - level
+    if (abs(grow) >= 1e-13 * (abs(c0) + abs(decay))
+            or abs(a + b) <= 1e-9 * (abs(a) + abs(b))):
+        return math.inf
+    disc = c0 * c0 - 4.0 * decay * grow
+    if disc < 0:
+        return math.inf
+    m = -0.5 * (c0 + math.copysign(math.sqrt(disc), c0))
+    roots = sorted(z for z in (grow / m if m else 0.0, m / decay if decay else 0.0)
+                   if 0 < z < 1)
+    k = 0 if math.copysign(1.0, grow) == outward else 1
+    if k < len(roots) and roots[k] < math.exp(-30.0):
+        return -math.log(roots[k]) / r
+    return math.inf
 
 
 def _unbounded(e: float, f0: float, f1: float, g0: float, g1: float) -> bool:

@@ -60,8 +60,11 @@ or in x (the axis of the ``ArcPlan.escaped`` call that returned True), on
 a linear zone's decision (its ``left-window``), as another ``left-window``
 (a window, a step that overflows or collapses), at an equilibrium, on the
 time limit or on the step limit, and the sum of their accepted DOP853
-steps.  Without it nothing is wrapped but ``integrate_arc``, for the two
-arc digests.
+steps; and one line per solve corpus of ``arcs`` on the annulus scan: the
+``solver.annulus_check`` calls (one per solve, with no boundary when no
+topology is positive-dimensional), the ``displacement`` calls made inside
+them and the closed magnitudes they found.  Without it nothing is wrapped
+but ``integrate_arc``, for the two arc digests.
 """
 
 from __future__ import annotations
@@ -157,13 +160,15 @@ ARC_ENDS = {"reached-boundary": "landing", "hit-equilibrium": "equilibrium",
 
 
 @contextlib.contextmanager
-def _census(dynamics, tally):
+def _census(dynamics, solver, tally):
     """Count into the Counter ``tally`` how every ``dynamics.integrate_arc``
     call made while the block runs ends, and sum its accepted steps: a
     ``left-window`` arc is a proof when an ``ArcPlan.escaped`` call of the
     arc returned True, else a linear decision in a ``linear`` zone, else
-    another ``left-window``."""
-    arc, escaped = dynamics.integrate_arc, dynamics.ArcPlan.escaped
+    another ``left-window``.  Count too every ``solver.annulus_check``
+    call, the displacements it asks of its machine and the magnitudes
+    (boundary, |y|) at which one of them closes."""
+    arc, escaped, scan = dynamics.integrate_arc, dynamics.ArcPlan.escaped, solver.annulus_check
     proofs = []
 
     def proving(self, axis, w, h):
@@ -186,11 +191,31 @@ def _census(dynamics, tally):
         tally["accepted steps"] += traj.steps
         return traj
 
+    def scanned(machine, boundaries):
+        closed = set()
+
+        def displacement(b, y, direction):
+            d = type(machine).displacement(machine, b, y, direction)
+            tally["displacements"] += 1
+            if d is not None and abs(d) < dynamics.CLOSURE_TOL:
+                closed.add((b, abs(y)))
+            return d
+
+        machine.displacement = displacement
+        try:
+            return scan(machine, boundaries)
+        finally:
+            del machine.displacement
+            tally["annulus_check calls"] += 1
+            tally["closed magnitudes"] += len(closed)
+
     dynamics.integrate_arc, dynamics.ArcPlan.escaped = counted, proving
+    solver.annulus_check = scanned
     try:
         yield
     finally:
         dynamics.integrate_arc, dynamics.ArcPlan.escaped = arc, escaped
+        solver.annulus_check = scan
 
 
 def main(argv=None) -> int:
@@ -257,7 +282,8 @@ def main(argv=None) -> int:
     tallies["mixed_returns"] = collections.Counter()
 
     def census(name):
-        return _census(dynamics, tallies[name]) if args.census else contextlib.nullcontext()
+        return (_census(dynamics, solver, tallies[name]) if args.census
+                else contextlib.nullcontext())
 
     h = hashlib.sha256()
     with _arc_log(dynamics, h):
@@ -305,6 +331,10 @@ def main(argv=None) -> int:
         for name, tally in tallies.items():
             counts = ", ".join(f"{end} {tally[end]}" for end in ends)
             print(f"census {name}: {counts}; accepted steps {tally['accepted steps']}")
+        for name, _ in ARC_CORPORA:
+            counts = ", ".join(f"{key} {tallies[name][key]}" for key in
+                               ("annulus_check calls", "displacements", "closed magnitudes"))
+            print(f"scan {name}: {counts}")
     return 0
 
 

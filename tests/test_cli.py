@@ -519,6 +519,17 @@ def test_cli_sweep_range_caps_decimal_exponents(capsys):
         F(-1, 10**MAX_EXPONENT), F(10**MAX_EXPONENT))
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-3", "two"])
+def test_cli_sweep_rejects_too_few_samples(samples, capsys):
+    """A sweep needs both ends of its range: fewer than 2 samples is a
+    usage error (exit 2), not an unsupported configuration (exit 3)."""
+    with pytest.raises(SystemExit) as ei:
+        main(["sweep", fixture_path("double_center_saddle.pwham"),
+              "--param", "1.mu", "--range", "0:1", "--samples", samples])
+    assert ei.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_sample_outside_family(capsys):
     # the sample xi = 0 is no global center
     code, _ = run_cli("sweep", fixture_path("global_center_saddle.pwham"),
@@ -559,6 +570,24 @@ def test_cli_portrait_saddle_separatrices(tmp_path):
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     seps = {r["curve_id"] for r in rows if r["kind"] == "separatrix"}
     assert len(seps) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "two"])
+def test_cli_portrait_rejects_an_empty_seed_grid(samples, capsys):
+    """A seed grid of no points draws no level curve, so it is a usage
+    error (exit 2) rather than a portrait with every level curve missing."""
+    with pytest.raises(SystemExit) as ei:
+        main(["portrait", fixture_path("global_center_saddle.pwham"), "--samples", samples])
+    assert ei.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_cli_portrait_one_sample_draws_level_curves(tmp_path):
+    out = tmp_path / "p.csv"
+    code, _ = run_cli("portrait", fixture_path("global_center_saddle.pwham"),
+                      "--samples", "1", "--no-verify", "--out", str(out))
+    assert code == 0
+    assert "level" in {r["kind"] for r in csv.DictReader(io.StringIO(out.read_text()))}
 
 
 def test_cli_solve_oracle_record():

@@ -340,6 +340,10 @@ def _fleeting(zone, p):
 # a start 4e-13 from a saddle point: at the equilibrium for both arcs
 @example(payload=LinearSaddle(alpha=-1, beta=0, delta=1, mu=0, gamma=0), reverse=False,
          forward=False, edge="inside", y0=0.0, x0=3.8502316449144774e-13)
+# a start 4.5e-269 from a saddle point, whose crossing of x = 1 is so late
+# that tanh(rt/2) rounds onto 1: at the equilibrium for both arcs
+@example(payload=LinearSaddle(alpha=F(-1, 4), beta=0, delta=1, mu=0, gamma=0), reverse=False,
+         forward=False, edge="inside", y0=0.0, x0=4.473516774221576e-269)
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
@@ -373,6 +377,21 @@ def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     if exact.edge:
         assert exact.end[0] == ref.end[0]
         assert abs(exact.end[1] - ref.end[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("edge", [10**5, 10**6])
+@pytest.mark.parametrize("x0", [1e-11, 4e-12])
+def test_exact_saddle_arc_lands_after_a_late_crossing(edge, x0):
+    """Backward from (x0, 0) next to the saddle x' = y, y' = x/4 at the
+    origin, x = x0 cosh(t/2) reaches the edge x = edge at t = 2 acosh(edge/x0),
+    75 to 82.  There r t is past 37, where tanh(rt/2) rounds onto 1 or
+    nearly, so the crossing must not read as none: the arc lands on the
+    edge, and does not end left-window as an escape."""
+    zone = Zone(LinearSaddle(alpha=F(-1, 4), beta=0, delta=1, mu=0, gamma=0),
+                F(-edge), F(edge), False)
+    traj = integrate_arc(zone, (x0, 0.0), IntegratorConfig(), forward=False)
+    assert (traj.status, traj.edge, traj.end[0]) == ("reached-boundary", "hi", edge)
+    assert traj.end[1] == pytest.approx(edge / 2, rel=1e-9)
 
 
 _STRIPS = {"both": (F(-1), F(1)), "lo": (F(-1), None), "hi": (None, F(1)), "none": (None, None),

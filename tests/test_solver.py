@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwham import dynamics
+from pwham import dynamics, solver
 from pwham.dynamics import FlowMachine
 from pwham.algebra import MultiPoly, UniPoly
 from pwham.matcher import MatchingSystem, build_three_zone, build_two_zone
@@ -39,6 +39,8 @@ from conftest import (
     BULK_CFG,
     CONFIG_NAMES,
     FIXTURE_DIR,
+    continuous_cubic_center_match,
+    continuous_double_center_match,
     cubic_center_saddle,
     cubic_three_zone,
     double_center_saddle,
@@ -279,13 +281,17 @@ def test_annulus_check_reads_the_tangency_tolerance(monkeypatch):
     assert not annulus_check(FlowMachine(ps), (0,))
 
 
+def _saddle_match():
+    """A double center matched against a genuine saddle on the right."""
+    return piecewise_system(
+        [DoubleCenter(l=0, n=0, p=0), LinearSaddle(-1, 0, 1, 0, 0)], [0])
+
+
 def test_annulus_requires_closed_orbits():
     """With a genuine saddle on the right the matched family exists only
     algebraically: the hyperbolic arcs never close, so the numeric check
     refuses the annulus."""
-    ps = piecewise_system(
-        [DoubleCenter(l=0, n=0, p=0), LinearSaddle(-1, 0, 1, 0, 0)], [0])
-    rep = solve(ps)
+    rep = solve(_saddle_match())
     assert rep.positive_dimensional and not rep.annulus
 
 
@@ -424,6 +430,55 @@ def test_annulus_scans_the_boundary_of_the_positive_dimensional_topology():
     rep = solve(ps, verify=False)
     assert rep.positive_dimensional and rep.annulus
     assert annulus_check(FlowMachine(ps), (1,)) and not annulus_check(FlowMachine(ps), (0,))
+
+
+_ANNULUS_CASES = {
+    "double_center_match": lambda rng: (continuous_double_center_match(rng), (0,)),
+    "cubic_center_match": lambda rng: (continuous_cubic_center_match(rng), (0,)),
+    "short_loop@0": lambda rng: (_short_loop_system(), (0,)),
+    "short_loop@1": lambda rng: (_short_loop_system(), (1,)),
+    "saddle_match": lambda rng: (_saddle_match(), (0,)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(_ANNULUS_CASES)), seed=st.integers(0, 10**6),
+       order=st.permutations(solver._ANNULUS_SCHEDULE))
+def test_annulus_flag_does_not_depend_on_the_schedule_order(case, seed, order):
+    """The flag says that some boundary has two closing magnitudes in the
+    schedule, a property of the set of magnitudes: the default order, its
+    reverse and any permutation give the same flag, and only where the
+    scan stops moves."""
+    ps, bs = _ANNULUS_CASES[case](random.Random(seed))
+    flags = []
+    for schedule in (solver._ANNULUS_SCHEDULE, solver._ANNULUS_SCHEDULE[::-1], tuple(order)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_ANNULUS_SCHEDULE", schedule)
+            flags.append(annulus_check(FlowMachine(ps), bs))
+    assert flags[0] == flags[1] == flags[2], (case, flags)
+
+
+class _CountingMachine(FlowMachine):
+    """A FlowMachine that counts its displacement calls."""
+
+    calls = 0
+
+    def displacement(self, bindex, y, direction):
+        self.calls += 1
+        return super().displacement(bindex, y, direction)
+
+
+def test_annulus_scan_stops_after_two_magnitudes():
+    """Bands of closed orbits hug the matched center, so the scan from the
+    inside out finds its two closed magnitudes first: on 20 criterion-4
+    draws at most 4 displacements per scan, two magnitudes of one
+    wrong-direction probe and one closed orbit each."""
+    rng = random.Random(404)
+    gens = (continuous_double_center_match, continuous_cubic_center_match)
+    for i in range(20):
+        machine = _CountingMachine(gens[i % 2](rng))
+        assert annulus_check(machine, (0,)), i
+        assert machine.calls <= 4, (i, machine.calls)
 
 
 def test_solve_reports_eliminant_exact_and_route_invariant():
