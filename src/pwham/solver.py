@@ -25,20 +25,21 @@ positive-dimensional.  The route applies when the right-hand pair equation
 is free of z and at most linear in w, and after step w the difference
 equation is at most linear and the sum equation at most quadratic in z.
 Every other three-zone system is eliminated directly in (y4, y3, y2), route
-"direct".  The three steps do not need that shape (z is then extended from
-the equations left after step w, before w), but they cost far more without
-it: on the 66 of 80 random three-zone systems with a family drawn per zone
-that take the fallback, they found the same tuples and flags as the direct
-route (one root's multiplicity differed) in 22 times its time (29.4 s
-against 1.35 s on a 2-core VM; 0.5 to 141 times per system, median 11), so
-the direct route stays.
+"direct".  The three steps do not need that shape, but they cost far more
+without it: on the 66 of 80 random three-zone systems with a family drawn
+per zone that take the fallback, they found the same tuples and flags as
+the direct route (one root's multiplicity differed) in 22 times its time
+(29.4 s against 1.35 s on a 2-core VM; 0.5 to 141 times per system, median
+11), so the direct route stays.
 
 Every eliminant root is refined by exact bisection and extended one unknown
 at a time (``_extend``), each from the equation of lowest degree among
-those univariate in it, a linear one solved exactly.  Extensions are
-screened: ordering constraints, distinctness, excluded singular ordinates,
-and residuals of the original equations.  Surviving candidates are handed
-to the dynamics oracle for verification.
+those univariate in it, a linear one solved exactly; the sum/difference
+route takes each unknown from the equations its own step consumed.
+Extensions are screened: ordering constraints, distinctness, excluded
+singular ordinates, and residuals of the original equations; on either
+route a root that extends to no screened tuple counts as extraneous.
+Surviving candidates are handed to the dynamics oracle for verification.
 """
 
 from __future__ import annotations
@@ -417,7 +418,11 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
     z, strip the odd factor v and halve to V = v^2, step V, and take the gcd
     in u of what is left (see the module docstring).  A spread z or V that no
     equation contains leaves a curve of solutions wherever the eliminant has
-    a root.  Raises MatchError when the system is outside the shape."""
+    a root.  Raises MatchError when the system is outside the shape.
+
+    A root of u takes V from the halved equations (``_candidate_V``), z from
+    the equations step w left, in which w is exact, and w from the pivot s4;
+    a root that extends to no screened tuple counts as extraneous."""
     diag: dict = {"extraneous_roots": 0, "route": "sum_diff"}
     s1, sdiff, ssum, s4 = to_sum_diff(ms)
     if s4.degree("z") > 0 or s4.degree("w") > 1:
@@ -427,9 +432,8 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
         return posdim
     if s4.degree("w") == 0:  # a nonzero constant: no pair shares a level
         return _CoreResult(UniPoly.const(1, "u"), "u", [], False, diag)
-    sd_eqs = [s4, s1, sdiff, ssum]  # the right pair first: the pivot of step w
     try:
-        eqs = _eliminate_step(sd_eqs, "w")
+        eqs = _eliminate_step([s4, s1, sdiff, ssum], "w")  # s4 first: the pivot
         _, diff, total = eqs  # s1 has no w and comes first
         if diff.degree("z") > 1 or total.degree("z") > 2:
             raise MatchError("middle zone restriction is not quadratic")
@@ -446,37 +450,28 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
     # u is refined far below the coincidence gap so that a pair spread of
     # exactly zero cannot masquerade as a tiny positive V
     for u_hat, mult in _root_values(elim, Fraction(1, 10**40)):
-        vs = _candidate_V(halved, u_hat)
-        if not vs:
-            diag["extraneous_roots"] += 1
-        for V_hat in vs:
-            for a in _extend(sd_eqs, {"u": u_hat, "v": rat_sqrt(V_hat)}, ("w", "z")):
+        found = len(tuples)
+        for V_hat in _candidate_V(halved, u_hat):
+            for a in _extend([*eqs, s4], {"u": u_hat, "v": rat_sqrt(V_hat)}, ("z", "w")):
                 t = ((a["u"] - a["v"]) / 2, (a["u"] + a["v"]) / 2,
                      (a["w"] - a["z"]) / 2, (a["w"] + a["z"]) / 2)
                 if _screens_pass(ms, dict(zip(ms.unknowns, t))):
                     tuples.append((t, mult))
+        if len(tuples) == found:
+            diag["extraneous_roots"] += 1
     return _CoreResult(elim, "u", _dedupe(tuples), False, diag)
 
 
-V_NOISE_FLOOR = Fraction(1, 10**30)
-
-
 def _candidate_V(eqs: list[MultiPoly], u_hat: Fraction) -> list[Fraction]:
-    """V values at or above the noise floor consistent with every halved
-    equation at u = u_hat, taken from the first one that contains V.
-
-    V roots are refined far below the noise floor so that an exact V = 0
-    (a coincident pair) cannot surface as a tiny positive value; a V below
-    the floor is the uncertainty induced by the refinements, so a root of
-    u whose only V lie there extends to no pair, whichever side of the
-    true root its refinement landed on."""
-    polys = [q.as_unipoly("V") for q in (p.subs({"u": u_hat}) for p in eqs)
-             if q.degree("V") >= 1]
-    if not polys:
-        return []
-    return [V for V in real_roots(polys[0], V_NOISE_FLOOR / 10**4)
-            if V >= V_NOISE_FLOOR
-            and all(_residual_ok(p, {"u": u_hat, "V": V}) for p in eqs)]
+    """The roots V >= 0 of the first halved equation that contains V at
+    u = u_hat, refined to 1e-34, far below the coincidence gap squared
+    (1e-24): a V = 0 (a coincident pair) refined above zero gives a spread
+    v that the ordering screen drops, whichever side it landed on."""
+    for p in eqs:
+        q = p.subs({"u": u_hat})
+        if q.degree("V") >= 1:
+            return [V for V in real_roots(q.as_unipoly("V"), Fraction(1, 10**34)) if V >= 0]
+    return []
 
 
 DEDUPE_GAP = Fraction(1, 10**9)

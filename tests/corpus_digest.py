@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tests/corpus_digest.py [--root CHECKOUT] [--census]
 
-It prints nine SHA-256 digests:
+It prints ten SHA-256 digests:
 
 * ``solve``: ``cli.report_to_json`` plus every candidate's exact ordinates,
   over the first 600 ``bulk`` units, the 120 ``bigcoef`` units and the first
@@ -35,6 +35,9 @@ It prints nine SHA-256 digests:
   uniformly from the four (offsets 1, 0 and -1 from left to right): the
   general elimination that no benchmark workload takes, with resultants of
   two nonlinear equations;
+* ``mirrored``: the same as ``mixed`` on the mirror image of each of those
+  systems (``systems.mirror``): a candidate that the algebra finds on a
+  system but not on its mirror changes this line;
 * ``mixed_returns``: the ``repr`` of ``FlowMachine(ps, cfg).displacement(b, y, d)``
   on the same 80 three-zone systems at 21 evenly spaced ordinates y from
   -5 to 5, on both boundaries b in both crossing directions d, under the
@@ -51,7 +54,7 @@ The inputs come from ``bench/workloads``, so they are the benchmark's own
 (``build_units``) or drawn by its generators (``mixed``).  ``--root``
 imports pwham and the workloads from another checkout (say, a copy of the
 parent commit), so that two commits compare by two runs of this one
-script: a change that keeps every answer prints the same nine lines.
+script: a change that keeps every answer prints the same ten lines.
 
 ``--census`` prints one more line per arc corpus (``cli_oracle``,
 ``annulus`` and ``bulk`` of ``arcs``, and ``mixed_returns`` for
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     from pwham import cli, dynamics, solver, specfile
-    from pwham.systems import piecewise_system
+    from pwham.systems import mirror, piecewise_system
     import workloads
 
     h = hashlib.sha256()
@@ -298,19 +301,21 @@ def main(argv=None) -> int:
                         h.update(f"raised {type(e).__name__}: {e}\n".encode())
     print(f"arcs {h.hexdigest()}")
 
-    h = hashlib.sha256()
     mixed = list(_mixed_systems(workloads, piecewise_system))
-    for label, ps in mixed:
-        try:
-            rep = solver.solve(ps, verify=False)
-        except Exception as e:  # the failure is part of the answer
-            entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
-        else:
-            entry = {"label": label, "report": cli.report_to_json(ps, rep),
-                     "exact": [[[b, str(v)] for b, v in c.ordinates]
-                               for c in rep.candidates]}
-        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
-    print(f"mixed {h.hexdigest()}")
+    for line, view in (("mixed", lambda ps: ps), ("mirrored", mirror)):
+        h = hashlib.sha256()
+        for label, ps in mixed:
+            ps = view(ps)
+            try:
+                rep = solver.solve(ps, verify=False)
+            except Exception as e:  # the failure is part of the answer
+                entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
+            else:
+                entry = {"label": label, "report": cli.report_to_json(ps, rep),
+                         "exact": [[[b, str(v)] for b, v in c.ordinates]
+                                   for c in rep.candidates]}
+            h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+        print(f"{line} {h.hexdigest()}")
 
     h, arcs = hashlib.sha256(), hashlib.sha256()
     with _arc_log(dynamics, arcs), census("mixed_returns"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pwham import dynamics, solver
 from pwham.dynamics import FlowMachine
 from pwham.algebra import MultiPoly, UniPoly
-from pwham.matcher import MatchingSystem, build_three_zone, build_two_zone
+from pwham.matcher import MatchError, MatchingSystem, build_three_zone, build_two_zone
 from pwham.solver import (
     BoundInfo,
     PositiveDimensionalError,
@@ -20,6 +20,7 @@ from pwham.solver import (
     eliminate,
     solve,
     theorem_bound,
+    _direct_core,
     _root_values,
     _three_zone_core,
 )
@@ -34,6 +35,8 @@ from pwham.systems import (
 )
 
 from pwham.specfile import load_spec
+
+import corpus_digest
 
 from conftest import (
     BULK_CFG,
@@ -520,6 +523,100 @@ def _check_routes_agree(rng, name, draws):
             assert v == sumdiff
         checked += 1
     assert checked >= draws // 2
+
+
+def _mixed_corpus():
+    """(label, system) of the ``mixed`` corpus of ``corpus_digest.py``: the
+    first 40 ``rand_mixed`` draws at each of the seeds 7 and 11."""
+    for seed in corpus_digest.MIXED_SEEDS:
+        rng = random.Random(seed)
+        for i in range(corpus_digest.MIXED_COUNT):
+            yield f"mixed-{seed}-{i}", rand_mixed(rng)
+
+
+def _mirror_view(rep, n, mirrored):
+    """Candidates (topology, status, sorted (boundary, ordinate to 1e-7))
+    and the annulus and dimension flags of a report on a system with n
+    boundaries; a report on the mirror has boundary b read as n - 1 - b."""
+    def b_(b):
+        return n - 1 - b if mirrored else b
+
+    def top(t):
+        return f"two_zone@{b_(int(t[-1]))}" if t.startswith("two_zone@") else t
+
+    cands = sorted((top(c.topology), c.status,
+                    sorted((b_(b), round(float(v), 7)) for b, v in c.ordinates))
+                   for c in rep.candidates)
+    return cands, rep.annulus, rep.positive_dimensional
+
+
+def test_solve_on_the_mirror_keeps_every_answer():
+    """x -> -x maps orbits to orbits, so ``solve(mirror(ps))`` reports the
+    candidates of ``solve(ps)`` with the boundaries swapped: ordinates to
+    1e-7, statuses and the annulus and dimension flags, on the ``mixed``
+    corpus (under ``BULK_CFG``) and the fixtures.  Multiplicities depend on
+    the route, so they are not compared.  ``mixed-11-39`` (a saddle, a
+    saddle and a global center at offset -1) takes the direct route and its
+    mirror the sum/difference route, which lost the rejected three-zone
+    candidate (-3.93675, 1.27008; -1.86852, 0.53518) while it extended z
+    from a rounded w."""
+    systems = [(label, ps, BULK_CFG) for label, ps in _mixed_corpus()]
+    systems += [(name, load_spec(os.path.join(FIXTURE_DIR, name)).to_system(), None)
+                for name in sorted(os.listdir(FIXTURE_DIR)) if name.endswith(".pwham")]
+    assert len(systems) == 89
+    bad = []
+    for label, ps, cfg in systems:
+        n = len(ps.boundaries)
+        if (_mirror_view(solve(mirror(ps), cfg=cfg), n, True)
+                != _mirror_view(solve(ps, cfg=cfg), n, False)):
+            bad.append(label)
+    assert bad == []
+
+
+def test_routes_agree_on_mirrored_mixed_systems():
+    """On every ``mixed`` system and mirror that fits the sum/difference
+    shape (21 of 160), both routes return the same tuples to 1e-8,
+    compared without multiplicities."""
+    checked = []
+    for label, ps in _mixed_corpus():
+        for tag, sys_ in ((label, ps), (f"mirror-{label}", mirror(ps))):
+            ms = build_three_zone(*sys_.zones, *sys_.boundaries)
+            try:
+                sum_diff = _three_zone_core(ms)
+            except MatchError:
+                continue
+            direct = _direct_core(ms)
+            assert sum_diff.positive_dimensional == direct.positive_dimensional, tag
+            got, want = (sorted(tuple(float(v) for v in t) for t, _ in core.tuples)
+                         for core in (sum_diff, direct))
+            assert len(got) == len(want), tag
+            assert all(abs(x - y) <= 1e-8 for s, t in zip(got, want)
+                       for x, y in zip(s, t)), tag
+            checked.append(tag)
+    assert len(checked) == 21 and "mirror-mixed-11-39" in checked
+
+
+def test_dedupe_merges_the_direct_routes_float_twins():
+    """The mirror of ``bigcoef`` unit 100 (seed 505, counted from 0; a
+    global center beside two saddles, coefficients shifted by about 1e-20)
+    takes the direct route, whose back-substitution yields two pairs of
+    three-zone tuples that are equal to float precision; ``_dedupe``
+    merges each pair, so 2 candidates are reported, not 4."""
+    ps = piecewise_system(
+        [LinearSaddle(F(14049247529255285597, 28098495058510571192), 0,
+                      F(-92823457237611185094, 92823457237611185093),
+                      F(-269152598278722814235, 179435065519148542822),
+                      F(67389189485464719899, 44926126323643146600)),
+         LinearSaddle(F(13790473896635292396, 27580947793270584791),
+                      F(122344407605303198585, 61172203802651599292),
+                      F(-11814716827741342414, 11814716827741342415),
+                      F(85222933197436804454, 85222933197436804453),
+                      F(63027720941377317616, 63027720941377317615)),
+         GlobalCenter(F(109514472536257845095, 54757236268128922548), offset=-1)],
+        [-1, 1], [False, False, True])
+    rep = solve(ps, verify=False)
+    assert rep.diagnostics["topologies"]["three_zone"]["route"] == "direct"
+    assert [c.topology for c in rep.candidates].count("three_zone") == 2
 
 
 def test_solve_candidate_residuals_small():
