@@ -1,42 +1,34 @@
-"""Exact polynomial algebra over the rationals.
+"""Exact polynomial algebra over the rationals: dense univariate and sparse
+multivariate polynomials, resultants, squarefree parts, Sturm-sequence
+real-root isolation and root refinement.  Floating point never enters.
 
-Everything the elimination pipeline touches lives here: arbitrary-precision
-rationals (stdlib ``Fraction``), dense univariate polynomials, sparse
-multivariate polynomials, resultants, squarefree decomposition,
-Sturm-sequence real-root isolation and root refinement.
-
-Floating point never enters: coefficients are ``Fraction`` throughout, and
-root refinement returns rational approximations of prescribed accuracy.
-Roots are isolated in a box whose half-width is a power of two (the Cauchy
-bound rounded up), so every isolating interval endpoint and every refined
-root is dyadic: a root refined to ``tol`` has about ``log2(1/tol)`` bits
-however large the coefficients are, and a dyadic root ``k / 2^j`` with
-``2^-j >= tol`` is returned exactly.
-Refinement returns what bisecting to ``tol`` would, without running the
-bisection: that result is the midpoint of the one cell of the interval's
-dyadic grid, at the depth the bisection reaches, that holds the root.
-``refine_root`` finds the cell by one integer division for a linear
-polynomial, and otherwise by Newton guesses on grid indices, each confirmed
-by exact signs at both ends of its cell, with bisection inside the
-confirmed bracket when a guess misses.
-Every sign decision (Sturm variations, bracketing, refinement) runs on
-plain integers: ``_sign_at`` evaluates an integer-coefficient polynomial at
-``n/m`` by homogeneous Horner, so no ``Fraction`` is normalised in those
-loops.
-So do the remainder sequences behind ``UniPoly.gcd``, ``squarefree`` and
-``sturm_chain``: primitive pseudo-remainder sequences (Collins) on the
-coprime integer coefficients, each pseudo-remainder scaled by
-``|lc|^(delta+1)``, a positive factor, so that every content-reduced member
-is the one the Euclidean sequence over the rationals gives, signs included.
-Exact quotients (``UniPoly.exact_div``, the squarefree part) divide the
-primitive parts, whose quotient is an integer polynomial by Gauss's lemma,
-and scale back once; so does ``MultiPoly.exact_div``.  Every resultant
-reduces to one against a linear pivot, by pseudo-remainders (Collins):
+Both polynomial classes hold the content/primitive split (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6): coprime integers ``ints`` times
+a positive rational ``content``, a split that is unique, so equality and
+hashing compare it.  The arithmetic runs on the integers and touches the
+content once per result; ``coeffs`` and ``terms`` are the exact rational
+views.  Primitive parts multiply to a primitive part (Gauss's lemma), so an
+exact quotient (``exact_div``, the squarefree part) divides integer parts.
+The kernels read the integers directly: ``_sign_at`` decides every sign
+(Sturm variations, bracketing, refinement) at ``n/m`` by homogeneous
+Horner, and ``UniPoly.gcd``, ``squarefree`` and ``sturm_chain`` run
+primitive pseudo-remainder sequences (Collins), each pseudo-remainder
+scaled by ``|lc|^(delta+1) > 0``, so every member is the content-reduced
+one of the Euclidean sequence, signs included.  Every resultant reduces to
+one against a linear pivot by pseudo-remainders (Collins):
 ``Res(q, r) lc(q)^(deg p - deg r) = lc(q)^(e deg q) Res(q, p)`` for
-``r = lc(q)^e p mod q``.  The linear pivot clears denominators once,
-``Res(P/dP, Q/dQ) = Res(P, Q) / (dP dQ^deg P)``, sums the pivot formula
-over integer term dicts, and divides each term once.  Each of these
-returns the same ``Fraction`` values as the plain rational computation.
+``r = lc(q)^e p mod q``; the pivot formula is summed on the integer parts.
+
+Roots are isolated in a box whose half-width is a power of two (the Cauchy
+bound rounded up), so every interval endpoint and refined root is dyadic: a
+root refined to ``tol`` has about ``log2(1/tol)`` bits however large the
+coefficients, and a dyadic root ``k / 2^j`` with ``2^-j >= tol`` comes back
+exactly.  ``refine_root`` returns what bisecting to ``tol`` would without
+running the bisection: the midpoint of the cell of the interval's dyadic
+grid, at the bisection's depth, that holds the root, found by one integer
+division for a linear polynomial and otherwise by Newton guesses on grid
+indices, each confirmed by exact signs at both ends of its cell, with
+bisection inside the confirmed bracket when a guess misses.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
@@ -89,28 +81,94 @@ def _sign_at(ints: Sequence[int], n: int, m: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _primitive(ints, n: int, d: int):
+    """(ints / g, n g / d in lowest terms) for g the gcd of ints, a list
+    (its trailing zeros dropped) or a term dict (its zero terms dropped):
+    the split of the polynomial (n / d) ints, n >= 0 and d > 0."""
+    if isinstance(ints, dict):
+        g = gcd(*ints.values())
+        ints = {e: c // g for e, c in ints.items() if c} if n else {}
+    else:
+        ints = list(ints) if n else []
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(*ints)
+        ints = tuple(c // g for c in ints) if g > 1 else tuple(ints)
+    if not ints:
+        return ints, 0, 1
+    h = gcd(n * g, d)
+    return ints, n * g // h, d // h
+
+
+def _common(a: "_Split", b: "_Split") -> tuple[int, int, int, int]:
+    """(ka, kb, n, d) with a + b == n/d (ka a.ints + kb b.ints), ka, kb ints."""
+    g, m = gcd(a._num, b._num) or 1, lcm(a._den, b._den)
+    return a._num // g * (m // a._den), b._num // g * (m // b._den), g, m
+
+
+def _negated(ints):
+    return {e: -c for e, c in ints.items()} if isinstance(ints, dict) else [-c for c in ints]
+
+
+def _scaled(ints, n: int, d: int, r: RatLike) -> tuple:
+    """(ints, n, d) of the polynomial (n / d) ints times the rational r."""
+    r = rat(r)
+    return ints if r.numerator >= 0 else _negated(ints), n * abs(r.numerator), d * r.denominator
+
+
+class _Split:
+    """The split both polynomial classes hold, and what touches it alone;
+    ``_like`` makes a polynomial of the same class and variables."""
+
+    __slots__ = ()
+    ints = property(lambda self: self._ints, doc="The primitive integer part.")
+    content = property(lambda self: Fraction(self._num, self._den),
+                       doc="The positive rational with self == content * ints; 0 for zero.")
+    is_zero = property(lambda self: not self._ints)
+
+    def __neg__(self):
+        return self._like(_negated(self._ints), self._num, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial with rational coefficients.
+class UniPoly(_Split):
+    """Dense univariate polynomial with rational coefficients: ``ints`` in
+    ascending degree with no trailing zeros, empty for zero, and ``coeffs``
+    the exact rational view."""
 
-    Coefficients are stored in ascending degree with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("_ints", "_num", "_den", "var")
 
     def __init__(self, coeffs: Iterable[RatLike], var: str = "y"):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self._ints, self._num, self._den = _primitive(
+            [c.numerator * (den // c.denominator) for c in cs], 1, den)
         self.var = var
 
     # -- construction helpers ------------------------------------------------
+
+    @classmethod
+    def _new(cls, ints: Iterable[int], n: int = 1, d: int = 1, var: str = "y") -> "UniPoly":
+        """(n / d) sum ints[k] var^k, split by ``_primitive``."""
+        p = object.__new__(cls)
+        p._ints, p._num, p._den = _primitive(ints, n, d)
+        p.var = var
+        return p
+
+    def _like(self, ints, n: int, d: int) -> "UniPoly":
+        return UniPoly._new(ints, n, d, self.var)
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[int], scale: RatLike = 1, var: str = "y") -> "UniPoly":
+        """scale * sum ints[k] var^k, for integers ints in ascending degree."""
+        return cls._new(*_scaled(ints, 1, 1, scale), var)
 
     @classmethod
     def zero(cls, var: str = "y") -> "UniPoly":
@@ -123,70 +181,52 @@ class UniPoly:
     # -- basic queries ---------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c * self._num, self._den) for c in self._ints)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self._ints) - 1
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero:
             raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1] * self._num, self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UniPoly) and self._ints == other._ints
+                and self._num == other._num and self._den == other._den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._ints, self._num, self._den))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*{self.var}")
-            else:
-                parts.append(f"{c}*{self.var}^{k}")
-        return " + ".join(parts)
+        return " + ".join(str(c) if k == 0 else f"{c}*{self.var}" + (f"^{k}" if k > 1 else "")
+                          for k, c in enumerate(self.coeffs) if c) or "0"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        ka, kb, n, d = _common(self, other)
+        a, b = [ka * c for c in self._ints], [kb * c for c in other._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out, self.var)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+            a[i] += c
+        return UniPoly._new(a, n, d, self.var)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs], self.var)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out, self.var)
+            return self._like(*_scaled(self._ints, self._num, self._den, other))
+        # the product of primitive parts is primitive (Gauss's lemma)
+        out = [0] * (len(self._ints) + len(other._ints) - 1)
+        for i, a in enumerate(self._ints):
+            if a:
+                for j, b in enumerate(other._ints):
+                    out[i + j] += a * b
+        return UniPoly._new(out, self._num * other._num, self._den * other._den, self.var)
 
     __rmul__ = __mul__
 
@@ -199,68 +239,53 @@ class UniPoly:
         return out
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int input, float for float."""
-        acc = 0 if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
+        """Horner evaluation; exact for Fraction/int input, float for float
+        (each coefficient rounded once, as float() of the exact value)."""
+        if isinstance(x, float):
+            acc = 0.0
+            for c in reversed(self._ints):
+                acc = acc * x + c * self._num / self._den
+            return acc
+        m = x.denominator
+        return Fraction(_value_at(self._ints, x.numerator, m) * self._num,
+                        self._den * m ** max(self.degree, 0))
 
     def deriv(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
+        return self._like([k * c for k, c in enumerate(self._ints)][1:], self._num, self._den)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         """self / other when other divides self; raises AlgebraError otherwise.
-
-        By Gauss's lemma the quotient of the two integer primitive parts is
-        an integer polynomial, so the division runs on integers and the
-        quotient is scaled back once."""
+        The primitive parts divide on integers, and so do the contents."""
         if other.is_zero:
             raise AlgebraError("division by zero polynomial")
         if self.is_zero:
             return self
-        a, b = _primitive_ints(self), _primitive_ints(other)
-        # self = (lead / a[-1]) a and other = (other.lead / b[-1]) b
-        s = self.lead * b[-1] / (other.lead * a[-1])
-        return UniPoly([s * c for c in _exact_quotient(a, b)], self.var)
+        return self._like(_exact_quotient(self._ints, other._ints), self._num * other._den,
+                          self._den * other._num)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd by a primitive remainder sequence on integers."""
-        g = _gcd_ints(_primitive_ints(self), _primitive_ints(other))
-        if not g:
-            return UniPoly.zero(self.var)
-        return UniPoly([Fraction(c, g[-1]) for c in g], self.var)
+        g = _gcd_ints(self._ints, other._ints)
+        return self._like(g if not g or g[-1] > 0 else _negated(g), 1, abs(g[-1]) if g else 1)
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive scalar multiple with a positive leading
         coefficient."""
-        ints = _primitive_ints(self)
-        return UniPoly([-c for c in ints] if ints and ints[-1] < 0 else ints, self.var)
+        return self._like(self._ints if self.is_zero or self._ints[-1] > 0
+                          else _negated(self._ints), 1, 1)
 
     def cauchy_bound(self) -> Fraction:
         """The least power of two B >= 1 + max |c_i / c_lead|: all real roots
         lie in (-B, B), and every bisection point of (-B, B) is dyadic."""
         if self.degree < 1:
             return Fraction(1)
-        ints = _integer_coeffs(self.coeffs)
-        lead = abs(ints[-1])
-        top = lead + max(abs(c) for c in ints[:-1])
+        lead = abs(self._ints[-1])
+        top = lead + max(map(abs, self._ints[:-1]))
         # top / lead lies in (2^(k-1), 2^(k+1)); B is 2^k or 2^(k+1)
         k = top.bit_length() - lead.bit_length()
         if lead << k < top:
             k += 1
         return Fraction(1 << k)
-
-
-def _integer_coeffs(cs: Sequence[Fraction]) -> list[int]:
-    """The coefficients cs times the lcm of their denominators: integers
-    with their signs and ratios."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
-
-
-def _primitive_ints(p: UniPoly) -> list[int]:
-    """p's coefficients as coprime integers: a positive multiple of p."""
-    return _content_free(_integer_coeffs(p.coeffs))
 
 
 def _content_free(ints: list[int]) -> list[int]:
@@ -329,13 +354,13 @@ def squarefree(p: UniPoly) -> UniPoly:
         raise AlgebraError("squarefree part of the zero polynomial")
     if p.degree == 0:
         return p
-    a = _primitive_ints(p)
+    a = p._ints
     g = _gcd_ints(a, _content_free([k * c for k, c in enumerate(a)][1:]))
     if len(g) == 1:
         return p
-    # p = (lead / a[-1]) a and the monic gcd is g / g[-1]
-    s = p.lead * g[-1] / a[-1]
-    return UniPoly([s * c for c in _exact_quotient(a, g)], p.var)
+    # dividing by the monic gcd g / g[-1] scales the content by |g[-1]|
+    q = _exact_quotient(a, g if g[-1] > 0 else [-c for c in g])
+    return UniPoly._new(q, p._num * abs(g[-1]), p._den, p.var)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +386,7 @@ def sturm_chain(p: UniPoly) -> list[list[int]]:
     coefficients: the negated pseudo-remainders, content-reduced, are
     positive multiples of the Euclidean Sturm sequence's members, so every
     sign pattern is kept."""
-    a = _primitive_ints(p)
+    a = list(p._ints)
     chain = [a, _content_free([k * c for k, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         rem = _prem(chain[-2], chain[-1])
@@ -466,7 +491,7 @@ def refine_root(p: UniPoly, iv: RootInterval, tol: RatLike = DEFAULT_REFINE_TOL)
     tol = rat(tol)
     if tol <= 0:
         raise AlgebraError("refinement tolerance must be positive")
-    ints = _integer_coeffs(p.coeffs)
+    ints = p._ints
     # the interval is (a/m, (a + s)/m); the depth-k grid point i is
     # (a 2^k + i s) / (m 2^k), and K is the least k with s / (m 2^k) < tol
     lo, hi = iv.lo, iv.hi
@@ -545,91 +570,101 @@ def real_roots(p: UniPoly, tol: RatLike = DEFAULT_REFINE_TOL) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-class MultiPoly:
+class MultiPoly(_Split):
     """Sparse multivariate polynomial over the rationals.
 
-    Variables are kept sorted by name; terms map exponent tuples to nonzero
-    rational coefficients.  Instances are immutable in practice (nothing
-    mutates ``terms`` after construction).
+    Variables are kept sorted by name; ``ints`` maps exponent tuples to
+    nonzero integers, and ``terms`` is the exact rational view.  Instances
+    are immutable in practice (nothing mutates ``ints`` after construction).
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_ints", "_num", "_den", "_terms")
 
-    def __init__(self, vars: Sequence[str], terms: dict[tuple[int, ...], Fraction]):
-        vs = tuple(vars)
-        if tuple(sorted(vs)) != vs:
-            raise AlgebraError("variables must be sorted")
-        self.vars = vs
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+    def __init__(self, vars: Sequence[str], terms: dict[tuple[int, ...], RatLike]):
+        cs = {e: rat(c) for e, c in terms.items()}
+        den = lcm(*(c.denominator for c in cs.values()))
+        p = MultiPoly.from_ints(vars, {e: c.numerator * (den // c.denominator)
+                                       for e, c in cs.items()}, Fraction(1, den))
+        self.vars, self._ints, self._num, self._den = p.vars, p._ints, p._num, p._den
+        self._terms = None
 
     # -- construction --------------------------------------------------------
 
     @classmethod
+    def _new(cls, vars: tuple[str, ...], ints: dict, n: int = 1, d: int = 1) -> "MultiPoly":
+        """(n / d) ints over the sorted vars, split by ``_primitive``."""
+        p = object.__new__(cls)
+        p.vars, p._terms = vars, None
+        p._ints, p._num, p._den = _primitive(ints, n, d)
+        return p
+
+    def _like(self, ints: dict, n: int, d: int) -> "MultiPoly":
+        return MultiPoly._new(self.vars, ints, n, d)
+
+    @classmethod
+    def from_ints(cls, vars: Sequence[str], ints: dict[tuple[int, ...], int],
+                  scale: RatLike = 1) -> "MultiPoly":
+        """scale times the polynomial with the integer terms ints."""
+        vs = tuple(vars)
+        if tuple(sorted(vs)) != vs:
+            raise AlgebraError("variables must be sorted")
+        return cls._new(vs, *_scaled(ints, 1, 1, scale))
+
+    @classmethod
     def zero(cls, vars: Sequence[str] = ()) -> "MultiPoly":
-        return cls(tuple(sorted(vars)), {})
+        return cls._new(tuple(sorted(vars)), {}, 0)
 
     @classmethod
     def const(cls, c: RatLike, vars: Sequence[str] = ()) -> "MultiPoly":
-        vs = tuple(sorted(vars))
-        c = rat(c)
-        return cls(vs, {(0,) * len(vs): c} if c != 0 else {})
+        return cls.from_ints(sorted(vars), {(0,) * len(vars): 1}, c)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._new((name,), {(1,): 1})
 
     # -- queries -------------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The exact rational coefficients, made on the first read."""
+        if self._terms is None:
+            self._terms = {e: Fraction(c * self._num, self._den) for e, c in self._ints.items()}
+        return self._terms
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or degree in one variable; -1 for zero."""
         if self.is_zero:
             return -1
         if var is None:
-            return max(sum(e) for e in self.terms)
+            return max(sum(e) for e in self._ints)
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(map(itemgetter(self.vars.index(var)), self._ints))
 
     def actual_vars(self) -> tuple[str, ...]:
         """Variables with positive degree."""
-        return tuple(v for v in self.vars if self.degree(v) > 0)
+        return tuple(v for v, col in zip(self.vars, zip(*self._ints)) if any(col))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._align(other)
-        return a.terms == b.terms
+        return a._ints == b._ints and a._num == b._num and a._den == b._den
 
     def __hash__(self):
-        return hash((self.actual_vars(), frozenset(self.terms.items())))
+        p = self.subs({})  # over the variables of positive degree, as __eq__ aligns
+        return hash((p.vars, frozenset(p._ints.items()), p._num, p._den))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, e) if k > 0
-            )
-            bits.append(f"{c}*{mono}" if mono else str(c))
-        return " + ".join(bits)
+        monos = (("*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k), c)
+                 for e, c in sorted(self.terms.items(), reverse=True))
+        return " + ".join(f"{c}*{m}" if m else str(c) for m, c in monos) or "0"
 
     def is_proportional_to(self, other: "MultiPoly") -> bool:
-        """True when self == c * other for some nonzero rational c."""
+        """True when self == c * other for some nonzero rational c: when
+        their primitive parts agree up to sign (or both are zero)."""
         a, b = self._align(other)
-        if a.is_zero or b.is_zero:
-            return a.is_zero and b.is_zero
-        if set(a.terms) != set(b.terms):
-            return False
-        e0 = next(iter(a.terms))
-        c = a.terms[e0] / b.terms[e0]
-        return all(a.terms[e] == c * b.terms[e] for e in a.terms)
+        return a._ints == b._ints or a._ints == _negated(b._ints)
 
     # -- variable alignment ---------------------------------------------------
 
@@ -637,13 +672,13 @@ class MultiPoly:
         if vs == self.vars:
             return self
         idx = [vs.index(v) for v in self.vars]
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
+        ints: dict[tuple[int, ...], int] = {}
+        for e, c in self._ints.items():
             ne = [0] * len(vs)
             for pos, k in zip(idx, e):
                 ne[pos] = k
-            terms[tuple(ne)] = c
-        return MultiPoly(vs, terms)
+            ints[tuple(ne)] = c
+        return MultiPoly._new(vs, ints, self._num, self._den)
 
     def _align(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         if self.vars == other.vars:
@@ -657,75 +692,62 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.vars)
         a, b = self._align(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(a.vars, terms)
+        ka, kb, n, d = _common(a, b)
+        ints = {e: ka * c for e, c in a._ints.items()}
+        for e, c in b._ints.items():
+            ints[e] = ints.get(e, 0) + kb * c
+        return MultiPoly._new(a.vars, ints, n, d)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.vars)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return self._like(*_scaled(self._ints, self._num, self._den, other))
+        # the product of primitive parts is primitive (Gauss's lemma)
         a, b = self._align(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, terms)
+        ints: dict[tuple[int, ...], int] = {}
+        for e1, c1 in a._ints.items():
+            for e2, c2 in b._ints.items():
+                e = tuple(map(add, e1, e2))
+                ints[e] = ints.get(e, 0) + c1 * c2
+        return MultiPoly._new(a.vars, ints, a._num * b._num, a._den * b._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise AlgebraError("negative power")
-        out = MultiPoly.const(1, self.vars)
-        base = self
+        out, base = MultiPoly.const(1, self.vars), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+            base, n = base * base if n > 1 else base, n >> 1
         return out
 
     # -- leading-term exact division (any admissible order: lex here) ---------
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
         """Exact division; raises if other does not divide self.  It divides
-        the primitive integer parts, whose quotient has integer
-        coefficients (Gauss's lemma), by leading terms: each step takes the
-        remainder's, and what it subtracts lies below."""
+        the primitive parts, whose quotient is a primitive integer
+        polynomial (Gauss's lemma), by leading terms: each step takes the
+        remainder's, and what it subtracts lies below.  The contents
+        divide."""
         a, b = self._align(other)
         if b.is_zero:
             raise AlgebraError("division by zero polynomial")
         if a.is_zero:
             return a
-        r, d = (dict(zip(p.terms, _content_free(_integer_coeffs(list(p.terms.values())))))
-                for p in (a, b))
-        ea, eb = max(r), max(d)
-        s = a.terms[ea] * d[eb] / (b.terms[eb] * r[ea])  # a / b = s r / d
+        r, d = dict(a._ints), dict(b._ints)
+        eb = max(d)
         cb, rest = d.pop(eb), list(d.items())
-        q_terms: dict[tuple[int, ...], int] = {}
+        q_ints: dict[tuple[int, ...], int] = {}
         while r:
             er = max(r)
             eq = tuple(x - y for x, y in zip(er, eb))
             cq, m = divmod(r.pop(er), cb)
             if m or any(k < 0 for k in eq):
                 raise AlgebraError("inexact polynomial division")
-            q_terms[eq] = cq
+            q_ints[eq] = cq
             for e, c in rest:
                 t = tuple(map(add, eq, e))
                 v = r.get(t, 0) - cq * c
@@ -733,59 +755,56 @@ class MultiPoly:
                     r[t] = v
                 else:
                     del r[t]
-        return MultiPoly(a.vars, {e: s * c for e, c in q_terms.items()})
+        return a._like(q_ints, a._num * b._den, a._den * b._num)
 
     def diff(self, var: str) -> "MultiPoly":
         """Partial derivative in var."""
         if var not in self.vars:
             return MultiPoly.zero(self.vars)
         i = self.vars.index(var)
-        return MultiPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                                     for e, c in self.terms.items() if e[i]})
+        return self._like({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                           for e, c in self._ints.items() if e[i]}, self._num, self._den)
 
     # -- substitution / evaluation --------------------------------------------
 
     def subs(self, mapping: dict[str, RatLike]) -> "MultiPoly":
-        """Substitute rationals for variables, each folding into the
-        coefficients as ``c * val**k``.  The result's variables are those
-        left with a positive exponent in some term, and its terms keep
-        their order.  A polynomial value raises AlgebraError."""
+        """Substitute rationals for variables.  A value p/q of a variable of
+        degree m folds into the integer part as p^k q^(m-k) and into the
+        content as 1/q^m, so one denominator is cleared per variable.  The
+        result's variables are those left with a positive exponent in some
+        term, and its terms keep their order.  A polynomial value raises
+        AlgebraError."""
         vals = {v: rat(x) for v, x in mapping.items()}
-        keep = [i for i, v in enumerate(self.vars)
-                if v not in vals and any(e[i] for e in self.terms)]
-        terms: dict[tuple[int, ...], Fraction] = {}
-        powers: dict[tuple[str, int], Fraction] = {}
-        for e, c in self.terms.items():
-            for v, k in zip(self.vars, e):
-                if k and v in vals:
-                    xk = powers.get((v, k))
-                    if xk is None:
-                        xk = powers[v, k] = vals[v] ** k
-                    c *= xk
+        degs = [max(col) for col in zip(*self._ints)] or [0] * len(self.vars)
+        keep = [i for i, v in enumerate(self.vars) if v not in vals and degs[i]]
+        den, folds = self._den, []
+        for i, (v, m) in enumerate(zip(self.vars, degs)):
+            if v in vals and m:
+                p, q = vals[v].numerator, vals[v].denominator
+                folds.append((i, [p**k * q**(m - k) for k in range(m + 1)]))
+                den *= q**m
+        ints: dict[tuple[int, ...], int] = {}
+        for e, c in self._ints.items():
+            for i, powers in folds:
+                c *= powers[e[i]]
             if not c:
                 continue
-            key = tuple(e[i] for i in keep)
-            t = terms.get(key, 0) + c
+            key = tuple(map(e.__getitem__, keep))
+            t = ints.get(key, 0) + c
             if t:
-                terms[key] = t
+                ints[key] = t
             else:
-                del terms[key]
-        return MultiPoly(tuple(self.vars[i] for i in keep), terms)
+                del ints[key]
+        return MultiPoly._new(tuple(self.vars[i] for i in keep), ints, self._num, den)
 
     def eval(self, point: dict[str, RatLike]) -> Fraction:
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    t *= rat(point[v]) ** k
-            acc += t
-        return acc
+        q = self.subs({v: point[v] for v in self.actual_vars()})
+        return Fraction(q._num * q._ints.get((), 0), q._den)
 
     def eval_float(self, point: dict[str, float]) -> float:
         acc = 0.0
-        for e, c in self.terms.items():
-            t = float(c)
+        for e, c in self._ints.items():
+            t = c * self._num / self._den
             for v, k in zip(self.vars, e):
                 if k:
                     t *= point[v] ** k
@@ -799,14 +818,8 @@ class MultiPoly:
         coefficients are polynomials in the remaining variables."""
         if var not in self.vars:
             return [self]
-        i = self.vars.index(var)
         rest = tuple(v for v in self.vars if v != var)
-        d = self.degree(var)
-        buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            re = tuple(k for j, k in enumerate(e) if j != i)
-            buckets[e[i]][re] = c
-        return [MultiPoly(rest, b) for b in buckets]
+        return [MultiPoly._new(rest, b, self._num, self._den) for b in _split(self, var, rest)]
 
     def as_unipoly(self, var: str | None = None) -> UniPoly:
         """Convert to UniPoly; requires at most one variable of positive degree."""
@@ -817,36 +830,29 @@ class MultiPoly:
             var = live[0] if live else (self.vars[0] if self.vars else "y")
         if live and var != live[0]:
             raise AlgebraError(f"polynomial is in {live[0]}, not {var}")
-        cs = [Fraction(0)] * (self.degree(var) + 1 if not self.is_zero else 0)
+        cs = list(self._ints.values())
         if var in self.vars:
             i = self.vars.index(var)
-            for e, c in self.terms.items():
+            cs = [0] * (self.degree(var) + 1)
+            for e, c in self._ints.items():
                 cs[e[i]] = c
-        elif not self.is_zero:
-            cs = [self.terms[next(iter(self.terms))]]
-        return UniPoly(cs, var)
+        return UniPoly._new(cs, self._num, self._den, var)
+
+
+def _split(p: MultiPoly, var: str, vs: tuple[str, ...]) -> list[dict[tuple[int, ...], int]]:
+    """p's primitive part as a polynomial in var, ascending: one integer
+    term dict over vs, which holds every other variable of p, per power."""
+    p = p._embed(tuple(sorted((*vs, var))))
+    i = p.vars.index(var)
+    out: list[dict[tuple[int, ...], int]] = [{} for _ in range(p.degree(var) + 1)]
+    for e, c in p._ints.items():
+        out[e[i]][e[:i] + e[i + 1:]] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
-
-
-def _integer_coeffs_in(p: MultiPoly, var: str, vs: tuple[str, ...]
-                       ) -> tuple[int, list[dict[tuple[int, ...], int]]]:
-    """The lcm d of p's denominators and the coefficients of d p as a
-    polynomial in var, ascending, each an integer term dict over vs (which
-    holds every other variable of p)."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    i = p.vars.index(var)
-    pos = [vs.index(v) for v in p.vars if v != var]
-    out: list[dict[tuple[int, ...], int]] = [{} for _ in range(p.degree(var) + 1)]
-    for e, c in p.terms.items():
-        ne = [0] * len(vs)
-        for j, k in zip(pos, e[:i] + e[i + 1:]):
-            ne[j] = k
-        out[e[i]][tuple(ne)] = c.numerator * (den // c.denominator)
-    return den, out
 
 
 def _integer_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
@@ -873,12 +879,10 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         raise AlgebraError(f"not eliminable: degree in {var} is {min(dp, dq)}")
     if dq == 1:
         # Res(p, q1 v + q0) = (-1)^deg(p) sum p_i (-q0)^i q1^(deg p - i) is
-        # homogeneous of degree 1 in p's coefficients and deg p in q's, so
-        # with p = P / dP and q = Q / dQ for integer P and Q it is
-        # Res(P, Q) / (dP dQ^deg p)
+        # homogeneous of degree 1 in p's coefficients and deg p in q's, so it
+        # is the resultant of the primitive parts times cont(p) cont(q)^deg p
         vs = tuple(sorted((set(p.vars) | set(q.vars)) - {var}))
-        dP, pc = _integer_coeffs_in(p, var, vs)
-        dQ, (q0, q1) = _integer_coeffs_in(q, var, vs)
+        pc, (q0, q1) = _split(p, var, vs), _split(q, var, vs)
         one = {(0,) * len(vs): 1}
         neg_q0 = {e: -c for e, c in q0.items()}
         pow0, pow1 = [one], [one]
@@ -886,12 +890,12 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
             pow0.append(_integer_mul(pow0[-1], neg_q0))
             pow1.append(_integer_mul(pow1[-1], q1))
         acc: dict[tuple[int, ...], int] = {}
+        sign = -1 if dp % 2 else 1
         for i, ci in enumerate(pc):
             if ci:
                 for e, c in _integer_mul(_integer_mul(ci, pow0[i]), pow1[dp - i]).items():
-                    acc[e] = acc.get(e, 0) + c
-        den = dP * dQ**dp if dp % 2 == 0 else -dP * dQ**dp
-        return MultiPoly(vs, {e: Fraction(c, den) for e, c in acc.items() if c})
+                    acc[e] = acc.get(e, 0) + sign * c
+        return MultiPoly._new(vs, acc, p._num * q._num**dp, p._den * q._den**dp)
     if dp < dq:
         r = resultant(q, p, var)
         return r if (dp * dq) % 2 == 0 else -r

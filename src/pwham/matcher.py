@@ -28,7 +28,6 @@ Ordinates on each boundary are stored canonically as (lower, upper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -62,15 +61,12 @@ class MatchingSystem:
 # ---------------------------------------------------------------------------
 
 
-def _in_pair(va: str, vb: str, terms: dict[tuple[int, int], Fraction]) -> MultiPoly:
-    """The polynomial with terms {(i, j): c} meaning c * va^i * vb^j."""
-    if va < vb:
-        return MultiPoly((va, vb), terms)
-    return MultiPoly((vb, va), {(j, i): c for (i, j), c in terms.items()})
-
-
-def _coeff(p: UniPoly, k: int) -> Fraction:
-    return p.coeffs[k] if k < len(p.coeffs) else Fraction(0)
+def _in_pair(va: str, vb: str, ints: dict[tuple[int, int], int], scale: RatLike) -> MultiPoly:
+    """scale times the polynomial with integer terms {(i, j): c} meaning
+    c * va^i * vb^j."""
+    if vb < va:
+        ints = {(j, i): c for (i, j), c in ints.items()}
+    return MultiPoly.from_ints(sorted((va, vb)), ints, scale)
 
 
 def pair_equation(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
@@ -80,17 +76,20 @@ def pair_equation(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
         sum_{i>j} (n_i d_j - n_j d_i) (ab)^j P_{i-j}(a, b),
         P_k = sum_{l<k} a^l b^(k-1-l).
 
-    For a polynomial integral (D = 1) this is sum_i n_i P_i(a, b)."""
+    For a polynomial integral (D = 1) this is sum_i n_i P_i(a, b).  It is
+    summed over the integer parts of N and D, times their contents."""
     n, d, _, _ = restriction(zone, rat(c))
-    terms: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, max(len(n.coeffs), len(d.coeffs))):
+    top = max(len(n.ints), len(d.ints))
+    ns, ds = (p.ints + (0,) * (top - len(p.ints)) for p in (n, d))
+    terms: dict[tuple[int, int], int] = {}
+    for i in range(1, top):
         for j in range(i):
-            w = _coeff(n, i) * _coeff(d, j) - _coeff(n, j) * _coeff(d, i)
+            w = ns[i] * ds[j] - ns[j] * ds[i]
             if w:
                 for l in range(i - j):
                     key = (j + l, i - 1 - l)
                     terms[key] = terms.get(key, 0) + w
-    return _in_pair(va, vb, terms)
+    return _in_pair(va, vb, terms, n.content * d.content)
 
 
 def transport_equation(zone: Zone, c_from: RatLike, c_to: RatLike,
@@ -99,17 +98,16 @@ def transport_equation(zone: Zone, c_from: RatLike, c_to: RatLike,
     cleared of denominators: N1(a) D2(b) - N2(b) D1(a)."""
     n1, d1, _, _ = restriction(zone, rat(c_from))
     n2, d2, _, _ = restriction(zone, rat(c_to))
-    terms: dict[tuple[int, int], Fraction] = {}
-    for i, ni in enumerate(n1.coeffs):
-        for j, dj in enumerate(d2.coeffs):
-            terms[i, j] = terms.get((i, j), 0) + ni * dj
-    for i, ni in enumerate(n2.coeffs):
-        for j, dj in enumerate(d1.coeffs):
-            terms[j, i] = terms.get((j, i), 0) - ni * dj
-    return _in_pair(v_from, v_to, terms)
+    return _product(n1, d2, v_from, v_to) - _product(n2, d1, v_to, v_from)
 
 
-def _nonzero(*uses: tuple[Zone, Fraction, tuple[str, ...]]) -> tuple[str, ...]:
+def _product(p: UniPoly, q: UniPoly, va: str, vb: str) -> MultiPoly:
+    """p(va) q(vb), summed on the integer parts."""
+    ints = {(i, j): a * b for i, a in enumerate(p.ints) for j, b in enumerate(q.ints)}
+    return _in_pair(va, vb, ints, p.content * q.content)
+
+
+def _nonzero(*uses: tuple[Zone, RatLike, tuple[str, ...]]) -> tuple[str, ...]:
     """The ordinates excluded from 0: those of each (zone, c, names) use
     whose restricted integral has a non-constant denominator."""
     out: list[str] = []
@@ -184,22 +182,23 @@ _UVWZ = ("u", "v", "w", "z")
 
 @lru_cache(maxsize=256)
 def _image(names: tuple[str, ...], exps: tuple[int, ...]
-           ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """The terms of 2 * prod y^k, (y, k) in zip(names, exps), in (u, v, w, z),
-    each factor ((S -+ D)/2)^k expanded by the binomial theorem."""
-    terms = {(0, 0, 0, 0): Fraction(2)}
+           ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The integer terms of prod (S -+ D)^k, (y, k) in zip(names, exps), in
+    (u, v, w, z), each factor expanded by the binomial theorem: 2^(K - 1)
+    times the image of 2 prod y^k, K the monomial's degree."""
+    terms = {(0, 0, 0, 0): 1}
     for y, k in zip(names, exps):
         if not k:
             continue
         at, sign = _SUM_DIFF[y]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             for l in range(k + 1):
                 f = list(e)
                 f[at] += k - l
                 f[at + 1] += l
                 t = tuple(f)
-                out[t] = out.get(t, 0) + c * Fraction(comb(k, l) * sign**l, 2**k)
+                out[t] = out.get(t, 0) + c * comb(k, l) * sign**l
         terms = {e: c for e, c in out.items() if c}
     return tuple(terms.items())
 
@@ -213,20 +212,25 @@ def to_sum_diff(ms: MatchingSystem) -> list[MultiPoly]:
     solutions need v > 0 and z > 0 (v = z = 0 is the coincident-point locus
     that the pair division removed).
 
-    Each monomial's image comes from the bounded ``_image`` cache, and the
-    four equations are summed from the images in one pass over the terms."""
+    Each equation is rewritten once (``_in_uvwz``), its monomials' images
+    read from the bounded ``_image`` cache, and the transported pair's
+    difference and sum are taken from the two rewritten transports."""
     if ms.topology != "three_zone":
         raise MatchError("sum/difference form applies to three-zone systems")
-    s1, s_diff, s_sum, s4 = {}, {}, {}, {}
-    e1, e2, e3, e4 = ms.equations
-    for eq, targets in ((e1, ((s1, 1),)), (e2, ((s_diff, -1), (s_sum, 1))),
-                        (e3, ((s_diff, 1), (s_sum, 1))), (e4, ((s4, 1),))):
-        for e, c in eq.terms.items():
-            for t, w in _image(eq.vars, e):
-                cw = c * w
-                for acc, sign in targets:
-                    acc[t] = acc.get(t, 0) + sign * cw
-    return [MultiPoly(_UVWZ, acc) for acc in (s1, s_diff, s_sum, s4)]
+    s1, img2, img3, s4 = map(_in_uvwz, ms.equations)
+    return [s1, img3 - img2, img2 + img3, s4]
+
+
+def _in_uvwz(eq: MultiPoly) -> MultiPoly:
+    """2 eq in (u, v, w, z): each monomial's integer ``_image`` times
+    2^(K_max - K), so that they share the factor 2^(1 - K_max)."""
+    top = max((sum(e) for e in eq.ints), default=0)
+    acc: dict[tuple[int, ...], int] = {}
+    for e, c in eq.ints.items():
+        c <<= top - sum(e)
+        for t, b in _image(eq.vars, e):
+            acc[t] = acc.get(t, 0) + c * b
+    return MultiPoly.from_ints(_UVWZ, acc, eq.content * 2 / (1 << top))
 
 
 def matching_systems_for(ps: PiecewiseSystem

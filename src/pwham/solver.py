@@ -231,16 +231,12 @@ def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly
 
 
 def _residual_ok(eq: MultiPoly, point: dict[str, Fraction]) -> bool:
+    """|eq| at the point, in floats, within RESIDUAL_RTOL of 1 plus the sum
+    of its terms' moduli, the scale of their rounding."""
     fpt = {k: float(v) for k, v in point.items()}
-    total = 0.0
-    for e, c in eq.terms.items():
-        t = abs(float(c))
-        for var, k in zip(eq.vars, e):
-            if k:
-                t *= abs(fpt[var]) ** k
-        total += t
-    val = abs(eq.eval_float(fpt))
-    return val <= RESIDUAL_RTOL * (1.0 + total)
+    size = MultiPoly.from_ints(eq.vars, {e: abs(c) for e, c in eq.ints.items()}, eq.content)
+    total = size.eval_float({k: abs(v) for k, v in fpt.items()})
+    return abs(eq.eval_float(fpt)) <= RESIDUAL_RTOL * (1.0 + total)
 
 
 def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
@@ -403,14 +399,14 @@ def _halve(p: MultiPoly, var: str, newvar: str) -> MultiPoly:
     if var not in p.vars:
         return p
     i = p.vars.index(var)
-    odd = all(e[i] % 2 for e in p.terms)
-    if any((e[i] - odd) % 2 for e in p.terms):
+    odd = all(e[i] % 2 for e in p.ints)
+    if any((e[i] - odd) % 2 for e in p.ints):
         raise MatchError("loss of pair-swap symmetry")
     names = p.vars[:i] + (newvar,) + p.vars[i + 1:]
     perm = sorted(range(len(names)), key=names.__getitem__)
-    return MultiPoly(tuple(names[j] for j in perm),
-                     {tuple((e[j] - odd) // 2 if j == i else e[j] for j in perm): c
-                      for e, c in p.terms.items()})
+    return MultiPoly.from_ints(tuple(names[j] for j in perm),
+                               {tuple((e[j] - odd) // 2 if j == i else e[j] for j in perm): c
+                                for e, c in p.ints.items()}, p.content)
 
 
 def _three_zone_core(ms: MatchingSystem) -> _CoreResult:

@@ -48,20 +48,13 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import ClassVar, Optional, Union
 
 from .algebra import MultiPoly, RatLike, UniPoly, rat
 
 X = "x"
 Y = "y"
-
-
-def _x() -> MultiPoly:
-    return MultiPoly.var(X)
-
-
-def _y() -> MultiPoly:
-    return MultiPoly.var(Y)
 
 
 class SystemError(ValueError):
@@ -262,9 +255,7 @@ def piecewise_system(payloads: list[Payload], boundaries: list[RatLike],
 
 def _xy(v) -> MultiPoly:
     """A polynomial (or rational constant) over both variables x and y."""
-    if isinstance(v, MultiPoly):
-        return v if v.vars == (X, Y) else MultiPoly.zero((X, Y)) + v
-    return MultiPoly.const(v, (X, Y))
+    return MultiPoly.zero((X, Y)) + v
 
 
 def _derive(p: Payload) -> tuple[MultiPoly, ...]:
@@ -273,7 +264,7 @@ def _derive(p: Payload) -> tuple[MultiPoly, ...]:
     exact differentiation.  A polynomial integral has den = 1 and a
     constant m; for a rational one the quotient rule leaves den^2 under the
     derivatives, and m cancels it."""
-    num, den, m = p.first_integral(_x(), _y())
+    num, den, m = p.first_integral(MultiPoly.var(X), MultiPoly.var(Y))
     num = _xy(num)
     if den == 1:
         return num, _xy(1), num.diff(Y) * m, num.diff(X) * -m
@@ -286,12 +277,12 @@ def _derive(p: Payload) -> tuple[MultiPoly, ...]:
 
 @lru_cache(maxsize=None)
 def _template(cls) -> tuple:
-    """(names, forms): the family's parameters, the fields other than
-    ``offset``, and its exact forms as affine functions of them.  For each
-    of (num, den, fx, fy) in the local frame, ``forms`` holds the rows
-    (exponent, constant, weights), weights a tuple of (parameter index,
-    weight), so that the monomial's coefficient at parameter values v is
-    constant + sum(w * v[i]).
+    """(names, den, forms): the family's parameters, the fields other than
+    ``offset``, and its exact forms as affine functions of them over one
+    denominator.  For each of (num, den, fx, fy) in the local frame,
+    ``forms`` holds the rows (exponent, (constant, weight of each
+    parameter)), all integers, so that the monomial's coefficient at
+    parameter values v is (constant + sum(weight * v)) / den.
 
     Read off ``_derive`` at the base point where every parameter is 1 and at
     one point per parameter with that parameter 2: exact because every
@@ -299,29 +290,32 @@ def _template(cls) -> tuple:
     no product of two of them.  Built on first use, once per family."""
     names = tuple(f.name for f in fields(cls) if f.name != "offset")
     ones = dict.fromkeys(names, 1)
-    base, *steps = (_derive(cls(**point))
-                    for point in [ones] + [{**ones, n: 2} for n in names])
+    derived = [_derive(cls(**point)) for point in [ones] + [{**ones, n: 2} for n in names]]
+    den = math.lcm(*(f.content.denominator for forms in derived for f in forms))
+    base, *steps = ([{e: int(c * den) for e, c in f.terms.items()} for f in forms]
+                    for forms in derived)
     out = []
     for k, b in enumerate(base):
-        deltas = [s[k] - b for s in steps]
         rows = []
-        for e in sorted(set(b.terms).union(*(d.terms for d in deltas))):
-            w = tuple((i, d.terms[e]) for i, d in enumerate(deltas) if e in d.terms)
-            rows.append((e, b.terms.get(e, 0) - sum(v for _, v in w), w))
+        for e in sorted(set(b).union(*(s[k] for s in steps))):
+            w = [s[k].get(e, 0) - b.get(e, 0) for s in steps]
+            rows.append((e, (b.get(e, 0) - sum(w), *w)))
         out.append(tuple(rows))
-    return names, tuple(out)
+    return names, den, tuple(out)
 
 
 @lru_cache(maxsize=8)
 def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
     """(num, den, fx, fy) in the payload's local frame X = x + offset,
     written in the variable x: the family's template (``_template``) at the
-    payload's parameters.  The float code in ``dynamics`` compiles these,
-    so that it evaluates in the shifted frame."""
-    names, forms = _template(type(p))
+    payload's parameters, summed on integers over their common denominator.
+    ``dynamics`` compiles these, so that it evaluates in the shifted frame."""
+    names, den, forms = _template(type(p))
     v = [getattr(p, n) for n in names]
-    return tuple(MultiPoly((X, Y), {e: sum((w * v[i] for i, w in ws if v[i]), c)
-                                    for e, c, ws in rows})
+    q = math.lcm(*(x.denominator for x in v))
+    v = [q, *(x.numerator * (q // x.denominator) for x in v)]
+    scale = Fraction(1, den * q)
+    return tuple(MultiPoly.from_ints((X, Y), {e: sum(map(mul, row, v)) for e, row in rows}, scale)
                  for rows in forms)
 
 
@@ -329,20 +323,19 @@ def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
 def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
     """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
     applied) on the line x = c, as polynomials in y: the local forms at
-    X = c + offset.  Every boundary equation is built from these: the
-    matcher's level pairs and transports, its excluded ordinates, and the
-    continuity test."""
-    at = rat(c) + zone.payload.offset
+    X = c + offset = p/q, summed on their integer parts with q^i cleared
+    once, as p^i q^(m - i) for m the degree in x.  Every boundary
+    equation is built from these: the matcher's level pairs and transports,
+    its excluded ordinates, and the continuity test."""
+    p, q = (rat(c) + zone.payload.offset).as_integer_ratio()
     out = []
     for k, poly in enumerate(local_forms(zone.payload)):
+        m = max(poly.degree(X), 0)
         cs = [0] * (poly.degree(Y) + 1)
-        for (i, j), a in poly.terms.items():
-            if i:
-                if not at:
-                    continue
-                a *= at ** i
-            cs[j] += a
-        out.append(UniPoly([-a for a in cs] if k > 1 and zone.reverse else cs, Y))
+        for (i, j), a in poly.ints.items():
+            cs[j] += a * p**i * q**(m - i)
+        scale = poly.content / q**m
+        out.append(UniPoly.from_ints(cs, -scale if k > 1 and zone.reverse else scale, Y))
     return tuple(out)
 
 

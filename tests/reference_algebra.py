@@ -11,6 +11,10 @@ kernels that ``algebra`` runs on integers: Euclidean remainder sequences
 with a content reduction after each step, long division, and the
 linear-pivot resultant formula summed in Fractions.  The integer kernels
 must return exactly what these return.
+
+``frac_add``, ``frac_mul``, ``frac_subs``, ``frac_diff``, ``frac_coeffs_in``
+and ``frac_div`` are the same operations on plain-Fraction term dicts, the
+check on ``MultiPoly``'s content/primitive split.
 """
 
 from fractions import Fraction
@@ -155,3 +159,68 @@ def expand_subs(p: MultiPoly, mapping: dict) -> MultiPoly:
                 term = term * polys.get(v, MultiPoly.var(v)) ** k
         out = out + term
     return out
+
+
+# -- plain-Fraction term dicts: the check on the content/primitive split ---------
+#
+# A polynomial is (vars, {exponent tuple: nonzero Fraction}), every operation a
+# loop over Fraction coefficients, as ``MultiPoly`` ran before it held its
+# coefficients as integers times one content.
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def frac_add(a: dict, b: dict) -> dict:
+    return _nonzero({e: a.get(e, 0) + b.get(e, 0) for e in {**a, **b}})
+
+
+def frac_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def frac_subs(vs: tuple, a: dict, values: dict) -> tuple:
+    """(variables, terms) after substituting the rationals in values: the
+    variables left are those with a positive exponent in some term."""
+    keep = [i for i, v in enumerate(vs) if v not in values and any(e[i] for e in a)]
+    out: dict = {}
+    for e, c in a.items():
+        for v, k in zip(vs, e):
+            if v in values:
+                c *= Fraction(values[v]) ** k
+        key = tuple(e[i] for i in keep)
+        out[key] = out.get(key, 0) + c
+    return tuple(vs[i] for i in keep), _nonzero(out)
+
+
+def frac_diff(vs: tuple, a: dict, var: str) -> dict:
+    i = vs.index(var)
+    return _nonzero({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]})
+
+
+def frac_coeffs_in(vs: tuple, a: dict, var: str) -> list:
+    """The coefficients in var, ascending, each a term dict over the rest."""
+    i = vs.index(var)
+    out = [{} for _ in range(max(e[i] for e in a) + 1)] if a else []
+    for e, c in a.items():
+        out[e[i]][e[:i] + e[i + 1:]] = c
+    return out
+
+
+def frac_div(a: dict, b: dict) -> dict:
+    """a / b by lex leading terms in Fractions; b must divide a."""
+    r, q = dict(a), {}
+    eb = max(b)
+    while r:
+        er = max(r)
+        eq = tuple(x - y for x, y in zip(er, eb))
+        assert min(eq) >= 0, "inexact division"
+        q[eq] = r[er] / b[eb]
+        r = frac_add(r, {e: -c for e, c in frac_mul({eq: q[eq]}, b).items()})
+    return q

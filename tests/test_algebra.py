@@ -648,3 +648,79 @@ def test_multipoly_exact_div_and_pow():
     assert q == (x + y) ** 2 * (x - 2 * y)
     with pytest.raises(AlgebraError):
         (x * x + y).exact_div(x + y)
+
+
+def test_multipoly_integer_coefficients_stay_exact():
+    """Integer coefficients give exact answers: (4x^2 + 2) / (2x^2 + 1) is
+    the rational 2, not a float, and 3p is proportional to p for
+    coefficients near 10^20, past a float's 53 bits."""
+    q = MultiPoly(("x",), {(2,): 4, (0,): 2}).exact_div(MultiPoly(("x",), {(2,): 2, (0,): 1}))
+    assert q.terms == {(0,): 2} and all(type(c) is F for c in q.terms.values())
+    p = MultiPoly(("x", "y"), {(1, 0): 10**20 + 1, (0, 1): 10**20 + 3})
+    assert MultiPoly(p.vars, {e: 3 * c for e, c in p.terms.items()}).is_proportional_to(p)
+
+
+# -- the content/primitive split -------------------------------------------------
+
+# short rationals and rationals with 20-digit denominators, as on bigcoef
+long_rationals = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-10**21, 10**21), st.integers(10**19, 10**20)))
+XY = ("x", "y")
+xy_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), long_rationals,
+                           max_size=5)
+
+
+@st.composite
+def xy_polys(draw):
+    """A term dict over (x, y) with a nonzero x^2 y^2 term, so that both
+    variables keep a positive degree."""
+    return {**draw(xy_terms), (2, 2): draw(long_rationals.filter(bool))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(xy_polys(), xy_terms, long_rationals.filter(bool), long_rationals.filter(bool))
+def test_the_split_is_one_form_however_the_polynomial_is_built(t, t2, c, w):
+    """The same polynomial built from Fractions, from integers with a
+    content, by arithmetic and by substitution compares equal, hashes equal
+    and gives identical ``terms``, with Fraction values; so do its
+    univariate forms and ``coeffs``."""
+    p, q = MultiPoly(XY, t), MultiPoly(XY, t2)
+    den = math.lcm(*(v.denominator for v in t.values()))
+    ways = [
+        MultiPoly.from_ints(XY, {e: 6 * v.numerator * (den // v.denominator)
+                                 for e, v in t.items() if v}, F(1, 6 * den)),
+        (p * c) * (1 / c),
+        (p + q) - q,
+        -(-p),
+        MultiPoly(("w", *XY), {(k, *e): v * w**k for k, (e, v) in enumerate(t.items())}
+                  ).subs({"w": 1 / w}),
+    ]
+    for other in ways:
+        assert other == p and hash(other) == hash(p)
+        assert other.vars == p.vars and other.terms == p.terms
+        assert all(type(v) is F for v in other.terms.values())
+    # over one more variable, of degree 0: equal, so hashed alike
+    wider = MultiPoly((*XY, "z"), {(*e, 0): v for e, v in t.items()})
+    assert wider == p and hash(wider) == hash(p)
+    u = p.subs({"y": c}).as_unipoly("x")
+    for other in (UniPoly(u.coeffs, "x"), UniPoly.from_ints(u.ints, u.content, "x"),
+                  (u + UniPoly([w], "x")) - UniPoly([w], "x"), (u * w) * (1 / w)):
+        assert other == u and hash(other) == hash(u) and other.coeffs == u.coeffs
+        assert all(type(v) is F for v in other.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xy_polys(), xy_polys(), long_rationals)
+def test_split_arithmetic_matches_the_fraction_reference(t, t2, a):
+    """+, *, subs, diff, coeffs_in and exact_div on the split give the
+    plain-Fraction reference's terms."""
+    p, q = MultiPoly(XY, t), MultiPoly(XY, t2)
+    assert (p + q).terms == ref.frac_add(p.terms, q.terms)
+    assert (p * q).terms == ref.frac_mul(p.terms, q.terms)
+    folded = p.subs({"x": a})
+    assert (folded.vars, folded.terms) == ref.frac_subs(XY, p.terms, {"x": a})
+    assert p.diff("y").terms == ref.frac_diff(XY, p.terms, "y")
+    assert [c.terms for c in p.coeffs_in("x")] == ref.frac_coeffs_in(XY, p.terms, "x")
+    pq = p * q
+    assert pq.exact_div(q).terms == ref.frac_div(pq.terms, q.terms) == p.terms

@@ -532,3 +532,22 @@ def test_integrator_config_fields_are_set_by_callers():
             if name in ("IntegratorConfig", "replace"):
                 given_.update(k.arg for k in node.keywords)
     assert set(fields) <= given_, sorted(set(fields) - given_)
+
+
+def test_the_integer_split_stays_in_algebra():
+    """Only ``algebra`` reads a polynomial's integer part or content by its
+    private name (``_ints``, ``_num``, ``_den``); every other module in
+    ``src/pwham`` uses the public ``ints``, ``content`` and constructors, and
+    ``matcher`` imports nothing from ``fractions``."""
+    private = {"_ints", "_num", "_den"}
+    uses = set()
+    for path in sorted(Path(pwham.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                uses.add(path.stem)
+    assert uses == {"algebra"}
+    tree = ast.parse((Path(pwham.__file__).parent / "matcher.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported
