@@ -942,20 +942,23 @@ class FlowMachine:
     # -- candidate verification ---------------------------------------------
 
     def verify_candidate(self, cand) -> tuple[str, str]:
-        """Walk the full declared loop from its least ordinate; 'verified'
-        only when every arc stays in its strip and keeps its first integral,
-        every landing is a crossing that matches a declared ordinate, and
-        the loop closes after all of its crossings and not before.
-        Everything else is a typed rejection."""
+        """Walk the declared loop from its least ordinate: 'verified' only when
+        every declared ordinate is a crossing, every arc keeps to its strip
+        and its first integral, every landing matches a declared ordinate and
+        the loop closes after all its crossings, not before; else a rejection."""
         expected: dict[int, list[float]] = {}
         for b, v in cand.ordinates:
             expected.setdefault(b, []).append(float(v))
         b0, y0v = min(cand.ordinates, key=lambda bv: bv[1])
         y0 = float(y0v)
+        where = "start"
         try:
             direction = self.crossing_direction(b0, y0)
+            where = "declared ordinate"
+            for b, v in cand.ordinates:
+                self.crossing_direction(b, float(v))
         except SlidingPoint as e:
-            return "rejected", f"start not a crossing point: {e}"
+            return "rejected", f"{where} not a crossing point: {e}"
         n_cross = len(cand.ordinates)
         try:
             for hits, (bhit, yhit, dhit, traj) in enumerate(self._walk(b0, y0, direction), 1):

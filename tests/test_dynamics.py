@@ -1122,8 +1122,8 @@ class ScriptedWalk(FlowMachine):
     """A FlowMachine on the boundaries ``bxs`` whose hops replay ``script``:
     each entry is a landing (boundary, ordinate, direction, drift) or an
     exception that the hop raises.  A point's crossing direction is the one
-    of the start or of the landing made there.  ``zones`` logs the zone
-    each hop runs through."""
+    of the start or of the landing made there, and upward at any other
+    point.  ``zones`` logs the zone each hop runs through."""
 
     def __init__(self, bxs, start, script):
         self.bxs = bxs
@@ -1132,7 +1132,7 @@ class ScriptedWalk(FlowMachine):
         self.zones = []
 
     def crossing_direction(self, bindex, y):
-        return self.directions[bindex, y]
+        return self.directions.get((bindex, y), 1)
 
     def _hop(self, zone_index, state, record=False):
         self.zones.append(zone_index)
