@@ -7,8 +7,9 @@ Gerhard, *Modern Computer Algebra*, ch. 6): coprime integers ``ints`` times
 a positive rational ``content``, a split that is unique, so equality and
 hashing compare it.  The arithmetic runs on the integers and touches the
 content once per result; ``coeffs`` and ``terms`` are the exact rational
-views.  Primitive parts multiply to a primitive part (Gauss's lemma), so an
-exact quotient (``exact_div``, the squarefree part) divides integer parts.
+views, and ``floats`` the correctly rounded one, for float readers.
+Primitive parts multiply to a primitive part (Gauss's lemma), so an exact
+quotient (``exact_div``, the squarefree part) divides integer parts.
 The kernels read the integers directly: ``_sign_at`` decides every sign
 (Sturm variations, bracketing, refinement) at ``n/m`` by homogeneous
 Horner, and ``UniPoly.gcd``, ``squarefree`` and ``sturm_chain`` run
@@ -112,8 +113,8 @@ def _negated(ints):
 
 def _scaled(ints, n: int, d: int, r: RatLike) -> tuple:
     """(ints, n, d) of the polynomial (n / d) ints times the rational r."""
-    r = rat(r)
-    return ints if r.numerator >= 0 else _negated(ints), n * abs(r.numerator), d * r.denominator
+    a, b = (r, 1) if isinstance(r, int) else rat(r).as_integer_ratio()
+    return ints if a >= 0 else _negated(ints), n * abs(a), d * b
 
 
 class _Split:
@@ -125,6 +126,14 @@ class _Split:
     content = property(lambda self: Fraction(self._num, self._den),
                        doc="The positive rational with self == content * ints; 0 for zero.")
     is_zero = property(lambda self: not self._ints)
+
+    def floats(self, sign: int = 1):
+        """The coefficients times sign as floats, each c n / d one int true
+        division, so correctly rounded: float() of the exact coefficient."""
+        n, d = sign * self._num, self._den
+        if isinstance(self._ints, dict):
+            return {e: c * n / d for e, c in self._ints.items()}
+        return tuple(c * n / d for c in self._ints)
 
     def __neg__(self):
         return self._like(_negated(self._ints), self._num, self._den)
@@ -603,12 +612,12 @@ class MultiPoly(_Split):
 
     @classmethod
     def from_ints(cls, vars: Sequence[str], ints: dict[tuple[int, ...], int],
-                  scale: RatLike = 1) -> "MultiPoly":
-        """scale times the polynomial with the integer terms ints."""
+                  scale: RatLike = 1, den: int = 1) -> "MultiPoly":
+        """scale / den times the polynomial with the integer terms ints."""
         vs = tuple(vars)
         if tuple(sorted(vs)) != vs:
             raise AlgebraError("variables must be sorted")
-        return cls._new(vs, *_scaled(ints, 1, 1, scale))
+        return cls._new(vs, *_scaled(ints, 1, den, scale))
 
     @classmethod
     def zero(cls, vars: Sequence[str] = ()) -> "MultiPoly":
@@ -767,6 +776,22 @@ class MultiPoly(_Split):
 
     # -- substitution / evaluation --------------------------------------------
 
+    def _fold(self, mapping: dict[str, RatLike]) -> tuple:
+        """(den, folds, left) of substituting the rationals of mapping: per
+        value p/q of a variable of degree m, the denominator times q^m and
+        (index, [p^k q^(m-k), k = 0..m]) in folds; (index, degree) of each
+        other variable of positive degree in left."""
+        vals = {v: rat(x) for v, x in mapping.items()}
+        den, folds, left = self._den, [], []
+        for i, (v, m) in enumerate(zip(self.vars, map(max, zip(*self._ints)))):
+            if m and v in vals:
+                p, q = vals[v].as_integer_ratio()
+                folds.append((i, [p**k * q**(m - k) for k in range(m + 1)]))
+                den *= q**m
+            elif m:
+                left.append((i, m))
+        return den, folds, left
+
     def subs(self, mapping: dict[str, RatLike]) -> "MultiPoly":
         """Substitute rationals for variables.  A value p/q of a variable of
         degree m folds into the integer part as p^k q^(m-k) and into the
@@ -774,15 +799,8 @@ class MultiPoly(_Split):
         result's variables are those left with a positive exponent in some
         term, and its terms keep their order.  A polynomial value raises
         AlgebraError."""
-        vals = {v: rat(x) for v, x in mapping.items()}
-        degs = [max(col) for col in zip(*self._ints)] or [0] * len(self.vars)
-        keep = [i for i, v in enumerate(self.vars) if v not in vals and degs[i]]
-        den, folds = self._den, []
-        for i, (v, m) in enumerate(zip(self.vars, degs)):
-            if v in vals and m:
-                p, q = vals[v].numerator, vals[v].denominator
-                folds.append((i, [p**k * q**(m - k) for k in range(m + 1)]))
-                den *= q**m
+        den, folds, left = self._fold(mapping)
+        keep = [i for i, _ in left]
         ints: dict[tuple[int, ...], int] = {}
         for e, c in self._ints.items():
             for i, powers in folds:
@@ -796,6 +814,23 @@ class MultiPoly(_Split):
             else:
                 del ints[key]
         return MultiPoly._new(tuple(self.vars[i] for i in keep), ints, self._num, den)
+
+    def univariate(self, mapping: dict[str, RatLike], var: str) -> UniPoly:
+        """``subs(mapping)`` as a UniPoly in var, in one pass over the terms.
+        Raises AlgebraError when another variable keeps a positive degree,
+        which ``subs`` decides where a substitution may cancel its terms."""
+        den, folds, left = self._fold(mapping)
+        if any(self.vars[i] != var for i, _ in left):
+            if folds:
+                return self.subs(mapping).univariate({}, var)
+            raise AlgebraError(f"not univariate in {var}: {self!r}")
+        j, m = left[0] if left else (0, 0)
+        cs = [0] * (m + 1)
+        for e, c in self._ints.items():
+            for i, powers in folds:
+                c *= powers[e[i]]
+            cs[e[j] if m else 0] += c
+        return UniPoly._new(cs, self._num, den, var)
 
     def eval(self, point: dict[str, RatLike]) -> Fraction:
         q = self.subs({v: point[v] for v in self.actual_vars()})
@@ -822,21 +857,12 @@ class MultiPoly(_Split):
         return [MultiPoly._new(rest, b, self._num, self._den) for b in _split(self, var, rest)]
 
     def as_unipoly(self, var: str | None = None) -> UniPoly:
-        """Convert to UniPoly; requires at most one variable of positive degree."""
-        live = self.actual_vars()
-        if len(live) > 1:
-            raise AlgebraError(f"not univariate: variables {live}")
+        """Convert to UniPoly in var, by default its one variable of
+        positive degree (``univariate`` with nothing substituted)."""
         if var is None:
+            live = self.actual_vars()
             var = live[0] if live else (self.vars[0] if self.vars else "y")
-        if live and var != live[0]:
-            raise AlgebraError(f"polynomial is in {live[0]}, not {var}")
-        cs = list(self._ints.values())
-        if var in self.vars:
-            i = self.vars.index(var)
-            cs = [0] * (self.degree(var) + 1)
-            for e, c in self._ints.items():
-                cs[e[i]] = c
-        return UniPoly._new(cs, self._num, self._den, var)
+        return self.univariate({}, var)
 
 
 def _split(p: MultiPoly, var: str, vs: tuple[str, ...]) -> list[dict[tuple[int, ...], int]]:

@@ -283,10 +283,10 @@ def _zone_code(zone: Zone, part: str, source, sign: int):
     loses no precision to cancellation between expanded monomials in x."""
     num, den, fx, fy = local_forms(zone.payload)
     polys = (fx, fy) if part == "field" else (num, den)
-    support = tuple(tuple(sorted(p.terms, reverse=True)) for p in polys)
+    support = tuple(tuple(sorted(p.ints, reverse=True)) for p in polys)
     return _maker(source, support)(float(zone.payload.offset),
-                                   *[sign * float(p.terms[e])
-                                     for p, exps in zip(polys, support) for e in exps])
+                                   *[cs[e] for cs, exps in zip((p.floats(sign) for p in polys),
+                                                               support) for e in exps])
 
 
 @lru_cache(maxsize=8)
@@ -301,13 +301,12 @@ def zone_integral_fn(zone: Zone):
     return _zone_code(zone, "integral", _integral_source, 1)
 
 
-@lru_cache(maxsize=8)
-def zone_step_fns(zone: Zone) -> tuple:
-    """The zone's DOP853 steps (``_step_source``) backward and forward in
-    time, indexed by ``forward``; reversal and direction are folded into the
-    signs of the field's coefficients."""
-    s = -1 if zone.reverse else 1
-    return tuple(_zone_code(zone, "field", _step_source, sign) for sign in (-s, s))
+@lru_cache(maxsize=16)
+def zone_step_fn(zone: Zone, forward: bool):
+    """The zone's DOP853 step (``_step_source``) forward or backward in
+    time; reversal and direction are folded into the signs of the field's
+    coefficients."""
+    return _zone_code(zone, "field", _step_source, 1 if forward != zone.reverse else -1)
 
 
 def _hermite_peak(x0, x1, d0, d1):
@@ -393,8 +392,8 @@ class ArcPlan:
     reach polynomials (``reach``: its edges' level polynomials and its
     turning points, for ``escaped``, built on first use), the float field
     (reversal applied) and first integral, and either the exact linear
-    part (a ``linear`` zone) or, built on first use, the zone's DOP853
-    steps (``zone_step_fns``)."""
+    part (a ``linear`` zone) or the zone's DOP853 step in each direction
+    of time (``zone_step_fn``), built on its first use."""
 
     __slots__ = ("zone", "lo", "hi", "edges", "field", "integral", "linear", "_steps",
                  "_reach")
@@ -408,7 +407,7 @@ class ArcPlan:
         self.field = zone_field_fn(zone)
         self.integral = zone_integral_fn(zone)
         self.linear = _linear_parts(zone) if zone.kind == "linear" else None
-        self._steps = None
+        self._steps = [None, None]
         self._reach = None
 
     def escaped(self, axis: int, w: float, h: float) -> bool:
@@ -424,21 +423,22 @@ class ArcPlan:
         h overflowed, the edges' roots in y lie at the arc's scale, which
         no limit in h holds."""
         if self._reach is None:
-            self._reach = (edge_levels(self.zone), turning_points(self.zone))
-        edges, turns = self._reach
+            self._reach = [edge_levels(self.zone), False, False]  # False: not built yet
         if axis:
             if not math.isfinite(h):
                 return False
-            for rows in edges:
+            for rows in self._reach[0]:
                 if not beyond_every_root(rows, w, h):
                     return False
-        rows = turns[axis]
+        rows = self._reach[1 + axis]
+        if rows is False:
+            rows = self._reach[1 + axis] = turning_points(self.zone, axis)
         return rows is None or beyond_every_root(rows, w, h)  # None: w is monotone
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
-        if self._steps is None:
-            self._steps = zone_step_fns(self.zone)
+        if self._steps[forward] is None:
+            self._steps[forward] = zone_step_fn(self.zone, forward)
         return self._steps[forward]
 
 
@@ -621,15 +621,16 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
 
 
 def _linear_parts(zone: Zone) -> tuple:
-    """(A, b, e): floats of the zone's field A u + b and of e from
-    ``systems.linear_part``, reversal applied.  e is exact before the float
-    conversion, so its sign (saddle, center, or A^2 = 0) is decided
-    exactly.  Reversal negates the exact coefficients, so a zero coefficient
-    stays +0.0."""
-    ((a11, a12), (a21, a22)), (b1, b2), e = linear_part(zone.payload)
-    s = -1 if zone.reverse else 1
-    return (((float(s * a11), float(s * a12)), (float(s * a21), float(s * a22))),
-            (float(s * b1), float(s * b2)), float(e))
+    """(A, b, e): floats of the zone's field A u + b, read as
+    ``systems.linear_part`` reads it, reversal applied, and of its e.  e is
+    exact before the float conversion, so its sign (saddle, center, or
+    A^2 = 0) is decided exactly.  Reversal negates the exact coefficients,
+    so a zero coefficient stays +0.0."""
+    _, _, fx, fy = local_forms(zone.payload)
+    (a11, a12, b1), (a21, a22, b2) = (
+        [cs.get(k, 0.0) for k in ((1, 0), (0, 1), (0, 0))]
+        for cs in (p.floats(-1 if zone.reverse else 1) for p in (fx, fy)))
+    return ((a11, a12), (a21, a22)), (b1, b2), float(linear_part(zone.payload)[2])
 
 
 def _s12(e: float, t: float) -> tuple[float, float]:

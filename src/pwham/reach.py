@@ -46,9 +46,9 @@ def edge_levels(zone: Zone) -> tuple:
     out = []
     for c in (zone.x_lo, zone.x_hi):
         if c is not None:
-            num, den = ([float(a) for a in reversed(p.coeffs)] for p in restriction(zone, c)[:2])
+            num, den = (p.floats()[::-1] for p in restriction(zone, c)[:2])
             width = max(len(num), len(den))
-            num, den = ([0.0] * (width - len(p)) + p for p in (num, den))
+            num, den = ((0.0,) * (width - len(p)) + p for p in (num, den))
             out.append(tuple(zip([-d for d in den], num)))
     return tuple(out)
 
@@ -59,7 +59,8 @@ def _mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for (i, j), u in a.items():
         for (k, m), v in b.items():
-            out[i + k, j + m] = out.get((i + k, j + m), 0.0) + u * v
+            e = i + k, j + m
+            out[e] = out.get(e, 0.0) + u * v
     return out
 
 
@@ -99,26 +100,25 @@ def _critical(Q: list):
     return T
 
 
-@lru_cache(maxsize=8)
-def turning_points(zone: Zone) -> tuple:
-    """(Tx, Ty), each the ``_rows`` of the ``_critical`` polynomial of the
-    level polynomial L = N - h D in the local frame: the X = x + offset of
-    its points where dL/dy = 0 (Tx; None for a zone bounded in x), and the
-    y of those where dL/dX = 0 (Ty).  The field is m/D (dL/dy, -dL/dX) on
-    the level curve, m the integrating factor, so these hold every point
-    off D = 0 where dx/dt or dy/dt vanishes."""
-    num, den = local_forms(zone.payload)[:2]
-
-    def level(v: int) -> list:  # L over the powers of v, w the other coordinate
-        out = [{} for _ in range(max(e[v] for e in (*num.terms, *den.terms)) + 1)]
-        for p, k, s in ((num, 0, 1.0), (den, 1, -1.0)):
-            for e, c in p.terms.items():
-                out[e[v]][e[1 - v], k] = s * float(c)
-        return out
-
-    bounded = zone.x_lo is not None and zone.x_hi is not None
-    tx = None if bounded else _critical(level(1))
-    return tuple(t if t is None else _rows(t) for t in (tx, _critical(level(0))))
+@lru_cache(maxsize=16)
+def turning_points(zone: Zone, axis: int):
+    """The ``_rows`` of the ``_critical`` polynomial of the level
+    polynomial L = N - h D in the local frame, in the coordinate ``axis``:
+    Tx (``axis`` 0), the X = x + offset of its points where dL/dy = 0, None
+    for a zone bounded in x; Ty (``axis`` 1), the y of those where
+    dL/dX = 0.  The field is m/D (dL/dy, -dL/dX) on the level curve, m the
+    integrating factor, so the two hold every point off D = 0 where dx/dt
+    or dy/dt vanishes.  Each is built on its first use."""
+    if axis == 0 and zone.x_lo is not None and zone.x_hi is not None:
+        return None
+    num, den = (p.floats(s) for p, s in zip(local_forms(zone.payload), (1, -1)))
+    v = 1 - axis  # L over the powers of v, with coefficients in (w, h)
+    level = [{} for _ in range(max(e[v] for e in (*num, *den)) + 1)]
+    for k, p in enumerate((num, den)):
+        for e, c in p.items():
+            level[e[v]][e[axis], k] = c
+    t = _critical(level)
+    return t if t is None else _rows(t)
 
 
 def _rows(T: dict) -> tuple:

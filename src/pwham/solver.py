@@ -283,7 +283,7 @@ def _extend(eqs: Sequence[MultiPoly], assign: dict[str, Fraction],
             for eq in eqs:
                 if [w for w in eq.actual_vars() if w not in a] != [v]:
                     continue
-                p = eq.subs({k: x for k, x in a.items() if k in eq.vars}).as_unipoly(v)
+                p = eq.univariate({k: x for k, x in a.items() if k in eq.vars}, v)
                 if p.degree >= 1 and (best is None or p.degree < best.degree):
                     best = p
             if best is None:
@@ -464,9 +464,9 @@ def _candidate_V(eqs: list[MultiPoly], u_hat: Fraction) -> list[Fraction]:
     (1e-24): a V = 0 (a coincident pair) refined above zero gives a spread
     v that the ordering screen drops, whichever side it landed on."""
     for p in eqs:
-        q = p.subs({"u": u_hat})
-        if q.degree("V") >= 1:
-            return [V for V in real_roots(q.as_unipoly("V"), Fraction(1, 10**34)) if V >= 0]
+        q = p.univariate({"u": u_hat}, "V")
+        if q.degree >= 1:
+            return [V for V in real_roots(q, Fraction(1, 10**34)) if V >= 0]
     return []
 
 

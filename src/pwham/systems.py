@@ -30,7 +30,7 @@ field A u + b of a ``linear`` payload exactly from its local forms, and the
 saddle's equilibrium, its separatrices (``separatrix_lines``) and the exact
 arcs in ``dynamics`` are built on it.  The integral in absolute x is
 derived only by the tests, as their check on the template.  Adding a family
-means adding one ``@_family`` payload class with its ``kind`` name and
+means adding one ``@_frozen`` payload class with its ``kind`` name and
 ``first_integral`` (numerator, denominator and integrating factor), listed
 in ``FAMILIES``.  The only per-family code beyond that is here
 (``mirror_payload`` and the closed-form equilibria of the nonlinear
@@ -66,12 +66,12 @@ class SystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _family(cls):
-    """Make a zone-family payload class: a frozen dataclass with a ``kind``
-    name and ``first_integral(X, y) -> (num, den, m)``, the first integral
-    num/den in the local frame and the integrating factor m of its field
-    m * (H_y, -H_x).  The hash is computed once, because payloads key the
-    caches of derived forms below and long rationals are slow to hash."""
+def _frozen(cls):
+    """Make a frozen dataclass that hashes once, since payloads and zones
+    key the caches below and long rationals are slow to hash.  A payload
+    class also has a ``kind`` name and ``first_integral(X, y) -> (num,
+    den, m)``: num/den in the local frame and the factor m of its field
+    m * (H_y, -H_x)."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -87,7 +87,7 @@ def _family(cls):
     return cls
 
 
-@_family
+@_frozen
 class DoubleCenter:
     """dx/dt = -y + l*X^2 + n*y^2,  dy/dt = X + p*X^2 - 2*l*X*y,  X = x+offset.
 
@@ -111,7 +111,7 @@ class DoubleCenter:
         return num, 1, -1
 
 
-@_family
+@_frozen
 class GlobalCenter:
     """dx/dt = y - 2*X^2 - xi,  dy/dt = -2*X*y, with X = x+offset, xi > 0.
 
@@ -132,7 +132,7 @@ class GlobalCenter:
         return X * X - y + self.xi / 2, y * y, y ** 3
 
 
-@_family
+@_frozen
 class CubicCenter:
     """Hamiltonian field of G = p*X^3 + q*y^3 + r*X^2*y + s*X*y^2
     - X^2/2 - a*X*y - b*y^2/2 (with X = x+offset):
@@ -162,7 +162,7 @@ class CubicCenter:
         return num, 1, 1
 
 
-@_family
+@_frozen
 class LinearSaddle:
     """dx/dt = -beta*x - delta*y + mu,  dy/dt = alpha*x + beta*y + gamma.
 
@@ -201,7 +201,7 @@ FAMILIES = {cls.kind: cls for cls in (DoubleCenter, GlobalCenter, CubicCenter,
                                       LinearSaddle)}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Zone:
     """A payload on the open vertical strip (x_lo, x_hi); None is +/-infinity.
     ``reverse`` runs the field backwards in time."""
@@ -314,8 +314,8 @@ def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
     v = [getattr(p, n) for n in names]
     q = math.lcm(*(x.denominator for x in v))
     v = [q, *(x.numerator * (q // x.denominator) for x in v)]
-    scale = Fraction(1, den * q)
-    return tuple(MultiPoly.from_ints((X, Y), {e: sum(map(mul, row, v)) for e, row in rows}, scale)
+    return tuple(MultiPoly.from_ints((X, Y), {e: sum(map(mul, row, v)) for e, row in rows},
+                                     den=den * q)
                  for rows in forms)
 
 
@@ -323,20 +323,12 @@ def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
 def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
     """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
     applied) on the line x = c, as polynomials in y: the local forms at
-    X = c + offset = p/q, summed on their integer parts with q^i cleared
-    once, as p^i q^(m - i) for m the degree in x.  Every boundary
-    equation is built from these: the matcher's level pairs and transports,
-    its excluded ordinates, and the continuity test."""
-    p, q = (rat(c) + zone.payload.offset).as_integer_ratio()
-    out = []
-    for k, poly in enumerate(local_forms(zone.payload)):
-        m = max(poly.degree(X), 0)
-        cs = [0] * (poly.degree(Y) + 1)
-        for (i, j), a in poly.ints.items():
-            cs[j] += a * p**i * q**(m - i)
-        scale = poly.content / q**m
-        out.append(UniPoly.from_ints(cs, -scale if k > 1 and zone.reverse else scale, Y))
-    return tuple(out)
+    X = c + offset, one pass each (``MultiPoly.univariate``).  Every
+    boundary equation is built from these: the matcher's level pairs and
+    transports, its excluded ordinates, and the continuity test."""
+    at = {X: rat(c) + zone.payload.offset}
+    num, den, fx, fy = (poly.univariate(at, Y) for poly in local_forms(zone.payload))
+    return (num, den, -fx, -fy) if zone.reverse else (num, den, fx, fy)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +347,8 @@ def linear_part(p: LinearSaddle) -> tuple:
     det A = -e: a saddle when e > 0, a linear center when e < 0."""
     _, _, fx, fy = local_forms(p)
     (a11, a12, b1), (a21, a22, b2) = (
-        [Fraction(poly.terms.get(k, 0)) for k in ((1, 0), (0, 1), (0, 0))]
-        for poly in (fx, fy))
+        [poly.ints.get(k, 0) * content for k in ((1, 0), (0, 1), (0, 0))]
+        for poly, content in ((fx, fx.content), (fy, fy.content)))
     return ((a11, a12), (a21, a22)), (b1, b2), a11 * a11 + a12 * a21
 
 
@@ -426,9 +418,9 @@ def is_continuous(ps: PiecewiseSystem) -> tuple[bool, list]:
     for i, c in enumerate(ps.boundaries):
         _, _, lfx, lfy = restriction(ps.zones[i], c)
         _, _, rfx, rfy = restriction(ps.zones[i + 1], c)
-        dx, dy = lfx - rfx, lfy - rfy
-        if dx.is_zero and dy.is_zero:
+        if lfx == rfx and lfy == rfy:  # the split is unique
             continue
+        dx, dy = lfx - rfx, lfy - rfy
         w = Fraction(0)
         while dx(w) == 0 and dy(w) == 0:
             w += 1

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -25,6 +25,7 @@ from pwham.systems import (
     GlobalCenter,
     LinearSaddle,
     PiecewiseSystem,
+    Zone,
     piecewise_system,
 )
 
@@ -72,6 +73,28 @@ def cubic_three_zone(b=F(-8, 5)) -> PiecewiseSystem:
 
 
 # -- random generators ---------------------------------------------------------
+
+
+# rationals with zeros, small values and 20-digit denominators
+exact_rats = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(F, st.integers(-10**21, 10**21), st.integers(10**19, 10**20)))
+
+
+@st.composite
+def exact_zones(draw, cls, edges=False):
+    """A zone of family cls: every field (offset included) an
+    ``exact_rats`` rational, xi made positive, random reversal; with
+    ``edges``, each edge a drawn rational or None, lo below hi."""
+    values = {f.name: draw(exact_rats) for f in dataclasses.fields(cls)}
+    if cls is GlobalCenter:
+        values["xi"] = abs(values["xi"]) or F(1)
+    lo = hi = None
+    if edges:
+        lo, hi = sorted(draw(st.lists(exact_rats, min_size=2, max_size=2, unique=True)))
+        lo, hi = draw(st.sampled_from([lo, None])), draw(st.sampled_from([hi, None]))
+    return Zone(cls(**values), lo, hi, draw(st.booleans()))
 
 
 def rand_rat(rng: random.Random, lo=-3, hi=3, dens=(1, 1, 2)) -> F:

@@ -63,11 +63,14 @@ or in x (the axis of the ``ArcPlan.escaped`` call that returned True), on
 a linear zone's decision (its ``left-window``), as another ``left-window``
 (a window, a step that overflows or collapses), at an equilibrium, on the
 time limit or on the step limit, and the sum of their accepted DOP853
-steps; and one line per solve corpus of ``arcs`` on the annulus scan: the
-``solver.annulus_check`` calls (one per solve, with no boundary when no
-topology is positive-dimensional), the ``displacement`` calls made inside
-them and the closed magnitudes they found.  Without it nothing is wrapped
-but ``integrate_arc``, for the two arc digests.
+steps; one more per arc corpus with the ``ArcPlan.escaped`` calls per
+axis (the escape tries) and how many of them held, which moves when the
+reach rows or the try schedule change; and one line per solve corpus of
+``arcs`` on the annulus scan: the ``solver.annulus_check`` calls (one per
+solve, with no boundary when no topology is positive-dimensional), the
+``displacement`` calls made inside them and the closed magnitudes they
+found.  Without it nothing is wrapped but ``integrate_arc``, for the two
+arc digests.
 """
 
 from __future__ import annotations
@@ -176,8 +179,11 @@ def _census(dynamics, solver, tally):
 
     def proving(self, axis, w, h):
         proven = escaped(self, axis, w, h)
+        name = "xy"[axis]
+        tally[f"{name} tries"] += 1
         if proven:
             proofs.append(axis)
+            tally[f"{name} held"] += 1
         return proven
 
     def counted(zone, *args, **kwargs):
@@ -336,6 +342,9 @@ def main(argv=None) -> int:
         for name, tally in tallies.items():
             counts = ", ".join(f"{end} {tally[end]}" for end in ends)
             print(f"census {name}: {counts}; accepted steps {tally['accepted steps']}")
+            tries = "; ".join(f"{axis} tries {tally[axis + ' tries']}, held {tally[axis + ' held']}"
+                              for axis in "yx")
+            print(f"escape {name}: {tries}")
         for name, _ in ARC_CORPORA:
             counts = ", ".join(f"{key} {tallies[name][key]}" for key in
                                ("annulus_check calls", "displacements", "closed magnitudes"))

@@ -11,12 +11,23 @@
   picks the least time in a loop and holds f and A f as scalars, with the
   same float operations in the same order; the tests require the two
   trajectories to be equal.
+* ``zone_code_arguments``, ``edge_levels``, ``turning_points`` and
+  ``linear_parts`` read a zone's floats through the exact rational views
+  (``terms``, ``coeffs``, ``float`` of a Fraction), as the package did
+  before it read them off the integer split: the check that every float
+  reader (``dynamics._zone_code``, ``reach.edge_levels``,
+  ``reach.turning_points``, ``dynamics._linear_parts``) gives the same
+  floats, bit for bit.
 """
 
 import math
 
 from pwham import dynamics
 from pwham.dynamics import _A, _B, _E3, _E5
+from pwham.reach import _critical, _rows
+from pwham.systems import _derive, local_forms
+
+from reference_systems import restriction_by_subs
 
 
 def dop853_step(f, x, y, h, k1):
@@ -177,3 +188,59 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
             samples.append((t, x, y))
     drift = abs(hfun(x, y) - h0) / max(1.0, abs(h0))
     return dynamics.Trajectory(samples, edge, status, (x, y), drift, 0, 0, 0)
+
+
+def zone_code_arguments(zone, part: str, sign: int) -> tuple:
+    """(support, arguments) that ``dynamics._zone_code`` hands its maker:
+    the monomials of ``part`` ("field" or "integral") of the local forms,
+    exponents descending, and the offset and each coefficient times sign,
+    as float() of the exact Fraction."""
+    num, den, fx, fy = local_forms(zone.payload)
+    polys = (fx, fy) if part == "field" else (num, den)
+    support = tuple(tuple(sorted(p.terms, reverse=True)) for p in polys)
+    return support, (float(zone.payload.offset),
+                     *[sign * float(p.terms[e]) for p, exps in zip(polys, support) for e in exps])
+
+
+def edge_levels(zone) -> tuple:
+    """``reach.edge_levels`` from the rational coefficients of the forms
+    restricted by substitution (``restriction_by_subs``)."""
+    out = []
+    for c in (zone.x_lo, zone.x_hi):
+        if c is not None:
+            num, den = ([float(a) for a in reversed(p.coeffs)]
+                        for p in restriction_by_subs(zone, c)[:2])
+            width = max(len(num), len(den))
+            num, den = ([0.0] * (width - len(p)) + p for p in (num, den))
+            out.append(tuple(zip([-d for d in den], num)))
+    return tuple(out)
+
+
+def turning_points(zone) -> tuple:
+    """``reach.turning_points`` from the ``terms`` of the local forms: the
+    same ``_critical`` polynomials on the same coefficients, met in the
+    same order."""
+    num, den = local_forms(zone.payload)[:2]
+
+    def level(v: int) -> list:
+        out = [{} for _ in range(max(e[v] for e in (*num.terms, *den.terms)) + 1)]
+        for p, k, s in ((num, 0, 1.0), (den, 1, -1.0)):
+            for e, c in p.terms.items():
+                out[e[v]][e[1 - v], k] = s * float(c)
+        return out
+
+    bounded = zone.x_lo is not None and zone.x_hi is not None
+    tx = None if bounded else _critical(level(1))
+    return tuple(t if t is None else _rows(t) for t in (tx, _critical(level(0))))
+
+
+def linear_parts(zone) -> tuple:
+    """``dynamics._linear_parts`` from the Fraction coefficients of the
+    derived field (``systems._derive``: a linear payload is written in
+    absolute x), reversal applied, and e = a11^2 + a12 a21 computed on
+    Fractions."""
+    s = -1 if zone.reverse else 1
+    (a11, a12, b1), (a21, a22, b2) = ([s * p.terms.get(k, 0) for k in ((1, 0), (0, 1), (0, 0))]
+                                      for p in _derive(zone.payload)[2:])
+    return (((float(a11), float(a12)), (float(a21), float(a22))),
+            (float(b1), float(b2)), float(a11 * a11 + a12 * a21))

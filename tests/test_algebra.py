@@ -710,6 +710,34 @@ def test_the_split_is_one_form_however_the_polynomial_is_built(t, t2, c, w):
         assert all(type(v) is F for v in other.coeffs)
 
 
+XYZ = ("x", "y", "z")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), long_rationals, max_size=6),
+       st.dictionaries(st.sampled_from(XYZ), long_rationals), st.sampled_from(XYZ))
+@example({(1, 0, 1): F(1), (0, 0, 1): F(-1), (0, 2, 0): F(2)}, {"x": F(1)}, "y")
+@example({(1, 0, 1): F(1), (0, 1, 0): F(2)}, {"x": F(1)}, "y")
+def test_univariate_is_subs_then_as_unipoly(t, mapping, var):
+    """Substituting to one variable in one pass gives what ``subs`` then
+    ``as_unipoly`` give and what the plain-Fraction substitution of
+    ``reference_algebra`` gives, as a polynomial in var; both raise exactly
+    where another variable keeps a positive exponent, which a variable
+    whose terms cancel does not (the first example)."""
+    p = MultiPoly(XYZ, t)
+    vs, terms = ref.frac_subs(XYZ, p.terms, mapping)
+    if any(k for e in terms for v, k in zip(vs, e) if v != var):
+        for convert in (lambda: p.univariate(mapping, var),
+                        lambda: p.subs(mapping).as_unipoly(var)):
+            with pytest.raises(AlgebraError):
+                convert()
+        return
+    got = p.univariate(mapping, var)
+    powers = {(e[vs.index(var)] if var in vs else 0): c for e, c in terms.items()}
+    assert got.var == var and got == p.subs(mapping).as_unipoly(var)
+    assert got.coeffs == tuple(powers.get(k, 0) for k in range(max(powers, default=-1) + 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(xy_polys(), xy_polys(), long_rationals)
 def test_split_arithmetic_matches_the_fraction_reference(t, t2, a):

@@ -36,20 +36,23 @@ from pwham.dynamics import (
     oracle_window,
     zone_field_fn,
     zone_integral_fn,
-    zone_step_fns,
+    zone_step_fn,
 )
 from pwham.reach import beyond_every_root, edge_levels, no_root_beyond, turning_points
 from pwham.solver import solve
 from pwham.specfile import load_spec
 from pwham.systems import (
+    FAMILIES,
     CubicCenter,
     DoubleCenter,
     GlobalCenter,
     LinearSaddle,
     Zone,
+    _derive,
     local_forms,
     mirror,
     piecewise_system,
+    restriction,
 )
 
 from conftest import (
@@ -57,13 +60,15 @@ from conftest import (
     FIXTURE_DIR,
     cubic_center_saddle,
     double_center_saddle,
+    exact_zones,
     global_center_saddle,
     linear_center_saddle_center,
     rand_config,
     rand_mixed,
 )
+import reference_dynamics as ref
 from reference_dynamics import dop853_step, linear_arc
-from reference_systems import field_polys
+from reference_systems import field_polys, restriction_by_subs
 
 
 def test_energy_conservation_linear_saddle():
@@ -291,12 +296,12 @@ def test_step_kernel_is_the_reference_step(payload, reverse, forward, x, y, h):
     same (xn, yn, err, kn), float for float, also where a stage overflows.
     Both are built afresh, so they pad the same family support."""
     zone_field_fn.cache_clear()
-    zone_step_fns.cache_clear()
+    zone_step_fn.cache_clear()
     zone = Zone(payload, reverse=reverse)
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
     k1 = f(x, y)
-    xn, yn, err, kn = zone_step_fns(zone)[forward](x, y, h, k1)
+    xn, yn, err, kn = zone_step_fn(zone, forward)(x, y, h, k1)
     rx, ry, rerr, rkn = dop853_step(f, x, y, h, k1)
     assert _same_floats((xn, yn, err, *kn), (rx, ry, rerr, *rkn))
 
@@ -555,6 +560,36 @@ def test_widened_window_holds_the_orbit_between_landings():
         assert not plan.escaped(1, -50.0, plan.integral(-1.0, -1.0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(FAMILIES)))
+def test_float_readers_are_the_rational_views(data, kind):
+    """Every float that a zone's set-up reads off the integer split is the
+    float of the exact rational coefficient, bit for bit (compared by
+    ``repr``, which tells -0.0 from 0.0): the arguments that
+    ``_zone_code`` hands each maker, the ``edge_levels`` and
+    ``turning_points`` rows and ``_linear_parts``, against the readers of
+    the rational views in ``reference_dynamics``.  The exact forms they
+    read are the derived ones."""
+    zone = data.draw(exact_zones(FAMILIES[kind], edges=True))
+    assert local_forms(zone.payload) == _derive(zone.payload)
+    for c in (zone.x_lo, zone.x_hi):
+        if c is not None:
+            assert restriction(zone, c) == restriction_by_subs(zone, c)
+    s = -1 if zone.reverse else 1
+    for part, sign in (("field", s), ("field", -s), ("integral", 1)):
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_maker",
+                       lambda source, support: lambda *args: made.append((support, args)))
+            dynamics._zone_code(zone, part, None, sign)
+        assert repr(made) == repr([ref.zone_code_arguments(zone, part, sign)])
+    assert repr(edge_levels(zone)) == repr(ref.edge_levels(zone))
+    assert repr(tuple(turning_points(zone, axis) for axis in (0, 1))) == repr(
+        ref.turning_points(zone))
+    if kind == "linear":
+        assert repr(dynamics._linear_parts(zone)) == repr(ref.linear_parts(zone))
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=st.sampled_from(CONFIG_NAMES), seed=st.integers(0, 10**6))
 def test_turning_points_are_the_critical_points_of_the_level(config, seed):
@@ -569,14 +604,14 @@ def test_turning_points_are_the_critical_points_of_the_level(config, seed):
         num, den = local_forms(zone.payload)[:2]
         level = num - den * h
         bounded = zone.x_lo is not None and zone.x_hi is not None
-        for (v, w), got in zip((("y", "x"), ("x", "y")), turning_points(zone)):
+        for axis, (v, w) in enumerate((("y", "x"), ("x", "y"))):
+            rows = turning_points(zone, axis)
             if level.degree(v) < 2 or (v == "y" and bounded):
-                assert got is None
+                assert rows is None
                 continue
             exact = resultant(level.diff(v), level, v)
             iw, ih = exact.vars.index(w), exact.vars.index("h")
             want = {(e[iw], e[ih]): float(c) for e, c in exact.terms.items()}
-            rows = got
             have = {(len(rows) - 1 - i, len(row) - 1 - j): c
                     for i, row in enumerate(rows) for j, c in enumerate(row) if c}
             top = max(have, key=lambda e: abs(have[e]))
@@ -639,7 +674,7 @@ def test_an_infinite_level_is_read_only_where_its_limit_holds(config):
     infinite level.  A NaN level refuses every proof."""
     zone = rand_config(random.Random(7), config).zones[0]
     plan = ArcPlan(zone)
-    tx, ty = turning_points(zone)
+    tx, ty = (turning_points(zone, axis) for axis in (0, 1))
     for w in (-3.0, -0.5, -1e-170, 0.25, 2.0, 40.0):
         for h in (math.inf, -math.inf):
             assert beyond_every_root(tx, w, h) == (zone.kind == "global_center")
@@ -717,6 +752,28 @@ def test_arc_on_the_singular_locus_has_a_bounded_cost():
     assert traj.status == "left-window" and traj.steps == 1
     traj = integrate_arc(Zone(GlobalCenter(F(4, 5)), F(-1), F(0)), (0.0, 0.0))
     assert traj.status == "reached-boundary" and traj.edge == "lo" and traj.end == (-1.0, 0.0)
+
+
+def test_level_zero_arc_on_the_global_center_ends_on_the_y_proof(monkeypatch):
+    """The left zone of mixed-7-22, mixed-7-39 and mixed-11-21.  From
+    (-1, 3/2) forward the level is exactly 0, on the parabola
+    X^2 = y - 3/2, and the arc runs out along its left branch.  The y proof
+    holds at the first accepted step and ends the arc there.  Nothing else
+    would: H = (X^2 - y + xi/2) / y^2 tends to 0 at large |y| on every
+    level, so the drift gate cannot see a jump between levels there: with
+    that first try refused, the arc "lands" on x = -1 at y = 2.97e12."""
+    held = []
+    escaped = ArcPlan.escaped
+
+    def recorded(self, axis, w, h):
+        proven = escaped(self, axis, w, h)
+        held.append((axis, proven))
+        return proven
+
+    monkeypatch.setattr(ArcPlan, "escaped", recorded)
+    traj = integrate_arc(Zone(GlobalCenter(3, offset=1), None, F(-1)), (-1.0, 1.5))
+    assert (traj.status, traj.edge, traj.steps) == ("left-window", None, 1)
+    assert held == [(1, True)]
 
 
 @pytest.mark.parametrize("y0", [1e-160, 1e-170])
@@ -989,7 +1046,7 @@ def test_bulk_systems_stop_compiling():
     rng = random.Random(505)
     units = [rand_config(rng, CONFIG_NAMES[i % 6]) for i in range(1200)]
     for cached in (dynamics._maker, dynamics.zone_field_fn, dynamics.zone_integral_fn,
-                   dynamics.zone_step_fns):
+                   dynamics.zone_step_fn):
         cached.cache_clear()
     seen = set()
 

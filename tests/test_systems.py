@@ -35,7 +35,7 @@ from pwham.systems import (
     separatrix_lines,
 )
 
-from conftest import translate
+from conftest import exact_rats, exact_zones, translate
 from reference_systems import field_polys, hamiltonian, restriction_by_subs
 
 
@@ -164,31 +164,14 @@ def _readme_field(zone):
     return (-fx, -fy) if zone.reverse else (fx, fy)
 
 
-# rationals with zeros, small values and 20-digit denominators
-_rats = st.one_of(
-    st.just(F(0)),
-    st.fractions(min_value=-9, max_value=9, max_denominator=7),
-    st.builds(F, st.integers(-10**21, 10**21), st.integers(10**19, 10**20)))
-
-
-@st.composite
-def _zones(draw, cls):
-    """A zone of family cls: every field (offset included) a random
-    rational, xi made positive, random reversal."""
-    values = {f.name: draw(_rats) for f in dataclasses.fields(cls)}
-    if cls is GlobalCenter:
-        values["xi"] = abs(values["xi"]) or F(1)
-    return Zone(cls(**values), reverse=draw(st.booleans()))
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(FAMILIES)))
 def test_template_forms_are_the_derived_forms(data, kind):
     """The family template gives exactly the forms that ``_derive`` builds
     from the family's integral, and the restriction to a line is exactly
     the substitution x = c into the absolute forms."""
-    zone = data.draw(_zones(FAMILIES[kind]))
-    c = data.draw(_rats)
+    zone = data.draw(exact_zones(FAMILIES[kind]))
+    c = data.draw(exact_rats)
     assert local_forms(zone.payload) == _derive(zone.payload)
     assert restriction(zone, c) == restriction_by_subs(zone, c)
 
@@ -223,8 +206,8 @@ def test_import_builds_no_template():
 def test_boundary_translation_restricts_equally(data, kind, t):
     """Moving a zone and its line by t leaves the field restricted to the
     line unchanged and changes the integral's numerator by a constant."""
-    zone = data.draw(_zones(FAMILIES[kind]))
-    c = data.draw(_rats)
+    zone = data.draw(exact_zones(FAMILIES[kind]))
+    c = data.draw(exact_rats)
     moved = translate(piecewise_system([zone.payload], [], [zone.reverse]), t).zones[0]
     n, d, fx, fy = restriction(zone, c)
     n2, d2, fx2, fy2 = restriction(moved, c + t)
@@ -410,6 +393,30 @@ def test_continuity_cubic_fixture_mismatch():
     (c, w, gap), = mism
     assert c == 0
     assert gap != (0, 0)
+
+
+def test_equal_zones_hash_once_and_share_one_restriction(monkeypatch):
+    """A zone computes its hash once, as a payload does, and two zones
+    built apart that compare equal hash alike, so they meet one
+    ``restriction`` cache entry."""
+    def build():
+        return Zone(CubicCenter(F(1, 3), F(5, 7), r=F(2, 9), offset=F(-1, 4)),
+                    F(-1, 3), F(7, 5), True)
+
+    a, b = build(), build()
+    hashed = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
+    first = hash(a)
+    assert hashed and hash(a) == first
+    count = len(hashed)
+    hash(a)
+    assert len(hashed) == count
+    assert a is not b and a == b and hash(b) == first
+    restriction.cache_clear()
+    assert restriction(a, F(-1, 3)) is restriction(b, F(-1, 3))
+    info = restriction.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_continuity_self_split():
