@@ -10,8 +10,9 @@ segments are detected, never simulated).
   S1 = sinh(rt)/r, S2 = 2 sinh(rt/2)^2/e (r^2 = e, read as sin for e < 0
   and as t, t^2/2 for e = 0).  A hit of x = c is a root of one quadratic
   in s = 2 tanh(rt/2)/r, polished by Newton in t; the arc then lands at
-  exactly x = c.  The same quadratic, over all t > 0, decides
-  that an arc can cross no edge at all.  It takes no integration step.
+  exactly x = c.  Where no hit is resolved, ``_escapes`` reads where the
+  arc's growth leads x to decide that it crosses no edge at all.  It
+  takes no integration step.
 * Every other zone runs the embedded Dormand-Prince 8(5,3) integrator
   (DOP853) with FSAL (the field value at the end of an accepted step is the
   first stage of the next) and scipy's error norm, which damps the
@@ -650,18 +651,21 @@ def _s12(e: float, t: float) -> tuple[float, float]:
 def _first_crossing(e: float, u: float, f: float, g: float, level: float,
                     outward: int) -> float:
     """Least t > 0 at which the coordinate u + S1(t) f + S2(t) g crosses
-    ``level`` moving with the sign ``outward``; math.inf when it does not.
+    ``level`` moving with the sign ``outward``; math.inf when it does not,
+    or too late for tanh(rt/2) of a saddle to tell from 1 (a later piece
+    finds it).  OverflowError when the quadratic overflows.
 
     With s = 2 tanh(rt/2)/r (e = r^2 > 0), s = 2 tan(rt/2)/r (e = -r^2) or
     s = t (e = 0), S1 = s/D and S2 = s^2/(2D) for D = 1 - e s^2/4 > 0, so
     the crossings are the roots of (g/2 - e c0/4) s^2 + f s + c0 with
     c0 = u - level, and the coordinate's velocity there has the sign of
     the quadratic's slope.  The two roots have opposite slopes, so one of
-    them is the outward crossing.  A saddle's crossing so late that
-    tanh(rt/2) rounds onto 1 is read by ``_late_crossing``."""
+    them is the outward crossing."""
     c0 = u - level
     a2 = 0.5 * g - 0.25 * e * c0
     disc = f * f - 4.0 * a2 * c0
+    if not math.isfinite(disc):
+        raise OverflowError("the crossing quadratic overflows")
     if disc <= 0:
         return math.inf  # no crossing, or a tangency
     sg = math.copysign(1.0, f)
@@ -677,57 +681,32 @@ def _first_crossing(e: float, u: float, f: float, g: float, level: float,
     if e > 0:
         r = math.sqrt(e)
         half = 0.5 * r * num / den  # tanh(rt/2)
-        if 0 < half < 1:
-            return 2.0 * math.atanh(half) / r
-        return _late_crossing(r, u, f, g, level, outward)
+        return 2.0 * math.atanh(half) / r if 0 < half < 1 else math.inf
     s = num / den
     return s if s > 0 else math.inf
 
 
-def _late_crossing(r: float, u: float, f: float, g: float, level: float,
-                   outward: int) -> float:
-    """``_first_crossing`` of a saddle (e = r^2) at r t > 30, where
-    tanh(rt/2) is within 2e-13 of 1 and can round onto it; math.inf when
-    there is none.  In q = e^(-rt) the coordinate is P + Q / q + W q, with
-    P = u - g/e, Q = (f/r + g/e)/2 and W = (g/e - f/r)/2, so its crossings
-    are the roots of W q^2 + (P - level) q + Q in 0 < q < 1: the least
-    positive root moves with the sign of Q, the other against it.  A root
-    q below e^-30 needs |Q| below e^-30 (|P - level| + |W|), which most
-    calls fail.  A Q below 1e-9 of its terms is read as 0, as in
-    ``_unbounded``: the coordinate then tends to P and crosses nothing
-    late."""
-    a, b = f / r, g / (r * r)
-    grow, decay, c0 = 0.5 * (a + b), 0.5 * (b - a), u - b - level
-    if (abs(grow) >= 1e-13 * (abs(c0) + abs(decay))
-            or abs(a + b) <= 1e-9 * (abs(a) + abs(b))):
-        return math.inf
-    disc = c0 * c0 - 4.0 * decay * grow
-    if disc < 0:
-        return math.inf
-    m = -0.5 * (c0 + math.copysign(math.sqrt(disc), c0))
-    roots = sorted(z for z in (grow / m if m else 0.0, m / decay if decay else 0.0)
-                   if 0 < z < 1)
-    k = 0 if math.copysign(1.0, grow) == outward else 1
-    if k < len(roots) and roots[k] < math.exp(-30.0):
-        return -math.log(roots[k]) / r
-    return math.inf
-
-
-def _unbounded(e: float, f0: float, f1: float, g0: float, g1: float) -> bool:
-    """True when the exact flow from a point with velocity f and rate
-    g = A f leaves every bounded set as t grows: for a saddle (e = r^2 > 0)
-    when the coefficient f/r + g/e of e^(rt) / 2 in x or in y exceeds
-    1e-9 (|f/r| + |g/e|), which covers its rounding, so that a start on a
-    stable separatrix goes on toward the equilibrium; for e = 0 when the
-    arc is not at rest (speed 1e-12 or more); a center never."""
-    if e > 0:
-        r = math.sqrt(e)
-        for f, g in ((f0, g0), (f1, g1)):
-            a, b = f / r, g / e
-            if abs(a + b) > 1e-9 * (abs(a) + abs(b)):
-                return True
-        return False
-    return e == 0 and math.hypot(f0, f1) >= 1e-12
+def _escapes(e: float, x: float, f0: float, f1: float, g0: float, g1: float,
+             edges: tuple) -> bool:
+    """True when the exact flow from abscissa x, with velocity f and rate
+    g = A f, and with no crossing of ``edges`` resolved, leaves every
+    bounded set and lands on no edge.  For a saddle (e = r^2 > 0) each
+    coordinate is P + Q e^(rt) + W e^(-rt), P = u - g/e, 2Q = f/r + g/e:
+    it is unbounded when a 2Q exceeds 1e-9 of the terms |f/r| + |g/e| of
+    both coordinates, which covers their rounding, and x then runs to the
+    side of its Q, or to its P when that Q is below 1e-9 of y's; it lands
+    on no edge when that limit lies on the strip's side of each.  For
+    e = 0 it escapes when not at rest (speed 1e-12 or more), never for a
+    center."""
+    if e <= 0:
+        return e == 0 and math.hypot(f0, f1) >= 1e-12
+    r = math.sqrt(e)
+    a0, b0, a1, b1 = f0 / r, g0 / e, f1 / r, g1 / e
+    grow_x, grow_y = abs(a0 + b0), abs(a1 + b1)
+    if max(grow_x, grow_y) <= 1e-9 * (abs(a0) + abs(b0) + abs(a1) + abs(b1)):
+        return False  # bounded: it goes on toward the equilibrium
+    limit = x - b0 if grow_x <= 1e-9 * grow_y else math.copysign(math.inf, a0 + b0)
+    return all(out * (limit - level) <= 0 for level, out, _ in edges)
 
 
 def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
@@ -742,10 +721,10 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     x(t) - c and lands at exactly x = c.  A piece that ends at speed below
     1e-12 ends the arc at the equilibrium it approaches.  A piece that ends
     beyond the window, if ``cfg`` sets one, ends the arc there as
-    ``left-window``, whatever else it reached.  Without a window, an arc
-    whose piece starts where it crosses no edge for any t > 0 and leaves
-    every bounded set (``_unbounded``) can land on no edge, and ends there
-    as ``left-window``."""
+    ``left-window``, whatever else it reached, as does a start, a piece
+    or a landing beyond the float range.  Without a window, a piece that
+    starts where no crossing is resolved ends the arc there as
+    ``left-window`` when ``_escapes`` decides that it lands on no edge."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
@@ -764,18 +743,22 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
-    status = None
+    status = None if math.isfinite(math.hypot(f0, f1)) else "left-window"
     while status is None:
         g0, g1 = sign * (a11 * f0 + a12 * f1), sign * (a21 * f0 + a22 * f1)
         rest = max_time - t
         span = piece if piece < rest else rest
         # the least crossing time; the first of equal times wins
         th = math.inf
-        for level, out, name in edges:
-            tk = _first_crossing(e, x, f0, g0, level, out)
-            if tk < th:
-                th, c, side = tk, level, name
-        if cfg.window is None and th == math.inf and _unbounded(e, f0, f1, g0, g1):
+        try:
+            for level, out, name in edges:
+                tk = _first_crossing(e, x, f0, g0, level, out)
+                if tk < th:
+                    th, c, side = tk, level, name
+        except OverflowError:  # an orbit beyond the float range
+            status = "left-window"
+            break
+        if cfg.window is None and th == math.inf and _escapes(e, x, f0, f1, g0, g1, edges):
             status = "left-window"
             break
         hit = th <= span * (1 + 1e-9)
@@ -799,7 +782,7 @@ def _linear_arc(plan, start, cfg, record, forward) -> Trajectory:
                 status = "hit-equilibrium"
             elif span == rest:
                 status = "reached-time-limit"
-        if abs(x) > window or abs(y) > window:
+        if abs(x) > window or abs(y) > window or not math.isfinite(math.hypot(x, y, f0, f1)):
             status, edge = "left-window", None
         if record:
             samples.append((t, x, y))

@@ -111,12 +111,19 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     piece that ends at speed below 1e-12 ends the arc at the equilibrium it
     approaches.  A piece that ends with |x| or |y| beyond the window of
     ``cfg``, if it sets one, ends the arc left-window, whatever else it
-    reached.  Without a window, a piece that starts where the arc crosses
-    no edge for any t > 0 and leaves every bounded set ends the arc there,
-    left-window: for a saddle (e = r^2 > 0) when x or y has a coefficient
-    f/r + g/e of e^(rt) / 2 above 1e-9 times its rounding scale
-    |f/r| + |g/e|, for e = 0 when the arc is not at rest (speed 1e-12 or
-    more), and for a center never."""
+    reached, and so does a piece that ends beyond the float range (|x|, |y|
+    or the speed not finite), a piece whose crossing quadratic overflows
+    (``dynamics._first_crossing`` raises OverflowError) and a start whose
+    speed is not finite.  Without a window, a piece that starts where the
+    arc crosses no edge (in time that tanh(rt/2) resolves) ends the arc
+    there, left-window, when the arc leaves every bounded set and lands on
+    no finite edge: for a saddle (e = r^2 > 0), in the closed form
+    P + Q e^(rt) + W e^(-rt) of each coordinate (P = u - g/e,
+    2Q = f/r + g/e), when the 2Q of x or of y exceeds 1e-9 times the sum
+    of |f/r| + |g/e| over both coordinates, and x's limit (the side of its
+    own Q, or its P when that 2Q is below 1e-9 of y's) lies on the
+    strip's side of every finite edge; for e = 0 when the arc is not at
+    rest (speed 1e-12 or more); for a center never."""
     ((a11, a12), (a21, a22)), (b1, b2), e = plan.linear
     hfun = plan.integral
     sign = 1.0 if forward else -1.0
@@ -129,12 +136,19 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     def rate(f):
         return sign * (a11 * f[0] + a12 * f[1]), sign * (a21 * f[0] + a22 * f[1])
 
-    def unbounded(f, g):
-        if e > 0:
-            r = math.sqrt(e)
-            return any(abs(fk / r + gk / e) > 1e-9 * (abs(fk / r) + abs(gk / e))
-                       for fk, gk in zip(f, g))
-        return e == 0 and math.hypot(*f) >= 1e-12
+    def escapes(x, f, g):
+        if e <= 0:
+            return e == 0 and math.hypot(*f) >= 1e-12
+        r = math.sqrt(e)
+        grow = [fk / r + gk / e for fk, gk in zip(f, g)]
+        floor = 1e-9 * (abs(f[0] / r) + abs(g[0] / e) + abs(f[1] / r) + abs(g[1] / e))
+        if max(map(abs, grow)) <= floor:
+            return False
+        if abs(grow[0]) > 1e-9 * abs(grow[1]):
+            limit = math.copysign(math.inf, grow[0])
+        else:
+            limit = x - g[0] / e
+        return all(out * (limit - c) <= 0 for c, out, _ in edges)
 
     dynamics._check_entry(x, y, field(x, y)[0], lo, hi)
     h0 = hfun(x, y)
@@ -150,17 +164,21 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
     t = 0.0
     samples = [(t, x, y)] if record else []
     edge = None
-    status = None
+    status = None if math.isfinite(math.hypot(*field(x, y))) else "left-window"
     while status is None:
         f = field(x, y)
         g = rate(f)
         rest = cfg.max_time - t
         span = min(rest, piece)
         # the least crossing time; the first of equal times wins
-        th, c, side = min(((dynamics._first_crossing(e, x, f[0], g[0], c, out), c, side)
-                           for c, out, side in edges),
-                          key=lambda hit: hit[0], default=(math.inf, None, None))
-        if w is None and th == math.inf and unbounded(f, g):
+        try:
+            th, c, side = min(((dynamics._first_crossing(e, x, f[0], g[0], c, out), c, side)
+                               for c, out, side in edges),
+                              key=lambda hit: hit[0], default=(math.inf, None, None))
+        except OverflowError:
+            status = "left-window"
+            break
+        if w is None and th == math.inf and escapes(x, f, g):
             status = "left-window"
             break
         hit = th <= span * (1 + 1e-9)
@@ -183,6 +201,8 @@ def linear_arc(plan, start, cfg, record, forward) -> dynamics.Trajectory:
         elif span == rest:
             status = "reached-time-limit"
         if w is not None and (abs(x) > w or abs(y) > w):
+            status, edge = "left-window", None
+        elif not all(map(math.isfinite, (x, y, *(f if hit else field(x, y))))):
             status, edge = "left-window", None
         if record:
             samples.append((t, x, y))

@@ -1,6 +1,8 @@
 """Numerical flow: conservation, event accuracy, return maps, the shooting
 oracle, and candidate verification."""
 
+import collections
+import decimal
 import itertools
 import math
 import os
@@ -24,6 +26,7 @@ from pwham.dynamics import (
     EVENT_TOL,
     MAX_HOPS,
     MAX_STEP,
+    TANGENT_TOL,
     ArcPlan,
     DynamicsError,
     FlowMachine,
@@ -49,6 +52,7 @@ from pwham.systems import (
     LinearSaddle,
     Zone,
     _derive,
+    linear_part,
     local_forms,
     mirror,
     piecewise_system,
@@ -349,6 +353,12 @@ def _fleeting(zone, p):
 # that tanh(rt/2) rounds onto 1: at the equilibrium for both arcs
 @example(payload=LinearSaddle(alpha=F(-1, 4), beta=0, delta=1, mu=0, gamma=0), reverse=False,
          forward=False, edge="inside", y0=0.0, x0=4.473516774221576e-269)
+# starts a hair off the stable separatrix y = 0, which leave along the
+# unstable one long after max_time: on the time limit for both arcs
+@example(payload=LinearSaddle(alpha=0, beta=F(1, 2), delta=1, mu=0, gamma=0), reverse=False,
+         forward=True, edge="lo", y0=9.316328756876833e-274, x0=0.0)
+@example(payload=LinearSaddle(alpha=0, beta=-1, delta=1, mu=0, gamma=0), reverse=False,
+         forward=False, edge="lo", y0=1.175494351e-38, x0=0.0)
 def test_exact_linear_arc_matches_dp5(payload, reverse, forward, edge, y0, x0):
     """The exact arc of a linear zone against Dormand-Prince steps from the
     same start: the first integral kept to 1e-12 relative, recorded samples
@@ -397,6 +407,158 @@ def test_exact_saddle_arc_lands_after_a_late_crossing(edge, x0):
     traj = integrate_arc(zone, (x0, 0.0), IntegratorConfig(), forward=False)
     assert (traj.status, traj.edge, traj.end[0]) == ("reached-boundary", "hi", edge)
     assert traj.end[1] == pytest.approx(edge / 2, rel=1e-9)
+
+
+def _late_landings(payload, reverse, forward, start, edges) -> list:
+    """The roots E = e^(rt) > 1 of x(t) = c over the finite edges c, for
+    the saddle flow of ``payload`` from ``start``, read independently of
+    ``dynamics`` in ``decimal`` at 700 digits: x = P + Q E + W / E with
+    P = x0 - g/e, Q = (f/r + g/e)/2 and W = (g/e - f/r)/2, from the
+    payload's exact rationals (``linear_part``) and the start's exact
+    binary value.  E = 1 (a start on c) is left out; a double root is a
+    touch, not a crossing."""
+    A, b, e = linear_part(payload)
+    s = (-1 if reverse else 1) * (1 if forward else -1)
+    u = [F(v) for v in start]
+    f = [s * (A[i][0] * u[0] + A[i][1] * u[1] + b[i]) for i in range(2)]
+    g0 = s * (A[0][0] * f[0] + A[0][1] * f[1])
+    roots = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+
+        def dec(q):
+            return decimal.Decimal(q.numerator) / q.denominator
+
+        r, ge = dec(e).sqrt(), dec(g0 / e)
+        P, Q, W = dec(u[0] - g0 / e), (dec(f[0]) / r + ge) / 2, (ge - dec(f[0]) / r) / 2
+        for c in edges:
+            lin = P - c
+            disc = lin * lin - 4 * Q * W
+            if disc <= 0:
+                continue
+            q = -(lin + disc.sqrt().copy_sign(lin)) / 2
+            roots += [(c, E) for E in (q / Q if Q else None, W / q)
+                      if E is not None and E > 1 + decimal.Decimal(10) ** -200]
+    return roots
+
+
+_tiny = st.builds(math.copysign, st.floats(min_value=1e-300, max_value=1e-6),
+                  st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_linear_payloads().filter(lambda p: p.is_saddle), reverse=st.booleans(),
+       forward=st.booleans(), edge=st.sampled_from(["lo", "hi", "inside"]),
+       y0=st.floats(min_value=-2.0, max_value=2.0) | _tiny,
+       x0=st.floats(min_value=-0.9, max_value=0.9) | _tiny)
+# the two starts next to the stable separatrix y = 0 of
+# test_exact_linear_arc_matches_dp5: x reaches x = -1 at t = 1257, and
+# x = 1 at t = 88
+@example(payload=LinearSaddle(alpha=0, beta=F(1, 2), delta=1, mu=0, gamma=0), reverse=False,
+         forward=True, edge="lo", y0=9.316328756876833e-274, x0=0.0)
+@example(payload=LinearSaddle(alpha=0, beta=-1, delta=1, mu=0, gamma=0), reverse=False,
+         forward=False, edge="lo", y0=1.175494351e-38, x0=0.0)
+# the unstable direction (1, -4) is tilted: when y's growth first stands
+# above the floor, x's (a quarter of it) is still below it, yet x runs off
+# to x = -1 at t = 27
+@example(payload=LinearSaddle(alpha=0, beta=2, delta=1, mu=0, gamma=0), reverse=False,
+         forward=True, edge="inside", y0=1.995262314968883e-23, x0=0.5)
+def test_exact_left_window_is_a_proof(payload, reverse, forward, edge, y0, x0):
+    """An exact saddle arc with no window that ends left-window lands on no
+    edge at any time: the independent closed form (``_late_landings``)
+    has no crossing of x = -1 or x = 1, from starts on either edge or
+    inside, some of them within 1e-300 of x = 0 or y = 0."""
+    zone = Zone(payload, F(-1), F(1), reverse)
+    start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
+    try:
+        arc = integrate_arc(zone, start, record=False, forward=forward)
+    except NotEntryPoint:
+        return
+    if arc.status == "left-window":
+        assert _late_landings(payload, reverse, forward, start, (-1, 1)) == []
+
+
+@pytest.mark.parametrize("payload", [LinearSaddle(0, 1, 1, 0, 0), LinearSaddle(1, 0, 1, 0, 0),
+                                     LinearSaddle(0, 0, 1, 0, 0)],
+                         ids=["saddle", "center", "nilpotent"])
+@pytest.mark.parametrize("start", [(0.0, math.inf), (0.0, math.nan), (0.5, 1e308),
+                                   (0.5, -1e308)])
+def test_exact_arc_ends_beyond_the_float_range(payload, start):
+    """A start whose velocity is not finite, or whose orbit leaves the
+    float range (on the center's circle of radius 1e308 the crossing
+    quadratic overflows), ends left-window, as the DOP853 arc does; it
+    neither lands at an infinite ordinate nor runs out its time at NaN."""
+    zone = Zone(payload, F(-1), F(1))
+    for arc in (integrate_arc(zone, start),
+                _dop853_arc(ArcPlan(zone), start, IntegratorConfig(), True, True)):
+        assert (arc.status, arc.edge) == ("left-window", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_linear_payloads(), reverse=st.booleans(), forward=st.booleans(),
+       edge=st.sampled_from(["lo", "hi", "inside"]),
+       y0=st.floats(min_value=-3.0, max_value=3.0),
+       x0=st.floats(min_value=-0.9, max_value=0.9),
+       max_time=st.floats(min_value=0.05, max_value=30.0))
+def test_exact_arc_is_unchanged_by_time_rescaling(payload, reverse, forward, edge, y0, x0,
+                                                 max_time):
+    """Every parameter of a linear zone times 2^k (k in -6..6) is its
+    field times 2^k: time runs 2^k times faster, so with max_time over 2^k
+    each exact arc ends the same way, on the same edge, at the same
+    landing (to 1e-12 relative).  f/r and g/e do not change, so neither
+    does the escape rule's floor.  Starts whose speed, or normal speed on
+    an edge, comes within 1e-6 of the absolute thresholds (1e-12 for an
+    equilibrium, TANGENT_TOL for a tangency) at some k are left out: they
+    are not scale-free.  Neither are the pieces of a recorded arc, cut at
+    MAX_STEP, so no arc is recorded."""
+    start = {"lo": (-1.0, y0), "hi": (1.0, y0), "inside": (x0, y0)}[edge]
+    fx, fy = zone_field_fn(Zone(payload, reverse=reverse))(*start)
+    slow = 2.0 ** -6 * min(math.hypot(fx, fy),
+                           abs(fx) / (1 + abs(y0)) if edge != "inside" else math.inf)
+    assume(slow > max(1e-12, TANGENT_TOL) + 1e-6)
+
+    def ends(k):
+        scaled = LinearSaddle(*(F(2) ** k * getattr(payload, n)
+                                for n in ("alpha", "beta", "delta", "mu", "gamma")))
+        cfg = IntegratorConfig(max_time=max_time / 2 ** k)
+        try:
+            arc = integrate_arc(Zone(scaled, F(-1), F(1), reverse), start, cfg, False, forward)
+        except NotEntryPoint:
+            return None
+        return arc.status, arc.edge, arc.end if arc.edge else None
+
+    want = ends(0)
+    for k in range(-6, 7):
+        got = ends(k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[:2] == want[:2]
+            if got[2] is not None:
+                assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-300)
+
+
+def test_no_arc_of_the_bench_ends_on_time_or_steps(monkeypatch):
+    """Every arc decides how it ends (ROADMAP item 13): while one
+    ``cli_oracle`` pass and the first 30 ``bulk`` and 30 ``annulus`` units
+    of the benchmark run at their default seeds, no ``integrate_arc`` call
+    ends on the time limit or the step limit."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(FIXTURE_DIR), "bench"))
+    import workloads
+
+    ends = collections.Counter()
+    arc = dynamics.integrate_arc
+
+    def counted(*args, **kwargs):
+        traj = arc(*args, **kwargs)
+        ends[traj.status] += 1
+        return traj
+
+    monkeypatch.setattr(dynamics, "integrate_arc", counted)
+    for name, count in (("cli_oracle", 9), ("bulk", 30), ("annulus", 30)):
+        for unit in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
+            workloads.run_unit(unit)
+    assert ends["reached-boundary"] > 0
+    assert ends["reached-time-limit"] == ends["step-limit"] == 0, ends
 
 
 _STRIPS = {"both": (F(-1), F(1)), "lo": (F(-1), None), "hi": (None, F(1)), "none": (None, None),
