@@ -865,6 +865,29 @@ class MultiPoly(_Split):
         return self.univariate({}, var)
 
 
+def restrictions(polys: Sequence[MultiPoly], var: str, value: RatLike) -> tuple[UniPoly, ...]:
+    """``p.univariate({var: value}, other)`` for each p of polys, each over
+    var and one other variable: the powers of value = a/b are made once for
+    them all, and each polynomial of degree m in var folds its terms in one
+    pass, times a^k b^(m-k), over the content times 1/b^m."""
+    a, b = rat(value).as_integer_ratio()
+    apow, bpow = [1], [1]
+    out = []
+    for p in polys:
+        i = p.vars.index(var)
+        j = 1 - i
+        m = max((e[i] for e in p._ints), default=0)
+        while len(apow) <= m:
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        powers = [apow[k] * bpow[m - k] for k in range(m + 1)]
+        cs = [0] * (max((e[j] for e in p._ints), default=0) + 1)
+        for e, c in p._ints.items():
+            cs[e[j]] += c * powers[e[i]]
+        out.append(UniPoly._new(cs, p._num, p._den * bpow[m], p.vars[j]))
+    return tuple(out)
+
+
 def _split(p: MultiPoly, var: str, vs: tuple[str, ...]) -> list[dict[tuple[int, ...], int]]:
     """p's primitive part as a polynomial in var, ascending: one integer
     term dict over vs, which holds every other variable of p, per power."""

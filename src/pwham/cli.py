@@ -409,8 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: parsing leaves the parser as it was, so every
+# call of main reads its own arguments
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, FileNotFoundError) as e:

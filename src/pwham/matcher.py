@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .algebra import MultiPoly, RatLike, UniPoly, rat
+from .algebra import MultiPoly, RatLike, rat
 from .systems import PiecewiseSystem, Zone, restriction
 
 
@@ -61,12 +61,12 @@ class MatchingSystem:
 # ---------------------------------------------------------------------------
 
 
-def _in_pair(va: str, vb: str, ints: dict[tuple[int, int], int], scale: RatLike) -> MultiPoly:
-    """scale times the polynomial with integer terms {(i, j): c} meaning
+def _in_pair(va: str, vb: str, ints: dict[tuple[int, int], int], n: int, d: int) -> MultiPoly:
+    """n / d times the polynomial with integer terms {(i, j): c} meaning
     c * va^i * vb^j."""
     if vb < va:
         ints = {(j, i): c for (i, j), c in ints.items()}
-    return MultiPoly.from_ints(sorted((va, vb)), ints, scale)
+    return MultiPoly.from_ints(sorted((va, vb)), ints, n, d)
 
 
 def pair_equation(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
@@ -89,22 +89,30 @@ def pair_equation(zone: Zone, c: RatLike, va: str, vb: str) -> MultiPoly:
                 for l in range(i - j):
                     key = (j + l, i - 1 - l)
                     terms[key] = terms.get(key, 0) + w
-    return _in_pair(va, vb, terms, n.content * d.content)
+    return _in_pair(va, vb, terms, *(n.content * d.content).as_integer_ratio())
 
 
 def transport_equation(zone: Zone, c_from: RatLike, c_to: RatLike,
                        v_from: str, v_to: str) -> MultiPoly:
     """Level equality across the zone's strip, H(c_from, a) = H(c_to, b),
-    cleared of denominators: N1(a) D2(b) - N2(b) D1(a)."""
+    cleared of denominators: N1(a) D2(b) - N2(b) D1(a), summed on the
+    integer parts over one content: with an/ad and bn/bd the contents of
+    the two products, (an bd N1 D2 - bn ad N2 D1) / (ad bd)."""
     n1, d1, _, _ = restriction(zone, rat(c_from))
     n2, d2, _, _ = restriction(zone, rat(c_to))
-    return _product(n1, d2, v_from, v_to) - _product(n2, d1, v_to, v_from)
-
-
-def _product(p: UniPoly, q: UniPoly, va: str, vb: str) -> MultiPoly:
-    """p(va) q(vb), summed on the integer parts."""
-    ints = {(i, j): a * b for i, a in enumerate(p.ints) for j, b in enumerate(q.ints)}
-    return _in_pair(va, vb, ints, p.content * q.content)
+    (an, ad), (bn, bd) = ((p.content * q.content).as_integer_ratio()
+                          for p, q in ((n1, d2), (n2, d1)))
+    ka, kb = an * bd, bn * ad
+    terms: dict[tuple[int, int], int] = {}
+    for i, x in enumerate(n1.ints):
+        for j, y in enumerate(d2.ints):
+            if x and y:
+                terms[i, j] = ka * x * y
+    for j, y in enumerate(n2.ints):
+        for i, x in enumerate(d1.ints):
+            if x and y:
+                terms[i, j] = terms.get((i, j), 0) - kb * x * y
+    return _in_pair(v_from, v_to, terms, 1, ad * bd)
 
 
 def _nonzero(*uses: tuple[Zone, RatLike, tuple[str, ...]]) -> tuple[str, ...]:
@@ -130,7 +138,12 @@ def build_two_zone(left: Zone, right: Zone, c: RatLike) -> MatchingSystem:
     family (continuous same-integral case) and is flagged as degenerate.
     """
     c = rat(c)
-    e1 = pair_equation(left, c, "y1", "y2")
+    return _two_zone(pair_equation(left, c, "y1", "y2"), left, right, c)
+
+
+def _two_zone(e1: MultiPoly, left: Zone, right: Zone, c: RatLike) -> MatchingSystem:
+    """``build_two_zone`` with the left pair equation e1 built: the
+    three-zone system's, in the same unknowns, serves ``two_zone@0``."""
     e2 = pair_equation(right, c, "y1", "y2")
     degenerate = e1.is_proportional_to(e2) or e1.is_zero or e2.is_zero
     return MatchingSystem(
@@ -244,7 +257,8 @@ def matching_systems_for(ps: PiecewiseSystem
     if len(z) == 2:
         return [("two_zone", (0,), build_two_zone(z[0], z[1], c[0]))]
     if len(z) == 3:
-        return [("three_zone", (0, 1), build_three_zone(*z, c[0], c[1])),
-                ("two_zone@0", (0,), build_two_zone(z[0], z[1], c[0])),
+        three = build_three_zone(*z, c[0], c[1])
+        return [("three_zone", (0, 1), three),
+                ("two_zone@0", (0,), _two_zone(three.equations[0], z[0], z[1], c[0])),
                 ("two_zone@1", (1,), build_two_zone(z[1], z[2], c[1]))]
     raise MatchError(f"unsupported zone count {len(ps.zones)}")

@@ -230,13 +230,28 @@ def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly
     return _common_factor(eqs, survivor[0])
 
 
+def _residual(eq: MultiPoly, point: dict[str, Fraction]) -> tuple[float, float]:
+    """(eq at the point, the sum of its terms' moduli), in floats, in one
+    pass over the terms: each term as ``MultiPoly.eval_float`` makes it,
+    and its modulus by ``abs``, the same float as the term made from the
+    moduli, since rounding a product or an integer power is symmetric in
+    sign."""
+    fpt = {k: float(v) for k, v in point.items()}
+    value = size = 0.0
+    for e, t in eq.floats().items():
+        for v, k in zip(eq.vars, e):
+            if k:
+                t *= fpt[v] ** k
+        value += t
+        size += abs(t)
+    return value, size
+
+
 def _residual_ok(eq: MultiPoly, point: dict[str, Fraction]) -> bool:
     """|eq| at the point, in floats, within RESIDUAL_RTOL of 1 plus the sum
     of its terms' moduli, the scale of their rounding."""
-    fpt = {k: float(v) for k, v in point.items()}
-    size = MultiPoly.from_ints(eq.vars, {e: abs(c) for e, c in eq.ints.items()}, eq.content)
-    total = size.eval_float({k: abs(v) for k, v in fpt.items()})
-    return abs(eq.eval_float(fpt)) <= RESIDUAL_RTOL * (1.0 + total)
+    value, size = _residual(eq, point)
+    return abs(value) <= RESIDUAL_RTOL * (1.0 + size)
 
 
 def _root_values(p: UniPoly, tol: Fraction) -> list[tuple[Fraction, int]]:
@@ -275,13 +290,14 @@ def _extend(eqs: Sequence[MultiPoly], assign: dict[str, Fraction],
     it, and the exact quotient can carry hundreds of bits), any other is
     refined to INTERNAL_REFINE.  A branch that no equation fixes ends.
     """
+    live = [(eq, eq.actual_vars()) for eq in eqs]
     partial = [assign]
     for v in names:
         nxt = []
         for a in partial:
             best: Optional[UniPoly] = None
-            for eq in eqs:
-                if [w for w in eq.actual_vars() if w not in a] != [v]:
+            for eq, vs in live:
+                if [w for w in vs if w not in a] != [v]:
                     continue
                 p = eq.univariate({k: x for k, x in a.items() if k in eq.vars}, v)
                 if p.degree >= 1 and (best is None or p.degree < best.degree):

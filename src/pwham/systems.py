@@ -51,7 +51,7 @@ from functools import lru_cache
 from operator import mul
 from typing import ClassVar, Optional, Union
 
-from .algebra import MultiPoly, RatLike, UniPoly, rat
+from .algebra import MultiPoly, RatLike, UniPoly, rat, restrictions
 
 X = "x"
 Y = "y"
@@ -323,11 +323,11 @@ def local_forms(p: Payload) -> tuple[MultiPoly, ...]:
 def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
     """(N, D, fx, fy): the zone's first integral N/D and its field (reversal
     applied) on the line x = c, as polynomials in y: the local forms at
-    X = c + offset, one pass each (``MultiPoly.univariate``).  Every
-    boundary equation is built from these: the matcher's level pairs and
-    transports, its excluded ordinates, and the continuity test."""
-    at = {X: rat(c) + zone.payload.offset}
-    num, den, fx, fy = (poly.univariate(at, Y) for poly in local_forms(zone.payload))
+    X = c + offset, folded in one call (``algebra.restrictions``) that
+    makes the powers of X once for all four.  Every boundary equation is
+    built from these: the matcher's level pairs and transports, its
+    excluded ordinates, and the continuity test."""
+    num, den, fx, fy = restrictions(local_forms(zone.payload), X, rat(c) + zone.payload.offset)
     return (num, den, -fx, -fy) if zone.reverse else (num, den, fx, fy)
 
 
@@ -413,19 +413,27 @@ def equilibria(zone: Zone) -> list[tuple[Fraction, Fraction]]:
 def is_continuous(ps: PiecewiseSystem) -> tuple[bool, list]:
     """Exact continuity test: at every boundary x = c the adjacent fields
     must agree identically in y.  Returns (flag, mismatches); each mismatch
-    is (boundary abscissa, witness y, (gap_x, gap_y))."""
+    is (boundary abscissa, witness y, (gap_x, gap_y)), the witness the
+    least of y = 0, 1, ... where a gap is not 0."""
     mismatches = []
     for i, c in enumerate(ps.boundaries):
-        _, _, lfx, lfy = restriction(ps.zones[i], c)
-        _, _, rfx, rfy = restriction(ps.zones[i + 1], c)
-        if lfx == rfx and lfy == rfy:  # the split is unique
+        _, _, *left = restriction(ps.zones[i], c)
+        _, _, *right = restriction(ps.zones[i + 1], c)
+        if left == right:  # the split is unique
             continue
-        dx, dy = lfx - rfx, lfy - rfy
-        w = Fraction(0)
-        while dx(w) == 0 and dy(w) == 0:
+        w = 0
+        while not any(gaps := tuple(_gap_at(l, r, w) for l, r in zip(left, right))):
             w += 1
-        mismatches.append((c, w, (dx(w), dy(w))))
+        mismatches.append((c, Fraction(w), gaps))
     return (not mismatches), mismatches
+
+
+def _gap_at(l: UniPoly, r: UniPoly, w: int) -> Fraction:
+    """l(w) - r(w) at an integer w, read off the integer parts L, R and the
+    contents ln/ld, rn/rd: (ln rd L(w) - rn ld R(w)) / (ld rd)."""
+    (ln, ld), (rn, rd) = l.content.as_integer_ratio(), r.content.as_integer_ratio()
+    lw, rw = (sum(c * w**k for k, c in enumerate(p.ints)) for p in (l, r))
+    return Fraction(ln * rd * lw - rn * ld * rw, ld * rd)
 
 
 def mirror_payload(p: Payload) -> Payload:

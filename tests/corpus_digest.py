@@ -69,8 +69,12 @@ reach rows or the try schedule change; and one line per solve corpus of
 ``arcs`` on the annulus scan: the ``solver.annulus_check`` calls (one per
 solve, with no boundary when no topology is positive-dimensional), the
 ``displacement`` calls made inside them and the closed magnitudes they
-found.  Without it nothing is wrapped but ``integrate_arc``, for the two
-arc digests.
+found; and one line per solve corpus with the polynomial splits that
+``solve`` makes over it (the calls of ``algebra._primitive``, which splits
+every new polynomial into its content and primitive part), in total and
+per unit, a count that repeats exactly and falls when the set-up builds
+fewer polynomials.  Without it nothing is wrapped but ``integrate_arc``,
+for the two arc digests.
 """
 
 from __future__ import annotations
@@ -227,6 +231,24 @@ def _census(dynamics, solver, tally):
         solver.annulus_check = scan
 
 
+@contextlib.contextmanager
+def _splits(algebra, tally, name):
+    """Count into ``tally[name]`` the calls of ``algebra._primitive``, the
+    content/primitive split of every polynomial that ``algebra`` builds,
+    made while the block runs."""
+    primitive = algebra._primitive
+
+    def counted(*args):
+        tally[name] += 1
+        return primitive(*args)
+
+    algebra._primitive = counted
+    try:
+        yield
+    finally:
+        algebra._primitive = primitive
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -236,15 +258,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    from pwham import cli, dynamics, solver, specfile
+    from pwham import algebra, cli, dynamics, solver, specfile
     from pwham.systems import mirror, piecewise_system
     import workloads
 
+    splits = collections.Counter()
     h = hashlib.sha256()
     for name, count in CORPORA:
         for _, label, ps in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
             try:
-                rep = solver.solve(ps, verify=True, cfg=workloads.BULK_CFG)
+                with (_splits(algebra, splits, name) if args.census
+                      else contextlib.nullcontext()):
+                    rep = solver.solve(ps, verify=True, cfg=workloads.BULK_CFG)
             except Exception as e:  # the failure is part of the answer
                 entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
             else:
@@ -349,6 +374,9 @@ def main(argv=None) -> int:
             counts = ", ".join(f"{key} {tallies[name][key]}" for key in
                                ("annulus_check calls", "displacements", "closed magnitudes"))
             print(f"scan {name}: {counts}")
+        for name, count in CORPORA:
+            print(f"splits {name}: {splits[name]} in {count} units, "
+                  f"{splits[name] / count:.1f} per unit")
     return 0
 
 

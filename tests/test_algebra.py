@@ -17,6 +17,7 @@ from pwham.algebra import (
     rat,
     real_roots,
     refine_root,
+    restrictions,
     resultant,
     squarefree,
     sturm_chain,
@@ -736,6 +737,22 @@ def test_univariate_is_subs_then_as_unipoly(t, mapping, var):
     powers = {(e[vs.index(var)] if var in vs else 0): c for e, c in terms.items()}
     assert got.var == var and got == p.subs(mapping).as_unipoly(var)
     assert got.coeffs == tuple(powers.get(k, 0) for k in range(max(powers, default=-1) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(xy_terms, max_size=4), long_rationals, st.sampled_from(XY))
+@example([{(2, 1): F(1), (0, 0): F(-3, 2)}, {}, {(0, 2): F(5)}], F(-2, 3), "x")
+def test_restrictions_fold_each_polynomial_as_univariate_does(ts, value, var):
+    """One fold of several polynomials over (x, y), of different degrees in
+    var, the zero polynomial and ones free of a variable among them, gives
+    each one's ``univariate`` form in the other variable, split alike."""
+    polys = [MultiPoly(XY, t) for t in ts]
+    other = "y" if var == "x" else "x"
+    got = restrictions(polys, var, value)
+    want = tuple(p.univariate({var: value}, other) for p in polys)
+    assert got == want
+    assert all(g.var == other and g.ints == w.ints and g.content == w.content
+               for g, w in zip(got, want))
 
 
 @settings(max_examples=100, deadline=None)

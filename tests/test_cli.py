@@ -595,3 +595,21 @@ def test_cli_solve_oracle_record():
                         "--grid", "48")
     assert code == 0
     assert "oracle fixed points at boundary 0" in out
+
+
+def test_cli_main_reads_each_call_afresh(capsys):
+    """``main`` parses with one parser per process: consecutive calls with
+    other subcommands and flags each see only their own arguments, and a
+    usage error in between still exits 2 and changes nothing after it."""
+    path = fixture_path("double_center_saddle.pwham")
+    code, out = run_cli("solve", path, "--grid", "16", "--json")
+    assert code == 0 and "oracle" in json.loads(out)
+    code, plain = run_cli("solve", path)
+    assert code == 0 and "oracle" not in plain and not plain.startswith("{")
+    code, out = run_cli("analyze", path, "--json")
+    assert code == 0 and "mismatches" in json.loads(out)
+    with pytest.raises(SystemExit) as ei:
+        main(["solve", path, "--grid", "4"])
+    assert ei.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert run_cli("solve", path) == (0, plain)

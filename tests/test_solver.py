@@ -21,6 +21,8 @@ from pwham.solver import (
     solve,
     theorem_bound,
     _direct_core,
+    _residual,
+    _residual_ok,
     _root_values,
     _three_zone_core,
 )
@@ -37,6 +39,7 @@ from pwham.systems import (
 from pwham.specfile import load_spec
 
 import corpus_digest
+from reference_solver import residual_by_size
 
 from conftest import (
     BULK_CFG,
@@ -617,6 +620,38 @@ def test_dedupe_merges_the_direct_routes_float_twins():
     rep = solve(ps, verify=False)
     assert rep.diagnostics["topologies"]["three_zone"]["route"] == "direct"
     assert [c.topology for c in rep.candidates].count("three_zone") == 2
+
+
+UNKNOWNS = ("y1", "y2", "y3", "y4")
+
+
+@st.composite
+def residual_cases(draw):
+    """An integer MultiPoly with a rational content over a sorted subset of
+    the unknowns, one of its variables possibly of degree 0 in every term,
+    negative coefficients allowed, and a rational point of either sign."""
+    vs = tuple(sorted(draw(st.sets(st.sampled_from(UNKNOWNS), min_size=1))))
+    flat = draw(st.sampled_from([None, *range(len(vs))]))
+    exps = st.tuples(*[st.just(0) if i == flat else st.integers(0, 4) for i in range(len(vs))])
+    ints = draw(st.dictionaries(exps, st.integers(-10**6, 10**6).filter(bool), max_size=8))
+    content = draw(st.fractions(min_value=F(1, 10**4), max_value=10**4, max_denominator=10**4))
+    point = {v: draw(st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+             for v in UNKNOWNS}
+    return MultiPoly.from_ints(vs, ints, content), point
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_cases())
+@example((MultiPoly.from_ints(("y1", "y2"), {(0, 3): -7, (2, 0): 5, (0, 0): 1}, F(1, 3)),
+          {"y1": F(-1, 3), "y2": F(-5, 7), "y3": F(0), "y4": F(2)}))
+def test_residual_terms_match_the_size_polynomial_bit_for_bit(case):
+    """The residual screen's one pass over the terms gives the value and
+    the size sum that ``eval_float`` of the equation and of its size
+    polynomial give, bit for bit, so the screen decides as before."""
+    eq, point = case
+    got, want = _residual(eq, point), residual_by_size(eq, point)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert _residual_ok(eq, point) == (abs(want[0]) <= solver.RESIDUAL_RTOL * (1.0 + want[1]))
 
 
 def test_solve_candidate_residuals_small():

@@ -35,8 +35,13 @@ from pwham.systems import (
     separatrix_lines,
 )
 
-from conftest import exact_rats, exact_zones, translate
-from reference_systems import field_polys, hamiltonian, restriction_by_subs
+from pwham.specfile import load_spec
+
+from conftest import (CONFIG_NAMES, FIXTURE_DIR, continuous_cubic_center_match,
+                      continuous_double_center_match, exact_rats, exact_zones, rand_config,
+                      rand_mixed, translate)
+from reference_systems import (field_polys, hamiltonian, mismatches_by_difference,
+                               restriction_by_subs)
 
 
 def vector_field(zone: Zone, pt: tuple) -> tuple:
@@ -417,6 +422,45 @@ def test_equal_zones_hash_once_and_share_one_restriction(monkeypatch):
     assert restriction(a, F(-1, 3)) is restriction(b, F(-1, 3))
     info = restriction.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def _continuity_corpus():
+    """(label, system): the nine fixtures, then draws of every
+    configuration, of the continuous matches and of ``rand_mixed``, each
+    zone reversed or not at random."""
+    for name in sorted(os.listdir(FIXTURE_DIR)):
+        yield name, load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+    rng = random.Random(35)
+    draws = [*(lambda r, n=n: rand_config(r, n) for n in CONFIG_NAMES),
+             continuous_double_center_match, continuous_cubic_center_match, rand_mixed]
+    for i in range(120):
+        ps = draws[i % len(draws)](rng)
+        flags = [rng.random() < 0.5 for _ in ps.zones]
+        yield f"draw {i}", piecewise_system([z.payload for z in ps.zones], ps.boundaries, flags)
+
+
+def test_continuity_mismatches_match_the_unipoly_differences():
+    """The boundary, witness and exact gaps of every mismatch, read off the
+    restricted fields' integer parts, are those of the UniPoly differences
+    evaluated at Fractions, types included, on fixtures and random draws
+    with random reversal; both kinds of boundary occur."""
+    seen = set()
+    for label, ps in _continuity_corpus():
+        flag, mism = is_continuous(ps)
+        want = mismatches_by_difference(ps)
+        assert mism == want and flag == (not want), label
+        assert all(type(v) is F for _, w, gaps in mism for v in (w, *gaps)), label
+        seen.add(len(mism) < len(ps.boundaries))
+    assert seen == {True, False}
+
+
+def test_continuity_witness_searches_past_zero_and_one():
+    """Two cubic centers whose restricted fields on x = 0 differ by
+    -3y^2 + 3y and y^2 - y, which vanish at y = 0 and 1: the witness is 2,
+    with gaps -6 and 2."""
+    ps = piecewise_system([CubicCenter(a=0, b=1), CubicCenter(a=1, b=4, q=1, s=1)], [0])
+    flag, mism = is_continuous(ps)
+    assert not flag and mism == [(0, 2, (-6, 2))] == mismatches_by_difference(ps)
 
 
 def test_continuity_self_split():
