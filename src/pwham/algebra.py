@@ -836,16 +836,6 @@ class MultiPoly(_Split):
         q = self.subs({v: point[v] for v in self.actual_vars()})
         return Fraction(q._num * q._ints.get((), 0), q._den)
 
-    def eval_float(self, point: dict[str, float]) -> float:
-        acc = 0.0
-        for e, c in self._ints.items():
-            t = c * self._num / self._den
-            for v, k in zip(self.vars, e):
-                if k:
-                    t *= point[v] ** k
-            acc += t
-        return acc
-
     # -- univariate views -------------------------------------------------------
 
     def coeffs_in(self, var: str) -> list["MultiPoly"]:

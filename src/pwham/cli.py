@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import dynamics, solver
@@ -92,8 +92,7 @@ def report_to_json(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> dict:
     out = {
         "version": 1,
         "classification": "continuous" if rep.continuous else "discontinuous",
-        "bound": {"kind": rep.bound.kind, "count": rep.bound.count,
-                  "case": rep.bound.case, "note": rep.bound.note},
+        "bound": asdict(rep.bound),
         "positive_dimensional": rep.positive_dimensional,
         "annulus": rep.annulus,
         "eliminant": {"var": rep.eliminant_var,
@@ -179,8 +178,7 @@ def cmd_analyze(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.json:
         data = {"classification": "continuous" if cont else "discontinuous",
-                "bound": {"kind": bound.kind, "count": bound.count,
-                          "case": bound.case, "note": bound.note},
+                "bound": asdict(bound),
                 "mismatches": [{"x": str(c), "witness_y": str(w),
                                 "gap": [str(gap[0]), str(gap[1])]} for c, w, gap in mism]}
         text = json.dumps(data, indent=2) + "\n"
@@ -287,7 +285,7 @@ def cmd_portrait(args) -> int:
         xlo, xhi = max(xlo, win[0]), min(xhi, win[1])
         if xlo >= xhi:
             continue
-        k = 0
+        plan, k = dynamics.ArcPlan(zone), 0
         for i in range(n):
             for j in range(n):
                 x0 = xlo + (xhi - xlo) * (i + 0.5) / n
@@ -295,7 +293,7 @@ def cmd_portrait(args) -> int:
                 pts: list = []
                 for fwd in (False, True):
                     try:
-                        traj = dynamics.integrate_arc(zone, (x0, y0), cfg,
+                        traj = dynamics.integrate_arc(plan, (x0, y0), cfg,
                                                       record=True, forward=fwd)
                     except dynamics.DynamicsError:
                         continue

@@ -290,19 +290,16 @@ def _zone_code(zone: Zone, part: str, source, sign: int):
                                                                support) for e in exps])
 
 
-@lru_cache(maxsize=8)
 def zone_field_fn(zone: Zone):
     """Float field (dx/dt, dy/dt) of the zone, reversal applied."""
     return _zone_code(zone, "field", _field_source, -1 if zone.reverse else 1)
 
 
-@lru_cache(maxsize=8)
 def zone_integral_fn(zone: Zone):
     """Float first integral (value of the conserved quantity)."""
     return _zone_code(zone, "integral", _integral_source, 1)
 
 
-@lru_cache(maxsize=16)
 def zone_step_fn(zone: Zone, forward: bool):
     """The zone's DOP853 step (``_step_source``) forward or backward in
     time; reversal and direction are folded into the signs of the field's
@@ -394,7 +391,9 @@ class ArcPlan:
     turning points, for ``escaped``, built on first use), the float field
     (reversal applied) and first integral, and either the exact linear
     part (a ``linear`` zone) or the zone's DOP853 step in each direction
-    of time (``zone_step_fn``), built on its first use."""
+    of time (``zone_step_fn``), built on its first use.  A plan is the one
+    home of a zone's floats: the functions that build them cache nothing,
+    so a caller that runs many arcs through one zone keeps its plan."""
 
     __slots__ = ("zone", "lo", "hi", "edges", "field", "integral", "linear", "_steps",
                  "_reach")
@@ -622,16 +621,14 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
 
 
 def _linear_parts(zone: Zone) -> tuple:
-    """(A, b, e): floats of the zone's field A u + b, read as
-    ``systems.linear_part`` reads it, reversal applied, and of its e.  e is
-    exact before the float conversion, so its sign (saddle, center, or
+    """(A, b, e): floats of ``systems.linear_part``, reversal applied.  e
+    is exact before the float conversion, so its sign (saddle, center, or
     A^2 = 0) is decided exactly.  Reversal negates the exact coefficients,
     so a zero coefficient stays +0.0."""
-    _, _, fx, fy = local_forms(zone.payload)
-    (a11, a12, b1), (a21, a22, b2) = (
-        [cs.get(k, 0.0) for k in ((1, 0), (0, 1), (0, 0))]
-        for cs in (p.floats(-1 if zone.reverse else 1) for p in (fx, fy)))
-    return ((a11, a12), (a21, a22)), (b1, b2), float(linear_part(zone.payload)[2])
+    s = -1 if zone.reverse else 1
+    A, b, e = linear_part(zone.payload)
+    return (tuple(tuple(float(s * v) for v in row) for row in A),
+            tuple(float(s * v) for v in b), float(e))
 
 
 def _s12(e: float, t: float) -> tuple[float, float]:

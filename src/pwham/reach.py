@@ -13,7 +13,6 @@ y = 0, or where N / D overflows) is read as the limit h -> inf.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .systems import Zone, local_forms, restriction
 
@@ -38,7 +37,6 @@ def no_root_beyond(cs, mags, a: float) -> bool:
     return bool(p)
 
 
-@lru_cache(maxsize=8)
 def edge_levels(zone: Zone) -> tuple:
     """The ``_rows`` of each finite edge x = c of the zone, of its level
     polynomial N(c, y) - h D(c, y) (``systems.restriction``) in (y, h): an
@@ -100,7 +98,6 @@ def _critical(Q: list):
     return T
 
 
-@lru_cache(maxsize=16)
 def turning_points(zone: Zone, axis: int):
     """The ``_rows`` of the ``_critical`` polynomial of the level
     polynomial L = N - h D in the local frame, in the coordinate ``axis``:

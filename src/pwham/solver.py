@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import algebra
+from . import algebra, dynamics
 from .algebra import (
     AlgebraError,
     MultiPoly,
@@ -232,10 +232,10 @@ def eliminate(ms: MatchingSystem, order: Sequence[str] | None = None) -> UniPoly
 
 def _residual(eq: MultiPoly, point: dict[str, Fraction]) -> tuple[float, float]:
     """(eq at the point, the sum of its terms' moduli), in floats, in one
-    pass over the terms: each term as ``MultiPoly.eval_float`` makes it,
-    and its modulus by ``abs``, the same float as the term made from the
-    moduli, since rounding a product or an integer power is symmetric in
-    sign."""
+    pass over the terms: each term's coefficient (``floats``) times the
+    integer powers of the coordinates, and its modulus by ``abs``, the same
+    float as the term made from the moduli, since rounding a product or an
+    integer power is symmetric in sign."""
     fpt = {k: float(v) for k, v in point.items()}
     value = size = 0.0
     for e, t in eq.floats().items():
@@ -653,8 +653,6 @@ def annulus_check(machine, boundaries: Sequence[int]) -> bool:
     ``FlowMachine.displacement`` is a pure function of (boundary, y,
     direction) for one machine (its arc plans, reach polynomials and
     compiled code are deterministic caches)."""
-    from . import dynamics
-
     for b in boundaries:
         closed = 0
         for m in _ANNULUS_SCHEDULE:
@@ -697,8 +695,6 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
             # (lower, upper) per boundary, lower boundary first
             ords = tuple((bidx[i // 2], v) for i, v in enumerate(t))
             candidates.append(CandidateCycle(tag, ords, mult))
-
-    from . import dynamics
 
     machine = dynamics.FlowMachine(ps, cfg)  # the verifier's and the annulus scan's
     if verify:

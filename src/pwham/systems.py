@@ -336,7 +336,6 @@ def restriction(zone: Zone, c: Fraction) -> tuple[UniPoly, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def linear_part(p: LinearSaddle) -> tuple:
     """(A, b, e): the forward field A u + b of a ``linear`` payload, read
     exactly from its field polynomials (``local_forms``: a linear payload is

@@ -73,8 +73,10 @@ found; and one line per solve corpus with the polynomial splits that
 ``solve`` makes over it (the calls of ``algebra._primitive``, which splits
 every new polynomial into its content and primitive part), in total and
 per unit, a count that repeats exactly and falls when the set-up builds
-fewer polynomials.  Without it nothing is wrapped but ``integrate_arc``,
-for the two arc digests.
+fewer polynomials; and one line per solve corpus with the hits and misses
+of each module-level ``lru_cache`` of the package over it, so that a cache
+that stops paying shows.  Without it nothing is wrapped but
+``integrate_arc``, for the two arc digests.
 """
 
 from __future__ import annotations
@@ -249,6 +251,28 @@ def _splits(algebra, tally, name):
         algebra._primitive = primitive
 
 
+def _module_caches(*modules):
+    """(module.name, function) of every ``lru_cache`` that the modules
+    define at module level."""
+    return [(f"{m.__name__.rsplit('.', 1)[-1]}.{n}", f) for m in modules
+            for n, f in vars(m).items()
+            if hasattr(f, "cache_info") and getattr(f, "__module__", None) == m.__name__]
+
+
+@contextlib.contextmanager
+def _cache_use(caches, tally):
+    """Add into the Counter ``tally`` the hits and misses of each of
+    ``caches`` made while the block runs."""
+    before = [f.cache_info() for _, f in caches]
+    try:
+        yield
+    finally:
+        for (name, f), old in zip(caches, before):
+            new = f.cache_info()
+            tally[name, "hits"] += new.hits - old.hits
+            tally[name, "misses"] += new.misses - old.misses
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -258,17 +282,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    from pwham import algebra, cli, dynamics, solver, specfile
+    from pwham import algebra, cli, dynamics, matcher, reach, solver, specfile, systems
     from pwham.systems import mirror, piecewise_system
     import workloads
 
     splits = collections.Counter()
+    caches = _module_caches(algebra, systems, matcher, reach, dynamics, solver)
+    uses = {name: collections.Counter() for name, _ in CORPORA}
     h = hashlib.sha256()
     for name, count in CORPORA:
         for _, label, ps in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
             try:
                 with (_splits(algebra, splits, name) if args.census
-                      else contextlib.nullcontext()):
+                      else contextlib.nullcontext()), _cache_use(caches, uses[name]):
                     rep = solver.solve(ps, verify=True, cfg=workloads.BULK_CFG)
             except Exception as e:  # the failure is part of the answer
                 entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
@@ -377,6 +403,10 @@ def main(argv=None) -> int:
         for name, count in CORPORA:
             print(f"splits {name}: {splits[name]} in {count} units, "
                   f"{splits[name] / count:.1f} per unit")
+        for name, _ in CORPORA:
+            print(f"caches {name}: " + "; ".join(
+                f"{cache} hits {uses[name][cache, 'hits']}, misses {uses[name][cache, 'misses']}"
+                for cache, _ in caches))
     return 0
 
 

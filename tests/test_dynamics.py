@@ -1,6 +1,7 @@
 """Numerical flow: conservation, event accuracy, return maps, the shooting
 oracle, and candidate verification."""
 
+import ast
 import collections
 import decimal
 import itertools
@@ -8,6 +9,7 @@ import math
 import os
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -72,6 +74,7 @@ from conftest import (
 )
 import reference_dynamics as ref
 from reference_dynamics import dop853_step, linear_arc
+from reference_solver import eval_float
 from reference_systems import field_polys, restriction_by_subs
 
 
@@ -299,8 +302,6 @@ def test_step_kernel_is_the_reference_step(payload, reverse, forward, x, y, h):
     returns on the zone's float field, run backward by negating it: the
     same (xn, yn, err, kn), float for float, also where a stage overflows.
     Both are built afresh, so they pad the same family support."""
-    zone_field_fn.cache_clear()
-    zone_step_fn.cache_clear()
     zone = Zone(payload, reverse=reverse)
     f0 = zone_field_fn(zone)
     f = f0 if forward else (lambda x, y: tuple(-v for v in f0(x, y)))
@@ -331,8 +332,8 @@ def _fleeting(zone, p):
     steps of that length can step over, or see at a slightly other place."""
     fxp, fyp = field_polys(zone)
     at = {"x": p[0], "y": p[1]}
-    fx, fy = fxp.eval_float(at), fyp.eval_float(at)
-    rate = fxp.diff("x").eval_float(at) * fx + fxp.diff("y").eval_float(at) * fy
+    fx, fy = eval_float(fxp, at), eval_float(fyp, at)
+    rate = eval_float(fxp.diff("x"), at) * fx + eval_float(fxp.diff("y"), at) * fy
     return 2 * abs(fx) <= abs(rate) * MAX_STEP
 
 
@@ -1207,9 +1208,7 @@ def test_bulk_systems_stop_compiling():
     can build: field, integral and, for a nonlinear zone, its steps."""
     rng = random.Random(505)
     units = [rand_config(rng, CONFIG_NAMES[i % 6]) for i in range(1200)]
-    for cached in (dynamics._maker, dynamics.zone_field_fn, dynamics.zone_integral_fn,
-                   dynamics.zone_step_fn):
-        cached.cache_clear()
+    dynamics._maker.cache_clear()
     seen = set()
 
     def build(systems):
@@ -1229,6 +1228,23 @@ def test_bulk_systems_stop_compiling():
     compiled = dynamics._maker.cache_info().misses
     build(units[600:])
     assert dynamics._maker.cache_info().misses == compiled == len(seen)
+
+
+def test_zone_floats_have_one_cache():
+    """``ArcPlan`` is the one home of a zone's floats: in ``dynamics`` and
+    ``reach`` the one ``lru_cache`` is on ``_maker``, the compiled code per
+    support, which no zone keys; the field, integral, step and reach rows
+    are built once per plan, and ``systems.linear_part`` is not cached."""
+    cached = []
+    for name in ("dynamics", "reach"):
+        tree = ast.parse((Path(dynamics.__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "id", getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                    cached.append((name, node.name))
+    assert cached == [("dynamics", "_maker")]
+    assert not hasattr(linear_part, "cache_info")
 
 
 class SyntheticMap(FlowMachine):

@@ -39,7 +39,7 @@ from pwham.systems import (
 from pwham.specfile import load_spec
 
 import corpus_digest
-from reference_solver import residual_by_size
+from reference_solver import eval_float, residual_by_size
 
 from conftest import (
     BULK_CFG,
@@ -675,7 +675,7 @@ def test_solve_candidate_residuals_small():
             ms = mss["three_zone"]
             pt = {u: v for u, (_, v) in zip(ms.unknowns, c.ordinates)}
             for eq in ms.equations:
-                num = abs(eq.eval_float({k: float(x) for k, x in pt.items()}))
+                num = abs(eval_float(eq, {k: float(x) for k, x in pt.items()}))
                 scale = 1.0 + sum(abs(float(co)) for co in eq.terms.values())
                 assert num < 1e-9 * scale * 100
             seen += 1

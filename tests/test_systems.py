@@ -40,6 +40,7 @@ from pwham.specfile import load_spec
 from conftest import (CONFIG_NAMES, FIXTURE_DIR, continuous_cubic_center_match,
                       continuous_double_center_match, exact_rats, exact_zones, rand_config,
                       rand_mixed, translate)
+from reference_solver import eval_float
 from reference_systems import (field_polys, hamiltonian, mismatches_by_difference,
                                restriction_by_subs)
 
@@ -223,8 +224,8 @@ def test_boundary_translation_restricts_equally(data, kind, t):
 def _term_size(p: MultiPoly, at: dict) -> float:
     """Sum of the absolute values of p's terms: the scale of float rounding
     in evaluating p."""
-    return MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()}).eval_float(
-        {v: abs(t) for v, t in at.items()})
+    return eval_float(MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()}),
+                      {v: abs(t) for v, t in at.items()})
 
 
 def test_field_polys_match_readme_fields():
@@ -244,9 +245,9 @@ def test_compiled_field_and_integral_match_exact_forms():
             at = {"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}
             got = f(at["x"], at["y"])
             for g, p in zip(got, (fx, fy)):
-                assert abs(g - p.eval_float(at)) <= 1e-12 * (1 + _term_size(p, at)), z
-            d = den.eval_float(at)
-            want = num.eval_float(at) / d
+                assert abs(g - eval_float(p, at)) <= 1e-12 * (1 + _term_size(p, at)), z
+            d = eval_float(den, at)
+            want = eval_float(num, at) / d
             tol = 1e-12 * (1 + _term_size(num, at)) / abs(d)
             assert abs(h(at["x"], at["y"]) - want) <= tol, z
 
