@@ -134,13 +134,6 @@ def render_report(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_oracle(ps: PiecewiseSystem, rep: SolveReport, grid: int,
-               window: tuple[float, float] | None) -> dict:
-    machine = dynamics.FlowMachine(ps)
-    win = window or dynamics.oracle_window(rep)
-    return {b: machine.oracle(b, win, grid) for b in range(len(ps.boundaries))}
-
-
 def _write_out(text: str, path: str | None):
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -194,8 +187,9 @@ def cmd_solve(args) -> int:
     grid = args.grid or parse_grid(spec.options.get("grid", "0"))
     if grid:
         window = args.window or (
-            parse_window(spec.options["window"]) if "window" in spec.options else None)
-        oracle = run_oracle(ps, rep, grid, window)
+            parse_window(spec.options["window"]) if "window" in spec.options
+            else dynamics.oracle_window(rep))
+        oracle = {b: rep.machine.oracle(b, window, grid) for b in range(len(ps.boundaries))}
     if args.json:
         text = json.dumps(report_to_json(ps, rep, oracle), indent=2) + "\n"
     else:
@@ -285,7 +279,7 @@ def cmd_portrait(args) -> int:
         xlo, xhi = max(xlo, win[0]), min(xhi, win[1])
         if xlo >= xhi:
             continue
-        plan, k = dynamics.ArcPlan(zone), 0
+        plan, k = rep.machine.plan(zi), 0
         for i in range(n):
             for j in range(n):
                 x0 = xlo + (xhi - xlo) * (i + 0.5) / n
@@ -315,12 +309,11 @@ def cmd_portrait(args) -> int:
     for bi, b in enumerate(ps.boundaries):
         polylines.append((f"boundary_{bi}", "boundary",
                           [(float(b), win[0]), (float(b), win[1])]))
-    machine = dynamics.FlowMachine(ps)
     for ci, c in enumerate(rep.verified()):
         b0, y0 = min(c.ordinates, key=lambda bv: bv[1])
         try:
-            d0 = machine.crossing_direction(b0, float(y0))
-            _, log = machine.return_map(b0, float(y0), d0, record=True)
+            d0 = rep.machine.crossing_direction(b0, float(y0))
+            _, log = rep.machine.return_map(b0, float(y0), d0, record=True)
             pts = []
             for _, _, _, traj in log:
                 pts.extend((x, y) for _, x, y in traj.samples)

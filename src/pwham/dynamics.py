@@ -812,7 +812,8 @@ class FlowMachine:
         self._plans: list = [None] * len(ps.zones)
         self.bxs = [float(b) for b in ps.boundaries]
 
-    def _plan(self, zone_index: int) -> ArcPlan:
+    def plan(self, zone_index: int) -> ArcPlan:
+        """Zone ``zone_index``'s ArcPlan, built on first use and kept."""
         plan = self._plans[zone_index]
         if plan is None:
             plan = self._plans[zone_index] = ArcPlan(self.ps.zones[zone_index])
@@ -823,8 +824,8 @@ class FlowMachine:
         SlidingPoint when the two adjacent normal velocities disagree in
         sign or one of them vanishes (Filippov sliding / tangency)."""
         c = self.bxs[bindex]
-        fxl = self._plan(bindex).field(c, y)[0]
-        fxr = self._plan(bindex + 1).field(c, y)[0]
+        fxl = self.plan(bindex).field(c, y)[0]
+        fxr = self.plan(bindex + 1).field(c, y)[0]
         scale = 1.0 + abs(y)
         if abs(fxl) < TANGENT_TOL * scale or abs(fxr) < TANGENT_TOL * scale:
             raise SlidingPoint(f"tangential contact at boundary {bindex}, y={y:.9g}")
@@ -837,7 +838,7 @@ class FlowMachine:
         index, ordinate, direction, trajectory) of its landing.  Zone i lies
         between boundaries i - 1 and i, and an arc that ends on its upper
         edge crosses it upward."""
-        traj = integrate_arc(self._plan(zone_index), state, self.cfg, record=record)
+        traj = integrate_arc(self.plan(zone_index), state, self.cfg, record=record)
         if traj.status != "reached-boundary":
             raise NonReturning(f"arc in zone {zone_index} ended with {traj.status}")
         if traj.edge == "hi":

@@ -45,7 +45,7 @@ Surviving candidates are handed to the dynamics oracle for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -148,6 +148,9 @@ class SolveReport:
     positive_dimensional: bool
     annulus: bool
     diagnostics: dict
+    # the verifier's and the annulus scan's machine, kept for a caller that
+    # runs more orbits of the same system; not part of the answer
+    machine: dynamics.FlowMachine = field(compare=False, repr=False)
 
     def verified(self, topology: str | None = None) -> list[CandidateCycle]:
         return [c for c in self.candidates if c.status == "verified"
@@ -696,7 +699,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
             ords = tuple((bidx[i // 2], v) for i, v in enumerate(t))
             candidates.append(CandidateCycle(tag, ords, mult))
 
-    machine = dynamics.FlowMachine(ps, cfg)  # the verifier's and the annulus scan's
+    machine = dynamics.FlowMachine(ps, cfg)
     if verify:
         for c in candidates:
             status, reason = machine.verify_candidate(c)
@@ -712,6 +715,7 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
         positive_dimensional=bool(posdim_boundaries),
         annulus=annulus,
         diagnostics=diagnostics,
+        machine=machine,
     )
     if verify and bound.numeric:
         main_tag = "three_zone" if len(ps.zones) == 3 else "two_zone"

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pwham import dynamics
 from pwham.cli import _parse_range, main
 from pwham.specfile import (MAX_EXPONENT, ZONE_KEYS, ParseError, SystemSpecFile, load_spec,
                             parse_spec, parse_window)
@@ -588,6 +589,24 @@ def test_cli_portrait_one_sample_draws_level_curves(tmp_path):
                       "--samples", "1", "--no-verify", "--out", str(out))
     assert code == 0
     assert "level" in {r["kind"] for r in csv.DictReader(io.StringIO(out.read_text()))}
+
+
+def test_cli_runs_each_command_on_one_machine(monkeypatch):
+    """``solve --grid`` runs its oracle, and ``portrait`` its seeds and its
+    cycles, on the machine that ``solve`` verified with: one FlowMachine
+    per command and one ArcPlan per zone."""
+    built = {}
+    for cls in (dynamics.FlowMachine, dynamics.ArcPlan):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    path = fixture_path("cubic_center_saddle_saddle.pwham")
+    for argv in (("solve", path, "--grid", "16", "--json"),
+                 ("portrait", path, "--samples", "3")):
+        built.clear()
+        assert run_cli(*argv)[0] == 0
+        assert built == {"FlowMachine": 1, "ArcPlan": 3}, argv
 
 
 def test_cli_solve_oracle_record():

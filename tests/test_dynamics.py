@@ -883,7 +883,7 @@ def test_escape_proof_changes_no_arc(config, seed, y0, forward, depth):
     for i, zone in enumerate(ps.zones):
         if zone.kind == "linear":
             continue
-        plan = m._plan(i)
+        plan = m.plan(i)
         for c, inward in ((zone.x_lo, 1), (zone.x_hi, -1)):
             if c is None:
                 continue

@@ -174,15 +174,15 @@ def test_bound_cubic_two_zone():
 def test_bound_double_center_three_zone_cases():
     mk = lambda d1, n: piecewise_system(
         [DoubleCenter(l=0, n=n, p=0, offset=1),
-         LinearSaddle(1, 1, d1, 2, 1),
-         LinearSaddle(1, 0, 2, 1, 0)], [-1, 1])
+         LinearSaddle(-1, 1, d1, 2, 1),
+         LinearSaddle(1, 0, -2, 1, 0)], [-1, 1])
     assert theorem_bound(mk(F(1), F(1))).count == 4
     b = theorem_bound(mk(F(0), F(1)))
     assert (b.kind, b.count) == ("at_most", 2)
     # annulus row: delta1 = n = 0 with the degeneracy condition
     mid = LinearSaddle(1, 1, 0, 2, F("1/1"))
     # condition (mu1+beta1)(2*delta2*gamma1 + (mu2-beta2)(mu1-beta1)) = 0
-    rgt = LinearSaddle(1, 0, 2, 1, 0)
+    rgt = LinearSaddle(1, 0, -2, 1, 0)
     g1 = -(rgt.mu - rgt.beta) * (mid.mu - mid.beta) / (2 * rgt.delta)
     mid = LinearSaddle(1, 1, 0, 2, g1)
     ps = piecewise_system([DoubleCenter(l=0, n=0, p=0, offset=1), mid, rgt], [-1, 1])
@@ -194,8 +194,8 @@ def test_bound_double_center_three_zone_cases():
 
 def test_bound_global_three_zone_rows():
     mk = lambda mid: piecewise_system(
-        [GlobalCenter(F(1, 2), offset=1), mid, LinearSaddle(1, 0, 2, 1, 0)], [-1, 1])
-    assert theorem_bound(mk(LinearSaddle(1, 1, 1, 2, 1))).count == 4
+        [GlobalCenter(F(1, 2), offset=1), mid, LinearSaddle(1, 0, -2, 1, 0)], [-1, 1])
+    assert theorem_bound(mk(LinearSaddle(-1, 1, 1, 2, 1))).count == 4
     # l1 = -(beta1 + mu1) = 0
     assert theorem_bound(mk(LinearSaddle(1, 2, 1, -2, 1))).count == 2
     # xi = 0 is excluded by the type invariant, so that row stays unreachable
@@ -210,8 +210,8 @@ def test_bound_cubic_three_zone_rows():
         return piecewise_system([left, mid, rgt], [-1, 1])
 
     left4 = CubicCenter(a=0, b=2, q=1, offset=1)
-    mid = LinearSaddle(1, 1, 1, 2, 1)
-    rgt = LinearSaddle(1, 0, 2, 1, 0)
+    mid = LinearSaddle(-1, 1, 1, 2, 1)
+    rgt = LinearSaddle(1, 0, -2, 1, 0)
     assert theorem_bound(mk(left4, mid, rgt)).count == 4
     # q = 0, b != 0 -> at most 3
     left3 = CubicCenter(a=0, b=2, q=0, offset=1)
