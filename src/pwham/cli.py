@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
         window = args.window or (
             parse_window(spec.options["window"]) if "window" in spec.options
             else dynamics.oracle_window(rep))
-        oracle = {b: rep.machine.oracle(b, window, grid) for b in range(len(ps.boundaries))}
+        oracle = rep.machine.oracle(window, grid)
     if args.json:
         text = json.dumps(report_to_json(ps, rep, oracle), indent=2) + "\n"
     else:

@@ -881,11 +881,18 @@ class FlowMachine:
             return None
         return y2 - y
 
-    def oracle(self, bindex: int, y_range: tuple, grid: int) -> list[float]:
-        """Scan the displacement map in both crossing directions for exact
-        zeros and sign changes on the grid and refine each sign change by
-        false position; returns the sorted fixed ordinates.  Undefined
-        ordinates (sliding starts, escapes) are skipped.
+    def oracle(self, y_range: tuple, grid: int) -> dict[int, list[float]]:
+        """The shooting oracle: {boundary index: sorted fixed ordinates in
+        the window ``y_range``}, over every boundary.
+
+        A crossing cycle crosses each line it meets once upward (the
+        two-crossing lemma), so each boundary's return map is scanned in
+        direction +1 only, for exact zeros and sign changes on the grid,
+        and each sign change is refined by false position.  Undefined
+        ordinates (sliding starts, escapes) are skipped.  A fixed point
+        that the scan accepts brings its whole cycle: itself and every
+        other crossing that its closing walk logs, on every boundary, that
+        lies in the window.  Points within 1e-7 on one boundary count once.
 
         A sign change is refined only when one of its ends is at least
         CLOSURE_TOL from closing: between two nodes that both close, the
@@ -899,27 +906,41 @@ class FlowMachine:
         if grid < 16:
             raise ValueError("oracle grid must be at least 16")
         lo, hi = float(y_range[0]), float(y_range[1])
-        fixed: list[float] = []
-        for direction in (1, -1):
-            ys = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
-            ds = [self.displacement(bindex, y, direction) for y in ys]
-            fixed += [y for y, d in zip(ys, ds) if d == 0.0]
+        ys = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+        found: dict[int, list[float]] = {b: [] for b in range(len(self.bxs))}
+        for bindex in found:
+            walks: dict[float, list] = {}
+
+            def gap(y):
+                try:
+                    y2, walks[y] = self.return_map(bindex, y, 1)
+                except DynamicsError:
+                    return None
+                return y2 - y
+
+            ds = [gap(y) for y in ys]
+            fixed = [y for y, d in zip(ys, ds) if d == 0.0]
             for i in range(grid - 1):
                 d1, d2 = ds[i], ds[i + 1]
                 if (d1 is not None and d2 is not None and d1 * d2 < 0
                         and max(abs(d1), abs(d2)) >= CLOSURE_TOL):
                     y_star, d_star = _false_position(
-                        lambda y: self.displacement(bindex, y, direction),
-                        ys[i], d1, ys[i + 1], d2,
+                        gap, ys[i], d1, ys[i + 1], d2,
                         lambda d, width: abs(d) < 1e-12 or width < 1e-10, 60)
                     if d_star is not None and abs(d_star) < CLOSURE_TOL:
                         fixed.append(y_star)
-        fixed.sort()
-        out = []
-        for y in fixed:
-            if not out or abs(y - out[-1]) > 1e-7:
-                out.append(y)
-        return out
+            for y in fixed:
+                found[bindex].append(y)
+                # the log's last entry is the return to y itself
+                for bhit, yhit, _, _ in walks[y][:-1]:
+                    if lo <= yhit <= hi:
+                        found[bhit].append(yhit)
+        for bindex, points in found.items():
+            out = found[bindex] = []
+            for y in sorted(points):
+                if not out or y - out[-1] > 1e-7:
+                    out.append(y)
+        return found
 
     # -- candidate verification ---------------------------------------------
 

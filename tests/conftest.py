@@ -64,6 +64,18 @@ def linear_center_saddle_center() -> PiecewiseSystem:
          LinearSaddle(8, 8, 10, 8, 8)], [-1, 1])
 
 
+def designed_center_saddle_saddle() -> PiecewiseSystem:
+    """A double center and two linear saddles, designed backwards from the
+    crossing ordinates (-1, 3/2) on x = -1 and (-3/4, 2) on x = 1, which
+    its one verified cycle crosses: a system of the paper's three-zone
+    class (bound "<= 4, generic").  Not a fixture, so that the
+    ``cli_oracle`` workload stays as it is."""
+    return piecewise_system(
+        [DoubleCenter(F(-5, 8), F(3, 7), -1, offset=1),
+         LinearSaddle(F(1, 2), -6, F(1004, 35), F(-1, 2), F(-87, 40)),
+         LinearSaddle(F(-1, 4), F(1, 2), F(5, 4), F(41, 32), 1)], [-1, 1])
+
+
 def cubic_three_zone(b=F(-8, 5)) -> PiecewiseSystem:
     return piecewise_system(
         [CubicCenter(a=0, b=b, q=1, offset=1),

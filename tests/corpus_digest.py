@@ -13,7 +13,7 @@ It prints ten SHA-256 digests:
 * ``fixtures``: the stdout and exit code of
   ``pwham solve FIXTURE --grid 128 --json`` on every fixture;
 * ``oracle``: the shooting oracle's fixed ordinates,
-  ``FlowMachine(ps).oracle(b, oracle_window(rep), 64)`` on every boundary b
+  ``FlowMachine(ps).oracle(oracle_window(rep), 64)``, listed per boundary,
   with ``rep = solve(ps, verify=False)``, over the first 60 ``bulk`` and the
   first 60 ``annulus`` units at their default seeds: the shooting side on
   systems that are not fixtures;
@@ -313,10 +313,9 @@ def main(argv=None) -> int:
         for _, label, ps in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
             try:
                 window = dynamics.oracle_window(solver.solve(ps, verify=False))
-                machine = dynamics.FlowMachine(ps)
+                found = dynamics.FlowMachine(ps).oracle(window, ORACLE_SCAN_GRID)
                 entry = {"label": label,
-                         "oracle": [machine.oracle(b, window, ORACLE_SCAN_GRID)
-                                    for b in range(len(ps.boundaries))]}
+                         "oracle": [found[b] for b in range(len(ps.boundaries))]}
             except Exception as e:  # the failure is part of the answer
                 entry = {"label": label, "raised": f"{type(e).__name__}: {e}"}
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")

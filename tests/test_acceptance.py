@@ -105,7 +105,7 @@ def test_criterion_1_companion_honest_behavior():
     assert abs(ys[1] - (1 + math.sqrt(5)) / 2) < 1e-9
     assert cand.status == "rejected"
     machine = FlowMachine(ps, IntegratorConfig())
-    assert machine.oracle(0, (-4.0, 4.0), 64) == []
+    assert machine.oracle((-4.0, 4.0), 64) == {0: []}
 
 
 # -- criterion 2 -------------------------------------------------------------------
@@ -202,8 +202,9 @@ def _oracle_sets(ps, rep, machine):
     be narrower than a coarse grid cell, but a fixed point found from a seed
     is still a fixed point of the same return map."""
     out = {}
+    scanned = machine.oracle((-10.0, 10.0), 48)
     for b in range(len(ps.boundaries)):
-        pts = list(machine.oracle(b, (-10.0, 10.0), 48))
+        pts = list(scanned[b])
         for c in rep.candidates:
             for v in c.ordinates_on(b):
                 for direction in (1, -1):

@@ -24,6 +24,7 @@ from pwham.algebra import (
     sturm_count,
 )
 from pwham.dynamics import (
+    CLOSURE_TOL,
     DRIFT_TOL,
     EVENT_TOL,
     MAX_HOPS,
@@ -62,9 +63,11 @@ from pwham.systems import (
 )
 
 from conftest import (
+    BULK_CFG,
     CONFIG_NAMES,
     FIXTURE_DIR,
     cubic_center_saddle,
+    designed_center_saddle_saddle,
     double_center_saddle,
     exact_zones,
     global_center_saddle,
@@ -1099,20 +1102,20 @@ def test_return_map_annulus_identity():
 
 def test_oracle_finds_fixture_cycles():
     ps = global_center_saddle()
-    fixed = FlowMachine(ps).oracle(0, (0.2, 3.0), 64)
+    fixed = FlowMachine(ps).oracle((0.2, 3.0), 64)[0]
     assert any(abs(v - (5 + math.sqrt(5)) / 5) < 1e-6 for v in fixed)
     assert any(abs(v - (5 - math.sqrt(5)) / 5) < 1e-6 for v in fixed)
 
 
 def test_oracle_empty_for_obstructed_fixture():
     ps = cubic_center_saddle()
-    assert FlowMachine(ps).oracle(0, (-3.0, 3.0), 64) == []
+    assert FlowMachine(ps).oracle((-3.0, 3.0), 64) == {0: []}
 
 
 def test_oracle_grid_minimum():
     ps = global_center_saddle()
     with pytest.raises(ValueError):
-        FlowMachine(ps).oracle(0, (-1.0, 1.0), 8)
+        FlowMachine(ps).oracle((-1.0, 1.0), 8)
 
 
 def _defined_returns(m: FlowMachine, count: int = 4):
@@ -1248,46 +1251,52 @@ def test_zone_floats_have_one_cache():
 
 
 class SyntheticMap(FlowMachine):
-    """A FlowMachine whose displacement map is a given function of y in
-    direction 1 and undefined in direction -1, counting its evaluations."""
+    """A FlowMachine on the one boundary x = 0 whose upward return map is
+    y + d(y), for a given function d, and undefined where d is None or in
+    direction -1, counting its evaluations.  A return logs one crossing,
+    the return itself."""
 
     def __init__(self, d):
         self.d = d
         self.calls = 0
+        self.bxs = [0.0]
 
-    def displacement(self, bindex, y, direction):
+    def return_map(self, bindex, y, direction, record=False):
         self.calls += 1
-        return self.d(y) if direction == 1 else None
+        d = self.d(y) if direction == 1 else None
+        if d is None:
+            raise NonReturning("undefined")
+        return y + d, [(bindex, y + d, direction, None)]
 
 
 def test_oracle_simple_root():
     r = math.pi / 10
     m = SyntheticMap(lambda y: math.sin(y - r) * (2 + y))
-    fixed = m.oracle(0, (-1.0, 1.0), 64)
+    fixed = m.oracle((-1.0, 1.0), 64)[0]
     assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-10
-    assert m.calls - 2 * 64 <= 12
+    assert m.calls - 64 <= 12
 
 
 def test_oracle_flat_triple_root():
     # the displacement is below 1e-12 within 1e-4 of a triple root
     r = 0.3141
     m = SyntheticMap(lambda y: (y - r) ** 3)
-    fixed = m.oracle(0, (-1.0, 1.0), 64)
+    fixed = m.oracle((-1.0, 1.0), 64)[0]
     assert len(fixed) == 1 and abs(fixed[0] - r) < 1e-4
 
 
 def test_oracle_exact_zero_at_last_node():
     m = SyntheticMap(lambda y: y - 1.0)
-    assert m.oracle(0, (-1.0, 1.0), 64) == [1.0]
-    assert m.calls == 2 * 64
+    assert m.oracle((-1.0, 1.0), 64) == {0: [1.0]}
+    assert m.calls == 64
 
 
 def test_oracle_ignores_noise_on_a_band_of_closed_orbits():
     # every node closes (|d| < 1e-12) with alternating signs: a period
     # annulus whose displacement is integration noise, not fixed points
     m = SyntheticMap(lambda y: 5e-13 if round((y + 1) * 63 / 2) % 2 else -5e-13)
-    assert m.oracle(0, (-1.0, 1.0), 64) == []
-    assert m.calls == 2 * 64
+    assert m.oracle((-1.0, 1.0), 64) == {0: []}
+    assert m.calls == 64
 
 
 def test_oracle_skips_undefined_holes():
@@ -1300,7 +1309,7 @@ def test_oracle_skips_undefined_holes():
         return (y - 0.3) * (y - 0.6) * (y + 0.5)
 
     m = SyntheticMap(d)
-    fixed = m.oracle(0, (-1.0, 1.0), 64)
+    fixed = m.oracle((-1.0, 1.0), 64)[0]
     assert len(fixed) == 1 and abs(fixed[0] - 0.3) < 1e-10
 
 
@@ -1309,6 +1318,61 @@ def test_oracle_window_from_report():
     lo, hi = oracle_window(rep)
     ys = [float(v) for c in rep.candidates for _, v in c.ordinates]
     assert lo < min(ys) and hi > max(ys)
+
+
+def test_oracle_reads_the_down_crossings_from_the_closing_walk():
+    """On the designed three-zone witness the return map on x = 1 is defined
+    only above about -0.77, so no two grid nodes there bracket the verified
+    -3/4; the walk that closes at -1 on x = -1 logs it.  The grid-128 oracle
+    reports the whole verified cycle on both lines, and nothing else."""
+    rep = solve(designed_center_saddle_saddle())
+    (cyc,) = rep.verified()
+    found = rep.machine.oracle(oracle_window(rep), 128)
+    for b, points in found.items():
+        want = sorted(float(v) for v in cyc.ordinates_on(b))
+        assert len(points) == len(want)
+        assert all(abs(y - v) < 1e-9 for y, v in zip(points, want)), (b, points)
+    assert any(abs(y + 0.75) < 1e-9 for y in found[1])
+
+
+def test_oracle_finds_a_cycle_whose_down_crossing_the_scan_misses():
+    """Bulk unit 16 (seed 505, global_center+saddle+saddle) has one verified
+    cycle, through 1 and 3 on x = -1; its up-crossing at 3 closes a walk
+    that logs the down-crossing at 1."""
+    rng = random.Random(505)
+    units = [rand_config(rng, CONFIG_NAMES[i % 6]) for i in range(17)]
+    assert CONFIG_NAMES[16 % 6] == "global_center+saddle+saddle"
+    rep = solve(units[16], cfg=BULK_CFG)
+    (cyc,) = rep.verified()
+    assert sorted(cyc.ordinates_on(0)) == [1, 3]
+    points = rep.machine.oracle(oracle_window(rep), 128)[0]
+    for v in (1.0, 3.0):
+        assert any(abs(y - v) < 1e-9 for y in points), points
+
+
+def test_oracle_scan_alone_finds_the_piecewise_linear_cycle():
+    """Criterion 3's cycle, on both lines, from a coarse scan of (-10, 10)
+    with no candidate seeds: its up-crossings close walks that log the
+    rest."""
+    found = FlowMachine(linear_center_saddle_center()).oracle((-10.0, 10.0), 48)
+    s = math.sqrt(4873) / (36 * math.sqrt(2))
+    big = 97 * math.sqrt(4873) / (2340 * math.sqrt(2))
+    for points, want in ((found[0], (16 / 65 - s, 16 / 65 + s)), (found[1], (-big, big))):
+        assert len(points) == 2
+        assert all(abs(y - v) < 1e-6 for y, v in zip(points, want)), points
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURE_DIR)))
+def test_oracle_points_are_fixed_points_of_their_own_line(name):
+    """Every point the grid-128 oracle reports, scanned or read from a
+    closing walk's log, is a fixed point of its own line's return map, in
+    one of the two crossing directions."""
+    ps = load_spec(os.path.join(FIXTURE_DIR, name)).to_system()
+    rep = solve(ps)
+    for b, points in rep.machine.oracle(oracle_window(rep), 128).items():
+        for y in points:
+            gaps = [rep.machine.displacement(b, y, d) for d in (1, -1)]
+            assert any(g is not None and abs(g) < CLOSURE_TOL for g in gaps), (b, y, gaps)
 
 
 def test_verify_pwl_cycle_arcwise():
