@@ -26,9 +26,10 @@ segments are detected, never simulated).
   step takes the place of the accepted one, and both end the same way.  A
   step that ends inside the strip but turns x around is checked for an
   excursion across an edge by the cubic Hermite of x on the step.  An arc
-  that moves outward past every root of its zone's reach polynomials
-  (``reach``) is proven never to land, and ends there; so does one whose
-  step collapses, as at a blow-up.
+  that moves away from y = 0 past every root of its zone's reach
+  polynomials (``reach``) is proven never to land, and ends there; so
+  does one whose step collapses, as at a blow-up, which ends every branch
+  that runs off in x with y bounded (dx/dt grows like X^2 there).
 
 Either arc reports the strip edge it ends on (``Trajectory.edge``).  One
 orbit walk, ``FlowMachine._walk``, runs the arcs hop by hop and checks that
@@ -410,30 +411,26 @@ class ArcPlan:
         self._steps = [None, None]
         self._reach = None
 
-    def escaped(self, axis: int, w: float, h: float) -> bool:
-        """True when an arc on the level h, at w = X = x + offset (``axis``
-        0) or w = y (``axis`` 1) and moving away from w = 0, can land on no
-        edge again: |w| lies beyond every real root on w's side
-        (``reach.beyond_every_root``) of the turning points' eliminant in
-        that coordinate, if there is one, so w moves on outward; for y,
-        also of each finite edge's N(c, y) - h D(c, y), so y meets no
-        landing.  For X the caller checks that the arc moves away from the
-        zone's one edge, which x then never comes back to.  The y proof
-        refuses an infinite h: it never runs on D = 0, and next to it, where
-        h overflowed, the edges' roots in y lie at the arc's scale, which
-        no limit in h holds."""
+    def escaped(self, y: float, h: float) -> bool:
+        """True when an arc on the level h at the ordinate y, moving away
+        from y = 0, can land on no edge again: |y| lies beyond every real
+        root on y's side (``reach.beyond_every_root``) of each finite
+        edge's N(c, y) - h D(c, y), so y meets no landing, and of Ty, the
+        turning points' eliminant, if there is one, so y moves on outward.
+        It refuses an infinite h: it never runs on D = 0, and next to it,
+        where h overflowed, the edges' roots in y lie at the arc's scale,
+        which no limit in h holds."""
+        if not math.isfinite(h):
+            return False
         if self._reach is None:
-            self._reach = [edge_levels(self.zone), False, False]  # False: not built yet
-        if axis:
-            if not math.isfinite(h):
+            self._reach = [edge_levels(self.zone), False]  # False: Ty not built yet
+        for rows in self._reach[0]:
+            if not beyond_every_root(rows, y, h):
                 return False
-            for rows in self._reach[0]:
-                if not beyond_every_root(rows, w, h):
-                    return False
-        rows = self._reach[1 + axis]
-        if rows is False:
-            rows = self._reach[1 + axis] = turning_points(self.zone, axis)
-        return rows is None or beyond_every_root(rows, w, h)  # None: w is monotone
+        if self._reach[1] is False:
+            self._reach[1] = turning_points(self.zone)
+        rows = self._reach[1]
+        return rows is None or beyond_every_root(rows, y, h)  # None: y is monotone
 
     def step(self, forward: bool):
         """The zone's DOP853 step forward or backward in time."""
@@ -479,11 +476,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
     EVENT_TOL), the time limit, after a step that ends beyond the window
     (a landing included) or, without one, at an escape proof
     (``ArcPlan.escaped`` at the level of the step's end: for an arc moving
-    away from y = 0, or from X = 0 and from the one edge of a half-plane,
-    tried at its first such step and each time |y|, or |X|, doubled
-    since), where the float range ends (a start whose field overflows, a
-    step or a landing search step whose error norm does, a landing at an
-    infinite ordinate), where the step collapses (``left-window`` for all
+    away from y = 0, tried at its first such step and each time |y|
+    doubled since), where the float range ends (a start whose field
+    overflows, a step or a landing search step whose error norm does, a
+    landing at an infinite ordinate), where the step collapses (``left-window`` for all
     of these), at an equilibrium (speed below 1e-12 at the start or
     for ten accepted steps), or after ``cfg.max_steps`` accepted and
     rejected steps (status ``step-limit``).
@@ -513,13 +509,9 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
 
     h0 = hfun(x, y)
     monitor = isfinite(h0)
-    # |y| and |X| at which to try an escape proof (with no window); X only
-    # in a half-plane, moving to the side ``away`` from its edge (either
-    # side without one)
+    # |y| at which to try an escape proof (with no window)
     tried = 0.0 if window is None else math.inf
-    tried_x = tried if lo == -math.inf or hi == math.inf else math.inf
     window = math.inf if window is None else window
-    away, offset = (lo > -math.inf) - (hi < math.inf), float(plan.zone.payload.offset)
     scale_h = max(1.0, abs(h0)) if monitor else 1.0
     drift = 0.0
     t = 0.0
@@ -592,16 +584,10 @@ def _dop853_arc(plan, start, cfg, record, forward) -> Trajectory:
                 status, edge = "left-window", None
             break
         if y * k1[1] > 0 and abs(y) >= tried:
-            if plan.escaped(1, y, hv):
+            if plan.escaped(y, hv):
                 status = "left-window"
                 break
             tried = 2.0 * abs(y)
-        X = x + offset
-        if X * k1[0] > 0 and away * k1[0] >= 0 and abs(X) >= tried_x:
-            if plan.escaped(0, X, hv):
-                status = "left-window"
-                break
-            tried_x = 2.0 * abs(X)
         if hypot(k1[0], k1[1]) < 1e-12:
             slow += 1
             if slow >= 10:

@@ -2,17 +2,16 @@
 integral.  Every question reads a polynomial T(w, h) in one form, its rows
 of coefficients (``_rows``), whose real roots in w at h hold the places
 that decide it: the landings on each finite edge x = c, the roots in y of
-N(c, y) - h D(c, y) (``edge_levels``), and the turning points of the level
-curve, the critical points of N - h D in X and in y (``turning_points``).
+N(c, y) - h D(c, y) (``edge_levels``), and the ordinates where the level
+curve turns in y, the critical points of N - h D in X (``turning_points``).
 ``dynamics.ArcPlan.escaped`` reads them by a one-sign test past every root
-on the arc's side (``beyond_every_root``): an arc past all of them can
-land on no edge again.  An infinite level (on D = 0, the global center's
-y = 0, or where N / D overflows) is read as the limit h -> inf.
+on the arc's side (``beyond_every_root``): an arc moving away from y = 0
+past all of them can land on no edge again.
 """
 
 from __future__ import annotations
 
-import math
+from math import gcd
 
 from .systems import Zone, local_forms, restriction
 
@@ -53,20 +52,20 @@ def edge_levels(zone: Zone) -> tuple:
 
 def _mul(a: dict, b: dict) -> dict:
     """Product of two polynomials in (w, h), as {(power of w, power of h):
-    float coefficient}."""
+    integer coefficient}."""
     out: dict = {}
     for (i, j), u in a.items():
         for (k, m), v in b.items():
             e = i + k, j + m
-            out[e] = out.get(e, 0.0) + u * v
+            out[e] = out.get(e, 0) + u * v
     return out
 
 
-def _add(a: dict, b: dict, s: float = 1.0) -> dict:
+def _add(a: dict, b: dict, s: int = 1) -> dict:
     """a + s b, for polynomials as in ``_mul``."""
     out = dict(a)
     for e, v in b.items():
-        out[e] = out.get(e, 0.0) + s * v
+        out[e] = out.get(e, 0) + s * v
     return out
 
 
@@ -84,7 +83,7 @@ def _critical(Q: list):
         R = Q
         while len(R) >= len(P):  # R <- lc(P) R - lc(R) v^d P drops R's top term
             d, lead = len(R) - len(P), R[-1]
-            R = [_add(_mul(P[-1], R[i]), _mul(lead, P[i - d]), -1.0) if i >= d
+            R = [_add(_mul(P[-1], R[i]), _mul(lead, P[i - d]), -1) if i >= d
                  else _mul(P[-1], R[i]) for i in range(len(R) - 1)]
         Q, P = P, R
     p0, p1 = P
@@ -94,39 +93,45 @@ def _critical(Q: list):
             qk = _mul(qk, p0)
         for _ in range(len(Q) - 1 - k):
             qk = _mul(qk, p1)
-        T = _add(T, qk, (-1.0) ** k)
+        T = _add(T, qk, (-1) ** k)
     return T
 
 
-def turning_points(zone: Zone, axis: int):
-    """The ``_rows`` of the ``_critical`` polynomial of the level
-    polynomial L = N - h D in the local frame, in the coordinate ``axis``:
-    Tx (``axis`` 0), the X = x + offset of its points where dL/dy = 0, None
-    for a zone bounded in x; Ty (``axis`` 1), the y of those where
-    dL/dX = 0.  The field is m/D (dL/dy, -dL/dX) on the level curve, m the
-    integrating factor, so the two hold every point off D = 0 where dx/dt
-    or dy/dt vanishes.  Each is built on its first use."""
-    if axis == 0 and zone.x_lo is not None and zone.x_hi is not None:
-        return None
-    num, den = (p.floats(s) for p, s in zip(local_forms(zone.payload), (1, -1)))
-    v = 1 - axis  # L over the powers of v, with coefficients in (w, h)
-    level = [{} for _ in range(max(e[v] for e in (*num, *den)) + 1)]
-    for k, p in enumerate((num, den)):
-        for e, c in p.items():
-            level[e[v]][e[axis], k] = c
+def turning_points(zone: Zone):
+    """Ty, the ``_rows`` of the ``_critical`` polynomial in y of the level
+    polynomial L = N - h D of the local frame X = x + offset, over X: the y
+    of its points where dL/dX = 0.  The field is m/D (dL/dy, -dL/dX) on the
+    level curve, m the integrating factor, so Ty holds every point off
+    D = 0 where dy/dt vanishes.  L is read on the integer parts of N and D,
+    times one positive integer, and T, divided by the gcd of its
+    coefficients, is the primitive integer polynomial whose floats the rows
+    hold.  None where L is at most linear in X."""
+    num, den = local_forms(zone.payload)[:2]
+    (a, b), (c, d) = num.content.as_integer_ratio(), den.content.as_integer_ratio()
+    level = [{} for _ in range(max(e[0] for e in (*num.ints, *den.ints)) + 1)]
+    for k, (p, s) in enumerate(((num, a * d), (den, -c * b))):  # L b d
+        for e, v in p.ints.items():
+            level[e[0]][e[1], k] = s * v
     t = _critical(level)
-    return t if t is None else _rows(t)
+    if t is None:
+        return None
+    g = gcd(*t.values()) or 1
+    return _rows({e: v // g for e, v in t.items()})
 
 
 def _rows(T: dict) -> tuple:
-    """T(w, h) as its coefficients in w, highest power first, each the
-    tuple of its coefficients in h, highest power first (Horner's order)."""
+    """T(w, h), with integer coefficients, as its coefficients in w, highest
+    power first, each the tuple of its coefficients in h, highest power
+    first (Horner's order): each one's float, or, where the largest has
+    more than 1000 bits, the float of its quotient by one power of two that
+    leaves the largest 1000, so that none overflows."""
     keys = [e for e, c in T.items() if c]
     nw = max((i for i, _ in keys), default=-1)
     nh = max((j for _, j in keys), default=0)
+    scale = 1 << max(0, max((abs(T[e]).bit_length() for e in keys), default=0) - 1000)
     rows = [[0.0] * (nh + 1) for _ in range(nw + 1)]
     for i, j in keys:
-        rows[nw - i][nh - j] = T[i, j]
+        rows[nw - i][nh - j] = T[i, j] / scale  # correctly rounded, as float()
     return tuple(map(tuple, rows))
 
 
@@ -134,16 +139,8 @@ def beyond_every_root(rows: tuple, w: float, h: float) -> bool:
     """True when |w| lies beyond every real root on w's side of T(w, h),
     for T given as ``_rows``: ``no_root_beyond`` |w| of T(w, h), or of
     T(-w, h) for w < 0, with the moduli at |h| of T's coefficients as the
-    scale of their rounding.  An infinite h reads the limit of
-    T(w, h) / h^nh, the first column of the rows (their coefficients of
-    the top power nh of h) where that column keeps T's degree in w, so
-    that no root of T runs off to infinity as h grows: the global
-    center's Tx (4 X^2 + 2 xi), not the Tx of a constant D, whose level
-    is infinite only where N overflows.  False for a NaN h."""
-    if abs(h) == math.inf:
-        if not rows[0][0]:
-            return False
-        rows, h = [row[:1] for row in rows], 1.0
+    scale of their rounding.  False for a NaN h, and for an infinite one
+    wherever T depends on h."""
     cs, mags = [], []
     ah = abs(h)
     for k, row in enumerate(rows, 1 - len(rows)):  # k: minus the power of w

@@ -59,13 +59,13 @@ script: a change that keeps every answer prints the same ten lines.
 ``--census`` prints one more line per arc corpus (``cli_oracle``,
 ``annulus`` and ``bulk`` of ``arcs``, and ``mixed_returns`` for
 ``mixed_arcs``): how many arcs end on a landing, on the escape proof in y
-or in x (the axis of the ``ArcPlan.escaped`` call that returned True), on
-a linear zone's decision (its ``left-window``), as another ``left-window``
-(a window, a step that overflows or collapses), at an equilibrium, on the
-time limit or on the step limit, and the sum of their accepted DOP853
-steps; one more per arc corpus with the ``ArcPlan.escaped`` calls per
-axis (the escape tries) and how many of them held, which moves when the
-reach rows or the try schedule change; and one line per solve corpus of
+(an ``ArcPlan.escaped`` call that returned True), on a linear zone's
+decision (its ``left-window``), as another ``left-window`` (a window, a
+step that overflows or collapses), at an equilibrium, on the time limit
+or on the step limit, and the sum of their accepted DOP853 steps; one
+more per arc corpus with the ``ArcPlan.escaped`` calls (the escape tries)
+and how many of them held, which moves when the reach rows or the try
+schedule change; and one line per solve corpus of
 ``arcs`` on the annulus scan: the ``solver.annulus_check`` calls (one per
 solve, with no boundary when no topology is positive-dimensional), the
 ``displacement`` calls made inside them and the closed magnitudes they
@@ -175,21 +175,20 @@ ARC_ENDS = {"reached-boundary": "landing", "hit-equilibrium": "equilibrium",
 def _census(dynamics, solver, tally):
     """Count into the Counter ``tally`` how every ``dynamics.integrate_arc``
     call made while the block runs ends, and sum its accepted steps: a
-    ``left-window`` arc is a proof when an ``ArcPlan.escaped`` call of the
-    arc returned True, else a linear decision in a ``linear`` zone, else
+    ``left-window`` arc is a y proof when an ``ArcPlan.escaped`` call of
+    the arc returned True, else a linear decision in a ``linear`` zone, else
     another ``left-window``.  Count too every ``solver.annulus_check``
     call, the displacements it asks of its machine and the magnitudes
     (boundary, |y|) at which one of them closes."""
     arc, escaped, scan = dynamics.integrate_arc, dynamics.ArcPlan.escaped, solver.annulus_check
     proofs = []
 
-    def proving(self, axis, w, h):
-        proven = escaped(self, axis, w, h)
-        name = "xy"[axis]
-        tally[f"{name} tries"] += 1
+    def proving(self, y, h):
+        proven = escaped(self, y, h)
+        tally["y tries"] += 1
         if proven:
-            proofs.append(axis)
-            tally[f"{name} held"] += 1
+            proofs.append(y)
+            tally["y held"] += 1
         return proven
 
     def counted(zone, *args, **kwargs):
@@ -198,7 +197,7 @@ def _census(dynamics, solver, tally):
         if traj.status != "left-window":
             end = ARC_ENDS[traj.status]
         elif proofs:
-            end = ("x proof", "y proof")[proofs[-1]]
+            end = "y proof"
         else:
             kind = (zone.zone if isinstance(zone, dynamics.ArcPlan) else zone).kind
             end = "linear decision" if kind == "linear" else "other left-window"
@@ -387,14 +386,12 @@ def main(argv=None) -> int:
     print(f"mixed_arcs {arcs.hexdigest()}")
     print(f"portraits {_cli_digest(cli, workloads, 'portrait', '--samples', '7')}")
     if args.census:
-        ends = ("landing", "y proof", "x proof", "linear decision", "other left-window",
+        ends = ("landing", "y proof", "linear decision", "other left-window",
                 "equilibrium", "time", "steps")
         for name, tally in tallies.items():
             counts = ", ".join(f"{end} {tally[end]}" for end in ends)
             print(f"census {name}: {counts}; accepted steps {tally['accepted steps']}")
-            tries = "; ".join(f"{axis} tries {tally[axis + ' tries']}, held {tally[axis + ' held']}"
-                              for axis in "yx")
-            print(f"escape {name}: {tries}")
+            print(f"escape {name}: y tries {tally['y tries']}, held {tally['y held']}")
         for name, _ in ARC_CORPORA:
             counts = ", ".join(f"{key} {tallies[name][key]}" for key in
                                ("annulus_check calls", "displacements", "closed magnitudes"))

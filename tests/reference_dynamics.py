@@ -236,22 +236,23 @@ def edge_levels(zone) -> tuple:
     return tuple(out)
 
 
-def turning_points(zone) -> tuple:
+def turning_points(zone):
     """``reach.turning_points`` from the ``terms`` of the local forms: the
-    same ``_critical`` polynomials on the same coefficients, met in the
-    same order."""
+    same ``_critical`` polynomial on the exact Fraction coefficients, met in
+    the same order, and made primitive by clearing its denominators and
+    dividing by the gcd of its numerators."""
     num, den = local_forms(zone.payload)[:2]
-
-    def level(v: int) -> list:
-        out = [{} for _ in range(max(e[v] for e in (*num.terms, *den.terms)) + 1)]
-        for p, k, s in ((num, 0, 1.0), (den, 1, -1.0)):
-            for e, c in p.terms.items():
-                out[e[v]][e[1 - v], k] = s * float(c)
-        return out
-
-    bounded = zone.x_lo is not None and zone.x_hi is not None
-    tx = None if bounded else _critical(level(1))
-    return tuple(t if t is None else _rows(t) for t in (tx, _critical(level(0))))
+    level = [{} for _ in range(max(e[0] for e in (*num.terms, *den.terms)) + 1)]
+    for p, k, s in ((num, 0, 1), (den, 1, -1)):
+        for e, c in p.terms.items():
+            level[e[0]][e[1], k] = s * c
+    t = _critical(level)
+    if t is None:
+        return None
+    q = math.lcm(*(c.denominator for c in t.values()))
+    ints = {e: int(c * q) for e, c in t.items()}
+    g = math.gcd(*ints.values()) or 1
+    return _rows({e: c // g for e, c in ints.items()})
 
 
 def linear_parts(zone) -> tuple:
