@@ -100,6 +100,8 @@ def report_to_json(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> dict:
         "candidates": cands,
         "verified_count": len(rep.verified()),
     }
+    if refuted := rep.refuted():
+        out["refuted"] = refuted
     if oracle is not None:
         out["oracle"] = oracle
     return out
@@ -113,6 +115,7 @@ def render_report(ps: PiecewiseSystem, rep: SolveReport, oracle=None) -> str:
         lines.append("matching system is positive-dimensional"
                      + ("; annulus confirmed numerically" if rep.annulus else ""))
     lines.append(f"eliminant ({rep.eliminant_var}): {rep.eliminant}")
+    lines += [f"refuted {tag}: {reason}" for tag, reason in rep.refuted().items()]
     if rep.candidates:
         lines.append("candidates:")
         for c in rep.candidates:

@@ -32,7 +32,8 @@ the direct route (one root's multiplicity differed) in 22 times its time
 (29.4 s against 1.35 s on a 2-core VM; 0.5 to 141 times per system, median
 11), so the direct route stays.
 
-Every eliminant root is refined by exact bisection and extended one unknown
+Unless a line's crossing chart refutes the topology first (see ``solve``),
+every eliminant root is refined by exact bisection and extended one unknown
 at a time (``_extend``), each from the equation of lowest degree among
 those univariate in it, a linear one solved exactly; the sum/difference
 route takes each unknown from the equations its own step consumed.
@@ -47,9 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from . import algebra, dynamics
+from . import algebra, chart, dynamics
 from .algebra import (
     AlgebraError,
     MultiPoly,
@@ -155,6 +156,12 @@ class SolveReport:
     def verified(self, topology: str | None = None) -> list[CandidateCycle]:
         return [c for c in self.candidates if c.status == "verified"
                 and (topology is None or c.topology == topology)]
+
+    def refuted(self) -> dict[str, str]:
+        """{tag: reason} of every topology that the crossing charts refuted
+        (see ``solve``)."""
+        return {tag: d["refuted"] for tag, d in self.diagnostics["topologies"].items()
+                if "refuted" in d}
 
     def main_topology(self) -> str:
         return "three_zone" if any(c.topology == "three_zone" for c in self.candidates) \
@@ -385,11 +392,35 @@ class _CoreResult:
     diagnostics: dict
 
 
-def _direct_core(ms: MatchingSystem) -> _CoreResult:
+# a gate: why no crossing cycle can solve a matching system, or None
+Refute = Optional[Callable[[], Optional[str]]]
+
+
+def _refuted(elim: UniPoly, refute: Refute, diag: dict) -> bool:
+    """Ask the gate, only when the eliminant has a root to look for
+    (degree >= 1), and record its reason in diag as ``refuted``."""
+    reason = refute() if refute is not None and elim.degree >= 1 else None
+    if reason:
+        diag["refuted"] = reason
+    return bool(reason)
+
+
+def _core(ms: MatchingSystem, refute: Refute = None) -> _CoreResult:
+    """The route of ms: the sum/difference elimination for a three-zone
+    system in its shape, the direct one for every other system."""
+    try:
+        return _three_zone_core(ms, refute) if ms.topology == "three_zone" \
+            else _direct_core(ms, refute)
+    except MatchError:
+        return _direct_core(ms, refute)
+
+
+def _direct_core(ms: MatchingSystem, refute: Refute = None) -> _CoreResult:
     """Plain resultant elimination in ``default_order(ms)`` down to y1; every
     eliminant root is back-substituted, and a root that extends to no tuple
     counts as extraneous.  The route of two-zone systems, and the fallback
-    for three-zone structures outside the sum/difference shape."""
+    for three-zone structures outside the sum/difference shape.  A system
+    that the gate ``refute`` refutes keeps its eliminant and no tuple."""
     diag: dict = {"extraneous_roots": 0}
     if ms.topology == "three_zone":
         diag["route"] = "direct"
@@ -401,6 +432,8 @@ def _direct_core(ms: MatchingSystem) -> _CoreResult:
     except PositiveDimensionalError:
         return posdim
     tuples: list[tuple[tuple[Fraction, ...], int]] = []
+    if _refuted(elim, refute, diag):
+        return _CoreResult(elim, "y1", tuples, False, diag)
     for r, mult in _root_values(elim, INTERNAL_REFINE):
         exts = back_substitute(r, ms)
         if not exts:
@@ -428,7 +461,7 @@ def _halve(p: MultiPoly, var: str, newvar: str) -> MultiPoly:
                                 for e, c in p.ints.items()}, p.content)
 
 
-def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
+def _three_zone_core(ms: MatchingSystem, refute: Refute = None) -> _CoreResult:
     """Sum/difference elimination: step w by the right pair equation, step
     z, strip the odd factor v and halve to V = v^2, step V, and take the gcd
     in u of what is left (see the module docstring).  A spread z or V that no
@@ -437,7 +470,9 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
 
     A root of u takes V from the halved equations (``_candidate_V``), z from
     the equations step w left, in which w is exact, and w from the pivot s4;
-    a root that extends to no screened tuple counts as extraneous."""
+    a root that extends to no screened tuple counts as extraneous.  A
+    system that the gate ``refute`` refutes keeps its eliminant and no
+    tuple."""
     diag: dict = {"extraneous_roots": 0, "route": "sum_diff"}
     s1, sdiff, ssum, s4 = to_sum_diff(ms)
     if s4.degree("z") > 0 or s4.degree("w") > 1:
@@ -462,6 +497,8 @@ def _three_zone_core(ms: MatchingSystem) -> _CoreResult:
         return posdim
 
     tuples: list[tuple[tuple[Fraction, ...], int]] = []
+    if _refuted(elim, refute, diag):
+        return _CoreResult(elim, "u", tuples, False, diag)
     # u is refined far below the coincidence gap so that a pair spread of
     # exactly zero cannot masquerade as a tiny positive V
     for u_hat, mult in _root_values(elim, Fraction(1, 10**40)):
@@ -670,7 +707,14 @@ def annulus_check(machine, boundaries: Sequence[int]) -> bool:
 def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
     """Full pipeline: continuity, theorem bound, matching systems for every
     crossing topology, elimination, isolation, refinement, screening, and
-    (optionally) dynamic verification of every candidate."""
+    (optionally) dynamic verification of every candidate.
+
+    A topology with an eliminant of degree >= 1 first passes the gate of
+    its lines' crossing charts (``chart.line_chart``, built on first use,
+    once per line): when one of its lines has no crossing segment in some
+    direction, no crossing cycle of it exists, so it keeps its eliminant and
+    flags, reports the reason as ``refuted`` in its diagnostics, and has no
+    candidates."""
     cont, _ = is_continuous(ps)
     bound = theorem_bound(ps, cont)
     try:
@@ -683,12 +727,18 @@ def solve(ps: PiecewiseSystem, verify: bool = True, cfg=None) -> SolveReport:
     posdim_boundaries: list[int] = []
     main_elim = UniPoly.zero("y1")
     main_var = "y1"
+    charts: dict[int, chart.LineChart] = {}
+
+    def refutation(lines: tuple[int, ...]) -> Optional[str]:
+        for b in lines:
+            if b not in charts:
+                charts[b] = chart.line_chart(ps.zones[b], ps.zones[b + 1], ps.boundaries[b])
+            if reason := charts[b].refutation():
+                return reason
+        return None
 
     for k, (tag, bidx, ms) in enumerate(mss):
-        try:
-            core = _three_zone_core(ms) if ms.topology == "three_zone" else _direct_core(ms)
-        except MatchError:
-            core = _direct_core(ms)
+        core = _core(ms, lambda: refutation(bidx))
         diagnostics["topologies"][tag] = core.diagnostics
         if k == 0:
             main_elim, main_var = core.eliminant, core.var

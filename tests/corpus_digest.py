@@ -69,7 +69,11 @@ schedule change; and one line per solve corpus of
 ``arcs`` on the annulus scan: the ``solver.annulus_check`` calls (one per
 solve, with no boundary when no topology is positive-dimensional), the
 ``displacement`` calls made inside them and the closed magnitudes they
-found; and one line per solve corpus with the polynomial splits that
+found; one line per solve corpus, and one for ``mixed`` with its mirrors,
+with the topologies that the crossing charts refuted, per tag, the systems
+whose every topology they refuted, and the candidates without the gate
+(each refuted topology's route run again with none) and with it; and one
+line per solve corpus with the polynomial splits that
 ``solve`` makes over it (the calls of ``algebra._primitive``, which splits
 every new polynomial into its content and primitive part), in total and
 per unit, a count that repeats exactly and falls when the set-up builds
@@ -103,6 +107,7 @@ MIXED_COUNT = 40
 # a zone of each family: the center of a two-zone configuration, or a saddle
 MIXED_FAMILIES = ("double_center+saddle", "global_center+saddle", "cubic_center+saddle", None)
 MIXED_RETURN_ORDINATES = [-5 + 10 * i / 20 for i in range(21)]
+TAGS = ("two_zone", "two_zone@0", "two_zone@1", "three_zone")
 
 
 def rand_mixed(rng, rand_config, rand_saddle, piecewise_system):
@@ -250,6 +255,21 @@ def _splits(algebra, tally, name):
         algebra._primitive = primitive
 
 
+def _refuted(solver, matcher, ps, rep, tally):
+    """Count into the Counter ``tally`` each topology of ``rep`` that the
+    crossing charts refuted, by tag, a system whose every topology they
+    refuted, and the candidates with the gate and without it: the count
+    without it adds the tuples that each refuted topology's route
+    (``solver._core``, called with no gate) finds."""
+    refuted = rep.refuted()
+    tally.update(list(refuted))
+    tally["dead systems"] += len(refuted) == len(rep.diagnostics["topologies"])
+    tally["gated"] += len(rep.candidates)
+    tally["ungated"] += len(rep.candidates) + sum(
+        len(solver._core(ms).tuples) for tag, _, ms in matcher.matching_systems_for(ps)
+        if tag in refuted)
+
+
 def _module_caches(*modules):
     """(module.name, function) of every ``lru_cache`` that the modules
     define at module level."""
@@ -288,6 +308,7 @@ def main(argv=None) -> int:
     splits = collections.Counter()
     caches = _module_caches(algebra, systems, matcher, reach, dynamics, solver)
     uses = {name: collections.Counter() for name, _ in CORPORA}
+    refutes = {name: collections.Counter() for name, _ in (*CORPORA, ("mixed", None))}
     h = hashlib.sha256()
     for name, count in CORPORA:
         for _, label, ps in workloads.build_units(name, workloads.DEFAULT_SEEDS[name], count):
@@ -301,6 +322,8 @@ def main(argv=None) -> int:
                 entry = {"label": label, "report": cli.report_to_json(ps, rep),
                          "exact": [[[b, str(v)] for b, v in c.ordinates]
                                    for c in rep.candidates]}
+                if args.census:
+                    _refuted(solver, matcher, ps, rep, refutes[name])
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
     print(f"solve {h.hexdigest()}")
 
@@ -369,6 +392,8 @@ def main(argv=None) -> int:
                 entry = {"label": label, "report": cli.report_to_json(ps, rep),
                          "exact": [[[b, str(v)] for b, v in c.ordinates]
                                    for c in rep.candidates]}
+                if args.census:
+                    _refuted(solver, matcher, ps, rep, refutes["mixed"])
             h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
         print(f"{line} {h.hexdigest()}")
 
@@ -399,6 +424,10 @@ def main(argv=None) -> int:
         for name, count in CORPORA:
             print(f"splits {name}: {splits[name]} in {count} units, "
                   f"{splits[name] / count:.1f} per unit")
+        for name, tally in refutes.items():
+            print(f"refuted {name}: " + ", ".join(f"{tag} {tally[tag]}" for tag in TAGS)
+                  + f"; {tally['dead systems']} systems with every topology refuted; "
+                  f"candidates {tally['ungated']} -> {tally['gated']}")
         for name, _ in CORPORA:
             print(f"caches {name}: " + "; ".join(
                 f"{cache} hits {uses[name][cache, 'hits']}, misses {uses[name][cache, 'misses']}"

@@ -405,6 +405,22 @@ def test_cli_solve_rational_middle_zone(tmp_path):
     assert any(c["topology"] == "three_zone" for c in data["candidates"])
 
 
+def test_cli_solve_names_each_refuted_topology(tmp_path):
+    """``bulk`` unit 1 (seed 505): on x = 0, f⁻ = y - 3 and f⁺ = -y - 3 are
+    never both positive, so the text report and the JSON name the refuted
+    topology, and the candidate its route finds is not reported."""
+    p = tmp_path / "dead.pwham"
+    p.write_text("version 1\nboundaries 0\nzone global_center xi=3\n"
+                 "zone linear alpha=3/2 beta=3 delta=1 mu=-3 gamma=-1\n")
+    reason = "line x = 0 has no rightward crossing segment"
+    code, out = run_cli("solve", str(p))
+    assert code == 0
+    assert f"\nrefuted two_zone: {reason}\ncandidates: none\n" in out
+    code, out = run_cli("solve", str(p), "--json")
+    data = json.loads(out)
+    assert data["refuted"] == {"two_zone": reason} and data["candidates"] == []
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     p = tmp_path / "bad.pwham"
     p.write_text("version 1\nboundaries 0\nzone bogus a=1\nzone linear\n")

@@ -604,7 +604,9 @@ def test_dedupe_merges_the_direct_routes_float_twins():
     global center beside two saddles, coefficients shifted by about 1e-20)
     takes the direct route, whose back-substitution yields two pairs of
     three-zone tuples that are equal to float precision; ``_dedupe``
-    merges each pair, so 2 candidates are reported, not 4."""
+    merges each pair, so the route returns 2 tuples, not 4.  ``solve``
+    never gets there: x = 1 has no leftward crossing segment, so it
+    reports the topology refuted, with the same eliminant."""
     ps = piecewise_system(
         [LinearSaddle(F(14049247529255285597, 28098495058510571192), 0,
                       F(-92823457237611185094, 92823457237611185093),
@@ -617,9 +619,14 @@ def test_dedupe_merges_the_direct_routes_float_twins():
                       F(63027720941377317616, 63027720941377317615)),
          GlobalCenter(F(109514472536257845095, 54757236268128922548), offset=-1)],
         [-1, 1], [False, False, True])
+    core = _direct_core(build_three_zone(*ps.zones, *ps.boundaries))
+    assert len(core.tuples) == 2
     rep = solve(ps, verify=False)
-    assert rep.diagnostics["topologies"]["three_zone"]["route"] == "direct"
-    assert [c.topology for c in rep.candidates].count("three_zone") == 2
+    three = rep.diagnostics["topologies"]["three_zone"]
+    assert three["route"] == "direct"
+    assert three["refuted"] == "line x = 1 has no leftward crossing segment"
+    assert rep.eliminant == core.eliminant
+    assert [c.topology for c in rep.candidates].count("three_zone") == 0
 
 
 UNKNOWNS = ("y1", "y2", "y3", "y4")
